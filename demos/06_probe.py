@@ -31,7 +31,8 @@ print(f"c = 15: {report.n_creases} creases, min F(f)/|f| = {report.min_ratio}")
 print("destabilizer found:", report.found_destabilizer)
 
 # Refuted instance: the probe finds a crease with F(f) < 0 and the value
-# re-verifies through a from-scratch integration of the clipped piece.
+# re-verifies through an independent cone-decomposition integration of the
+# clipped piece, which never reads its moment table.
 bad = projective_bundle([[1]], [(3, -6)], [F(11, 10)], t=1)
 w_bad = stability_weight(bad)
 report = probe(bad.fiber, bad.v, w_bad, fam3)

@@ -115,6 +115,8 @@ def certify_nonnegative(
     bound (min Bernstein coefficient over the leaves) and REFUTED with an
     exact rational point where p < 0.
     """
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     hit = _negative_sample(p, simplex)
     if hit is not None:
         return PositivityOutcome(REFUTED, None, hit, 0)

@@ -595,6 +595,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, low in (("max_depth", 0), ("csv_samples", 1)):
+        if getattr(args, name, low) < low:
+            parser.error(f"--{name.replace('_', '-')} must be >= {low}")
     try:
         return args.func(args)
     except _RUNTIME_ERRORS as exc:

@@ -132,8 +132,8 @@ def solve_extremal(
 ) -> ExtremalSolution:
     """Solve the moment system for l_ext over raw weight polynomials.
 
-    The defining equations are re-verified through fresh integrals: the stored
-    residuals recompute b_i - (row integrals of l_ext * v) and must all be 0.
+    The stored residuals b_i - (row integrals of l_ext * v) must all be 0; they
+    read the same cached moments of P as the system, so they check the solve.
     """
     ell = P.dim
     M, b, moments_boundary, moments_w = _moment_system(P, v, w_base, convention)

@@ -4,6 +4,9 @@ Interior integrals use a fan triangulation and the Dirichlet formula on the
 standard simplex.  Boundary integrals use the labelled measure d(sigma) on
 each facet F_j, fixed by  dL_j ^ d(sigma) = -dx : rescaling a label rescales
 its facet measure inversely, so the labels (not just the facets) enter.
+
+Moments are cached per polytope: integrate and integrate_boundary are dot
+products with the monomial integrals kept in P.moments, each filled once.
 """
 
 from __future__ import annotations
@@ -45,9 +48,7 @@ def integrate_simplex(p: Polynomial, simplex: Simplex) -> Fraction:
 
 
 def integrate(p: Polynomial, P: LabelledPolytope) -> Fraction:
-    if p.dim != P.dim:
-        raise ValueError("polynomial/polytope dimension mismatch")
-    return sum((integrate_simplex(p, s) for s in triangulate(P)), Fraction(0))
+    return _moment_dot(p, P, False)
 
 
 def volume(P: LabelledPolytope) -> Fraction:
@@ -102,6 +103,24 @@ def integrate_facet(p: Polynomial, P: LabelledPolytope, j: int) -> Fraction:
 
 def integrate_boundary(p: Polynomial, P: LabelledPolytope) -> Fraction:
     """d(sigma)-integral of p over the whole labelled boundary of P."""
-    return sum(
-        (integrate_facet(p, P, j) for j in range(P.n_facets)), Fraction(0)
-    )
+    return _moment_dot(p, P, True)
+
+
+def _moment_dot(p: Polynomial, P: LabelledPolytope, boundary: bool) -> Fraction:
+    """Sum of coeff * moment over p's terms.  Moments missing from P.moments,
+    keyed (exponent, boundary), are filled over one triangulation."""
+    if p.dim != P.dim:
+        raise ValueError("polynomial/polytope dimension mismatch")
+    table = P.moments
+    missing = [expo for expo in p.terms if (expo, boundary) not in table]
+    if missing:
+        if boundary:
+            cells = [(c, _transversal(P, j)) for j in range(P.n_facets)
+                     for c in triangulate_facet(P, j)]
+            pullback = lambda m, cell: integrate_facet_cell(m, *cell)
+        else:
+            cells, pullback = triangulate(P), integrate_simplex
+        for expo in missing:
+            m = Polynomial.monomial(P.dim, expo)
+            table[expo, boundary] = sum((pullback(m, c) for c in cells), Fraction(0))
+    return sum((c * table[e, boundary] for e, c in p.terms.items()), Fraction(0))

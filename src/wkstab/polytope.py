@@ -84,15 +84,18 @@ class Simplex:
 
 
 class LabelledPolytope:
-    """Immutable labelled polytope; construct via :func:`from_halfspaces`."""
+    """Immutable labelled polytope; construct via :func:`from_halfspaces`.
+    ``moments`` is a derived cache of monomial integrals (see measure), not
+    part of equality or hashing."""
 
-    __slots__ = ("dim", "labels", "vertices", "facet_incidence")
+    __slots__ = ("dim", "labels", "vertices", "facet_incidence", "moments")
 
     def __init__(self, dim, labels, vertices, facet_incidence):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "facet_incidence", tuple(tuple(f) for f in facet_incidence))
+        object.__setattr__(self, "moments", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("LabelledPolytope is immutable")

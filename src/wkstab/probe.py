@@ -12,20 +12,20 @@ facet contributes nothing since h = 0 there).  A crease with F(f) < 0 is an
 exact instability witness; a positive minimum of F(f)/|f|_L1 over a family is
 evidence (never proof) of a stability margin.
 
-Creases store per-monomial moment tables of their positive piece, so probing
-many weight pairs over one polytope reuses all quadrature.
+F(f) and |f|_L1 read the moment table of the positive piece (see measure), so
+probing many weight pairs over one family reuses all quadrature.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import AffineFunc, Point, Polynomial, point, vadd, vscale, vsub
-from .futaki import assert_futaki_vanishes, df_invariant
-from .measure import integrate, integrate_boundary
+from .futaki import assert_futaki_vanishes, df_invariant, df_via_cones
+from .measure import integrate
 from .polytope import EmptyInterior, LabelledPolytope, clip
 
 
@@ -33,43 +33,20 @@ from .polytope import EmptyInterior, LabelledPolytope, clip
 class Crease:
     h: AffineFunc
     positive: LabelledPolytope
-    negative: LabelledPolytope
-    _interior_moments: dict = field(default_factory=dict, compare=False, repr=False)
-    _boundary_moments: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def interior_moment(self, expo: tuple) -> Fraction:
-        if expo not in self._interior_moments:
-            mono = Polynomial(self.h.dim, {expo: Fraction(1)})
-            self._interior_moments[expo] = integrate(mono, self.positive)
-        return self._interior_moments[expo]
-
-    def boundary_moment(self, expo: tuple) -> Fraction:
-        if expo not in self._boundary_moments:
-            mono = Polynomial(self.h.dim, {expo: Fraction(1)})
-            self._boundary_moments[expo] = integrate_boundary(mono, self.positive)
-        return self._boundary_moments[expo]
 
     def df_value(self, v: Polynomial, w: Polynomial) -> Fraction:
-        """F(max(0, h)), via the cached moments of the positive piece."""
-        hv = self.h.to_polynomial() * v
-        hw = self.h.to_polynomial() * w
-        total = Fraction(0)
-        for expo, coeff in hv.terms.items():
-            total += 2 * coeff * self.boundary_moment(expo)
-        for expo, coeff in hw.terms.items():
-            total -= coeff * self.interior_moment(expo)
-        return total
+        """F(max(0, h)), from the moment table of the positive piece."""
+        return df_invariant(self.positive, v, w, self.h.to_polynomial())
 
     def l1_norm(self) -> Fraction:
         """|f|_L1 = integral of h over the positive piece."""
-        total = Fraction(0)
-        for expo, coeff in self.h.to_polynomial().terms.items():
-            total += coeff * self.interior_moment(expo)
-        return total
+        return integrate(self.h.to_polynomial(), self.positive)
 
     def df_value_direct(self, v: Polynomial, w: Polynomial) -> Fraction:
-        """Recompute F(f) from scratch on the clipped piece (verification path)."""
-        return df_invariant(self.positive, v, w, self.h.to_polynomial())
+        """F(f) by integrating whole polynomials over the cone cells of the
+        positive piece (verification path: never reads the moment table)."""
+        P = self.positive
+        return df_via_cones(P, P.vertex_centroid(), v, w, self.h.to_polynomial())
 
 
 def _primitive_directions(dim: int, r: int) -> list[tuple]:
@@ -100,8 +77,9 @@ def _offset_grid(P: LabelledPolytope, r: int) -> list[Point]:
 
 def crease_family(P: LabelledPolytope, x0, r: int) -> list[Crease]:
     """All creases h = +-n.(x - q) with primitive |n|_inf <= r, offsets q on
-    the (r+1)-fold subdivided vertex-barycenter grid, h(x0) <= 0, and both
-    pieces full-dimensional.  Deterministic order; duplicates removed."""
+    the (r+1)-fold subdivided vertex-barycenter grid, h(x0) <= 0 (so the piece
+    h <= 0 is full-dimensional), and a full-dimensional positive piece.
+    Deterministic order; duplicates removed."""
     x0 = point(x0)
     if r < 1:
         raise ValueError("resolution r must be >= 1")
@@ -121,10 +99,9 @@ def crease_family(P: LabelledPolytope, x0, r: int) -> list[Crease]:
                 seen.add(key)
                 try:
                     pos = clip(P, h)
-                    neg = clip(P, -h)
                 except EmptyInterior:
                     continue
-                family.append(Crease(h=h, positive=pos, negative=neg))
+                family.append(Crease(h=h, positive=pos))
     return family
 
 

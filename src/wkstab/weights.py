@@ -188,14 +188,6 @@ def fibration(
     )
 
 
-def weight_v(fib: Fibration) -> Polynomial:
-    return fib.v
-
-
-def weight_w_base(fib: Fibration) -> Polynomial:
-    return fib.w_base
-
-
 def projective_bundle(
     degrees,
     base,

@@ -2,6 +2,8 @@ import math
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from wkstab import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -104,6 +106,18 @@ def test_depth_zero_inconclusive_when_mixed_coefficients():
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
     p = (x - y) ** 2 + F(1, 100)
+    assert certify_nonnegative(p, TRI, max_depth=0).status == INCONCLUSIVE
+
+
+def test_negative_depth_is_rejected_before_any_work():
+    # a depth below 0 would never reach the "max_depth == 0" stop
+    with pytest.raises(ValueError):
+        certify_nonnegative(Polynomial.constant(2, 1), TRI, max_depth=-1)
+    x = Polynomial.variable(2, 0) - F(1, 3)
+    y = Polynomial.variable(2, 1) - F(1, 5)
+    p = x * x + y * y - x * y  # zero at an interior point: never certified
+    with pytest.raises(ValueError):
+        certify_nonnegative(p, TRI, max_depth=-1)
     assert certify_nonnegative(p, TRI, max_depth=0).status == INCONCLUSIVE
 
 

@@ -328,6 +328,26 @@ def test_cli_csv_samples(capsys, tmp_path):
     assert len(rows) > 1
 
 
+def test_cli_csv_samples_must_be_positive(capsys, tmp_path):
+    dest = tmp_path / "cond.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check-fano", RANK_ONE, "--csv", str(dest), "--csv-samples", "0"])
+    assert exc.value.code == 1
+    assert "--csv-samples must be >= 1" in capsys.readouterr().err
+    assert not dest.exists()
+
+
+def test_cli_negative_max_depth_rejected(capsys):
+    # rejected while parsing, also on routes that never reach Bernstein
+    for cmd in ("check", "check-fano"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([cmd, RANK_ONE, "--max-depth", "-1"])
+        assert exc.value.code == 1
+        assert "--max-depth must be >= 0" in capsys.readouterr().err
+        code, _, _ = run(capsys, cmd, RANK_ONE, "--max-depth", "0")
+        assert code == 0
+
+
 def test_cli_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(RANK_ONE))
     code, data, _ = run_json(capsys, "check-fano", "-")

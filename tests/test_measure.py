@@ -125,3 +125,41 @@ def test_integrate_additive_over_clip():
     y = Polynomial.variable(2, 1)
     p = (x + y) ** 2 + 5
     assert integrate(p, clip(P, h)) + integrate(p, clip(P, -h)) == integrate(p, P)
+
+
+def test_moments_fill_once_per_polytope(monkeypatch):
+    import wkstab.measure as measure
+
+    P = hexagon()
+    x = Polynomial.variable(2, 0)
+    y = Polynomial.variable(2, 1)
+    p = (x + 2 * y) ** 3 + x * y - 7
+    first = (integrate(p, P), integrate_boundary(p, P))
+    filled = dict(P.moments)
+    assert set(filled) == {(e, b) for e in p.terms for b in (False, True)}
+
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(measure, "triangulate", counting(measure.triangulate))
+    monkeypatch.setattr(measure, "triangulate_facet", counting(measure.triangulate_facet))
+    assert (integrate(p, P), integrate_boundary(p, P)) == first
+    assert P.moments == filled
+    assert calls == []
+    # a new monomial triangulates once, however many it adds
+    integrate(x ** 5 + y ** 5, P)
+    assert calls == ["triangulate"]
+
+
+def test_moment_table_is_not_part_of_the_polytope_value():
+    P = hexagon()
+    integrate(Polynomial.variable(2, 0), P)
+    fresh = hexagon()
+    assert P.moments and not fresh.moments
+    assert P == fresh and hash(P) == hash(fresh)

@@ -33,8 +33,8 @@ def test_interval_family_r1_is_exactly_four_creases():
         ((F(1),), F(-1, 2)),
         ((F(-1),), F(-1, 2)),
     }
-    # x - 1 and x + 1 vanish only at the endpoints: both pieces must be
-    # full-dimensional, so they are dropped
+    # x - 1 and -x - 1 are positive only at an endpoint: the positive piece
+    # must be full-dimensional, so they are dropped
     assert ((F(1),), F(-1)) not in keys(fam)
     assert ((F(-1),), F(-1)) not in keys(fam)
 
@@ -65,6 +65,33 @@ def test_family_is_deterministic():
     assert [(c.h.gradient, c.h.constant) for c in a] == [
         (c.h.gradient, c.h.constant) for c in b
     ]
+
+
+@pytest.mark.parametrize("make,size", [(triangle, 162), (interval, 8)])
+def test_family_size_and_nonempty_negative_side(make, size):
+    # h <= 0 at the interior x0 leaves a vertex with h < 0, so the piece
+    # h <= 0 is always full-dimensional and needs no clip of its own
+    P = make()
+    fam = crease_family(P, (F(0),) * P.dim, 3)
+    assert len(fam) == size
+    for crease in fam:
+        assert any(crease.h(vtx) < 0 for vtx in P.vertices)
+
+
+def test_df_value_direct_never_reads_the_moment_table():
+    fib = projective_bundle([[1, 2]], [(3, 18)], [12], t=1)
+    w = stability_weight(fib)
+    fam = crease_family(fib.fiber, default_base_point(fib.fiber), 1)
+    for crease in fam:
+        value = crease.df_value(fib.v, w)
+        table = crease.positive.moments
+        assert table
+        for i, key in enumerate(sorted(table)):
+            table[key] = F(10**6 + i, 7)
+        corrupted = dict(table)
+        assert crease.df_value(fib.v, w) != value
+        assert crease.df_value_direct(fib.v, w) == value
+        assert table == corrupted
 
 
 def test_df_value_matches_direct_recompute():
