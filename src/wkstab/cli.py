@@ -592,12 +592,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _parse_args(argv) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name, low in (("max_depth", 0), ("csv_samples", 1)):
-        if getattr(args, name, low) < low:
-            parser.error(f"--{name.replace('_', '-')} must be >= {low}")
+    for name, rel, low in (
+        ("max_depth", ">=", 0),
+        ("csv_samples", ">=", 1),
+        ("degree_cap", ">=", 1),
+        ("tol", ">", 0),
+    ):
+        value = getattr(args, name, None)
+        if value is not None and not (value > low if rel == ">" else value >= low):
+            parser.error(f"--{name.replace('_', '-')} must be {rel} {low}")
+    return args
+
+
+def main(argv=None) -> int:
+    # The parser is built per call and holds reference cycles; dropping it
+    # before the command runs lets a young-generation collection free it
+    # instead of it ageing into the rarely collected oldest generation.
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except _RUNTIME_ERRORS as exc:

@@ -10,14 +10,17 @@ types:
   coefficients and a canonical (graded-lexicographic) term order,
 
 plus the small amount of exact linear algebra used by the rest of the library
-(row reduction, square solves, determinants, affine rank).  All matrices in
-this package are tiny (at most a few rows), so plain Gaussian elimination
-over ``Fraction`` is both fast enough and easy to audit.
+(row reduction, square solves, determinants, affine rank).  Elimination runs
+on integers: each row is scaled once by the lcm of its denominators, then
+reduced fraction-free (Bareiss, Math. Comp. 22 (1968)), where every division
+is exact, so no gcd is paid per entry operation.  Results are converted back
+to ``Fraction`` once, and equal those of elimination over ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Point = tuple[Fraction, ...]
@@ -81,6 +84,9 @@ class AffineFunc:
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("AffineFunc is immutable")
+
+    def __reduce__(self):  # pickle/copy through the constructor
+        return AffineFunc, (self.gradient, self.constant)
 
     @property
     def dim(self) -> int:
@@ -181,6 +187,9 @@ class Polynomial:
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):  # pickle/copy through the constructor
+        return Polynomial, (self.dim, self.terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -369,39 +378,63 @@ def _as_matrix(A: Sequence[Sequence]) -> Matrix:
     return [[rat(x) for x in row] for row in A]
 
 
+def _integer_rows(M: Matrix) -> tuple[list[list[int]], int]:
+    """Each row scaled to integers by the lcm of its denominators, and the
+    product of those scales."""
+    rows, scale = [], 1
+    for row in M:
+        s = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    return rows, scale
+
+
 def rref(A: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (a copy) and the list of pivot columns."""
-    M = _as_matrix(A)
+    """Reduced row echelon form (a copy) and the list of pivot columns.
+
+    Fraction-free Gauss-Jordan on the integer-scaled rows: each update
+    ``(p*x - f*y) // prev`` divides exactly (every entry is a minor of the
+    scaled matrix), so every pivot row ends with the last pivot on its
+    diagonal and is divided by it once.
+    """
+    M, _ = _integer_rows(_as_matrix(A))
     if not M:
         return [], []
     rows, cols = len(M), len(M[0])
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(cols):
         pivot = next((i for i in range(r, rows) if M[i][c]), None)
         if pivot is None:
             continue
         M[r], M[pivot] = M[pivot], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
+        p, pr = M[r][c], M[r]
         for i in range(rows):
-            if i != r and M[i][c]:
+            if i != r:
                 f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+                if f:
+                    M[i] = [(p * x - f * y) // prev for x, y in zip(M[i], pr)]
+                else:
+                    M[i] = [p * x // prev for x in M[i]]
+        prev = p
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return M, pivots
+    zero = Fraction(0)
+    return [[Fraction(x, prev) if x else zero for x in row] for row in M], pivots
 
 
 def det(A: Sequence[Sequence]) -> Fraction:
-    M = _as_matrix(A)
+    """Bareiss elimination on the integer-scaled rows, divided by the
+    product of the row scales."""
+    M, scale = _integer_rows(_as_matrix(A))
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("determinant of a non-square matrix")
     sign = 1
-    d = Fraction(1)
+    prev = 1
     for c in range(n):
         pivot = next((i for i in range(c, n) if M[i][c]), None)
         if pivot is None:
@@ -409,13 +442,12 @@ def det(A: Sequence[Sequence]) -> Fraction:
         if pivot != c:
             M[c], M[pivot] = M[pivot], M[c]
             sign = -sign
-        d *= M[c][c]
-        inv = 1 / M[c][c]
+        p, pr = M[c][c], M[c]
         for i in range(c + 1, n):
-            if M[i][c]:
-                f = M[i][c] * inv
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return sign * d
+            f = M[i][c]
+            M[i] = [(p * x - f * y) // prev for x, y in zip(M[i], pr)]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def solve_square(A: Sequence[Sequence], b: Sequence) -> Point | None:

@@ -100,6 +100,9 @@ class LabelledPolytope:
     def __setattr__(self, name, value):
         raise AttributeError("LabelledPolytope is immutable")
 
+    def __reduce__(self):  # pickle/copy through the constructor; moments start empty
+        return LabelledPolytope, (self.dim, self.labels, self.vertices, self.facet_incidence)
+
     @property
     def n_facets(self) -> int:
         return len(self.labels)

@@ -385,6 +385,8 @@ def threshold_c(
     c_lo, c_hi, tol = rat(c_lo), rat(c_hi), rat(tol)
     if c_hi < c_lo:
         raise ValueError("empty bracket: c_hi < c_lo")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     try:
         fib_lo = make_fib(c_lo)
     except NonpositiveWeight as exc:

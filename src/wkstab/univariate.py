@@ -7,6 +7,9 @@ Root isolation returns exact rational roots when bisection lands on one
 otherwise.  Rational-function reconstruction fits numerator/denominator
 coefficients through a nullspace solve at escalating degrees, accepting only
 candidates that reproduce every sample plus fresh validation points exactly.
+A null vector already reproduces the fit samples wherever its denominator is
+nonzero, so candidates are checked unreduced and the gcd reduction runs once,
+on the accepted fit.
 """
 
 from __future__ import annotations
@@ -220,10 +223,19 @@ def _reduced(num: Poly1, den: Poly1) -> RationalFunction:
     return RationalFunction(normalize(num), normalize(den))
 
 
-def fit_rational(samples: list[tuple], m: int, n: int) -> RationalFunction | None:
-    """One rational function num/den with deg num <= m, deg den <= n matching
-    the samples, from the nullspace of the linearized interpolation system;
-    None when no nonzero candidate matches all samples."""
+def _matches(cand: RationalFunction, samples) -> bool:
+    return all(evaluate(cand.den, x) != 0 and cand(x) == y for x, y in samples)
+
+
+def _fit(samples, m: int, n: int, validate=()) -> RationalFunction | None:
+    """The first nullspace candidate that matches *samples* (as
+    :func:`fit_rational`), reduced only if it also matches *validate*.
+
+    A null vector (num, den) has num(x) = y den(x) at every fit sample, so
+    wherever the unreduced den is nonzero its reduction gives the value y
+    without being formed.  ``_reduced`` runs only for the accepted pair and
+    where den vanishes at a sample.
+    """
     rows = []
     for x, y in samples:
         xs = [Fraction(1)]
@@ -239,12 +251,26 @@ def fit_rational(samples: list[tuple], m: int, n: int) -> RationalFunction | Non
         den = normalize(vec[m + 1 :])
         if not den:
             continue
-        cand = _reduced(num, den)
-        if all(
-            evaluate(cand.den, x) != 0 and cand(x) == y for x, y in samples
-        ):
-            return cand
+        if any(evaluate(den, x) == 0 for x, _ in samples):
+            cand = _reduced(num, den)
+            if not _matches(cand, samples):
+                continue
+            return cand if _matches(cand, validate) else None
+        dens = [evaluate(den, x) for x, _ in validate]
+        if 0 in dens:
+            cand = _reduced(num, den)
+            return cand if _matches(cand, validate) else None
+        if all(evaluate(num, x) == y * d for (x, y), d in zip(validate, dens)):
+            return _reduced(num, den)
+        return None
     return None
+
+
+def fit_rational(samples: list[tuple], m: int, n: int) -> RationalFunction | None:
+    """One rational function num/den with deg num <= m, deg den <= n matching
+    the samples, from the nullspace of the linearized interpolation system;
+    None when no nonzero candidate matches all samples."""
+    return _fit(samples, m, n)
 
 
 def reconstruct_rational(
@@ -273,10 +299,8 @@ def reconstruct_rational(
 
     for k in range(1, degree_cap + 1):
         take(2 * k + 1 + validation)
-        cand = fit_rational(cache[: 2 * k + 1], k, k)
-        if cand is None:
-            continue
-        if all(evaluate(cand.den, x) != 0 and cand(x) == y for x, y in cache):
+        cand = _fit(cache[: 2 * k + 1], k, k, cache[2 * k + 1 :])
+        if cand is not None:
             return cand
     raise DegreeEscalationFailed(
         f"no rational function of degree up to ({degree_cap},{degree_cap}) "

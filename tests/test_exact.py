@@ -1,15 +1,28 @@
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from wkstab import AffineFunc, Polynomial, radial_derivative, rat
+from wkstab import (
+    AffineFunc,
+    Polynomial,
+    condition_value_fano,
+    extremal_affine,
+    integrate,
+    projective_bundle,
+    radial_derivative,
+    rat,
+    standard_fiber_polytope,
+)
 from wkstab.exact import (
     affine_rank,
     det,
     dot,
     invert,
     matrix_rank,
+    rref,
     solve_general,
     solve_square,
 )
@@ -142,3 +155,136 @@ def test_det_transpose_invariance(rows):
     A = [[rows[i][j] for j in range(3)] for i in range(3)]
     At = [[rows[j][i] for j in range(3)] for i in range(3)]
     assert det(A) == det(At)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: Gauss-Jordan and Gaussian elimination over Fraction, as
+# the kernels ran before they moved to fraction-free integer elimination
+# ---------------------------------------------------------------------------
+
+
+def rref_fraction(A):
+    M = [[rat(x) for x in row] for row in A]
+    if not M:
+        return [], []
+    rows, cols = len(M), len(M[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if M[i][c]), None)
+        if pivot is None:
+            continue
+        M[r], M[pivot] = M[pivot], M[r]
+        inv = 1 / M[r][c]
+        M[r] = [x * inv for x in M[r]]
+        for i in range(rows):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return M, pivots
+
+
+def det_fraction(A):
+    M = [[rat(x) for x in row] for row in A]
+    n = len(M)
+    sign = 1
+    d = F(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if M[i][c]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != c:
+            M[c], M[pivot] = M[pivot], M[c]
+            sign = -sign
+        d *= M[c][c]
+        inv = 1 / M[c][c]
+        for i in range(c + 1, n):
+            if M[i][c]:
+                f = M[i][c] * inv
+                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
+    return sign * d
+
+
+sparse_rationals = st.one_of(st.just(F(0)), rationals)
+
+
+@st.composite
+def degenerate_matrices(draw, square=False):
+    """Random matrices, then made rank-deficient: duplicated rows, rows that
+    are combinations of others, and zero columns."""
+    rows = draw(st.integers(0, 6))
+    cols = rows if square else draw(st.integers(1, 7))
+    M = [[draw(sparse_rationals) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 2 and draw(st.booleans()):
+        M[draw(st.integers(1, rows - 1))] = list(M[0])
+    if rows >= 3 and draw(st.booleans()):
+        a, b = draw(rationals), draw(rationals)
+        M[-1] = [a * x + b * y for x, y in zip(M[0], M[1])]
+    if cols and draw(st.booleans()):
+        k = draw(st.integers(0, cols - 1))
+        for row in M:
+            row[k] = F(0)
+    return M
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_matrices())
+def test_rref_matches_fraction_oracle(M):
+    assert rref(M) == rref_fraction(M)
+    assert matrix_rank(M) == len(rref_fraction(M)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_matrices(square=True))
+def test_det_matches_fraction_oracle(M):
+    assert det(M) == det_fraction(M)
+
+
+def test_rref_negative_pivots_and_swaps():
+    M = [[F(0), F(-3, 2), F(1)], [F(-2), F(1, 3), F(0)], [F(-4), F(-7, 3), F(2)]]
+    assert rref(M) == rref_fraction(M)
+    assert det(M) == det_fraction(M) == 0
+    N = [[F(0), F(-1)], [F(-5, 7), F(2)]]
+    assert det(N) == det_fraction(N) == F(-5, 7)
+
+
+def test_rref_threshold_interpolation_system():
+    # the 21 x 22 linearized system of a degree-(10, 10) fit: the first 21
+    # threshold_c samples (c = 10, 11, ...) of the s=24 template on [4, 9],
+    # at the vertex whose value has a root in the bracket
+    vtx = (F(-1), F(2))
+    rows = []
+    for c in range(10, 31):
+        fib = projective_bundle([[1, 2]], [(3, 24)], [c], t=1)
+        y = condition_value_fano(fib, extremal_affine(fib).l_ext, vtx)
+        xs = [F(c) ** i for i in range(11)]
+        rows.append(xs + [-y * x for x in xs])
+    R, pivots = rref(rows)
+    R_ref, pivots_ref = rref_fraction(rows)
+    assert pivots == pivots_ref
+    assert len(R) == 21
+    for row, row_ref in zip(R, R_ref):
+        assert row == row_ref
+
+
+# ---------------------------------------------------------------------------
+# pickling and copying rebuild through the constructors
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy])
+def test_values_round_trip_through_pickle_and_copy(clone):
+    P = standard_fiber_polytope(2, 1)
+    f = AffineFunc([F(1, 2), -3], F(7, 5))
+    p = Polynomial(2, {(2, 0): F(1, 3), (0, 1): -2, (0, 0): 5})
+    f2, p2 = clone(f), clone(p)
+    assert f2 == f and hash(f2) == hash(f)
+    assert p2 == p and hash(p2) == hash(p)
+    with pytest.raises(AttributeError):
+        p2.dim = 3
+    assert integrate(p2, P) == integrate(p, P)
+    assert integrate(f2.to_polynomial(), P) == integrate(f.to_polynomial(), P)

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -346,6 +350,36 @@ def test_cli_negative_max_depth_rejected(capsys):
         assert "--max-depth must be >= 0" in capsys.readouterr().err
         code, _, _ = run(capsys, cmd, RANK_ONE, "--max-depth", "0")
         assert code == 0
+
+
+def test_cli_threshold_rejects_bad_tol_and_degree_cap(capsys):
+    # rejected while parsing, before any sample is reconstructed
+    for flag, value, message in (
+        ("--degree-cap", "-3", "--degree-cap must be >= 1"),
+        ("--degree-cap", "0", "--degree-cap must be >= 1"),
+        ("--tol", "0", "--tol must be > 0"),
+        ("--tol", "-1/100", "--tol must be > 0"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["threshold", TRI_TEMPLATE, "--lo", "4", "--hi", "9", f"{flag}={value}"])
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+
+
+def test_python_dash_m_wkstab_runs_the_cli(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wkstab", "info", RANK_ONE],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["convention"] == "canonical"
 
 
 def test_cli_stdin_input(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -10,8 +12,11 @@ from wkstab import (
     RedundantLabel,
     Simplex,
     UnboundedPolytope,
+    Polynomial,
     cone_decomposition,
     from_halfspaces,
+    integrate,
+    integrate_boundary,
     monotone_point,
     standard_fiber_polytope,
     triangulate,
@@ -166,3 +171,20 @@ def test_interior_points_helper(corpus):
 def test_vertex_centroid_interior(corpus):
     for P in corpus.values():
         assert P.is_interior(P.vertex_centroid())
+
+
+@pytest.mark.parametrize("clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy])
+def test_polytope_round_trips_through_pickle_and_copy(clone):
+    P = standard_fiber_polytope(2, 1)
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    p = x * x * y + 3 * y - 1
+    before = integrate(p, P)
+    assert P.moments
+    Q = clone(P)
+    assert Q == P and hash(Q) == hash(P)
+    assert Q.vertices == P.vertices and Q.facet_incidence == P.facet_incidence
+    assert Q.moments == {}  # a derived cache: the copy refills its own
+    assert integrate(p, Q) == before == integrate(p, P)
+    assert integrate_boundary(p, Q) == integrate_boundary(p, P)
+    with pytest.raises(AttributeError):
+        Q.dim = 3

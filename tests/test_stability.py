@@ -229,6 +229,19 @@ def test_threshold_hypothesis_violated_on_bracket():
         threshold_c(lambda c: tri_family(c, s=24), F(1, 2), F(9))
 
 
+def test_threshold_rejects_nonpositive_tol_before_sampling():
+    built = []
+
+    def make(c):
+        built.append(c)
+        return tri_family(c, s=24)
+
+    for tol in (F(0), F(-1, 100)):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            threshold_c(make, F(4), F(9), tol=tol)
+    assert built == []
+
+
 def test_threshold_rejects_non_monotone():
     rect = from_halfspaces(
         [

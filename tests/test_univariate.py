@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wkstab import univariate
 from wkstab.univariate import (
     DegreeEscalationFailed,
     RationalFunction,
@@ -163,3 +164,61 @@ def test_reconstruct_escalation_failure_is_honest():
 
     with pytest.raises(DegreeEscalationFailed):
         reconstruct_rational(sample, degree_cap=5, start=F(1), step=F(1))
+
+
+def _count_reductions(monkeypatch):
+    calls = []
+    real = univariate.gcd_monic
+
+    def counting(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(univariate, "gcd_monic", counting)
+    return calls
+
+
+def test_reconstruct_reduces_only_the_accepted_fit(monkeypatch):
+    num = poly_from_roots([F(1, 2), -3, F(7, 3), 5], lead=2)
+    den = mul(poly_from_roots([F(-1, 2), F(9, 2)]), (F(3), F(1), F(1)))
+
+    def sample(x):
+        return evaluate(num, x) / evaluate(den, x)
+
+    calls = _count_reductions(monkeypatch)
+    got = reconstruct_rational(sample, degree_cap=8, start=F(1), step=F(1))
+    assert len(calls) == 1  # not once per tried degree (k = 1..4)
+    assert (len(got.num), len(got.den)) == (5, 5)
+    for xq in (F(40), F(-7, 3), F(1, 2)):
+        assert got(xq) == sample(xq)
+
+
+def test_fit_rational_reduces_a_nullspace_with_common_factors(monkeypatch):
+    # 7 samples of a degree-(1, 1) function fitted at (3, 3): every null
+    # vector is (num*q, den*q) with deg q <= 2, a 3-dimensional nullspace
+    def f(x):
+        return (2 * x + 1) / (x + 5)
+
+    samples = [(F(k), f(F(k))) for k in range(7)]
+    calls = _count_reductions(monkeypatch)
+    fit = fit_rational(samples, 3, 3)
+    assert fit == RationalFunction(num=(F(1), F(2)), den=(F(5), F(1)))
+    assert len(calls) == 1
+
+
+def test_fit_rational_unattainable_point_falls_back_to_reduction():
+    # the (1, 1) linearized system forces num = 2x, den = x: den vanishes at
+    # the sample x = 0, and the reduced candidate 2 misses its value 1
+    samples = [(F(0), F(1)), (F(1), F(2)), (F(2), F(2))]
+    assert fit_rational(samples, 1, 1) is None
+    assert fit_rational(samples, 2, 1) is not None
+
+
+def test_reconstruct_rejects_a_fit_with_a_pole_at_a_validation_point():
+    # the degree-(1, 1) interpolant through x = 1, 2, 3 is 1/(x - 4), whose
+    # pole is the first validation point; the quadratic is found at k = 2
+    q = (F(-1, 2), F(1, 3), F(-1, 6))
+    assert [evaluate(q, F(x)) for x in (1, 2, 3)] == [F(-1, 3), F(-1, 2), F(-1)]
+
+    got = reconstruct_rational(lambda x: evaluate(q, x), degree_cap=4, start=F(1), step=F(1))
+    assert got == RationalFunction(num=q, den=(F(1),))
