@@ -8,13 +8,16 @@ Inputs are JSON (a file path, ``-`` for stdin, or an inline ``{...}`` literal)
 with exact rationals only.  Reports are JSON by default (``--text`` for a
 human-readable rendering) and always name the sign convention in use.  Exit
 codes: 0 certified/completed, 2 refuted (exact witness found), 3 inconclusive,
-1 input or usage error.
+1 input or usage error.  ``sweep`` runs every row: a row whose input or check
+raises is reported with verdict ``Error`` and its message, and any such row
+makes the exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -434,6 +437,8 @@ def _sweep_rows(node) -> list[dict]:
     raise InputError("sweep", "need either 'rows' or 'grid'")
 
 
+VERDICT_ERROR = "Error"  # a sweep row whose input or check raised
+
 _SWEEP_RUNNERS = {
     "check-fano": check_fano_fiber,
     "check": check_fibration,
@@ -459,11 +464,21 @@ def _cmd_sweep(args) -> int:
     out_rows = []
     lines = [f"sweep: {len(rows)} rows, command {run}, convention {conv.value}"]
     for binding in rows:
-        concrete = _substitute(node["template"], binding, "sweep.template")
-        fib = jsonio.fibration_from_json(concrete, conv, path="sweep.template")
-        report = runner(fib)
+        bindings = {k: jsonio.rational_to_json(v) for k, v in sorted(binding.items())}
+        bstr = ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(binding.items()))
+        try:
+            concrete = _substitute(node["template"], binding, "sweep.template")
+            fib = jsonio.fibration_from_json(concrete, conv, path="sweep.template")
+            report = runner(fib)
+        except _RUNTIME_ERRORS as exc:
+            out_rows.append(
+                {"bindings": bindings, "verdict": VERDICT_ERROR, "error": str(exc),
+                 "margin": None, "witness": None}
+            )
+            lines.append(f"  {bstr}: {VERDICT_ERROR} ({exc})")
+            continue
         entry = {
-            "bindings": {k: jsonio.rational_to_json(v) for k, v in sorted(binding.items())},
+            "bindings": bindings,
             "verdict": report.verdict,
             "margin": None
             if report.margin is None
@@ -476,7 +491,6 @@ def _cmd_sweep(args) -> int:
             },
         }
         out_rows.append(entry)
-        bstr = ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(binding.items()))
         lines.append(f"  {bstr}: {report.verdict}")
     data = {
         "command": run,
@@ -488,6 +502,8 @@ def _cmd_sweep(args) -> int:
         _write_sweep_csv(args.csv, out_rows)
     verdicts = {r["verdict"] for r in out_rows}
     _emit(args, data, lines)
+    if VERDICT_ERROR in verdicts:
+        return 1
     if VERDICT_FAILS in verdicts:
         return 2
     if verdicts - {VERDICT_CERTIFIED}:
@@ -499,14 +515,16 @@ def _write_sweep_csv(path: str, rows: list[dict]) -> None:
     names = sorted({k for r in rows for k in r["bindings"]})
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(names + ["verdict", "margin"])
+        writer.writerow(names + ["verdict", "margin", "error"])
         for r in rows:
             writer.writerow(
                 [str(r["bindings"].get(n, "")) for n in names]
-                + [r["verdict"], "" if r["margin"] is None else str(r["margin"])]
+                + [r["verdict"], "" if r["margin"] is None else str(r["margin"]),
+                   r.get("error", "")]
             )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="wkstab",
@@ -608,9 +626,6 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    # The parser is built per call and holds reference cycles; dropping it
-    # before the command runs lets a young-generation collection free it
-    # instead of it ageing into the rarely collected oldest generation.
     args = _parse_args(argv)
     try:
         return args.func(args)

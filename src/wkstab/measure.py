@@ -7,6 +7,15 @@ its facet measure inversely, so the labels (not just the facets) enter.
 
 Moments are cached per polytope: integrate and integrate_boundary are dot
 products with the monomial integrals kept in P.moments, each filled once.
+The fill works cell by cell over one triangulation: on a k-simplex cell with
+coordinate denominators cleared by D, every missing x^a is an integer form in
+the barycentric coordinates, built on one power tree per cell, and
+
+    int_cell x^a = jac * sum_b coeff_b * b! / ((k + |a|)! * D^|a|).
+
+integrate_simplex and integrate_facet_cell pull whole polynomials back
+through compose_affine instead; they stay as the independent path behind
+df_via_cones and the tests.
 """
 
 from __future__ import annotations
@@ -117,10 +126,58 @@ def _moment_dot(p: Polynomial, P: LabelledPolytope, boundary: bool) -> Fraction:
         if boundary:
             cells = [(c, _transversal(P, j)) for j in range(P.n_facets)
                      for c in triangulate_facet(P, j)]
-            pullback = lambda m, cell: integrate_facet_cell(m, *cell)
         else:
-            cells, pullback = triangulate(P), integrate_simplex
-        for expo in missing:
-            m = Polynomial.monomial(P.dim, expo)
-            table[expo, boundary] = sum((pullback(m, c) for c in cells), Fraction(0))
+            cells = [(s.vertices, None) for s in triangulate(P)]
+        sums = [Fraction(0)] * len(missing)
+        for verts, xi in cells:
+            for i, m in enumerate(_cell_moments(verts, xi, missing)):
+                sums[i] += m
+        for expo, total in zip(missing, sums):
+            table[expo, boundary] = total
     return sum((c * table[e, boundary] for e, c in p.terms.items()), Fraction(0))
+
+
+def _cell_moments(verts: tuple[Point, ...], xi: Point | None, expos: list) -> list[Fraction]:
+    """Moments of the monomials x^a (a in expos) over one k-simplex cell.
+
+    With xi None the cell is full-dimensional and jac = |det[v_i - v_0]|;
+    otherwise it is a facet cell and jac = |det[w_i - w_0, xi]|.  After
+    clearing denominators (D = lcm of the coordinate denominators), each
+    coordinate is an integer linear form L_r in the barycentric coordinates
+    lambda_0..lambda_k, so D^d x^a (d = |a|) is an integer form of degree d,
+    built as x^(a - e_r) * L_r on a power tree shared by the cell's
+    monomials.  Dirichlet's formula int lambda^b = b! / (k + d)! then gives
+    the moment  jac * N / ((k + d)! * D^d)  with N = sum_b coeff_b * b!.
+    """
+    k = len(verts) - 1
+    cols = [vsub(w, verts[0]) for w in verts[1:]] + ([] if xi is None else [xi])
+    jac = abs(det([[c[r] for c in cols] for r in range(len(cols))]))
+    if jac == 0:
+        return [Fraction(0)] * len(expos)
+    D = math.lcm(*(x.denominator for v in verts for x in v))
+    forms = [
+        [(i, v[r].numerator * (D // v[r].denominator)) for i, v in enumerate(verts)
+         if v[r]]
+        for r in range(len(verts[0]))
+    ]
+    tree = {(0,) * len(verts[0]): {(0,) * (k + 1): 1}}
+
+    def power(a):
+        got = tree.get(a)
+        if got is None:
+            r = next(r for r, e in enumerate(a) if e)
+            got = {}
+            for b, c in power(a[:r] + (a[r] - 1,) + a[r + 1:]).items():
+                for i, coeff in forms[r]:
+                    key = b[:i] + (b[i] + 1,) + b[i + 1:]
+                    got[key] = got.get(key, 0) + c * coeff
+            tree[a] = got
+        return got
+
+    fact = [math.factorial(i) for i in range(k + max(map(sum, expos)) + 1)]
+    out = []
+    for a in expos:
+        d = sum(a)
+        N = sum(c * math.prod(fact[e] for e in b) for b, c in power(a).items())
+        out.append(Fraction(jac.numerator * N, jac.denominator * fact[k + d] * D**d))
+    return out

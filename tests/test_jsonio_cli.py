@@ -304,6 +304,46 @@ def test_cli_sweep_rejects_unknown_keys(capsys):
     assert code == 1
 
 
+def test_cli_sweep_survives_bad_rows(capsys, tmp_path):
+    # c = 1 makes p + c nonpositive on the fiber; c = 14 certifies
+    src = json.dumps(
+        {"template": json.loads(TRI_TEMPLATE.replace('"var"', '"$c"')), "grid": {"c": [1, 14]}}
+    )
+    dest = tmp_path / "sweep.csv"
+    code, data, err = run_json(capsys, "sweep", src, "--csv", str(dest))
+    assert code == 1 and err == ""
+    assert data["n_rows"] == 2
+    bad, good = data["rows"]
+    assert bad["bindings"] == {"c": 1} and bad["verdict"] == "Error"
+    assert "not positive" in bad["error"]
+    assert bad["margin"] is None and bad["witness"] is None
+    assert good["verdict"] == "CertifiedSufficient" and "error" not in good
+    rows = dest.read_text().strip().splitlines()
+    assert rows[0] == "c,verdict,margin,error"
+    assert rows[1].startswith("1,Error,,") and "not positive" in rows[1]
+    assert rows[2].startswith("14,CertifiedSufficient,") and rows[2].endswith(",")
+    code, out, _ = run(capsys, "sweep", src, "--text")
+    assert code == 1
+    assert "  c=1: Error (" in out and "  c=14: CertifiedSufficient" in out
+
+
+def test_cli_calls_share_one_parser_without_leaking_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, default, _ = run(capsys, "check-fano", RANK_ONE)
+    assert code == 0 and json.loads(default)["convention"] == "canonical"
+    code, data, _ = run_json(capsys, "check-fano", RANK_ONE, "--legacy-sign")
+    assert data["convention"] == "legacy"
+    assert run(capsys, "check-fano", RANK_ONE) == (0, default, "")
+    code, out, _ = run(capsys, "check-fano", RANK_ONE, "--text")
+    assert out.startswith("verdict:")
+    assert run(capsys, "check-fano", RANK_ONE) == (0, default, "")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check-fano", RANK_ONE, "--max-depth", "x"])
+    assert exc.value.code == 1
+    assert "invalid int value" in capsys.readouterr().err
+    assert run(capsys, "check-fano", RANK_ONE) == (0, default, "")
+
+
 def test_cli_byte_determinism(capsys):
     _, first, _ = run(capsys, "check-fano", RANK_ONE)
     _, second, _ = run(capsys, "check-fano", RANK_ONE)

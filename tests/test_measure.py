@@ -1,11 +1,17 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import hexagon, interior_points, square, triangle
 from wkstab import Polynomial, integrate, integrate_boundary, integrate_facet, volume
-from wkstab.measure import integrate_simplex, integrate_simplex_standard
+from wkstab.measure import (
+    _cell_moments,
+    integrate_facet_cell,
+    integrate_simplex,
+    integrate_simplex_standard,
+)
 from wkstab.polytope import Simplex
 import _oracle
 from _frozen import DIRICHLET_D2, DIRICHLET_D3
@@ -163,3 +169,76 @@ def test_moment_table_is_not_part_of_the_polytope_value():
     fresh = hexagon()
     assert P.moments and not fresh.moments
     assert P == fresh and hash(P) == hash(fresh)
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def monomials_up_to(dim, degree):
+    return [
+        e for e in itertools.product(range(degree + 1), repeat=dim) if sum(e) <= degree
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[small_rationals] * n), min_size=n + 1, max_size=n + 1
+    )
+))
+def test_cell_moments_match_simplex_pullback(verts):
+    verts = tuple(verts)
+    try:
+        simplex = Simplex(verts)
+    except ValueError:
+        assume(False)
+    n = len(verts[0])
+    expos = monomials_up_to(n, 6)
+    got = _cell_moments(verts, None, expos)
+    assert got == [integrate_simplex(mono(n, e), simplex) for e in expos]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.tuples(*[small_rationals] * n), min_size=n, max_size=n),
+        st.tuples(*[small_rationals] * n),
+    )
+))
+def test_cell_moments_match_facet_cell_pullback(cell_and_xi):
+    # n = 1 is the point cell of an interval's boundary: jac * w_0^a
+    cell, xi = tuple(cell_and_xi[0]), cell_and_xi[1]
+    n = len(xi)
+    assume(integrate_facet_cell(Polynomial.constant(n, 1), cell, xi) != 0)
+    expos = monomials_up_to(n, 6)
+    got = _cell_moments(cell, xi, expos)
+    assert got == [integrate_facet_cell(mono(n, e), cell, xi) for e in expos]
+
+
+def test_table_fill_never_calls_compose_affine(monkeypatch):
+    from wkstab import AffineFunc
+    from wkstab.polytope import clip
+    from wkstab.probe import Crease
+
+    calls = []
+    original = Polynomial.compose_affine
+
+    def counting(self, A, b):
+        calls.append(len(A))
+        return original(self, A, b)
+
+    monkeypatch.setattr(Polynomial, "compose_affine", counting)
+    x = Polynomial.variable(2, 0)
+    y = Polynomial.variable(2, 1)
+    p = (x + 2 * y) ** 4 + x * y - 7
+    P = hexagon()
+    integrate(p, P)
+    integrate_boundary(p, P)
+    assert P.moments and calls == []
+    # the verification path pulls whole polynomials back, independent of the table
+    h = AffineFunc([1, 1], F(-1, 3))
+    crease = Crease(h, clip(P, h))
+    v = Polynomial.constant(2, 1)
+    w = Polynomial.constant(2, 3)
+    assert crease.df_value_direct(v, w) == crease.df_value(v, w)
+    assert calls
