@@ -7,6 +7,17 @@ certifies nonnegativity; a negative vertex or barycenter value refutes it;
 otherwise the simplex is subdivided barycentrically and the test recurses.
 The certificate is one-sided: it never certifies a false positive, and may
 return "inconclusive" at the depth limit.
+
+The coefficients are computed in integers on the simplex's barycentric power
+tree (exact._barycentric_powers, shared with measure).  With D the lcm of the
+vertex coordinate denominators, each coordinate is x_r = L_r(lambda) / D for
+an integer linear form L_r, and the homogenizing form L_n = D (lambda_0 +
+... + lambda_k) equals D on the simplex.  So, with C the lcm of p's
+coefficient denominators and d = deg p, every term c_a x^a is
+C c_a L^(a, d - |a|) / (C D^d), homogeneous of degree d, and
+
+    N_gamma = sum_a C c_a [lambda^gamma] L^(a, d - |a|),
+    b_gamma = gamma! N_gamma / (d! C D^d).
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Point, Polynomial, vadd, vscale
+from .exact import Polynomial, _barycentric_powers, vadd, vscale
 from .polytope import Simplex
 
 CERTIFIED = "certified"
@@ -28,37 +39,25 @@ def bernstein_coefficients(p: Polynomial, simplex: Simplex) -> dict[tuple, Fract
     """Coefficients of p on the simplex in the Bernstein basis of degree deg(p).
 
     Keys are exponent multi-indices gamma with |gamma| = deg(p) over the k+1
-    barycentric coordinates; the coefficient of the corner index d*e_i is
-    exactly p(V_i).
+    barycentric coordinates, in ``_compositions`` order; the coefficient of
+    the corner index d*e_i is exactly p(V_i).
     """
-    verts = simplex.vertices
-    k = len(verts) - 1
     if p.dim != simplex.ambient_dim:
         raise ValueError("polynomial/simplex dimension mismatch")
     d = max(p.degree(), 0)
-    # Barycentric pullback q(lam) = p(sum lam_i V_i), then homogenize to
-    # degree d with (sum lam_i)^(d - m).
-    A = [[verts[i][r] for i in range(k + 1)] for r in range(simplex.ambient_dim)]
-    q = p.compose_affine(A, [0] * simplex.ambient_dim)
-    ones = Polynomial.zero(k + 1)
-    for i in range(k + 1):
-        ones = ones + Polynomial.variable(k + 1, i)
-    by_degree: dict[int, Polynomial] = {}
-    for expo, coeff in q.terms.items():
-        m = sum(expo)
-        by_degree.setdefault(m, Polynomial.zero(k + 1))
-        by_degree[m] = by_degree[m] + Polynomial(k + 1, {expo: coeff})
-    hom = Polynomial.zero(k + 1)
-    for m, part in by_degree.items():
-        hom = hom + part * ones ** (d - m)
-    fact_d = math.factorial(d)
-    coeffs: dict[tuple, Fraction] = {
-        expo: Fraction(0) for expo in _compositions(d, k + 1)
+    D, power = _barycentric_powers(simplex.vertices)
+    C = math.lcm(*(c.denominator for c in p.terms.values()))
+    N: dict[tuple, int] = {}
+    for a, c in p.terms.items():
+        scaled = c.numerator * (C // c.denominator)
+        for gamma, v in power(a + (d - sum(a),)).items():
+            N[gamma] = N.get(gamma, 0) + scaled * v
+    fact = [math.factorial(i) for i in range(d + 1)]
+    den = fact[d] * C * D**d
+    return {
+        gamma: Fraction(math.prod(fact[g] for g in gamma) * N.get(gamma, 0), den)
+        for gamma in _compositions(d, simplex.k + 1)
     }
-    for expo, coeff in hom.terms.items():
-        weight = Fraction(math.prod(math.factorial(g) for g in expo), fact_d)
-        coeffs[expo] = coeff * weight
-    return coeffs
 
 
 def _compositions(d: int, parts: int):

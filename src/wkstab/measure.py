@@ -9,7 +9,8 @@ Moments are cached per polytope: integrate and integrate_boundary are dot
 products with the monomial integrals kept in P.moments, each filled once.
 The fill works cell by cell over one triangulation: on a k-simplex cell with
 coordinate denominators cleared by D, every missing x^a is an integer form in
-the barycentric coordinates, built on one power tree per cell, and
+the barycentric coordinates, read off one power tree per cell (built by
+exact._barycentric_powers, which bernstein shares), and
 
     int_cell x^a = jac * sum_b coeff_b * b! / ((k + |a|)! * D^|a|).
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import Point, Polynomial, det, point, vsub
+from .exact import Point, Polynomial, _barycentric_powers, det, point, vsub
 from .polytope import LabelledPolytope, Simplex, triangulate, triangulate_facet
 
 
@@ -145,39 +146,21 @@ def _cell_moments(verts: tuple[Point, ...], xi: Point | None, expos: list) -> li
     clearing denominators (D = lcm of the coordinate denominators), each
     coordinate is an integer linear form L_r in the barycentric coordinates
     lambda_0..lambda_k, so D^d x^a (d = |a|) is an integer form of degree d,
-    built as x^(a - e_r) * L_r on a power tree shared by the cell's
-    monomials.  Dirichlet's formula int lambda^b = b! / (k + d)! then gives
-    the moment  jac * N / ((k + d)! * D^d)  with N = sum_b coeff_b * b!.
+    read off the cell's power tree (exact._barycentric_powers) as
+    power(a + (0,)), so the cell's monomials share their factors.
+    Dirichlet's formula int lambda^b = b! / (k + d)! then gives the moment
+    jac * N / ((k + d)! * D^d)  with N = sum_b coeff_b * b!.
     """
     k = len(verts) - 1
     cols = [vsub(w, verts[0]) for w in verts[1:]] + ([] if xi is None else [xi])
     jac = abs(det([[c[r] for c in cols] for r in range(len(cols))]))
     if jac == 0:
         return [Fraction(0)] * len(expos)
-    D = math.lcm(*(x.denominator for v in verts for x in v))
-    forms = [
-        [(i, v[r].numerator * (D // v[r].denominator)) for i, v in enumerate(verts)
-         if v[r]]
-        for r in range(len(verts[0]))
-    ]
-    tree = {(0,) * len(verts[0]): {(0,) * (k + 1): 1}}
-
-    def power(a):
-        got = tree.get(a)
-        if got is None:
-            r = next(r for r, e in enumerate(a) if e)
-            got = {}
-            for b, c in power(a[:r] + (a[r] - 1,) + a[r + 1:]).items():
-                for i, coeff in forms[r]:
-                    key = b[:i] + (b[i] + 1,) + b[i + 1:]
-                    got[key] = got.get(key, 0) + c * coeff
-            tree[a] = got
-        return got
-
+    D, power = _barycentric_powers(verts)
     fact = [math.factorial(i) for i in range(k + max(map(sum, expos)) + 1)]
     out = []
     for a in expos:
         d = sum(a)
-        N = sum(c * math.prod(fact[e] for e in b) for b, c in power(a).items())
+        N = sum(c * math.prod(fact[e] for e in b) for b, c in power(a + (0,)).items())
         out.append(Fraction(jac.numerator * N, jac.denominator * fact[k + d] * D**d))
     return out

@@ -204,7 +204,14 @@ def from_halfspaces(labels, *, drop_redundant: bool = False) -> LabelledPolytope
     ray = _recession_ray(list(labels), dim)
     if ray is not None:
         raise UnboundedPolytope(ray)
+    return _from_bounded_halfspaces(labels, dim, drop_redundant)
 
+
+def _from_bounded_halfspaces(
+    labels: tuple[AffineFunc, ...], dim: int, drop_redundant: bool
+) -> LabelledPolytope:
+    """The vertex/incidence loop of :func:`from_halfspaces`, for labels known
+    to cut out a bounded set."""
     while True:
         verts = _enumerate_vertices(list(labels), dim)
         if not verts or affine_rank(verts) < dim:
@@ -338,4 +345,8 @@ def clip(P: LabelledPolytope, h: AffineFunc) -> LabelledPolytope:
     """
     if h.dim != P.dim:
         raise ValueError("dimension mismatch in clip")
-    return from_halfspaces(P.labels + (h,), drop_redundant=True)
+    if not any(h.gradient):
+        raise RedundantLabel(P.n_facets)
+    # P  intersect  {h >= 0} lies in the bounded P, so from_halfspaces'
+    # recession check could never fail here; skip it.
+    return _from_bounded_halfspaces(P.labels + (h,), P.dim, True)

@@ -39,8 +39,10 @@ class Convention(enum.Enum):
 
 class NonpositiveWeight(Exception):
     def __init__(self, vertex, factor_index: int):
+        # coordinates as reports print them: -1, 1/2
+        coords = ", ".join(str(Fraction(x)) for x in vertex)
         super().__init__(
-            f"factor {factor_index}: p + c is not positive at vertex {vertex}"
+            f"factor {factor_index}: p + c is not positive at vertex ({coords})"
         )
         self.vertex = vertex
         self.factor_index = factor_index

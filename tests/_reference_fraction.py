@@ -3,8 +3,14 @@
 # projective-bundle family with fiber the standard triangle (t = 1), one base
 # factor (n = 3, s = 24), degree form p = p1*x1 + p2*x2.  Exponent keys are
 # (deg_c, deg_p1, deg_p2); values are integer coefficients.
+#
+# At the end: a Fraction reference for Bernstein coefficients.
 
+import itertools
+import math
 from fractions import Fraction
+
+from wkstab import Polynomial
 
 REF_NUM = {
     (10, 0, 0): 12250,
@@ -193,3 +199,41 @@ def eval_ref(coeffs: dict, c, p1, p2) -> Fraction:
 def ref_value(c, p1, p2) -> Fraction:
     """The reference rational function P/Q at a sample point."""
     return eval_ref(REF_NUM, c, p1, p2) / eval_ref(REF_DEN, c, p1, p2)
+
+
+# Bernstein coefficients over Fraction, as bernstein_coefficients computed
+# them before its integer kernel: a barycentric pullback through
+# Polynomial.compose_affine, homogenized with (sum lam_i)^(d - m).  Kept as
+# the oracle the integer kernel is tested against.
+
+
+def bernstein_coefficients_fraction(p: Polynomial, simplex) -> dict[tuple, Fraction]:
+    verts = simplex.vertices
+    k = len(verts) - 1
+    if p.dim != simplex.ambient_dim:
+        raise ValueError("polynomial/simplex dimension mismatch")
+    d = max(p.degree(), 0)
+    A = [[verts[i][r] for i in range(k + 1)] for r in range(simplex.ambient_dim)]
+    q = p.compose_affine(A, [0] * simplex.ambient_dim)
+    ones = Polynomial.zero(k + 1)
+    for i in range(k + 1):
+        ones = ones + Polynomial.variable(k + 1, i)
+    by_degree: dict[int, Polynomial] = {}
+    for expo, coeff in q.terms.items():
+        m = sum(expo)
+        by_degree.setdefault(m, Polynomial.zero(k + 1))
+        by_degree[m] = by_degree[m] + Polynomial(k + 1, {expo: coeff})
+    hom = Polynomial.zero(k + 1)
+    for m, part in by_degree.items():
+        hom = hom + part * ones ** (d - m)
+    fact_d = math.factorial(d)
+    # every multi-index of length k+1 summing to d, in lexicographic order
+    coeffs: dict[tuple, Fraction] = {
+        expo: Fraction(0)
+        for expo in itertools.product(range(d + 1), repeat=k + 1)
+        if sum(expo) == d
+    }
+    for expo, coeff in hom.terms.items():
+        weight = Fraction(math.prod(math.factorial(g) for g in expo), fact_d)
+        coeffs[expo] = coeff * weight
+    return coeffs

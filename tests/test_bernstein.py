@@ -1,8 +1,10 @@
+import gc
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from wkstab import (
     CERTIFIED,
@@ -14,6 +16,7 @@ from wkstab import (
 )
 from wkstab.bernstein import barycentric_subdivision
 from wkstab.polytope import Simplex
+from _reference_fraction import bernstein_coefficients_fraction
 
 TRI = Simplex(((F(0), F(0)), (F(1), F(0)), (F(0), F(1))))
 SEG = Simplex(((F(-1),), (F(1),)))
@@ -154,3 +157,76 @@ def test_interval_certification():
     assert out.status == CERTIFIED
     out2 = certify_nonnegative(-p, SEG, max_depth=3)
     assert out2.status == REFUTED
+
+
+# ------------------------------------------------- integer kernel vs oracle
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@st.composite
+def simplex_and_polynomial(draw):
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, n))
+    verts = tuple(
+        draw(st.tuples(*[rationals] * n)) for _ in range(k + 1)
+    )
+    expos = st.tuples(*[st.integers(0, 6)] * n).filter(lambda e: sum(e) <= 6)
+    terms = draw(st.dictionaries(expos, rationals, max_size=6))
+    return verts, Polynomial(n, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(simplex_and_polynomial())
+def test_coefficients_match_fraction_oracle(case):
+    verts, p = case
+    try:
+        simplex = Simplex(verts)
+    except ValueError:
+        assume(False)
+    got = bernstein_coefficients(p, simplex)
+    want = bernstein_coefficients_fraction(p, simplex)
+    assert got == want
+    assert list(got) == list(want)  # same keys in the same order
+    assert all(type(c) is F for c in got.values())
+
+
+@pytest.mark.parametrize("simplex", [TRI, SEG, Simplex(((F(1, 2), F(-1, 3)), (F(2), F(1, 5))))])
+def test_zero_and_constant_polynomials_match_oracle(simplex):
+    n = simplex.ambient_dim
+    for p in (Polynomial.zero(n), Polynomial.constant(n, F(-5, 6))):
+        got = bernstein_coefficients(p, simplex)
+        assert got == bernstein_coefficients_fraction(p, simplex)
+        assert list(got) == [(0,) * (simplex.k + 1)]
+        assert got[(0,) * (simplex.k + 1)] == p(simplex.vertices[0])
+
+
+def test_certify_never_calls_compose_affine(monkeypatch):
+    calls = []
+    original = Polynomial.compose_affine
+
+    def counting(self, A, b):
+        calls.append(len(A))
+        return original(self, A, b)
+
+    monkeypatch.setattr(Polynomial, "compose_affine", counting)
+    x = Polynomial.variable(2, 0)
+    y = Polynomial.variable(2, 1)
+    p = (x - y) ** 2 + F(1, 100)  # needs subdivision: coefficients on every node
+    out = certify_nonnegative(p, TRI, max_depth=4)
+    assert out.status == CERTIFIED and out.depth_used > 0
+    assert calls == []
+
+
+def test_coefficients_leave_no_garbage_cycle():
+    # the power tree must die with the call, not wait for the cyclic collector
+    x = Polynomial.variable(2, 0)
+    y = Polynomial.variable(2, 1)
+    p = (x - y) ** 4 + x * y - F(1, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        bernstein_coefficients(p, TRI)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

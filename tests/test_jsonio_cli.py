@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -315,7 +316,7 @@ def test_cli_sweep_survives_bad_rows(capsys, tmp_path):
     assert data["n_rows"] == 2
     bad, good = data["rows"]
     assert bad["bindings"] == {"c": 1} and bad["verdict"] == "Error"
-    assert "not positive" in bad["error"]
+    assert "not positive" in bad["error"] and "vertex (-1, -1)" in bad["error"]
     assert bad["margin"] is None and bad["witness"] is None
     assert good["verdict"] == "CertifiedSufficient" and "error" not in good
     rows = dest.read_text().strip().splitlines()
@@ -325,6 +326,28 @@ def test_cli_sweep_survives_bad_rows(capsys, tmp_path):
     code, out, _ = run(capsys, "sweep", src, "--text")
     assert code == 1
     assert "  c=1: Error (" in out and "  c=14: CertifiedSufficient" in out
+
+
+BERNSTEIN_BAND = str(Path(__file__).resolve().parents[1] / "demos" / "data" / "bernstein_band.json")
+
+
+def test_cli_check_bernstein_band_golden(capsys):
+    # near the positivity boundary the general route needs Bernstein
+    # subdivision to depth 3: pinned bytes of the whole report
+    code, out, err = run(capsys, "check", BERNSTEIN_BAND, "--max-depth", "3")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["method"] == "BernsteinSubdivision"
+    assert data["verdict"] == "CertifiedSufficient"
+    assert data["depth"] == 3
+    assert data["margin"] == "85309797272463193/404710908293578752"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d0fd37b5e6da5fb8b1eb80829a4302e6ebf2f1e52652b5852212454fae77dd28"
+    )
+    code, out, _ = run(capsys, "check", BERNSTEIN_BAND, "--max-depth", "2")
+    data = json.loads(out)
+    assert code == 3 and data["verdict"] == "Inconclusive"
+    assert data["method"] == "BernsteinSubdivision" and data["margin"] is None
 
 
 def test_cli_calls_share_one_parser_without_leaking_state(capsys):

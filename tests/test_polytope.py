@@ -14,6 +14,7 @@ from wkstab import (
     UnboundedPolytope,
     Polynomial,
     cone_decomposition,
+    crease_family,
     from_halfspaces,
     integrate,
     integrate_boundary,
@@ -154,6 +155,22 @@ def test_clip_triangle_by_halfspace():
     assert set(Q.vertices) == CLIP_TRIANGLE_VERTICES
     # the inherited labels keep their scaling; the cut facet gets the new label
     assert Q.n_facets == 3
+
+
+@pytest.mark.parametrize("P", [triangle(), interval()], ids=["triangle", "interval"])
+def test_clip_matches_from_halfspaces_on_crease_family(P):
+    # clip skips the recession check (a piece of a bounded P is bounded);
+    # the polytope it builds is the one from_halfspaces builds
+    family = crease_family(P, (F(0),) * P.dim, 3)
+    assert family
+    for crease in family:
+        Q = clip(P, crease.h)
+        R = from_halfspaces(P.labels + (crease.h,), drop_redundant=True)
+        assert Q.labels == R.labels
+        assert Q.vertices == R.vertices
+        assert Q.facet_incidence == R.facet_incidence
+    with pytest.raises(RedundantLabel):  # as from_halfspaces: a constant cuts no facet
+        clip(P, AffineFunc([0] * P.dim, 1))
 
 
 def test_clip_empty_piece_raises():

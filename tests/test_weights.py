@@ -56,6 +56,15 @@ def test_positivity_enforced_at_vertices():
     with pytest.raises(NonpositiveWeight) as info:
         projective_bundle(degrees=[[1]], base=[(1, 1)], c=[1], t=1)
     assert info.value.factor_index == 0
+    assert str(info.value) == "factor 0: p + c is not positive at vertex (-1)"
+    with pytest.raises(NonpositiveWeight) as info:
+        projective_bundle(degrees=[[1, 2]], base=[(3, 24)], c=[1], t=1)
+    # coordinates print as in reports, not as Fraction reprs
+    assert str(info.value) == "factor 0: p + c is not positive at vertex (-1, -1)"
+    assert info.value.vertex == (F(-1), F(-1))
+    assert str(NonpositiveWeight((F(1, 2), F(-3)), 1)) == (
+        "factor 1: p + c is not positive at vertex (1/2, -3)"
+    )
     # strictly inside the allowed range is fine
     projective_bundle(degrees=[[1]], base=[(1, 1)], c=[F(11, 10)], t=1)
 
