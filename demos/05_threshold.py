@@ -1,9 +1,10 @@
 # Kaehler-class thresholds: the smallest c the vertex certificate accepts.
 #
 # For each vertex the condition value is a rational function of c.  The
-# solver reconstructs it exactly (Cauchy interpolation with degree
-# escalation), isolates the numerators' real roots (Sturm sequences), and
-# returns a certified bracket for the sup over vertices.
+# moment system of the extremal solve is polynomial in c of known degree, so
+# the solver interpolates it exactly and solves it over Q[c] (Cramer's rule,
+# Bareiss determinants), isolates the numerators' real roots (integer Sturm
+# sequences), and returns a certified bracket for the sup over vertices.
 
 from fractions import Fraction as F
 

@@ -10,7 +10,9 @@ human-readable rendering) and always name the sign convention in use.  Exit
 codes: 0 certified/completed, 2 refuted (exact witness found), 3 inconclusive,
 1 input or usage error.  ``sweep`` runs every row: a row whose input or check
 raises is reported with verdict ``Error`` and its message, and any such row
-makes the exit code 1.
+makes the exit code 1.  ``threshold --degree-cap`` is still accepted and
+range-checked but has no effect: the threshold is an exact solve over Q[c],
+with no fitted degree to cap.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .stability import (
     default_base_point,
     threshold_c,
 )
-from .univariate import DegreeEscalationFailed
 from .weights import (
     Convention,
     NonpositiveWeight,
@@ -69,7 +70,6 @@ _RUNTIME_ERRORS = (
     NotFanoFibration,
     NotReflexiveFiber,
     HypothesisViolatedOnBracket,
-    DegreeEscalationFailed,
     FutakiNotVanishing,
     SingularMomentMatrix,
     ValueError,
@@ -327,9 +327,7 @@ def _cmd_threshold(args) -> int:
     make_fib, _fiber = jsonio.fibration_template_from_json(
         _load_input(args.input), _convention(args)
     )
-    res = threshold_c(
-        make_fib, args.lo, args.hi, tol=args.tol, degree_cap=args.degree_cap
-    )
+    res = threshold_c(make_fib, args.lo, args.hi, tol=args.tol)
     data = jsonio.threshold_to_json(res)
     lines = [
         f"threshold bracket: [{_fmt(res.low)}, {_fmt(res.high)}]"
@@ -594,7 +592,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lo", type=_rational, required=True, help="bracket floor c_lo")
     sp.add_argument("--hi", type=_rational, required=True, help="bracket ceiling c_hi")
     sp.add_argument("--tol", type=_rational, default=Fraction(1, 100))
-    sp.add_argument("--degree-cap", type=int, default=12)
+    sp.add_argument(
+        "--degree-cap",
+        type=int,
+        default=12,
+        help="accepted for compatibility (must be >= 1); no effect since the "
+        "threshold is an exact solve over Q[c]",
+    )
     sp.set_defaults(func=_cmd_threshold)
 
     sp = sub.add_parser("probe", help="crease destabilizer search")

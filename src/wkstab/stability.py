@@ -17,9 +17,19 @@ for every j.  Certification routes, soundest-first:
 For monotone fibers the condition collapses to a single rational expression
 whose positivity at the polytope vertices suffices under the standard
 hypothesis p_a(x0) + c_a >= t s_a / (2 n_a) (the offset-compared-to-scalar
-bound); that is the vertex route of check_fano_fiber.  threshold_c locates
-the smallest Kaehler-class offset c above which the vertex condition holds,
-by exact rational-function reconstruction in c and Sturm root isolation.
+bound); that is the vertex route of check_fano_fiber.
+
+threshold_c locates the smallest Kaehler-class offset c above which the
+vertex condition holds.  The fiber, and with it its moment table, does not
+depend on c, and each factor offset is affine in c, so every entry of the
+extremal moment system M(c) lam = b(c) is a polynomial in c of degree at
+most N (the summed dimensions of the factors whose offset moves).  The
+system is interpolated exactly through N + 1 values of c and solved by
+Cramer's rule with Bareiss determinants over Q[c]; each vertex's condition
+value is then an exact rational function of c, whose numerator roots are
+isolated by integer Sturm sequences.  A certified threshold rests on that
+solve, on the positivity of det M(c) for all c >= c_lo (checked by Sturm),
+and on agreement with the direct pipeline at c_hi; no sampled fit enters.
 """
 
 from __future__ import annotations
@@ -33,6 +43,8 @@ from .bernstein import CERTIFIED, INCONCLUSIVE, REFUTED, certify_nonnegative
 from .exact import AffineFunc, Point, Polynomial, point, radial_derivative, rat
 from .futaki import (
     SingularMomentMatrix,
+    _assert_positive_definite,
+    _moment_system,
     assert_futaki_vanishes,
     extremal_affine,
     stability_weight,
@@ -366,21 +378,115 @@ class ThresholdResult:
     tol: Fraction
 
 
+def _check_template(fib_lo: Fibration, fib: Fibration, offsets, c: Fraction) -> None:
+    """ValueError unless fib differs from fib_lo only in its factor offsets,
+    each at its value offsets[a](c)."""
+    if (
+        fib.fiber.labels != fib_lo.fiber.labels
+        or fib.convention is not fib_lo.convention
+        or len(fib.factors) != len(fib_lo.factors)
+    ):
+        raise ValueError(f"make_fib changed the fiber, convention or factors at c = {c}")
+    for a, (f, g) in enumerate(zip(fib.factors, fib_lo.factors)):
+        if (f.n, f.s, f.p) != (g.n, g.s, g.p):
+            raise ValueError(f"make_fib changed factor {a}'s n, s or p at c = {c}")
+        if f.c != u1.evaluate(offsets[a], c):
+            raise ValueError(f"make_fib: factor {a}'s offset is not affine in c at c = {c}")
+
+
+def _exact_vertex_functions(make_fib, fib_lo: Fibration, c_lo: Fraction):
+    """The condition value at each fiber vertex as an exact rational function
+    of c, and whether Cramer's rule is the extremal solve for every c >= c_lo.
+
+    Returns (offsets, functions, sound), offsets[a] = c_a(c) as a polynomial
+    in c.  Each offset is c_a(c_lo) + Delta_a (c - c_lo), Delta_a read from
+    c_lo and c_lo + 1, so the entries of the moment system M(c) lam = b(c)
+    are polynomials of degree <= N = sum of n_a over the factors with
+    Delta_a != 0.  They are interpolated through the N + 1 systems at
+    c_lo, ..., c_lo + N on fib_lo's fiber, and l_ext = (D_0 + sum_i x_i D_i) / D
+    with D = det M(c) and D_i the Cramer determinants, all by Bareiss
+    elimination over Q[c].  sound: M(c_lo) is positive definite and D has no
+    root in [c_lo, oo); since det M(c) never vanishes there, no eigenvalue of
+    the symmetric M(c) crosses 0, so M(c) is positive definite and Cramer's
+    lam(c) is the extremal solve for every c >= c_lo.
+    """
+    fibs = [fib_lo, make_fib(c_lo + 1)]
+    deltas = [g.c - f.c for f, g in zip(fib_lo.factors, fibs[1].factors)]
+    offsets = tuple(u1.normalize([f.c - d * c_lo, d]) for f, d in zip(fib_lo.factors, deltas))
+    _check_template(fib_lo, fibs[1], offsets, c_lo + 1)
+    if any(d < 0 for d in deltas):
+        raise ValueError("make_fib: a factor offset decreases in c")
+    N = sum(f.n for f, d in zip(fib_lo.factors, deltas) if d)
+    for k in range(2, N + 1):
+        fibs.append(make_fib(c_lo + k))
+        _check_template(fib_lo, fibs[k], offsets, c_lo + k)
+    P = fib_lo.fiber
+    systems = [_moment_system(P, f.v, f.w_base, f.convention)[:2] for f in fibs[: N + 1]]
+    nodes = [c_lo + k for k in range(N + 1)]
+    size = P.dim + 1
+    M = [
+        [u1.interpolate(nodes, [sys[0][i][j] for sys in systems]) for j in range(size)]
+        for i in range(size)
+    ]
+    b = [u1.interpolate(nodes, [sys[1][i] for sys in systems]) for i in range(size)]
+    D = u1.det(M)
+    if not D:
+        raise SingularMomentMatrix("the moment determinant vanishes identically in c")
+    cramer = [
+        u1.det([row[:i] + [b[r]] + row[i + 1 :] for r, row in enumerate(M)])
+        for i in range(size)
+    ]
+    try:
+        _assert_positive_definite(systems[0][0])
+        sound = u1.positive_above(D, c_lo)
+    except SingularMomentMatrix:
+        sound = False
+
+    x0, t = fib_lo.fano_fiber
+    K = 2 * fib_lo.total_dim + 2
+    functions = []
+    for x in P.vertices:
+        # condition_value_fano with t l_ext(x) = t (D_0 + sum_i x_i D_i) / D,
+        # adding each e_a / u_a over a common denominator, where
+        # u_a = p_a(x) + c_a(c) and e_a = t s_a - 2 n_a (p_a(x0) + c_a(c))
+        lam_x = cramer[0]
+        for xi, Di in zip(x, cramer[1:]):
+            lam_x = u1.add(lam_x, u1.scale(Di, xi))
+        num, den = u1.sub(u1.scale(D, K), u1.scale(lam_x, t)), D
+        for f, off in zip(fib_lo.factors, offsets):
+            u_a = u1.add(off, (f.p(x),))
+            e_a = u1.add(u1.scale(off, -2 * f.n), (t * f.s - 2 * f.n * f.p(x0),))
+            num, den = u1.add(u1.mul(num, u_a), u1.mul(den, e_a)), u1.mul(den, u_a)
+        functions.append(u1._reduced(num, den))
+    return offsets, functions, sound
+
+
 def threshold_c(
     make_fib: Callable[[Fraction], Fibration],
     c_lo,
     c_hi,
     tol=Fraction(1, 100),
-    degree_cap: int = 12,
 ) -> ThresholdResult:
-    """Smallest offset threshold: for each fiber vertex, reconstruct the
-    condition value as an exact univariate rational function of c, isolate
-    the largest numerator root above c_lo, and take the supremum bracket.
+    """Smallest offset threshold: for each fiber vertex, solve exactly for
+    the condition value as a rational function of c, isolate the largest
+    numerator root above c_lo, and take the supremum bracket.
 
-    Certification means: above the returned bracket every vertex value is
+    Contract on make_fib: from one c to another it changes only the factor
+    offsets, each affine in c and nondecreasing, c_a(c) = c_a(c_lo) +
+    Delta_a (c - c_lo) with Delta_a >= 0; the fiber, the convention and every
+    n, s and p stay fixed.  It is checked at every c built (c_lo, ...,
+    c_lo + N and c_hi) and a violation raises ValueError.  Under it the
+    moment system is polynomial in c of known degree, so the vertex functions
+    come from one solve over Q[c] (_exact_vertex_functions), not from samples.
+
+    Certification means: Cramer's rule over Q[c] is the extremal solve for
+    every c >= c_lo (M(c_lo) positive definite, det M(c) positive with no
+    root above c_lo); above the returned bracket every vertex value is
     provably positive (positive numerator leading coefficient, no numerator
-    or denominator roots beyond the bracket, denominator positive at c_lo),
-    and the direct pipeline value at c_hi is nonnegative.
+    root beyond the bracket, denominator positive on [c_lo, oo)); and the
+    direct pipeline value at c_hi is nonnegative.  The exact functions must
+    equal the direct pipeline values at c_hi; a mismatch raises
+    ArithmeticError.
     """
     c_lo, c_hi, tol = rat(c_lo), rat(c_hi), rat(tol)
     if c_hi < c_lo:
@@ -402,38 +508,23 @@ def threshold_c(
                 f"factor {a}: p(x0) + c >= t s/(2n) fails at c_lo = {c_lo}"
             )
     verts = fib_lo.fiber.vertices
-    convention = fib_lo.convention
+    offsets, functions, certified = _exact_vertex_functions(make_fib, fib_lo, c_lo)
 
-    rows: dict[Fraction, tuple | None] = {}
-
-    def row(c: Fraction):
-        if c not in rows:
-            try:
-                fib = make_fib(c)
-                sol = extremal_affine(fib)
-                rows[c] = tuple(
-                    condition_value_fano(fib, sol.l_ext, vtx) for vtx in verts
-                )
-            except (NonpositiveWeight, SingularMomentMatrix):
-                rows[c] = None
-        return rows[c]
+    fib_hi = make_fib(c_hi)
+    _check_template(fib_lo, fib_hi, offsets, c_hi)
+    l_hi = extremal_affine(fib_hi).l_ext
+    at_hi = [condition_value_fano(fib_hi, l_hi, vtx) for vtx in verts]
+    for vtx, fn, value in zip(verts, functions, at_hi):
+        if u1.evaluate(fn.num, c_hi) != value * u1.evaluate(fn.den, c_hi):
+            raise ArithmeticError(
+                f"exact condition value at vertex {vtx} disagrees with the "
+                f"direct value {value} at c_hi = {c_hi}"
+            )
 
     per_vertex = []
-    certified = True
-    for i, vtx in enumerate(verts):
-
-        def sample(c, _i=i):
-            r = row(c)
-            return None if r is None else r[_i]
-
-        fn = u1.reconstruct_rational(
-            sample, degree_cap=degree_cap, start=c_hi + 1, step=Fraction(1)
-        )
+    for vtx, fn in zip(verts, functions):
         num, den = fn.num, fn.den
-        den_hi = max(c_lo, u1.cauchy_root_bound(den)) + 1
-        den_ok = u1.evaluate(den, c_lo) > 0 and not u1.isolate_roots(
-            den, c_lo, den_hi, Fraction(1)
-        )
+        den_ok = u1.positive_above(den, c_lo)
         if not num:
             entry = VertexThreshold(vtx, c_lo, c_lo, c_lo, "floor", True, -1, u1.degree(den))
         else:
@@ -456,9 +547,8 @@ def threshold_c(
     sup_low = max(e.low for e in per_vertex)
     sup_high = max(e.high for e in per_vertex)
     exact = sup_low if sup_low == sup_high else None
-    at_hi = row(c_hi)
-    value_at_hi = None if at_hi is None else min(at_hi)
-    certified = certified and value_at_hi is not None and value_at_hi >= 0
+    value_at_hi = min(at_hi)
+    certified = certified and value_at_hi >= 0
     return ThresholdResult(
         low=sup_low,
         high=sup_high,
@@ -466,7 +556,7 @@ def threshold_c(
         certified=certified,
         value_at_hi=value_at_hi,
         per_vertex=tuple(per_vertex),
-        convention=convention,
+        convention=fib_lo.convention,
         floor=c_lo,
         tol=tol,
     )

@@ -1,24 +1,22 @@
-"""Dense univariate polynomials over the rationals: Sturm root isolation and
-exact reconstruction of rational functions from sampled values.
+"""Dense univariate polynomials over the rationals: exact interpolation,
+fraction-free determinants over Q[x], and Sturm root isolation.
 
 Polynomials are coefficient lists (index = power, no trailing zeros, [] = 0).
-Root isolation returns exact rational roots when bisection lands on one
-(deflating it out so Sturm counts stay valid) and width-bounded brackets
-otherwise.  Rational-function reconstruction fits numerator/denominator
-coefficients through a nullspace solve at escalating degrees, accepting only
-candidates that reproduce every sample plus fresh validation points exactly.
-A null vector already reproduces the fit samples wherever its denominator is
-nonzero, so candidates are checked unreduced and the gcd reduction runs once,
-on the accepted fit.
+Sturm sequences are kept as primitive integer polynomials: each member is a
+positive multiple of the classical one, so every sign, and with it every
+root count, is unchanged, and a sign at x = n/d is read off the integer
+d^deg q(n/d) by Horner's rule.  Root isolation returns exact rational roots
+when bisection lands on one (deflating it out so Sturm counts stay valid)
+and width-bounded brackets otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from math import gcd, lcm
 
-from .exact import rat, solve_general
+from .exact import rat
 
 Poly1 = tuple
 
@@ -110,22 +108,111 @@ def squarefree_part(p: Poly1) -> Poly1:
     return divmod_exact(p, g)[0]
 
 
+def interpolate(xs, ys) -> Poly1:
+    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]),
+    by Newton's divided differences (the xs distinct)."""
+    xs = [rat(x) for x in xs]
+    coef = [rat(y) for y in ys]
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    p: Poly1 = ()
+    for i in range(n - 1, -1, -1):
+        p = add(mul(p, (-xs[i], Fraction(1))), (coef[i],))
+    return p
+
+
+def det(M) -> Poly1:
+    """Determinant of a square matrix over Q[x] by Bareiss elimination.
+
+    Each update (p a - f b) / prev divides exactly, since every entry it
+    produces is a minor of M; a nonzero remainder raises ArithmeticError.
+    """
+    A = [list(row) for row in M]
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("determinant of a non-square matrix")
+    sign, prev = 1, (Fraction(1),)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if A[i][k]), None)
+        if pivot is None:
+            return ()
+        if pivot != k:
+            A[k], A[pivot] = A[pivot], A[k]
+            sign = -sign
+        p, pr = A[k][k], A[k]
+        for i in range(k + 1, n):
+            f = A[i][k]
+            for j in range(k + 1, n):
+                q, r = divmod_exact(sub(mul(p, A[i][j]), mul(f, pr[j])), prev)
+                if r:
+                    raise ArithmeticError("inexact Bareiss division")
+                A[i][j] = q
+        prev = p
+    return scale(prev, sign)
+
+
+def _primitive(p) -> Poly1:
+    """p times the positive rational that makes its coefficients coprime
+    integers."""
+    if not p:
+        return ()
+    den = lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def _positive_remainder(a: Poly1, b: Poly1) -> list:
+    """A positive integer multiple of (a mod b), for integer a and b: each
+    step scales the running remainder by |lc(b)| before cancelling its top
+    coefficient."""
+    r = list(a)
+    db, lead = len(b) - 1, b[-1]
+    m, sgn = abs(lead), (1 if lead > 0 else -1)
+    while len(r) - 1 >= db:
+        k = len(r) - 1 - db
+        f = sgn * r[-1]
+        r = [m * x for x in r]
+        for i, y in enumerate(b):
+            r[k + i] -= f * y
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
 def sturm_sequence(p: Poly1) -> list[Poly1]:
-    seq = [normalize(p), derivative(p)]
+    """The Sturm sequence of p, each member a primitive integer polynomial
+    (a positive multiple of the classical member)."""
+    p0 = _primitive(p)
+    seq = [p0, _primitive(derivative(p0))]
     while seq[-1]:
-        r = divmod_exact(seq[-2], seq[-1])[1]
+        r = _positive_remainder(seq[-2], seq[-1])
         if not r:
             break
-        seq.append(scale(r, -1))
+        seq.append(_primitive([-c for c in r]))
     return [q for q in seq if q]
 
 
+def _scaled_value(q: Poly1, x: Fraction) -> int:
+    """d^deg(q) q(n/d) for x = n/d with d > 0: the sign of q(x), by integer
+    Horner for integer q."""
+    n, d = x.numerator, x.denominator
+    acc, dpow = 0, 1
+    for c in reversed(q):
+        acc = acc * n + c * dpow
+        dpow *= d
+    return acc
+
+
 def sign_variations_at(seq: list[Poly1], x) -> int:
+    x = rat(x)
     signs = []
     for q in seq:
-        v = evaluate(q, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+        v = _scaled_value(q, x)
+        if v:
+            signs.append(v > 0)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -134,8 +221,9 @@ def count_roots_between(seq: list[Poly1], a, b) -> int:
 
     Requires nonzero values at both endpoints.
     """
+    a, b = rat(a), rat(b)
     p = seq[0]
-    if evaluate(p, a) == 0 or evaluate(p, b) == 0:
+    if _scaled_value(p, a) == 0 or _scaled_value(p, b) == 0:
         raise ValueError("Sturm endpoints must not be roots")
     return sign_variations_at(seq, a) - sign_variations_at(seq, b)
 
@@ -146,6 +234,16 @@ def cauchy_root_bound(p: Poly1) -> Fraction:
         return Fraction(1)
     lead = abs(p[-1])
     return 1 + max(abs(c) for c in p[:-1]) / lead if len(p) > 1 else Fraction(1)
+
+
+def positive_above(p: Poly1, lo) -> bool:
+    """Whether p(lo) > 0 and p has no real root above lo (one Sturm count up
+    to past the Cauchy bound)."""
+    lo = rat(lo)
+    seq = sturm_sequence(p)
+    if not seq or _scaled_value(seq[0], lo) <= 0:
+        return False
+    return count_roots_between(seq, lo, max(lo, cauchy_root_bound(p)) + 1) == 0
 
 
 @dataclass(frozen=True)
@@ -184,7 +282,7 @@ def isolate_roots(p: Poly1, lo, hi, tol) -> list[RootLocation]:
             roots.append(RootLocation(a, b, None))
             continue
         mid = (a + b) / 2
-        if evaluate(p, mid) == 0:
+        if _scaled_value(seq[0], mid) == 0:
             roots.append(RootLocation(mid, mid, mid))
             p = divmod_exact(p, (-mid, one))[0]
             seq = sturm_sequence(p)
@@ -193,10 +291,6 @@ def isolate_roots(p: Poly1, lo, hi, tol) -> list[RootLocation]:
         work.append((a, mid))
         work.append((mid, b))
     return sorted(roots, key=lambda r: r.low)
-
-
-class DegreeEscalationFailed(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -221,95 +315,3 @@ def _reduced(num: Poly1, den: Poly1) -> RationalFunction:
     if den and den[-1] < 0:
         num, den = scale(num, -1), scale(den, -1)
     return RationalFunction(normalize(num), normalize(den))
-
-
-def _matches(cand: RationalFunction, samples) -> bool:
-    return all(evaluate(cand.den, x) != 0 and cand(x) == y for x, y in samples)
-
-
-def _fit(samples, m: int, n: int, validate=()) -> RationalFunction | None:
-    """The first nullspace candidate that matches *samples* (as
-    :func:`fit_rational`), reduced only if it also matches *validate*.
-
-    A null vector (num, den) has num(x) = y den(x) at every fit sample, so
-    wherever the unreduced den is nonzero its reduction gives the value y
-    without being formed.  ``_reduced`` runs only for the accepted pair and
-    where den vanishes at a sample.
-    """
-    rows = []
-    for x, y in samples:
-        xs = [Fraction(1)]
-        for _ in range(max(m, n)):
-            xs.append(xs[-1] * x)
-        rows.append([xs[i] for i in range(m + 1)] + [-y * xs[j] for j in range(n + 1)])
-    sol = solve_general(rows, [Fraction(0)] * len(rows))
-    if sol is None:
-        return None
-    _, null = sol
-    for vec in null:
-        num = normalize(vec[: m + 1])
-        den = normalize(vec[m + 1 :])
-        if not den:
-            continue
-        if any(evaluate(den, x) == 0 for x, _ in samples):
-            cand = _reduced(num, den)
-            if not _matches(cand, samples):
-                continue
-            return cand if _matches(cand, validate) else None
-        dens = [evaluate(den, x) for x, _ in validate]
-        if 0 in dens:
-            cand = _reduced(num, den)
-            return cand if _matches(cand, validate) else None
-        if all(evaluate(num, x) == y * d for (x, y), d in zip(validate, dens)):
-            return _reduced(num, den)
-        return None
-    return None
-
-
-def fit_rational(samples: list[tuple], m: int, n: int) -> RationalFunction | None:
-    """One rational function num/den with deg num <= m, deg den <= n matching
-    the samples, from the nullspace of the linearized interpolation system;
-    None when no nonzero candidate matches all samples."""
-    return _fit(samples, m, n)
-
-
-def reconstruct_rational(
-    sample: Callable[[Fraction], Fraction | None],
-    degree_cap: int = 12,
-    start=Fraction(0),
-    step=Fraction(1),
-    validation: int = 3,
-) -> RationalFunction:
-    """Recover the exact rational function behind a sampling callback.
-
-    ``sample(x)`` returns the value at x, or None where the function is not
-    defined/usable.  Degrees escalate (num = den = k for k = 1..degree_cap);
-    a fit is accepted only if it reproduces every cached sample and
-    ``validation`` extra fresh points exactly.
-    """
-    cache: list[tuple] = []
-    xs_iter = _sample_points(start, rat(step))
-
-    def take(count: int) -> None:
-        while len(cache) < count:
-            x = next(xs_iter)
-            y = sample(x)
-            if y is not None:
-                cache.append((x, y))
-
-    for k in range(1, degree_cap + 1):
-        take(2 * k + 1 + validation)
-        cand = _fit(cache[: 2 * k + 1], k, k, cache[2 * k + 1 :])
-        if cand is not None:
-            return cand
-    raise DegreeEscalationFailed(
-        f"no rational function of degree up to ({degree_cap},{degree_cap}) "
-        "matches the samples"
-    )
-
-
-def _sample_points(start: Fraction, step: Fraction):
-    x = rat(start)
-    while True:
-        yield x
-        x += step

@@ -4,13 +4,26 @@
 # factor (n = 3, s = 24), degree form p = p1*x1 + p2*x2.  Exponent keys are
 # (deg_c, deg_p1, deg_p2); values are integer coefficients.
 #
-# At the end: a Fraction reference for Bernstein coefficients.
+# At the end: a Fraction reference for Bernstein coefficients, the sampled
+# rational-function reconstruction, and the Fraction Sturm sequence.
 
 import itertools
 import math
 from fractions import Fraction
+from typing import Callable
 
 from wkstab import Polynomial
+from wkstab.exact import rat, solve_general
+from wkstab.univariate import (
+    RationalFunction,
+    degree,
+    derivative,
+    divmod_exact,
+    evaluate,
+    gcd_monic,
+    normalize,
+    scale,
+)
 
 REF_NUM = {
     (10, 0, 0): 12250,
@@ -237,3 +250,140 @@ def bernstein_coefficients_fraction(p: Polynomial, simplex) -> dict[tuple, Fract
         weight = Fraction(math.prod(math.factorial(g) for g in expo), fact_d)
         coeffs[expo] = coeff * weight
     return coeffs
+
+
+# Rational-function reconstruction from sampled values, as threshold_c found
+# its vertex functions before the exact solve over Q[c]: numerator and
+# denominator coefficients from a nullspace solve at escalating degrees,
+# accepted only when they reproduce every sample plus fresh validation
+# points.  Kept as the oracle the exact vertex functions are tested against.
+
+
+class DegreeEscalationFailed(Exception):
+    pass
+
+
+def _reduced(num, den) -> RationalFunction:
+    g = gcd_monic(num, den)
+    if degree(g) >= 1:
+        num = divmod_exact(num, g)[0]
+        den = divmod_exact(den, g)[0]
+    if den and den[-1] < 0:
+        num, den = scale(num, -1), scale(den, -1)
+    return RationalFunction(normalize(num), normalize(den))
+
+
+def _matches(cand: RationalFunction, samples) -> bool:
+    return all(evaluate(cand.den, x) != 0 and cand(x) == y for x, y in samples)
+
+
+def _fit(samples, m: int, n: int, validate=()) -> RationalFunction | None:
+    """The first nullspace candidate that matches *samples* (as
+    :func:`fit_rational`), reduced only if it also matches *validate*.
+
+    A null vector (num, den) has num(x) = y den(x) at every fit sample, so
+    wherever the unreduced den is nonzero its reduction gives the value y
+    without being formed.  ``_reduced`` runs only for the accepted pair and
+    where den vanishes at a sample.
+    """
+    rows = []
+    for x, y in samples:
+        xs = [Fraction(1)]
+        for _ in range(max(m, n)):
+            xs.append(xs[-1] * x)
+        rows.append([xs[i] for i in range(m + 1)] + [-y * xs[j] for j in range(n + 1)])
+    sol = solve_general(rows, [Fraction(0)] * len(rows))
+    if sol is None:
+        return None
+    _, null = sol
+    for vec in null:
+        num = normalize(vec[: m + 1])
+        den = normalize(vec[m + 1 :])
+        if not den:
+            continue
+        if any(evaluate(den, x) == 0 for x, _ in samples):
+            cand = _reduced(num, den)
+            if not _matches(cand, samples):
+                continue
+            return cand if _matches(cand, validate) else None
+        dens = [evaluate(den, x) for x, _ in validate]
+        if 0 in dens:
+            cand = _reduced(num, den)
+            return cand if _matches(cand, validate) else None
+        if all(evaluate(num, x) == y * d for (x, y), d in zip(validate, dens)):
+            return _reduced(num, den)
+        return None
+    return None
+
+
+def fit_rational(samples: list, m: int, n: int) -> RationalFunction | None:
+    """One rational function num/den with deg num <= m, deg den <= n matching
+    the samples, from the nullspace of the linearized interpolation system;
+    None when no nonzero candidate matches all samples."""
+    return _fit(samples, m, n)
+
+
+def reconstruct_rational(
+    sample: Callable[[Fraction], Fraction | None],
+    degree_cap: int = 12,
+    start=Fraction(0),
+    step=Fraction(1),
+    validation: int = 3,
+) -> RationalFunction:
+    """Recover the exact rational function behind a sampling callback.
+
+    ``sample(x)`` returns the value at x, or None where the function is not
+    defined/usable.  Degrees escalate (num = den = k for k = 1..degree_cap);
+    a fit is accepted only if it reproduces every cached sample and
+    ``validation`` extra fresh points exactly.
+    """
+    cache: list = []
+    xs_iter = _sample_points(start, rat(step))
+
+    def take(count: int) -> None:
+        while len(cache) < count:
+            x = next(xs_iter)
+            y = sample(x)
+            if y is not None:
+                cache.append((x, y))
+
+    for k in range(1, degree_cap + 1):
+        take(2 * k + 1 + validation)
+        cand = _fit(cache[: 2 * k + 1], k, k, cache[2 * k + 1 :])
+        if cand is not None:
+            return cand
+    raise DegreeEscalationFailed(
+        f"no rational function of degree up to ({degree_cap},{degree_cap}) "
+        "matches the samples"
+    )
+
+
+def _sample_points(start: Fraction, step: Fraction):
+    x = rat(start)
+    while True:
+        yield x
+        x += step
+
+
+# The classical Sturm sequence over Fraction, evaluated with `evaluate`, as
+# univariate counted roots before its integer sequences.
+
+
+def sturm_sequence_fraction(p) -> list:
+    seq = [normalize(p), derivative(p)]
+    while seq[-1]:
+        r = divmod_exact(seq[-2], seq[-1])[1]
+        if not r:
+            break
+        seq.append(scale(r, -1))
+    return [q for q in seq if q]
+
+
+def count_roots_between_fraction(seq: list, a, b) -> int:
+    def variations(x):
+        signs = [evaluate(q, x) > 0 for q in seq if evaluate(q, x) != 0]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+    if evaluate(seq[0], a) == 0 or evaluate(seq[0], b) == 0:
+        raise ValueError("Sturm endpoints must not be roots")
+    return variations(a) - variations(b)

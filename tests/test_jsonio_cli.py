@@ -350,6 +350,29 @@ def test_cli_check_bernstein_band_golden(capsys):
     assert data["method"] == "BernsteinSubdivision" and data["margin"] is None
 
 
+THRESHOLD_TEMPLATE = str(
+    Path(__file__).resolve().parents[1] / "demos" / "data" / "threshold_template.json"
+)
+
+
+@pytest.mark.parametrize(
+    "mode, digest",
+    [
+        ((), "d1604944fa6640a58657633120a746daf718e1ff58e0fbccb6a612cb1e1b0089"),
+        (("--text",), "e67cc718ff1b20cff073b8ab866714255dba27a8b12bb5759193fe855f4ae2b8"),
+        (("--legacy-sign",), "46cbe2b968648457e736e3c5d7ab80610119d9e71ef2f567500e79afde3b68f6"),
+    ],
+)
+def test_cli_threshold_template_golden(capsys, mode, digest):
+    # pinned bytes of the whole report, as the sampled reconstruction printed
+    # them before the exact solve over Q[c]
+    code, out, err = run(
+        capsys, "threshold", THRESHOLD_TEMPLATE, "--lo", "4", "--hi", "9", "--tol", "1/100", *mode
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_calls_share_one_parser_without_leaking_state(capsys):
     assert cli.build_parser() is cli.build_parser()
     code, default, _ = run(capsys, "check-fano", RANK_ONE)

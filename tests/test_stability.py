@@ -1,11 +1,15 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import interval, square, triangle
+from _reference_fraction import reconstruct_rational
 from wkstab import (
     AffineFunc,
     Convention,
+    NonpositiveWeight,
     NotFanoFibration,
     NotMonotoneFiber,
     Polynomial,
@@ -26,6 +30,9 @@ from wkstab import (
     projective_bundle,
     threshold_c,
 )
+from wkstab import futaki, stability
+from wkstab.exact import det as exact_det
+from wkstab import univariate as u1
 from wkstab.stability import (
     HypothesisViolatedOnBracket,
     METHOD_AFFINE,
@@ -272,3 +279,184 @@ def test_x0_sweep_candidates_agree_on_certified_instance():
     fib = rank_one()
     for x0 in base_point_candidates(fib.fiber):
         assert check_fibration(fib, x0=x0).certified
+
+
+# ------------------------------------------------- threshold: exact solve over Q[c]
+
+
+def _triangle_twists(base):
+    # a twist p on the triangle is fixed by its values at the three vertices
+    # (they sum to 0); the fiber's symmetries permute those values
+    verts = triangle().vertices
+    p = AffineFunc(list(base), 0)
+    values = [p(v) for v in verts]
+    out = set()
+    for a, b, _ in itertools.permutations(values):
+        p1 = (b - a) / 3  # a = p(-1, -1), b = p(2, -1)
+        out.add((p1, -a - p1))
+    return sorted(out)
+
+
+TRIANGLE_TWISTS = _triangle_twists((1, 2)) + _triangle_twists((2, 4))
+
+
+def _c_floor(make_fib):
+    """The smallest positive integer c at which make_fib builds and the Fano
+    hypothesis holds (offsets grow with c, so every larger c works too)."""
+    for c in itertools.count(1):
+        try:
+            fib = make_fib(F(c))
+        except NonpositiveWeight:
+            continue
+        x0, t = fib.fano_fiber
+        if all(f.p(x0) + f.c >= t * f.s / (2 * f.n) for f in fib.factors):
+            return F(c)
+
+
+def _oracle_functions(make_fib, c_lo, c_hi):
+    """The sampled reconstruction threshold_c used before the exact solve."""
+    verts = make_fib(c_lo).fiber.vertices
+    rows = {}
+
+    def row(c):
+        if c not in rows:
+            fib = make_fib(c)
+            l_ext = extremal_affine(fib).l_ext
+            rows[c] = [condition_value_fano(fib, l_ext, v) for v in verts]
+        return rows[c]
+
+    return [
+        reconstruct_rational(lambda c, i=i: row(c)[i], start=c_hi + 1)
+        for i in range(len(verts))
+    ]
+
+
+def _monic_pair(fn):
+    lead = fn.den[-1]
+    return u1.scale(fn.num, 1 / lead), u1.scale(fn.den, 1 / lead)
+
+
+def _assert_matches_oracle(make_fib):
+    c_lo = _c_floor(make_fib)
+    fib_lo = make_fib(c_lo)
+    _, functions, sound = stability._exact_vertex_functions(make_fib, fib_lo, c_lo)
+    assert sound
+    oracle = _oracle_functions(make_fib, c_lo, c_lo + 5)
+    assert [_monic_pair(f) for f in functions] == [_monic_pair(f) for f in oracle]
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.sampled_from(TRIANGLE_TWISTS),
+    st.integers(12, 36),
+    st.sampled_from(list(Convention)),
+)
+def test_exact_vertex_functions_match_sampled_oracle_on_triangle(p, s, convention):
+    _assert_matches_oracle(lambda c: tri_family(c, s=s, p=p, convention=convention))
+
+
+# the triangle moved by (1, 0): monotone point x0 = (1, 0), so p(x0) != 0
+SHIFTED_TRIANGLE = from_halfspaces(
+    [AffineFunc([1, 0], 0), AffineFunc([0, 1], 1), AffineFunc([-1, -1], 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "make_fib",
+    [
+        lambda c: fibration(SHIFTED_TRIANGLE, [base_factor(3, 24, c, [1, 2], 2)]),
+        # the interval, both conventions
+        lambda c: projective_bundle([[1]], [(3, 24)], [c], t=1),
+        lambda c: projective_bundle([[2]], [(2, 12)], [c], t=1, convention=Convention.LEGACY),
+        # the 3-simplex
+        lambda c: projective_bundle([[1, 2, 0]], [(3, 24)], [c], t=1),
+        # two factors: a fixed offset beside the moving one, and both moving
+        # at different rates (N = n_1 + n_2)
+        lambda c: projective_bundle([[0, 1], [1, 2]], [(1, 4), (3, 24)], [3, c], t=1),
+        lambda c: projective_bundle([[0, 1], [1, 2]], [(1, 4), (1, 6)], [c, 2 * c - 3], t=1),
+    ],
+    ids=["shifted-triangle", "interval", "interval-legacy", "3-simplex", "fixed-and-moving", "two-moving"],
+)
+def test_exact_vertex_functions_match_sampled_oracle(make_fib):
+    _assert_matches_oracle(make_fib)
+
+
+def test_threshold_solves_once_and_interpolates_n_plus_one_systems(monkeypatch):
+    solves, systems = [], []
+    real_solve, real_system = futaki.solve_extremal, stability._moment_system
+
+    def counting_solve(*args):
+        solves.append(args)
+        return real_solve(*args)
+
+    def counting_system(*args):
+        systems.append(args)
+        return real_system(*args)
+
+    monkeypatch.setattr(futaki, "solve_extremal", counting_solve)
+    monkeypatch.setattr(stability, "_moment_system", counting_system)
+    res = threshold_c(lambda c: tri_family(c, s=24), F(4), F(9), tol=F(1, 100))
+    assert res.certified and res.low <= THRESHOLD_CANONICAL_S24 <= res.high
+    # one direct solve, at c_hi; N + 1 = n + 1 = 4 systems at c = 4, ..., 7
+    assert len(solves) == 1 and solves[0][1] == tri_family(F(9), s=24).v
+    assert [args[1] for args in systems] == [tri_family(F(c), s=24).v for c in range(4, 8)]
+
+
+@pytest.mark.parametrize(
+    "make_fib, c_lo, match",
+    [
+        # quadratic offset: affine through c = 4, 5, wrong at c = 6
+        (lambda c: tri_family(c + (c - 4) * (c - 5) / 2, s=24), 4, "not affine in c at c = 6"),
+        # s changes between the interpolation nodes and c_hi
+        (lambda c: tri_family(c, s=24 if c < 9 else 18), 4, "n, s or p at c = 9"),
+        # offset decreasing in c
+        (lambda c: tri_family(16 - c, s=24), 8, "decreases"),
+    ],
+    ids=["quadratic-offset", "changed-s", "negative-delta"],
+)
+def test_threshold_rejects_a_template_outside_the_affine_contract(make_fib, c_lo, match):
+    with pytest.raises(ValueError, match=match):
+        threshold_c(make_fib, F(c_lo), F(9))
+
+
+def test_threshold_raises_when_an_exact_function_disagrees_at_c_hi(monkeypatch):
+    real = stability._exact_vertex_functions
+
+    def off_by_one(*args):
+        offsets, functions, sound = real(*args)
+        f = functions[1]
+        bumped = u1.RationalFunction(u1.add(f.num, f.den), f.den)  # f + 1
+        return offsets, [functions[0], bumped] + functions[2:], sound
+
+    monkeypatch.setattr(stability, "_exact_vertex_functions", off_by_one)
+    with pytest.raises(ArithmeticError, match="disagrees"):
+        threshold_c(lambda c: tri_family(c, s=24), F(4), F(9))
+
+
+def test_threshold_certified_needs_a_positive_definite_moment_matrix(monkeypatch):
+    def not_definite(M):
+        raise futaki.SingularMomentMatrix("moment matrix is not positive definite")
+
+    good = threshold_c(lambda c: tri_family(c, s=24), F(4), F(9))
+    monkeypatch.setattr(stability, "_assert_positive_definite", not_definite)
+    res = threshold_c(lambda c: tri_family(c, s=24), F(4), F(9))
+    assert good.certified and not res.certified
+    assert (res.low, res.high, res.per_vertex) == (good.low, good.high, good.per_vertex)
+
+
+def test_threshold_certified_needs_det_m_positive_above_c_lo(monkeypatch):
+    # the first positivity test threshold_c runs is on D = det M(c); make it fail
+    tested = []
+    real = u1.positive_above
+
+    def det_fails(p, lo):
+        tested.append(p)
+        return len(tested) > 1 and real(p, lo)
+
+    monkeypatch.setattr(u1, "positive_above", det_fails)
+    res = threshold_c(lambda c: tri_family(c, s=24), F(4), F(9))
+    assert not res.certified
+    assert len(tested) == 1 + 3  # D, then each vertex's denominator
+    fib = tri_family(F(4), s=24)
+    M = stability._moment_system(fib.fiber, fib.v, fib.w_base, fib.convention)[0]
+    assert u1.evaluate(tested[0], F(4)) == exact_det(M) > 0

@@ -1,23 +1,32 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wkstab import univariate
-from wkstab.univariate import (
+import _reference_fraction
+from _reference_fraction import (
     DegreeEscalationFailed,
+    count_roots_between_fraction,
+    fit_rational,
+    reconstruct_rational,
+    sturm_sequence_fraction,
+)
+from wkstab import exact
+from wkstab.univariate import (
     RationalFunction,
     cauchy_root_bound,
     count_roots_between,
+    det,
     divmod_exact,
     evaluate,
-    fit_rational,
     gcd_monic,
+    interpolate,
     isolate_roots,
     monic,
     mul,
     normalize,
-    reconstruct_rational,
+    positive_above,
     squarefree_part,
     sturm_sequence,
 )
@@ -113,6 +122,10 @@ def test_rational_function_call_and_reduction():
     assert f(F(3)) == 2
 
 
+# The sampled reconstruction lives on as an oracle in _reference_fraction;
+# these tests pin its behaviour.
+
+
 def test_fit_rational_recovers_function():
     num = poly_from_roots([1, -2], lead=3)
     den = (F(2), F(0), F(1))  # x^2 + 2 > 0
@@ -168,13 +181,13 @@ def test_reconstruct_escalation_failure_is_honest():
 
 def _count_reductions(monkeypatch):
     calls = []
-    real = univariate.gcd_monic
+    real = _reference_fraction.gcd_monic
 
     def counting(p, q):
         calls.append((p, q))
         return real(p, q)
 
-    monkeypatch.setattr(univariate, "gcd_monic", counting)
+    monkeypatch.setattr(_reference_fraction, "gcd_monic", counting)
     return calls
 
 
@@ -222,3 +235,87 @@ def test_reconstruct_rejects_a_fit_with_a_pole_at_a_validation_point():
 
     got = reconstruct_rational(lambda x: evaluate(q, x), degree_cap=4, start=F(1), step=F(1))
     assert got == RationalFunction(num=q, den=(F(1),))
+
+
+# ------------------------------------------- integer Sturm, interpolation, det
+
+
+def _squarefree_poly(rational_roots, irrational, complex_pairs, lead):
+    p = poly_from_roots(rational_roots, lead=lead)
+    for k in irrational:
+        p = mul(p, (F(-k), F(0), F(1)))  # x^2 - k, k not a square
+    for k in complex_pairs:
+        p = mul(p, (F(k), F(1), F(1)))  # x^2 + x + k, no real root for k > 1/4
+    return squarefree_part(p)
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+dyadics = st.builds(lambda m, e: F(m, 2**e), st.integers(-400, 400), st.integers(0, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(rationals, max_size=4),
+    st.lists(st.sampled_from([2, 3, 5, F(7, 4), F(1, 3)]), max_size=2),
+    st.lists(st.sampled_from([1, F(5, 2)]), max_size=1),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+    dyadics,
+    dyadics,
+)
+def test_integer_sturm_counts_match_fraction_oracle(roots, irr, cpx, lead, a, b):
+    p = _squarefree_poly(roots, irr, cpx, lead)
+    if a > b:
+        a, b = b, a
+    if evaluate(p, a) == 0 or evaluate(p, b) == 0:
+        with pytest.raises(ValueError):
+            count_roots_between(sturm_sequence(p), a, b)
+        return
+    seq, ref = sturm_sequence(p), sturm_sequence_fraction(p)
+    assert count_roots_between(seq, a, b) == count_roots_between_fraction(ref, a, b)
+    # each member is a primitive integer polynomial, a positive multiple of
+    # the classical one
+    assert len(seq) == len(ref)
+    for q, r in zip(seq, ref):
+        assert all(isinstance(c, int) for c in q) and math.gcd(*q) == 1
+        ratio = F(q[-1]) / r[-1]
+        assert ratio > 0 and tuple(ratio * c for c in r) == q
+
+
+def test_positive_above():
+    p = poly_from_roots([1, 3])  # (x - 1)(x - 3)
+    assert positive_above(p, F(3, 1) + F(1, 100))
+    assert not positive_above(p, F(2))  # negative at 2
+    assert not positive_above(p, F(1, 2))  # positive at 1/2, roots above
+    assert not positive_above(p, F(3))  # zero at 3
+    assert positive_above((F(2), F(0), F(1)), F(-100))  # x^2 + 2
+    assert not positive_above((), F(0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=7), st.integers(-3, 3))
+def test_interpolate_recovers_the_polynomial(coeffs, x0):
+    p = normalize(coeffs)
+    xs = [F(x0 + k) for k in range(len(coeffs))]
+    assert interpolate(xs, [evaluate(p, x) for x in xs]) == p
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.lists(rationals, max_size=3), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+))
+def test_bareiss_det_over_q_x_matches_pointwise_det(entries):
+    M = [[normalize(c) for c in row] for row in entries]
+    D = det(M)
+    for x in (F(-2), F(0), F(1, 3), F(5)):
+        assert evaluate(D, x) == exact.det([[evaluate(c, x) for c in row] for row in M])
+
+
+def test_bareiss_det_pivots_past_a_zero_entry():
+    x = (F(0), F(1))
+    M = [[(), x], [(F(1),), (F(2),)]]  # det = -x
+    assert det(M) == (F(0), F(-1))
+    assert det([[x, x], [x, x]]) == ()
