@@ -15,11 +15,17 @@ from wkstab import (
     stability_weight,
 )
 
+
+def show(h):
+    """h as the CLI prints it: (gradient).x + constant."""
+    return f"({', '.join(str(g) for g in h.gradient)}).x + {h.constant}"
+
+
 # The resolution-1 family on [-1, 1] is tiny and worth seeing in full.
 fam = crease_family(projective_bundle([[1]], [(3, -6)], [15], t=1).fiber, (F(0),), 1)
 print("resolution-1 creases on [-1, 1]:")
 for crease in fam:
-    print("  h =", crease.h)
+    print("  h =", show(crease.h))
 
 # Certified instance: every ratio F(f)/|f|_L1 stays positive.
 fib = projective_bundle([[1]], [(3, -6)], [15], t=1)
@@ -39,9 +45,11 @@ report = probe(bad.fiber, bad.v, w_bad, fam3)
 print()
 print(f"c = 11/10: min F(f)/|f| = {report.min_ratio} ~ {float(report.min_ratio):.4f}")
 d = report.destabilizer
-print("destabilizer h =", d.h)
+print("destabilizer h =", show(d.h))
 print("F(f)  cached   =", d.df_value(bad.v, w_bad))
 print("F(f)  recomputed =", d.df_value_direct(bad.v, w_bad))
 
-# Moment caches make re-probing the same polytope with other weights cheap:
-# the family above is reused across both instances without re-clipping.
+# Each crease keeps integer rows read off its piece's moment table, so
+# re-probing a family with another weight pair costs one integer dot product
+# per crease: the family above is reused across both instances without
+# re-clipping or refilling.

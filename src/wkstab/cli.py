@@ -333,8 +333,7 @@ def _cmd_threshold(args) -> int:
         f"threshold bracket: [{_fmt(res.low)}, {_fmt(res.high)}]"
         + (f" (exact {_fmt(res.exact)})" if res.exact is not None else ""),
         f"certified for larger c: {res.certified}",
-        f"condition value at c_hi: "
-        + ("n/a" if res.value_at_hi is None else _fmt(res.value_at_hi)),
+        f"condition value at c_hi: {_fmt(res.value_at_hi)}",
         f"hypothesis floor c_lo: {_fmt(res.floor)}",
         f"convention: {res.convention.value}",
     ]

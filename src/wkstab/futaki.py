@@ -14,6 +14,11 @@ facets from an interior point x0:
 The extremal affine function l_ext is the unique affine function for which F
 with w = l_ext v - w_base vanishes on all affine functions; it is found by
 solving the (l+1) x (l+1) moment system exactly.
+
+F and the moment system are bilinear pairings with P's moment table
+(measure._pair), so no product polynomial is formed: F(f) = 2 <f, v>_boundary
+- <f, w>, and the system's entries are <v, X_i X_j>, <v, X_i>_boundary and
+<w_base, X_i> on the affine basis X = (1, x_1, ..., x_l).
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from .exact import (
     radial_derivative,
     solve_square,
 )
-from .measure import integrate, integrate_boundary, integrate_simplex
+from .measure import _add, _fill, _pair, integrate_simplex
+from .measure import integrate  # noqa: F401  (perfbench's tracer patches futaki.integrate)
 from .polytope import LabelledPolytope, cone_decomposition
 from .weights import Convention, Fibration
 
@@ -49,8 +55,9 @@ class FutakiNotVanishing(Exception):
 
 
 def df_invariant(P: LabelledPolytope, v: Polynomial, w: Polynomial, f: Polynomial) -> Fraction:
-    """F(f) = 2 * boundary integral of f*v  -  interior integral of f*w."""
-    return 2 * integrate_boundary(f * v, P) - integrate(f * w, P)
+    """F(f) = 2 * boundary integral of f*v  -  interior integral of f*w, as
+    two pairings with P's moment table (no product polynomial is formed)."""
+    return 2 * _pair(f, v, P, True) - _pair(f, w, P, False)
 
 
 def df_via_cones(P: LabelledPolytope, x0, v: Polynomial, w: Polynomial, f: Polynomial) -> Fraction:
@@ -85,9 +92,14 @@ def _moment_system(
 ):
     ell = P.dim
     X = _affine_basis(ell)
-    moments_boundary = [integrate_boundary(Xi * v, P) for Xi in X]
-    moments_w = [integrate(Xi * w_base, P) for Xi in X]
-    M = [[integrate(X[i] * X[j] * v, P) for j in range(ell + 1)] for i in range(ell + 1)]
+    E = [next(iter(Xi.terms)) for Xi in X]  # exponents 0, e_1, ..., e_l
+    # every moment the entries below read, in one fill per table
+    _fill(P, [_add(_add(a, c), b) for a in E for c in E for b in v.terms]
+          + [_add(a, b) for a in E for b in w_base.terms], False)
+    _fill(P, [_add(a, b) for a in E for b in v.terms], True)
+    moments_boundary = [_pair(v, Xi, P, True) for Xi in X]
+    moments_w = [_pair(w_base, Xi, P, False) for Xi in X]
+    M = [[_pair(v, X[i] * X[j], P, False) for j in range(ell + 1)] for i in range(ell + 1)]
     if convention is Convention.LEGACY:
         beta = 1 if ell == 1 else 2
         b = [beta * moments_boundary[i] - moments_w[i] for i in range(ell + 1)]
@@ -132,8 +144,11 @@ def solve_extremal(
 ) -> ExtremalSolution:
     """Solve the moment system for l_ext over raw weight polynomials.
 
-    The stored residuals b_i - (row integrals of l_ext * v) must all be 0; they
-    read the same cached moments of P as the system, so they check the solve.
+    The system asks for its interior moments {e_i + e_j + b : b in v} and
+    {e_i + b : b in w_base} in one fill and its boundary moments
+    {e_i + b : b in v} in another, so a cold P is triangulated once.  The
+    entries, and the stored residuals b_i - <l_ext v, X_i>, are pairings with
+    that table; the residuals must all be 0, so they check the solve.
     """
     ell = P.dim
     M, b, moments_boundary, moments_w = _moment_system(P, v, w_base, convention)
@@ -144,7 +159,7 @@ def solve_extremal(
     l_ext = AffineFunc(lam[1:], lam[0])
     X = _affine_basis(ell)
     lv = l_ext.to_polynomial() * v
-    residuals = tuple(b[i] - integrate(X[i] * lv, P) for i in range(ell + 1))
+    residuals = tuple(b[i] - _pair(lv, X[i], P, False) for i in range(ell + 1))
     if any(r != 0 for r in residuals):
         raise SingularMomentMatrix("extremal solution failed exact re-verification")
     return ExtremalSolution(

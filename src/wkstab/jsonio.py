@@ -291,9 +291,7 @@ def threshold_to_json(res: ThresholdResult) -> dict:
         "high": rational_to_json(res.high),
         "exact": None if res.exact is None else rational_to_json(res.exact),
         "certified": res.certified,
-        "value_at_hi": None
-        if res.value_at_hi is None
-        else rational_to_json(res.value_at_hi),
+        "value_at_hi": rational_to_json(res.value_at_hi),
         "floor": rational_to_json(res.floor),
         "tol": rational_to_json(res.tol),
         "convention": res.convention.value,

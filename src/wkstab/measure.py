@@ -14,6 +14,12 @@ exact._barycentric_powers, which bernstein shares), and
 
     int_cell x^a = jac * sum_b coeff_b * b! / ((k + |a|)! * D^|a|).
 
+Products are never formed to be integrated: _pair(f, g) = sum_a sum_b
+f_a g_b m(a + b) reads int f g off the table, and _pair_row gives the moments
+of f x^b for a list of b.  Every read asks _fill for all the monomials it
+needs at once, so one read triangulates P at most once per table (interior
+or boundary).
+
 integrate_simplex and integrate_facet_cell pull whole polynomials back
 through compose_affine instead; they stay as the independent path behind
 df_via_cones and the tests.
@@ -117,12 +123,45 @@ def integrate_boundary(p: Polynomial, P: LabelledPolytope) -> Fraction:
 
 
 def _moment_dot(p: Polynomial, P: LabelledPolytope, boundary: bool) -> Fraction:
-    """Sum of coeff * moment over p's terms.  Moments missing from P.moments,
-    keyed (exponent, boundary), are filled over one triangulation."""
+    """Sum of coeff * moment over p's terms, read from P.moments."""
     if p.dim != P.dim:
         raise ValueError("polynomial/polytope dimension mismatch")
+    table = _fill(P, p.terms, boundary)
+    return sum((c * table[e, boundary] for e, c in p.terms.items()), Fraction(0))
+
+
+def _pair(f: Polynomial, g: Polynomial, P: LabelledPolytope, boundary: bool) -> Fraction:
+    """The bilinear pairing sum_a sum_b f_a g_b m(a + b) = int f g, read from
+    P.moments without forming the product f * g."""
+    if g.dim != P.dim:
+        raise ValueError("polynomial/polytope dimension mismatch")
+    row = _pair_row(f, list(g.terms), P, boundary)
+    return sum((c * r for c, r in zip(g.terms.values(), row)), Fraction(0))
+
+
+def _pair_row(
+    f: Polynomial, expos: list, P: LabelledPolytope, boundary: bool
+) -> list[Fraction]:
+    """[sum_a f_a m(a + b) for b in expos]: the moments of f * x^b, with every
+    missing m(a + b) filled at once."""
+    if f.dim != P.dim:
+        raise ValueError("polynomial/polytope dimension mismatch")
+    table = _fill(P, [_add(a, b) for b in expos for a in f.terms], boundary)
+    return [
+        sum((c * table[_add(a, b), boundary] for a, c in f.terms.items()), Fraction(0))
+        for b in expos
+    ]
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _fill(P: LabelledPolytope, expos, boundary: bool) -> dict:
+    """Fill the moments of x^a (a in expos) missing from P.moments, keyed
+    (exponent, boundary), over one triangulation; return the table."""
     table = P.moments
-    missing = [expo for expo in p.terms if (expo, boundary) not in table]
+    missing = [expo for expo in dict.fromkeys(expos) if (expo, boundary) not in table]
     if missing:
         if boundary:
             cells = [(c, _transversal(P, j)) for j in range(P.n_facets)
@@ -135,7 +174,7 @@ def _moment_dot(p: Polynomial, P: LabelledPolytope, boundary: bool) -> Fraction:
                 sums[i] += m
         for expo, total in zip(missing, sums):
             table[expo, boundary] = total
-    return sum((c * table[e, boundary] for e, c in p.terms.items()), Fraction(0))
+    return table
 
 
 def _cell_moments(verts: tuple[Point, ...], xi: Point | None, expos: list) -> list[Fraction]:

@@ -12,20 +12,37 @@ facet contributes nothing since h = 0 there).  A crease with F(f) < 0 is an
 exact instability witness; a positive minimum of F(f)/|f|_L1 over a family is
 evidence (never proof) of a stability margin.
 
-F(f) and |f|_L1 read the moment table of the positive piece (see measure), so
-probing many weight pairs over one family reuses all quadrature.
+F(f) and |f|_L1 read the moment table of the positive piece (see measure).
+probe does not evaluate them per crease.  Each crease keeps the integer rows
+
+    rb_b = D_k sum_a h_a m_boundary(a + b)   (|b| <= deg v),
+    ri_b = D_k sum_a h_a m(a + b)            (|b| <= deg w),
+
+with D_k their least common denominator, filled once per table and rebuilt
+only when a weight of larger degree arrives.  Boundary moments pair only with
+v and interior ones only with w, so neither table is filled past the degree
+its weight needs.  A weight pair becomes one integer vector
+(V, W) = D_vw (v_b, w_b), and then
+
+    F(f_k) = N_k / (D_vw D_k),   N_k = 2 V.rb_k - W.ri_k,   |f_k|_L1 = ri_k[0] / D_k,
+
+so each crease costs one integer dot product, ratios N_k / (D_vw ri_k[0])
+compare by cross-multiplication, and only the winner's ratio becomes a
+Fraction.  A destabilizer's F(f) is re-checked on the independent cone path
+(Crease.df_value_direct) before it is reported.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .exact import AffineFunc, Point, Polynomial, point, vadd, vscale, vsub
 from .futaki import assert_futaki_vanishes, df_invariant, df_via_cones
-from .measure import integrate
+from .measure import _pair_row, integrate
 from .polytope import EmptyInterior, LabelledPolytope, clip
 
 
@@ -33,6 +50,9 @@ from .polytope import EmptyInterior, LabelledPolytope, clip
 class Crease:
     h: AffineFunc
     positive: LabelledPolytope
+    # derived cache (deg v, deg w, D_k, rb, ri) of _rows, like P.moments;
+    # not part of the value
+    _cache: tuple = field(default=(-1, -1), init=False, repr=False, compare=False)
 
     def df_value(self, v: Polynomial, w: Polynomial) -> Fraction:
         """F(max(0, h)), from the moment table of the positive piece."""
@@ -47,6 +67,31 @@ class Crease:
         positive piece (verification path: never reads the moment table)."""
         P = self.positive
         return df_via_cones(P, P.vertex_centroid(), v, w, self.h.to_polynomial())
+
+    def _rows(self, dv: int, dw: int) -> tuple:
+        """(D_k, rb, ri), the integer rows of the module docstring: rb over
+        _monomials(dim, dv') and ri over _monomials(dim, dw'), where dv' >= dv
+        and dw' >= dw are the largest degrees asked for so far, so the rows
+        for (dv, dw) are prefixes.  Each table is filled once per rebuild."""
+        if self._cache[0] < dv or self._cache[1] < dw:
+            dv, dw = max(dv, self._cache[0]), max(dw, self._cache[1])
+            P = self.positive
+            h = self.h.to_polynomial()
+            rb = _pair_row(h, _monomials(P.dim, dv), P, True)
+            ri = _pair_row(h, _monomials(P.dim, dw), P, False)
+            D = math.lcm(*(x.denominator for x in rb + ri))
+            rows = [tuple(x.numerator * (D // x.denominator) for x in r) for r in (rb, ri)]
+            object.__setattr__(self, "_cache", (dv, dw, D, *rows))
+        return self._cache[2:]
+
+
+def _monomials(dim: int, d: int) -> list[tuple]:
+    """Exponents of degree <= d in graded order, so the list for a lower
+    degree is a prefix of this one."""
+    return sorted(
+        (e for e in itertools.product(range(d + 1), repeat=dim) if sum(e) <= d),
+        key=lambda e: (sum(e), e),
+    )
 
 
 def _primitive_directions(dim: int, r: int) -> list[tuple]:
@@ -129,19 +174,31 @@ def probe(
     F must already vanish on affine functions (checked unless disabled);
     otherwise the ratio is not scale-normalized evidence.  The L1 surrogate
     stands in for the J-norm up to an uncomputed constant, so a positive
-    minimum is evidence only; a negative F(f) is an exact refutation witness.
+    minimum is evidence only; a negative F(f) is an exact refutation witness,
+    re-checked on the cone path (ArithmeticError if the two disagree).
     """
     if verify_futaki:
         assert_futaki_vanishes(P, v, w)
-    best: tuple | None = None
+    if v.dim != P.dim or w.dim != P.dim:
+        raise ValueError("polynomial/polytope dimension mismatch")
+    # |f|_L1 = ri[0] / D_k needs ri even when w = 0
+    dv, dw = v.degree(), max(w.degree(), 0)
+    coeffs = [[g.terms.get(b, Fraction(0)) for b in _monomials(P.dim, dg)]
+              for g, dg in ((v, dv), (w, dw))]
+    D_vw = math.lcm(*(c.denominator for c in coeffs[0] + coeffs[1]))
+    V, W = ([c.numerator * (D_vw // c.denominator) for c in cs] for cs in coeffs)
+    best: tuple | None = None  # (N_k, ri_k[0], D_k, crease): ratio N_k / (D_vw ri_k[0])
     for crease in family:
-        norm = crease.l1_norm()
-        if norm <= 0:
+        D_k, rb, ri = crease._rows(dv, dw)
+        if ri[0] <= 0:
             continue
-        ratio = crease.df_value(v, w) / norm
-        if best is None or ratio < best[0]:
-            best = (ratio, crease)
+        N = 2 * sum(map(mul, V, rb)) - sum(map(mul, W, ri))
+        if best is None or N * best[1] < best[0] * ri[0]:
+            best = (N, ri[0], D_k, crease)
     if best is None:
         return ProbeReport(None, None, None, 0)
-    destab = best[1] if best[0] < 0 else None
-    return ProbeReport(best[0], best[1], destab, len(family))
+    N, norm, D_k, crease = best
+    if N < 0 and crease.df_value_direct(v, w) != Fraction(N, D_vw * D_k):
+        raise ArithmeticError("the destabilizer's F(f) does not re-verify on the cone path")
+    destab = crease if N < 0 else None
+    return ProbeReport(Fraction(N, D_vw * norm), crease, destab, len(family))

@@ -371,7 +371,7 @@ class ThresholdResult:
     high: Fraction
     exact: Fraction | None
     certified: bool
-    value_at_hi: Fraction | None  # min vertex condition value at c_hi
+    value_at_hi: Fraction  # min vertex condition value at c_hi
     per_vertex: tuple
     convention: Convention
     floor: Fraction  # = c_lo

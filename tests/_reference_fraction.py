@@ -387,3 +387,23 @@ def count_roots_between_fraction(seq: list, a, b) -> int:
     if evaluate(seq[0], a) == 0 or evaluate(seq[0], b) == 0:
         raise ValueError("Sturm endpoints must not be roots")
     return variations(a) - variations(b)
+
+
+# ---------------------------------------------------------------------------
+# The crease probe as one Fraction ratio per crease: F(f) from df_value (the
+# moment table through futaki.df_invariant) over |f|_L1, first strict minimum.
+
+
+def probe_fraction(v, w, family):
+    """(min_ratio, argmin, destabilizer) by the per-crease Fraction loop."""
+    best = None
+    for crease in family:
+        norm = crease.l1_norm()
+        if norm <= 0:
+            continue
+        ratio = crease.df_value(v, w) / norm
+        if best is None or ratio < best[0]:
+            best = (ratio, crease)
+    if best is None:
+        return None, None, None
+    return best[0], best[1], best[1] if best[0] < 0 else None

@@ -115,6 +115,42 @@ def test_solve_extremal_direct_call_matches():
     assert sol.l_ext == extremal_affine(fib).l_ext
 
 
+def _bundle_weights():
+    fib = projective_bundle([[1, 2]], [(3, 18)], [12], 1)
+    return fib.fiber, fib.v, fib.w_base
+
+
+def _wide_base_weights():
+    # w_base reaches monomials that no X_i X_j v does
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    return hexagon(), 2 + x, x ** 3 + y * y + 1
+
+
+@pytest.mark.parametrize("make", [_bundle_weights, _wide_base_weights])
+def test_cold_solve_fills_each_moment_table_once(monkeypatch, make):
+    import wkstab.measure as measure
+
+    P, v, w_base = make()
+    assert not P.moments
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(measure, "triangulate", counting(measure.triangulate))
+    monkeypatch.setattr(measure, "triangulate_facet", counting(measure.triangulate_facet))
+    solve_extremal(P, v, w_base)
+    # one interior fill, and one boundary fill over every facet
+    assert calls == ["triangulate"] + ["triangulate_facet"] * P.n_facets
+    calls.clear()
+    solve_extremal(P, v, w_base)
+    assert calls == []
+
+
 def test_stability_weight_pairs_to_zero_on_affine():
     # w = l_ext v - w_base makes F vanish on all affine functions, exactly
     for fib in (rank_one(), projective_bundle([[1, 2]], [(3, 18)], [12], 1)):

@@ -2,17 +2,19 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import hexagon, interior_points, square, triangle
-from wkstab import Polynomial, integrate, integrate_boundary, integrate_facet, volume
+from conftest import hexagon, interior_points, interval, simplex3, square, triangle
+from wkstab import AffineFunc, Polynomial, integrate, integrate_boundary, integrate_facet, volume
 from wkstab.measure import (
     _cell_moments,
+    _moment_dot,
+    _pair,
     integrate_facet_cell,
     integrate_simplex,
     integrate_simplex_standard,
 )
-from wkstab.polytope import Simplex
+from wkstab.polytope import Simplex, clip
 import _oracle
 from _frozen import DIRICHLET_D2, DIRICHLET_D3
 
@@ -213,6 +215,36 @@ def test_cell_moments_match_facet_cell_pullback(cell_and_xi):
     expos = monomials_up_to(n, 6)
     got = _cell_moments(cell, xi, expos)
     assert got == [integrate_facet_cell(mono(n, e), cell, xi) for e in expos]
+
+
+PAIR_PIECES = (
+    hexagon,
+    lambda: clip(interval(), AffineFunc([1], F(1, 3))),
+    lambda: clip(triangle(), AffineFunc([1, 2], F(-1, 2))),
+    lambda: clip(simplex3(), AffineFunc([1, -1, 1], F(-1, 4))),
+)
+
+
+def polys(dim):
+    # empty term maps give the zero polynomial
+    return st.dictionaries(
+        st.sampled_from(monomials_up_to(dim, 3)), small_rationals, max_size=5
+    ).map(lambda terms: Polynomial(dim, terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(PAIR_PIECES).flatmap(
+        lambda make: st.tuples(st.just(make), *[polys(make().dim)] * 2)
+    ),
+    st.booleans(),
+)
+@example((hexagon, Polynomial.zero(2), Polynomial.constant(2, 1)), True)
+@example((hexagon, Polynomial.variable(2, 1), Polynomial.zero(2)), False)
+def test_pair_is_the_moment_of_the_product(case, boundary):
+    make, f, g = case
+    # separate tables, so each side fills its own monomials
+    assert _pair(f, g, make(), boundary) == _moment_dot(f * g, make(), boundary)
 
 
 def test_table_fill_never_calls_compose_affine(monkeypatch):

@@ -7,14 +7,17 @@ from wkstab import (
     Convention,
     FutakiNotVanishing,
     Polynomial,
+    assert_futaki_vanishes,
     crease_family,
     default_base_point,
     extremal_affine,
+    fano_anticanonical,
     probe,
     projective_bundle,
     stability_weight,
 )
 from wkstab.probe import _offset_grid, _primitive_directions
+from _reference_fraction import probe_fraction
 
 
 def rank_one(p=1, c=15, convention=Convention.CANONICAL):
@@ -168,3 +171,82 @@ def test_legacy_weights_probe_without_futaki_check():
         probe(fib.fiber, fib.v, w, fam)
     report = probe(fib.fiber, fib.v, w, fam, verify_futaki=False)
     assert report.min_ratio is not None
+
+
+@pytest.fixture(scope="module")
+def r3_families():
+    return {P.dim: crease_family(P, (F(0),) * P.dim, 3) for P in (interval(), triangle())}
+
+
+def _weight_pairs():
+    """(fibration, w, verify_futaki) over both r = 3 families: c05 points,
+    rank-one and anticanonical pairs, the refuted c = 11/10 pair and a
+    LEGACY pair, whose w does not kill affine functions."""
+    fibs = [projective_bundle([[p1, p2]], [(3, 6 * I)], [c], t=1)
+            for I, p1, p2, c in ((1, 1, 2, 14), (2, 1, 1, 8), (3, 2, 4, 29), (4, 5, 5, 35))]
+    fibs += [fano_anticanonical(P, [(n, index, None)])
+             for P, (n, index) in ((triangle(), (3, 4)), (interval(), (1, 2)), (interval(), (3, 3)))]
+    fibs += [rank_one(p, 15 * p) for p in (1, 4, 9)]
+    fibs.append(rank_one(c=F(11, 10)))
+    pairs = [(fib, stability_weight(fib), True) for fib in fibs]
+    legacy = rank_one(2, 30, Convention.LEGACY)
+    pairs.append((legacy, stability_weight(legacy, extremal_affine(legacy).l_ext), False))
+    return pairs
+
+
+def test_probe_matches_the_per_crease_fraction_loop(r3_families):
+    found = []
+    for fib, w, verify in _weight_pairs():
+        fam = r3_families[fib.dim]
+        report = probe(fib.fiber, fib.v, w, fam, verify_futaki=verify)
+        min_ratio, argmin, destab = probe_fraction(fib.v, w, fam)
+        assert report.min_ratio == min_ratio
+        assert report.argmin is argmin
+        assert report.destabilizer is destab
+        found.append(report.found_destabilizer)
+    assert found.count(True) == 1 and found[-2]  # the c = 11/10 pair
+
+
+def test_warm_family_fills_nothing_until_the_degree_grows(monkeypatch):
+    import wkstab.measure as measure
+
+    fam = crease_family(interval(), (F(0),), 2)
+    first, second = rank_one(1, 15), rank_one(3, 45)
+    probe(first.fiber, first.v, stability_weight(first), fam)
+    w = stability_weight(second)
+    assert_futaki_vanishes(second.fiber, second.v, w)  # warms the fiber's own table
+    cells = []
+    original = measure._cell_moments
+
+    def counting(*args):
+        cells.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(measure, "_cell_moments", counting)
+    assert second.v.degree() <= fam[0]._cache[0] and w.degree() <= fam[0]._cache[1]
+    report = probe(second.fiber, second.v, w, fam)
+    assert cells == []
+    assert (report.min_ratio, report.argmin) == probe_fraction(second.v, w, fam)[:2]
+    # a weight of higher degree, v first and then w, rebuilds the rows and
+    # still agrees with the oracle
+    x = Polynomial.variable(1, 0)
+    v = second.v * (x * x + 2)
+    for v, w, degrees in ((v, w, (5, 4)), (v, w * (x * x + 3), (5, 6))):
+        cells.clear()
+        report = probe(second.fiber, v, w, fam, verify_futaki=False)
+        assert cells and all(crease._cache[:2] == degrees for crease in fam)
+        assert (report.min_ratio, report.argmin, report.destabilizer) == probe_fraction(v, w, fam)
+
+
+def test_wrong_rows_trip_the_destabilizer_recheck():
+    fib = rank_one(c=F(11, 10))
+    w = stability_weight(fib)
+    fam = crease_family(fib.fiber, default_base_point(fib.fiber), 3)
+    destab = probe(fib.fiber, fib.v, w, fam).destabilizer
+    other = next(c for c in fam if c.df_value(fib.v, w) != destab.df_value(fib.v, w))
+    assert probe(fib.fiber, fib.v, w, [other, destab]).destabilizer is destab
+    # other now carries the destabilizer's rows: it ties for the minimum and,
+    # first in the family, wins, but its F(f) does not re-verify
+    object.__setattr__(other, "_cache", destab._cache)
+    with pytest.raises(ArithmeticError):
+        probe(fib.fiber, fib.v, w, [other, destab])
