@@ -4,16 +4,28 @@ Rational numbers travel as JSON integers or "a/b" strings; decimal literals
 are rejected at parse time (floats cannot faithfully carry the exact data the
 solvers need).  Parse errors carry the field path of the offending node.
 Serialization is deterministic: sorted keys, fixed formatting.
+
+Fibers are interned: polytope_from_json returns one shared LabelledPolytope
+per distinct exact label tuple (the standard_simplex shorthand is keyed by
+its labels too), kept in a bounded LRU of _INTERNED_FIBERS entries.  So every
+command, sweep row and threshold template that names a fiber already parsed
+in this process reuses its vertices and its moment table instead of building
+them again.  Sharing is safe: the polytope is immutable, and its one mutable
+slot, ``moments``, is written only by measure._fill, with exact values fixed
+by (labels, exponent).  Exceptions are not cached, so bad input raises on
+every parse.  from_halfspaces itself is not cached: library callers get a
+fresh polytope and a cold table.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
 from .exact import AffineFunc, Polynomial
 from .futaki import ExtremalSolution
-from .polytope import LabelledPolytope, from_halfspaces, standard_fiber_polytope
+from .polytope import LabelledPolytope, _standard_labels, from_halfspaces
 from .probe import Crease, ProbeReport
 from .stability import StabilityReport, ThresholdResult
 from .weights import BASE_PRESETS, BaseFactor, Convention, Fibration, fibration
@@ -115,7 +127,18 @@ def polytope_to_json(P: LabelledPolytope) -> dict:
     }
 
 
+#: Distinct fibers kept by polytope_from_json; a batch names only a few.
+_INTERNED_FIBERS = 64
+
+
+@functools.lru_cache(maxsize=_INTERNED_FIBERS)
+def _interned(labels: tuple[AffineFunc, ...]) -> LabelledPolytope:
+    return from_halfspaces(labels)
+
+
 def polytope_from_json(node, path: str = "polytope") -> LabelledPolytope:
+    """The fiber *node* describes, shared with every earlier parse of the same
+    exact labels in this process (see the module docstring)."""
     _expect(node, dict, path, "a polytope object")
     if "standard_simplex" in node:
         _expect_keys(node, path, ("standard_simplex",))
@@ -127,11 +150,15 @@ def polytope_from_json(node, path: str = "polytope") -> LabelledPolytope:
         t = rational_from_json(body["t"], f"{path}.standard_simplex.t")
         if ell < 1 or t <= 0:
             raise InputError(f"{path}.standard_simplex", "need l >= 1 and t > 0")
-        return standard_fiber_polytope(ell, t)
+        return _interned(_standard_labels(ell, t))
     # "vertices" is derived data: accepted on input (round-trips) but ignored.
     _expect_keys(node, path, ("dim", "labels"), optional=("vertices",))
     dim = _expect(node["dim"], int, f"{path}.dim", "an integer")
+    if dim < 1:
+        raise InputError(f"{path}.dim", f"need dim >= 1, got {dim}")
     labels_node = _expect(node["labels"], list, f"{path}.labels", "a list")
+    if not labels_node:
+        raise InputError(f"{path}.labels", "at least one label is required")
     labels = [
         affine_from_json(L, f"{path}.labels[{j}]") for j, L in enumerate(labels_node)
     ]
@@ -140,7 +167,7 @@ def polytope_from_json(node, path: str = "polytope") -> LabelledPolytope:
             raise InputError(
                 f"{path}.labels[{j}]", f"gradient length {L.dim} != dim {dim}"
             )
-    return from_halfspaces(labels)
+    return _interned(tuple(labels))
 
 
 VAR_MARKER = "var"

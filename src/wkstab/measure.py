@@ -30,8 +30,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import Point, Polynomial, _barycentric_powers, det, point, vsub
-from .polytope import LabelledPolytope, Simplex, triangulate, triangulate_facet
+from .exact import Point, Polynomial, _barycentric_powers, det, vsub
+from .polytope import (
+    LabelledPolytope,
+    Simplex,
+    _cell_jacobian,
+    _transversal,
+    triangulate,
+    triangulate_facet,
+)
 
 
 def integrate_simplex_standard(p: Polynomial) -> Fraction:
@@ -69,18 +76,6 @@ def integrate(p: Polynomial, P: LabelledPolytope) -> Fraction:
 
 def volume(P: LabelledPolytope) -> Fraction:
     return integrate(Polynomial.constant(P.dim, 1), P)
-
-
-def _transversal(P: LabelledPolytope, j: int) -> Point:
-    """A vector xi with dL_j(xi) = 1, of minimal support: xi = e_i / g_i at the
-    first nonzero gradient coordinate of L_j."""
-    g = P.labels[j].gradient
-    for i, gi in enumerate(g):
-        if gi != 0:
-            xi = [Fraction(0)] * P.dim
-            xi[i] = Fraction(1) / gi
-            return point(xi)
-    raise ValueError("label has zero gradient")
 
 
 def integrate_facet_cell(
@@ -191,8 +186,7 @@ def _cell_moments(verts: tuple[Point, ...], xi: Point | None, expos: list) -> li
     jac * N / ((k + d)! * D^d)  with N = sum_b coeff_b * b!.
     """
     k = len(verts) - 1
-    cols = [vsub(w, verts[0]) for w in verts[1:]] + ([] if xi is None else [xi])
-    jac = abs(det([[c[r] for c in cols] for r in range(len(cols))]))
+    jac = _cell_jacobian(verts, xi)
     if jac == 0:
         return [Fraction(0)] * len(expos)
     D, power = _barycentric_powers(verts)

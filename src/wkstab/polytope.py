@@ -5,6 +5,13 @@ together with the chosen defining affine functions ("labels") ``L_j``, one per
 facet.  The labels matter beyond their zero sets: rescaling a label rescales
 the corresponding facet's boundary measure inversely, so labels are never
 re-normalized here.
+
+from_halfspaces enumerates the vertices first and then proves the set
+bounded by Minkowski's relation  sum_j sigma_j dL_j = 0  over the labelled
+facet measures sigma_j > 0, which costs one facet triangulation.  The
+recession-ray search (one vertex enumeration of the recession cone cut by a
+box) runs only when that proof cannot be made, to name the ray of an
+unbounded input.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from .exact import (
     AffineFunc,
     Point,
     affine_rank,
+    det,
     point,
     rat,
     solve_general,
@@ -33,7 +41,9 @@ class PolytopeError(Exception):
 
 class UnboundedPolytope(PolytopeError):
     def __init__(self, ray: Point):
-        super().__init__(f"halfspaces describe an unbounded set (recession ray {ray})")
+        # coordinates as reports print them: 0, 1/2
+        coords = ", ".join(str(Fraction(x)) for x in ray)
+        super().__init__(f"halfspaces describe an unbounded set (recession ray ({coords}))")
         self.ray = ray
 
 
@@ -190,6 +200,18 @@ def from_halfspaces(labels, *, drop_redundant: bool = False) -> LabelledPolytope
     ``{L_j = 0}`` and keeping the solutions feasible for every label.  The
     label set must be minimal (one facet each); with ``drop_redundant=True``
     redundant labels are silently removed instead of raising.
+
+    Boundedness is proved after the vertex loop, by Minkowski's relation
+    ``sum_j sigma_j dL_j = 0`` with every facet measure ``sigma_j > 0``
+    (:func:`_minkowski_relation_holds`).  The loop's polytope has a vertex,
+    so the gradients have rank ``dim``; a direction u with ``dL_j(u) >= 0``
+    for all j then has ``dL_j(u) = 0`` for all j, so u = 0.  When the loop
+    raises or the relation fails, :func:`_recession_ray` looks for a ray on
+    the original labels: if it finds one, :class:`UnboundedPolytope` names
+    it; otherwise the loop's own error is re-raised, and a polytope that
+    fails the relation raises ArithmeticError (the relation holds on every
+    bounded polytope).  So the precedence is: malformed labels, then
+    unboundedness, then the loop's EmptyInterior or RedundantLabel.
     """
     labels = tuple(labels)
     if not labels:
@@ -201,17 +223,23 @@ def from_halfspaces(labels, *, drop_redundant: bool = False) -> LabelledPolytope
         if not any(L.gradient):
             raise RedundantLabel(j)
 
-    ray = _recession_ray(list(labels), dim)
-    if ray is not None:
-        raise UnboundedPolytope(ray)
-    return _from_bounded_halfspaces(labels, dim, drop_redundant)
+    try:
+        P = _from_bounded_halfspaces(labels, dim, drop_redundant)
+    except PolytopeError:
+        _raise_if_unbounded(labels, dim)
+        raise
+    if not _minkowski_relation_holds(P):
+        _raise_if_unbounded(labels, dim)
+        raise ArithmeticError("Minkowski's relation fails on a bounded polytope")
+    return P
 
 
 def _from_bounded_halfspaces(
     labels: tuple[AffineFunc, ...], dim: int, drop_redundant: bool
 ) -> LabelledPolytope:
-    """The vertex/incidence loop of :func:`from_halfspaces`, for labels known
-    to cut out a bounded set."""
+    """The vertex/incidence loop of :func:`from_halfspaces`.  Its result is
+    the labelled polytope only when the labels cut out a bounded set, which
+    from_halfspaces proves afterwards and clip knows beforehand."""
     while True:
         verts = _enumerate_vertices(list(labels), dim)
         if not verts or affine_rank(verts) < dim:
@@ -237,6 +265,49 @@ def _from_bounded_halfspaces(
             raise EmptyInterior("all labels were redundant")
 
 
+def _raise_if_unbounded(labels: tuple[AffineFunc, ...], dim: int) -> None:
+    ray = _recession_ray(list(labels), dim)
+    if ray is not None:
+        raise UnboundedPolytope(ray)
+
+
+def _transversal(P: LabelledPolytope, j: int) -> Point:
+    """A vector xi with dL_j(xi) = 1, of minimal support: xi = e_i / g_i at the
+    first nonzero gradient coordinate of L_j."""
+    g = P.labels[j].gradient
+    for i, gi in enumerate(g):
+        if gi != 0:
+            xi = [Fraction(0)] * P.dim
+            xi[i] = Fraction(1) / gi
+            return point(xi)
+    raise ValueError("label has zero gradient")
+
+
+def _cell_jacobian(verts: tuple[Point, ...], xi: Point | None = None) -> Fraction:
+    """k! times the measure of the k-simplex cell *verts*: |det[v_i - v_0]|
+    for a full-dimensional cell (xi None), or |det[w_i - w_0, xi]| for a
+    facet cell in the labelled measure of the facet with transversal xi."""
+    cols = [vsub(w, verts[0]) for w in verts[1:]] + ([] if xi is None else [xi])
+    return abs(det([[c[r] for c in cols] for r in range(len(cols))]))
+
+
+def _facet_measure(P: LabelledPolytope, j: int) -> Fraction:
+    """The labelled measure of facet j times (dim-1)!."""
+    xi = _transversal(P, j)
+    return sum((_cell_jacobian(cell, xi) for cell in triangulate_facet(P, j)), Fraction(0))
+
+
+def _minkowski_relation_holds(P: LabelledPolytope) -> bool:
+    """True when sum_j sigma_j dL_j = 0 exactly with every sigma_j > 0."""
+    sigma = [_facet_measure(P, j) for j in range(P.n_facets)]
+    if any(s <= 0 for s in sigma):
+        return False
+    return all(
+        sum((s * L.gradient[i] for s, L in zip(sigma, P.labels)), Fraction(0)) == 0
+        for i in range(P.dim)
+    )
+
+
 def standard_fiber_polytope(dim: int, t) -> LabelledPolytope:
     """The scaled standard simplex: labels ``x_i + t`` and ``t - sum x_i``.
 
@@ -244,6 +315,11 @@ def standard_fiber_polytope(dim: int, t) -> LabelledPolytope:
     polytope of complex projective space scaled so that the labels take the
     value *t* at the origin.
     """
+    return from_halfspaces(_standard_labels(dim, t))
+
+
+def _standard_labels(dim: int, t) -> tuple[AffineFunc, ...]:
+    """The labels of :func:`standard_fiber_polytope`."""
     t = rat(t)
     if dim < 1:
         raise ValueError("dimension must be >= 1")
@@ -255,7 +331,7 @@ def standard_fiber_polytope(dim: int, t) -> LabelledPolytope:
         e[i] = 1
         labels.append(AffineFunc(e, t))
     labels.append(AffineFunc([-1] * dim, t))
-    return from_halfspaces(labels)
+    return tuple(labels)
 
 
 def monotone_point(P: LabelledPolytope) -> tuple[Point, Fraction] | None:
@@ -348,5 +424,5 @@ def clip(P: LabelledPolytope, h: AffineFunc) -> LabelledPolytope:
     if not any(h.gradient):
         raise RedundantLabel(P.n_facets)
     # P  intersect  {h >= 0} lies in the bounded P, so from_halfspaces'
-    # recession check could never fail here; skip it.
+    # boundedness proof could never fail here; skip it.
     return _from_bounded_halfspaces(P.labels + (h,), P.dim, True)

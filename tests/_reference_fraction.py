@@ -5,7 +5,8 @@
 # (deg_c, deg_p1, deg_p2); values are integer coefficients.
 #
 # At the end: a Fraction reference for Bernstein coefficients, the sampled
-# rational-function reconstruction, and the Fraction Sturm sequence.
+# rational-function reconstruction, the Fraction Sturm sequence, the
+# per-crease probe loop, and the recession-first from_halfspaces.
 
 import itertools
 import math
@@ -407,3 +408,33 @@ def probe_fraction(v, w, family):
     if best is None:
         return None, None, None
     return best[0], best[1], best[1] if best[0] < 0 else None
+
+
+# ---------------------------------------------------------------------------
+# from_halfspaces with the recession-ray search first: every input with a
+# nonzero recession direction raises UnboundedPolytope before the vertex loop
+# runs.  The Minkowski certificate must give the same polytope or the same
+# exception on every input.
+
+
+def from_halfspaces_recession_first(labels, *, drop_redundant=False):
+    from wkstab.polytope import (
+        RedundantLabel,
+        UnboundedPolytope,
+        _from_bounded_halfspaces,
+        _recession_ray,
+    )
+
+    labels = tuple(labels)
+    if not labels:
+        raise ValueError("at least one label is required")
+    dim = labels[0].dim
+    if any(L.dim != dim for L in labels):
+        raise ValueError("labels have mixed dimensions")
+    for j, L in enumerate(labels):
+        if not any(L.gradient):
+            raise RedundantLabel(j)
+    ray = _recession_ray(list(labels), dim)
+    if ray is not None:
+        raise UnboundedPolytope(ray)
+    return _from_bounded_halfspaces(labels, dim, drop_redundant)

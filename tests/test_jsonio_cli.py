@@ -17,6 +17,8 @@ from wkstab import (
     condition_value_fano,
     extremal_affine,
     jsonio,
+    measure,
+    polytope,
     projective_bundle,
     standard_fiber_polytope,
 )
@@ -492,3 +494,127 @@ def test_cli_usage_errors_exit_one(capsys):
         cli.main(["threshold", TRI_TEMPLATE, "--lo", "x", "--hi", "9"])
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+# ------------------------------------------------------------ fiber interning
+
+
+TRIANGLE_LABELS = [
+    {"gradient": [1, 0], "constant": 1},
+    {"gradient": [0, 1], "constant": 1},
+    {"gradient": [-1, -1], "constant": 1},
+]
+
+
+def _triangle_with_constant(constant):
+    return {
+        "dim": 2,
+        "labels": [
+            {"gradient": L["gradient"], "constant": constant} for L in TRIANGLE_LABELS
+        ],
+    }
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_equal_labels_share_one_polytope():
+    P = jsonio.polytope_from_json(_triangle_with_constant("1/2"))
+    assert jsonio.polytope_from_json(_triangle_with_constant("2/4")) is P
+    # the shorthand is keyed by its labels too
+    assert jsonio.polytope_from_json({"standard_simplex": {"l": 2, "t": "1/2"}}) is P
+    Q = jsonio.polytope_from_json(_triangle_with_constant(1))
+    assert Q is not P and Q.labels != P.labels
+    assert jsonio.polytope_from_json({"standard_simplex": {"l": 2, "t": 1}}) is Q
+    # the library builder stays uncached: a fresh polytope and a cold table
+    R = standard_fiber_polytope(2, 1)
+    assert R == Q and R is not Q and R.moments == {}
+
+
+@pytest.mark.parametrize(
+    "node, error",
+    [
+        ({"dim": 2, "labels": TRIANGLE_LABELS[:2]}, polytope.UnboundedPolytope),
+        ({"dim": 2, "labels": TRIANGLE_LABELS + TRIANGLE_LABELS[:1]}, polytope.RedundantLabel),
+        ({"dim": 2, "labels": [{"gradient": [1], "constant": 1}]}, InputError),
+    ],
+    ids=["unbounded", "redundant", "malformed"],
+)
+def test_bad_polytopes_raise_on_every_parse(node, error):
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(error) as info:
+            jsonio.polytope_from_json(node)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+
+
+def test_repeat_check_fano_reuses_the_fiber(capsys, monkeypatch):
+    fiber = {"dim": 2, "labels": TRIANGLE_LABELS}
+    src = json.dumps({"fiber": fiber, "factors": [{"n": 3, "s": 24, "c": 9, "p": [1, 2]}]})
+    jsonio._interned.cache_clear()
+    first = run(capsys, "check-fano", src)
+    assert first[0] == 0
+    counts = {}
+    for module, name in (
+        (polytope, "triangulate"),
+        (polytope, "triangulate_facet"),
+        (measure, "triangulate"),
+        (measure, "triangulate_facet"),
+        (measure, "_cell_moments"),
+        (jsonio, "from_halfspaces"),
+    ):
+        _count_calls(monkeypatch, module, name, counts)
+    assert run(capsys, "check-fano", src) == first
+    assert counts == {}
+    # the same bytes as a cold parse
+    jsonio._interned.cache_clear()
+    assert run(capsys, "check-fano", src) == first
+    assert counts["from_halfspaces"] == 1 and counts["_cell_moments"] > 0
+
+
+def test_sweep_builds_its_fiber_once(capsys, monkeypatch):
+    jsonio._interned.cache_clear()
+    counts = {}
+    _count_calls(monkeypatch, jsonio, "from_halfspaces", counts)
+    src = json.dumps(
+        {
+            "template": json.loads(TRI_TEMPLATE.replace('"var"', '"$c"')),
+            "rows": [{"c": 5}, {"c": 9}],
+        }
+    )
+    code, data, _ = run_json(capsys, "sweep", src)
+    assert code == 2 and data["n_rows"] == 2
+    assert counts == {"from_halfspaces": 1}
+
+
+def test_polytope_shape_errors_are_path_qualified(capsys):
+    zero_dim = {"dim": 0, "labels": [{"gradient": [], "constant": 1}]}
+    with pytest.raises(InputError) as info:
+        jsonio.polytope_from_json(zero_dim)
+    assert str(info.value) == "polytope.dim: need dim >= 1, got 0"
+    with pytest.raises(InputError) as info:
+        jsonio.polytope_from_json({"dim": 2, "labels": []})
+    assert str(info.value) == "polytope.labels: at least one label is required"
+    code, out, err = run(capsys, "info", json.dumps(zero_dim))
+    assert (code, out, err) == (1, "", "error: polytope.dim: need dim >= 1, got 0\n")
+    code, out, err = run(capsys, "info", '{"dim": 2, "labels": []}')
+    assert (code, out) == (1, "")
+    assert err == "error: polytope.labels: at least one label is required\n"
+    fib = {"fiber": {"dim": 0, "labels": []}, "factors": []}
+    code, _, err = run(capsys, "check-fano", json.dumps(fib))
+    assert code == 1 and err.startswith("error: fibration.fiber.dim: ")
+
+
+def test_cli_info_unbounded_names_the_ray(capsys):
+    src = json.dumps({"dim": 2, "labels": TRIANGLE_LABELS[:2]})
+    code, out, err = run(capsys, "info", src)
+    assert (code, out) == (1, "")
+    assert err == "error: halfspaces describe an unbounded set (recession ray (0, 1))\n"

@@ -1,9 +1,12 @@
 import copy
+import math
 import pickle
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _reference_fraction import from_halfspaces_recession_first
 from conftest import hexagon, interior_points, interval, square, triangle
 from wkstab import (
     AffineFunc,
@@ -22,6 +25,8 @@ from wkstab import (
     standard_fiber_polytope,
     triangulate,
 )
+from wkstab import polytope
+from wkstab.measure import integrate_facet
 from wkstab.polytope import clip, triangulate_facet
 from _frozen import CLIP_TRIANGLE_VERTICES
 
@@ -70,6 +75,11 @@ def test_unbounded_raises_with_ray():
     assert any(r != 0 for r in ray)
     # the ray really is a recession direction for both halfspaces
     assert ray[0] >= 0 and ray[1] >= 0
+    # printed the way reports print rationals
+    assert str(info.value) == "halfspaces describe an unbounded set (recession ray (0, 1))"
+    assert str(UnboundedPolytope((F(1, 2), F(-3)))) == (
+        "halfspaces describe an unbounded set (recession ray (1/2, -3))"
+    )
 
 
 def test_empty_interior_raises():
@@ -205,3 +215,143 @@ def test_polytope_round_trips_through_pickle_and_copy(clone):
     assert integrate_boundary(p, Q) == integrate_boundary(p, P)
     with pytest.raises(AttributeError):
         Q.dim = 3
+
+
+# ------------------------------------------------- the Minkowski certificate
+
+
+def _outcome(build, labels, drop_redundant):
+    try:
+        P = build(labels, drop_redundant=drop_redundant)
+    except Exception as exc:  # the type and the message must agree
+        return type(exc), str(exc)
+    return P.labels, P.vertices, P.facet_incidence
+
+
+@st.composite
+def _label_sets(draw):
+    """Small label sets in dims 1-3: random labels, optionally on top of a
+    scaled standard simplex (bounded, often redundant), or with a scaled copy
+    of one label (a repeated facet)."""
+    dim = draw(st.integers(1, 3))
+    entry = st.integers(-2, 2)
+    label = st.builds(
+        AffineFunc,
+        st.lists(entry, min_size=dim, max_size=dim).filter(any),
+        st.fractions(min_value=-2, max_value=3, max_denominator=2),
+    )
+    on_simplex = draw(st.booleans())
+    labels = draw(st.lists(label, min_size=1 - on_simplex, max_size=dim + 3))
+    if on_simplex:
+        t = draw(st.sampled_from([F(1), F(2), F(1, 2)]))
+        labels = list(standard_fiber_polytope(dim, t).labels) + labels
+    if draw(st.booleans()):
+        labels.append(labels[draw(st.integers(0, len(labels) - 1))] * 2)
+    return draw(st.permutations(labels))
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels=_label_sets(), drop_redundant=st.booleans())
+def test_certificate_matches_recession_first_oracle(labels, drop_redundant):
+    expected = _outcome(from_halfspaces_recession_first, labels, drop_redundant)
+    assert _outcome(from_halfspaces, labels, drop_redundant) == expected
+
+
+_LOOP_ACCEPTS_UNBOUNDED = [
+    AffineFunc(g, c)
+    for g, c in [
+        ((-2, -1, 0), 0), ((-1, -2, 2), 2), ((-2, 0, -1), 3),
+        ((0, -2, 0), 2), ((-1, 1, -1), 3), ((2, 1, 2), 1),
+    ]
+]
+
+
+def test_loop_alone_accepts_an_unbounded_set():
+    P = polytope._from_bounded_halfspaces(tuple(_LOOP_ACCEPTS_UNBOUNDED), 3, False)
+    assert P.n_facets == 6
+    assert not polytope._minkowski_relation_holds(P)
+
+
+@pytest.mark.parametrize(
+    "labels, error",
+    [
+        # a cone: the loop finds one vertex and raises EmptyInterior first
+        ([AffineFunc([1, 0], 0), AffineFunc([0, 1], 0)], UnboundedPolytope),
+        # a strip: no vertex at all
+        ([AffineFunc([1, 0], 1), AffineFunc([-1, 0], 1)], UnboundedPolytope),
+        # unbounded, yet the loop accepts it (every facet has three affinely
+        # independent vertices): only the relation can catch it
+        (_LOOP_ACCEPTS_UNBOUNDED, UnboundedPolytope),
+        # bounded with empty interior: the loop's own error survives
+        ([AffineFunc([1], 0), AffineFunc([-1], 0)], EmptyInterior),
+    ],
+)
+@pytest.mark.parametrize("drop_redundant", [False, True])
+def test_fallback_error_precedence(labels, error, drop_redundant):
+    with pytest.raises(error) as info:
+        from_halfspaces(labels, drop_redundant=drop_redundant)
+    assert _outcome(from_halfspaces_recession_first, labels, drop_redundant) == (
+        error, str(info.value)
+    )
+
+
+def _sigma(P, j):
+    """Facet j's labelled measure on the independent pullback path."""
+    return integrate_facet(Polynomial.constant(P.dim, 1), P, j)
+
+
+def _assert_relation(P):
+    sigma = [_sigma(P, j) for j in range(P.n_facets)]
+    assert all(s > 0 for s in sigma)
+    for i in range(P.dim):
+        assert sum(s * L.gradient[i] for s, L in zip(sigma, P.labels)) == 0
+    scale = math.factorial(P.dim - 1)
+    assert [polytope._facet_measure(P, j) for j in range(P.n_facets)] == [
+        scale * s for s in sigma
+    ]
+    assert polytope._minkowski_relation_holds(P)
+
+
+def test_relation_holds_on_the_certify_fibers(corpus):
+    # the six fibers of the certify benchmark, and the interval
+    for P in corpus.values():
+        _assert_relation(P)
+
+
+def test_relation_holds_on_every_crease_piece():
+    P = triangle()
+    family = crease_family(P, (F(0), F(0)), 3)
+    assert family
+    for crease in family:
+        _assert_relation(crease.positive)
+        _assert_relation(clip(P, -crease.h))
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        (-1, 1, 1, 1),  # sign-flipped: the x-coordinate of the relation fails
+        (1, 1, 2, 1),  # only the y-coordinate fails
+        (-1, -1, -1, -1),  # the relation holds, positivity fails
+    ],
+    ids=["flip-x", "scale-y", "flip-all"],
+)
+def test_wrong_facet_measures_raise_arithmetic_error(monkeypatch, factors):
+    labels = square().labels  # x + 1, 1 - x, y + 1, 1 - y
+    original = polytope._facet_measure
+    monkeypatch.setattr(polytope, "_facet_measure", lambda P, j: factors[j] * original(P, j))
+    with pytest.raises(ArithmeticError, match="Minkowski"):
+        from_halfspaces(labels)
+
+
+def test_bounded_input_never_searches_for_a_ray(monkeypatch, corpus):
+    def no_ray(*args):
+        raise AssertionError("_recession_ray ran on a bounded input")
+
+    monkeypatch.setattr(polytope, "_recession_ray", no_ray)
+    for P in corpus.values():
+        Q = from_halfspaces(P.labels)
+        assert (Q.labels, Q.vertices, Q.facet_incidence) == (
+            P.labels, P.vertices, P.facet_incidence
+        )
+    assert from_halfspaces(P.labels + (P.labels[0] * 3,), drop_redundant=True) == P
