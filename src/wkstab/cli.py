@@ -10,9 +10,7 @@ human-readable rendering) and always name the sign convention in use.  Exit
 codes: 0 certified/completed, 2 refuted (exact witness found), 3 inconclusive,
 1 input or usage error.  ``sweep`` runs every row: a row whose input or check
 raises is reported with verdict ``Error`` and its message, and any such row
-makes the exit code 1.  ``threshold --degree-cap`` is still accepted and
-range-checked but has no effect: the threshold is an exact solve over Q[c],
-with no fitted degree to cap.
+makes the exit code 1.
 """
 
 from __future__ import annotations
@@ -322,8 +320,6 @@ def _cmd_check_fano_total(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    if args.var != "c":
-        raise InputError("--var", "only the class offset 'c' can be swept")
     make_fib, _fiber = jsonio.fibration_template_from_json(
         _load_input(args.input), _convention(args)
     )
@@ -587,17 +583,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("threshold", help="smallest certified class offset c")
     common(sp)
-    sp.add_argument("--var", default="c", help="swept parameter (only 'c')")
     sp.add_argument("--lo", type=_rational, required=True, help="bracket floor c_lo")
     sp.add_argument("--hi", type=_rational, required=True, help="bracket ceiling c_hi")
     sp.add_argument("--tol", type=_rational, default=Fraction(1, 100))
-    sp.add_argument(
-        "--degree-cap",
-        type=int,
-        default=12,
-        help="accepted for compatibility (must be >= 1); no effect since the "
-        "threshold is an exact solve over Q[c]",
-    )
     sp.set_defaults(func=_cmd_threshold)
 
     sp = sub.add_parser("probe", help="crease destabilizer search")
@@ -619,7 +607,6 @@ def _parse_args(argv) -> argparse.Namespace:
     for name, rel, low in (
         ("max_depth", ">=", 0),
         ("csv_samples", ">=", 1),
-        ("degree_cap", ">=", 1),
         ("tol", ">", 0),
     ):
         value = getattr(args, name, None)

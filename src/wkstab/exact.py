@@ -553,15 +553,3 @@ def affine_rank(points: Sequence[Sequence]) -> int:
     base = pts[0]
     return matrix_rank([list(vsub(p, base)) for p in pts[1:]])
 
-
-def invert(A: Sequence[Sequence]) -> Matrix | None:
-    """Exact inverse of a square matrix, or None if singular."""
-    M = _as_matrix(A)
-    n = len(M)
-    if any(len(row) != n for row in M):
-        raise ValueError("inverse of a non-square matrix")
-    aug = [M[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    R, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in R[:n]]

@@ -93,10 +93,10 @@ def _moment_system(
     ell = P.dim
     X = _affine_basis(ell)
     E = [next(iter(Xi.terms)) for Xi in X]  # exponents 0, e_1, ..., e_l
-    # every moment the entries below read, in one fill per table
+    # every moment the entries below read, in one fill; the boundary
+    # exponents e_i + b are among the interior ones e_i + 0 + b
     _fill(P, [_add(_add(a, c), b) for a in E for c in E for b in v.terms]
-          + [_add(a, b) for a in E for b in w_base.terms], False)
-    _fill(P, [_add(a, b) for a in E for b in v.terms], True)
+          + [_add(a, b) for a in E for b in w_base.terms])
     moments_boundary = [_pair(v, Xi, P, True) for Xi in X]
     moments_w = [_pair(w_base, Xi, P, False) for Xi in X]
     M = [[_pair(v, X[i] * X[j], P, False) for j in range(ell + 1)] for i in range(ell + 1)]
@@ -144,11 +144,11 @@ def solve_extremal(
 ) -> ExtremalSolution:
     """Solve the moment system for l_ext over raw weight polynomials.
 
-    The system asks for its interior moments {e_i + e_j + b : b in v} and
-    {e_i + b : b in w_base} in one fill and its boundary moments
-    {e_i + b : b in v} in another, so a cold P is triangulated once.  The
-    entries, and the stored residuals b_i - <l_ext v, X_i>, are pairings with
-    that table; the residuals must all be 0, so they check the solve.
+    The system asks for its moments {e_i + e_j + b : b in v} and
+    {e_i + b : b in w_base} in one fill, which also covers its boundary
+    moments {e_i + b : b in v}, so a cold P's facets are triangulated once.
+    The entries, and the stored residuals b_i - <l_ext v, X_i>, are pairings
+    with that table; the residuals must all be 0, so they check the solve.
     """
     ell = P.dim
     M, b, moments_boundary, moments_w = _moment_system(P, v, w_base, convention)

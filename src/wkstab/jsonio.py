@@ -13,8 +13,9 @@ in this process reuses its vertices and its moment table instead of building
 them again.  Sharing is safe: the polytope is immutable, and its one mutable
 slot, ``moments``, is written only by measure._fill, with exact values fixed
 by (labels, exponent).  Exceptions are not cached, so bad input raises on
-every parse.  from_halfspaces itself is not cached: library callers get a
-fresh polytope and a cold table.
+every parse; a label set that cuts out no polytope raises an InputError at
+``<path>.labels``.  from_halfspaces itself is not cached: library callers
+get a fresh polytope and a cold table.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 from .exact import AffineFunc, Polynomial
 from .futaki import ExtremalSolution
-from .polytope import LabelledPolytope, _standard_labels, from_halfspaces
+from .polytope import LabelledPolytope, PolytopeError, _standard_labels, from_halfspaces
 from .probe import Crease, ProbeReport
 from .stability import StabilityReport, ThresholdResult
 from .weights import BASE_PRESETS, BaseFactor, Convention, Fibration, fibration
@@ -167,7 +168,10 @@ def polytope_from_json(node, path: str = "polytope") -> LabelledPolytope:
             raise InputError(
                 f"{path}.labels[{j}]", f"gradient length {L.dim} != dim {dim}"
             )
-    return _interned(tuple(labels))
+    try:
+        return _interned(tuple(labels))
+    except PolytopeError as exc:  # unbounded, empty-interior or redundant labels
+        raise InputError(f"{path}.labels", str(exc)) from exc
 
 
 VAR_MARKER = "var"

@@ -1,24 +1,36 @@
 """Exact polynomial integration over labelled polytopes.
 
-Interior integrals use a fan triangulation and the Dirichlet formula on the
-standard simplex.  Boundary integrals use the labelled measure d(sigma) on
-each facet F_j, fixed by  dL_j ^ d(sigma) = -dx : rescaling a label rescales
-its facet measure inversely, so the labels (not just the facets) enter.
+Boundary integrals use the labelled measure d(sigma) on each facet F_j, fixed
+by  dL_j ^ d(sigma) = -dx : rescaling a label rescales its facet measure
+inversely, so the labels (not just the facets) enter.  Interior integrals
+come from the same facets by the Euler-Stokes identity
 
-Moments are cached per polytope: integrate and integrate_boundary are dot
-products with the monomial integrals kept in P.moments, each filled once.
-The fill works cell by cell over one triangulation: on a k-simplex cell with
-coordinate denominators cleared by D, every missing x^a is an integer form in
-the barycentric coordinates, read off one power tree per cell (built by
-exact._barycentric_powers, which bernstein shares), and
+    (l + |a|) int_P x^a dx = sum_j L_j(0) int_{F_j} x^a dsigma
 
-    int_cell x^a = jac * sum_b coeff_b * b! / ((k + |a|)! * D^|a|).
+(Euler's theorem for x^a and the divergence theorem; Lasserre, "Integration
+on a convex polytope", Proc. AMS 126 (1998), and Baldoni, Berline,
+De Loera, Koeppe & Vergne, Math. Comp. 80 (2011)), so P itself is never
+triangulated.
+
+Moments are cached per polytope: integrate and integrate_boundary read the
+monomial integrals kept in P.moments, keyed (exponent, boundary), and _fill
+writes both tables in one pass over the facet cells.  On a (l-1)-simplex
+cell of facet j with coordinate denominators cleared by D, every missing x^a
+(d = |a|) is an integer form in the barycentric coordinates, read off one
+power tree per cell (exact._barycentric_powers, which bernstein shares), and
+N = sum_b coeff_b * b! gives
+
+    int_cell x^a dsigma = jac * N / ((l - 1 + d)! * D^d),
+    L_j(0) * jac * N / ((l + d)! * D^d),
+
+the cell's boundary moment and its share of the interior one (the signed
+cone from the origin over the cell; the factor l + d merges into the
+factorial).
 
 Products are never formed to be integrated: _pair(f, g) = sum_a sum_b
 f_a g_b m(a + b) reads int f g off the table, and _pair_row gives the moments
 of f x^b for a list of b.  Every read asks _fill for all the monomials it
-needs at once, so one read triangulates P at most once per table (interior
-or boundary).
+needs at once, so one read triangulates each facet of P at most once.
 
 integrate_simplex and integrate_facet_cell pull whole polynomials back
 through compose_affine instead; they stay as the independent path behind
@@ -36,7 +48,6 @@ from .polytope import (
     Simplex,
     _cell_jacobian,
     _transversal,
-    triangulate,
     triangulate_facet,
 )
 
@@ -71,7 +82,7 @@ def integrate_simplex(p: Polynomial, simplex: Simplex) -> Fraction:
 
 
 def integrate(p: Polynomial, P: LabelledPolytope) -> Fraction:
-    return _moment_dot(p, P, False)
+    return _pair_row(p, [(0,) * P.dim], P, False)[0]
 
 
 def volume(P: LabelledPolytope) -> Fraction:
@@ -114,15 +125,7 @@ def integrate_facet(p: Polynomial, P: LabelledPolytope, j: int) -> Fraction:
 
 def integrate_boundary(p: Polynomial, P: LabelledPolytope) -> Fraction:
     """d(sigma)-integral of p over the whole labelled boundary of P."""
-    return _moment_dot(p, P, True)
-
-
-def _moment_dot(p: Polynomial, P: LabelledPolytope, boundary: bool) -> Fraction:
-    """Sum of coeff * moment over p's terms, read from P.moments."""
-    if p.dim != P.dim:
-        raise ValueError("polynomial/polytope dimension mismatch")
-    table = _fill(P, p.terms, boundary)
-    return sum((c * table[e, boundary] for e, c in p.terms.items()), Fraction(0))
+    return _pair_row(p, [(0,) * P.dim], P, True)[0]
 
 
 def _pair(f: Polynomial, g: Polynomial, P: LabelledPolytope, boundary: bool) -> Fraction:
@@ -141,7 +144,7 @@ def _pair_row(
     missing m(a + b) filled at once."""
     if f.dim != P.dim:
         raise ValueError("polynomial/polytope dimension mismatch")
-    table = _fill(P, [_add(a, b) for b in expos for a in f.terms], boundary)
+    table = _fill(P, [_add(a, b) for b in expos for a in f.terms])
     return [
         sum((c * table[_add(a, b), boundary] for a, c in f.terms.items()), Fraction(0))
         for b in expos
@@ -152,48 +155,54 @@ def _add(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _fill(P: LabelledPolytope, expos, boundary: bool) -> dict:
-    """Fill the moments of x^a (a in expos) missing from P.moments, keyed
-    (exponent, boundary), over one triangulation; return the table."""
+def _fill(P: LabelledPolytope, expos) -> dict:
+    """Fill the interior and boundary moments of x^a (a in expos) missing
+    from P.moments, keyed (exponent, boundary), in one pass over the facet
+    cells; return the table."""
     table = P.moments
-    missing = [expo for expo in dict.fromkeys(expos) if (expo, boundary) not in table]
+    missing = [expo for expo in dict.fromkeys(expos) if (expo, False) not in table]
     if missing:
-        if boundary:
-            cells = [(c, _transversal(P, j)) for j in range(P.n_facets)
-                     for c in triangulate_facet(P, j)]
-        else:
-            cells = [(s.vertices, None) for s in triangulate(P)]
-        sums = [Fraction(0)] * len(missing)
-        for verts, xi in cells:
-            for i, m in enumerate(_cell_moments(verts, xi, missing)):
-                sums[i] += m
-        for expo, total in zip(missing, sums):
-            table[expo, boundary] = total
+        inner = [Fraction(0)] * len(missing)
+        outer = [Fraction(0)] * len(missing)
+        for j, L in enumerate(P.labels):
+            xi = _transversal(P, j)
+            for cell in triangulate_facet(P, j):
+                for i, (b, m) in enumerate(_cell_moments(cell, xi, L.constant, missing)):
+                    outer[i] += b
+                    inner[i] += m
+        for expo, m, b in zip(missing, inner, outer):
+            table[expo, False] = m
+            table[expo, True] = b
     return table
 
 
-def _cell_moments(verts: tuple[Point, ...], xi: Point | None, expos: list) -> list[Fraction]:
-    """Moments of the monomials x^a (a in expos) over one k-simplex cell.
+def _cell_moments(
+    verts: tuple[Point, ...], xi: Point, c: Fraction, expos: list
+) -> list[tuple[Fraction, Fraction]]:
+    """(boundary, interior) moments of the monomials x^a (a in expos) on one
+    (l-1)-simplex cell of a facet with transversal xi and label constant
+    c = L_j(0).
 
-    With xi None the cell is full-dimensional and jac = |det[v_i - v_0]|;
-    otherwise it is a facet cell and jac = |det[w_i - w_0, xi]|.  After
-    clearing denominators (D = lcm of the coordinate denominators), each
-    coordinate is an integer linear form L_r in the barycentric coordinates
-    lambda_0..lambda_k, so D^d x^a (d = |a|) is an integer form of degree d,
-    read off the cell's power tree (exact._barycentric_powers) as
-    power(a + (0,)), so the cell's monomials share their factors.
-    Dirichlet's formula int lambda^b = b! / (k + d)! then gives the moment
-    jac * N / ((k + d)! * D^d)  with N = sum_b coeff_b * b!.
+    jac = |det[w_i - w_0, xi]|.  After clearing denominators (D = lcm of
+    the coordinate denominators), each coordinate is an integer linear form
+    L_r in the barycentric coordinates lambda_0..lambda_{l-1}, so D^d x^a
+    (d = |a|) is an integer form of degree d, read off the cell's power tree
+    (exact._barycentric_powers) as power(a + (0,)), so the cell's monomials
+    share their factors.  With N = sum_b coeff_b * b!, Dirichlet's formula
+    gives the boundary moment  jac * N / ((l - 1 + d)! * D^d), and the
+    interior share  c * jac * N / ((l + d)! * D^d)  (see the module
+    docstring).
     """
-    k = len(verts) - 1
+    ell = len(verts)
     jac = _cell_jacobian(verts, xi)
-    if jac == 0:
-        return [Fraction(0)] * len(expos)
     D, power = _barycentric_powers(verts)
-    fact = [math.factorial(i) for i in range(k + max(map(sum, expos)) + 1)]
+    fact = [math.factorial(i) for i in range(ell + max(map(sum, expos)) + 1)]
     out = []
     for a in expos:
         d = sum(a)
-        N = sum(c * math.prod(fact[e] for e in b) for b, c in power(a + (0,)).items())
-        out.append(Fraction(jac.numerator * N, jac.denominator * fact[k + d] * D**d))
+        N = sum(c_b * math.prod(fact[e] for e in b) for b, c_b in power(a + (0,)).items())
+        num = jac.numerator * N
+        den = jac.denominator * D**d
+        out.append((Fraction(num, den * fact[ell - 1 + d]),
+                    Fraction(num * c.numerator, den * fact[ell + d] * c.denominator)))
     return out

@@ -283,11 +283,10 @@ def _transversal(P: LabelledPolytope, j: int) -> Point:
     raise ValueError("label has zero gradient")
 
 
-def _cell_jacobian(verts: tuple[Point, ...], xi: Point | None = None) -> Fraction:
-    """k! times the measure of the k-simplex cell *verts*: |det[v_i - v_0]|
-    for a full-dimensional cell (xi None), or |det[w_i - w_0, xi]| for a
-    facet cell in the labelled measure of the facet with transversal xi."""
-    cols = [vsub(w, verts[0]) for w in verts[1:]] + ([] if xi is None else [xi])
+def _cell_jacobian(verts: tuple[Point, ...], xi: Point) -> Fraction:
+    """(dim-1)! times the labelled measure of the facet cell *verts* of the
+    facet with transversal xi: |det[w_i - w_0, xi]|."""
+    cols = [vsub(w, verts[0]) for w in verts[1:]] + [xi]
     return abs(det([[c[r] for c in cols] for r in range(len(cols))]))
 
 

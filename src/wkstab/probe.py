@@ -18,11 +18,12 @@ probe does not evaluate them per crease.  Each crease keeps the integer rows
     rb_b = D_k sum_a h_a m_boundary(a + b)   (|b| <= deg v),
     ri_b = D_k sum_a h_a m(a + b)            (|b| <= deg w),
 
-with D_k their least common denominator, filled once per table and rebuilt
-only when a weight of larger degree arrives.  Boundary moments pair only with
-v and interior ones only with w, so neither table is filled past the degree
-its weight needs.  A weight pair becomes one integer vector
-(V, W) = D_vw (v_b, w_b), and then
+with D_k their least common denominator, read off one fill of the piece
+(both tables at once, up to the larger degree) and rebuilt only when a
+weight of larger degree arrives.  Boundary moments pair only with v and
+interior ones only with w, so each row stops at the degree its weight
+needs.  A weight pair becomes one integer vector (V, W) = D_vw (v_b, w_b),
+and then
 
     F(f_k) = N_k / (D_vw D_k),   N_k = 2 V.rb_k - W.ri_k,   |f_k|_L1 = ri_k[0] / D_k,
 
@@ -42,7 +43,7 @@ from operator import mul
 
 from .exact import AffineFunc, Point, Polynomial, point, vadd, vscale, vsub
 from .futaki import assert_futaki_vanishes, df_invariant, df_via_cones
-from .measure import _pair_row, integrate
+from .measure import _add, _fill, _pair_row, integrate
 from .polytope import EmptyInterior, LabelledPolytope, clip
 
 
@@ -72,13 +73,16 @@ class Crease:
         """(D_k, rb, ri), the integer rows of the module docstring: rb over
         _monomials(dim, dv') and ri over _monomials(dim, dw'), where dv' >= dv
         and dw' >= dw are the largest degrees asked for so far, so the rows
-        for (dv, dw) are prefixes.  Each table is filled once per rebuild."""
+        for (dv, dw) are prefixes.  P is filled once per rebuild, for the
+        longer of the two monomial lists (the other is its prefix)."""
         if self._cache[0] < dv or self._cache[1] < dw:
             dv, dw = max(dv, self._cache[0]), max(dw, self._cache[1])
             P = self.positive
             h = self.h.to_polynomial()
-            rb = _pair_row(h, _monomials(P.dim, dv), P, True)
-            ri = _pair_row(h, _monomials(P.dim, dw), P, False)
+            bv, bw = _monomials(P.dim, dv), _monomials(P.dim, dw)
+            _fill(P, [_add(a, b) for b in max(bv, bw, key=len) for a in h.terms])
+            rb = _pair_row(h, bv, P, True)
+            ri = _pair_row(h, bw, P, False)
             D = math.lcm(*(x.denominator for x in rb + ri))
             rows = [tuple(x.numerator * (D // x.denominator) for x in r) for r in (rb, ri)]
             object.__setattr__(self, "_cache", (dv, dw, D, *rows))

@@ -129,6 +129,7 @@ def _wide_base_weights():
 @pytest.mark.parametrize("make", [_bundle_weights, _wide_base_weights])
 def test_cold_solve_fills_each_moment_table_once(monkeypatch, make):
     import wkstab.measure as measure
+    import wkstab.polytope as polytope
 
     P, v, w_base = make()
     assert not P.moments
@@ -141,11 +142,11 @@ def test_cold_solve_fills_each_moment_table_once(monkeypatch, make):
 
         return wrapper
 
-    monkeypatch.setattr(measure, "triangulate", counting(measure.triangulate))
+    monkeypatch.setattr(polytope, "triangulate", counting(polytope.triangulate))
     monkeypatch.setattr(measure, "triangulate_facet", counting(measure.triangulate_facet))
     solve_extremal(P, v, w_base)
-    # one interior fill, and one boundary fill over every facet
-    assert calls == ["triangulate"] + ["triangulate_facet"] * P.n_facets
+    # one pass over every facet fills both tables; P itself is never triangulated
+    assert calls == ["triangulate_facet"] * P.n_facets
     calls.clear()
     solve_extremal(P, v, w_base)
     assert calls == []

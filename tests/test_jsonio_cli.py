@@ -232,11 +232,11 @@ def test_cli_threshold(capsys):
 
 
 def test_cli_threshold_rejects_other_vars(capsys):
-    code, out, err = run(
-        capsys, "threshold", TRI_TEMPLATE, "--var", "s", "--lo", "4", "--hi", "9"
-    )
-    assert code == 1
-    assert "error" in err
+    # only the template's "var" factor is swept; there is no --var option
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "threshold", TRI_TEMPLATE, "--var", "s", "--lo", "4", "--hi", "9")
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --var" in capsys.readouterr().err
 
 
 def test_cli_probe_exit_codes(capsys):
@@ -441,10 +441,10 @@ def test_cli_negative_max_depth_rejected(capsys):
 
 
 def test_cli_threshold_rejects_bad_tol_and_degree_cap(capsys):
-    # rejected while parsing, before any sample is reconstructed
+    # rejected while parsing, before any sample is reconstructed; the
+    # --degree-cap option is gone
     for flag, value, message in (
-        ("--degree-cap", "-3", "--degree-cap must be >= 1"),
-        ("--degree-cap", "0", "--degree-cap must be >= 1"),
+        ("--degree-cap", "3", "unrecognized arguments: --degree-cap"),
         ("--tol", "0", "--tol must be > 0"),
         ("--tol", "-1/100", "--tol must be > 0"),
     ):
@@ -539,19 +539,21 @@ def test_equal_labels_share_one_polytope():
 
 
 @pytest.mark.parametrize(
-    "node, error",
+    "node, cause",
     [
         ({"dim": 2, "labels": TRIANGLE_LABELS[:2]}, polytope.UnboundedPolytope),
         ({"dim": 2, "labels": TRIANGLE_LABELS + TRIANGLE_LABELS[:1]}, polytope.RedundantLabel),
-        ({"dim": 2, "labels": [{"gradient": [1], "constant": 1}]}, InputError),
+        ({"dim": 2, "labels": [{"gradient": [1], "constant": 1}]}, None),
     ],
     ids=["unbounded", "redundant", "malformed"],
 )
-def test_bad_polytopes_raise_on_every_parse(node, error):
+def test_bad_polytopes_raise_on_every_parse(node, cause):
+    # a polytope error surfaces as a path-qualified InputError caused by it
     messages = set()
     for _ in range(3):
-        with pytest.raises(error) as info:
+        with pytest.raises(InputError) as info:
             jsonio.polytope_from_json(node)
+        assert cause is None or isinstance(info.value.__cause__, cause)
         messages.add(str(info.value))
     assert len(messages) == 1
 
@@ -566,7 +568,6 @@ def test_repeat_check_fano_reuses_the_fiber(capsys, monkeypatch):
     for module, name in (
         (polytope, "triangulate"),
         (polytope, "triangulate_facet"),
-        (measure, "triangulate"),
         (measure, "triangulate_facet"),
         (measure, "_cell_moments"),
         (jsonio, "from_halfspaces"),
@@ -617,4 +618,41 @@ def test_cli_info_unbounded_names_the_ray(capsys):
     src = json.dumps({"dim": 2, "labels": TRIANGLE_LABELS[:2]})
     code, out, err = run(capsys, "info", src)
     assert (code, out) == (1, "")
-    assert err == "error: halfspaces describe an unbounded set (recession ray (0, 1))\n"
+    assert err == (
+        "error: polytope.labels: halfspaces describe an unbounded set "
+        "(recession ray (0, 1))\n"
+    )
+
+
+EMPTY_INTERIOR_LABELS = [{"gradient": [1], "constant": 0}, {"gradient": [-1], "constant": 0}]
+EMPTY_INTERIOR = "the halfspace intersection has empty interior"
+REDUNDANT = (
+    "label 3 is redundant: it does not cut out a facet (its zero set on P has "
+    "affine dimension < dim-1, or it repeats another label's facet)"
+)
+
+
+def test_cli_empty_interior_and_redundant_labels_are_path_qualified(capsys):
+    for node, message in (
+        ({"dim": 1, "labels": EMPTY_INTERIOR_LABELS}, EMPTY_INTERIOR),
+        ({"dim": 2, "labels": TRIANGLE_LABELS + TRIANGLE_LABELS[:1]}, REDUNDANT),
+    ):
+        code, out, err = run(capsys, "info", json.dumps(node))
+        assert (code, out, err) == (1, "", f"error: polytope.labels: {message}\n")
+        fib = {"fiber": node, "factors": [{"n": 3, "s": 24, "c": 4, "p": [1] * node["dim"]}]}
+        code, out, err = run(capsys, "check-fano", json.dumps(fib))
+        assert (code, out, err) == (1, "", f"error: fibration.fiber.labels: {message}\n")
+
+
+def test_sweep_row_with_a_bad_fiber_names_its_path(capsys):
+    # k = -2 squeezes the triangle to the point (-1, -1)
+    labels = TRIANGLE_LABELS[:2] + [{"gradient": [-1, -1], "constant": "$k"}]
+    template = {"fiber": {"dim": 2, "labels": labels},
+                "factors": [{"n": 3, "s": 24, "c": 4, "p": [1, 2]}]}
+    src = json.dumps({"template": template, "rows": [{"k": 1}, {"k": -2}]})
+    code, data, err = run_json(capsys, "sweep", src)
+    assert code == 1 and err == ""
+    good, bad = data["rows"]
+    assert good["verdict"] != "Error"
+    assert bad["verdict"] == "Error"
+    assert bad["error"] == f"sweep.template.fiber.labels: {EMPTY_INTERIOR}"

@@ -5,16 +5,31 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import hexagon, interior_points, interval, simplex3, square, triangle
-from wkstab import AffineFunc, Polynomial, integrate, integrate_boundary, integrate_facet, volume
+from wkstab import (
+    AffineFunc,
+    Polynomial,
+    from_halfspaces,
+    integrate,
+    integrate_boundary,
+    integrate_facet,
+    standard_fiber_polytope,
+    volume,
+)
 from wkstab.measure import (
     _cell_moments,
-    _moment_dot,
     _pair,
     integrate_facet_cell,
     integrate_simplex,
     integrate_simplex_standard,
 )
-from wkstab.polytope import Simplex, clip
+from wkstab.polytope import (
+    EmptyInterior,
+    Simplex,
+    _transversal,
+    clip,
+    triangulate,
+    triangulate_facet,
+)
 import _oracle
 from _frozen import DIRICHLET_D2, DIRICHLET_D3
 
@@ -137,6 +152,7 @@ def test_integrate_additive_over_clip():
 
 def test_moments_fill_once_per_polytope(monkeypatch):
     import wkstab.measure as measure
+    import wkstab.polytope as polytope
 
     P = hexagon()
     x = Polynomial.variable(2, 0)
@@ -155,14 +171,16 @@ def test_moments_fill_once_per_polytope(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(measure, "triangulate", counting(measure.triangulate))
+    monkeypatch.setattr(polytope, "triangulate", counting(polytope.triangulate))
     monkeypatch.setattr(measure, "triangulate_facet", counting(measure.triangulate_facet))
     assert (integrate(p, P), integrate_boundary(p, P)) == first
     assert P.moments == filled
     assert calls == []
-    # a new monomial triangulates once, however many it adds
+    # a new monomial costs one pass over the facets, however many it adds,
+    # and fills both tables
     integrate(x ** 5 + y ** 5, P)
-    assert calls == ["triangulate"]
+    assert calls == ["triangulate_facet"] * P.n_facets
+    assert ((5, 0), True) in P.moments and ((0, 5), True) in P.moments
 
 
 def test_moment_table_is_not_part_of_the_polytope_value():
@@ -182,39 +200,97 @@ def monomials_up_to(dim, degree):
     ]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3).flatmap(
-    lambda n: st.lists(
-        st.tuples(*[small_rationals] * n), min_size=n + 1, max_size=n + 1
-    )
-))
-def test_cell_moments_match_simplex_pullback(verts):
-    verts = tuple(verts)
-    try:
-        simplex = Simplex(verts)
-    except ValueError:
-        assume(False)
-    n = len(verts[0])
-    expos = monomials_up_to(n, 6)
-    got = _cell_moments(verts, None, expos)
-    assert got == [integrate_simplex(mono(n, e), simplex) for e in expos]
+def _translated(P, s):
+    """P - s, with the labels x -> L(x + s): the origin moves to s."""
+    return from_halfspaces([AffineFunc(L.gradient, L(s)) for L in P.labels])
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3).flatmap(
-    lambda n: st.tuples(
-        st.lists(st.tuples(*[small_rationals] * n), min_size=n, max_size=n),
-        st.tuples(*[small_rationals] * n),
+def _origin_placements(P):
+    """P moved so that the origin lies inside, outside, on a facet (some
+    L_j(0) = 0) and at a vertex."""
+    b = P.vertex_centroid()
+    outside = tuple(2 * v - c for v, c in zip(P.vertices[0], b))
+    on_facet = P.facet_vertices(0)
+    on_facet = tuple(sum(c) / len(on_facet) for c in zip(*on_facet))
+    return [P] + [_translated(P, s) for s in (outside, on_facet, P.vertices[-1])]
+
+
+CELL_CORPUS = [
+    Q
+    for P in (
+        interval(),
+        triangle(),
+        hexagon(),
+        simplex3(),
+        clip(triangle(), AffineFunc([1, 2], F(-1, 2))),
+        clip(simplex3(), AffineFunc([1, -1, 1], F(-1, 4))),
     )
-))
-def test_cell_moments_match_facet_cell_pullback(cell_and_xi):
+    for Q in _origin_placements(P)
+]
+
+
+def _corpus_facet_cells():
+    """(dim, cell, transversal, L_j(0)) for every facet cell of CELL_CORPUS."""
+    for P in CELL_CORPUS:
+        for j, L in enumerate(P.labels):
+            xi = _transversal(P, j)
+            for cell in triangulate_facet(P, j):
+                yield P.dim, cell, xi, L.constant
+
+
+def test_cell_moments_match_simplex_pullback():
+    # the interior share of a facet cell is the signed cone from the origin
+    # over it: sign(L_j(0)) times the integral over conv(0, cell)
+    for n, cell, xi, c in _corpus_facet_cells():
+        expos = monomials_up_to(n, 5)
+        got = [m for _, m in _cell_moments(cell, xi, c, expos)]
+        if c == 0:
+            assert got == [0] * len(expos)
+            continue
+        sign = 1 if c > 0 else -1
+        cone = Simplex(((F(0),) * n,) + cell)
+        assert got == [sign * integrate_simplex(mono(n, e), cone) for e in expos]
+
+
+def test_cell_moments_match_facet_cell_pullback():
     # n = 1 is the point cell of an interval's boundary: jac * w_0^a
-    cell, xi = tuple(cell_and_xi[0]), cell_and_xi[1]
-    n = len(xi)
-    assume(integrate_facet_cell(Polynomial.constant(n, 1), cell, xi) != 0)
-    expos = monomials_up_to(n, 6)
-    got = _cell_moments(cell, xi, expos)
-    assert got == [integrate_facet_cell(mono(n, e), cell, xi) for e in expos]
+    for n, cell, xi, c in _corpus_facet_cells():
+        expos = monomials_up_to(n, 5)
+        got = [b for b, _ in _cell_moments(cell, xi, c, expos)]
+        assert got == [integrate_facet_cell(mono(n, e), cell, xi) for e in expos]
+
+
+@st.composite
+def _placed_polytopes(draw):
+    """A scaled standard simplex in dims 1-3 cut by up to two random labels,
+    moved so that the origin lies inside, outside, on a facet or at a vertex."""
+    dim = draw(st.integers(1, 3))
+    t = draw(st.sampled_from([F(1), F(2), F(1, 2)]))
+    cut = st.builds(
+        AffineFunc,
+        st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any),
+        st.fractions(min_value=-1, max_value=2, max_denominator=3),
+    )
+    labels = list(standard_fiber_polytope(dim, t).labels) + draw(st.lists(cut, max_size=2))
+    try:
+        P = from_halfspaces(labels, drop_redundant=True)
+    except EmptyInterior:
+        assume(False)
+    return draw(st.sampled_from(_origin_placements(P)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_placed_polytopes())
+def test_euler_stokes_moments_match_the_triangulations(P):
+    # the table's interior moments come from the facets alone; they must
+    # equal the fan triangulation of P, monomial by monomial
+    cells = triangulate(P)
+    for e in monomials_up_to(P.dim, 5):
+        p = mono(P.dim, e)
+        assert integrate(p, P) == sum(integrate_simplex(p, s) for s in cells)
+        assert integrate_boundary(p, P) == sum(
+            integrate_facet(p, P, j) for j in range(P.n_facets)
+        )
 
 
 PAIR_PIECES = (
@@ -244,7 +320,8 @@ def polys(dim):
 def test_pair_is_the_moment_of_the_product(case, boundary):
     make, f, g = case
     # separate tables, so each side fills its own monomials
-    assert _pair(f, g, make(), boundary) == _moment_dot(f * g, make(), boundary)
+    read = integrate_boundary if boundary else integrate
+    assert _pair(f, g, make(), boundary) == read(f * g, make())
 
 
 def test_table_fill_never_calls_compose_affine(monkeypatch):
