@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Polynomial, _barycentric_powers, vadd, vscale
+from .exact import Polynomial, _barycentric_powers, _cleared, vadd, vscale
 from .polytope import Simplex
 
 CERTIFIED = "certified"
@@ -46,10 +46,9 @@ def bernstein_coefficients(p: Polynomial, simplex: Simplex) -> dict[tuple, Fract
         raise ValueError("polynomial/simplex dimension mismatch")
     d = max(p.degree(), 0)
     D, power = _barycentric_powers(simplex.vertices)
-    C = math.lcm(*(c.denominator for c in p.terms.values()))
+    scaled_terms, C = _cleared(p.terms.values())
     N: dict[tuple, int] = {}
-    for a, c in p.terms.items():
-        scaled = c.numerator * (C // c.denominator)
+    for a, scaled in zip(p.terms, scaled_terms):
         for gamma, v in power(a + (d - sum(a),)).items():
             N[gamma] = N.get(gamma, 0) + scaled * v
     fact = [math.factorial(i) for i in range(d + 1)]

@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import jsonio
-from .exact import Point
+from .exact import format_point
 from .futaki import (
     FutakiNotVanishing,
     SingularMomentMatrix,
@@ -126,10 +126,6 @@ def _fmt(x) -> str:
     return str(jsonio.rational_to_json(x))
 
 
-def _fmt_point(pt: Point) -> str:
-    return "(" + ", ".join(_fmt(x) for x in pt) + ")"
-
-
 def _verdict_exit(verdict: str) -> int:
     if verdict == VERDICT_CERTIFIED:
         return 0
@@ -210,10 +206,10 @@ def _cmd_info(args) -> int:
     lines.append(
         "monotone: none"
         if mono is None
-        else f"monotone: x0 = {_fmt_point(mono[0])}, t = {_fmt(mono[1])}"
+        else f"monotone: x0 = {format_point(mono[0])}, t = {_fmt(mono[1])}"
     )
     for vtx in P.vertices:
-        lines.append(f"  vertex {_fmt_point(vtx)}")
+        lines.append(f"  vertex {format_point(vtx)}")
     _emit(args, data, lines)
     return 0
 
@@ -267,7 +263,7 @@ def _cmd_check(args) -> int:
         }
         lines = [f"x0 sweep over {len(reports)} base points:"]
         for x0, r in reports:
-            lines.append(f"  x0 = {_fmt_point(x0)}: {r.verdict}")
+            lines.append(f"  x0 = {format_point(x0)}: {r.verdict}")
         lines.append(f"best verdict: {best.verdict}")
         lines.append(f"convention: {fib.convention.value}")
         _emit(args, data, lines)
@@ -338,7 +334,7 @@ def _cmd_threshold(args) -> int:
             f"[{_fmt(e.low)}, {_fmt(e.high)}]" if e.exact is None else _fmt(e.exact)
         )
         lines.append(
-            f"  vertex {_fmt_point(e.vertex)}: {e.kind} {where} "
+            f"  vertex {format_point(e.vertex)}: {e.kind} {where} "
             f"(num deg {e.num_degree}, den deg {e.den_degree})"
         )
     _emit(args, data, lines)

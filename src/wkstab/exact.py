@@ -60,6 +60,11 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def format_point(x: Sequence) -> str:
+    """Coordinates as reports print them: ``(-1, 1/2)``."""
+    return "(" + ", ".join(str(Fraction(c)) for c in x) + ")"
+
+
 def vadd(u: Sequence[Fraction], v: Sequence[Fraction]) -> Point:
     return tuple(a + b for a, b in zip(u, v))
 
@@ -416,7 +421,16 @@ def _barycentric_powers(verts: Sequence[Point]):
 
 
 def _as_matrix(A: Sequence[Sequence]) -> Matrix:
-    return [[rat(x) for x in row] for row in A]
+    """A copy of A; integer entries stay integers, which _integer_rows takes
+    as they are."""
+    return [[x if type(x) is int else rat(x) for x in row] for row in A]
+
+
+def _cleared(xs: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The rationals xs as integers over their least common denominator."""
+    xs = list(xs)
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def _integer_rows(M: Matrix) -> tuple[list[list[int]], int]:
@@ -424,8 +438,8 @@ def _integer_rows(M: Matrix) -> tuple[list[list[int]], int]:
     product of those scales."""
     rows, scale = [], 1
     for row in M:
-        s = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (s // x.denominator) for x in row])
+        ints, s = _cleared(row)
+        rows.append(ints)
         scale *= s
     return rows, scale
 

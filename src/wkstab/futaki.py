@@ -18,23 +18,29 @@ solving the (l+1) x (l+1) moment system exactly.
 F and the moment system are bilinear pairings with P's moment table
 (measure._pair), so no product polynomial is formed: F(f) = 2 <f, v>_boundary
 - <f, w>, and the system's entries are <v, X_i X_j>, <v, X_i>_boundary and
-<w_base, X_i> on the affine basis X = (1, x_1, ..., x_l).
+<w_base, X_i> on the affine basis X = (1, x_1, ..., x_l).  The table holds
+integer numerators (see measure), so the system is built as an integer
+matrix and right-hand side over one common denominator, and that integer
+system goes to the fraction-free Bareiss solve (exact.solve_square) as it
+is; one Fraction per entry is made only for the ExtremalSolution record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exact import (
     AffineFunc,
     Polynomial,
+    _cleared,
     det,
     point,
     radial_derivative,
     solve_square,
 )
-from .measure import _add, _fill, _pair, integrate_simplex
+from .measure import _add, _integer_terms, _moment_rows, _pair, integrate_simplex
 from .measure import integrate  # noqa: F401  (perfbench's tracer patches futaki.integrate)
 from .polytope import LabelledPolytope, cone_decomposition
 from .weights import Convention, Fibration
@@ -89,23 +95,28 @@ def _moment_system(
     v: Polynomial,
     w_base: Polynomial,
     convention: Convention,
-):
-    ell = P.dim
-    X = _affine_basis(ell)
-    E = [next(iter(Xi.terms)) for Xi in X]  # exponents 0, e_1, ..., e_l
-    # every moment the entries below read, in one fill; the boundary
-    # exponents e_i + b are among the interior ones e_i + 0 + b
-    _fill(P, [_add(_add(a, c), b) for a in E for c in E for b in v.terms]
-          + [_add(a, b) for a in E for b in w_base.terms])
-    moments_boundary = [_pair(v, Xi, P, True) for Xi in X]
-    moments_w = [_pair(w_base, Xi, P, False) for Xi in X]
-    M = [[_pair(v, X[i] * X[j], P, False) for j in range(ell + 1)] for i in range(ell + 1)]
-    if convention is Convention.LEGACY:
-        beta = 1 if ell == 1 else 2
-        b = [beta * moments_boundary[i] - moments_w[i] for i in range(ell + 1)]
-    else:
-        b = [2 * moments_boundary[i] + moments_w[i] for i in range(ell + 1)]
-    return M, b, moments_boundary, moments_w
+) -> tuple[list[list[int]], list[int], int]:
+    """(M, b, den): the moment system M lam = b as integers over one common
+    denominator den > 0, the system's own being M / den and b / den.
+
+    With v = V / dv and w_base = W / dw cleared to integers, every moment read
+    is brought over Delta_top (see measure), top = max(deg v + 2, deg w_base
+    + 1), so den = dv * dw * Delta_top.  The three rows it reads (<v, X_i X_j>,
+    <v, X_i>_boundary, <w_base, X_i>) come from one measure._moment_rows
+    call, so a cold P is filled in one pass over its facets and a warm one
+    builds no exponent list.
+    """
+    E = [next(iter(Xi.terms)) for Xi in _affine_basis(P.dim)]  # 0, e_1, ..., e_l
+    EE = [_add(Ei, Ej) for Ei in E for Ej in E]
+    (V, dv), (W, dw) = _integer_terms(v), _integer_terms(w_base)
+    top = max(v.degree() + 2, w_base.degree() + 1)
+    (MM, B, WB), delta = _moment_rows(P, [(V, EE, False), (V, E, True), (W, E, False)], top)
+    n = len(E)
+    M = [[dw * x for x in MM[i * n:(i + 1) * n]] for i in range(n)]
+    beta = 1 if convention is Convention.LEGACY and P.dim == 1 else 2
+    sign = -1 if convention is Convention.LEGACY else 1
+    b = [beta * dw * x + sign * dv * y for x, y in zip(B, WB)]
+    return M, b, dv * dw * delta
 
 
 def _assert_positive_definite(M) -> None:
@@ -144,28 +155,25 @@ def solve_extremal(
 ) -> ExtremalSolution:
     """Solve the moment system for l_ext over raw weight polynomials.
 
-    The system asks for its moments {e_i + e_j + b : b in v} and
-    {e_i + b : b in w_base} in one fill, which also covers its boundary
-    moments {e_i + b : b in v}, so a cold P's facets are triangulated once.
-    The entries, and the stored residuals b_i - <l_ext v, X_i>, are pairings
-    with that table; the residuals must all be 0, so they check the solve.
+    The integer system of _moment_system is solved as it is; with lam = Lam / q
+    cleared to integers, the residuals b_i - <l_ext v, X_i> = (q b_i -
+    sum_j M_ij Lam_j) / (q den) must all be 0, so they check the solve.
     """
-    ell = P.dim
-    M, b, moments_boundary, moments_w = _moment_system(P, v, w_base, convention)
+    M, b, den = _moment_system(P, v, w_base, convention)
     _assert_positive_definite(M)
-    lam = solve_square([row[:] for row in M], b)
+    lam = solve_square(M, b)
     if lam is None:
         raise SingularMomentMatrix("moment system has no unique solution")
-    l_ext = AffineFunc(lam[1:], lam[0])
-    X = _affine_basis(ell)
-    lv = l_ext.to_polynomial() * v
-    residuals = tuple(b[i] - _pair(lv, X[i], P, False) for i in range(ell + 1))
-    if any(r != 0 for r in residuals):
+    Lam, q = _cleared(lam)
+    residuals = tuple(
+        Fraction(bi * q - sum(map(mul, row, Lam)), q * den) for row, bi in zip(M, b)
+    )
+    if any(residuals):
         raise SingularMomentMatrix("extremal solution failed exact re-verification")
     return ExtremalSolution(
-        l_ext=l_ext,
-        moment_matrix=tuple(tuple(row) for row in M),
-        rhs=tuple(b),
+        l_ext=AffineFunc(lam[1:], lam[0]),
+        moment_matrix=tuple(tuple(Fraction(x, den) for x in row) for row in M),
+        rhs=tuple(Fraction(x, den) for x in b),
         residuals=residuals,
         convention=convention,
     )
@@ -189,11 +197,12 @@ def futaki_character(fib: Fibration) -> tuple:
     Fits the constant candidate lambda0 = b_0 / M_00 and reports the vector
     (b_i - M_{i0} lambda0) for i = 1..l; l_ext is constant iff this vanishes.
     """
-    M, b, _, _ = _moment_system(fib.fiber, fib.v, fib.w_base, fib.convention)
+    M, b, den = _moment_system(fib.fiber, fib.v, fib.w_base, fib.convention)
     if M[0][0] == 0:
         raise SingularMomentMatrix("zero total v-mass")
-    lam0 = b[0] / M[0][0]
-    return tuple(b[i] - M[i][0] * lam0 for i in range(1, fib.fiber.dim + 1))
+    return tuple(
+        Fraction(b[i] * M[0][0] - M[i][0] * b[0], M[0][0] * den) for i in range(1, len(b))
+    )
 
 
 def assert_futaki_vanishes(

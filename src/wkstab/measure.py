@@ -12,25 +12,44 @@ on a convex polytope", Proc. AMS 126 (1998), and Baldoni, Berline,
 De Loera, Koeppe & Vergne, Math. Comp. 80 (2011)), so P itself is never
 triangulated.
 
-Moments are cached per polytope: integrate and integrate_boundary read the
-monomial integrals kept in P.moments, keyed (exponent, boundary), and _fill
-writes both tables in one pass over the facet cells.  On a (l-1)-simplex
-cell of facet j with coordinate denominators cleared by D, every missing x^a
-(d = |a|) is an integer form in the barycentric coordinates, read off one
-power tree per cell (exact._barycentric_powers, which bernstein shares), and
-N = sum_b coeff_b * b! gives
+Moments are cached per polytope as integers.  P.moments, keyed
+(exponent, boundary), holds one integer numerator N per monomial x^a, over a
+denominator that depends only on the degree d = |a|:
 
-    int_cell x^a dsigma = jac * N / ((l - 1 + d)! * D^d),
-    L_j(0) * jac * N / ((l + d)! * D^d),
+    int_P x^a dx              = N / Delta_d,    Delta_d  = (l + d)! * D_P^d * J,
+    int_{boundary P} x^a dsig = N / Delta'_d,   Delta'_d = (l - 1 + d)! * D_P^d * J,
+
+with D_P the lcm of the denominators of P's vertex coordinates and J the lcm
+of the denominators of jac and L_j(0) * jac over the facet cells (below).
+P.moment_scale keeps (D_P, J); both are fixed at the first fill, so a later
+fill never rescales an old entry.  Delta_d = (l + d) Delta'_d, and Delta_d
+divides Delta_{d+1} = (l + d + 1) D_P Delta_d, so any set of moments shares
+the interior denominator of its largest degree.
+
+_fill writes both tables in one pass over the facet cells.  On an
+(l-1)-simplex cell of facet j with jac = |det[w_i - w_0, xi]| and coordinate
+denominators cleared by D (a divisor of D_P), every missing D^d x^a is an
+integer form in the barycentric coordinates, read off one power tree per cell
+(exact._barycentric_powers, which bernstein shares), and N_cell = sum_b
+coeff_b * b! gives (Dirichlet)
+
+    int_cell x^a dsigma = jac * N_cell / ((l - 1 + d)! * D^d),
+    L_j(0) * jac * N_cell / ((l + d)! * D^d),
 
 the cell's boundary moment and its share of the interior one (the signed
 cone from the origin over the cell; the factor l + d merges into the
-factorial).
+factorial).  Over Delta'_d and Delta_d these are the integers
+jac J (D_P/D)^d N_cell and L_j(0) jac J (D_P/D)^d N_cell, so a fill sums
+integers and makes no Fraction per monomial.
 
-Products are never formed to be integrated: _pair(f, g) = sum_a sum_b
-f_a g_b m(a + b) reads int f g off the table, and _pair_row gives the moments
-of f x^b for a list of b.  Every read asks _fill for all the monomials it
-needs at once, so one read triangulates each facet of P at most once.
+Products are never formed to be integrated.  _moment_rows reads the moments
+of f x^b (f with integer coefficients, b in a list) as integer rows, every
+moment brought over the interior denominator Delta_top of one top degree;
+futaki's moment system and probe's crease rows are such rows.  _pair(f, g) =
+sum_a sum_b f_a g_b m(a + b) = int f g clears f and g to integers once, reads
+one row and makes one Fraction.  A read that misses asks _fill for every
+monomial it needs at once, so one read triangulates each facet of P at most
+once, and a warm read builds no exponent list.
 
 integrate_simplex and integrate_facet_cell pull whole polynomials back
 through compose_affine instead; they stay as the independent path behind
@@ -41,8 +60,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
-from .exact import Point, Polynomial, _barycentric_powers, det, vsub
+from .exact import Point, Polynomial, _barycentric_powers, _cleared, det, vsub
 from .polytope import (
     LabelledPolytope,
     Simplex,
@@ -82,7 +102,7 @@ def integrate_simplex(p: Polynomial, simplex: Simplex) -> Fraction:
 
 
 def integrate(p: Polynomial, P: LabelledPolytope) -> Fraction:
-    return _pair_row(p, [(0,) * P.dim], P, False)[0]
+    return _pair(p, Polynomial.constant(P.dim, 1), P, False)
 
 
 def volume(P: LabelledPolytope) -> Fraction:
@@ -125,84 +145,124 @@ def integrate_facet(p: Polynomial, P: LabelledPolytope, j: int) -> Fraction:
 
 def integrate_boundary(p: Polynomial, P: LabelledPolytope) -> Fraction:
     """d(sigma)-integral of p over the whole labelled boundary of P."""
-    return _pair_row(p, [(0,) * P.dim], P, True)[0]
+    return _pair(p, Polynomial.constant(P.dim, 1), P, True)
 
 
 def _pair(f: Polynomial, g: Polynomial, P: LabelledPolytope, boundary: bool) -> Fraction:
     """The bilinear pairing sum_a sum_b f_a g_b m(a + b) = int f g, read from
     P.moments without forming the product f * g."""
-    if g.dim != P.dim:
+    if f.dim != P.dim or g.dim != P.dim:
         raise ValueError("polynomial/polytope dimension mismatch")
-    row = _pair_row(f, list(g.terms), P, boundary)
-    return sum((c * r for c, r in zip(g.terms.values(), row)), Fraction(0))
+    (F, df), (G, dg) = _integer_terms(f), _integer_terms(g)
+    top = max(f.degree(), 0) + max(g.degree(), 0)
+    [row], delta = _moment_rows(P, [(F, [b for b, _ in G], boundary)], top)
+    return Fraction(sum(c * r for (_, c), r in zip(G, row)), df * dg * delta)
 
 
-def _pair_row(
-    f: Polynomial, expos: list, P: LabelledPolytope, boundary: bool
-) -> list[Fraction]:
-    """[sum_a f_a m(a + b) for b in expos]: the moments of f * x^b, with every
-    missing m(a + b) filled at once."""
-    if f.dim != P.dim:
-        raise ValueError("polynomial/polytope dimension mismatch")
-    table = _fill(P, [_add(a, b) for b in expos for a in f.terms])
-    return [
-        sum((c * table[_add(a, b), boundary] for a, c in f.terms.items()), Fraction(0))
-        for b in expos
-    ]
+def _integer_terms(p: Polynomial) -> tuple[list, int]:
+    """([(a, c_a)], den): p's terms with integer coefficients c_a over their
+    least common denominator den."""
+    ints, den = _cleared(p.terms.values())
+    return list(zip(p.terms, ints)), den
+
+
+def _moment_rows(P: LabelledPolytope, requests: list, top: int) -> tuple[list, int]:
+    """(rows, Delta_top): for each request (terms, expos, boundary), the row
+    [sum_a c_a m(a + b) for b in expos] times Delta_top, an integer row for
+    integer terms [(a, c_a)]; top is at least every deg a + |b|.  A read that
+    misses the table fills the monomials of all the requests in one pass."""
+
+    def read():
+        table, rows = P.moments, []
+        for terms, bs, boundary in requests:
+            s = _scales(P, top, boundary)
+            terms = [(a, sum(a), c) for a, c in terms]
+            rows.append([
+                sum(c * s[d + e] * table[_add(a, b), boundary] for a, d, c in terms)
+                for b, e in zip(bs, map(sum, bs))
+            ])
+        return rows
+
+    rows = None
+    if P.moment_scale is not None:
+        try:
+            rows = read()
+        except KeyError:
+            pass
+    if rows is None:
+        _fill(P, [_add(a, b) for terms, bs, _ in requests for b in bs for a, _ in terms])
+        rows = read()
+    D_P, J = P.moment_scale
+    return rows, math.factorial(P.dim + top) * D_P**top * J
 
 
 def _add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
+
+
+def _scales(P: LabelledPolytope, top: int, boundary: bool) -> list[int]:
+    """s with s[d] N / Delta_top the moment of a stored numerator N of degree
+    d <= top: s[d] = Delta_top / Delta_d in the interior and (l + d) times
+    that on the boundary."""
+    D_P, _ = P.moment_scale
+    s = [1] * (top + 1)
+    for d in range(top, 0, -1):
+        s[d - 1] = s[d] * (P.dim + d) * D_P
+    return [(P.dim + d) * x for d, x in enumerate(s)] if boundary else s
 
 
 def _fill(P: LabelledPolytope, expos) -> dict:
-    """Fill the interior and boundary moments of x^a (a in expos) missing
+    """Fill the interior and boundary numerators of x^a (a in expos) missing
     from P.moments, keyed (exponent, boundary), in one pass over the facet
-    cells; return the table."""
+    cells; the first fill also fixes P.moment_scale = (D_P, J).  Return the
+    table."""
     table = P.moments
     missing = [expo for expo in dict.fromkeys(expos) if (expo, False) not in table]
-    if missing:
-        inner = [Fraction(0)] * len(missing)
-        outer = [Fraction(0)] * len(missing)
-        for j, L in enumerate(P.labels):
-            xi = _transversal(P, j)
-            for cell in triangulate_facet(P, j):
-                for i, (b, m) in enumerate(_cell_moments(cell, xi, L.constant, missing)):
-                    outer[i] += b
-                    inner[i] += m
-        for expo, m, b in zip(missing, inner, outer):
-            table[expo, False] = m
-            table[expo, True] = b
+    if not missing and P.moment_scale is not None:
+        return table
+    cells = []
+    for j, L in enumerate(P.labels):
+        xi = _transversal(P, j)
+        for cell in triangulate_facet(P, j):
+            jac = _cell_jacobian(cell, xi)
+            cells.append((cell, jac, L.constant * jac))
+    if P.moment_scale is None:
+        D_P = math.lcm(*(x.denominator for vtx in P.vertices for x in vtx))
+        J = math.lcm(*(x.denominator for _, jac, cjac in cells for x in (jac, cjac)))
+        object.__setattr__(P, "moment_scale", (D_P, J))
+    D_P, J = P.moment_scale
+    inner = [0] * len(missing)
+    outer = [0] * len(missing)
+    for cell, jac, cjac in cells:
+        kb = jac.numerator * (J // jac.denominator)
+        ki = cjac.numerator * (J // cjac.denominator)
+        for i, N in enumerate(_cell_moments(cell, D_P, missing)):
+            outer[i] += kb * N
+            inner[i] += ki * N
+    for expo, m, b in zip(missing, inner, outer):
+        table[expo, False] = m
+        table[expo, True] = b
     return table
 
 
-def _cell_moments(
-    verts: tuple[Point, ...], xi: Point, c: Fraction, expos: list
-) -> list[tuple[Fraction, Fraction]]:
-    """(boundary, interior) moments of the monomials x^a (a in expos) on one
-    (l-1)-simplex cell of a facet with transversal xi and label constant
-    c = L_j(0).
+def _cell_moments(verts: tuple[Point, ...], D_P: int, expos: list) -> list[int]:
+    """[(D_P/D)^d N_a for a in expos]: the integers with
 
-    jac = |det[w_i - w_0, xi]|.  After clearing denominators (D = lcm of
-    the coordinate denominators), each coordinate is an integer linear form
-    L_r in the barycentric coordinates lambda_0..lambda_{l-1}, so D^d x^a
-    (d = |a|) is an integer form of degree d, read off the cell's power tree
+        int_cell x^a dsigma = jac * (D_P/D)^d N_a / ((l - 1 + d)! * D_P^d)
+
+    on the (l-1)-simplex cell *verts* (d = |a|, D_P a multiple of the cell's
+    coordinate denominator D).  Each coordinate times D is an integer linear
+    form in the barycentric coordinates lambda_0..lambda_{l-1}, so D^d x^a is
+    an integer form of degree d, read off the cell's power tree
     (exact._barycentric_powers) as power(a + (0,)), so the cell's monomials
-    share their factors.  With N = sum_b coeff_b * b!, Dirichlet's formula
-    gives the boundary moment  jac * N / ((l - 1 + d)! * D^d), and the
-    interior share  c * jac * N / ((l + d)! * D^d)  (see the module
-    docstring).
+    share their factors, and N_a = sum_b coeff_b * b! by Dirichlet's formula
+    (see the module docstring).
     """
-    ell = len(verts)
-    jac = _cell_jacobian(verts, xi)
     D, power = _barycentric_powers(verts)
-    fact = [math.factorial(i) for i in range(ell + max(map(sum, expos)) + 1)]
+    q = D_P // D
+    fact = [math.factorial(i) for i in range(max(map(sum, expos), default=0) + 1)]
     out = []
     for a in expos:
-        d = sum(a)
-        N = sum(c_b * math.prod(fact[e] for e in b) for b, c_b in power(a + (0,)).items())
-        num = jac.numerator * N
-        den = jac.denominator * D**d
-        out.append((Fraction(num, den * fact[ell - 1 + d]),
-                    Fraction(num * c.numerator, den * fact[ell + d] * c.denominator)))
+        N = sum(c_b * math.prod(map(fact.__getitem__, b)) for b, c_b in power(a + (0,)).items())
+        out.append(N * q ** sum(a))
     return out

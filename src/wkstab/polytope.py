@@ -25,6 +25,7 @@ from .exact import (
     Point,
     affine_rank,
     det,
+    format_point,
     point,
     rat,
     solve_general,
@@ -41,9 +42,9 @@ class PolytopeError(Exception):
 
 class UnboundedPolytope(PolytopeError):
     def __init__(self, ray: Point):
-        # coordinates as reports print them: 0, 1/2
-        coords = ", ".join(str(Fraction(x)) for x in ray)
-        super().__init__(f"halfspaces describe an unbounded set (recession ray ({coords}))")
+        super().__init__(
+            f"halfspaces describe an unbounded set (recession ray {format_point(ray)})"
+        )
         self.ray = ray
 
 
@@ -63,7 +64,7 @@ class RedundantLabel(PolytopeError):
 
 class NotInterior(PolytopeError):
     def __init__(self, x0):
-        super().__init__(f"point {x0} is not strictly interior")
+        super().__init__(f"point {format_point(x0)} is not strictly interior")
         self.x0 = x0
 
 
@@ -95,10 +96,11 @@ class Simplex:
 
 class LabelledPolytope:
     """Immutable labelled polytope; construct via :func:`from_halfspaces`.
-    ``moments`` is a derived cache of monomial integrals (see measure), not
-    part of equality or hashing."""
+    ``moments`` is a derived cache of integer moment numerators and
+    ``moment_scale`` the (D_P, J) that fixes their denominators (see
+    measure); neither is part of equality, hashing or pickling."""
 
-    __slots__ = ("dim", "labels", "vertices", "facet_incidence", "moments")
+    __slots__ = ("dim", "labels", "vertices", "facet_incidence", "moments", "moment_scale")
 
     def __init__(self, dim, labels, vertices, facet_incidence):
         object.__setattr__(self, "dim", dim)
@@ -106,11 +108,12 @@ class LabelledPolytope:
         object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "facet_incidence", tuple(tuple(f) for f in facet_incidence))
         object.__setattr__(self, "moments", {})
+        object.__setattr__(self, "moment_scale", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabelledPolytope is immutable")
 
-    def __reduce__(self):  # pickle/copy through the constructor; moments start empty
+    def __reduce__(self):  # pickle/copy through the constructor; the table starts empty
         return LabelledPolytope, (self.dim, self.labels, self.vertices, self.facet_incidence)
 
     @property

@@ -18,9 +18,11 @@ probe does not evaluate them per crease.  Each crease keeps the integer rows
     rb_b = D_k sum_a h_a m_boundary(a + b)   (|b| <= deg v),
     ri_b = D_k sum_a h_a m(a + b)            (|b| <= deg w),
 
-with D_k their least common denominator, read off one fill of the piece
-(both tables at once, up to the larger degree) and rebuilt only when a
-weight of larger degree arrives.  Boundary moments pair only with v and
+read off one fill of the piece (both tables at once, up to the larger
+degree) by measure._moment_rows, which returns them as integers already:
+D_k is h's denominator times the table's denominator Delta_top of the top
+degree 1 + max(deg v, deg w), so no lcm is taken.  The rows are rebuilt only
+when a weight of larger degree arrives.  Boundary moments pair only with v and
 interior ones only with w, so each row stops at the degree its weight
 needs.  A weight pair becomes one integer vector (V, W) = D_vw (v_b, w_b),
 and then
@@ -41,9 +43,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .exact import AffineFunc, Point, Polynomial, point, vadd, vscale, vsub
+from .exact import AffineFunc, Point, Polynomial, format_point, point, vadd, vscale, vsub
 from .futaki import assert_futaki_vanishes, df_invariant, df_via_cones
-from .measure import _add, _fill, _pair_row, integrate
+from .measure import _integer_terms, _moment_rows, integrate
 from .polytope import EmptyInterior, LabelledPolytope, clip
 
 
@@ -73,19 +75,15 @@ class Crease:
         """(D_k, rb, ri), the integer rows of the module docstring: rb over
         _monomials(dim, dv') and ri over _monomials(dim, dw'), where dv' >= dv
         and dw' >= dw are the largest degrees asked for so far, so the rows
-        for (dv, dw) are prefixes.  P is filled once per rebuild, for the
-        longer of the two monomial lists (the other is its prefix)."""
+        for (dv, dw) are prefixes.  Both rows come from one read, so P is
+        filled at most once per rebuild, and over one denominator D_k."""
         if self._cache[0] < dv or self._cache[1] < dw:
             dv, dw = max(dv, self._cache[0]), max(dw, self._cache[1])
             P = self.positive
-            h = self.h.to_polynomial()
+            H, dh = _integer_terms(self.h.to_polynomial())
             bv, bw = _monomials(P.dim, dv), _monomials(P.dim, dw)
-            _fill(P, [_add(a, b) for b in max(bv, bw, key=len) for a in h.terms])
-            rb = _pair_row(h, bv, P, True)
-            ri = _pair_row(h, bw, P, False)
-            D = math.lcm(*(x.denominator for x in rb + ri))
-            rows = [tuple(x.numerator * (D // x.denominator) for x in r) for r in (rb, ri)]
-            object.__setattr__(self, "_cache", (dv, dw, D, *rows))
+            (rb, ri), delta = _moment_rows(P, [(H, bv, True), (H, bw, False)], 1 + max(dv, dw))
+            object.__setattr__(self, "_cache", (dv, dw, dh * delta, rb, ri))
         return self._cache[2:]
 
 
@@ -133,7 +131,7 @@ def crease_family(P: LabelledPolytope, x0, r: int) -> list[Crease]:
     if r < 1:
         raise ValueError("resolution r must be >= 1")
     if not P.is_interior(x0):
-        raise ValueError(f"x0 = {x0} is not interior")
+        raise ValueError(f"x0 = {format_point(x0)} is not interior")
     seen: set = set()
     family: list[Crease] = []
     for n in _primitive_directions(P.dim, r):

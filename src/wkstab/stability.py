@@ -40,7 +40,7 @@ from typing import Callable
 
 from . import univariate as u1
 from .bernstein import CERTIFIED, INCONCLUSIVE, REFUTED, certify_nonnegative
-from .exact import AffineFunc, Point, Polynomial, point, radial_derivative, rat
+from .exact import AffineFunc, Point, Polynomial, format_point, point, radial_derivative, rat
 from .futaki import (
     SingularMomentMatrix,
     _assert_positive_definite,
@@ -421,14 +421,16 @@ def _exact_vertex_functions(make_fib, fib_lo: Fibration, c_lo: Fraction):
         fibs.append(make_fib(c_lo + k))
         _check_template(fib_lo, fibs[k], offsets, c_lo + k)
     P = fib_lo.fiber
-    systems = [_moment_system(P, f.v, f.w_base, f.convention)[:2] for f in fibs[: N + 1]]
+    systems = [_moment_system(P, f.v, f.w_base, f.convention) for f in fibs[: N + 1]]
     nodes = [c_lo + k for k in range(N + 1)]
     size = P.dim + 1
     M = [
-        [u1.interpolate(nodes, [sys[0][i][j] for sys in systems]) for j in range(size)]
+        [u1.interpolate(nodes, [Fraction(Ms[i][j], den) for Ms, _, den in systems])
+         for j in range(size)]
         for i in range(size)
     ]
-    b = [u1.interpolate(nodes, [sys[1][i] for sys in systems]) for i in range(size)]
+    b = [u1.interpolate(nodes, [Fraction(bs[i], den) for _, bs, den in systems])
+         for i in range(size)]
     D = u1.det(M)
     if not D:
         raise SingularMomentMatrix("the moment determinant vanishes identically in c")
@@ -517,7 +519,7 @@ def threshold_c(
     for vtx, fn, value in zip(verts, functions, at_hi):
         if u1.evaluate(fn.num, c_hi) != value * u1.evaluate(fn.den, c_hi):
             raise ArithmeticError(
-                f"exact condition value at vertex {vtx} disagrees with the "
+                f"exact condition value at vertex {format_point(vtx)} disagrees with the "
                 f"direct value {value} at c_hi = {c_hi}"
             )
 

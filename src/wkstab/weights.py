@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import AffineFunc, Polynomial, radial_derivative, rat
+from .exact import AffineFunc, Polynomial, format_point, radial_derivative, rat
 from .polytope import LabelledPolytope, monotone_point, standard_fiber_polytope
 
 
@@ -39,10 +39,8 @@ class Convention(enum.Enum):
 
 class NonpositiveWeight(Exception):
     def __init__(self, vertex, factor_index: int):
-        # coordinates as reports print them: -1, 1/2
-        coords = ", ".join(str(Fraction(x)) for x in vertex)
         super().__init__(
-            f"factor {factor_index}: p + c is not positive at vertex ({coords})"
+            f"factor {factor_index}: p + c is not positive at vertex {format_point(vertex)}"
         )
         self.vertex = vertex
         self.factor_index = factor_index
@@ -150,25 +148,21 @@ class Fibration:
 def _build_weights(
     fiber: LabelledPolytope, factors: tuple[BaseFactor, ...]
 ) -> tuple[Polynomial, Polynomial]:
+    """v and w_base by the product rule: a factor P^n (P = p + c) sends
+    (v, w_base) to (v P^n, w_base P^n + s v P^(n-1))."""
     dim = fiber.dim
-    forms = []
+    v, w_base = Polynomial.constant(dim, 1), Polynomial.zero(dim)
     for a, f in enumerate(factors):
         if f.p.dim != dim:
             raise ValueError(f"factor {a}: p is a form on the wrong dimension")
+        form = f.form
         for vert in fiber.vertices:
-            if f.form(vert) <= 0:
+            if form(vert) <= 0:
                 raise NonpositiveWeight(vert, a)
-        forms.append(f.form.to_polynomial())
-    v = Polynomial.constant(dim, 1)
-    for a, f in enumerate(factors):
-        v = v * forms[a] ** f.n
-    w_base = Polynomial.zero(dim)
-    for a, f in enumerate(factors):
-        term = Polynomial.constant(dim, f.s) * forms[a] ** (f.n - 1)
-        for b, g in enumerate(factors):
-            if b != a:
-                term = term * forms[b] ** g.n
-        w_base = w_base + term
+        pc = form.to_polynomial()
+        low = pc ** (f.n - 1)
+        high = low * pc
+        v, w_base = v * high, w_base * high + v * low * f.s
     return v, w_base
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +16,14 @@ from wkstab import (
     extremal_affine,
     fano_anticanonical,
     futaki_character,
+    integrate_facet,
+    jsonio,
     projective_bundle,
     solve_extremal,
     stability_weight,
 )
+from wkstab.measure import integrate_simplex
+from wkstab.polytope import triangulate
 from _frozen import (
     RANK_ONE_FUTAKI,
     RANK_ONE_LEXT_CONST,
@@ -113,6 +118,59 @@ def test_solve_extremal_direct_call_matches():
     fib = rank_one()
     sol = solve_extremal(fib.fiber, fib.v, fib.w_base, fib.convention)
     assert sol.l_ext == extremal_affine(fib).l_ext
+
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+SOLVE_CORPUS = [
+    rank_one,
+    lambda: rank_one(p=F(1, 3), c=F(7, 2)),
+    lambda: projective_bundle([[1, 2]], [(3, 18)], [12], 1),
+    lambda: projective_bundle(
+        [[F(1, 2), -1], [0, F(2, 3)]], [(2, 5), (1, -3)], [F(9, 2), F(7, 3)], t=F(1, 2)
+    ),
+    lambda: fano_anticanonical(hexagon(), [(2, 3, AffineFunc([1, -1], 0))]),
+    lambda: projective_bundle([[1, 0, F(1, 2)]], [(2, 7)], [F(5, 2)], t=1),
+] + [
+    lambda name=name: jsonio.fibration_from_json(
+        jsonio.loads((DATA / name).read_text()), Convention.CANONICAL
+    )
+    for name in ("anticanonical_product.json", "bernstein_band.json", "rank_one_refuted.json")
+]
+
+
+def _fraction_path_system(fib):
+    """M and b integrated as whole products over triangulations of P and of
+    its facets, without the moment table."""
+    P, v, w = fib.fiber, fib.v, fib.w_base
+    cells = triangulate(P)
+    X = [Polynomial.constant(P.dim, 1)] + [Polynomial.variable(P.dim, i) for i in range(P.dim)]
+
+    def inner(p):
+        return sum((integrate_simplex(p, s) for s in cells), F(0))
+
+    def outer(p):
+        return sum((integrate_facet(p, P, j) for j in range(P.n_facets)), F(0))
+
+    M = tuple(tuple(inner(v * Xi * Xj) for Xj in X) for Xi in X)
+    if fib.convention is Convention.LEGACY:
+        beta = 1 if P.dim == 1 else 2
+        b = tuple(beta * outer(v * Xi) - inner(w * Xi) for Xi in X)
+    else:
+        b = tuple(2 * outer(v * Xi) + inner(w * Xi) for Xi in X)
+    return M, b
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+@pytest.mark.parametrize("make", SOLVE_CORPUS)
+def test_integer_moment_system_equals_the_fraction_path(make, convention):
+    fib = make().with_convention(convention)
+    sol = extremal_affine(fib)
+    M, b = _fraction_path_system(fib)
+    assert sol.moment_matrix == M and sol.rhs == b
+    assert sol.residuals == (F(0),) * len(b)
+    entries = [x for row in sol.moment_matrix for x in row] + list(sol.rhs + sol.residuals)
+    assert all(type(x) is F for x in entries)
 
 
 def _bundle_weights():

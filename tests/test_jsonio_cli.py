@@ -213,6 +213,11 @@ def test_cli_check_rejects_wrong_x0_arity(capsys):
     assert "error" in err
 
 
+def test_cli_check_prints_a_boundary_x0_as_reports_do(capsys):
+    code, out, err = run(capsys, "check", RANK_ONE, "--x0", "-1")
+    assert (code, out, err) == (1, "", "error: point (-1) is not strictly interior\n")
+
+
 def test_cli_check_fano_total(capsys):
     code, data, _ = run_json(capsys, "check-fano-total", TRI_S24)
     assert code == 2

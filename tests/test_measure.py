@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from wkstab import (
 )
 from wkstab.measure import (
     _cell_moments,
+    _fill,
     _pair,
     integrate_facet_cell,
     integrate_simplex,
@@ -25,6 +27,7 @@ from wkstab.measure import (
 from wkstab.polytope import (
     EmptyInterior,
     Simplex,
+    _cell_jacobian,
     _transversal,
     clip,
     triangulate,
@@ -238,12 +241,27 @@ def _corpus_facet_cells():
                 yield P.dim, cell, xi, L.constant
 
 
+def _cell_values(cell, xi, c, expos):
+    """(boundary, interior) moments of one facet cell from _cell_moments'
+    integers, over a proper multiple D_P of the cell's denominator D."""
+    n = len(cell)
+    jac = _cell_jacobian(cell, xi)
+    D_P = 6 * math.lcm(*(x.denominator for w in cell for x in w))
+    out = []
+    for e, N in zip(expos, _cell_moments(cell, D_P, expos)):
+        assert type(N) is int
+        d = sum(e)
+        out.append((jac * F(N, math.factorial(n - 1 + d) * D_P**d),
+                    c * jac * F(N, math.factorial(n + d) * D_P**d)))
+    return out
+
+
 def test_cell_moments_match_simplex_pullback():
     # the interior share of a facet cell is the signed cone from the origin
     # over it: sign(L_j(0)) times the integral over conv(0, cell)
     for n, cell, xi, c in _corpus_facet_cells():
         expos = monomials_up_to(n, 5)
-        got = [m for _, m in _cell_moments(cell, xi, c, expos)]
+        got = [m for _, m in _cell_values(cell, xi, c, expos)]
         if c == 0:
             assert got == [0] * len(expos)
             continue
@@ -256,7 +274,7 @@ def test_cell_moments_match_facet_cell_pullback():
     # n = 1 is the point cell of an interval's boundary: jac * w_0^a
     for n, cell, xi, c in _corpus_facet_cells():
         expos = monomials_up_to(n, 5)
-        got = [b for b, _ in _cell_moments(cell, xi, c, expos)]
+        got = [b for b, _ in _cell_values(cell, xi, c, expos)]
         assert got == [integrate_facet_cell(mono(n, e), cell, xi) for e in expos]
 
 
@@ -291,6 +309,72 @@ def test_euler_stokes_moments_match_the_triangulations(P):
         assert integrate_boundary(p, P) == sum(
             integrate_facet(p, P, j) for j in range(P.n_facets)
         )
+
+
+def _delta(P, d, boundary):
+    """The table's denominator of degree d: (l + d)! (interior) or
+    (l - 1 + d)! (boundary), times D_P^d J."""
+    D_P, J = P.moment_scale
+    return math.factorial(P.dim - boundary + d) * D_P**d * J
+
+
+@settings(max_examples=30, deadline=None)
+@given(_placed_polytopes())
+def test_moment_table_holds_integers_over_the_degree_denominators(P):
+    expos = monomials_up_to(P.dim, 5)
+    table = _fill(P, expos)
+    assert set(table) == {(e, b) for e in expos for b in (False, True)}
+    assert all(type(N) is int for N in table.values())
+    D_P = math.lcm(*(x.denominator for vtx in P.vertices for x in vtx))
+    assert P.moment_scale[0] == D_P
+    cells = triangulate(P)
+    for e in expos:
+        p = mono(P.dim, e)
+        assert F(table[e, False], _delta(P, sum(e), False)) == sum(
+            integrate_simplex(p, s) for s in cells
+        )
+        assert F(table[e, True], _delta(P, sum(e), True)) == sum(
+            integrate_facet(p, P, j) for j in range(P.n_facets)
+        )
+
+
+@settings(max_examples=30, deadline=None)
+@given(_placed_polytopes(), st.integers(0, 4), st.data())
+def test_split_fills_build_the_same_table(P, d, data):
+    # J is fixed by the first fill, so a later fill never rescales old entries
+    degree = [e for e in monomials_up_to(P.dim, d) if sum(e) == d]
+    first = data.draw(st.lists(st.sampled_from(degree), unique=True))
+    second = [e for e in degree if e not in first]
+    tables = []
+    for order in ((degree,), (first, second), (second, first)):
+        Q = from_halfspaces(P.labels)
+        for expos in order:
+            _fill(Q, expos)
+        tables.append((Q.moments, Q.moment_scale))
+    assert tables[0] == tables[1] == tables[2]
+
+
+def _rational_polys(dim):
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=343)
+    return st.dictionaries(
+        st.sampled_from(monomials_up_to(dim, 2)), coeffs, max_size=4
+    ).map(lambda terms: Polynomial(dim, terms))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    _placed_polytopes().flatmap(
+        lambda P: st.tuples(st.just(P), *[_rational_polys(P.dim)] * 2)
+    ),
+    st.booleans(),
+)
+def test_pair_with_large_denominators_is_the_integral_of_the_product(case, boundary):
+    P, f, g = case
+    if boundary:
+        expected = sum(integrate_facet(f * g, P, j) for j in range(P.n_facets))
+    else:
+        expected = sum(integrate_simplex(f * g, s) for s in triangulate(P))
+    assert _pair(f, g, P, boundary) == expected
 
 
 PAIR_PIECES = (

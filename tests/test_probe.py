@@ -56,6 +56,8 @@ def test_offset_grid_subdivides_to_vertices():
 
 
 def test_family_requires_interior_base_point():
+    with pytest.raises(ValueError, match=r"^x0 = \(2\) is not interior$"):
+        crease_family(interval(), (F(2),), 1)
     with pytest.raises(ValueError):
         crease_family(interval(), (F(1),), 1)
     with pytest.raises(ValueError):

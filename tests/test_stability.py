@@ -458,5 +458,5 @@ def test_threshold_certified_needs_det_m_positive_above_c_lo(monkeypatch):
     assert not res.certified
     assert len(tested) == 1 + 3  # D, then each vertex's denominator
     fib = tri_family(F(4), s=24)
-    M = stability._moment_system(fib.fiber, fib.v, fib.w_base, fib.convention)[0]
+    M = futaki.extremal_affine(fib).moment_matrix
     assert u1.evaluate(tested[0], F(4)) == exact_det(M) > 0

@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import hexagon, square, triangle
 from wkstab import (
@@ -16,7 +18,9 @@ from wkstab import (
     fibration,
     projective_bundle,
     soliton_weights,
+    standard_fiber_polytope,
 )
+from wkstab.weights import BaseFactor, _build_weights
 
 
 def x_var(dim=1, i=0):
@@ -136,3 +140,41 @@ def test_soliton_weights_radial_term():
     assert g == xp2
     # 2*(dim*g + x . grad g) = 2*(2*(x+2) + x) = 6x + 8
     assert w == x_var(2, 0) * 6 + 8
+
+
+@st.composite
+def _factor_sets(draw):
+    """A standard simplex in dims 1-3 and one to three factors with integer
+    or rational forms, n <= 5, each offset large enough to keep p + c > 0 at
+    the vertices."""
+    dim = draw(st.integers(1, 3))
+    fiber = standard_fiber_polytope(dim, 1)
+    coeff = st.one_of(
+        st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    )
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = AffineFunc(draw(st.lists(coeff, min_size=dim, max_size=dim)), 0)
+        c = 1 - min(p(vtx) for vtx in fiber.vertices) + draw(coeff) ** 2
+        factors.append(BaseFactor(n=draw(st.integers(1, 5)), s=draw(coeff), c=c, p=p))
+    return fiber, tuple(factors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_factor_sets())
+def test_build_weights_equals_the_product_form(case):
+    fiber, factors = case
+    P = [f.form.to_polynomial() for f in factors]
+    one = Polynomial.constant(fiber.dim, 1)
+    v = math.prod((Pa ** f.n for Pa, f in zip(P, factors)), start=one)
+    w_base = sum(
+        (
+            math.prod(
+                (Pb ** g.n for b, (Pb, g) in enumerate(zip(P, factors)) if b != a),
+                start=Pa ** (f.n - 1) * f.s,
+            )
+            for a, (Pa, f) in enumerate(zip(P, factors))
+        ),
+        Polynomial.zero(fiber.dim),
+    )
+    assert _build_weights(fiber, factors) == (v, w_base)
