@@ -12,6 +12,11 @@ facet measures sigma_j > 0, which costs one facet triangulation.  The
 recession-ray search (one vertex enumeration of the recession cone cut by a
 box) runs only when that proof cannot be made, to name the ray of an
 unbounded input.
+
+clip never enumerates vertices: a piece P intersect {h >= 0} comes from one
+double-description step on P's vertices and facet incidence (edges found by
+the combinatorial adjacency test, one crossing point per edge that h cuts),
+and it is bounded because P is.
 """
 
 from __future__ import annotations
@@ -242,7 +247,7 @@ def _from_bounded_halfspaces(
 ) -> LabelledPolytope:
     """The vertex/incidence loop of :func:`from_halfspaces`.  Its result is
     the labelled polytope only when the labels cut out a bounded set, which
-    from_halfspaces proves afterwards and clip knows beforehand."""
+    from_halfspaces proves afterwards."""
     while True:
         verts = _enumerate_vertices(list(labels), dim)
         if not verts or affine_rank(verts) < dim:
@@ -420,11 +425,48 @@ def clip(P: LabelledPolytope, h: AffineFunc) -> LabelledPolytope:
     Labels made redundant by the cut (including *h* itself when it does not
     cut) are dropped.  Raises :class:`EmptyInterior` when the intersection has
     no interior.
+
+    The piece comes from one step of the double description method
+    (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda & Prodon 1996) on P's
+    vertices and facet incidence, with no vertex enumeration.  Each vertex
+    carries its zero set Z, the labels vanishing there.  The vertices with
+    h >= 0 survive, and each edge (a, b) with h(a) < 0 < h(b) adds one
+    crossing point with zero set Z(a) & Z(b) plus h; a and b span an edge
+    when Z(a) & Z(b) lies in no third vertex's zero set.  A label cuts out a
+    facet when its incidence is nonempty, lies strictly in no other label's
+    incidence and repeats no earlier one's: every face lies in a facet and
+    every facet is cut by a label.  The labels, the sorted vertices and the
+    incidence are those from_halfspaces builds.
     """
     if h.dim != P.dim:
         raise ValueError("dimension mismatch in clip")
     if not any(h.gradient):
         raise RedundantLabel(P.n_facets)
-    # P  intersect  {h >= 0} lies in the bounded P, so from_halfspaces'
-    # boundedness proof could never fail here; skip it.
-    return _from_bounded_halfspaces(P.labels + (h,), P.dim, True)
+    zeros = [0] * len(P.vertices)  # Z(i) as a bitmask over the labels
+    for j, inc in enumerate(P.facet_incidence):
+        for i in inc:
+            zeros[i] |= 1 << j
+    on_h = 1 << P.n_facets
+    hv = [h(v) for v in P.vertices]
+    found = [(v, z | on_h if x == 0 else z)  # the piece's vertices with Z
+             for v, z, x in zip(P.vertices, zeros, hv) if x >= 0]
+    below = [i for i, x in enumerate(hv) if x < 0]
+    above = [i for i, x in enumerate(hv) if x > 0]
+    for a, b in itertools.product(below, above):
+        common = zeros[a] & zeros[b]
+        if any((common & z) == common for c, z in enumerate(zeros) if c != a and c != b):
+            continue  # a and b span no edge
+        va, t = P.vertices[a], hv[a] / (hv[a] - hv[b])
+        found.append((vadd(va, vscale(t, vsub(P.vertices[b], va))), common | on_h))
+    found.sort()
+    verts = [v for v, _ in found]
+    if affine_rank(verts) < P.dim:  # -1 when h misses P
+        raise EmptyInterior("the halfspace intersection has empty interior")
+    incidence = [frozenset(i for i, (_, z) in enumerate(found) if z >> j & 1)
+                 for j in range(P.n_facets + 1)]
+    labels, facets = [], []
+    for L, inc in zip(P.labels + (h,), incidence):
+        if inc and inc not in facets and not any(inc < other for other in incidence):
+            labels.append(L)
+            facets.append(inc)
+    return LabelledPolytope(P.dim, labels, verts, [sorted(inc) for inc in facets])

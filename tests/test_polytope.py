@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _reference_fraction import from_halfspaces_recession_first
-from conftest import hexagon, interior_points, interval, square, triangle
+from conftest import cube, hexagon, interior_points, interval, simplex3, square, triangle
 from wkstab import (
     AffineFunc,
     EmptyInterior,
@@ -167,11 +168,15 @@ def test_clip_triangle_by_halfspace():
     assert Q.n_facets == 3
 
 
-@pytest.mark.parametrize("P", [triangle(), interval()], ids=["triangle", "interval"])
-def test_clip_matches_from_halfspaces_on_crease_family(P):
-    # clip skips the recession check (a piece of a bounded P is bounded);
-    # the polytope it builds is the one from_halfspaces builds
-    family = crease_family(P, (F(0),) * P.dim, 3)
+@pytest.mark.parametrize(
+    "P, r",
+    [(triangle(), 3), (interval(), 3), (simplex3(), 1), (cube(), 1)],
+    ids=["triangle", "interval", "simplex3", "cube"],
+)
+def test_clip_matches_from_halfspaces_on_crease_family(P, r):
+    # clip builds the piece from P's vertices and incidence; the polytope it
+    # builds is the one from_halfspaces builds from the labels
+    family = crease_family(P, (F(0),) * P.dim, r)
     assert family
     for crease in family:
         Q = clip(P, crease.h)
@@ -181,6 +186,70 @@ def test_clip_matches_from_halfspaces_on_crease_family(P):
         assert Q.facet_incidence == R.facet_incidence
     with pytest.raises(RedundantLabel):  # as from_halfspaces: a constant cuts no facet
         clip(P, AffineFunc([0] * P.dim, 1))
+
+
+def test_clip_never_enumerates_vertices(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("clip enumerated vertices")
+
+    P = triangle()
+    monkeypatch.setattr(polytope, "_enumerate_vertices", no_enumeration)
+    assert crease_family(P, (F(0), F(0)), 3)
+
+
+def _octahedron():
+    # non-simple: four facets meet at each vertex
+    return from_halfspaces([AffineFunc(g, 1) for g in itertools.product((1, -1), repeat=3)])
+
+
+def _square_pyramid():
+    # non-simple at the apex (0, 0, 1) over the square [-1, 1]^2 at z = 0
+    sides = [(-1, 0, -1), (1, 0, -1), (0, -1, -1), (0, 1, -1)]
+    return from_halfspaces([AffineFunc((0, 0, 1), 0)] + [AffineFunc(g, 1) for g in sides])
+
+
+_CLIP_BASES = [interval(), triangle(), simplex3(), cube(), _octahedron(), _square_pyramid()]
+
+
+@st.composite
+def _cut(draw, P):
+    """An integer-gradient cut of P: random, through a vertex, touching a
+    face of P from either side (h >= 0 on P, or a piece with no interior),
+    or missing P from either side."""
+    g = draw(st.lists(st.integers(-3, 3), min_size=P.dim, max_size=P.dim).filter(any))
+    values = [sum(gi * xi for gi, xi in zip(g, v)) for v in P.vertices]
+    kind = draw(st.sampled_from(["random", "vertex", "face", "miss"]))
+    if kind == "random":
+        c = draw(st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    elif kind == "vertex":
+        c = -draw(st.sampled_from(values))
+    else:
+        gap = 0 if kind == "face" else draw(st.fractions(min_value=F(1, 3), max_value=2))
+        if draw(st.booleans()):
+            return AffineFunc(g, gap - min(values))  # h >= 0 (or > 0) on P
+        g, c = [-gi for gi in g], max(values) - gap  # h <= 0 (or < 0) on P
+    return AffineFunc(g, c)
+
+
+def _clip_outcome(build):
+    try:
+        Q = build()
+    except EmptyInterior as exc:
+        return EmptyInterior, str(exc)
+    return Q.labels, Q.vertices, Q.facet_incidence
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), base=st.sampled_from(range(len(_CLIP_BASES))), twice=st.booleans())
+def test_clip_matches_the_vertex_enumeration_oracle(data, base, twice):
+    P = _CLIP_BASES[base]
+    if twice:  # cut a clipped piece again
+        first = data.draw(_cut(P))
+        if first(P.vertex_centroid()) > 0:
+            P = clip(P, first)
+    h = data.draw(_cut(P))
+    oracle = _clip_outcome(lambda: polytope._from_bounded_halfspaces(P.labels + (h,), P.dim, True))
+    assert _clip_outcome(lambda: clip(P, h)) == oracle
 
 
 def test_clip_empty_piece_raises():
