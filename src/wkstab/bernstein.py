@@ -1,31 +1,51 @@
 """Bernstein-coefficient nonnegativity certificates on simplices.
 
-Writing a polynomial on a k-simplex in the degree-d Bernstein basis gives
-coefficients whose minimum bounds the polynomial from below (and whose corner
-coefficients are the vertex values).  All coefficients >= 0 therefore
-certifies nonnegativity; a negative vertex or barycenter value refutes it;
-otherwise the simplex is subdivided barycentrically and the test recurses.
-The certificate is one-sided: it never certifies a false positive, and may
+Writing a polynomial p on a k-simplex in the degree-d Bernstein basis gives
+coefficients b_gamma whose minimum bounds p from below on the simplex.  The
+corner coefficient b_{d e_i} is the vertex value p(V_i), and the barycenter
+value is sum_gamma b_gamma (d!/gamma!) / (k+1)^d.  Each node of the
+certifier keeps its coefficients as integer numerators B_gamma over one
+positive integer S and is decided from them alone, in this order: a
+negative corner (in vertex order) or a negative barycenter value refutes
+p >= 0 with that exact point; all B_gamma >= 0 certifies it with the bound
+min B / S; otherwise the simplex is subdivided barycentrically and the test
+recurses.  A ``Fraction`` is built only for a witness or a bound.  The
+certificate is one-sided: it never certifies a false positive, and may
 return "inconclusive" at the depth limit.
 
-The coefficients are computed in integers on the simplex's barycentric power
-tree (exact._barycentric_powers, shared with measure).  With D the lcm of the
-vertex coordinate denominators, each coordinate is x_r = L_r(lambda) / D for
-an integer linear form L_r, and the homogenizing form L_n = D (lambda_0 +
-... + lambda_k) equals D on the simplex.  So, with C the lcm of p's
-coefficient denominators and d = deg p, every term c_a x^a is
-C c_a L^(a, d - |a|) / (C D^d), homogeneous of degree d, and
+Only the root's numerators come from p.  They are computed in integers on
+the simplex's barycentric power tree (exact._barycentric_powers, shared with
+measure).  With D the lcm of the vertex coordinate denominators, each
+coordinate is x_r = L_r(lambda) / D for an integer linear form L_r, and the
+homogenizing form L_n = D (lambda_0 + ... + lambda_k) equals D on the
+simplex.  So, with C the lcm of p's coefficient denominators and d = deg p,
+every term c_a x^a is C c_a L^(a, d - |a|) / (C D^d), homogeneous of degree
+d, and
 
     N_gamma = sum_a C c_a [lambda^gamma] L^(a, d - |a|),
-    b_gamma = gamma! N_gamma / (d! C D^d).
+    B_gamma = gamma! N_gamma,  S = d! C D^d.
+
+A child's numerators come from its parent's by blossoming, that is by de
+Casteljau's algorithm (Boudaoud, Caruso & Roy, DCG 39 (2008)).  Replacing
+the vertex V_r by the mean of the vertices V_i, i in I (r in I), is one de
+Casteljau pyramid over I: c^0 = B, c^s_beta = sum_{i in I}
+c^(s-1)_(beta + e_i), and the new numerator of gamma is
+|I|^(d - gamma_r) c^(gamma_r)_(gamma - gamma_r e_r), over S |I|^d.  The
+child of the permutation pi has vertices C_j = mean(V_pi(0), ..., V_pi(j)).
+It is reached by replacing V_pi(k) by the barycenter, then V_pi(k-1) by the
+mean of V_pi(0..k-1), and so on down to V_pi(1); the stages a suffix of pi
+determines are computed once per parent.  So every child is over
+S ((k+1)!)^d, and neither p nor the child's vertices enter.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, mul
 
 from .exact import Polynomial, _barycentric_powers, _cleared, vadd, vscale
 from .polytope import Simplex
@@ -42,6 +62,14 @@ def bernstein_coefficients(p: Polynomial, simplex: Simplex) -> dict[tuple, Fract
     barycentric coordinates, in ``_compositions`` order; the coefficient of
     the corner index d*e_i is exactly p(V_i).
     """
+    B, S = _numerators(p, simplex)
+    d = max(p.degree(), 0)
+    return {gamma: Fraction(b, S) for gamma, b in zip(_levels(d, simplex.k + 1)[0][d], B)}
+
+
+def _numerators(p: Polynomial, simplex: Simplex) -> tuple[list[int], int]:
+    """The Bernstein numerators B (in ``_compositions`` order) of p on the
+    simplex and their common denominator S > 0."""
     if p.dim != simplex.ambient_dim:
         raise ValueError("polynomial/simplex dimension mismatch")
     d = max(p.degree(), 0)
@@ -52,11 +80,11 @@ def bernstein_coefficients(p: Polynomial, simplex: Simplex) -> dict[tuple, Fract
         for gamma, v in power(a + (d - sum(a),)).items():
             N[gamma] = N.get(gamma, 0) + scaled * v
     fact = [math.factorial(i) for i in range(d + 1)]
-    den = fact[d] * C * D**d
-    return {
-        gamma: Fraction(math.prod(fact[g] for g in gamma) * N.get(gamma, 0), den)
-        for gamma in _compositions(d, simplex.k + 1)
-    }
+    B = [
+        math.prod(fact[g] for g in gamma) * N.get(gamma, 0)
+        for gamma in _levels(d, simplex.k + 1)[0][d]
+    ]
+    return B, fact[d] * C * D**d
 
 
 def _compositions(d: int, parts: int):
@@ -69,18 +97,91 @@ def _compositions(d: int, parts: int):
             yield (head,) + tail
 
 
+@functools.lru_cache(maxsize=64)
+def _levels(d: int, parts: int):
+    """The multi-indices of each total degree e = 0..d in ``_compositions``
+    order, their positions, the corner positions of degree d in vertex order
+    and the multinomials d!/gamma! of degree d."""
+    comps = [tuple(_compositions(e, parts)) for e in range(d + 1)]
+    pos = [{g: i for i, g in enumerate(level)} for level in comps]
+    corners = tuple(pos[d][tuple(d if j == i else 0 for j in range(parts))] for i in range(parts))
+    fact_d = math.factorial(d)
+    weights = tuple(fact_d // math.prod(math.factorial(g) for g in gamma) for gamma in comps[d])
+    return comps, pos, corners, weights
+
+
+@functools.lru_cache(maxsize=1024)
+def _stage(d: int, parts: int, r: int, members: tuple, order: tuple):
+    """Tables for replacing vertex r by the mean of the vertices ``members``:
+    per pyramid level below d, one getter per multi-index beta picking its
+    parents beta + e_i, i in members; per output multi-index, its (level,
+    position, scale).  Output gamma is read at gamma' with gamma'[order[j]] =
+    gamma[j], so the last stage also puts the child's vertices in order."""
+    comps, pos, _, _ = _levels(d, parts)
+    steps = []
+    for e in range(d - 1, -1, -1):
+        steps.append([
+            itemgetter(*(pos[e + 1][beta[:i] + (beta[i] + 1,) + beta[i + 1:]] for i in members))
+            for beta in comps[e]
+        ])
+    out = []
+    for gamma in comps[d]:
+        staged = [0] * parts
+        for j, g in zip(order, gamma):
+            staged[j] = g
+        t = staged[r]
+        staged[r] = 0
+        out.append((t, pos[d - t][tuple(staged)], len(members) ** (d - t)))
+    return steps, out
+
+
+def _replace(B: list[int], steps, out) -> list[int]:
+    """One de Casteljau stage (see _stage) on the numerators B."""
+    pyramid = [B]
+    for step in steps:
+        prev = pyramid[-1]
+        pyramid.append([sum(pick(prev)) for pick in step])
+    return [pyramid[t][i] * scale for t, i, scale in out]
+
+
+def _child_numerators(B: list[int], d: int, parts: int):
+    """The numerators of the barycentric children, in ``barycentric_subdivision``
+    order, over S ((k+1)!)^d when B is over S.  The memo of suffix stages
+    lives as long as this generator."""
+    identity = tuple(range(parts))
+    memo: dict[tuple, list[int]] = {}
+    for perm in itertools.permutations(identity):
+        staged = B
+        for m in range(parts - 1, 0, -1):
+            key = perm[m:]
+            if key not in memo:
+                members = tuple(sorted(perm[: m + 1]))
+                order = perm if m == 1 else identity
+                memo[key] = _replace(staged, *_stage(d, parts, perm[m], members, order))
+            staged = memo[key]
+        yield staged
+
+
 def barycentric_subdivision(simplex: Simplex) -> list[Simplex]:
-    """The (k+1)! subsimplices spanned by barycenters of nested vertex chains."""
+    """The (k+1)! subsimplices spanned by barycenters of nested vertex chains.
+
+    The children come in ``itertools.permutations`` order: vertex j of the
+    child of pi is the barycenter of V_pi(0), ..., V_pi(j).  Each face's
+    barycenter is computed once, and the children of a nondegenerate simplex
+    are nondegenerate, so they skip Simplex's rank check.
+    """
     verts = simplex.vertices
-    k = len(verts) - 1
+    faces: dict[int, tuple] = {}
     children = []
-    for perm in itertools.permutations(range(k + 1)):
-        chain = []
-        acc = None
-        for i, idx in enumerate(perm):
-            acc = verts[idx] if acc is None else vadd(acc, verts[idx])
-            chain.append(vscale(Fraction(1, i + 1), acc))
-        children.append(Simplex(tuple(chain)))
+    for perm in itertools.permutations(range(len(verts))):
+        chain, mask = [], 0
+        for idx in perm:
+            mask |= 1 << idx
+            if mask not in faces:
+                face = [v for i, v in enumerate(verts) if mask >> i & 1]
+                faces[mask] = vscale(Fraction(1, len(face)), functools.reduce(vadd, face))
+            chain.append(faces[mask])
+        children.append(Simplex._spanned(tuple(chain)))
     return children
 
 
@@ -90,18 +191,6 @@ class PositivityOutcome:
     lower_bound: Fraction | None  # valid lower bound on the cell when certified
     witness: tuple | None  # (point, value) with value < 0 when refuted
     depth_used: int
-
-
-def _negative_sample(p: Polynomial, simplex: Simplex):
-    for vtx in simplex.vertices:
-        val = p(vtx)
-        if val < 0:
-            return vtx, val
-    bary = simplex.barycenter()
-    val = p(bary)
-    if val < 0:
-        return bary, val
-    return None
 
 
 def certify_nonnegative(
@@ -115,20 +204,33 @@ def certify_nonnegative(
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
-    hit = _negative_sample(p, simplex)
-    if hit is not None:
-        return PositivityOutcome(REFUTED, None, hit, 0)
-    coeffs = bernstein_coefficients(p, simplex)
-    low = min(coeffs.values(), default=Fraction(0))
+    B, S = _numerators(p, simplex)
+    return _certify(B, S, simplex, max(p.degree(), 0), max_depth)
+
+
+def _certify(B: list[int], S: int, simplex: Simplex, d: int, max_depth: int) -> PositivityOutcome:
+    """certify_nonnegative on a node whose numerators B over S are known."""
+    parts = len(simplex.vertices)
+    _, _, corners, weights = _levels(d, parts)
+    for vtx, c in zip(simplex.vertices, corners):
+        if B[c] < 0:
+            return PositivityOutcome(REFUTED, None, (vtx, Fraction(B[c], S)), 0)
+    center = sum(map(mul, B, weights))
+    if center < 0:
+        witness = (simplex.barycenter(), Fraction(center, S * parts**d))
+        return PositivityOutcome(REFUTED, None, witness, 0)
+    low = min(B)
     if low >= 0:
-        return PositivityOutcome(CERTIFIED, low, None, 0)
+        return PositivityOutcome(CERTIFIED, Fraction(low, S), None, 0)
     if max_depth == 0:
         return PositivityOutcome(INCONCLUSIVE, None, None, 0)
+    S_child = S * math.factorial(parts) ** d
     bound: Fraction | None = None
     deepest = 0
     undecided = False
-    for child in barycentric_subdivision(simplex):
-        sub = certify_nonnegative(p, child, max_depth - 1)
+    children = zip(barycentric_subdivision(simplex), _child_numerators(B, d, parts))
+    for child, B_child in children:
+        sub = _certify(B_child, S_child, child, d, max_depth - 1)
         deepest = max(deepest, sub.depth_used + 1)
         if sub.status == REFUTED:
             return PositivityOutcome(REFUTED, None, sub.witness, deepest)

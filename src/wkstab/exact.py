@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterable, Sequence
 
 Point = tuple[Fraction, ...]
@@ -196,6 +197,16 @@ class Polynomial:
     def __reduce__(self):  # pickle/copy through the constructor
         return Polynomial, (self.dim, self.terms)
 
+    @classmethod
+    def _from_terms(cls, dim: int, terms: dict) -> "Polynomial":
+        """The polynomial on *terms*, whose exponents are already int tuples
+        of length dim and whose coefficients are already Fractions: only the
+        zero terms are dropped, in place of the constructor's checks."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "dim", dim)
+        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
+        return poly
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -257,13 +268,13 @@ class Polynomial:
         other = self._coerce(other)
         terms = dict(self.terms)
         for expo, coeff in other.terms.items():
-            terms[expo] = terms.get(expo, Fraction(0)) + coeff
-        return Polynomial(self.dim, terms)
+            terms[expo] = terms[expo] + coeff if expo in terms else coeff
+        return Polynomial._from_terms(self.dim, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.dim, {e: -c for e, c in self.terms.items()})
+        return Polynomial._from_terms(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -274,15 +285,15 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             k = rat(other)
-            return Polynomial(self.dim, {e: k * c for e, c in self.terms.items()})
+            return Polynomial._from_terms(self.dim, {e: k * c for e, c in self.terms.items()})
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
         terms: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.dim, terms)
+                e = tuple(map(add, e1, e2))
+                terms[e] = terms[e] + c1 * c2 if e in terms else c1 * c2
+        return Polynomial._from_terms(self.dim, terms)
 
     __rmul__ = __mul__
 

@@ -83,6 +83,14 @@ class Simplex:
         if affine_rank(self.vertices) != len(self.vertices) - 1:
             raise ValueError("simplex vertices are affinely dependent")
 
+    @classmethod
+    def _spanned(cls, vertices: tuple[Point, ...]) -> "Simplex":
+        """The simplex on vertices already known to be affinely independent,
+        without the rank check."""
+        simplex = object.__new__(cls)
+        object.__setattr__(simplex, "vertices", vertices)
+        return simplex
+
     @property
     def k(self) -> int:
         return len(self.vertices) - 1
@@ -99,13 +107,20 @@ class Simplex:
         return vscale(Fraction(1, n), acc)
 
 
+_UNSOLVED = object()  # LabelledPolytope.monotone before monotone_point fills it
+
+
 class LabelledPolytope:
     """Immutable labelled polytope; construct via :func:`from_halfspaces`.
-    ``moments`` is a derived cache of integer moment numerators and
-    ``moment_scale`` the (D_P, J) that fixes their denominators (see
-    measure); neither is part of equality, hashing or pickling."""
+    Three slots hold values derived from the labels, filled on first use:
+    ``moments``, a cache of integer moment numerators, ``moment_scale``, the
+    (D_P, J) that fixes their denominators (see measure), and ``monotone``,
+    the answer of :func:`monotone_point`.  None of them is part of equality,
+    hashing or pickling."""
 
-    __slots__ = ("dim", "labels", "vertices", "facet_incidence", "moments", "moment_scale")
+    __slots__ = (
+        "dim", "labels", "vertices", "facet_incidence", "moments", "moment_scale", "monotone",
+    )
 
     def __init__(self, dim, labels, vertices, facet_incidence):
         object.__setattr__(self, "dim", dim)
@@ -114,6 +129,7 @@ class LabelledPolytope:
         object.__setattr__(self, "facet_incidence", tuple(tuple(f) for f in facet_incidence))
         object.__setattr__(self, "moments", {})
         object.__setattr__(self, "moment_scale", None)
+        object.__setattr__(self, "monotone", _UNSOLVED)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabelledPolytope is immutable")
@@ -346,8 +362,15 @@ def monotone_point(P: LabelledPolytope) -> tuple[Point, Fraction] | None:
 
     Solves ``L_j(x0) = t`` for ``(x0, t)``; returns ``(x0, t)`` when the
     solution exists, is unique, and has ``t > 0`` (which already makes ``x0``
-    interior).  Returns None otherwise.
+    interior).  Returns None otherwise.  The answer is solved once per
+    polytope and kept in ``P.monotone``.
     """
+    if P.monotone is _UNSOLVED:
+        object.__setattr__(P, "monotone", _solve_monotone(P))
+    return P.monotone
+
+
+def _solve_monotone(P: LabelledPolytope) -> tuple[Point, Fraction] | None:
     rows = [list(L.gradient) + [Fraction(-1)] for L in P.labels]
     rhs = [-L.constant for L in P.labels]
     sol = solve_general(rows, rhs)

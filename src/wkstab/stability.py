@@ -109,8 +109,14 @@ def condition_poly_general(
     x0 = point(x0)
     if not P.is_interior(x0):
         raise NotInterior(x0)
-    Lj0 = P.labels[j](x0)
-    return (v * (P.dim + 1) + radial_derivative(v, x0)) * (Fraction(1) / Lj0) - w * Fraction(1, 2)
+    A, half_w = _cone_parts(P, x0, v, w)
+    return A * (Fraction(1) / P.labels[j](x0)) - half_w
+
+
+def _cone_parts(P: LabelledPolytope, x0: Point, v: Polynomial, w: Polynomial):
+    """The parts every g_j shares: g_j = A / L_j(x0) - w/2 with
+    A = (dim + 1) v + d_x v . (x - x0)."""
+    return v * (P.dim + 1) + radial_derivative(v, x0), w * Fraction(1, 2)
 
 
 def default_base_point(P: LabelledPolytope) -> Point:
@@ -190,9 +196,10 @@ def check_general(
     if verify_futaki:
         assert_futaki_vanishes(P, v, w)
     decomp = cone_decomposition(P, x0)
+    A, half_w = _cone_parts(P, x0, v, w)
     outcomes: list[ConeOutcome] = []
     for j, cells in enumerate(decomp.cones):
-        g = condition_poly_general(P, x0, j, v, w)
+        g = A * (Fraction(1) / P.labels[j](x0)) - half_w
         affine = g.degree() <= 1
         for ci, cell in enumerate(cells):
             if affine:

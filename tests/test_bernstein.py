@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -14,7 +15,12 @@ from wkstab import (
     bernstein_coefficients,
     certify_nonnegative,
 )
-from wkstab.bernstein import barycentric_subdivision
+from wkstab.bernstein import (
+    PositivityOutcome,
+    _child_numerators,
+    _numerators,
+    barycentric_subdivision,
+)
 from wkstab.polytope import Simplex
 from _reference_fraction import bernstein_coefficients_fraction
 
@@ -230,3 +236,181 @@ def test_coefficients_leave_no_garbage_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ------------------------------- integer numerators vs the Fraction certifier
+
+
+def _reference_children(simplex):
+    # barycentric subdivision with checked Simplex children, chains summed
+    # in permutation order
+    verts = simplex.vertices
+    children = []
+    for perm in itertools.permutations(range(len(verts))):
+        chain, acc = [], None
+        for i, idx in enumerate(perm):
+            acc = verts[idx] if acc is None else tuple(a + b for a, b in zip(acc, verts[idx]))
+            chain.append(tuple(F(1, i + 1) * a for a in acc))
+        children.append(Simplex(tuple(chain)))
+    return children
+
+
+def _certify_reference(p, simplex, max_depth):
+    # the certifier evaluated p at the vertices and the barycenter, then read
+    # the Fraction coefficients of every node, and recursed on checked children
+    for vtx in (*simplex.vertices, simplex.barycenter()):
+        val = p(vtx)
+        if val < 0:
+            return PositivityOutcome(REFUTED, None, (vtx, val), 0)
+    low = min(bernstein_coefficients_fraction(p, simplex).values())
+    if low >= 0:
+        return PositivityOutcome(CERTIFIED, low, None, 0)
+    if max_depth == 0:
+        return PositivityOutcome(INCONCLUSIVE, None, None, 0)
+    bound, deepest, undecided = None, 0, False
+    for child in _reference_children(simplex):
+        sub = _certify_reference(p, child, max_depth - 1)
+        deepest = max(deepest, sub.depth_used + 1)
+        if sub.status == REFUTED:
+            return PositivityOutcome(REFUTED, None, sub.witness, deepest)
+        if sub.status == INCONCLUSIVE:
+            undecided = True
+        elif not undecided:
+            bound = sub.lower_bound if bound is None else min(bound, sub.lower_bound)
+    if undecided:
+        return PositivityOutcome(INCONCLUSIVE, None, None, deepest)
+    return PositivityOutcome(CERTIFIED, bound, None, deepest)
+
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=5)
+
+
+@st.composite
+def certify_case(draw):
+    # a segment, a rational triangle or a tetrahedron (k = n), a polynomial
+    # of degree <= 5, and a depth <= 3 (<= 2 on tetrahedra).  Besides dense
+    # polynomials, p = (q^2 + e) u^j, where q is a product of affine forms
+    # vanishing at rational interior points, e is a small offset and u is
+    # positive on the cell: these vanish or dip just below 0 inside the cell
+    # (e is a power-of-2 fraction of a vertex value of q^2) and so need
+    # subdivision.
+    k = draw(st.integers(1, 3))
+    verts = tuple(draw(st.tuples(*[small] * k)) for _ in range(k + 1))
+    try:
+        simplex = Simplex(verts)
+    except ValueError:
+        assume(False)
+    if draw(st.booleans()):
+        d = draw(st.integers(0, 5))
+        monomials = st.tuples(*[st.integers(0, d)] * k).filter(lambda e: sum(e) <= d)
+        p = Polynomial(k, draw(st.dictionaries(monomials, small, min_size=1, max_size=6)))
+        return p, simplex, draw(_depths(k, p))
+    xs = [Polynomial.variable(k, i) for i in range(k)]
+    q = Polynomial.constant(k, 1)
+    for _ in range(draw(st.integers(1, 2))):
+        weights = draw(st.lists(st.integers(1, 3), min_size=k + 1, max_size=k + 1))
+        center = [sum(w * v[i] for w, v in zip(weights, verts)) / sum(weights) for i in range(k)]
+        grad = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k).filter(any))
+        q = q * sum((g * (x - c) for g, x, c in zip(grad, xs, center)), Polynomial.zero(k))
+    scale = draw(st.sampled_from([q(v) ** 2 for v in verts]))
+    e = draw(st.sampled_from([-1, 0, 1])) * scale / 2 ** draw(st.integers(1, 8))
+    u = Polynomial.constant(k, 4) + sum((draw(small) / 2 * x for x in xs), Polynomial.zero(k))
+    p = (q * q + e) * u ** draw(st.integers(0, 5 - q.degree() * 2))
+    return p, simplex, draw(_depths(k, p))
+
+
+def _depths(k, p):
+    # the Fraction reference takes seconds per tetrahedron at depth 2 above
+    # degree 3; test_certify_matches_fraction_reference_below_the_root has
+    # one of degree 4
+    return st.integers(0, 3 if k < 3 else 2 if p.degree() <= 3 else 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(certify_case())
+def test_certify_matches_fraction_reference(case):
+    p, simplex, depth = case
+    assert certify_nonnegative(p, simplex, depth) == _certify_reference(p, simplex, depth)
+
+
+TET = Simplex(((F(0),) * 3, (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))))
+
+
+def _dip(center, eps, extra):
+    # a positive definite quadratic with its minimum eps at an interior
+    # point, times (2 + x_0)^extra
+    n = len(center)
+    xs = [Polynomial.variable(n, i) - c for i, c in enumerate(center)]
+    q = Polynomial.constant(n, eps)
+    for i, x in enumerate(xs):
+        q = q + x * x - (x * xs[i - 1] if i else 0)
+    return q * (Polynomial.constant(n, 2) + Polynomial.variable(n, 0)) ** extra
+
+
+@pytest.mark.parametrize(
+    "simplex, center, eps, extra, want",
+    [
+        (SEG, (F(1, 3),), F(1, 30), 0, (CERTIFIED, 3)),
+        (SEG, (F(1, 3),), F(-1, 100), 0, (REFUTED, 2)),
+        (SEG, (F(1, 3),), F(1, 1000), 0, (INCONCLUSIVE, 3)),
+        (TRI, (F(1, 3), F(1, 5)), F(1, 100), 1, (CERTIFIED, 3)),
+        (TRI, (F(1, 3), F(1, 5)), F(-1, 1000), 2, (REFUTED, 3)),
+        (TRI, (F(1, 3), F(1, 5)), F(1, 1000), 0, (INCONCLUSIVE, 3)),
+        (TRI, (F(1, 3), F(1, 3)), F(-1, 100), 1, (REFUTED, 0)),  # at the barycenter
+        (TET, (F(1, 5), F(1, 7), F(1, 3)), F(1, 30), 2, (CERTIFIED, 2)),
+        (TET, (F(1, 5), F(1, 7), F(1, 3)), F(-1, 1000), 1, (REFUTED, 2)),
+        (TET, (F(1, 5), F(1, 7), F(1, 3)), F(1, 100), 0, (INCONCLUSIVE, 2)),
+    ],
+)
+def test_certify_matches_fraction_reference_below_the_root(simplex, center, eps, extra, want):
+    # every outcome, decided below the root, on each kind of simplex, and a
+    # refutation at the root's barycenter
+    p = _dip(center, eps, extra)
+    depth = want[1]
+    out = certify_nonnegative(p, simplex, depth)
+    assert (out.status, out.depth_used) == want
+    assert out == _certify_reference(p, simplex, depth)
+
+
+def _check_children(p, simplex, levels):
+    B, S = _numerators(p, simplex)
+    d = max(p.degree(), 0)
+    parts = simplex.k + 1
+    S_child = S * math.factorial(parts) ** d
+    children = barycentric_subdivision(simplex)
+    assert children == _reference_children(simplex)
+    staged = list(_child_numerators(B, d, parts))
+    assert len(staged) == len(children)
+    for child, B_child in zip(children, staged):
+        got = bernstein_coefficients(p, child)
+        assert dict(zip(got, (F(b, S_child) for b in B_child))) == got
+        if levels > 1:
+            _check_children(p, child, levels - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(certify_case())
+def test_staged_child_numerators_are_the_child_coefficients(case):
+    p, simplex, _ = case
+    _check_children(p, simplex, 2 if simplex.k < 3 else 1)
+
+
+def test_root_is_the_only_power_tree_and_rank_check(monkeypatch):
+    from wkstab import bernstein, polytope
+
+    counts = {"powers": 0, "rank": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    x = Polynomial.variable(2, 0) - F(1, 3)
+    y = Polynomial.variable(2, 1) - F(1, 5)
+    p = x * x + y * y - x * y + F(1, 1000)  # needs subdivision to depth >= 2
+    monkeypatch.setattr(bernstein, "_barycentric_powers", counted("powers", bernstein._barycentric_powers))
+    monkeypatch.setattr(polytope, "affine_rank", counted("rank", polytope.affine_rank))
+    out = certify_nonnegative(p, TRI, max_depth=3)
+    assert out.depth_used >= 2
+    assert counts == {"powers": 1, "rank": 0}

@@ -95,6 +95,48 @@ def test_polynomial_ring_axioms(p, q, r):
     assert p + q == q + p
 
 
+def _product_reference(p, q):
+    # the product summed into a dict and validated by the public constructor
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, F(0)) + c1 * c2
+    return Polynomial(p.dim, terms)
+
+
+def _sum_reference(p, q):
+    terms = dict(p.terms)
+    for e, c in q.terms.items():
+        terms[e] = terms.get(e, F(0)) + c
+    return Polynomial(p.dim, terms)
+
+
+@given(small_polys(2), small_polys(2), rationals)
+def test_arithmetic_keeps_the_validated_terms_and_order(p, q, k):
+    # cancellation included: p - p, p * 0 and products that cancel
+    for got, want in [
+        (p * q, _product_reference(p, q)),
+        (p + q, _sum_reference(p, q)),
+        (p - p, Polynomial.zero(2)),
+        (-p, Polynomial(2, {e: -c for e, c in p.terms.items()})),
+        (p * k, Polynomial(2, {e: k * c for e, c in p.terms.items()})),
+        ((p + q) * (p - q), _product_reference(_sum_reference(p, q), _sum_reference(p, -q))),
+    ]:
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(c and type(c) is F for c in got.terms.values())
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ValueError):
+        Polynomial(2, {(1,): 1})
+    with pytest.raises(ValueError):
+        Polynomial(2, {(1, -1): 1})
+    with pytest.raises(TypeError):
+        Polynomial(2, {(1, 0): 0.5})
+    assert Polynomial(2, {(1, 0): 0, (0, 1): "1/2"}).terms == {(0, 1): F(1, 2)}
+
+
 @given(small_polys(2, max_degree=2))
 def test_compose_affine_identity(p):
     assert p.compose_affine([[1, 0], [0, 1]], [0, 0]) == p

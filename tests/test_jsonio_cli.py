@@ -357,6 +357,23 @@ def test_cli_check_bernstein_band_golden(capsys):
     assert data["method"] == "BernsteinSubdivision" and data["margin"] is None
 
 
+def test_cli_check_tetrahedron_depth_two_golden(capsys):
+    # the only multi-level subdivision of 3-simplices in tier-1: pinned
+    # bytes of the whole report
+    src = json.dumps({
+        "fiber": {"standard_simplex": {"l": 3, "t": 1}},
+        "factors": [{"n": 3, "s": 48, "c": "15/8", "p": [0, 0, 1]}],
+    })
+    code, out, err = run(capsys, "check", src, "--max-depth", "2")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["method"] == "BernsteinSubdivision" and data["depth"] == 2
+    assert data["margin"] == "2324102146401/2015278826752"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ec8a4f5c200b930e439d023ba00057bd80c09eb819ea09a509abc409dd0afa04"
+    )
+
+
 THRESHOLD_TEMPLATE = str(
     Path(__file__).resolve().parents[1] / "demos" / "data" / "threshold_template.json"
 )

@@ -132,6 +132,25 @@ def test_monotone_point_cases():
     assert monotone_point(P) is None
 
 
+def test_monotone_point_is_solved_once_per_polytope(monkeypatch):
+    from wkstab import polytope
+
+    P = triangle(F(2))
+    Q = from_halfspaces(
+        [AffineFunc([2, 0], 2), AffineFunc([-1, 0], 1), AffineFunc([0, 1], 1), AffineFunc([0, -1], 1)]
+    )
+    calls = []
+    solve = polytope.solve_general
+    monkeypatch.setattr(polytope, "solve_general", lambda A, b: calls.append(1) or solve(A, b))
+    for _ in range(3):
+        assert monotone_point(P) == ((F(0), F(0)), F(2))
+        assert monotone_point(Q) is None  # a None answer is kept too
+    assert len(calls) == 2
+    R = pickle.loads(pickle.dumps(P))  # a derived value: not pickled
+    assert R == P and monotone_point(R) == monotone_point(P)
+    assert len(calls) == 3
+
+
 def test_triangulate_simplices_cover_volume():
     for P in (triangle(), square(), hexagon()):
         cells = triangulate(P)
