@@ -34,8 +34,9 @@ c^(s-1)_(beta + e_i), and the new numerator of gamma is
 child of the permutation pi has vertices C_j = mean(V_pi(0), ..., V_pi(j)).
 It is reached by replacing V_pi(k) by the barycenter, then V_pi(k-1) by the
 mean of V_pi(0..k-1), and so on down to V_pi(1); the stages a suffix of pi
-determines are computed once per parent.  So every child is over
-S ((k+1)!)^d, and neither p nor the child's vertices enter.
+determines are computed once per parent.  One walk over these stages yields
+each child: a stage replaces V_r by the mean in the vertices and in the
+numerators alike.  So every child is over S ((k+1)!)^d, and p never enters.
 """
 
 from __future__ import annotations
@@ -144,45 +145,29 @@ def _replace(B: list[int], steps, out) -> list[int]:
     return [pyramid[t][i] * scale for t, i, scale in out]
 
 
-def _child_numerators(B: list[int], d: int, parts: int):
-    """The numerators of the barycentric children, in ``barycentric_subdivision``
-    order, over S ((k+1)!)^d when B is over S.  The memo of suffix stages
-    lives as long as this generator."""
+def _children(simplex: Simplex, B: list[int], d: int):
+    """The barycentric children (C_j = mean(V_pi(0..j)) for each pi, in
+    ``itertools.permutations`` order) with their numerators over
+    S ((k+1)!)^d when B is over S.  A stage replaces vertex r by the mean of
+    ``members`` in the vertices and the numerators alike; the memo of suffix
+    stages lives as long as this generator.  The children of a
+    nondegenerate simplex are nondegenerate, so they skip the rank check."""
+    parts = len(simplex.vertices)
     identity = tuple(range(parts))
-    memo: dict[tuple, list[int]] = {}
+    memo: dict[tuple, tuple] = {}
     for perm in itertools.permutations(identity):
-        staged = B
+        staged = simplex.vertices, B
         for m in range(parts - 1, 0, -1):
             key = perm[m:]
             if key not in memo:
+                (verts, N), r = staged, perm[m]
                 members = tuple(sorted(perm[: m + 1]))
                 order = perm if m == 1 else identity
-                memo[key] = _replace(staged, *_stage(d, parts, perm[m], members, order))
+                mean = vscale(Fraction(1, m + 1), functools.reduce(vadd, [verts[i] for i in members]))
+                memo[key] = (tuple(mean if i == r else verts[i] for i in order),
+                             _replace(N, *_stage(d, parts, r, members, order)))
             staged = memo[key]
-        yield staged
-
-
-def barycentric_subdivision(simplex: Simplex) -> list[Simplex]:
-    """The (k+1)! subsimplices spanned by barycenters of nested vertex chains.
-
-    The children come in ``itertools.permutations`` order: vertex j of the
-    child of pi is the barycenter of V_pi(0), ..., V_pi(j).  Each face's
-    barycenter is computed once, and the children of a nondegenerate simplex
-    are nondegenerate, so they skip Simplex's rank check.
-    """
-    verts = simplex.vertices
-    faces: dict[int, tuple] = {}
-    children = []
-    for perm in itertools.permutations(range(len(verts))):
-        chain, mask = [], 0
-        for idx in perm:
-            mask |= 1 << idx
-            if mask not in faces:
-                face = [v for i, v in enumerate(verts) if mask >> i & 1]
-                faces[mask] = vscale(Fraction(1, len(face)), functools.reduce(vadd, face))
-            chain.append(faces[mask])
-        children.append(Simplex._spanned(tuple(chain)))
-    return children
+        yield Simplex._spanned(staged[0]), staged[1]
 
 
 @dataclass(frozen=True)
@@ -228,8 +213,7 @@ def _certify(B: list[int], S: int, simplex: Simplex, d: int, max_depth: int) -> 
     bound: Fraction | None = None
     deepest = 0
     undecided = False
-    children = zip(barycentric_subdivision(simplex), _child_numerators(B, d, parts))
-    for child, B_child in children:
+    for child, B_child in _children(simplex, B, d):
         sub = _certify(B_child, S_child, child, d, max_depth - 1)
         deepest = max(deepest, sub.depth_used + 1)
         if sub.status == REFUTED:

@@ -107,7 +107,16 @@ def _load_input(source: str):
     path = Path(source)
     if not path.exists():
         raise InputError("<input>", f"no such file: {source}")
-    return jsonio.loads(path.read_text())
+    return jsonio.loads(_file_io("<input>", source, path.read_text))
+
+
+def _file_io(where: str, path: str, action):
+    """action(), with a file it cannot read or write reported as an
+    InputError at *where* that names the path."""
+    try:
+        return action()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(where, f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _convention(args) -> Convention:
@@ -117,7 +126,7 @@ def _convention(args) -> Convention:
 def _emit(args, data: dict, text_lines: list[str]) -> None:
     out = jsonio.dumps(data) if args.format == "json" else "\n".join(text_lines) + "\n"
     if args.out:
-        Path(args.out).write_text(out)
+        _file_io("--out", args.out, lambda: Path(args.out).write_text(out))
     else:
         sys.stdout.write(out)
 
@@ -290,7 +299,7 @@ def _write_condition_csv(path: str, fib, samples: int) -> None:
     """Plot-ready table: condition value along each segment x0 -> vertex."""
     sol = extremal_affine(fib)
     x0 = fib.fano_fiber[0]
-    with open(path, "w", newline="") as fh:
+    with _file_io("--csv", path, lambda: open(path, "w", newline="")) as fh:
         writer = csv.writer(fh)
         coords = [f"x{i+1}" for i in range(fib.dim)]
         writer.writerow(["segment_vertex", "step"] + coords + ["condition_value"])
@@ -502,7 +511,7 @@ def _cmd_sweep(args) -> int:
 
 def _write_sweep_csv(path: str, rows: list[dict]) -> None:
     names = sorted({k for r in rows for k in r["bindings"]})
-    with open(path, "w", newline="") as fh:
+    with _file_io("--csv", path, lambda: open(path, "w", newline="")) as fh:
         writer = csv.writer(fh)
         writer.writerow(names + ["verdict", "margin", "error"])
         for r in rows:

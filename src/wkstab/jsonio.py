@@ -9,9 +9,10 @@ Fibers are interned: polytope_from_json returns one shared LabelledPolytope
 per distinct exact label tuple (the standard_simplex shorthand is keyed by
 its labels too), kept in a bounded LRU of _INTERNED_FIBERS entries.  So every
 command, sweep row and threshold template that names a fiber already parsed
-in this process reuses its vertices, its moment table and its monotone point
-instead of building them again.  Sharing is safe: the polytope is immutable,
-and its mutable slots, ``moments`` and ``moment_scale``, written only by
+in this process reuses its vertices, its facet cells, its moment table and
+its monotone point instead of building them again.  Sharing is safe: the
+polytope is immutable, and its derived slots, ``facet_cells``, written only
+by polytope._facet_cells, ``moments`` and ``moment_scale``, written only by
 measure._fill, and ``monotone``, written only by polytope.monotone_point,
 hold exact values fixed by the labels.  Exceptions are not cached, so bad
 input raises on every parse; a label set that cuts out no polytope raises an
@@ -369,12 +370,3 @@ def probe_to_json(report: ProbeReport, v: Polynomial, w: Polynomial) -> dict:
         out["argmin"]["l1_norm"] = rational_to_json(report.argmin.l1_norm())
     return out
 
-
-def polynomial_to_json(p: Polynomial) -> dict:
-    return {
-        "dim": p.dim,
-        "terms": [
-            {"exponents": list(expo), "coefficient": rational_to_json(coeff)}
-            for expo, coeff in p.terms_sorted()
-        ],
-    }

@@ -26,12 +26,13 @@ fill never rescales an old entry.  Delta_d = (l + d) Delta'_d, and Delta_d
 divides Delta_{d+1} = (l + d + 1) D_P Delta_d, so any set of moments shares
 the interior denominator of its largest degree.
 
-_fill writes both tables in one pass over the facet cells.  On an
-(l-1)-simplex cell of facet j with jac = |det[w_i - w_0, xi]| and coordinate
-denominators cleared by D (a divisor of D_P), every missing D^d x^a is an
-integer form in the barycentric coordinates, read off one power tree per cell
-(exact._barycentric_powers, which bernstein shares), and N_cell = sum_b
-coeff_b * b! gives (Dirichlet)
+_fill writes both tables in one pass over the facet cells, which the
+polytope owns: polytope._facet_cells triangulates each facet once per
+polytope and keeps each cell's jac = |det[w_i - w_0, xi]|.  On an
+(l-1)-simplex cell of facet j with coordinate denominators cleared by D (a
+divisor of D_P), every missing D^d x^a is an integer form in the barycentric
+coordinates, read off one power tree per cell (exact._barycentric_powers,
+which bernstein shares), and N_cell = sum_b coeff_b * b! gives (Dirichlet)
 
     int_cell x^a dsigma = jac * N_cell / ((l - 1 + d)! * D^d),
     L_j(0) * jac * N_cell / ((l + d)! * D^d),
@@ -48,8 +49,8 @@ moment brought over the interior denominator Delta_top of one top degree;
 futaki's moment system and probe's crease rows are such rows.  _pair(f, g) =
 sum_a sum_b f_a g_b m(a + b) = int f g clears f and g to integers once, reads
 one row and makes one Fraction.  A read that misses asks _fill for every
-monomial it needs at once, so one read triangulates each facet of P at most
-once, and a warm read builds no exponent list.
+monomial it needs at once, so one read makes one pass over the facet cells,
+and a warm read builds no exponent list.
 
 integrate_simplex and integrate_facet_cell pull whole polynomials back
 through compose_affine instead; they stay as the independent path behind
@@ -66,7 +67,7 @@ from .exact import Point, Polynomial, _barycentric_powers, _cleared, det, vsub
 from .polytope import (
     LabelledPolytope,
     Simplex,
-    _cell_jacobian,
+    _facet_cells,
     _transversal,
     triangulate_facet,
 )
@@ -220,12 +221,8 @@ def _fill(P: LabelledPolytope, expos) -> dict:
     missing = [expo for expo in dict.fromkeys(expos) if (expo, False) not in table]
     if not missing and P.moment_scale is not None:
         return table
-    cells = []
-    for j, L in enumerate(P.labels):
-        xi = _transversal(P, j)
-        for cell in triangulate_facet(P, j):
-            jac = _cell_jacobian(cell, xi)
-            cells.append((cell, jac, L.constant * jac))
+    cells = [(cell, jac, L.constant * jac)
+             for L, facet in zip(P.labels, _facet_cells(P)) for cell, jac in facet]
     if P.moment_scale is None:
         D_P = math.lcm(*(x.denominator for vtx in P.vertices for x in vtx))
         J = math.lcm(*(x.denominator for _, jac, cjac in cells for x in (jac, cjac)))

@@ -8,10 +8,11 @@ re-normalized here.
 
 from_halfspaces enumerates the vertices first and then proves the set
 bounded by Minkowski's relation  sum_j sigma_j dL_j = 0  over the labelled
-facet measures sigma_j > 0, which costs one facet triangulation.  The
-recession-ray search (one vertex enumeration of the recession cone cut by a
-box) runs only when that proof cannot be made, to name the ray of an
-unbounded input.
+facet measures sigma_j > 0, read off the polytope's facet cells: each facet
+is triangulated once in the polytope's life, and measure's moment fill and
+every cone decomposition read the same cells.  The recession-ray search (one
+vertex enumeration of the recession cone cut by a box) runs only when that
+proof cannot be made, to name the ray of an unbounded input.
 
 clip never enumerates vertices: a piece P intersect {h >= 0} comes from one
 double-description step on P's vertices and facet incidence (edges found by
@@ -112,14 +113,16 @@ _UNSOLVED = object()  # LabelledPolytope.monotone before monotone_point fills it
 
 class LabelledPolytope:
     """Immutable labelled polytope; construct via :func:`from_halfspaces`.
-    Three slots hold values derived from the labels, filled on first use:
+    Four slots hold values derived from the labels, filled on first use:
+    ``facet_cells``, each facet's labelled cells (see :func:`_facet_cells`),
     ``moments``, a cache of integer moment numerators, ``moment_scale``, the
     (D_P, J) that fixes their denominators (see measure), and ``monotone``,
     the answer of :func:`monotone_point`.  None of them is part of equality,
     hashing or pickling."""
 
     __slots__ = (
-        "dim", "labels", "vertices", "facet_incidence", "moments", "moment_scale", "monotone",
+        "dim", "labels", "vertices", "facet_incidence",
+        "facet_cells", "moments", "moment_scale", "monotone",
     )
 
     def __init__(self, dim, labels, vertices, facet_incidence):
@@ -127,6 +130,7 @@ class LabelledPolytope:
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "facet_incidence", tuple(tuple(f) for f in facet_incidence))
+        object.__setattr__(self, "facet_cells", None)
         object.__setattr__(self, "moments", {})
         object.__setattr__(self, "moment_scale", None)
         object.__setattr__(self, "monotone", _UNSOLVED)
@@ -314,10 +318,22 @@ def _cell_jacobian(verts: tuple[Point, ...], xi: Point) -> Fraction:
     return abs(det([[c[r] for c in cols] for r in range(len(cols))]))
 
 
+def _facet_cells(P: LabelledPolytope) -> tuple:
+    """Per facet j, its cells (w_0..w_{dim-1}, jac) with jac = |det[w_i - w_0,
+    xi_j]|, the cell's labelled measure times (dim-1)!; computed once per
+    polytope and kept in P.facet_cells."""
+    if P.facet_cells is None:
+        xis = [_transversal(P, j) for j in range(P.n_facets)]
+        object.__setattr__(P, "facet_cells", tuple(
+            tuple((cell, _cell_jacobian(cell, xi)) for cell in triangulate_facet(P, j))
+            for j, xi in enumerate(xis)
+        ))
+    return P.facet_cells
+
+
 def _facet_measure(P: LabelledPolytope, j: int) -> Fraction:
     """The labelled measure of facet j times (dim-1)!."""
-    xi = _transversal(P, j)
-    return sum((_cell_jacobian(cell, xi) for cell in triangulate_facet(P, j)), Fraction(0))
+    return sum((jac for _, jac in _facet_cells(P)[j]), Fraction(0))
 
 
 def _minkowski_relation_holds(P: LabelledPolytope) -> bool:
@@ -432,14 +448,15 @@ class ConeDecomposition:
 
 
 def cone_decomposition(P: LabelledPolytope, x0) -> ConeDecomposition:
+    """Each cone cell is a facet cell of P plus x0, which spans without a rank
+    check: a strictly interior x0 lies off every facet hyperplane."""
     x0 = point(x0)
     if not P.is_interior(x0):
         raise NotInterior(x0)
-    cones = []
-    for j in range(P.n_facets):
-        cells = tuple(Simplex(base + (x0,)) for base in triangulate_facet(P, j))
-        cones.append(cells)
-    return ConeDecomposition(x0=x0, cones=tuple(cones))
+    cones = tuple(
+        tuple(Simplex._spanned(base + (x0,)) for base, _ in cells) for cells in _facet_cells(P)
+    )
+    return ConeDecomposition(x0=x0, cones=cones)
 
 
 def clip(P: LabelledPolytope, h: AffineFunc) -> LabelledPolytope:

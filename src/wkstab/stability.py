@@ -250,14 +250,19 @@ def check_fibration(
     """Solve for l_ext, form w = l_ext v - w_base, and run check_general with
     the factor-derived concavity certificates."""
     sol = extremal_affine(fib)
-    w = stability_weight(fib, sol.l_ext)
     if x0 is None:
         x0 = default_base_point(fib.fiber)
+    return _check_cones(fib, sol.l_ext, x0, max_depth)
+
+
+def _check_cones(fib: Fibration, l_ext: AffineFunc, x0, max_depth: int) -> StabilityReport:
+    """check_general with w = l_ext v - w_base for an already solved l_ext,
+    and the factor-derived concavity certificates."""
     return check_general(
         fib.fiber,
         x0,
         fib.v,
-        w,
+        stability_weight(fib, l_ext),
         convention=fib.convention,
         max_depth=max_depth,
         concave_cones=concave_cone_indices(fib, x0),
@@ -304,17 +309,7 @@ def check_fano_fiber(fib: Fibration, max_depth: int = 6) -> StabilityReport:
     x0, _t = fib.fano_fiber
     sol = extremal_affine(fib)
     if not _fano_hypothesis_holds(fib):
-        w = stability_weight(fib, sol.l_ext)
-        report = check_general(
-            fib.fiber,
-            x0,
-            fib.v,
-            w,
-            convention=fib.convention,
-            max_depth=max_depth,
-            concave_cones=concave_cone_indices(fib, x0),
-            verify_futaki=fib.convention is Convention.CANONICAL,
-        )
+        report = _check_cones(fib, sol.l_ext, x0, max_depth)
         return StabilityReport(
             report.verdict, report.method, report.depth, report.convention,
             report.x0, report.witness, report.margin, report.per_cone,

@@ -15,12 +15,7 @@ from wkstab import (
     bernstein_coefficients,
     certify_nonnegative,
 )
-from wkstab.bernstein import (
-    PositivityOutcome,
-    _child_numerators,
-    _numerators,
-    barycentric_subdivision,
-)
+from wkstab.bernstein import PositivityOutcome, _children, _numerators
 from wkstab.polytope import Simplex
 from _reference_fraction import bernstein_coefficients_fraction
 
@@ -61,7 +56,8 @@ def test_corner_coefficients_equal_vertex_values():
 
 
 def test_subdivision_count_and_volume():
-    children = barycentric_subdivision(TRI)
+    p = Polynomial.variable(2, 0) ** 2
+    children = [child for child, _ in _children(TRI, _numerators(p, TRI)[0], 2)]
     assert len(children) == math.factorial(3)
     # children tile the parent: their areas sum to the parent's
     def area(s):
@@ -377,11 +373,9 @@ def _check_children(p, simplex, levels):
     d = max(p.degree(), 0)
     parts = simplex.k + 1
     S_child = S * math.factorial(parts) ** d
-    children = barycentric_subdivision(simplex)
-    assert children == _reference_children(simplex)
-    staged = list(_child_numerators(B, d, parts))
-    assert len(staged) == len(children)
-    for child, B_child in zip(children, staged):
+    children = list(_children(simplex, B, d))
+    assert [child for child, _ in children] == _reference_children(simplex)
+    for child, B_child in children:
         got = bernstein_coefficients(p, child)
         assert dict(zip(got, (F(b, S_child) for b in B_child))) == got
         if levels > 1:

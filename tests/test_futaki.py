@@ -201,10 +201,15 @@ def test_cold_solve_fills_each_moment_table_once(monkeypatch, make):
         return wrapper
 
     monkeypatch.setattr(polytope, "triangulate", counting(polytope.triangulate))
-    monkeypatch.setattr(measure, "triangulate_facet", counting(measure.triangulate_facet))
+    counted = counting(polytope.triangulate_facet)
+    monkeypatch.setattr(polytope, "triangulate_facet", counted)
+    monkeypatch.setattr(measure, "triangulate_facet", counted)
+    monkeypatch.setattr(measure, "_cell_moments", counting(measure._cell_moments))
     solve_extremal(P, v, w_base)
-    # one pass over every facet fills both tables; P itself is never triangulated
-    assert calls == ["triangulate_facet"] * P.n_facets
+    # from_halfspaces already triangulated each facet, once in P's life; one
+    # pass over those cells fills both tables, and P itself is never
+    # triangulated
+    assert calls == ["_cell_moments"] * sum(map(len, P.facet_cells))
     calls.clear()
     solve_extremal(P, v, w_base)
     assert calls == []

@@ -23,6 +23,7 @@ from wkstab import (
     standard_fiber_polytope,
 )
 from wkstab.jsonio import InputError
+from wkstab.polytope import Simplex, cone_decomposition, triangulate_facet
 from _frozen import (
     FANO_TOTAL_SUP,
     RANK_ONE_LEXT_CONST,
@@ -476,18 +477,22 @@ def test_cli_threshold_rejects_bad_tol_and_degree_cap(capsys):
         assert message in capsys.readouterr().err
 
 
-def test_python_dash_m_wkstab_runs_the_cli(tmp_path):
+def _python_m_wkstab(cwd, *argv):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "wkstab", "info", RANK_ONE],
+    return subprocess.run(
+        [sys.executable, "-m", "wkstab", *argv],
         capture_output=True,
         text=True,
         env=env,
-        cwd=tmp_path,
+        cwd=cwd,
         timeout=120,
     )
+
+
+def test_python_dash_m_wkstab_runs_the_cli(tmp_path):
+    proc = _python_m_wkstab(tmp_path, "info", RANK_ONE)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["convention"] == "canonical"
 
@@ -547,6 +552,31 @@ def _count_calls(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
+def _bad_file_cases(tmp_path):
+    (tmp_path / "latin1.json").write_bytes(b'{"fiber": "\xe9"}')
+    sweep = json.dumps({"template": json.loads(TRI_TEMPLATE.replace('"var"', '"$c"')),
+                        "rows": [{"c": 5}]})
+    missing = str(tmp_path / "missing" / "out")
+    return {
+        "directory": ("<input>", ["info", str(tmp_path)]),
+        "not-utf8": ("<input>", ["info", str(tmp_path / "latin1.json")]),
+        "out": ("--out", ["lext", RANK_ONE, "--out", missing]),
+        "check-fano-csv": ("--csv", ["check-fano", RANK_ONE, "--csv", missing]),
+        "sweep-csv": ("--csv", ["sweep", sweep, "--csv", missing]),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["directory", "not-utf8", "out", "check-fano-csv", "sweep-csv"]
+)
+def test_unreadable_or_unwritable_files_exit_one(tmp_path, case):
+    where, argv = _bad_file_cases(tmp_path)[case]
+    proc = _python_m_wkstab(tmp_path, *argv)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {where}: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_equal_labels_share_one_polytope():
     P = jsonio.polytope_from_json(_triangle_with_constant("1/2"))
     assert jsonio.polytope_from_json(_triangle_with_constant("2/4")) is P
@@ -601,6 +631,26 @@ def test_repeat_check_fano_reuses_the_fiber(capsys, monkeypatch):
     jsonio._interned.cache_clear()
     assert run(capsys, "check-fano", src) == first
     assert counts["from_halfspaces"] == 1 and counts["_cell_moments"] > 0
+
+
+def test_repeat_check_reuses_the_facet_cells(capsys, monkeypatch):
+    # a second general-route check on an interned fiber neither triangulates
+    # nor rank-checks: its cone cells are the fiber's facet cells with x0
+    jsonio._interned.cache_clear()
+    first = run(capsys, "check", BERNSTEIN_BAND, "--max-depth", "3")
+    assert first[0] == 0 and '"BernsteinSubdivision"' in first[1]
+    counts = {}
+    for name in ("triangulate", "triangulate_facet", "affine_rank"):
+        _count_calls(monkeypatch, polytope, name, counts)
+    assert run(capsys, "check", BERNSTEIN_BAND, "--max-depth", "3") == first
+    assert counts == {}
+    monkeypatch.undo()
+    P = jsonio.polytope_from_json(json.loads(Path(BERNSTEIN_BAND).read_text())["fiber"])
+    x0 = tuple(F(c) for c in json.loads(first[1])["x0"])
+    assert cone_decomposition(P, x0).cones == tuple(
+        tuple(Simplex(base + (x0,)) for base in triangulate_facet(P, j))
+        for j in range(P.n_facets)
+    )
 
 
 def test_sweep_builds_its_fiber_once(capsys, monkeypatch):

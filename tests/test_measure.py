@@ -157,14 +157,6 @@ def test_moments_fill_once_per_polytope(monkeypatch):
     import wkstab.measure as measure
     import wkstab.polytope as polytope
 
-    P = hexagon()
-    x = Polynomial.variable(2, 0)
-    y = Polynomial.variable(2, 1)
-    p = (x + 2 * y) ** 3 + x * y - 7
-    first = (integrate(p, P), integrate_boundary(p, P))
-    filled = dict(P.moments)
-    assert set(filled) == {(e, b) for e in p.terms for b in (False, True)}
-
     calls = []
 
     def counting(fn):
@@ -175,15 +167,41 @@ def test_moments_fill_once_per_polytope(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(polytope, "triangulate", counting(polytope.triangulate))
-    monkeypatch.setattr(measure, "triangulate_facet", counting(measure.triangulate_facet))
+    counted = counting(polytope.triangulate_facet)
+    monkeypatch.setattr(polytope, "triangulate_facet", counted)
+    monkeypatch.setattr(measure, "triangulate_facet", counted)
+    monkeypatch.setattr(measure, "_cell_moments", counting(measure._cell_moments))
+    # each facet is triangulated at most once in a polytope's life:
+    # from_halfspaces does it for Minkowski's relation, and the fill reads
+    # the same cells
+    P = hexagon()
+    assert calls == ["triangulate_facet"] * P.n_facets
+    calls.clear()
+    x = Polynomial.variable(2, 0)
+    y = Polynomial.variable(2, 1)
+    p = (x + 2 * y) ** 3 + x * y - 7
+    first = (integrate(p, P), integrate_boundary(p, P))
+    filled = dict(P.moments)
+    assert set(filled) == {(e, b) for e in p.terms for b in (False, True)}
+    n_cells = sum(map(len, P.facet_cells))
+    assert calls == ["_cell_moments"] * n_cells
+    calls.clear()
     assert (integrate(p, P), integrate_boundary(p, P)) == first
     assert P.moments == filled
     assert calls == []
-    # a new monomial costs one pass over the facets, however many it adds,
+    # a new monomial costs one pass over the cells, however many it adds,
     # and fills both tables
     integrate(x ** 5 + y ** 5, P)
-    assert calls == ["triangulate_facet"] * P.n_facets
+    assert calls == ["_cell_moments"] * n_cells
     assert ((5, 0), True) in P.moments and ((0, 5), True) in P.moments
+    # a clip piece skips the relation: its first fill triangulates each of
+    # its facets, once
+    calls.clear()
+    Q = clip(P, AffineFunc([1, 2], F(-1, 2)))
+    assert calls == []
+    integrate(p, Q)
+    integrate_boundary(x ** 5, Q)
+    assert [c for c in calls if c != "_cell_moments"] == ["triangulate_facet"] * Q.n_facets
 
 
 def test_moment_table_is_not_part_of_the_polytope_value():
