@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
 
-from .exact import Polynomial, _barycentric_powers, _cleared, vadd, vscale
+from .exact import Polynomial, _barycentric_powers, _centroid, _cleared
 from .polytope import Simplex
 
 CERTIFIED = "certified"
@@ -163,7 +163,7 @@ def _children(simplex: Simplex, B: list[int], d: int):
                 (verts, N), r = staged, perm[m]
                 members = tuple(sorted(perm[: m + 1]))
                 order = perm if m == 1 else identity
-                mean = vscale(Fraction(1, m + 1), functools.reduce(vadd, [verts[i] for i in members]))
+                mean = _centroid([verts[i] for i in members])
                 memo[key] = (tuple(mean if i == r else verts[i] for i in order),
                              _replace(N, *_stage(d, parts, r, members, order)))
             staged = memo[key]

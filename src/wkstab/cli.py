@@ -475,20 +475,14 @@ def _cmd_sweep(args) -> int:
             )
             lines.append(f"  {bstr}: {VERDICT_ERROR} ({exc})")
             continue
-        entry = {
+        out_rows.append({
             "bindings": bindings,
             "verdict": report.verdict,
             "margin": None
             if report.margin is None
             else jsonio.rational_to_json(report.margin),
-            "witness": None
-            if report.witness is None
-            else {
-                "point": jsonio.point_to_json(report.witness[0]),
-                "value": jsonio.rational_to_json(report.witness[1]),
-            },
-        }
-        out_rows.append(entry)
+            "witness": jsonio._witness_to_json(report.witness),
+        })
         lines.append(f"  {bstr}: {report.verdict}")
     data = {
         "command": run,
@@ -531,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(sp, x0=False):
+    def common(sp):
         sp.add_argument("input", help="JSON file path, '-' for stdin, or inline '{...}'")
         sp.add_argument(
             "--legacy-sign",
@@ -545,12 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         fmt.add_argument("--text", dest="format", action="store_const", const="text")
         sp.add_argument("--out", help="write the report to this file instead of stdout")
-        if x0:
-            sp.add_argument(
-                "--x0", type=_x0_arg, default=None,
-                help='interior base point, e.g. "0,1/2" (default: monotone '
-                "point, else vertex centroid)",
-            )
 
     sp = sub.add_parser("info", help="describe a polytope or fibration")
     common(sp)
@@ -565,9 +553,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_futaki)
 
     sp = sub.add_parser("check", help="per-cone sufficient condition")
-    common(sp, x0=True)
+    common(sp)
     sp.add_argument("--max-depth", type=int, default=6, help="Bernstein subdivision depth")
-    sp.add_argument(
+    base = sp.add_mutually_exclusive_group()
+    base.add_argument(
+        "--x0", type=_x0_arg, default=None,
+        help='interior base point, e.g. "0,1/2" (default: monotone '
+        "point, else vertex centroid)",
+    )
+    base.add_argument(
         "--x0-sweep", action="store_true",
         help="try the centroid and all cell barycenters as x0",
     )

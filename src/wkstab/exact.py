@@ -13,12 +13,15 @@ plus the small amount of exact linear algebra used by the rest of the library
 (row reduction, square solves, determinants, affine rank).  Elimination runs
 on integers: each row is scaled once by the lcm of its denominators, then
 reduced fraction-free (Bareiss, Math. Comp. 22 (1968)), where every division
-is exact, so no gcd is paid per entry operation.  Results are converted back
-to ``Fraction`` once, and equal those of elimination over ``Fraction``.
+is exact, so no gcd is paid per entry operation.  One loop, _eliminate, does
+it: ``det`` is its forward pass and ``rref`` its Gauss-Jordan pass.  Results
+are converted back to ``Fraction`` once, and equal those of elimination over
+``Fraction``.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -77,6 +80,11 @@ def vsub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Point:
 def vscale(k, u: Sequence[Fraction]) -> Point:
     k = rat(k)
     return tuple(k * a for a in u)
+
+
+def _centroid(points: Sequence[Point]) -> Point:
+    """The mean of a nonempty list of points."""
+    return vscale(Fraction(1, len(points)), functools.reduce(vadd, points))
 
 
 class AffineFunc:
@@ -455,28 +463,29 @@ def _integer_rows(M: Matrix) -> tuple[list[list[int]], int]:
     return rows, scale
 
 
-def rref(A: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (a copy) and the list of pivot columns.
+def _eliminate(M: list[list[int]], above: bool) -> tuple[int, list[int], int]:
+    """Fraction-free (Bareiss) elimination of the integer rows M, in place.
 
-    Fraction-free Gauss-Jordan on the integer-scaled rows: each update
-    ``(p*x - f*y) // prev`` divides exactly (every entry is a minor of the
-    scaled matrix), so every pivot row ends with the last pivot on its
-    diagonal and is divided by it once.
+    Each update ``(p*x - f*y) // prev`` divides exactly (every entry is a
+    minor of M).  Rows below the pivot are always reduced, the rows above
+    too when *above* (Gauss-Jordan).  Returns the last pivot, the pivot
+    columns and the sign of the row swaps.
     """
-    M, _ = _integer_rows(_as_matrix(A))
-    if not M:
-        return [], []
-    rows, cols = len(M), len(M[0])
+    rows, cols = len(M), len(M[0]) if M else 0
     pivots: list[int] = []
-    prev = 1
-    r = 0
+    prev = sign = 1
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         pivot = next((i for i in range(r, rows) if M[i][c]), None)
         if pivot is None:
             continue
-        M[r], M[pivot] = M[pivot], M[r]
+        if pivot != r:
+            M[r], M[pivot] = M[pivot], M[r]
+            sign = -sign
         p, pr = M[r][c], M[r]
-        for i in range(rows):
+        for i in range(0 if above else r + 1, rows):
             if i != r:
                 f = M[i][c]
                 if f:
@@ -485,35 +494,30 @@ def rref(A: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
                     M[i] = [p * x // prev for x in M[i]]
         prev = p
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    return prev, pivots, sign
+
+
+def rref(A: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form (a copy) and the list of pivot columns.
+
+    Gauss-Jordan by _eliminate on the integer-scaled rows: every pivot row
+    ends with the last pivot on its diagonal and is divided by it once.
+    """
+    M, _ = _integer_rows(_as_matrix(A))
+    prev, pivots, _ = _eliminate(M, above=True)
     zero = Fraction(0)
     return [[Fraction(x, prev) if x else zero for x in row] for row in M], pivots
 
 
 def det(A: Sequence[Sequence]) -> Fraction:
-    """Bareiss elimination on the integer-scaled rows, divided by the
-    product of the row scales."""
+    """The forward pass of _eliminate on the integer-scaled rows, divided by
+    the product of the row scales."""
     M, scale = _integer_rows(_as_matrix(A))
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    prev = 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if M[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            M[c], M[pivot] = M[pivot], M[c]
-            sign = -sign
-        p, pr = M[c][c], M[c]
-        for i in range(c + 1, n):
-            f = M[i][c]
-            M[i] = [(p * x - f * y) // prev for x, y in zip(M[i], pr)]
-        prev = p
-    return Fraction(sign * prev, scale)
+    prev, pivots, sign = _eliminate(M, above=False)
+    return Fraction(sign * prev, scale) if len(pivots) == n else Fraction(0)
 
 
 def solve_square(A: Sequence[Sequence], b: Sequence) -> Point | None:

@@ -192,6 +192,8 @@ def _factor_from_json(node, dim: int, path: str, allow_var: bool):
         preset = BASE_PRESETS[name]
     if "n" in node:
         n = _expect(node["n"], int, f"{path}.n", "an integer")
+        if n < 1:
+            raise InputError(f"{path}.n", f"need n >= 1, got {n}")
     elif preset is not None:
         n = preset.n
     else:

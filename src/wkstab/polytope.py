@@ -29,6 +29,7 @@ from fractions import Fraction
 from .exact import (
     AffineFunc,
     Point,
+    _centroid,
     affine_rank,
     det,
     format_point,
@@ -101,11 +102,7 @@ class Simplex:
         return len(self.vertices[0])
 
     def barycenter(self) -> Point:
-        n = len(self.vertices)
-        acc = self.vertices[0]
-        for v in self.vertices[1:]:
-            acc = vadd(acc, v)
-        return vscale(Fraction(1, n), acc)
+        return _centroid(self.vertices)
 
 
 _UNSOLVED = object()  # LabelledPolytope.monotone before monotone_point fills it
@@ -153,10 +150,7 @@ class LabelledPolytope:
 
     def vertex_centroid(self) -> Point:
         """Average of the vertices; always strictly interior (P is full-dim)."""
-        acc = self.vertices[0]
-        for v in self.vertices[1:]:
-            acc = vadd(acc, v)
-        return vscale(Fraction(1, len(self.vertices)), acc)
+        return _centroid(self.vertices)
 
     def facet_vertices(self, j: int) -> tuple[Point, ...]:
         return tuple(self.vertices[i] for i in self.facet_incidence[j])

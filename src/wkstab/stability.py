@@ -34,7 +34,7 @@ and on agreement with the direct pipeline at c_hi; no sampled fit enters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -310,11 +310,7 @@ def check_fano_fiber(fib: Fibration, max_depth: int = 6) -> StabilityReport:
     sol = extremal_affine(fib)
     if not _fano_hypothesis_holds(fib):
         report = _check_cones(fib, sol.l_ext, x0, max_depth)
-        return StabilityReport(
-            report.verdict, report.method, report.depth, report.convention,
-            report.x0, report.witness, report.margin, report.per_cone,
-            report.vertex_values, report.notes + (("route", "general-fallback"),),
-        )
+        return replace(report, notes=report.notes + (("route", "general-fallback"),))
     vals = tuple((vtx, condition_value_fano(fib, sol.l_ext, vtx)) for vtx in fib.fiber.vertices)
     worst = min(vals, key=lambda pair: pair[1])
     if worst[1] < 0:
@@ -406,11 +402,12 @@ def _exact_vertex_functions(make_fib, fib_lo: Fibration, c_lo: Fraction):
     are polynomials of degree <= N = sum of n_a over the factors with
     Delta_a != 0.  They are interpolated through the N + 1 systems at
     c_lo, ..., c_lo + N on fib_lo's fiber, and l_ext = (D_0 + sum_i x_i D_i) / D
-    with D = det M(c) and D_i the Cramer determinants, all by Bareiss
-    elimination over Q[c].  sound: M(c_lo) is positive definite and D has no
-    root in [c_lo, oo); since det M(c) never vanishes there, no eigenvalue of
-    the symmetric M(c) crosses 0, so M(c) is positive definite and Cramer's
-    lam(c) is the extremal solve for every c >= c_lo.
+    with D = det M(c) and D_i the Cramer determinants, all by univariate.det
+    (integer determinants at integer c, interpolated).  sound: M(c_lo) is
+    positive definite and D has no root in [c_lo, oo); since det M(c) never
+    vanishes there, no eigenvalue of the symmetric M(c) crosses 0, so M(c)
+    is positive definite and Cramer's lam(c) is the extremal solve for every
+    c >= c_lo.
     """
     fibs = [fib_lo, make_fib(c_lo + 1)]
     deltas = [g.c - f.c for f, g in zip(fib_lo.factors, fibs[1].factors)]

@@ -1,13 +1,16 @@
 """Dense univariate polynomials over the rationals: exact interpolation,
-fraction-free determinants over Q[x], and Sturm root isolation.
+determinants over Q[x], gcds and Sturm root isolation.
 
 Polynomials are coefficient lists (index = power, no trailing zeros, [] = 0).
-Sturm sequences are kept as primitive integer polynomials: each member is a
-positive multiple of the classical one, so every sign, and with it every
-root count, is unchanged, and a sign at x = n/d is read off the integer
-d^deg q(n/d) by Horner's rule.  Root isolation returns exact rational roots
-when bisection lands on one (deflating it out so Sturm counts stay valid)
-and width-bounded brackets otherwise.
+A determinant over Q[x] is interpolated from integer-node evaluations, each
+taken by ``exact.det``.  One remainder loop, _remainders, yields the primitive
+integer polynomial remainder sequence (PRS): its last member is the gcd, and
+the PRS of p and p' is the Sturm sequence of p.  Each member is a positive
+multiple of the classical one, so every sign, and with it every root count,
+is unchanged, and a sign at x = n/d is read off the integer d^deg q(n/d) by
+Horner's rule.  Root isolation returns exact rational roots when bisection
+lands on one (deflating it out so Sturm counts stay valid) and width-bounded
+brackets otherwise.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import exact
 from .exact import rat
 
 Poly1 = tuple
@@ -95,10 +99,9 @@ def monic(p: Poly1) -> Poly1:
 
 
 def gcd_monic(p: Poly1, q: Poly1) -> Poly1:
-    a, b = p, q
-    while b:
-        a, b = b, divmod_exact(a, b)[1]
-    return monic(a)
+    """The monic gcd of p and q (() when both are 0): the last member of
+    their remainder sequence, made monic."""
+    return monic((_remainders(p, q) or [()])[-1])
 
 
 def squarefree_part(p: Poly1) -> Poly1:
@@ -124,33 +127,18 @@ def interpolate(xs, ys) -> Poly1:
 
 
 def det(M) -> Poly1:
-    """Determinant of a square matrix over Q[x] by Bareiss elimination.
-
-    Each update (p a - f b) / prev divides exactly, since every entry it
-    produces is a minor of M; a nonzero remainder raises ArithmeticError.
-    """
-    A = [list(row) for row in M]
-    n = len(A)
-    if any(len(row) != n for row in A):
+    """Determinant of a square matrix over Q[x], by evaluation and
+    interpolation: it has degree at most B = sum over the rows of the largest
+    entry degree, so ``exact.det`` at the integer nodes 0..B fixes it."""
+    n = len(M)
+    if any(len(row) != n for row in M):
         raise ValueError("determinant of a non-square matrix")
-    sign, prev = 1, (Fraction(1),)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if A[i][k]), None)
-        if pivot is None:
-            return ()
-        if pivot != k:
-            A[k], A[pivot] = A[pivot], A[k]
-            sign = -sign
-        p, pr = A[k][k], A[k]
-        for i in range(k + 1, n):
-            f = A[i][k]
-            for j in range(k + 1, n):
-                q, r = divmod_exact(sub(mul(p, A[i][j]), mul(f, pr[j])), prev)
-                if r:
-                    raise ArithmeticError("inexact Bareiss division")
-                A[i][j] = q
-        prev = p
-    return scale(prev, sign)
+    degs = [max(map(len, row), default=0) - 1 for row in M]
+    if min(degs, default=0) < 0:
+        return ()
+    nodes = range(sum(degs) + 1)
+    return interpolate(nodes, [exact.det([[evaluate(e, x) for e in row] for row in M])
+                               for x in nodes])
 
 
 def _primitive(p) -> Poly1:
@@ -182,17 +170,21 @@ def _positive_remainder(a: Poly1, b: Poly1) -> list:
     return r
 
 
+def _remainders(a: Poly1, b: Poly1) -> list[Poly1]:
+    """The nonzero members of a, b, -(a mod b), ... (each next member the
+    negated remainder of the two before), as primitive integer polynomials,
+    each a positive multiple of the classical member; the last is a gcd of
+    a and b."""
+    seq = [_primitive(a), _primitive(b)]
+    while seq[-1]:
+        seq.append(_primitive([-c for c in _positive_remainder(seq[-2], seq[-1])]))
+    return [q for q in seq if q]
+
+
 def sturm_sequence(p: Poly1) -> list[Poly1]:
     """The Sturm sequence of p, each member a primitive integer polynomial
     (a positive multiple of the classical member)."""
-    p0 = _primitive(p)
-    seq = [p0, _primitive(derivative(p0))]
-    while seq[-1]:
-        r = _positive_remainder(seq[-2], seq[-1])
-        if not r:
-            break
-        seq.append(_primitive([-c for c in r]))
-    return [q for q in seq if q]
+    return _remainders(p, derivative(p))
 
 
 def _scaled_value(q: Poly1, x: Fraction) -> int:

@@ -282,6 +282,28 @@ def test_det_matches_fraction_oracle(M):
     assert det(M) == det_fraction(M)
 
 
+EMPTY_MATRICES = [[], [[]], [[], [], []]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.booleans().flatmap(lambda square: degenerate_matrices(square=square)),
+    st.sampled_from(EMPTY_MATRICES),
+))
+def test_det_rref_and_rank_share_one_elimination(M):
+    # square, rectangular, singular and empty matrices: the Gauss-Jordan and
+    # the forward pass of the one integer elimination agree with Fraction
+    R, pivots = rref_fraction(M)
+    assert rref(M) == (R, pivots)
+    assert matrix_rank(M) == len(pivots)
+    if all(len(row) == len(M) for row in M):
+        assert det(M) == det_fraction(M)
+        assert (det(M) != 0) == (len(pivots) == len(M))
+    else:
+        with pytest.raises(ValueError):
+            det(M)
+
+
 def test_rref_negative_pivots_and_swaps():
     M = [[F(0), F(-3, 2), F(1)], [F(-2), F(1, 3), F(0)], [F(-4), F(-7, 3), F(2)]]
     assert rref(M) == rref_fraction(M)

@@ -219,6 +219,16 @@ def test_cli_check_prints_a_boundary_x0_as_reports_do(capsys):
     assert (code, out, err) == (1, "", "error: point (-1) is not strictly interior\n")
 
 
+def test_cli_check_x0_and_x0_sweep_are_exclusive(capsys):
+    # x0 = 5 is not interior: the pair must not run a sweep that ignores it
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "check", RANK_ONE, "--x0", "5", "--x0-sweep", "--max-depth", "1")
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--x0-sweep: not allowed with argument --x0" in captured.err
+
+
 def test_cli_check_fano_total(capsys):
     code, data, _ = run_json(capsys, "check-fano-total", TRI_S24)
     assert code == 2
@@ -575,6 +585,34 @@ def test_unreadable_or_unwritable_files_exit_one(tmp_path, case):
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {where}: "), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+ZERO_N = TRI_S24.replace('"n": 3', '"n": 0')
+ZERO_N_TEMPLATE = TRI_TEMPLATE.replace('"n": 3', '"n": 0')
+ZERO_N_SWEEP = json.dumps({"template": json.loads(ZERO_N_TEMPLATE.replace('"var"', '"$c"')),
+                           "rows": [{"c": 5}]})
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["check-fano", ZERO_N], "fibration.factors[0].n"),
+        (["threshold", ZERO_N_TEMPLATE, "--lo", "4", "--hi", "9"], "fibration.factors[0].n"),
+        (["sweep", ZERO_N_SWEEP], "sweep.template.factors[0].n"),
+    ],
+    ids=["check-fano", "threshold", "sweep"],
+)
+def test_factor_dimension_below_one_names_its_path(tmp_path, argv, path):
+    proc = _python_m_wkstab(tmp_path, *argv)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    message = f"{path}: need n >= 1, got 0"
+    if argv[0] == "sweep":
+        assert proc.stderr == ""
+        (row,) = json.loads(proc.stdout)["rows"]
+        assert row["verdict"] == "Error" and row["error"] == message
+    else:
+        assert (proc.stdout, proc.stderr) == ("", f"error: {message}\n")
 
 
 def test_equal_labels_share_one_polytope():

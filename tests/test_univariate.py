@@ -27,8 +27,10 @@ from wkstab.univariate import (
     mul,
     normalize,
     positive_above,
+    scale,
     squarefree_part,
     sturm_sequence,
+    sub,
 )
 
 
@@ -319,3 +321,98 @@ def test_bareiss_det_pivots_past_a_zero_entry():
     M = [[(), x], [(F(1),), (F(2),)]]  # det = -x
     assert det(M) == (F(0), F(-1))
     assert det([[x, x], [x, x]]) == ()
+
+
+# ------------------------- gcd and det against the Fraction loops they replace
+
+
+def euclid_gcd_monic(p, q):
+    """Reference: Euclid's algorithm over Fraction coefficients."""
+    a, b = p, q
+    while b:
+        a, b = b, divmod_exact(a, b)[1]
+    return monic(a)
+
+
+def bareiss_det(M):
+    """Reference: Bareiss elimination over Q[x], one exact polynomial
+    division per update."""
+    A = [list(row) for row in M]
+    n = len(A)
+    sign, prev = 1, (F(1),)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if A[i][k]), None)
+        if pivot is None:
+            return ()
+        if pivot != k:
+            A[k], A[pivot] = A[pivot], A[k]
+            sign = -sign
+        p, pr = A[k][k], A[k]
+        for i in range(k + 1, n):
+            f = A[i][k]
+            for j in range(k + 1, n):
+                q, r = divmod_exact(sub(mul(p, A[i][j]), mul(f, pr[j])), prev)
+                assert r == ()
+                A[i][j] = q
+        prev = p
+    return scale(prev, sign)
+
+
+small_polys = st.lists(rationals, max_size=4).map(normalize)
+
+
+@st.composite
+def gcd_pairs(draw):
+    """p = g a and q = g b with a shared factor g that may have multiple
+    roots; either side may be zero or constant, and deg q may exceed deg p."""
+    g = poly_from_roots(draw(st.lists(st.sampled_from([-1, 0, F(1, 2), 2]), max_size=3)),
+                        lead=draw(st.sampled_from([1, -3, F(2, 5)])))
+    p, q = (mul(g, draw(small_polys)) for _ in range(2))
+    return draw(st.sampled_from([(p, q), (q, p), (p, ()), ((), q), ((), ()), (p, g[-1:])]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gcd_pairs())
+def test_gcd_monic_matches_euclid_oracle(pq):
+    p, q = pq
+    assert gcd_monic(p, q) == euclid_gcd_monic(p, q)
+
+
+def test_gcd_monic_edge_cases():
+    x_minus_1_sq = poly_from_roots([1, 1])
+    assert gcd_monic((), ()) == ()
+    assert gcd_monic((), (F(-3),)) == (F(1),)
+    assert gcd_monic((F(2),), poly_from_roots([4])) == (F(1),)
+    assert gcd_monic(x_minus_1_sq, ()) == x_minus_1_sq
+    assert gcd_monic(poly_from_roots([1]), mul(x_minus_1_sq, (F(5),))) == poly_from_roots([1])
+    assert gcd_monic(mul(x_minus_1_sq, (F(0), F(3))), x_minus_1_sq) == x_minus_1_sq
+
+
+@st.composite
+def poly_matrices(draw):
+    """Square matrices over Q[x] of size 0..4 with entries of unequal degree,
+    sometimes given a zero row or made singular by a repeated row."""
+    n = draw(st.integers(0, 4))
+    M = [[normalize(draw(st.lists(rationals, max_size=draw(st.integers(0, 4)))))
+          for _ in range(n)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        M[draw(st.integers(0, n - 1))] = [()] * n
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        M[i] = [mul(e, (F(-2), F(1))) for e in M[j]]
+    return M
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_matrices())
+def test_det_matches_bareiss_oracle(M):
+    assert det(M) == bareiss_det(M)
+
+
+def test_det_degree_bound_is_attained():
+    # one entry per row of top degree on the diagonal: deg det = 1 + 2 + 3
+    x = (F(0), F(1))
+    M = [[x, (F(1),), ()], [(F(2),), mul(x, x), x], [(), (F(1),), mul(x, mul(x, x))]]
+    D = det(M)
+    assert len(D) - 1 == 6 and D == bareiss_det(M)
+    assert det([]) == (F(1),) == bareiss_det([])
