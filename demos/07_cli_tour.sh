@@ -2,9 +2,10 @@
 # Tour of the command line.  Run from the repository root:
 #   sh demos/07_cli_tour.sh
 #
-# Exit codes: 0 certified/completed, 2 refuted (exact witness), 3
-# inconclusive, 1 input error -- so several commands below "fail" on purpose
-# and the script keeps going.
+# Exit codes: 0 certified/completed, 2 refuted (the sufficient condition
+# fails at an exact point; for probe, an exact destabilizer), 3 inconclusive,
+# 1 input error -- so several commands below "fail" on purpose and the
+# script keeps going.
 
 set -u
 cd "$(dirname "$0")/.."

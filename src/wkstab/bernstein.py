@@ -8,10 +8,12 @@ certifier keeps its coefficients as integer numerators B_gamma over one
 positive integer S and is decided from them alone, in this order: a
 negative corner (in vertex order) or a negative barycenter value refutes
 p >= 0 with that exact point; all B_gamma >= 0 certifies it with the bound
-min B / S; otherwise the simplex is subdivided barycentrically and the test
-recurses.  A ``Fraction`` is built only for a witness or a bound.  The
-certificate is one-sided: it never certifies a false positive, and may
-return "inconclusive" at the depth limit.
+min B / S; otherwise the simplex is bisected across the midpoint of its
+longest edge.  Nodes are decided breadth-first under a node budget, and a
+node is split only while the budget still covers both its halves.  A
+``Fraction`` is built only for a witness or a bound.  The certificate is
+one-sided: it never certifies a false positive, and may return
+"inconclusive" when the budget runs out.
 
 Only the root's numerators come from p.  They are computed in integers on
 the simplex's barycentric power tree (exact._barycentric_powers, shared with
@@ -31,12 +33,9 @@ the vertex V_r by the mean of the vertices V_i, i in I (r in I), is one de
 Casteljau pyramid over I: c^0 = B, c^s_beta = sum_{i in I}
 c^(s-1)_(beta + e_i), and the new numerator of gamma is
 |I|^(d - gamma_r) c^(gamma_r)_(gamma - gamma_r e_r), over S |I|^d.  The
-child of the permutation pi has vertices C_j = mean(V_pi(0), ..., V_pi(j)).
-It is reached by replacing V_pi(k) by the barycenter, then V_pi(k-1) by the
-mean of V_pi(0..k-1), and so on down to V_pi(1); the stages a suffix of pi
-determines are computed once per parent.  One walk over these stages yields
-each child: a stage replaces V_r by the mean in the vertices and in the
-numerators alike.  So every child is over S ((k+1)!)^d, and p never enters.
+two halves of a bisection across the edge (a, b) are the stages over
+I = {a, b} with r = a and r = b; they share one pyramid.  So a node at
+bisection depth t is over S 2^(d t), and p never enters below the root.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
@@ -112,12 +112,11 @@ def _levels(d: int, parts: int):
 
 
 @functools.lru_cache(maxsize=1024)
-def _stage(d: int, parts: int, r: int, members: tuple, order: tuple):
+def _stage(d: int, parts: int, r: int, members: tuple):
     """Tables for replacing vertex r by the mean of the vertices ``members``:
     per pyramid level below d, one getter per multi-index beta picking its
-    parents beta + e_i, i in members; per output multi-index, its (level,
-    position, scale).  Output gamma is read at gamma' with gamma'[order[j]] =
-    gamma[j], so the last stage also puts the child's vertices in order."""
+    parents beta + e_i, i in members; per output multi-index gamma, its
+    (level, position, scale)."""
     comps, pos, _, _ = _levels(d, parts)
     steps = []
     for e in range(d - 1, -1, -1):
@@ -127,47 +126,35 @@ def _stage(d: int, parts: int, r: int, members: tuple, order: tuple):
         ])
     out = []
     for gamma in comps[d]:
-        staged = [0] * parts
-        for j, g in zip(order, gamma):
-            staged[j] = g
-        t = staged[r]
-        staged[r] = 0
-        out.append((t, pos[d - t][tuple(staged)], len(members) ** (d - t)))
+        t = gamma[r]
+        rest = gamma[:r] + (0,) + gamma[r + 1:]
+        out.append((t, pos[d - t][rest], len(members) ** (d - t)))
     return steps, out
 
 
-def _replace(B: list[int], steps, out) -> list[int]:
-    """One de Casteljau stage (see _stage) on the numerators B."""
+def _children(simplex: Simplex, B: list[int], d: int):
+    """The two halves of the simplex across the midpoint of its longest edge
+    (a, b), the first such pair in index order on a tie: V_a replaced by the
+    midpoint, then V_b, with their numerators over S 2^d when B is over S.
+    Both stages run over the members (a, b), so they share one pyramid.  The
+    halves of a nondegenerate simplex are nondegenerate, so they skip the
+    rank check."""
+    verts = simplex.vertices
+    parts = len(verts)
+    a, b = max(
+        itertools.combinations(range(parts), 2),
+        key=lambda e: sum((s - t) ** 2 for s, t in zip(verts[e[0]], verts[e[1]])),
+    )
+    mid = _centroid([verts[a], verts[b]])
+    steps, _ = _stage(d, parts, a, (a, b))
     pyramid = [B]
     for step in steps:
         prev = pyramid[-1]
         pyramid.append([sum(pick(prev)) for pick in step])
-    return [pyramid[t][i] * scale for t, i, scale in out]
-
-
-def _children(simplex: Simplex, B: list[int], d: int):
-    """The barycentric children (C_j = mean(V_pi(0..j)) for each pi, in
-    ``itertools.permutations`` order) with their numerators over
-    S ((k+1)!)^d when B is over S.  A stage replaces vertex r by the mean of
-    ``members`` in the vertices and the numerators alike; the memo of suffix
-    stages lives as long as this generator.  The children of a
-    nondegenerate simplex are nondegenerate, so they skip the rank check."""
-    parts = len(simplex.vertices)
-    identity = tuple(range(parts))
-    memo: dict[tuple, tuple] = {}
-    for perm in itertools.permutations(identity):
-        staged = simplex.vertices, B
-        for m in range(parts - 1, 0, -1):
-            key = perm[m:]
-            if key not in memo:
-                (verts, N), r = staged, perm[m]
-                members = tuple(sorted(perm[: m + 1]))
-                order = perm if m == 1 else identity
-                mean = _centroid([verts[i] for i in members])
-                memo[key] = (tuple(mean if i == r else verts[i] for i in order),
-                             _replace(N, *_stage(d, parts, r, members, order)))
-            staged = memo[key]
-        yield Simplex._spanned(staged[0]), staged[1]
+    for r in (a, b):
+        _, out = _stage(d, parts, r, (a, b))
+        yield (Simplex._spanned(verts[:r] + (mid,) + verts[r + 1:]),
+               [pyramid[t][i] * scale for t, i, scale in out])
 
 
 @dataclass(frozen=True)
@@ -185,43 +172,40 @@ def certify_nonnegative(
 
     Sound in both directions it decides: CERTIFIED comes with a rational lower
     bound (min Bernstein coefficient over the leaves) and REFUTED with an
-    exact rational point where p < 0.
+    exact rational point where p < 0.  At most sum_{i <= max_depth}
+    ((k+1)!)^i nodes are decided, as many as a barycentric subdivision
+    max_depth levels deep has; depth_used is the bisection depth reached.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     B, S = _numerators(p, simplex)
-    return _certify(B, S, simplex, max(p.degree(), 0), max_depth)
-
-
-def _certify(B: list[int], S: int, simplex: Simplex, d: int, max_depth: int) -> PositivityOutcome:
-    """certify_nonnegative on a node whose numerators B over S are known."""
-    parts = len(simplex.vertices)
+    d = max(p.degree(), 0)
+    parts = simplex.k + 1
     _, _, corners, weights = _levels(d, parts)
-    for vtx, c in zip(simplex.vertices, corners):
-        if B[c] < 0:
-            return PositivityOutcome(REFUTED, None, (vtx, Fraction(B[c], S)), 0)
-    center = sum(map(mul, B, weights))
-    if center < 0:
-        witness = (simplex.barycenter(), Fraction(center, S * parts**d))
-        return PositivityOutcome(REFUTED, None, witness, 0)
-    low = min(B)
-    if low >= 0:
-        return PositivityOutcome(CERTIFIED, Fraction(low, S), None, 0)
-    if max_depth == 0:
-        return PositivityOutcome(INCONCLUSIVE, None, None, 0)
-    S_child = S * math.factorial(parts) ** d
+    # nodes not yet queued that may still be decided
+    unassigned = sum(math.factorial(parts) ** i for i in range(1, max_depth + 1))
+    queue = deque([(simplex, B, 0)])
     bound: Fraction | None = None
-    deepest = 0
     undecided = False
-    for child, B_child in _children(simplex, B, d):
-        sub = _certify(B_child, S_child, child, d, max_depth - 1)
-        deepest = max(deepest, sub.depth_used + 1)
-        if sub.status == REFUTED:
-            return PositivityOutcome(REFUTED, None, sub.witness, deepest)
-        if sub.status == INCONCLUSIVE:
+    while queue:  # breadth-first, so depth never decreases
+        cell, B, depth = queue.popleft()
+        S_cell = S << (d * depth)
+        for vtx, c in zip(cell.vertices, corners):
+            if B[c] < 0:
+                return PositivityOutcome(REFUTED, None, (vtx, Fraction(B[c], S_cell)), depth)
+        center = sum(map(mul, B, weights))
+        if center < 0:
+            witness = (cell.barycenter(), Fraction(center, S_cell * parts**d))
+            return PositivityOutcome(REFUTED, None, witness, depth)
+        low = min(B)
+        if low >= 0:
+            low = Fraction(low, S_cell)
+            bound = low if bound is None else min(bound, low)
+        elif unassigned >= 2:
+            unassigned -= 2
+            queue.extend((child, B_child, depth + 1) for child, B_child in _children(cell, B, d))
+        else:
             undecided = True
-        elif not undecided:
-            bound = sub.lower_bound if bound is None else min(bound, sub.lower_bound)
     if undecided:
-        return PositivityOutcome(INCONCLUSIVE, None, None, deepest)
-    return PositivityOutcome(CERTIFIED, bound, None, deepest)
+        return PositivityOutcome(INCONCLUSIVE, None, None, depth)
+    return PositivityOutcome(CERTIFIED, bound, None, depth)

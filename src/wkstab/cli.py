@@ -7,8 +7,11 @@ One executable, subcommand style:
 Inputs are JSON (a file path, ``-`` for stdin, or an inline ``{...}`` literal)
 with exact rationals only.  Reports are JSON by default (``--text`` for a
 human-readable rendering) and always name the sign convention in use.  Exit
-codes: 0 certified/completed, 2 refuted (exact witness found), 3 inconclusive,
-1 input or usage error.  ``sweep`` runs every row: a row whose input or check
+codes: 0 certified/completed, 2 refuted, 3 inconclusive, 1 input or usage
+error.  For ``check``, ``check-fano``, ``check-fano-total`` and ``sweep``,
+refuted means the sufficient condition fails at an exact point, which does
+not by itself destabilize; only ``probe`` exits 2 with an exact
+destabilizer.  ``sweep`` runs every row: a row whose input or check
 raises is reported with verdict ``Error`` and its message, and any such row
 makes the exit code 1.
 """
@@ -33,12 +36,7 @@ from .futaki import (
 )
 from .jsonio import InputError
 from .measure import volume
-from .polytope import (
-    EmptyInterior,
-    NotInterior,
-    PolytopeError,
-    monotone_point,
-)
+from .polytope import PolytopeError, monotone_point
 from .probe import crease_family, probe
 from .stability import (
     HypothesisViolatedOnBracket,
@@ -554,7 +552,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="per-cone sufficient condition")
     common(sp)
-    sp.add_argument("--max-depth", type=int, default=6, help="Bernstein subdivision depth")
+    sp.add_argument(
+        "--max-depth", type=int, default=6,
+        help="Bernstein node budget: as many nodes as a barycentric subdivision "
+        "this deep, spent on longest-edge bisection",
+    )
     base = sp.add_mutually_exclusive_group()
     base.add_argument(
         "--x0", type=_x0_arg, default=None,

@@ -11,8 +11,9 @@ for every j.  Certification routes, soundest-first:
 * AffineVertex - g_j is affine, so cell-vertex evaluation is exact;
 * VertexConcave - a caller-supplied (or factor-derived) concavity certificate
   reduces sign-checking to the cone's vertices;
-* BernsteinSubdivision - Bernstein-coefficient nonnegativity with recursive
-  barycentric subdivision (one-sided: never certifies falsely).
+* BernsteinSubdivision - Bernstein-coefficient nonnegativity with
+  longest-edge bisection under a node budget (one-sided: never certifies
+  falsely).
 
 For monotone fibers the condition collapses to a single rational expression
 whose positivity at the polytope vertices suffices under the standard
@@ -186,7 +187,8 @@ def check_general(
     verify_futaki: bool = True,
 ) -> StabilityReport:
     """Certify g_j >= 0 on every cone cell, refute with an exact witness, or
-    report Inconclusive at the subdivision depth limit.
+    report Inconclusive when the subdivision's node budget (set by
+    max_depth, see bernstein.certify_nonnegative) runs out.
 
     Refuses to run (FutakiNotVanishing) when F does not already vanish on
     affine functions, unless verify_futaki is disabled (legacy-convention

@@ -4,9 +4,9 @@
 # factor (n = 3, s = 24), degree form p = p1*x1 + p2*x2.  Exponent keys are
 # (deg_c, deg_p1, deg_p2); values are integer coefficients.
 #
-# At the end: a Fraction reference for Bernstein coefficients, the sampled
-# rational-function reconstruction, the Fraction Sturm sequence, the
-# per-crease probe loop, and the recession-first from_halfspaces.
+# At the end: a Fraction reference for Bernstein coefficients, Euclid's gcd,
+# the sampled rational-function reconstruction, the Fraction Sturm sequence,
+# the per-crease probe loop, and the recession-first from_halfspaces.
 
 import itertools
 import math
@@ -21,7 +21,7 @@ from wkstab.univariate import (
     derivative,
     divmod_exact,
     evaluate,
-    gcd_monic,
+    monic,
     normalize,
     scale,
 )
@@ -264,8 +264,17 @@ class DegreeEscalationFailed(Exception):
     pass
 
 
+def euclid_gcd_monic(p, q):
+    """Euclid's algorithm over Fraction coefficients, independent of the
+    library's integer remainder sequence."""
+    a, b = p, q
+    while b:
+        a, b = b, divmod_exact(a, b)[1]
+    return monic(a)
+
+
 def _reduced(num, den) -> RationalFunction:
-    g = gcd_monic(num, den)
+    g = euclid_gcd_monic(num, den)
     if degree(g) >= 1:
         num = divmod_exact(num, g)[0]
         den = divmod_exact(den, g)[0]

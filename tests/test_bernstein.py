@@ -1,5 +1,4 @@
 import gc
-import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -55,16 +54,47 @@ def test_corner_coefficients_equal_vertex_values():
         assert coeffs[corner] == p(vtx)
 
 
+def _volume(simplex):
+    # k! times the volume of a full-dimensional simplex: |det(V_i - V_0)|
+    def det(rows):
+        if not rows:
+            return F(1)
+        return sum((-1) ** j * rows[0][j] * det([r[:j] + r[j + 1:] for r in rows[1:]])
+                   for j in range(len(rows)))
+
+    v0, *rest = simplex.vertices
+    return abs(det([[a - b for a, b in zip(v, v0)] for v in rest]))
+
+
 def test_subdivision_count_and_volume():
     p = Polynomial.variable(2, 0) ** 2
     children = [child for child, _ in _children(TRI, _numerators(p, TRI)[0], 2)]
-    assert len(children) == math.factorial(3)
-    # children tile the parent: their areas sum to the parent's
-    def area(s):
-        (a, b, c) = s.vertices
-        return abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])) / 2
+    assert len(children) == 2
+    # the longest edge of TRI joins (1, 0) and (0, 1); its midpoint replaces
+    # each end in turn, and the halves tile the parent
+    mid = (F(1, 2), F(1, 2))
+    assert [c.vertices for c in children] == [
+        (TRI.vertices[0], mid, TRI.vertices[2]),
+        (TRI.vertices[0], TRI.vertices[1], mid),
+    ]
+    assert [_volume(c) for c in children] == [_volume(TRI) / 2] * 2
 
-    assert sum(area(ch) for ch in children) == area(TRI)
+
+def test_bisection_takes_the_first_longest_edge():
+    # a right isosceles triangle with the right angle at V_1: its hypotenuse
+    # (V_0, V_2) is split, not the first pair; a regular tetrahedron's six
+    # edges tie, and the first pair (V_0, V_1) is split
+    tri = Simplex(((F(0), F(1)), (F(0), F(0)), (F(1), F(0))))
+    p = Polynomial.variable(2, 0)
+    halves = [c.vertices[0] for c, _ in _children(tri, _numerators(p, tri)[0], 1)]
+    assert halves == [(F(1, 2), F(1, 2)), tri.vertices[0]]
+    tet = Simplex(tuple(
+        tuple(F(c) for c in v) for v in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+    ))
+    q = Polynomial.variable(3, 0)
+    halves = [c.vertices for c, _ in _children(tet, _numerators(q, tet)[0], 1)]
+    assert halves[0][0] == (F(1), F(0), F(0)) and halves[0][1:] == tet.vertices[1:]
+    assert halves[1][1] == (F(1), F(0), F(0)) and halves[1][0] == tet.vertices[0]
 
 
 def test_certify_positive_quadratic():
@@ -238,44 +268,50 @@ def test_coefficients_leave_no_garbage_cycle():
 
 
 def _reference_children(simplex):
-    # barycentric subdivision with checked Simplex children, chains summed
-    # in permutation order
+    # longest-edge bisection with checked Simplex children: the first edge
+    # of greatest squared length in index order, halved at its midpoint, the
+    # child with V_a replaced before the child with V_b
     verts = simplex.vertices
-    children = []
-    for perm in itertools.permutations(range(len(verts))):
-        chain, acc = [], None
-        for i, idx in enumerate(perm):
-            acc = verts[idx] if acc is None else tuple(a + b for a, b in zip(acc, verts[idx]))
-            chain.append(tuple(F(1, i + 1) * a for a in acc))
-        children.append(Simplex(tuple(chain)))
-    return children
+    best = None
+    for a in range(len(verts)):
+        for b in range(a + 1, len(verts)):
+            length = sum((s - t) ** 2 for s, t in zip(verts[a], verts[b]))
+            if best is None or length > best[0]:
+                best = (length, a, b)
+    _, a, b = best
+    mid = tuple((s + t) / 2 for s, t in zip(verts[a], verts[b]))
+    return [Simplex(tuple(mid if i == r else v for i, v in enumerate(verts))) for r in (a, b)]
 
 
 def _certify_reference(p, simplex, max_depth):
     # the certifier evaluated p at the vertices and the barycenter, then read
-    # the Fraction coefficients of every node, and recursed on checked children
-    for vtx in (*simplex.vertices, simplex.barycenter()):
-        val = p(vtx)
-        if val < 0:
-            return PositivityOutcome(REFUTED, None, (vtx, val), 0)
-    low = min(bernstein_coefficients_fraction(p, simplex).values())
-    if low >= 0:
-        return PositivityOutcome(CERTIFIED, low, None, 0)
-    if max_depth == 0:
-        return PositivityOutcome(INCONCLUSIVE, None, None, 0)
-    bound, deepest, undecided = None, 0, False
-    for child in _reference_children(simplex):
-        sub = _certify_reference(p, child, max_depth - 1)
-        deepest = max(deepest, sub.depth_used + 1)
-        if sub.status == REFUTED:
-            return PositivityOutcome(REFUTED, None, sub.witness, deepest)
-        if sub.status == INCONCLUSIVE:
-            undecided = True
-        elif not undecided:
-            bound = sub.lower_bound if bound is None else min(bound, sub.lower_bound)
+    # the Fraction coefficients of every node, level by level, splitting a
+    # node while the budget of sum_{i <= max_depth} ((k+1)!)^i nodes covers
+    # both its children
+    budget = sum(math.factorial(simplex.k + 1) ** i for i in range(max_depth + 1))
+    level, depth, planned = [simplex], 0, 1
+    bound, undecided = None, False
+    while True:
+        deeper = []
+        for cell in level:
+            for vtx in (*cell.vertices, cell.barycenter()):
+                val = p(vtx)
+                if val < 0:
+                    return PositivityOutcome(REFUTED, None, (vtx, val), depth)
+            low = min(bernstein_coefficients_fraction(p, cell).values())
+            if low >= 0:
+                bound = low if bound is None else min(bound, low)
+            elif planned + 2 <= budget:
+                planned += 2
+                deeper += _reference_children(cell)
+            else:
+                undecided = True
+        if not deeper:
+            break
+        level, depth = deeper, depth + 1
     if undecided:
-        return PositivityOutcome(INCONCLUSIVE, None, None, deepest)
-    return PositivityOutcome(CERTIFIED, bound, None, deepest)
+        return PositivityOutcome(INCONCLUSIVE, None, None, depth)
+    return PositivityOutcome(CERTIFIED, bound, None, depth)
 
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=5)
@@ -316,9 +352,10 @@ def certify_case(draw):
 
 
 def _depths(k, p):
-    # the Fraction reference takes seconds per tetrahedron at depth 2 above
-    # degree 3; test_certify_matches_fraction_reference_below_the_root has
-    # one of degree 4
+    # the Fraction reference takes seconds per tetrahedron at depth 2 (a
+    # budget of 601 nodes) above degree 3;
+    # test_certify_matches_fraction_reference_below_the_root has one of
+    # degree 4 at depth 1
     return st.integers(0, 3 if k < 3 else 2 if p.degree() <= 3 else 1)
 
 
@@ -349,35 +386,79 @@ def _dip(center, eps, extra):
         (SEG, (F(1, 3),), F(1, 30), 0, (CERTIFIED, 3)),
         (SEG, (F(1, 3),), F(-1, 100), 0, (REFUTED, 2)),
         (SEG, (F(1, 3),), F(1, 1000), 0, (INCONCLUSIVE, 3)),
-        (TRI, (F(1, 3), F(1, 5)), F(1, 100), 1, (CERTIFIED, 3)),
-        (TRI, (F(1, 3), F(1, 5)), F(-1, 1000), 2, (REFUTED, 3)),
-        (TRI, (F(1, 3), F(1, 5)), F(1, 1000), 0, (INCONCLUSIVE, 3)),
+        (TRI, (F(1, 3), F(1, 5)), F(1, 100), 1, (CERTIFIED, 5)),
+        (TRI, (F(1, 3), F(1, 5)), F(-1, 1000), 2, (REFUTED, 6)),
+        (TRI, (F(1, 3), F(1, 5)), F(1, 1000), 0, (INCONCLUSIVE, 8)),
         (TRI, (F(1, 3), F(1, 3)), F(-1, 100), 1, (REFUTED, 0)),  # at the barycenter
-        (TET, (F(1, 5), F(1, 7), F(1, 3)), F(1, 30), 2, (CERTIFIED, 2)),
-        (TET, (F(1, 5), F(1, 7), F(1, 3)), F(-1, 1000), 1, (REFUTED, 2)),
-        (TET, (F(1, 5), F(1, 7), F(1, 3)), F(1, 100), 0, (INCONCLUSIVE, 2)),
+        (TET, (F(1, 5), F(1, 7), F(1, 3)), F(1, 30), 2, (CERTIFIED, 4)),
+        (TET, (F(1, 5), F(1, 7), F(1, 3)), F(-1, 100), 1, (REFUTED, 2)),
+        (TET, (F(1, 5), F(1, 7), F(1, 3)), F(1, 100), 0, (INCONCLUSIVE, 4)),
     ],
 )
 def test_certify_matches_fraction_reference_below_the_root(simplex, center, eps, extra, want):
     # every outcome, decided below the root, on each kind of simplex, and a
-    # refutation at the root's barycenter
+    # refutation at the root's barycenter; max_depth 2 (1 on tetrahedra,
+    # whose budget is then 25 nodes) leaves each a few bisections deep
     p = _dip(center, eps, extra)
-    depth = want[1]
-    out = certify_nonnegative(p, simplex, depth)
+    max_depth = 1 if simplex.k == 3 else 2
+    out = certify_nonnegative(p, simplex, max_depth)
     assert (out.status, out.depth_used) == want
-    assert out == _certify_reference(p, simplex, depth)
+    assert out == _certify_reference(p, simplex, max_depth)
+
+
+def _count_nodes(monkeypatch):
+    # every node but the root comes out of _children
+    from wkstab import bernstein
+
+    nodes = [1]
+    real = bernstein._children
+
+    def counting(*args):
+        for child in real(*args):
+            nodes[0] += 1
+            yield child
+
+    monkeypatch.setattr(bernstein, "_children", counting)
+    return nodes
+
+
+@pytest.mark.parametrize("max_depth", [0, 1, 2, 3])
+def test_node_budget_bounds_an_undecidable_input(monkeypatch, max_depth):
+    # (x^2 - 2 y^2)^2 vanishes on an irrational line: no node containing part
+    # of it certifies, so the certifier stops only at its node budget, the
+    # size of the barycentric tree max_depth levels deep
+    x = Polynomial.variable(2, 0)
+    y = Polynomial.variable(2, 1)
+    nodes = _count_nodes(monkeypatch)
+    out = certify_nonnegative((x * x - 2 * y * y) ** 2, TRI, max_depth)
+    assert out.status == INCONCLUSIVE
+    assert nodes[0] <= sum(6**i for i in range(max_depth + 1))
+
+
+def test_bisection_certifies_a_shallow_dip_within_depth_three(monkeypatch):
+    # min 1/10000 at the interior point (1/3, 1/5): barycentric subdivision
+    # left this Inconclusive at depths 3 and 4; bisection spends its budget
+    # where the dip is
+    x = Polynomial.variable(2, 0) - F(1, 3)
+    y = Polynomial.variable(2, 1) - F(1, 5)
+    p = x * x + y * y - x * y + F(1, 10000)
+    nodes = _count_nodes(monkeypatch)
+    out = certify_nonnegative(p, TRI, max_depth=3)
+    assert out.status == CERTIFIED and 0 <= out.lower_bound <= F(1, 10000)
+    assert nodes[0] == 87
+    assert out == _certify_reference(p, TRI, 3)
 
 
 def _check_children(p, simplex, levels):
     B, S = _numerators(p, simplex)
     d = max(p.degree(), 0)
-    parts = simplex.k + 1
-    S_child = S * math.factorial(parts) ** d
     children = list(_children(simplex, B, d))
     assert [child for child, _ in children] == _reference_children(simplex)
+    # the two halves tile the parent
+    assert [_volume(child) for child, _ in children] == [_volume(simplex) / 2] * 2
     for child, B_child in children:
         got = bernstein_coefficients(p, child)
-        assert dict(zip(got, (F(b, S_child) for b in B_child))) == got
+        assert dict(zip(got, (F(b, S * 2**d) for b in B_child))) == got
         if levels > 1:
             _check_children(p, child, levels - 1)
 
@@ -386,7 +467,7 @@ def _check_children(p, simplex, levels):
 @given(certify_case())
 def test_staged_child_numerators_are_the_child_coefficients(case):
     p, simplex, _ = case
-    _check_children(p, simplex, 2 if simplex.k < 3 else 1)
+    _check_children(p, simplex, 3 if simplex.k < 3 else 2)
 
 
 def test_root_is_the_only_power_tree_and_rank_check(monkeypatch):

@@ -351,26 +351,26 @@ BERNSTEIN_BAND = str(Path(__file__).resolve().parents[1] / "demos" / "data" / "b
 
 def test_cli_check_bernstein_band_golden(capsys):
     # near the positivity boundary the general route needs Bernstein
-    # subdivision to depth 3: pinned bytes of the whole report
+    # subdivision, four bisections deep: pinned bytes of the whole report
     code, out, err = run(capsys, "check", BERNSTEIN_BAND, "--max-depth", "3")
     assert code == 0 and err == ""
     data = json.loads(out)
     assert data["method"] == "BernsteinSubdivision"
     assert data["verdict"] == "CertifiedSufficient"
-    assert data["depth"] == 3
-    assert data["margin"] == "85309797272463193/404710908293578752"
+    assert data["depth"] == 4
+    assert data["margin"] == "726508112499/20561444306944"
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "d0fd37b5e6da5fb8b1eb80829a4302e6ebf2f1e52652b5852212454fae77dd28"
+        "9d55fe8d873230d002a6ae865b41fe7baa5efc619912afcb2ac87c761dbc5ef3"
     )
-    code, out, _ = run(capsys, "check", BERNSTEIN_BAND, "--max-depth", "2")
+    code, out, _ = run(capsys, "check", BERNSTEIN_BAND, "--max-depth", "1")
     data = json.loads(out)
     assert code == 3 and data["verdict"] == "Inconclusive"
     assert data["method"] == "BernsteinSubdivision" and data["margin"] is None
 
 
 def test_cli_check_tetrahedron_depth_two_golden(capsys):
-    # the only multi-level subdivision of 3-simplices in tier-1: pinned
-    # bytes of the whole report
+    # the CLI's bisection of 3-simplex cells, three levels deep within the
+    # --max-depth 2 budget: pinned bytes of the whole report
     src = json.dumps({
         "fiber": {"standard_simplex": {"l": 3, "t": 1}},
         "factors": [{"n": 3, "s": 48, "c": "15/8", "p": [0, 0, 1]}],
@@ -378,10 +378,10 @@ def test_cli_check_tetrahedron_depth_two_golden(capsys):
     code, out, err = run(capsys, "check", src, "--max-depth", "2")
     assert code == 0 and err == ""
     data = json.loads(out)
-    assert data["method"] == "BernsteinSubdivision" and data["depth"] == 2
-    assert data["margin"] == "2324102146401/2015278826752"
+    assert data["method"] == "BernsteinSubdivision" and data["depth"] == 3
+    assert data["margin"] == "6342289281027/4030557653504"
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "ec8a4f5c200b930e439d023ba00057bd80c09eb819ea09a509abc409dd0afa04"
+        "ba0e42e3294e8fdea00b402101293e339cea9bf49a3fb6826c0f5663d4bde2fb"
     )
 
 

@@ -8,6 +8,7 @@ import _reference_fraction
 from _reference_fraction import (
     DegreeEscalationFailed,
     count_roots_between_fraction,
+    euclid_gcd_monic,
     fit_rational,
     reconstruct_rational,
     sturm_sequence_fraction,
@@ -183,13 +184,13 @@ def test_reconstruct_escalation_failure_is_honest():
 
 def _count_reductions(monkeypatch):
     calls = []
-    real = _reference_fraction.gcd_monic
+    real = _reference_fraction.euclid_gcd_monic
 
     def counting(p, q):
         calls.append((p, q))
         return real(p, q)
 
-    monkeypatch.setattr(_reference_fraction, "gcd_monic", counting)
+    monkeypatch.setattr(_reference_fraction, "euclid_gcd_monic", counting)
     return calls
 
 
@@ -324,14 +325,6 @@ def test_bareiss_det_pivots_past_a_zero_entry():
 
 
 # ------------------------- gcd and det against the Fraction loops they replace
-
-
-def euclid_gcd_monic(p, q):
-    """Reference: Euclid's algorithm over Fraction coefficients."""
-    a, b = p, q
-    while b:
-        a, b = b, divmod_exact(a, b)[1]
-    return monic(a)
 
 
 def bareiss_det(M):
