@@ -394,7 +394,25 @@ def _substitute(node, binding: dict, path: str):
     return node
 
 
+def _placeholders(node) -> set[str]:
+    """The names of the $name placeholders in a template."""
+    if isinstance(node, str):
+        return {node[1:]} if node.startswith("$") else set()
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return set().union(*map(_placeholders, node))
+    return set()
+
+
+def _check_used(name: str, used: set[str], path: str) -> str:
+    if name not in used:
+        raise InputError(path, f"no ${name} in the template uses this variable")
+    return name
+
+
 def _sweep_rows(node) -> list[dict]:
+    used = _placeholders(node["template"])
     if "rows" in node:
         rows_node = node["rows"]
         if not isinstance(rows_node, list):
@@ -405,7 +423,8 @@ def _sweep_rows(node) -> list[dict]:
                 raise InputError(f"sweep.rows[{i}]", "expected an object")
             rows.append(
                 {
-                    k: jsonio.rational_from_json(v, f"sweep.rows[{i}].{k}")
+                    _check_used(k, used, f"sweep.rows[{i}].{k}"):
+                    jsonio.rational_from_json(v, f"sweep.rows[{i}].{k}")
                     for k, v in row.items()
                 }
             )
@@ -417,7 +436,7 @@ def _sweep_rows(node) -> list[dict]:
         names = sorted(grid_node)
         axes = []
         for name in names:
-            vals = grid_node[name]
+            vals = grid_node[_check_used(name, used, f"sweep.grid.{name}")]
             if not isinstance(vals, list):
                 raise InputError(f"sweep.grid.{name}", "expected a list")
             axes.append(

@@ -37,11 +37,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from . import univariate as u1
 from .bernstein import CERTIFIED, INCONCLUSIVE, REFUTED, certify_nonnegative
-from .exact import AffineFunc, Point, Polynomial, format_point, point, radial_derivative, rat
+from .exact import (
+    AffineFunc, Point, Polynomial, _cleared, format_point, point, radial_derivative, rat,
+)
 from .futaki import (
     SingularMomentMatrix,
     _assert_positive_definite,
@@ -403,13 +406,19 @@ def _exact_vertex_functions(make_fib, fib_lo: Fibration, c_lo: Fraction):
     c_lo and c_lo + 1, so the entries of the moment system M(c) lam = b(c)
     are polynomials of degree <= N = sum of n_a over the factors with
     Delta_a != 0.  They are interpolated through the N + 1 systems at
-    c_lo, ..., c_lo + N on fib_lo's fiber, and l_ext = (D_0 + sum_i x_i D_i) / D
-    with D = det M(c) and D_i the Cramer determinants, all by univariate.det
-    (integer determinants at integer c, interpolated).  sound: M(c_lo) is
-    positive definite and D has no root in [c_lo, oo); since det M(c) never
-    vanishes there, no eigenvalue of the symmetric M(c) crosses 0, so M(c)
-    is positive definite and Cramer's lam(c) is the extremal solve for every
-    c >= c_lo.
+    c_lo, ..., c_lo + N on fib_lo's fiber.  Each system is integers over its
+    own denominator, so every entry's N + 1 values go to
+    univariate._interpolate as integers over the lcm L of those; its fit
+    over N! L is shifted by c_lo in integers.  l_ext = (D_0 + sum_i x_i D_i)
+    / D with D = det M(c) and D_i the Cramer determinants, all by
+    univariate.det (integer determinants at the integer c = 0, ..., B,
+    interpolated).  Each vertex's numerator and denominator are summed on
+    integer numerators over one denominator and reduced once.
+
+    sound: M(c_lo) is positive definite and D has no root in [c_lo, oo);
+    since det M(c) never vanishes there, no eigenvalue of the symmetric M(c)
+    crosses 0, so M(c) is positive definite and Cramer's lam(c) is the
+    extremal solve for every c >= c_lo.
     """
     fibs = [fib_lo, make_fib(c_lo + 1)]
     deltas = [g.c - f.c for f, g in zip(fib_lo.factors, fibs[1].factors)]
@@ -423,14 +432,16 @@ def _exact_vertex_functions(make_fib, fib_lo: Fibration, c_lo: Fraction):
         _check_template(fib_lo, fibs[k], offsets, c_lo + k)
     P = fib_lo.fiber
     systems = [_moment_system(P, f.v, f.w_base, f.convention) for f in fibs[: N + 1]]
-    nodes = [c_lo + k for k in range(N + 1)]
+    # every system over the one denominator L, interpolated at c_lo + k
+    L = lcm(*(den for _, _, den in systems))
+    scales = [L // den for _, _, den in systems]
     size = P.dim + 1
     M = [
-        [u1.interpolate(nodes, [Fraction(Ms[i][j], den) for Ms, _, den in systems])
+        [u1._interpolate(c_lo, [Ms[i][j] * s for (Ms, _, _), s in zip(systems, scales)], L)
          for j in range(size)]
         for i in range(size)
     ]
-    b = [u1.interpolate(nodes, [Fraction(bs[i], den) for _, bs, den in systems])
+    b = [u1._interpolate(c_lo, [bs[i] * s for (_, bs, _), s in zip(systems, scales)], L)
          for i in range(size)]
     D = u1.det(M)
     if not D:
@@ -447,20 +458,25 @@ def _exact_vertex_functions(make_fib, fib_lo: Fibration, c_lo: Fraction):
 
     x0, t = fib_lo.fano_fiber
     K = 2 * fib_lo.total_dim + 2
+    # the sums below run on integer numerators: D = ID / common and
+    # D_i = IC[i] / common, and each vertex's pair is (num, den) / F
+    (ID, *IC), common = u1._integers([D] + cramer)
     functions = []
     for x in P.vertices:
-        # condition_value_fano with t l_ext(x) = t (D_0 + sum_i x_i D_i) / D,
-        # adding each e_a / u_a over a common denominator, where
-        # u_a = p_a(x) + c_a(c) and e_a = t s_a - 2 n_a (p_a(x0) + c_a(c))
-        lam_x = cramer[0]
-        for xi, Di in zip(x, cramer[1:]):
-            lam_x = u1.add(lam_x, u1.scale(Di, xi))
-        num, den = u1.sub(u1.scale(D, K), u1.scale(lam_x, t)), D
+        # condition_value_fano with t l_ext(x) = t (D_0 + sum_i x_i D_i) / D:
+        # num / den = (K D - t D_0 - sum_i t x_i D_i) / D, its scalars cleared
+        # over sigma, then each e_a / u_a added over a common denominator,
+        # where u_a = p_a(x) + c_a(c) and e_a = t s_a - 2 n_a (p_a(x0) + c_a(c))
+        ks, sigma = _cleared([K, -t] + [-t * xi for xi in x])
+        num = u1._int_sum([[k * c for c in Q] for k, Q in zip(ks, [ID] + IC)])
+        den, F = [sigma * c for c in ID], sigma * common
         for f, off in zip(fib_lo.factors, offsets):
             u_a = u1.add(off, (f.p(x),))
             e_a = u1.add(u1.scale(off, -2 * f.n), (t * f.s - 2 * f.n * f.p(x0),))
-            num, den = u1.add(u1.mul(num, u_a), u1.mul(den, e_a)), u1.mul(den, u_a)
-        functions.append(u1._reduced(num, den))
+            (U, E), mu = u1._integers([u_a, e_a])
+            num, den = u1._int_sum([u1._int_mul(num, U), u1._int_mul(den, E)]), u1._int_mul(den, U)
+            F *= mu
+        functions.append(u1._reduced(u1._over(num, F), u1._over(den, F)))
     return offsets, functions, sound
 
 

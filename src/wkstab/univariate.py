@@ -2,15 +2,22 @@
 determinants over Q[x], gcds and Sturm root isolation.
 
 Polynomials are coefficient lists (index = power, no trailing zeros, [] = 0).
-A determinant over Q[x] is interpolated from integer-node evaluations, each
-taken by ``exact.det``.  One remainder loop, _remainders, yields the primitive
-integer polynomial remainder sequence (PRS): its last member is the gcd, and
-the PRS of p and p' is the Sturm sequence of p.  Each member is a positive
-multiple of the classical one, so every sign, and with it every root count,
-is unchanged, and a sign at x = n/d is read off the integer d^deg q(n/d) by
-Horner's rule.  Root isolation returns exact rational roots when bisection
-lands on one (deflating it out so Sturm counts stay valid) and width-bounded
-brackets otherwise.
+The kernels work on integers and make one Fraction per output coefficient.
+Interpolation takes nodes x0, x0 + 1, ..., x0 + B with values over one
+denominator L: the integer forward differences expand Newton's basis C(u, j)
+over B! L, and the shift u = x - x0 by x0 = a/b is made in the same integer
+Horner pass.  A determinant over Q[x] has each row cleared once to integers,
+every entry taken at the nodes 0..B by integer Horner, ``exact.det`` run on
+the integer matrix at each node, and those values interpolated.  One
+remainder loop, _remainders, yields the primitive integer polynomial
+remainder sequence (PRS): its last member is the gcd, and the PRS of p and p'
+is the Sturm sequence of p.  Each member is a positive multiple of the
+classical one, so every sign, and with it every root count, is unchanged, and
+a sign at x = n/d is read off the integer d^deg q(n/d) by Horner's rule.
+Root isolation bisects on the Sturm sequence of the primitive squarefree
+part and returns exact rational roots when bisection lands on one (deflating
+it out by the integer factor dx - n, so Sturm counts stay valid) and
+width-bounded brackets otherwise.
 """
 
 from __future__ import annotations
@@ -112,33 +119,98 @@ def squarefree_part(p: Poly1) -> Poly1:
 
 
 def interpolate(xs, ys) -> Poly1:
-    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]),
-    by Newton's divided differences (the xs distinct)."""
-    xs = [rat(x) for x in xs]
-    coef = [rat(y) for y in ys]
-    n = len(xs)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    p: Poly1 = ()
-    for i in range(n - 1, -1, -1):
-        p = add(mul(p, (-xs[i], Fraction(1))), (coef[i],))
-    return p
+    """The polynomial of degree < len(xs) through the points (xs[k], ys[k])
+    for unit-spaced nodes xs[k] = x0 + k: the values are cleared to integers
+    over one denominator L and handed to _interpolate.  ValueError for any
+    other nodes."""
+    xs, ys = [rat(x) for x in xs], [rat(y) for y in ys]
+    if len(ys) != len(xs) or any(x != xs[0] + k for k, x in enumerate(xs)):
+        raise ValueError("interpolate needs one value at each of x0, x0 + 1, ...")
+    if not xs:
+        return ()
+    ints, den = exact._cleared(ys)
+    return _interpolate(xs[0], ints, den)
+
+
+def _interpolate(x0: Fraction, ys: list[int], den: int) -> Poly1:
+    """The polynomial p of degree <= B = len(ys) - 1 with p(x0 + k) =
+    ys[k] / den, in integers up to one Fraction per coefficient.
+
+    Newton's forward form p(x0 + u) = sum_j Delta^j y_0 C(u, j) has integer
+    differences Delta^j ys[0], and B! C(u, j) = (B!/j!) u (u-1) ... (u-j+1)
+    has integer coefficients.  The shift u = x - x0 with x0 = a/b rides
+    along: each factor u - i is (bx - a - ib)/b, so p = R / (b^B B! den) with
+    R = sum_j Delta^j ys[0] (B!/j!) b^(B-j) (bx - a) ... (bx - a - (j-1)b),
+    an integer polynomial taken by Horner's rule from j = B down.
+    """
+    d = list(ys)
+    B = len(d) - 1
+    for j in range(1, B + 1):
+        for i in range(B, j - 1, -1):
+            d[i] -= d[i - 1]
+    a, b = x0.numerator, x0.denominator
+    R, w = d[B:], 1
+    for j in range(B - 1, -1, -1):
+        w *= (j + 1) * b  # (B!/j!) b^(B-j)
+        s = a + j * b  # R <- R (bx - s) + d_j w
+        R = [b * r1 - s * r0 for r0, r1 in zip(R + [0], [0] + R)]
+        R[0] += d[j] * w
+    return _over(R, den * w)
+
+
+def _integers(polys) -> tuple[list[list[int]], int]:
+    """The polynomials as integer coefficient lists over their least common
+    denominator."""
+    den = lcm(*(c.denominator for p in polys for c in p))
+    return [[c.numerator * (den // c.denominator) for c in p] for p in polys], den
+
+
+def _over(ints: list[int], den: int) -> Poly1:
+    """The polynomial ints / den: one Fraction per coefficient."""
+    ints = list(ints)
+    while ints and ints[-1] == 0:
+        ints.pop()
+    return tuple(Fraction(c, den) for c in ints)
+
+
+def _int_sum(ps) -> list[int]:
+    out = [0] * max(map(len, ps))
+    for p in ps:
+        for i, c in enumerate(p):
+            out[i] += c
+    return out
+
+
+def _int_mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
 def det(M) -> Poly1:
     """Determinant of a square matrix over Q[x], by evaluation and
-    interpolation: it has degree at most B = sum over the rows of the largest
-    entry degree, so ``exact.det`` at the integer nodes 0..B fixes it."""
+    interpolation in integers.  It has degree at most B = the sum over the
+    rows of the largest entry degree.  Each row is cleared once to integer
+    polynomials over the lcm s_r of its denominators, every entry is taken
+    at the nodes 0..B by integer Horner, ``exact.det`` gives the integer
+    determinant at each node, and _interpolate fits those over the product
+    of the s_r."""
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("determinant of a non-square matrix")
     degs = [max(map(len, row), default=0) - 1 for row in M]
     if min(degs, default=0) < 0:
         return ()
-    nodes = range(sum(degs) + 1)
-    return interpolate(nodes, [exact.det([[evaluate(e, x) for e in row] for row in M])
-                               for x in nodes])
+    rows, scale = [], 1
+    for row in M:
+        ints, s = _integers(row)
+        rows.append(ints)
+        scale *= s
+    vals = [exact.det([[_scaled_value(e, x) for e in row] for row in rows]).numerator
+            for x in range(sum(degs) + 1)]
+    return _interpolate(Fraction(0), vals, scale)
 
 
 def _primitive(p) -> Poly1:
@@ -250,24 +322,31 @@ def isolate_roots(p: Poly1, lo, hi, tol) -> list[RootLocation]:
 
     Each root comes back exact or bracketed by an open interval of width
     <= tol whose endpoints are not roots.  Roots at lo or hi themselves are
-    not reported.
+    not reported.  The work is on integers: a repeated factor is divided out
+    by the gcd that ends p's Sturm sequence, and a rational root n/d found
+    at lo, hi or a bisection midpoint is deflated by the factor dx - n.
     """
     lo, hi, tol = rat(lo), rat(hi), rat(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    p = squarefree_part(p)
-    if degree(p) < 1:
-        return []
-    one = Fraction(1)
-    for r in (lo, hi):
-        while p and evaluate(p, r) == 0:
-            p = divmod_exact(p, (-r, one))[0]
-    roots: list[RootLocation] = []
     seq = sturm_sequence(p)
+    if seq and degree(seq[-1]) >= 1:
+        seq = sturm_sequence(_quotient(seq[0], seq[-1]))
+    if not seq or degree(seq[0]) < 1:
+        return []
+    for r in (lo, hi):
+        while _scaled_value(seq[0], r) == 0:
+            seq = _deflated(seq[0], r)
+    # sign variations by point, for the current seq: no endpoint is a root
+    variations: dict = {}
+    roots: list[RootLocation] = []
     work = [(lo, hi)]
     while work:
         a, b = work.pop()
-        n = count_roots_between(seq, a, b)
+        for x in (a, b):
+            if x not in variations:
+                variations[x] = sign_variations_at(seq, x)
+        n = variations[a] - variations[b]
         if n == 0:
             continue
         if n == 1 and b - a <= tol:
@@ -276,13 +355,32 @@ def isolate_roots(p: Poly1, lo, hi, tol) -> list[RootLocation]:
         mid = (a + b) / 2
         if _scaled_value(seq[0], mid) == 0:
             roots.append(RootLocation(mid, mid, mid))
-            p = divmod_exact(p, (-mid, one))[0]
-            seq = sturm_sequence(p)
-            if degree(p) < 1:
+            seq = _deflated(seq[0], mid)
+            variations.clear()
+            if degree(seq[0]) < 1:
                 continue
         work.append((a, mid))
         work.append((mid, b))
     return sorted(roots, key=lambda r: r.low)
+
+
+def _quotient(a: Poly1, b: Poly1) -> list[int]:
+    """a / b for integer a and a primitive integer divisor b of a.  By
+    Gauss's lemma the quotient has integer coefficients, so each step of the
+    long division divides exactly."""
+    r = list(a)
+    db, lead = len(b) - 1, b[-1]
+    q = [0] * (len(r) - db)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = f = r[k + db] // lead
+        for i, y in enumerate(b):
+            r[k + i] -= f * y
+    return q
+
+
+def _deflated(q: Poly1, x: Fraction) -> list[Poly1]:
+    """The Sturm sequence of q / (dx - n), for a root x = n/d of q."""
+    return sturm_sequence(_quotient(q, (-x.numerator, x.denominator)))
 
 
 @dataclass(frozen=True)

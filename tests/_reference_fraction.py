@@ -6,7 +6,8 @@
 #
 # At the end: a Fraction reference for Bernstein coefficients, Euclid's gcd,
 # the sampled rational-function reconstruction, the Fraction Sturm sequence,
-# the per-crease probe loop, and the recession-first from_halfspaces.
+# interpolation, determinants over Q[x] and root isolation, the per-crease
+# probe loop, and the recession-first from_halfspaces.
 
 import itertools
 import math
@@ -14,14 +15,17 @@ from fractions import Fraction
 from typing import Callable
 
 from wkstab import Polynomial
-from wkstab.exact import rat, solve_general
+from wkstab.exact import det as exact_det, rat, solve_general
 from wkstab.univariate import (
     RationalFunction,
+    RootLocation,
+    add,
     degree,
     derivative,
     divmod_exact,
     evaluate,
     monic,
+    mul,
     normalize,
     scale,
 )
@@ -397,6 +401,70 @@ def count_roots_between_fraction(seq: list, a, b) -> int:
     if evaluate(seq[0], a) == 0 or evaluate(seq[0], b) == 0:
         raise ValueError("Sturm endpoints must not be roots")
     return variations(a) - variations(b)
+
+
+# ---------------------------------------------------------------------------
+# Interpolation, determinants over Q[x] and root isolation in Fractions, as
+# univariate computed them before its integer kernels: Newton's divided
+# differences at any distinct nodes, det by Fraction evaluation at the nodes
+# 0..B plus that interpolation, and bisection on the Fraction Sturm sequence
+# of the squarefree part with Fraction deflation of exact roots.
+
+
+def interpolate_fraction(xs, ys):
+    xs = [rat(x) for x in xs]
+    coef = [rat(y) for y in ys]
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    p = ()
+    for i in range(n - 1, -1, -1):
+        p = add(mul(p, (-xs[i], Fraction(1))), (coef[i],))
+    return p
+
+
+def det_fraction(M):
+    degs = [max(map(len, row), default=0) - 1 for row in M]
+    if min(degs, default=0) < 0:
+        return ()
+    nodes = range(sum(degs) + 1)
+    return interpolate_fraction(
+        nodes, [exact_det([[evaluate(e, x) for e in row] for row in M]) for x in nodes]
+    )
+
+
+def isolate_roots_fraction(p, lo, hi, tol):
+    lo, hi, tol = rat(lo), rat(hi), rat(tol)
+    if degree(p) >= 1:
+        p = divmod_exact(p, euclid_gcd_monic(p, derivative(p)))[0]
+    if degree(p) < 1:
+        return []
+    one = Fraction(1)
+    for r in (lo, hi):
+        while p and evaluate(p, r) == 0:
+            p = divmod_exact(p, (-r, one))[0]
+    roots = []
+    seq = sturm_sequence_fraction(p)
+    work = [(lo, hi)]
+    while work:
+        a, b = work.pop()
+        n = count_roots_between_fraction(seq, a, b)
+        if n == 0:
+            continue
+        if n == 1 and b - a <= tol:
+            roots.append(RootLocation(a, b, None))
+            continue
+        mid = (a + b) / 2
+        if evaluate(p, mid) == 0:
+            roots.append(RootLocation(mid, mid, mid))
+            p = divmod_exact(p, (-mid, one))[0]
+            seq = sturm_sequence_fraction(p)
+            if degree(p) < 1:
+                continue
+        work.append((a, mid))
+        work.append((mid, b))
+    return sorted(roots, key=lambda r: r.low)
 
 
 # ---------------------------------------------------------------------------

@@ -408,6 +408,25 @@ def test_cli_threshold_template_golden(capsys, mode, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--lo", "37/8", "--hi", "9"),
+         "bdcef25b8babf702103edf64c2994eceaf2faafe2d586918cb97ac8571fd79ab"),
+        (("--lo", "41/7", "--hi", "12", "--tol", "1/1000"),
+         "0ba953bca85a75eb0d92b1ddfd548fdd60c2d23fa2fe434bab6b3deebe681722"),
+    ],
+    ids=["37/8", "41/7"],
+)
+def test_cli_threshold_fractional_floor_golden(capsys, argv, digest):
+    # a fractional c_lo: the moment systems are interpolated at c_lo + k, so
+    # the fit is shifted by a non-integer; pinned as the Fraction
+    # interpolation printed them
+    code, out, err = run(capsys, "threshold", THRESHOLD_TEMPLATE, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_calls_share_one_parser_without_leaking_state(capsys):
     assert cli.build_parser() is cli.build_parser()
     code, default, _ = run(capsys, "check-fano", RANK_ONE)
@@ -766,3 +785,19 @@ def test_sweep_row_with_a_bad_fiber_names_its_path(capsys):
     assert good["verdict"] != "Error"
     assert bad["verdict"] == "Error"
     assert bad["error"] == f"sweep.template.fiber.labels: {EMPTY_INTERIOR}"
+
+
+@pytest.mark.parametrize(
+    "bindings, path",
+    [
+        ({"grid": {"c": [7], "zz": [1]}}, "sweep.grid.zz"),
+        ({"rows": [{"c": 7}, {"c": 8, "zz": 1}]}, "sweep.rows[1].zz"),
+    ],
+    ids=["grid", "rows"],
+)
+def test_sweep_rejects_a_variable_no_placeholder_uses(tmp_path, bindings, path):
+    template = json.loads(TRI_TEMPLATE.replace('"var"', '"$c"'))
+    proc = _python_m_wkstab(tmp_path, "sweep", json.dumps({"template": template, **bindings}))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {path}: "), proc.stderr
+    assert "Traceback" not in proc.stderr

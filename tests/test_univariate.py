@@ -8,8 +8,11 @@ import _reference_fraction
 from _reference_fraction import (
     DegreeEscalationFailed,
     count_roots_between_fraction,
+    det_fraction,
     euclid_gcd_monic,
     fit_rational,
+    interpolate_fraction,
+    isolate_roots_fraction,
     reconstruct_rational,
     sturm_sequence_fraction,
 )
@@ -382,11 +385,11 @@ def test_gcd_monic_edge_cases():
 
 
 @st.composite
-def poly_matrices(draw):
+def poly_matrices(draw, coefficients=rationals):
     """Square matrices over Q[x] of size 0..4 with entries of unequal degree,
     sometimes given a zero row or made singular by a repeated row."""
     n = draw(st.integers(0, 4))
-    M = [[normalize(draw(st.lists(rationals, max_size=draw(st.integers(0, 4)))))
+    M = [[normalize(draw(st.lists(coefficients, max_size=draw(st.integers(0, 4)))))
           for _ in range(n)] for _ in range(n)]
     if n and draw(st.booleans()):
         M[draw(st.integers(0, n - 1))] = [()] * n
@@ -409,3 +412,95 @@ def test_det_degree_bound_is_attained():
     D = det(M)
     assert len(D) - 1 == 6 and D == bareiss_det(M)
     assert det([]) == (F(1),) == bareiss_det([])
+
+
+# ------------------------- integer det, interpolate and isolate_roots against
+# the Fraction paths they replace
+
+large_rationals = st.builds(F, st.integers(-10**15, 10**15), st.integers(1, 10**12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(poly_matrices(), poly_matrices(large_rationals)))
+def test_det_matches_fraction_oracle(M):
+    D = det(M)
+    assert D == det_fraction(M)
+    assert all(type(c) is F for c in D)
+
+
+def test_det_hands_exact_det_only_integers(monkeypatch):
+    x = (F(0), F(1))
+    M = [[(F(1, 3), F(2, 7)), (F(5),), ()],
+         [(), (F(-1, 2), F(0), F(3, 11)), x],
+         [(F(10**20, 3),), (F(1), F(1, 10**9)), (F(4, 9),)]]
+    want = det_fraction(M)
+    seen = []
+    real = exact.det
+
+    def counting(A):
+        seen.append([list(row) for row in A])
+        return real(A)
+
+    monkeypatch.setattr(exact, "det", counting)
+    assert det(M) == want
+    assert len(seen) == 5  # the nodes 0..B, B = 1 + 2 + 1
+    assert all(type(e) is int for A in seen for row in A for e in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(rationals, large_rationals), max_size=8),
+    st.sampled_from([F(-3), F(0), F(4), F(37, 8), F(-41, 7)]),
+)
+def test_interpolate_matches_divided_differences(ys, x0):
+    xs = [x0 + k for k in range(len(ys))]
+    p = interpolate(xs, ys)
+    assert p == interpolate_fraction(xs, ys)
+    assert all(type(c) is F for c in p)
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [[0, 2], [1, 0], [0, 1, 3], [F(1, 2), F(1)], [0, 0]],
+    ids=["gap", "descending", "late-gap", "half-step", "repeated"],
+)
+def test_interpolate_rejects_nodes_that_are_not_unit_spaced(xs):
+    with pytest.raises(ValueError, match=r"x0, x0 \+ 1"):
+        interpolate(xs, [F(1)] * len(xs))
+
+
+def test_interpolate_rejects_a_value_count_that_does_not_match():
+    with pytest.raises(ValueError):
+        interpolate([0, 1, 2], [F(1), F(2)])
+
+
+half_integers = st.builds(lambda m: F(m, 2), st.integers(-12, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(half_integers, max_size=5),
+    st.lists(st.sampled_from([2, 3, F(7, 4)]), max_size=2),
+    st.sampled_from([1, -3, F(2, 5)]),
+    half_integers,
+    half_integers,
+    st.sampled_from([F(1), F(1, 8), F(1, 1000)]),
+)
+def test_isolate_roots_matches_fraction_oracle(roots, irr, lead, a, b, tol):
+    # repeated roots, roots at the ends and at bisection midpoints
+    p = poly_from_roots(roots, lead=lead)
+    for k in irr:
+        p = mul(p, (F(-k), F(0), F(1)))
+    lo, hi = min(a, b), max(a, b)
+    assert isolate_roots(p, lo, hi, tol) == isolate_roots_fraction(p, lo, hi, tol)
+
+
+@pytest.mark.parametrize(
+    "roots, lo, hi, want",
+    [([1, 1, 3], 0, 2, [1]), ([1, 1, 3], 0, 4, [1, 3]), ([2, 2, 2, F(1, 3)], 1, 3, [2])],
+)
+def test_isolate_roots_divides_out_a_repeated_root_at_a_midpoint(roots, lo, hi, want):
+    p = poly_from_roots(roots)
+    got = isolate_roots(p, lo, hi, F(1, 100))
+    assert got == isolate_roots_fraction(p, lo, hi, F(1, 100))
+    assert [r.exact for r in got] == want
