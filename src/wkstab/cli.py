@@ -83,15 +83,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        return jsonio.parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _x0_arg(text: str) -> tuple:
     try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
+        return tuple(jsonio.parse_rational(part.strip()) for part in text.split(","))
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f'bad point {text!r}; write rationals like "1/2,-3"'
         ) from exc

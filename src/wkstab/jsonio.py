@@ -56,6 +56,8 @@ def loads(text: str):
         )
     except json.JSONDecodeError as exc:
         raise InputError("<input>", f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's int-conversion digit limit
+        raise InputError("<input>", str(exc)) from exc
 
 
 def dumps(obj) -> str:
@@ -67,6 +69,19 @@ def rational_to_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def parse_rational(text: str) -> Fraction:
+    """The rational a string such as "3", "-7/2" or "1.25" names, or
+    ValueError.  An exponent ("1e3") is rejected before Fraction sees it:
+    Fraction would build 10**exp, for "1e999999999" an integer of about
+    415 MB."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"not a rational: {text!r} (exponents are not accepted)")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational: {text!r} ({exc})") from exc
+
+
 def rational_from_json(node, path: str) -> Fraction:
     if isinstance(node, bool):
         raise InputError(path, "expected a rational, got a boolean")
@@ -74,9 +89,9 @@ def rational_from_json(node, path: str) -> Fraction:
         return Fraction(node)
     if isinstance(node, str):
         try:
-            return Fraction(node)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(path, f"not a rational: {node!r} ({exc})") from exc
+            return parse_rational(node)
+        except ValueError as exc:
+            raise InputError(path, str(exc)) from exc
     raise InputError(path, f"expected a rational (int or 'a/b'), got {type(node).__name__}")
 
 

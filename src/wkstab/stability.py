@@ -25,12 +25,15 @@ vertex condition holds.  The fiber, and with it its moment table, does not
 depend on c, and each factor offset is affine in c, so every entry of the
 extremal moment system M(c) lam = b(c) is a polynomial in c of degree at
 most N (the summed dimensions of the factors whose offset moves).  The
-system is interpolated exactly through N + 1 values of c and solved by
-Cramer's rule with Bareiss determinants over Q[c]; each vertex's condition
-value is then an exact rational function of c, whose numerator roots are
-isolated by integer Sturm sequences.  A certified threshold rests on that
-solve, on the positivity of det M(c) for all c >= c_lo (checked by Sturm),
-and on agreement with the direct pipeline at c_hi; no sampled fit enters.
+system is interpolated exactly through N + 1 values of c, as integer
+polynomials over one shared denominator, and solved by Cramer's rule: each
+determinant over Z[c] is ``exact.det`` on the integer matrices at the
+integer nodes 0..B, interpolated.  Each vertex's condition value is then an
+exact rational function of c with integer numerator and denominator, whose
+numerator roots are isolated by integer Sturm sequences.  A certified
+threshold rests on that solve, on the positivity of det M(c) for all
+c >= c_lo (checked by Sturm), and on agreement with the direct pipeline at
+c_hi; no sampled fit enters.
 """
 
 from __future__ import annotations
@@ -381,19 +384,22 @@ class ThresholdResult:
     tol: Fraction
 
 
-def _check_template(fib_lo: Fibration, fib: Fibration, offsets, c: Fraction) -> None:
+def _check_template(
+    fib_lo: Fibration, fib: Fibration, offsets, c_lo: Fraction, c: Fraction
+) -> None:
     """ValueError unless fib differs from fib_lo only in its factor offsets,
-    each at its value offsets[a](c)."""
+    each at its value c_a(c_lo) + Delta_a (c - c_lo), offsets[a] =
+    (c_a(c_lo), Delta_a)."""
     if (
         fib.fiber.labels != fib_lo.fiber.labels
         or fib.convention is not fib_lo.convention
         or len(fib.factors) != len(fib_lo.factors)
     ):
         raise ValueError(f"make_fib changed the fiber, convention or factors at c = {c}")
-    for a, (f, g) in enumerate(zip(fib.factors, fib_lo.factors)):
+    for a, (f, g, (c_a, d)) in enumerate(zip(fib.factors, fib_lo.factors, offsets)):
         if (f.n, f.s, f.p) != (g.n, g.s, g.p):
             raise ValueError(f"make_fib changed factor {a}'s n, s or p at c = {c}")
-        if f.c != u1.evaluate(offsets[a], c):
+        if f.c != c_a + d * (c - c_lo):
             raise ValueError(f"make_fib: factor {a}'s offset is not affine in c at c = {c}")
 
 
@@ -401,19 +407,20 @@ def _exact_vertex_functions(make_fib, fib_lo: Fibration, c_lo: Fraction):
     """The condition value at each fiber vertex as an exact rational function
     of c, and whether Cramer's rule is the extremal solve for every c >= c_lo.
 
-    Returns (offsets, functions, sound), offsets[a] = c_a(c) as a polynomial
-    in c.  Each offset is c_a(c_lo) + Delta_a (c - c_lo), Delta_a read from
-    c_lo and c_lo + 1, so the entries of the moment system M(c) lam = b(c)
-    are polynomials of degree <= N = sum of n_a over the factors with
+    Returns (offsets, functions, sound), offsets[a] = (c_a(c_lo), Delta_a)
+    with c_a(c) = c_a(c_lo) + Delta_a (c - c_lo), Delta_a read from c_lo and
+    c_lo + 1.  So the entries of the moment system M(c) lam = b(c) are
+    polynomials of degree <= N = sum of n_a over the factors with
     Delta_a != 0.  They are interpolated through the N + 1 systems at
     c_lo, ..., c_lo + N on fib_lo's fiber.  Each system is integers over its
-    own denominator, so every entry's N + 1 values go to
-    univariate._interpolate as integers over the lcm L of those; its fit
-    over N! L is shifted by c_lo in integers.  l_ext = (D_0 + sum_i x_i D_i)
-    / D with D = det M(c) and D_i the Cramer determinants, all by
-    univariate.det (integer determinants at the integer c = 0, ..., B,
-    interpolated).  Each vertex's numerator and denominator are summed on
-    integer numerators over one denominator and reduced once.
+    own denominator, so every entry's N + 1 values are integers over the lcm
+    L of those, and univariate._interpolate fits them as integer polynomials
+    over L N! b^N (c_lo = a/b): one denominator for all of M and b, so M is
+    an integer polynomial matrix.  l_ext = (D_0 + sum_i x_i D_i) / D with
+    D = det M(c) and D_i the Cramer determinants, all by univariate.det; the
+    shared denominator scales D and every D_i alike and cancels.  Each
+    vertex's numerator and denominator are summed on integers and reduced
+    once.
 
     sound: M(c_lo) is positive definite and D has no root in [c_lo, oo);
     since det M(c) never vanishes there, no eigenvalue of the symmetric M(c)
@@ -421,28 +428,26 @@ def _exact_vertex_functions(make_fib, fib_lo: Fibration, c_lo: Fraction):
     extremal solve for every c >= c_lo.
     """
     fibs = [fib_lo, make_fib(c_lo + 1)]
-    deltas = [g.c - f.c for f, g in zip(fib_lo.factors, fibs[1].factors)]
-    offsets = tuple(u1.normalize([f.c - d * c_lo, d]) for f, d in zip(fib_lo.factors, deltas))
-    _check_template(fib_lo, fibs[1], offsets, c_lo + 1)
-    if any(d < 0 for d in deltas):
+    offsets = tuple((f.c, g.c - f.c) for f, g in zip(fib_lo.factors, fibs[1].factors))
+    _check_template(fib_lo, fibs[1], offsets, c_lo, c_lo + 1)
+    if any(d < 0 for _, d in offsets):
         raise ValueError("make_fib: a factor offset decreases in c")
-    N = sum(f.n for f, d in zip(fib_lo.factors, deltas) if d)
+    N = sum(f.n for f, (_, d) in zip(fib_lo.factors, offsets) if d)
     for k in range(2, N + 1):
         fibs.append(make_fib(c_lo + k))
-        _check_template(fib_lo, fibs[k], offsets, c_lo + k)
+        _check_template(fib_lo, fibs[k], offsets, c_lo, c_lo + k)
     P = fib_lo.fiber
     systems = [_moment_system(P, f.v, f.w_base, f.convention) for f in fibs[: N + 1]]
     # every system over the one denominator L, interpolated at c_lo + k
     L = lcm(*(den for _, _, den in systems))
     scales = [L // den for _, _, den in systems]
+
+    def fit(values):
+        return u1._interpolate(c_lo, [v * s for v, s in zip(values, scales)])[0]
+
     size = P.dim + 1
-    M = [
-        [u1._interpolate(c_lo, [Ms[i][j] * s for (Ms, _, _), s in zip(systems, scales)], L)
-         for j in range(size)]
-        for i in range(size)
-    ]
-    b = [u1._interpolate(c_lo, [bs[i] * s for (_, bs, _), s in zip(systems, scales)], L)
-         for i in range(size)]
+    M = [[fit([Ms[i][j] for Ms, _, _ in systems]) for j in range(size)] for i in range(size)]
+    b = [fit([bs[i] for _, bs, _ in systems]) for i in range(size)]
     D = u1.det(M)
     if not D:
         raise SingularMomentMatrix("the moment determinant vanishes identically in c")
@@ -458,25 +463,24 @@ def _exact_vertex_functions(make_fib, fib_lo: Fibration, c_lo: Fraction):
 
     x0, t = fib_lo.fano_fiber
     K = 2 * fib_lo.total_dim + 2
-    # the sums below run on integer numerators: D = ID / common and
-    # D_i = IC[i] / common, and each vertex's pair is (num, den) / F
-    (ID, *IC), common = u1._integers([D] + cramer)
     functions = []
     for x in P.vertices:
         # condition_value_fano with t l_ext(x) = t (D_0 + sum_i x_i D_i) / D:
         # num / den = (K D - t D_0 - sum_i t x_i D_i) / D, its scalars cleared
         # over sigma, then each e_a / u_a added over a common denominator,
         # where u_a = p_a(x) + c_a(c) and e_a = t s_a - 2 n_a (p_a(x0) + c_a(c))
+        # are affine in c, cleared over one denominator that cancels in e_a / u_a
         ks, sigma = _cleared([K, -t] + [-t * xi for xi in x])
-        num = u1._int_sum([[k * c for c in Q] for k, Q in zip(ks, [ID] + IC)])
-        den, F = [sigma * c for c in ID], sigma * common
-        for f, off in zip(fib_lo.factors, offsets):
-            u_a = u1.add(off, (f.p(x),))
-            e_a = u1.add(u1.scale(off, -2 * f.n), (t * f.s - 2 * f.n * f.p(x0),))
-            (U, E), mu = u1._integers([u_a, e_a])
+        num = u1._int_sum([[k * c for c in Q] for k, Q in zip(ks, [D] + cramer)])
+        den = [sigma * c for c in D]
+        for f, (c_a, d) in zip(fib_lo.factors, offsets):
+            at_0 = c_a - d * c_lo  # c_a(0)
+            (u0, du, e0, de), _ = _cleared(
+                [f.p(x) + at_0, d, t * f.s - 2 * f.n * (f.p(x0) + at_0), -2 * f.n * d]
+            )
+            U, E = (u0, du), (e0, de)
             num, den = u1._int_sum([u1._int_mul(num, U), u1._int_mul(den, E)]), u1._int_mul(den, U)
-            F *= mu
-        functions.append(u1._reduced(u1._over(num, F), u1._over(den, F)))
+        functions.append(u1._reduced(num, den))
     return offsets, functions, sound
 
 
@@ -530,11 +534,11 @@ def threshold_c(
     offsets, functions, certified = _exact_vertex_functions(make_fib, fib_lo, c_lo)
 
     fib_hi = make_fib(c_hi)
-    _check_template(fib_lo, fib_hi, offsets, c_hi)
+    _check_template(fib_lo, fib_hi, offsets, c_lo, c_hi)
     l_hi = extremal_affine(fib_hi).l_ext
     at_hi = [condition_value_fano(fib_hi, l_hi, vtx) for vtx in verts]
     for vtx, fn, value in zip(verts, functions, at_hi):
-        if u1.evaluate(fn.num, c_hi) != value * u1.evaluate(fn.den, c_hi):
+        if not u1._scaled_value(fn.den, c_hi) or fn(c_hi) != value:
             raise ArithmeticError(
                 f"exact condition value at vertex {format_point(vtx)} disagrees with the "
                 f"direct value {value} at c_hi = {c_hi}"

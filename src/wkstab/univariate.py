@@ -1,30 +1,33 @@
-"""Dense univariate polynomials over the rationals: exact interpolation,
-determinants over Q[x], gcds and Sturm root isolation.
+"""Dense univariate polynomials with integer coefficients: exact
+interpolation, determinants over Z[x], gcds and Sturm root isolation.
 
-Polynomials are coefficient lists (index = power, no trailing zeros, [] = 0).
-The kernels work on integers and make one Fraction per output coefficient.
-Interpolation takes nodes x0, x0 + 1, ..., x0 + B with values over one
-denominator L: the integer forward differences expand Newton's basis C(u, j)
-over B! L, and the shift u = x - x0 by x0 = a/b is made in the same integer
-Horner pass.  A determinant over Q[x] has each row cleared once to integers,
-every entry taken at the nodes 0..B by integer Horner, ``exact.det`` run on
-the integer matrix at each node, and those values interpolated.  One
-remainder loop, _remainders, yields the primitive integer polynomial
-remainder sequence (PRS): its last member is the gcd, and the PRS of p and p'
-is the Sturm sequence of p.  Each member is a positive multiple of the
-classical one, so every sign, and with it every root count, is unchanged, and
-a sign at x = n/d is read off the integer d^deg q(n/d) by Horner's rule.
-Root isolation bisects on the Sturm sequence of the primitive squarefree
-part and returns exact rational roots when bisection lands on one (deflating
-it out by the integer factor dx - n, so Sturm counts stay valid) and
-width-bounded brackets otherwise.
+Polynomials are tuples of ints (index = power, no trailing zeros, () = 0).
+A rational polynomial is an integer one over a positive denominator that
+the caller keeps, and most of what is asked of it (its roots, its signs, a
+gcd, a ratio num/den) does not see that denominator: this is the primitive
+polynomial remainder sequence (PRS) view of Collins, with exact quotients by
+Gauss's lemma.  Interpolation takes nodes x0, x0 + 1, ..., x0 + B with
+integer values: the integer forward differences expand Newton's basis
+C(u, j) over B!, and the shift u = x - x0 by x0 = a/b is made in the same
+integer Horner pass, so the fit is an integer polynomial over B! b^B.  A
+determinant over Z[x] takes every entry at the nodes 0..B by integer Horner,
+runs ``exact.det`` on the integer matrix at each node and interpolates those
+values; the fit divides exactly by B!.  One remainder loop, _remainders,
+yields the primitive integer PRS: its last member is the gcd, and the PRS of
+p and p' is the Sturm sequence of p.  Each member is a positive multiple of
+the classical one, so every sign, and with it every root count, is
+unchanged, and a sign at x = n/d is read off the integer d^deg q(n/d) by
+Horner's rule.  Root isolation bisects on the Sturm sequence of the
+primitive squarefree part and returns exact rational roots when bisection
+lands on one (deflating it out by the integer factor dx - n, so Sturm counts
+stay valid) and width-bounded brackets otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import exact
 from .exact import rat
@@ -32,8 +35,8 @@ from .exact import rat
 Poly1 = tuple
 
 
-def normalize(coeffs) -> Poly1:
-    cs = [rat(c) for c in coeffs]
+def _trim(cs) -> Poly1:
+    cs = list(cs)
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -43,105 +46,21 @@ def degree(p: Poly1) -> int:
     return len(p) - 1
 
 
-def evaluate(p: Poly1, x) -> Fraction:
-    x = rat(x)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def add(p: Poly1, q: Poly1) -> Poly1:
-    n = max(len(p), len(q))
-    return normalize(
-        [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
-    )
-
-
-def scale(p: Poly1, a) -> Poly1:
-    a = rat(a)
-    return normalize([a * c for c in p])
-
-
-def sub(p: Poly1, q: Poly1) -> Poly1:
-    return add(p, scale(q, -1))
-
-
-def mul(p: Poly1, q: Poly1) -> Poly1:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return normalize(out)
-
-
-def divmod_exact(p: Poly1, q: Poly1) -> tuple[Poly1, Poly1]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    dq = len(q) - 1
-    lead = q[-1]
-    while len(rem) - 1 >= dq and any(c != 0 for c in rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dq:
-            break
-        k = len(rem) - 1 - dq
-        f = rem[-1] / lead
-        quo[k] = f
-        for i in range(len(q)):
-            rem[k + i] -= f * q[i]
-    return normalize(quo), normalize(rem)
-
-
 def derivative(p: Poly1) -> Poly1:
-    return normalize([i * p[i] for i in range(1, len(p))])
+    return _trim(i * p[i] for i in range(1, len(p)))
 
 
-def monic(p: Poly1) -> Poly1:
-    return scale(p, Fraction(1) / p[-1]) if p else ()
-
-
-def gcd_monic(p: Poly1, q: Poly1) -> Poly1:
-    """The monic gcd of p and q (() when both are 0): the last member of
-    their remainder sequence, made monic."""
-    return monic((_remainders(p, q) or [()])[-1])
-
-
-def squarefree_part(p: Poly1) -> Poly1:
-    if degree(p) < 1:
-        return normalize(p)
-    g = gcd_monic(p, derivative(p))
-    return divmod_exact(p, g)[0]
-
-
-def interpolate(xs, ys) -> Poly1:
-    """The polynomial of degree < len(xs) through the points (xs[k], ys[k])
-    for unit-spaced nodes xs[k] = x0 + k: the values are cleared to integers
-    over one denominator L and handed to _interpolate.  ValueError for any
-    other nodes."""
-    xs, ys = [rat(x) for x in xs], [rat(y) for y in ys]
-    if len(ys) != len(xs) or any(x != xs[0] + k for k, x in enumerate(xs)):
-        raise ValueError("interpolate needs one value at each of x0, x0 + 1, ...")
-    if not xs:
-        return ()
-    ints, den = exact._cleared(ys)
-    return _interpolate(xs[0], ints, den)
-
-
-def _interpolate(x0: Fraction, ys: list[int], den: int) -> Poly1:
-    """The polynomial p of degree <= B = len(ys) - 1 with p(x0 + k) =
-    ys[k] / den, in integers up to one Fraction per coefficient.
+def _interpolate(x0: Fraction, ys: list[int]) -> tuple[Poly1, int]:
+    """(R, w): the polynomial p of degree <= B = len(ys) - 1 with
+    p(x0 + k) = ys[k] is R / w, R an integer polynomial and w = B! b^B for
+    x0 = a/b, so every fit at the same nodes shares w.
 
     Newton's forward form p(x0 + u) = sum_j Delta^j y_0 C(u, j) has integer
     differences Delta^j ys[0], and B! C(u, j) = (B!/j!) u (u-1) ... (u-j+1)
-    has integer coefficients.  The shift u = x - x0 with x0 = a/b rides
-    along: each factor u - i is (bx - a - ib)/b, so p = R / (b^B B! den) with
+    has integer coefficients.  The shift u = x - x0 rides along: each factor
+    u - i is (bx - a - ib)/b, so
     R = sum_j Delta^j ys[0] (B!/j!) b^(B-j) (bx - a) ... (bx - a - (j-1)b),
-    an integer polynomial taken by Horner's rule from j = B down.
+    taken by Horner's rule from j = B down.
     """
     d = list(ys)
     B = len(d) - 1
@@ -155,22 +74,7 @@ def _interpolate(x0: Fraction, ys: list[int], den: int) -> Poly1:
         s = a + j * b  # R <- R (bx - s) + d_j w
         R = [b * r1 - s * r0 for r0, r1 in zip(R + [0], [0] + R)]
         R[0] += d[j] * w
-    return _over(R, den * w)
-
-
-def _integers(polys) -> tuple[list[list[int]], int]:
-    """The polynomials as integer coefficient lists over their least common
-    denominator."""
-    den = lcm(*(c.denominator for p in polys for c in p))
-    return [[c.numerator * (den // c.denominator) for c in p] for p in polys], den
-
-
-def _over(ints: list[int], den: int) -> Poly1:
-    """The polynomial ints / den: one Fraction per coefficient."""
-    ints = list(ints)
-    while ints and ints[-1] == 0:
-        ints.pop()
-    return tuple(Fraction(c, den) for c in ints)
+    return _trim(R), w
 
 
 def _int_sum(ps) -> list[int]:
@@ -181,7 +85,7 @@ def _int_sum(ps) -> list[int]:
     return out
 
 
-def _int_mul(p: list[int], q: list[int]) -> list[int]:
+def _int_mul(p, q) -> list[int]:
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
@@ -190,44 +94,34 @@ def _int_mul(p: list[int], q: list[int]) -> list[int]:
 
 
 def det(M) -> Poly1:
-    """Determinant of a square matrix over Q[x], by evaluation and
-    interpolation in integers.  It has degree at most B = the sum over the
-    rows of the largest entry degree.  Each row is cleared once to integer
-    polynomials over the lcm s_r of its denominators, every entry is taken
-    at the nodes 0..B by integer Horner, ``exact.det`` gives the integer
-    determinant at each node, and _interpolate fits those over the product
-    of the s_r."""
+    """Determinant of a square matrix over Z[x], by evaluation and
+    interpolation.  It has degree at most B = the sum over the rows of the
+    largest entry degree: every entry is taken at the nodes 0..B by integer
+    Horner, ``exact.det`` gives the integer determinant at each node, and
+    the fit of those values over B! divides exactly by B!."""
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("determinant of a non-square matrix")
     degs = [max(map(len, row), default=0) - 1 for row in M]
     if min(degs, default=0) < 0:
         return ()
-    rows, scale = [], 1
-    for row in M:
-        ints, s = _integers(row)
-        rows.append(ints)
-        scale *= s
-    vals = [exact.det([[_scaled_value(e, x) for e in row] for row in rows]).numerator
+    vals = [exact.det([[_scaled_value(e, x) for e in row] for row in M]).numerator
             for x in range(sum(degs) + 1)]
-    return _interpolate(Fraction(0), vals, scale)
+    R, w = _interpolate(Fraction(0), vals)
+    return tuple(c // w for c in R)
 
 
 def _primitive(p) -> Poly1:
-    """p times the positive rational that makes its coefficients coprime
-    integers."""
+    """p divided by the gcd of its integer coefficients."""
     if not p:
         return ()
-    den = lcm(*(c.denominator for c in p))
-    ints = [c.numerator * (den // c.denominator) for c in p]
-    g = gcd(*ints)
-    return tuple(c // g for c in ints)
+    g = gcd(*p)
+    return tuple(c // g for c in p)
 
 
 def _positive_remainder(a: Poly1, b: Poly1) -> list:
-    """A positive integer multiple of (a mod b), for integer a and b: each
-    step scales the running remainder by |lc(b)| before cancelling its top
-    coefficient."""
+    """A positive integer multiple of (a mod b): each step scales the
+    running remainder by |lc(b)| before cancelling its top coefficient."""
     r = list(a)
     db, lead = len(b) - 1, b[-1]
     m, sgn = abs(lead), (1 if lead > 0 else -1)
@@ -259,9 +153,9 @@ def sturm_sequence(p: Poly1) -> list[Poly1]:
     return _remainders(p, derivative(p))
 
 
-def _scaled_value(q: Poly1, x: Fraction) -> int:
-    """d^deg(q) q(n/d) for x = n/d with d > 0: the sign of q(x), by integer
-    Horner for integer q."""
+def _scaled_value(q: Poly1, x) -> int:
+    """d^deg(q) q(n/d) for x = n/d with d > 0 (an int or a Fraction): the
+    sign of q(x), by integer Horner."""
     n, d = x.numerator, x.denominator
     acc, dpow = 0, 1
     for c in reversed(q):
@@ -296,8 +190,7 @@ def cauchy_root_bound(p: Poly1) -> Fraction:
     """All real roots of p lie in [-B, B] with B = 1 + max |a_i| / |a_n|."""
     if degree(p) < 1:
         return Fraction(1)
-    lead = abs(p[-1])
-    return 1 + max(abs(c) for c in p[:-1]) / lead if len(p) > 1 else Fraction(1)
+    return 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
 
 
 def positive_above(p: Poly1, lo) -> bool:
@@ -322,9 +215,9 @@ def isolate_roots(p: Poly1, lo, hi, tol) -> list[RootLocation]:
 
     Each root comes back exact or bracketed by an open interval of width
     <= tol whose endpoints are not roots.  Roots at lo or hi themselves are
-    not reported.  The work is on integers: a repeated factor is divided out
-    by the gcd that ends p's Sturm sequence, and a rational root n/d found
-    at lo, hi or a bisection midpoint is deflated by the factor dx - n.
+    not reported.  A repeated factor is divided out by the gcd that ends p's
+    Sturm sequence, and a rational root n/d found at lo, hi or a bisection
+    midpoint is deflated by the factor dx - n.
     """
     lo, hi, tol = rat(lo), rat(hi), rat(tol)
     if tol <= 0:
@@ -364,10 +257,10 @@ def isolate_roots(p: Poly1, lo, hi, tol) -> list[RootLocation]:
     return sorted(roots, key=lambda r: r.low)
 
 
-def _quotient(a: Poly1, b: Poly1) -> list[int]:
-    """a / b for integer a and a primitive integer divisor b of a.  By
-    Gauss's lemma the quotient has integer coefficients, so each step of the
-    long division divides exactly."""
+def _quotient(a: Poly1, b: Poly1) -> Poly1:
+    """a / b for a nonzero integer a and a primitive integer divisor b of
+    a.  By Gauss's lemma the quotient has integer coefficients, so each step
+    of the long division divides exactly."""
     r = list(a)
     db, lead = len(b) - 1, b[-1]
     q = [0] * (len(r) - db)
@@ -375,7 +268,7 @@ def _quotient(a: Poly1, b: Poly1) -> list[int]:
         q[k] = f = r[k + db] // lead
         for i, y in enumerate(b):
             r[k + i] -= f * y
-    return q
+    return tuple(q)
 
 
 def _deflated(q: Poly1, x: Fraction) -> list[Poly1]:
@@ -385,23 +278,33 @@ def _deflated(q: Poly1, x: Fraction) -> list[Poly1]:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """num/den in lowest terms, den with positive leading coefficient."""
+    """num/den in lowest terms: integer coefficients with no common factor,
+    no common root, and den's leading coefficient positive."""
 
     num: Poly1
     den: Poly1
 
     def __call__(self, x) -> Fraction:
-        d = evaluate(self.den, x)
+        # with x = n/q, num(x) = N / q^deg(num) and den(x) = D / q^deg(den)
+        x = rat(x)
+        d = _scaled_value(self.den, x)
         if d == 0:
             raise ZeroDivisionError(f"pole at {x}")
-        return evaluate(self.num, x) / d
+        e = degree(self.den) - degree(self.num)
+        q = x.denominator
+        return Fraction(_scaled_value(self.num, x) * q ** max(e, 0), d * q ** max(-e, 0))
 
 
-def _reduced(num: Poly1, den: Poly1) -> RationalFunction:
-    g = gcd_monic(num, den)
+def _reduced(num, den) -> RationalFunction:
+    """num/den for integer num and nonzero integer den, in lowest terms: the
+    gcd that ends their remainder sequence divided out (exactly, by Gauss's
+    lemma), then their joint content, with the sign that makes den's
+    leading coefficient positive."""
+    num, den = _trim(num), _trim(den)
+    if not num:
+        return RationalFunction((), (1,))
+    g = _remainders(num, den)[-1]
     if degree(g) >= 1:
-        num = divmod_exact(num, g)[0]
-        den = divmod_exact(den, g)[0]
-    if den and den[-1] < 0:
-        num, den = scale(num, -1), scale(den, -1)
-    return RationalFunction(normalize(num), normalize(den))
+        num, den = _quotient(num, g), _quotient(den, g)
+    k = gcd(*num, *den) * (1 if den[-1] > 0 else -1)
+    return RationalFunction(tuple(c // k for c in num), tuple(c // k for c in den))

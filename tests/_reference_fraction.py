@@ -4,31 +4,23 @@
 # factor (n = 3, s = 24), degree form p = p1*x1 + p2*x2.  Exponent keys are
 # (deg_c, deg_p1, deg_p2); values are integer coefficients.
 #
-# At the end: a Fraction reference for Bernstein coefficients, Euclid's gcd,
-# the sampled rational-function reconstruction, the Fraction Sturm sequence,
+# At the end: dense univariate polynomials over Fraction, and a Fraction
+# reference for Bernstein coefficients, Euclid's gcd, the sampled
+# rational-function reconstruction, the Fraction Sturm sequence,
 # interpolation, determinants over Q[x] and root isolation, the per-crease
-# probe loop, and the recession-first from_halfspaces.
+# probe loop, and the recession-first from_halfspaces.  Of wkstab.univariate,
+# whose integer kernels these are the oracles of, only the RootLocation
+# record is shared, so that located roots compare equal.
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from wkstab import Polynomial
 from wkstab.exact import det as exact_det, rat, solve_general
-from wkstab.univariate import (
-    RationalFunction,
-    RootLocation,
-    add,
-    degree,
-    derivative,
-    divmod_exact,
-    evaluate,
-    monic,
-    mul,
-    normalize,
-    scale,
-)
+from wkstab.univariate import RootLocation
 
 REF_NUM = {
     (10, 0, 0): 12250,
@@ -217,6 +209,98 @@ def eval_ref(coeffs: dict, c, p1, p2) -> Fraction:
 def ref_value(c, p1, p2) -> Fraction:
     """The reference rational function P/Q at a sample point."""
     return eval_ref(REF_NUM, c, p1, p2) / eval_ref(REF_DEN, c, p1, p2)
+
+
+# Dense univariate polynomials over Fraction, as univariate kept them before
+# its integer representation: coefficient tuples (index = power, no trailing
+# zeros, () = 0).
+
+
+def normalize(coeffs):
+    cs = [rat(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def degree(p) -> int:
+    return len(p) - 1
+
+
+def evaluate(p, x) -> Fraction:
+    x = rat(x)
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def add(p, q):
+    n = max(len(p), len(q))
+    return normalize(
+        [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
+    )
+
+
+def scale(p, a):
+    a = rat(a)
+    return normalize([a * c for c in p])
+
+
+def sub(p, q):
+    return add(p, scale(q, -1))
+
+
+def mul(p, q):
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return normalize(out)
+
+
+def divmod_exact(p, q):
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p)
+    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    dq = len(q) - 1
+    lead = q[-1]
+    while len(rem) - 1 >= dq and any(c != 0 for c in rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < dq:
+            break
+        k = len(rem) - 1 - dq
+        f = rem[-1] / lead
+        quo[k] = f
+        for i in range(len(q)):
+            rem[k + i] -= f * q[i]
+    return normalize(quo), normalize(rem)
+
+
+def derivative(p):
+    return normalize([i * p[i] for i in range(1, len(p))])
+
+
+def monic(p):
+    return scale(p, Fraction(1) / p[-1]) if p else ()
+
+
+@dataclass(frozen=True)
+class RationalFunction:
+    """num/den over Fraction, evaluated by Fraction Horner."""
+
+    num: tuple
+    den: tuple
+
+    def __call__(self, x) -> Fraction:
+        d = evaluate(self.den, x)
+        if d == 0:
+            raise ZeroDivisionError(f"pole at {x}")
+        return evaluate(self.num, x) / d
 
 
 # Bernstein coefficients over Fraction, as bernstein_coefficients computed

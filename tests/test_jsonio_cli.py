@@ -75,6 +75,19 @@ def test_rational_json_round_trip():
             jsonio.rational_from_json(bad, "x")
 
 
+@pytest.mark.parametrize("text", ["1e3", "1E-2", "3e0", "-2/1e1"])
+def test_rational_strings_with_an_exponent_are_rejected_at_their_path(text):
+    with pytest.raises(InputError, match="exponent") as exc:
+        jsonio.rational_from_json(text, "fibration.factors[0].c")
+    assert exc.value.path == "fibration.factors[0].c"
+
+
+def test_an_integer_past_the_digit_limit_is_an_input_error():
+    with pytest.raises(InputError) as exc:
+        jsonio.loads("[" + "7" * 5001 + "]")
+    assert exc.value.path == "<input>"
+
+
 def test_polytope_round_trip_and_unknown_keys():
     P = square()
     node = jsonio.polytope_to_json(P)
@@ -540,6 +553,22 @@ def test_cli_input_errors_exit_one(capsys, tmp_path):
     assert code == 1
     code, _, err = run(capsys, "check-fano", RANK_ONE.replace("15", "1.5"))
     assert code == 1 and "decimal" in err
+
+
+def test_cli_exponents_and_long_integers_exit_one_with_a_path(capsys):
+    code, _, err = run(capsys, "lext", RANK_ONE.replace("15", '"1e3"'))
+    assert code == 1 and err.startswith("error: fibration.factors[0].c: ")
+    code, _, err = run(capsys, "lext", RANK_ONE.replace("15", "7" * 5001))
+    assert code == 1 and err.startswith("error: <input>: ")
+    for argv in (
+        ["threshold", TRI_TEMPLATE, "--lo", "1e3", "--hi", "9"],
+        ["threshold", TRI_TEMPLATE, "--lo", "4", "--hi", "9", "--tol", "1E-2"],
+        ["check", RANK_ONE, "--x0", "1e-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert "argument --" in capsys.readouterr().err
 
 
 def test_cli_usage_errors_exit_one(capsys):

@@ -33,6 +33,7 @@ from wkstab import (
 from wkstab import futaki, stability
 from wkstab.exact import det as exact_det
 from wkstab import univariate as u1
+from _reference_fraction import evaluate
 from wkstab.stability import (
     HypothesisViolatedOnBracket,
     METHOD_AFFINE,
@@ -214,6 +215,16 @@ def test_threshold_canonical_bracket_contains_root():
     assert root_entries[0].vertex == (F(-1), F(2))
 
 
+@pytest.mark.parametrize("convention", list(Convention))
+def test_threshold_brackets_and_values_are_fractions(convention):
+    # the integer kernels must never hand back a float (int / int)
+    res = threshold_c(lambda c: tri_family(c, s=24, convention=convention), F(4), F(9))
+    ends = [res.low, res.high, res.value_at_hi, res.floor, res.tol]
+    for e in res.per_vertex:
+        ends += [e.low, e.high] + ([] if e.exact is None else [e.exact])
+    assert all(type(x) is F for x in ends + ([] if res.exact is None else [res.exact]))
+
+
 def test_threshold_floor_when_no_roots_above_lo():
     # legacy numerators have no roots above the floor: bracket collapses
     res = threshold_c(
@@ -332,8 +343,9 @@ def _oracle_functions(make_fib, c_lo, c_hi):
 
 
 def _monic_pair(fn):
-    lead = fn.den[-1]
-    return u1.scale(fn.num, 1 / lead), u1.scale(fn.den, 1 / lead)
+    """num/den, integer or Fraction, scaled to a monic den."""
+    lead = F(fn.den[-1])
+    return tuple(c / lead for c in fn.num), tuple(c / lead for c in fn.den)
 
 
 def _assert_matches_oracle(make_fib):
@@ -425,7 +437,9 @@ def test_threshold_raises_when_an_exact_function_disagrees_at_c_hi(monkeypatch):
     def off_by_one(*args):
         offsets, functions, sound = real(*args)
         f = functions[1]
-        bumped = u1.RationalFunction(u1.add(f.num, f.den), f.den)  # f + 1
+        n = max(len(f.num), len(f.den))
+        num = [sum(p[i] for p in (f.num, f.den) if i < len(p)) for i in range(n)]
+        bumped = u1.RationalFunction(tuple(num), f.den)  # f + 1
         return offsets, [functions[0], bumped] + functions[2:], sound
 
     monkeypatch.setattr(stability, "_exact_vertex_functions", off_by_one)
@@ -457,6 +471,9 @@ def test_threshold_certified_needs_det_m_positive_above_c_lo(monkeypatch):
     res = threshold_c(lambda c: tri_family(c, s=24), F(4), F(9))
     assert not res.certified
     assert len(tested) == 1 + 3  # D, then each vertex's denominator
-    fib = tri_family(F(4), s=24)
-    M = futaki.extremal_affine(fib).moment_matrix
-    assert u1.evaluate(tested[0], F(4)) == exact_det(M) > 0
+    # D is det M(c) times one positive constant
+    scales = set()
+    for c in (F(4), F(9, 2), F(11)):
+        M = futaki.extremal_affine(tri_family(c, s=24)).moment_matrix
+        scales.add(evaluate(tested[0], c) / exact_det(M))
+    assert len(scales) == 1 and scales.pop() > 0

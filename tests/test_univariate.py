@@ -2,39 +2,45 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import _reference_fraction
 from _reference_fraction import (
     DegreeEscalationFailed,
+    RationalFunction as FractionRationalFunction,
+    _reduced as reduced_fraction,
     count_roots_between_fraction,
+    derivative as derivative_fraction,
     det_fraction,
+    divmod_exact,
     euclid_gcd_monic,
+    evaluate,
     fit_rational,
     interpolate_fraction,
     isolate_roots_fraction,
+    monic,
+    mul,
+    normalize,
     reconstruct_rational,
+    scale,
     sturm_sequence_fraction,
+    sub,
 )
 from wkstab import exact
 from wkstab.univariate import (
     RationalFunction,
+    _int_mul,
+    _interpolate,
+    _quotient,
+    _reduced,
+    _remainders,
     cauchy_root_bound,
     count_roots_between,
+    derivative,
     det,
-    divmod_exact,
-    evaluate,
-    gcd_monic,
-    interpolate,
     isolate_roots,
-    monic,
-    mul,
-    normalize,
     positive_above,
-    scale,
-    squarefree_part,
     sturm_sequence,
-    sub,
 )
 
 
@@ -45,10 +51,37 @@ def poly_from_roots(roots, lead=1):
     return p
 
 
+def cleared(p):
+    """The polynomial p over Q as one over Z: p times the lcm of its
+    denominators, a positive scalar that keeps its roots and signs."""
+    return tuple(exact._cleared(p)[0])
+
+
+def cleared_matrix(M):
+    """The matrix M over Q[x] as one over Z[x], and the lcm s of all its
+    denominators that scales it: the determinant of the result is
+    s^n det M."""
+    s = math.lcm(*(c.denominator for row in M for e in row for c in e))
+    return [[tuple(int(c * s) for c in e) for e in row] for row in M], s
+
+
+def gcd_of(p, q):
+    """The gcd of integer p and q: the last member of their remainder
+    sequence (() when both are 0)."""
+    return (_remainders(p, q) or [()])[-1]
+
+
+def monic_gcd(p, q):
+    return monic(tuple(F(c) for c in gcd_of(p, q)))
+
+
 def test_normalize_strips_trailing_zeros():
+    # the oracles' Fraction helper, and the integer kernels' outputs
     assert normalize([F(1), F(2), F(0), F(0)]) == (F(1), F(2))
     assert normalize([F(0)]) == ()
     assert evaluate((), F(5)) == 0
+    assert derivative((7,)) == () and derivative((1, 2, 3)) == (2, 6)
+    assert _interpolate(F(0), [1, 1, 1]) == ((2,), 2)  # the constant 1 over 2!
 
 
 def test_divmod_exact():
@@ -56,18 +89,21 @@ def test_divmod_exact():
     q, r = divmod_exact(p, poly_from_roots([2]))
     assert r == ()
     assert q == poly_from_roots([1, 3])
+    # the integer quotient by a primitive divisor: 5(2x - 1)(3x + 1) / (2x - 1)
+    assert _quotient(cleared(mul(poly_from_roots([F(1, 2), F(-1, 3)]), (F(30),))),
+                     (-1, 2)) == (5, 15)
 
 
 def test_gcd_and_squarefree():
-    p = mul(poly_from_roots([1, 1, 2]), (F(3),))  # 3(x-1)^2(x-2)
-    d = gcd_monic(p, poly_from_roots([1, 5]))
-    assert d == poly_from_roots([1])
+    p = cleared(mul(poly_from_roots([1, 1, 2]), (F(3),)))  # 3(x-1)^2(x-2)
+    assert monic_gcd(p, cleared(poly_from_roots([1, 5]))) == poly_from_roots([1])
     # squarefree part up to a scalar: same roots, multiplicity one
-    assert monic(squarefree_part(p)) == monic(poly_from_roots([1, 2]))
+    sf = _quotient(p, gcd_of(p, derivative(p)))
+    assert monic(tuple(map(F, sf))) == monic(poly_from_roots([1, 2]))
 
 
 def test_sturm_root_count():
-    p = poly_from_roots([1, 2, 3])
+    p = cleared(poly_from_roots([1, 2, 3]))
     seq = sturm_sequence(p)
     assert count_roots_between(seq, F(0), F(4)) == 3
     assert count_roots_between(seq, F(0), F(3, 2)) == 1
@@ -77,28 +113,28 @@ def test_sturm_root_count():
 
 
 def test_sturm_counts_multiple_roots_once():
-    p = poly_from_roots([1, 1, -1])
-    seq = sturm_sequence(squarefree_part(p))
+    p = cleared(poly_from_roots([1, 1, -1]))
+    seq = sturm_sequence(_quotient(p, gcd_of(p, derivative(p))))
     assert count_roots_between(seq, F(-2), F(2)) == 2
 
 
 def test_cauchy_bound_contains_roots():
-    p = poly_from_roots([-7, F(1, 3), 5])
+    p = cleared(poly_from_roots([-7, F(1, 3), 5]))
     bound = cauchy_root_bound(p)
-    assert bound >= 7
+    assert bound >= 7 and type(bound) is F
 
 
 def test_isolate_rational_roots_exactly():
     # roots on the dyadic bisection grid of the scan interval are
     # recognized exactly and deflated
-    p = poly_from_roots([F(1, 2), 2, -3], lead=6)
+    p = cleared(poly_from_roots([F(1, 2), 2, -3], lead=6))
     roots = isolate_roots(p, F(-8), F(8), F(1, 1000))
     assert [r.exact for r in roots] == [F(-3), F(1, 2), F(2)]
     assert all(r.low == r.high == r.exact for r in roots)
 
 
 def test_isolate_irrational_roots_bracketed():
-    p = (F(-2), F(0), F(1))  # x^2 - 2
+    p = (-2, 0, 1)  # x^2 - 2
     roots = isolate_roots(p, F(0), F(10), F(1, 10000))
     assert len(roots) == 1
     (r,) = roots
@@ -109,7 +145,7 @@ def test_isolate_irrational_roots_bracketed():
 
 def test_isolate_mixed_exact_and_bracketed():
     # (x - 1)(x^2 - 3): exact 1 plus bracketed sqrt(3)
-    p = mul(poly_from_roots([1]), (F(-3), F(0), F(1)))
+    p = cleared(mul(poly_from_roots([1]), (F(-3), F(0), F(1))))
     roots = isolate_roots(p, F(0), F(4), F(1, 100))
     assert len(roots) == 2
     assert roots[0].exact == F(1)
@@ -118,14 +154,18 @@ def test_isolate_mixed_exact_and_bracketed():
 
 
 def test_isolate_respects_open_interval_endpoints():
-    p = poly_from_roots([0, 3])
+    p = cleared(poly_from_roots([0, 3]))
     # roots at the scan endpoints are excluded (open interval)
     assert isolate_roots(p, F(0), F(3), F(1, 100)) == []
 
 
 def test_rational_function_call_and_reduction():
-    f = RationalFunction(num=(F(1), F(1)), den=(F(2),))
-    assert f(F(3)) == 2
+    f = RationalFunction(num=(1, 1), den=(2,))
+    assert f(F(3)) == 2 and type(f(3)) is F
+    assert f(F(1, 3)) == F(2, 3) and RationalFunction((1,), (0, 3))(F(2, 5)) == F(5, 6)
+    # 2(x^2 - 1) / -2(x - 1) = -(x + 1)
+    assert _reduced([-2, 0, 2], [2, -2]) == RationalFunction((-1, -1), (1,))
+    assert _reduced([], [0, -3]) == RationalFunction((), (1,))
 
 
 # The sampled reconstruction lives on as an oracle in _reference_fraction;
@@ -221,7 +261,7 @@ def test_fit_rational_reduces_a_nullspace_with_common_factors(monkeypatch):
     samples = [(F(k), f(F(k))) for k in range(7)]
     calls = _count_reductions(monkeypatch)
     fit = fit_rational(samples, 3, 3)
-    assert fit == RationalFunction(num=(F(1), F(2)), den=(F(5), F(1)))
+    assert fit == FractionRationalFunction(num=(F(1), F(2)), den=(F(5), F(1)))
     assert len(calls) == 1
 
 
@@ -240,7 +280,7 @@ def test_reconstruct_rejects_a_fit_with_a_pole_at_a_validation_point():
     assert [evaluate(q, F(x)) for x in (1, 2, 3)] == [F(-1, 3), F(-1, 2), F(-1)]
 
     got = reconstruct_rational(lambda x: evaluate(q, x), degree_cap=4, start=F(1), step=F(1))
-    assert got == RationalFunction(num=q, den=(F(1),))
+    assert got == FractionRationalFunction(num=q, den=(F(1),))
 
 
 # ------------------------------------------- integer Sturm, interpolation, det
@@ -252,7 +292,7 @@ def _squarefree_poly(rational_roots, irrational, complex_pairs, lead):
         p = mul(p, (F(-k), F(0), F(1)))  # x^2 - k, k not a square
     for k in complex_pairs:
         p = mul(p, (F(k), F(1), F(1)))  # x^2 + x + k, no real root for k > 1/4
-    return squarefree_part(p)
+    return divmod_exact(p, euclid_gcd_monic(p, derivative_fraction(p)))[0]
 
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
@@ -274,9 +314,9 @@ def test_integer_sturm_counts_match_fraction_oracle(roots, irr, cpx, lead, a, b)
         a, b = b, a
     if evaluate(p, a) == 0 or evaluate(p, b) == 0:
         with pytest.raises(ValueError):
-            count_roots_between(sturm_sequence(p), a, b)
+            count_roots_between(sturm_sequence(cleared(p)), a, b)
         return
-    seq, ref = sturm_sequence(p), sturm_sequence_fraction(p)
+    seq, ref = sturm_sequence(cleared(p)), sturm_sequence_fraction(p)
     assert count_roots_between(seq, a, b) == count_roots_between_fraction(ref, a, b)
     # each member is a primitive integer polynomial, a positive multiple of
     # the classical one
@@ -288,12 +328,12 @@ def test_integer_sturm_counts_match_fraction_oracle(roots, irr, cpx, lead, a, b)
 
 
 def test_positive_above():
-    p = poly_from_roots([1, 3])  # (x - 1)(x - 3)
+    p = (3, -4, 1)  # (x - 1)(x - 3)
     assert positive_above(p, F(3, 1) + F(1, 100))
     assert not positive_above(p, F(2))  # negative at 2
     assert not positive_above(p, F(1, 2))  # positive at 1/2, roots above
     assert not positive_above(p, F(3))  # zero at 3
-    assert positive_above((F(2), F(0), F(1)), F(-100))  # x^2 + 2
+    assert positive_above((2, 0, 1), F(-100))  # x^2 + 2
     assert not positive_above((), F(0))
 
 
@@ -301,8 +341,10 @@ def test_positive_above():
 @given(st.lists(rationals, min_size=1, max_size=7), st.integers(-3, 3))
 def test_interpolate_recovers_the_polynomial(coeffs, x0):
     p = normalize(coeffs)
-    xs = [F(x0 + k) for k in range(len(coeffs))]
-    assert interpolate(xs, [evaluate(p, x) for x in xs]) == p
+    ys, L = exact._cleared([evaluate(p, x0 + k) for k in range(len(coeffs))])
+    R, w = _interpolate(F(x0), ys)
+    assert w == math.factorial(len(coeffs) - 1)
+    assert tuple(F(c, L * w) for c in R) == p
 
 
 @settings(max_examples=50, deadline=None)
@@ -315,15 +357,17 @@ def test_interpolate_recovers_the_polynomial(coeffs, x0):
 ))
 def test_bareiss_det_over_q_x_matches_pointwise_det(entries):
     M = [[normalize(c) for c in row] for row in entries]
-    D = det(M)
+    IM, s = cleared_matrix(M)
+    D = det(IM)
     for x in (F(-2), F(0), F(1, 3), F(5)):
-        assert evaluate(D, x) == exact.det([[evaluate(c, x) for c in row] for row in M])
+        want = exact.det([[evaluate(c, x) for c in row] for row in M])
+        assert evaluate(D, x) == s ** len(M) * want
 
 
 def test_bareiss_det_pivots_past_a_zero_entry():
-    x = (F(0), F(1))
-    M = [[(), x], [(F(1),), (F(2),)]]  # det = -x
-    assert det(M) == (F(0), F(-1))
+    x = (0, 1)
+    M = [[(), x], [(1,), (2,)]]  # det = -x
+    assert det(M) == (0, -1)
     assert det([[x, x], [x, x]]) == ()
 
 
@@ -371,17 +415,57 @@ def gcd_pairs(draw):
 @given(gcd_pairs())
 def test_gcd_monic_matches_euclid_oracle(pq):
     p, q = pq
-    assert gcd_monic(p, q) == euclid_gcd_monic(p, q)
+    assert monic_gcd(cleared(p), cleared(q)) == euclid_gcd_monic(p, q)
 
 
 def test_gcd_monic_edge_cases():
-    x_minus_1_sq = poly_from_roots([1, 1])
-    assert gcd_monic((), ()) == ()
-    assert gcd_monic((), (F(-3),)) == (F(1),)
-    assert gcd_monic((F(2),), poly_from_roots([4])) == (F(1),)
-    assert gcd_monic(x_minus_1_sq, ()) == x_minus_1_sq
-    assert gcd_monic(poly_from_roots([1]), mul(x_minus_1_sq, (F(5),))) == poly_from_roots([1])
-    assert gcd_monic(mul(x_minus_1_sq, (F(0), F(3))), x_minus_1_sq) == x_minus_1_sq
+    x_minus_1_sq = (1, -2, 1)
+    assert gcd_of((), ()) == ()
+    assert monic_gcd((), (-3,)) == (F(1),)
+    assert monic_gcd((2,), (-4, 1)) == (F(1),)
+    assert monic_gcd(x_minus_1_sq, ()) == poly_from_roots([1, 1])
+    assert monic_gcd((-1, 1), (5, -10, 5)) == poly_from_roots([1])
+    assert monic_gcd(tuple(_int_mul(x_minus_1_sq, (0, 3))), x_minus_1_sq) == poly_from_roots([1, 1])
+
+
+@st.composite
+def reduced_pairs(draw):
+    """num/den over Q with a common factor g of degree >= 1, den's leading
+    coefficient of either sign, and num = 0 on some draws."""
+    g = poly_from_roots(draw(st.lists(st.sampled_from([-1, 0, F(1, 2), 2, F(-7, 3)]),
+                                      min_size=1, max_size=3)),
+                        lead=draw(st.sampled_from([1, -3, F(2, 5)])))
+    num = draw(st.sampled_from([mul(g, draw(small_polys)), ()]))
+    den = mul(g, draw(small_polys.filter(bool)))
+    return num, scale(den, draw(st.sampled_from([1, -1, F(-3, 7)])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduced_pairs(), st.lists(rationals, min_size=3, max_size=3))
+@example(((F(-1), F(0), F(1)), (F(1), F(-1))), [F(1), F(-1), F(1, 2)])  # (x^2 - 1)/(1 - x)
+@example(((), (F(2), F(-3))), [F(2, 3), F(0), F(5)])  # 0/(2 - 3x)
+@example((mul(poly_from_roots([1, 1, -2]), (F(1, 3),)), poly_from_roots([1, 1], lead=-3)),
+         [F(1), F(-2), F(7, 2)])  # common factor (x - 1)^2
+def test_integer_reduced_matches_fraction_oracle(pair, xs):
+    num, den = pair
+    ints, _ = exact._cleared(num + den)  # num and den over one denominator
+    got = _reduced(ints[: len(num)], ints[len(num):])
+    want = reduced_fraction(num, den)
+    assert all(type(c) is int for c in got.num + got.den)
+    # the same num/den up to one positive scalar
+    lam = got.den[-1] / want.den[-1]
+    assert lam > 0
+    assert got.num == tuple(lam * c for c in want.num)
+    assert got.den == tuple(lam * c for c in want.den)
+    for x in xs:
+        if evaluate(want.den, x) == 0:
+            with pytest.raises(ZeroDivisionError):
+                got(x)
+            continue
+        value = got(x)
+        assert type(value) is F and value == want(x)
+        if evaluate(den, x) != 0:
+            assert value == evaluate(num, x) / evaluate(den, x)
 
 
 @st.composite
@@ -402,16 +486,17 @@ def poly_matrices(draw, coefficients=rationals):
 @settings(max_examples=200, deadline=None)
 @given(poly_matrices())
 def test_det_matches_bareiss_oracle(M):
-    assert det(M) == bareiss_det(M)
+    IM, s = cleared_matrix(M)
+    assert det(IM) == scale(bareiss_det(M), s ** len(M))
 
 
 def test_det_degree_bound_is_attained():
     # one entry per row of top degree on the diagonal: deg det = 1 + 2 + 3
     x = (F(0), F(1))
     M = [[x, (F(1),), ()], [(F(2),), mul(x, x), x], [(), (F(1),), mul(x, mul(x, x))]]
-    D = det(M)
+    D = det(cleared_matrix(M)[0])
     assert len(D) - 1 == 6 and D == bareiss_det(M)
-    assert det([]) == (F(1),) == bareiss_det([])
+    assert det([]) == (1,) == bareiss_det([])
 
 
 # ------------------------- integer det, interpolate and isolate_roots against
@@ -423,9 +508,10 @@ large_rationals = st.builds(F, st.integers(-10**15, 10**15), st.integers(1, 10**
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(poly_matrices(), poly_matrices(large_rationals)))
 def test_det_matches_fraction_oracle(M):
-    D = det(M)
-    assert D == det_fraction(M)
-    assert all(type(c) is F for c in D)
+    IM, s = cleared_matrix(M)
+    D = det(IM)
+    assert D == scale(det_fraction(M), s ** len(M))
+    assert all(type(c) is int for c in D)
 
 
 def test_det_hands_exact_det_only_integers(monkeypatch):
@@ -442,7 +528,8 @@ def test_det_hands_exact_det_only_integers(monkeypatch):
         return real(A)
 
     monkeypatch.setattr(exact, "det", counting)
-    assert det(M) == want
+    IM, s = cleared_matrix(M)
+    assert det(IM) == scale(want, s**3)
     assert len(seen) == 5  # the nodes 0..B, B = 1 + 2 + 1
     assert all(type(e) is int for A in seen for row in A for e in row)
 
@@ -453,25 +540,15 @@ def test_det_hands_exact_det_only_integers(monkeypatch):
     st.sampled_from([F(-3), F(0), F(4), F(37, 8), F(-41, 7)]),
 )
 def test_interpolate_matches_divided_differences(ys, x0):
+    # the values as integers over one denominator L, fitted over L w with
+    # w = B! b^B for x0 = a/b
     xs = [x0 + k for k in range(len(ys))]
-    p = interpolate(xs, ys)
-    assert p == interpolate_fraction(xs, ys)
-    assert all(type(c) is F for c in p)
-
-
-@pytest.mark.parametrize(
-    "xs",
-    [[0, 2], [1, 0], [0, 1, 3], [F(1, 2), F(1)], [0, 0]],
-    ids=["gap", "descending", "late-gap", "half-step", "repeated"],
-)
-def test_interpolate_rejects_nodes_that_are_not_unit_spaced(xs):
-    with pytest.raises(ValueError, match=r"x0, x0 \+ 1"):
-        interpolate(xs, [F(1)] * len(xs))
-
-
-def test_interpolate_rejects_a_value_count_that_does_not_match():
-    with pytest.raises(ValueError):
-        interpolate([0, 1, 2], [F(1), F(2)])
+    ints, L = exact._cleared(ys)
+    R, w = _interpolate(x0, ints)
+    assert tuple(F(c, L * w) for c in R) == interpolate_fraction(xs, ys)
+    assert all(type(c) is int for c in R)
+    if ys:
+        assert w == math.factorial(len(ys) - 1) * x0.denominator ** (len(ys) - 1)
 
 
 half_integers = st.builds(lambda m: F(m, 2), st.integers(-12, 12))
@@ -492,7 +569,7 @@ def test_isolate_roots_matches_fraction_oracle(roots, irr, lead, a, b, tol):
     for k in irr:
         p = mul(p, (F(-k), F(0), F(1)))
     lo, hi = min(a, b), max(a, b)
-    assert isolate_roots(p, lo, hi, tol) == isolate_roots_fraction(p, lo, hi, tol)
+    assert isolate_roots(cleared(p), lo, hi, tol) == isolate_roots_fraction(p, lo, hi, tol)
 
 
 @pytest.mark.parametrize(
@@ -501,6 +578,6 @@ def test_isolate_roots_matches_fraction_oracle(roots, irr, lead, a, b, tol):
 )
 def test_isolate_roots_divides_out_a_repeated_root_at_a_midpoint(roots, lo, hi, want):
     p = poly_from_roots(roots)
-    got = isolate_roots(p, lo, hi, F(1, 100))
+    got = isolate_roots(cleared(p), lo, hi, F(1, 100))
     assert got == isolate_roots_fraction(p, lo, hi, F(1, 100))
     assert [r.exact for r in got] == want
