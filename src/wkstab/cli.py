@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import jsonio
-from .exact import format_point
+from .exact import format_point, rat
 from .futaki import (
     FutakiNotVanishing,
     SingularMomentMatrix,
@@ -83,14 +83,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _rational(text: str) -> Fraction:
     try:
-        return jsonio.parse_rational(text)
+        return rat(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _x0_arg(text: str) -> tuple:
     try:
-        return tuple(jsonio.parse_rational(part.strip()) for part in text.split(","))
+        return tuple(rat(part.strip()) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f'bad point {text!r}; write rationals like "1/2,-3"'

@@ -37,6 +37,9 @@ def rat(x: int | str | Fraction) -> Fraction:
     Accepts integers, ``Fraction`` instances and strings such as ``"3"``,
     ``"-7/2"`` or ``"1.25"`` (decimal *strings* are exact).  Binary floats are
     rejected on purpose: they rarely represent the value the caller meant.
+    A string that names no rational raises ValueError.  So does one with an
+    exponent ("1e3"), before Fraction sees it: Fraction would build 10**exp,
+    for "1e999999999" an integer of about 415 MB.
     """
     if isinstance(x, Fraction):
         return x
@@ -45,7 +48,12 @@ def rat(x: int | str | Fraction) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        if "e" in x or "E" in x:
+            raise ValueError(f"not a rational: {x!r} (exponents are not accepted)")
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"not a rational: {x!r} ({exc})") from exc
     if isinstance(x, float):
         raise TypeError(
             "floating-point input is not allowed; pass an int, a Fraction, "

@@ -26,7 +26,7 @@ import functools
 import json
 from fractions import Fraction
 
-from .exact import AffineFunc, Polynomial
+from .exact import AffineFunc, Polynomial, rat
 from .futaki import ExtremalSolution
 from .polytope import LabelledPolytope, PolytopeError, _standard_labels, from_halfspaces
 from .probe import Crease, ProbeReport
@@ -69,27 +69,12 @@ def rational_to_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """The rational a string such as "3", "-7/2" or "1.25" names, or
-    ValueError.  An exponent ("1e3") is rejected before Fraction sees it:
-    Fraction would build 10**exp, for "1e999999999" an integer of about
-    415 MB."""
-    if "e" in text or "E" in text:
-        raise ValueError(f"not a rational: {text!r} (exponents are not accepted)")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r} ({exc})") from exc
-
-
 def rational_from_json(node, path: str) -> Fraction:
     if isinstance(node, bool):
         raise InputError(path, "expected a rational, got a boolean")
-    if isinstance(node, int):
-        return Fraction(node)
-    if isinstance(node, str):
+    if isinstance(node, (int, str)):
         try:
-            return parse_rational(node)
+            return rat(node)
         except ValueError as exc:
             raise InputError(path, str(exc)) from exc
     raise InputError(path, f"expected a rational (int or 'a/b'), got {type(node).__name__}")

@@ -56,7 +56,9 @@ from .futaki import (
     extremal_affine,
     stability_weight,
 )
-from .polytope import LabelledPolytope, NotInterior, cone_decomposition
+from .polytope import (
+    LabelledPolytope, NotInterior, cone_decomposition, monotone_point, triangulate,
+)
 from .weights import (
     Convention,
     Fibration,
@@ -116,20 +118,20 @@ def condition_poly_general(
     x0 = point(x0)
     if not P.is_interior(x0):
         raise NotInterior(x0)
-    A, half_w = _cone_parts(P, x0, v, w)
-    return A * (Fraction(1) / P.labels[j](x0)) - half_w
+    return _cone_conditions(P, x0, v, w)[j]
 
 
-def _cone_parts(P: LabelledPolytope, x0: Point, v: Polynomial, w: Polynomial):
-    """The parts every g_j shares: g_j = A / L_j(x0) - w/2 with
+def _cone_conditions(
+    P: LabelledPolytope, x0: Point, v: Polynomial, w: Polynomial
+) -> list[Polynomial]:
+    """Every g_j, in facet order: g_j = A / L_j(x0) - w/2 with
     A = (dim + 1) v + d_x v . (x - x0)."""
-    return v * (P.dim + 1) + radial_derivative(v, x0), w * Fraction(1, 2)
+    A, half_w = v * (P.dim + 1) + radial_derivative(v, x0), w * Fraction(1, 2)
+    return [A * (Fraction(1) / L(x0)) - half_w for L in P.labels]
 
 
 def default_base_point(P: LabelledPolytope) -> Point:
     """The monotone point when P is monotone, otherwise the vertex centroid."""
-    from .polytope import monotone_point
-
     mono = monotone_point(P)
     return mono[0] if mono is not None else P.vertex_centroid()
 
@@ -137,8 +139,6 @@ def default_base_point(P: LabelledPolytope) -> Point:
 def base_point_candidates(P: LabelledPolytope) -> list[Point]:
     """Interior points worth trying as x0: monotone point, vertex centroid,
     and the barycenters of the fan triangulation cells."""
-    from .polytope import monotone_point, triangulate
-
     cands: list[Point] = []
     mono = monotone_point(P)
     if mono is not None:
@@ -204,10 +204,8 @@ def check_general(
     if verify_futaki:
         assert_futaki_vanishes(P, v, w)
     decomp = cone_decomposition(P, x0)
-    A, half_w = _cone_parts(P, x0, v, w)
     outcomes: list[ConeOutcome] = []
-    for j, cells in enumerate(decomp.cones):
-        g = A * (Fraction(1) / P.labels[j](x0)) - half_w
+    for j, (g, cells) in enumerate(zip(_cone_conditions(P, x0, v, w), decomp.cones)):
         affine = g.degree() <= 1
         for ci, cell in enumerate(cells):
             if affine:
@@ -228,27 +226,17 @@ def check_general(
 def _aggregate(outcomes, convention: Convention, x0) -> StabilityReport:
     depth = max((o.depth for o in outcomes), default=0)
     methods = {o.method for o in outcomes}
-    if METHOD_BERNSTEIN in methods:
-        method = METHOD_BERNSTEIN
-    elif METHOD_CONCAVE in methods:
-        method = METHOD_CONCAVE
+    method = next((m for m in (METHOD_BERNSTEIN, METHOD_CONCAVE) if m in methods), METHOD_AFFINE)
+    refuted = next((o for o in outcomes if o.status == REFUTED), None)
+    witness = margin = None
+    if refuted is not None:
+        verdict, witness = VERDICT_FAILS, refuted.witness
+    elif any(o.status == INCONCLUSIVE for o in outcomes):
+        verdict = VERDICT_INCONCLUSIVE
     else:
-        method = METHOD_AFFINE
-    for o in outcomes:
-        if o.status == REFUTED:
-            return StabilityReport(
-                VERDICT_FAILS, method, depth, convention, x0,
-                o.witness, None, tuple(outcomes),
-            )
-    if any(o.status == INCONCLUSIVE for o in outcomes):
-        return StabilityReport(
-            VERDICT_INCONCLUSIVE, method, depth, convention, x0,
-            None, None, tuple(outcomes),
-        )
-    margin = min((o.value for o in outcomes), default=None)
+        verdict, margin = VERDICT_CERTIFIED, min((o.value for o in outcomes), default=None)
     return StabilityReport(
-        VERDICT_CERTIFIED, method, depth, convention, x0,
-        None, margin, tuple(outcomes),
+        verdict, method, depth, convention, x0, witness, margin, tuple(outcomes)
     )
 
 
@@ -299,9 +287,13 @@ def condition_value_fano(fib: Fibration, l_ext: AffineFunc, x) -> Fraction:
     return total
 
 
-def _fano_hypothesis_holds(fib: Fibration) -> bool:
+def _fano_hypothesis_failure(fib: Fibration) -> int | None:
+    """The first factor a with p_a(x0) + c_a < t s_a/(2 n_a), or None when
+    the hypothesis holds for every factor."""
     x0, t = fib.fano_fiber
-    return all(f.p(x0) + f.c >= t * f.s / (2 * f.n) for f in fib.factors)
+    return next(
+        (a for a, f in enumerate(fib.factors) if f.p(x0) + f.c < t * f.s / (2 * f.n)), None
+    )
 
 
 def check_fano_fiber(fib: Fibration, max_depth: int = 6) -> StabilityReport:
@@ -316,19 +308,17 @@ def check_fano_fiber(fib: Fibration, max_depth: int = 6) -> StabilityReport:
         raise NotMonotoneFiber("check_fano_fiber needs a monotone fiber")
     x0, _t = fib.fano_fiber
     sol = extremal_affine(fib)
-    if not _fano_hypothesis_holds(fib):
+    if _fano_hypothesis_failure(fib) is not None:
         report = _check_cones(fib, sol.l_ext, x0, max_depth)
         return replace(report, notes=report.notes + (("route", "general-fallback"),))
     vals = tuple((vtx, condition_value_fano(fib, sol.l_ext, vtx)) for vtx in fib.fiber.vertices)
     worst = min(vals, key=lambda pair: pair[1])
     if worst[1] < 0:
-        return StabilityReport(
-            VERDICT_FAILS, METHOD_CONCAVE, 0, fib.convention, x0,
-            worst, None, (), vals,
-        )
+        verdict, witness, margin = VERDICT_FAILS, worst, None
+    else:
+        verdict, witness, margin = VERDICT_CERTIFIED, None, worst[1]
     return StabilityReport(
-        VERDICT_CERTIFIED, METHOD_CONCAVE, 0, fib.convention, x0,
-        None, worst[1], (), vals,
+        verdict, METHOD_CONCAVE, 0, fib.convention, x0, witness, margin, vertex_values=vals
     )
 
 
@@ -349,13 +339,12 @@ def check_fano_total(fib: Fibration) -> StabilityReport:
     bound = Fraction(2 * (fib.total_dim + 1))
     notes = (("sup_l_ext", str(top[1])), ("bound", str(bound)))
     if top[1] <= bound:
-        return StabilityReport(
-            VERDICT_CERTIFIED, METHOD_AFFINE, 0, fib.convention,
-            fib.fano_fiber[0], None, bound - top[1], (), vals, notes,
-        )
+        verdict, witness, margin = VERDICT_CERTIFIED, None, bound - top[1]
+    else:
+        verdict, witness, margin = VERDICT_FAILS, top, None
     return StabilityReport(
-        VERDICT_FAILS, METHOD_AFFINE, 0, fib.convention,
-        fib.fano_fiber[0], top, None, (), vals, notes,
+        verdict, METHOD_AFFINE, 0, fib.convention, fib.fano_fiber[0], witness, margin,
+        vertex_values=vals, notes=notes,
     )
 
 
@@ -524,12 +513,11 @@ def threshold_c(
         ) from exc
     if fib_lo.fano_fiber is None:
         raise NotMonotoneFiber("threshold_c needs a monotone fiber")
-    x0, t = fib_lo.fano_fiber
-    for a, f in enumerate(fib_lo.factors):
-        if f.p(x0) + f.c < t * f.s / (2 * f.n):
-            raise HypothesisViolatedOnBracket(
-                f"factor {a}: p(x0) + c >= t s/(2n) fails at c_lo = {c_lo}"
-            )
+    a = _fano_hypothesis_failure(fib_lo)
+    if a is not None:
+        raise HypothesisViolatedOnBracket(
+            f"factor {a}: p(x0) + c >= t s/(2n) fails at c_lo = {c_lo}"
+        )
     verts = fib_lo.fiber.vertices
     offsets, functions, certified = _exact_vertex_functions(make_fib, fib_lo, c_lo)
 
@@ -546,25 +534,15 @@ def threshold_c(
 
     per_vertex = []
     for vtx, fn in zip(verts, functions):
+        # the zero numerator () needs no branch: no roots, tail positive, degree -1
         num, den = fn.num, fn.den
         den_ok = u1.positive_above(den, c_lo)
-        if not num:
-            entry = VertexThreshold(vtx, c_lo, c_lo, c_lo, "floor", True, -1, u1.degree(den))
-        else:
-            tail = num[-1] > 0
-            num_hi = max(c_hi, u1.cauchy_root_bound(num)) + 1
-            roots = u1.isolate_roots(num, c_lo, num_hi, tol)
-            if roots:
-                top = roots[-1]
-                entry = VertexThreshold(
-                    vtx, top.low, top.high, top.exact, "root", tail,
-                    u1.degree(num), u1.degree(den),
-                )
-            else:
-                entry = VertexThreshold(
-                    vtx, c_lo, c_lo, c_lo, "floor", tail,
-                    u1.degree(num), u1.degree(den),
-                )
+        roots = u1.isolate_roots(num, c_lo, max(c_hi, u1.cauchy_root_bound(num)) + 1, tol)
+        top = roots[-1] if roots else u1.RootLocation(c_lo, c_lo, c_lo)
+        entry = VertexThreshold(
+            vtx, top.low, top.high, top.exact, "root" if roots else "floor",
+            not num or num[-1] > 0, u1.degree(num), u1.degree(den),
+        )
         per_vertex.append(entry)
         certified = certified and entry.tail_positive and den_ok
     sup_low = max(e.low for e in per_vertex)

@@ -15,16 +15,19 @@ from wkstab import (
     radial_derivative,
     rat,
     standard_fiber_polytope,
+    threshold_c,
 )
 from wkstab.exact import (
     affine_rank,
     det,
     dot,
     matrix_rank,
+    point,
     rref,
     solve_general,
     solve_square,
 )
+from wkstab.univariate import isolate_roots
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=8
@@ -49,6 +52,21 @@ def test_rat_rejects_floats_and_bools():
         rat(0.5)
     with pytest.raises(TypeError):
         rat(True)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        rat,
+        lambda s: point([0, s]),
+        lambda s: threshold_c(lambda c: projective_bundle([[1, 2]], [(3, 18)], [c], t=1), s, 9),
+        lambda s: isolate_roots((-2, 0, 1), 0, s, F(1, 100)),
+    ],
+    ids=["rat", "point", "threshold_c-c_lo", "isolate_roots-hi"],
+)
+def test_every_rational_reader_rejects_an_exponent(read):
+    with pytest.raises(ValueError, match="exponents are not accepted"):
+        read("1e3")
 
 
 def test_affine_func_evaluation_and_arithmetic():

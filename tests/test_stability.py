@@ -28,6 +28,7 @@ from wkstab import (
     fibration,
     from_halfspaces,
     projective_bundle,
+    stability_weight,
     threshold_c,
 )
 from wkstab import futaki, stability
@@ -60,6 +61,13 @@ from _frozen import (
 
 def rank_one(p=1, c=15, convention=Convention.CANONICAL):
     return projective_bundle([[p]], [(3, -6)], [c], t=1, convention=convention)
+
+
+def min_cone_condition(fib, x0, pt):
+    """min over the facets j of g_j(pt), through condition_poly_general."""
+    w = stability_weight(fib)
+    gs = [condition_poly_general(fib.fiber, x0, j, fib.v, w) for j in range(len(fib.fiber.labels))]
+    return min(g(pt) for g in gs)
 
 
 def tri_family(c, s=18, p=(1, 2), convention=Convention.CANONICAL):
@@ -131,24 +139,35 @@ def test_check_fibration_certifies_rank_one():
     assert report.margin > 0
 
 
-def test_check_general_bernstein_route():
-    # hypothesis c >= t s / (2 n) fails (2 < 5): no concavity certificate,
-    # the Bernstein route must decide
-    fib = projective_bundle([[1]], [(1, 10)], [2], t=1)
+@pytest.mark.parametrize(
+    "s, c, verdict, witness",
+    [(10, 2, VERDICT_CERTIFIED, None), (20, F(11, 10), VERDICT_FAILS, ((F(0),), F(-4907, 2630)))],
+    ids=["certified", "refuted"],
+)
+def test_check_general_bernstein_route(s, c, verdict, witness):
+    # hypothesis c >= t s / (2 n) fails (2 < 5, 11/10 < 10): no concavity
+    # certificate, the Bernstein route must decide
+    fib = projective_bundle([[1]], [(1, s)], [c], t=1)
     assert concave_cone_indices(fib, (F(0),)) != frozenset({0, 1})
     report = check_fibration(fib)
     assert report.method == METHOD_BERNSTEIN
-    assert report.verdict in (VERDICT_CERTIFIED, VERDICT_FAILS)
-    if report.verdict == VERDICT_FAILS:
-        pt, val = report.witness
-        from wkstab import stability_weight
+    assert (report.verdict, report.witness, report.depth) == (verdict, witness, 0)
+    if witness is not None:
+        pt, val = witness
+        assert min_cone_condition(fib, report.x0, pt) == val < 0
 
-        w = stability_weight(fib)
-        gs = [
-            condition_poly_general(fib.fiber, report.x0, j, fib.v, w)
-            for j in range(2)
-        ]
-        assert min(g(pt) for g in gs) == val < 0
+
+def test_check_fibration_vertex_concave_refutes():
+    fib = rank_one(c=F(11, 10))
+    report = check_fibration(fib)
+    assert (report.verdict, report.method) == (VERDICT_FAILS, METHOD_CONCAVE)
+    pt, val = report.witness
+    assert pt in fib.fiber.vertices and min_cone_condition(fib, report.x0, pt) == val < 0
+
+
+def test_check_fibration_affine_vertex_certifies():
+    report = check_fibration(fano_anticanonical(triangle(), [(3, 2, None)]))
+    assert (report.verdict, report.method, report.margin) == (VERDICT_CERTIFIED, METHOD_AFFINE, 8)
 
 
 def test_check_fano_fiber_fallback_route_notes():

@@ -36,6 +36,7 @@ from wkstab.univariate import (
     _remainders,
     cauchy_root_bound,
     count_roots_between,
+    degree,
     derivative,
     det,
     isolate_roots,
@@ -81,6 +82,7 @@ def test_normalize_strips_trailing_zeros():
     assert normalize([F(0)]) == ()
     assert evaluate((), F(5)) == 0
     assert derivative((7,)) == () and derivative((1, 2, 3)) == (2, 6)
+    assert degree(()) == -1 and degree((7,)) == 0
     assert _interpolate(F(0), [1, 1, 1]) == ((2,), 2)  # the constant 1 over 2!
 
 
@@ -122,6 +124,7 @@ def test_cauchy_bound_contains_roots():
     p = cleared(poly_from_roots([-7, F(1, 3), 5]))
     bound = cauchy_root_bound(p)
     assert bound >= 7 and type(bound) is F
+    assert cauchy_root_bound(()) == cauchy_root_bound((5,)) == 1
 
 
 def test_isolate_rational_roots_exactly():
@@ -157,6 +160,8 @@ def test_isolate_respects_open_interval_endpoints():
     p = cleared(poly_from_roots([0, 3]))
     # roots at the scan endpoints are excluded (open interval)
     assert isolate_roots(p, F(0), F(3), F(1, 100)) == []
+    # the zero polynomial reports no roots
+    assert isolate_roots((), F(0), F(3), F(1, 100)) == []
 
 
 def test_rational_function_call_and_reduction():
