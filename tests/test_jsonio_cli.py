@@ -20,6 +20,7 @@ from wkstab import (
     measure,
     polytope,
     projective_bundle,
+    stability,
     standard_fiber_polytope,
 )
 from wkstab.jsonio import InputError
@@ -830,3 +831,95 @@ def test_sweep_rejects_a_variable_no_placeholder_uses(tmp_path, bindings, path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith(f"error: {path}: "), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# ------------------------------------------------ verdict order and factor fields
+
+CERTIFIED, FAILS, INCONCLUSIVE = "CertifiedSufficient", "ConditionFails", "Inconclusive"
+
+
+def _report(verdict, x0=None):
+    return stability.StabilityReport(verdict, "affine", 0, Convention.CANONICAL, x0, None, None)
+
+
+@pytest.mark.parametrize(
+    "verdicts, code",
+    [
+        ([], 0),
+        ([CERTIFIED, INCONCLUSIVE], 3),
+        ([INCONCLUSIVE, FAILS, CERTIFIED], 2),
+        ([FAILS, INCONCLUSIVE, "raise"], 1),
+    ],
+    ids=["no-rows", "inconclusive", "refuted-beats-inconclusive", "error-beats-all"],
+)
+def test_sweep_exit_is_error_else_the_smallest_uncertified_code(capsys, monkeypatch,
+                                                                 verdicts, code):
+    by_c = {F(5 + i): v for i, v in enumerate(verdicts)}
+
+    def runner(fib):
+        verdict = by_c[fib.factors[0].c]
+        if verdict == "raise":
+            raise ValueError("this row raises")
+        return _report(verdict)
+
+    monkeypatch.setitem(cli._SWEEP_RUNNERS, "check", runner)
+    template = json.loads(RANK_ONE.replace('"c": 15', '"c": "$c"'))
+    src = json.dumps({"template": template, "rows": [{"c": int(c)} for c in by_c],
+                      "run": "check"})
+    got, data, err = run_json(capsys, "sweep", src)
+    assert (got, err) == (code, "")
+    assert [r["verdict"] for r in data["rows"]] == [
+        "Error" if v == "raise" else v for v in verdicts
+    ]
+
+
+@pytest.mark.parametrize(
+    "verdicts, best, code",
+    [
+        ([INCONCLUSIVE, FAILS, CERTIFIED], CERTIFIED, 0),
+        ([FAILS, INCONCLUSIVE], FAILS, 2),
+        ([INCONCLUSIVE, INCONCLUSIVE], INCONCLUSIVE, 3),
+    ],
+)
+def test_x0_sweep_picks_and_exits_by_the_verdict_order(capsys, monkeypatch,
+                                                       verdicts, best, code):
+    points = [(F(i, 10),) for i in range(len(verdicts))]
+    monkeypatch.setattr(cli, "base_point_candidates", lambda fiber: points)
+    monkeypatch.setattr(
+        cli, "check_fibration",
+        lambda fib, x0, max_depth: _report(verdicts[points.index(x0)], x0),
+    )
+    got, data, err = run_json(capsys, "check", RANK_ONE, "--x0-sweep")
+    assert (got, err) == (code, "")
+    assert data["verdict"] == best
+    assert [r["verdict"] for r in data["x0_sweep"]] == verdicts
+
+
+@pytest.mark.parametrize(
+    "factor, line",
+    [
+        ({}, "fibration.factors[0]: missing 'n' (or a 'preset' providing it)"),
+        ({"n": 2, "c": 1}, "fibration.factors[0]: missing 's' (or a 'preset' providing it)"),
+        ({"n": 2, "s": 1}, "fibration.factors[0]: missing 'c' (or a Fano 'preset' providing it)"),
+        ({"preset": "neg-KE3"},
+         "fibration.factors[0]: missing 'c' (or a Fano 'preset' providing it)"),
+        ({"n": 0, "s": "x"}, "fibration.factors[0].n: need n >= 1, got 0"),
+        ({"preset": "P1", "n": 0}, "fibration.factors[0].n: need n >= 1, got 0"),
+        ({"n": "2", "s": 1, "c": 1}, "fibration.factors[0].n: expected an integer, got str"),
+        ({"n": 2, "s": "x", "p": [1]},
+         "fibration.factors[0].s: not a rational: 'x' (Invalid literal for Fraction: 'x')"),
+        ({"n": 2, "s": 1, "p": [1], "c": "x"},
+         "fibration.factors[0].p: expected 2 entries, got 1"),
+        ({"n": 2, "s": 1, "c": "var"},
+         'fibration.factors[0].c: "var" is only allowed in threshold templates'),
+        ({"preset": "neg-KE3", "p": [1, 0], "c": "var"},
+         'fibration.factors[0].c: "var" is only allowed in threshold templates'),
+        ({"preset": 3}, "fibration.factors[0].preset: expected a string, got int"),
+        ({"n": 2, "s": 1, "c": "var", "x": 1}, "fibration.factors[0]: unknown key 'x'"),
+    ],
+)
+def test_malformed_factor_first_error_line(capsys, factor, line):
+    doc = {"fiber": {"standard_simplex": {"l": 2, "t": 1}}, "factors": [factor]}
+    code, out, err = run(capsys, "lext", json.dumps(doc))
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == f"error: {line}"
