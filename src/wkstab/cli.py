@@ -52,6 +52,7 @@ from .stability import (
 )
 from .weights import (
     Convention,
+    Fibration,
     NonpositiveWeight,
     NotFanoFibration,
     NotMonotoneFiber,
@@ -121,6 +122,10 @@ def _convention(args) -> Convention:
     return Convention.LEGACY if args.legacy_sign else Convention.CANONICAL
 
 
+def _fibration(args) -> Fibration:
+    return jsonio.fibration_from_json(_load_input(args.input), _convention(args))
+
+
 def _emit(args, data: dict, text_lines: list[str]) -> None:
     out = jsonio.dumps(data) if args.format == "json" else "\n".join(text_lines) + "\n"
     if args.out:
@@ -134,11 +139,15 @@ def _fmt(x) -> str:
 
 
 def _verdict_exit(verdict: str) -> int:
-    if verdict == VERDICT_CERTIFIED:
-        return 0
-    if verdict == VERDICT_FAILS:
-        return 2
-    return 3
+    """The one verdict order: 0 certified, 2 refuted, 3 anything else; a
+    smaller code is a better verdict."""
+    return {VERDICT_CERTIFIED: 0, VERDICT_FAILS: 2}.get(verdict, 3)
+
+
+def _emit_report(args, report) -> int:
+    data = jsonio.report_to_json(report)
+    _emit(args, data, _report_lines(data))
+    return _verdict_exit(report.verdict)
 
 
 def _report_lines(data: dict) -> list[str]:
@@ -222,7 +231,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_lext(args) -> int:
-    fib = jsonio.fibration_from_json(_load_input(args.input), _convention(args))
+    fib = _fibration(args)
     sol = extremal_affine(fib)
     data = jsonio.extremal_to_json(sol)
     grad = ", ".join(_fmt(g) for g in sol.l_ext.gradient)
@@ -236,7 +245,7 @@ def _cmd_lext(args) -> int:
 
 
 def _cmd_futaki(args) -> int:
-    fib = jsonio.fibration_from_json(_load_input(args.input), _convention(args))
+    fib = _fibration(args)
     char = futaki_character(fib)
     data = {
         "character": [jsonio.rational_to_json(x) for x in char],
@@ -253,16 +262,13 @@ def _cmd_futaki(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    fib = jsonio.fibration_from_json(_load_input(args.input), _convention(args))
+    fib = _fibration(args)
     if args.x0_sweep:
         reports = [
             (x0, check_fibration(fib, x0=x0, max_depth=args.max_depth))
             for x0 in base_point_candidates(fib.fiber)
         ]
-        best = min(
-            (r for _, r in reports),
-            key=lambda r: {VERDICT_CERTIFIED: 0, VERDICT_FAILS: 1}.get(r.verdict, 2),
-        )
+        best = min((r for _, r in reports), key=lambda r: _verdict_exit(r.verdict))
         data = {
             "verdict": best.verdict,
             "convention": fib.convention.value,
@@ -277,20 +283,15 @@ def _cmd_check(args) -> int:
         return _verdict_exit(best.verdict)
     if args.x0 is not None and len(args.x0) != fib.dim:
         raise InputError("--x0", f"expected {fib.dim} coordinates, got {len(args.x0)}")
-    report = check_fibration(fib, x0=args.x0, max_depth=args.max_depth)
-    data = jsonio.report_to_json(report)
-    _emit(args, data, _report_lines(data))
-    return _verdict_exit(report.verdict)
+    return _emit_report(args, check_fibration(fib, x0=args.x0, max_depth=args.max_depth))
 
 
 def _cmd_check_fano(args) -> int:
-    fib = jsonio.fibration_from_json(_load_input(args.input), _convention(args))
+    fib = _fibration(args)
     report = check_fano_fiber(fib, max_depth=args.max_depth)
     if args.csv:
         _write_condition_csv(args.csv, fib, args.csv_samples)
-    data = jsonio.report_to_json(report)
-    _emit(args, data, _report_lines(data))
-    return _verdict_exit(report.verdict)
+    return _emit_report(args, report)
 
 
 def _write_condition_csv(path: str, fib, samples: int) -> None:
@@ -315,11 +316,7 @@ def _write_condition_csv(path: str, fib, samples: int) -> None:
 
 
 def _cmd_check_fano_total(args) -> int:
-    fib = jsonio.fibration_from_json(_load_input(args.input), _convention(args))
-    report = check_fano_total(fib)
-    data = jsonio.report_to_json(report)
-    _emit(args, data, _report_lines(data))
-    return _verdict_exit(report.verdict)
+    return _emit_report(args, check_fano_total(_fibration(args)))
 
 
 def _cmd_threshold(args) -> int:
@@ -349,9 +346,8 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    fib = jsonio.fibration_from_json(_load_input(args.input), _convention(args))
-    sol = extremal_affine(fib)
-    w = stability_weight(fib, sol.l_ext)
+    fib = _fibration(args)
+    w = stability_weight(fib)
     x0 = default_base_point(fib.fiber)
     family = crease_family(fib.fiber, x0, args.resolution)
     report = probe(
@@ -479,28 +475,20 @@ def _cmd_sweep(args) -> int:
     out_rows = []
     lines = [f"sweep: {len(rows)} rows, command {run}, convention {conv.value}"]
     for binding in rows:
-        bindings = {k: jsonio.rational_to_json(v) for k, v in sorted(binding.items())}
+        row = {"bindings": {k: jsonio.rational_to_json(v) for k, v in sorted(binding.items())}}
         bstr = ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(binding.items()))
         try:
             concrete = _substitute(node["template"], binding, "sweep.template")
             fib = jsonio.fibration_from_json(concrete, conv, path="sweep.template")
             report = runner(fib)
         except _RUNTIME_ERRORS as exc:
-            out_rows.append(
-                {"bindings": bindings, "verdict": VERDICT_ERROR, "error": str(exc),
-                 "margin": None, "witness": None}
-            )
+            row.update(verdict=VERDICT_ERROR, error=str(exc), margin=None, witness=None)
             lines.append(f"  {bstr}: {VERDICT_ERROR} ({exc})")
-            continue
-        out_rows.append({
-            "bindings": bindings,
-            "verdict": report.verdict,
-            "margin": None
-            if report.margin is None
-            else jsonio.rational_to_json(report.margin),
-            "witness": jsonio._witness_to_json(report.witness),
-        })
-        lines.append(f"  {bstr}: {report.verdict}")
+        else:
+            fields = jsonio.report_to_json(report)
+            row.update((key, fields[key]) for key in ("verdict", "margin", "witness"))
+            lines.append(f"  {bstr}: {report.verdict}")
+        out_rows.append(row)
     data = {
         "command": run,
         "convention": conv.value,
@@ -513,11 +501,7 @@ def _cmd_sweep(args) -> int:
     _emit(args, data, lines)
     if VERDICT_ERROR in verdicts:
         return 1
-    if VERDICT_FAILS in verdicts:
-        return 2
-    if verdicts - {VERDICT_CERTIFIED}:
-        return 3
-    return 0
+    return min({_verdict_exit(v) for v in verdicts} - {0}, default=0)
 
 
 def _write_sweep_csv(path: str, rows: list[dict]) -> None:

@@ -447,12 +447,6 @@ def _barycentric_powers(verts: Sequence[Point]):
 # ---------------------------------------------------------------------------
 
 
-def _as_matrix(A: Sequence[Sequence]) -> Matrix:
-    """A copy of A; integer entries stay integers, which _integer_rows takes
-    as they are."""
-    return [[x if type(x) is int else rat(x) for x in row] for row in A]
-
-
 def _cleared(xs: Iterable[Fraction]) -> tuple[list[int], int]:
     """The rationals xs as integers over their least common denominator."""
     xs = list(xs)
@@ -460,12 +454,16 @@ def _cleared(xs: Iterable[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
-def _integer_rows(M: Matrix) -> tuple[list[list[int]], int]:
-    """Each row scaled to integers by the lcm of its denominators, and the
-    product of those scales."""
+def _integer_rows(A: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Each row of A scaled to integers by the lcm of its denominators, and
+    the product of those scales.  A row of ints is taken as it is; any other
+    row is read through rat."""
     rows, scale = [], 1
-    for row in M:
-        ints, s = _cleared(row)
+    for row in A:
+        if all(type(x) is int for x in row):
+            rows.append(list(row))
+            continue
+        ints, s = _cleared(map(rat, row))
         rows.append(ints)
         scale *= s
     return rows, scale
@@ -511,7 +509,7 @@ def rref(A: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     Gauss-Jordan by _eliminate on the integer-scaled rows: every pivot row
     ends with the last pivot on its diagonal and is divided by it once.
     """
-    M, _ = _integer_rows(_as_matrix(A))
+    M, _ = _integer_rows(A)
     prev, pivots, _ = _eliminate(M, above=True)
     zero = Fraction(0)
     return [[Fraction(x, prev) if x else zero for x in row] for row in M], pivots
@@ -520,7 +518,7 @@ def rref(A: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
 def det(A: Sequence[Sequence]) -> Fraction:
     """The forward pass of _eliminate on the integer-scaled rows, divided by
     the product of the row scales."""
-    M, scale = _integer_rows(_as_matrix(A))
+    M, scale = _integer_rows(A)
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("determinant of a non-square matrix")
@@ -530,13 +528,11 @@ def det(A: Sequence[Sequence]) -> Fraction:
 
 def solve_square(A: Sequence[Sequence], b: Sequence) -> Point | None:
     """Unique solution of ``A x = b`` for square A, or None if A is singular."""
-    M = _as_matrix(A)
-    n = len(M)
+    n = len(A)
     bb = point(b)
-    if len(bb) != n or any(len(row) != n for row in M):
+    if len(bb) != n or any(len(row) != n for row in A):
         raise ValueError("shape mismatch in solve_square")
-    aug = [row + [bb[i]] for i, row in enumerate(M)]
-    R, pivots = rref(aug)
+    R, pivots = rref([[*row, bb[i]] for i, row in enumerate(A)])
     if len(pivots) != n or n in pivots:
         return None
     return tuple(R[i][n] for i in range(n))
@@ -550,15 +546,13 @@ def solve_general(
     Returns ``(particular_solution, nullspace_basis)`` or ``None`` when the
     system is inconsistent.  *A* may be rectangular.
     """
-    M = _as_matrix(A)
-    if not M:
+    if not A:
         return (), []
-    rows, cols = len(M), len(M[0])
+    rows, cols = len(A), len(A[0])
     bb = point(b)
     if len(bb) != rows:
         raise ValueError("shape mismatch in solve_general")
-    aug = [M[i] + [bb[i]] for i in range(rows)]
-    R, pivots = rref(aug)
+    R, pivots = rref([[*A[i], bb[i]] for i in range(rows)])
     if cols in pivots:
         return None  # a pivot in the constant column: inconsistent
     part = [Fraction(0)] * cols

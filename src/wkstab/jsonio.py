@@ -22,6 +22,7 @@ library callers get a fresh polytope and a cold table.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from fractions import Fraction
@@ -179,8 +180,21 @@ def polytope_from_json(node, path: str = "polytope") -> LabelledPolytope:
 VAR_MARKER = "var"
 
 
+def _dimension_from_json(node, path: str) -> int:
+    n = _expect(node, int, path, "an integer")
+    if n < 1:
+        raise InputError(path, f"need n >= 1, got {n}")
+    return n
+
+
+def _offset_from_json(node, path: str) -> Fraction:
+    """A factor's c; the "var" of a threshold template reads as 0."""
+    return Fraction(0) if node == VAR_MARKER else rational_from_json(node, path)
+
+
 def _factor_from_json(node, dim: int, path: str, allow_var: bool):
-    """Returns (BaseFactor | None, c_is_var: bool); factor is None when c varies."""
+    """Returns (BaseFactor, c_is_var: bool).  Each of n, s and c comes from
+    the node, else from its preset; fields are read in the order n, s, p, c."""
     _expect(node, dict, path, "a factor object")
     _expect_keys(node, path, (), optional=("preset", "n", "s", "c", "p"))
     preset = None
@@ -190,44 +204,28 @@ def _factor_from_json(node, dim: int, path: str, allow_var: bool):
             known = ", ".join(sorted(BASE_PRESETS))
             raise InputError(f"{path}.preset", f"unknown preset {name!r} (known: {known})")
         preset = BASE_PRESETS[name]
-    if "n" in node:
-        n = _expect(node["n"], int, f"{path}.n", "an integer")
-        if n < 1:
-            raise InputError(f"{path}.n", f"need n >= 1, got {n}")
-    elif preset is not None:
-        n = preset.n
-    else:
-        raise InputError(path, "missing 'n' (or a 'preset' providing it)")
-    if "s" in node:
-        s = rational_from_json(node["s"], f"{path}.s")
-    elif preset is not None:
-        s = preset.s
-    else:
-        raise InputError(path, "missing 's' (or a 'preset' providing it)")
-    grad = None
+
+    def field(key, attr, read, kind=""):
+        if key in node:
+            return read(node[key], f"{path}.{key}")
+        value = getattr(preset, attr, None)
+        if value is None:
+            raise InputError(path, f"missing {key!r} (or a {kind}'preset' providing it)")
+        return value
+
+    n = field("n", "n", _dimension_from_json)
+    s = field("s", "s", rational_from_json)
+    grad = [0] * dim
     if "p" in node:
         pnode = _expect(node["p"], list, f"{path}.p", "a list of rationals")
         grad = [rational_from_json(g, f"{path}.p[{i}]") for i, g in enumerate(pnode)]
         if len(grad) != dim:
             raise InputError(f"{path}.p", f"expected {dim} entries, got {len(grad)}")
-    p = AffineFunc(grad if grad is not None else [0] * dim, 0)
-    c_is_var = False
-    if "c" in node:
-        if node["c"] == VAR_MARKER:
-            c_is_var = True
-        else:
-            c = rational_from_json(node["c"], f"{path}.c")
-    elif preset is not None and preset.index is not None:
-        c = preset.index
-    else:
-        raise InputError(path, "missing 'c' (or a Fano 'preset' providing it)")
-    if c_is_var:
-        if not allow_var:
-            raise InputError(
-                f"{path}.c", '"var" is only allowed in threshold templates'
-            )
-        return (n, s, p), True
-    return BaseFactor(n=n, s=s, c=c, p=p), False
+    c = field("c", "index", _offset_from_json, "Fano ")
+    c_is_var = node.get("c") == VAR_MARKER
+    if c_is_var and not allow_var:
+        raise InputError(f"{path}.c", '"var" is only allowed in threshold templates')
+    return BaseFactor(n=n, s=s, c=c, p=AffineFunc(grad, 0)), c_is_var
 
 
 def fibration_from_json(
@@ -248,8 +246,7 @@ def fibration_template_from_json(node, convention: Convention, path: str = "fibr
 
     def make_fib(c: Fraction) -> Fibration:
         concrete = list(factors)
-        n, s, p = concrete[var_index]
-        concrete[var_index] = BaseFactor(n=n, s=s, c=c, p=p)
+        concrete[var_index] = dataclasses.replace(factors[var_index], c=c)
         return fibration(fiber, concrete, convention)
 
     return make_fib, fiber

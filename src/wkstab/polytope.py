@@ -261,30 +261,23 @@ def _from_bounded_halfspaces(
 ) -> LabelledPolytope:
     """The vertex/incidence loop of :func:`from_halfspaces`.  Its result is
     the labelled polytope only when the labels cut out a bounded set, which
-    from_halfspaces proves afterwards."""
-    while True:
-        verts = _enumerate_vertices(list(labels), dim)
-        if not verts or affine_rank(verts) < dim:
-            raise EmptyInterior("the halfspace intersection has empty interior")
-        incidence = [
-            tuple(i for i, v in enumerate(verts) if L(v) == 0) for L in labels
-        ]
-        bad: list[int] = []
-        seen: dict[tuple[int, ...], int] = {}
-        for j, inc in enumerate(incidence):
-            if affine_rank([verts[i] for i in inc]) != dim - 1:
-                bad.append(j)
-            elif inc in seen:
-                bad.append(j)  # duplicate facet: keep the earlier label
-            else:
-                seen[inc] = j
-        if not bad:
-            return LabelledPolytope(dim, labels, verts, incidence)
-        if not drop_redundant:
-            raise RedundantLabel(bad[0])
-        labels = tuple(L for j, L in enumerate(labels) if j not in bad)
-        if not labels:
-            raise EmptyInterior("all labels were redundant")
+    from_halfspaces proves afterwards.  Dropping a redundant label leaves
+    the vertex set as it is, so one enumeration serves: each facet keeps the
+    first label whose zero set cuts it out."""
+    verts = _enumerate_vertices(list(labels), dim)
+    if not verts or affine_rank(verts) < dim:
+        raise EmptyInterior("the halfspace intersection has empty interior")
+    kept: dict[tuple[int, ...], int] = {}  # facet incidence -> its label
+    dropped: list[int] = []
+    for j, L in enumerate(labels):
+        inc = tuple(i for i, v in enumerate(verts) if L(v) == 0)
+        if inc in kept or affine_rank([verts[i] for i in inc]) != dim - 1:
+            dropped.append(j)  # not a facet, or a facet an earlier label cuts out
+        else:
+            kept[inc] = j
+    if dropped and not drop_redundant:
+        raise RedundantLabel(dropped[0])
+    return LabelledPolytope(dim, [labels[j] for j in kept.values()], verts, kept)
 
 
 def _raise_if_unbounded(labels: tuple[AffineFunc, ...], dim: int) -> None:

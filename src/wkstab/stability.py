@@ -190,18 +190,17 @@ def check_general(
     convention: Convention = Convention.CANONICAL,
     max_depth: int = 6,
     concave_cones: frozenset = frozenset(),
-    verify_futaki: bool = True,
 ) -> StabilityReport:
     """Certify g_j >= 0 on every cone cell, refute with an exact witness, or
     report Inconclusive when the subdivision's node budget (set by
     max_depth, see bernstein.certify_nonnegative) runs out.
 
-    Refuses to run (FutakiNotVanishing) when F does not already vanish on
-    affine functions, unless verify_futaki is disabled (legacy-convention
-    archaeology, where the solver's defining pairing differs).
+    Under the canonical convention, refuses to run (FutakiNotVanishing) when
+    F does not already vanish on affine functions; the legacy convention is
+    not checked, since its solver's defining pairing differs.
     """
     x0 = point(x0)
-    if verify_futaki:
+    if convention is Convention.CANONICAL:
         assert_futaki_vanishes(P, v, w)
     decomp = cone_decomposition(P, x0)
     outcomes: list[ConeOutcome] = []
@@ -262,7 +261,6 @@ def _check_cones(fib: Fibration, l_ext: AffineFunc, x0, max_depth: int) -> Stabi
         convention=fib.convention,
         max_depth=max_depth,
         concave_cones=concave_cone_indices(fib, x0),
-        verify_futaki=fib.convention is Convention.CANONICAL,
     )
 
 

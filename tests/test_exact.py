@@ -17,6 +17,7 @@ from wkstab import (
     standard_fiber_polytope,
     threshold_c,
 )
+from wkstab import exact
 from wkstab.exact import (
     affine_rank,
     det,
@@ -320,6 +321,21 @@ def test_det_rref_and_rank_share_one_elimination(M):
     else:
         with pytest.raises(ValueError):
             det(M)
+
+
+def test_an_all_int_matrix_reaches_the_elimination_uncleared(monkeypatch):
+    seen = []
+    eliminate = exact._eliminate
+
+    def recorded(M, above):
+        seen.append([list(row) for row in M])
+        return eliminate(M, above)
+
+    monkeypatch.setattr(exact, "_cleared", lambda xs: pytest.fail("_cleared was called"))
+    monkeypatch.setattr(exact, "_eliminate", recorded)
+    assert det([[2, -3], [4, 5]]) == 22
+    assert seen == [[[2, -3], [4, 5]]]
+    assert rref([(0, 6), (3, 0)]) == ([[1, 0], [0, 1]], [0, 1])
 
 
 def test_rref_negative_pivots_and_swaps():
