@@ -16,11 +16,11 @@ one-sided: it never certifies a false positive, and may return
 "inconclusive" when the budget runs out.
 
 Only the root's numerators come from p.  They are computed in integers on
-the simplex's barycentric power tree (exact._barycentric_powers, shared with
-measure).  With D the lcm of the vertex coordinate denominators, each
-coordinate is x_r = L_r(lambda) / D for an integer linear form L_r, and the
-homogenizing form L_n = D (lambda_0 + ... + lambda_k) equals D on the
-simplex.  So, with C the lcm of p's coefficient denominators and d = deg p,
+the simplex's barycentric power tree (_barycentric_powers; measure fills its
+moments another way).  With D the lcm of the vertex coordinate
+denominators, each coordinate is x_r = L_r(lambda) / D for an integer linear
+form L_r, and the homogenizing form L_n = D (lambda_0 + ... + lambda_k)
+equals D on the simplex.  So, with C the lcm of p's coefficient denominators and d = deg p,
 every term c_a x^a is C c_a L^(a, d - |a|) / (C D^d), homogeneous of degree
 d, and
 
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
 
-from .exact import Polynomial, _barycentric_powers, _centroid, _cleared
+from .exact import Point, Polynomial, _centroid, _cleared
 from .polytope import Simplex
 
 CERTIFIED = "certified"
@@ -86,6 +86,47 @@ def _numerators(p: Polynomial, simplex: Simplex) -> tuple[list[int], int]:
         for gamma in _levels(d, simplex.k + 1)[0][d]
     ]
     return B, fact[d] * C * D**d
+
+
+def _barycentric_powers(verts: tuple[Point, ...]):
+    """The integer barycentric power tree of the simplex spanned by *verts*.
+
+    With D the lcm of the vertex coordinate denominators and lambda_0..lambda_k
+    the barycentric coordinates, the n coordinates scaled by D are integer
+    linear forms L_r(lambda) = sum_i D v_i[r] lambda_i, and the homogenizing
+    form is L_n = D (lambda_0 + ... + lambda_k), equal to D on the simplex.
+    Returns D and a memoised ``power(a)`` giving prod_r L_r^a_r (len(a) = n+1)
+    as a dict from lambda exponents to integers; each power is one linear
+    form times a smaller one, so the terms of p share their factors.
+    ``power`` walks down to a stored power instead of calling itself: a
+    self-referencing closure is a reference cycle, which would keep every
+    tree alive until the cyclic garbage collector runs.
+    """
+    n, k = len(verts[0]), len(verts) - 1
+    D = math.lcm(*(x.denominator for v in verts for x in v))
+    forms = [
+        [(i, v[r].numerator * (D // v[r].denominator)) for i, v in enumerate(verts) if v[r]]
+        for r in range(n)
+    ] + [[(i, D) for i in range(k + 1)]]
+    tree = {(0,) * (n + 1): {(0,) * (k + 1): 1}}
+
+    def power(a):
+        chain = []
+        while a not in tree:
+            r = next(r for r, e in enumerate(a) if e)
+            chain.append((a, r))
+            a = a[:r] + (a[r] - 1,) + a[r + 1:]
+        got = tree[a]
+        for a, r in reversed(chain):
+            prev, got = got, {}
+            for b, c in prev.items():
+                for i, coeff in forms[r]:
+                    key = b[:i] + (b[i] + 1,) + b[i + 1:]
+                    got[key] = got.get(key, 0) + c * coeff
+            tree[a] = got
+        return got
+
+    return D, power
 
 
 def _compositions(d: int, parts: int):

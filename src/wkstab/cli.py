@@ -183,7 +183,7 @@ def _cmd_info(args) -> int:
     conv = _convention(args)
     data: dict = {"convention": conv.value}
     lines: list[str] = [f"convention: {conv.value}"]
-    if isinstance(node, dict) and "fiber" in node:
+    if isinstance(node, dict) and ("fiber" in node or "factors" in node):
         fib = jsonio.fibration_from_json(node, conv)
         P = fib.fiber
         data["fibration"] = {
@@ -465,7 +465,7 @@ def _cmd_sweep(args) -> int:
         if key not in ("template", "rows", "grid", "run"):
             raise InputError("sweep", f"unknown key {key!r}")
     run = node.get("run", "check-fano")
-    if run not in _SWEEP_RUNNERS:
+    if not isinstance(run, str) or run not in _SWEEP_RUNNERS:
         raise InputError(
             "sweep.run", f"unknown command {run!r} (choose from {sorted(_SWEEP_RUNNERS)})"
         )

@@ -401,47 +401,6 @@ def radial_derivative(p: Polynomial, x0: Sequence) -> Polynomial:
     return result
 
 
-def _barycentric_powers(verts: Sequence[Point]):
-    """The integer barycentric power tree of the simplex spanned by *verts*.
-
-    With D the lcm of the vertex coordinate denominators and lambda_0..lambda_k
-    the barycentric coordinates, the n coordinates scaled by D are integer
-    linear forms L_r(lambda) = sum_i D v_i[r] lambda_i, and the homogenizing
-    form is L_n = D (lambda_0 + ... + lambda_k), equal to D on the simplex.
-    Returns D and a memoised ``power(a)`` giving prod_r L_r^a_r (len(a) = n+1)
-    as a dict from lambda exponents to integers; each power is one linear
-    form times a smaller one, so monomials of a cell share their factors.
-    ``power`` walks down to a stored power instead of calling itself: a
-    self-referencing closure is a reference cycle, which would keep every
-    tree alive until the cyclic garbage collector runs.
-    """
-    n, k = len(verts[0]), len(verts) - 1
-    D = lcm(*(x.denominator for v in verts for x in v))
-    forms = [
-        [(i, v[r].numerator * (D // v[r].denominator)) for i, v in enumerate(verts) if v[r]]
-        for r in range(n)
-    ] + [[(i, D) for i in range(k + 1)]]
-    tree = {(0,) * (n + 1): {(0,) * (k + 1): 1}}
-
-    def power(a):
-        chain = []
-        while a not in tree:
-            r = next(r for r, e in enumerate(a) if e)
-            chain.append((a, r))
-            a = a[:r] + (a[r] - 1,) + a[r + 1:]
-        got = tree[a]
-        for a, r in reversed(chain):
-            prev, got = got, {}
-            for b, c in prev.items():
-                for i, coeff in forms[r]:
-                    key = b[:i] + (b[i] + 1,) + b[i + 1:]
-                    got[key] = got.get(key, 0) + c * coeff
-            tree[a] = got
-        return got
-
-    return D, power
-
-
 # ---------------------------------------------------------------------------
 # small exact linear algebra
 # ---------------------------------------------------------------------------

@@ -28,20 +28,33 @@ the interior denominator of its largest degree.
 
 _fill writes both tables in one pass over the facet cells, which the
 polytope owns: polytope._facet_cells triangulates each facet once per
-polytope and keeps each cell's jac = |det[w_i - w_0, xi]|.  On an
-(l-1)-simplex cell of facet j with coordinate denominators cleared by D (a
-divisor of D_P), every missing D^d x^a is an integer form in the barycentric
-coordinates, read off one power tree per cell (exact._barycentric_powers,
-which bernstein shares), and N_cell = sum_b coeff_b * b! gives (Dirichlet)
+polytope and keeps each cell's jac = |det[w_i - w_0, xi]|.  On a cell
+v_0..v_k (k = l - 1) of facet j, Dirichlet's formula
+int_Delta lambda^b = k! vol b! / (k + |b|)! in the barycentric coordinates
+lambda turns every moment into the functional phi: lambda^b -> b!, and
 
-    int_cell x^a dsigma = jac * N_cell / ((l - 1 + d)! * D^d),
-    L_j(0) * jac * N_cell / ((l + d)! * D^d),
+    int_cell x^a dsigma = jac * N_a / ((l - 1 + d)! * D_P^d),
+    N_a = phi((D_P x)^a) = a! [c^a] prod_i 1/(1 - <c, u_i>),
 
-the cell's boundary moment and its share of the interior one (the signed
-cone from the origin over the cell; the factor l + d merges into the
-factorial).  Over Delta'_d and Delta_d these are the integers
-jac J (D_P/D)^d N_cell and L_j(0) jac J (D_P/D)^d N_cell, so a fill sums
-integers and makes no Fraction per monomial.
+with u_i = D_P v_i, integer vectors.  For the last identity write
+y_i = <c, u_i>, so <c, D_P x> = sum_i y_i lambda_i.  Then
+
+    phi(<c, D_P x>^d) = sum_{|b| = d} d!/b! y^b b! = d! h_d(y),
+    <c, D_P x>^d = sum_{|a| = d} d!/a! c^a (D_P x)^a,
+
+and comparing the coefficients of c^a gives phi((D_P x)^a) = a! [c^a] h_d(y),
+where the complete homogeneous polynomial h_d(y) is the degree-d part of
+prod_i 1/(1 - y_i) (Baldoni, Berline, De Loera, Koeppe & Vergne, "How to
+integrate a polynomial over a simplex", Math. Comp. 80 (2011)).  So one
+truncated series product per cell, up to the top missing degree, gives every
+N_a (_cell_moments), and its share of the interior moment is
+
+    L_j(0) * jac * N_a / ((l + d)! * D_P^d)
+
+(the signed cone from the origin over the cell; the factor l + d merges into
+the factorial).  Over Delta'_d and Delta_d these are the integers jac J N_a
+and L_j(0) jac J N_a, so a fill sums integers and makes no Fraction per
+monomial.
 
 Products are never formed to be integrated.  _moment_rows reads the moments
 of f x^b (f with integer coefficients, b in a list) as integer rows, every
@@ -59,11 +72,13 @@ df_via_cones and the tests.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 from operator import add
 
-from .exact import Point, Polynomial, _barycentric_powers, _cleared, det, vsub
+from .exact import Point, Polynomial, _cleared, det, vsub
 from .polytope import (
     LabelledPolytope,
     Simplex,
@@ -243,23 +258,43 @@ def _fill(P: LabelledPolytope, expos) -> dict:
 
 
 def _cell_moments(verts: tuple[Point, ...], D_P: int, expos: list) -> list[int]:
-    """[(D_P/D)^d N_a for a in expos]: the integers with
+    """[N_a for a in expos]: the integers with
 
-        int_cell x^a dsigma = jac * (D_P/D)^d N_a / ((l - 1 + d)! * D_P^d)
+        int_cell x^a dsigma = jac * N_a / ((l - 1 + d)! * D_P^d)
 
-    on the (l-1)-simplex cell *verts* (d = |a|, D_P a multiple of the cell's
-    coordinate denominator D).  Each coordinate times D is an integer linear
-    form in the barycentric coordinates lambda_0..lambda_{l-1}, so D^d x^a is
-    an integer form of degree d, read off the cell's power tree
-    (exact._barycentric_powers) as power(a + (0,)), so the cell's monomials
-    share their factors, and N_a = sum_b coeff_b * b! by Dirichlet's formula
-    (see the module docstring).
+    on the simplex cell *verts* (d = |a|, D_P a multiple of every coordinate
+    denominator), that is N_a = a! [c^a] prod_i 1/(1 - <c, u_i>) with
+    u_i = D_P v_i (see the module docstring).  The truncated product is
+    built one vertex at a time: dividing a series A by 1 - <c, u> gives B
+    with B_e = A_e + sum_r u_r B_(e - e_r), so B is filled in place in graded
+    order, one step per monomial and variable.
     """
-    D, power = _barycentric_powers(verts)
-    q = D_P // D
-    fact = [math.factorial(i) for i in range(max(map(sum, expos), default=0) + 1)]
-    out = []
-    for a in expos:
-        N = sum(c_b * math.prod(map(fact.__getitem__, b)) for b, c_b in power(a + (0,)).items())
-        out.append(N * q ** sum(a))
-    return out
+    index, steps, fact = _series_tables(len(verts[0]), max(map(sum, expos), default=0))
+    B = [1] + [0] * (len(fact) - 1)
+    for v in verts:
+        u = [x.numerator * (D_P // x.denominator) for x in v]
+        for t, r, p in steps:
+            B[t] += u[r] * B[p]
+    return [fact[i] * B[i] for i in map(index.__getitem__, expos)]
+
+
+@functools.lru_cache(maxsize=32)
+def _series_tables(n: int, top: int) -> tuple[dict, list, list[int]]:
+    """The tables of _cell_moments for n variables up to degree top: each
+    exponent's position in _monomials(n, top), the steps (t, r, p) with p
+    the position of e_t - e_r, and e! per position."""
+    mons = _monomials(n, top)
+    index = {e: t for t, e in enumerate(mons)}
+    steps = [(t, r, index[e[:r] + (e[r] - 1,) + e[r + 1:]])
+             for t, e in enumerate(mons) for r in range(n) if e[r]]
+    fact = [math.prod(map(math.factorial, e)) for e in mons]
+    return index, steps, fact
+
+
+def _monomials(dim: int, d: int) -> list[tuple]:
+    """Exponents of degree <= d in graded order, so the list for a lower
+    degree is a prefix of this one."""
+    return sorted(
+        (e for e in itertools.product(range(d + 1), repeat=dim) if sum(e) <= d),
+        key=lambda e: (sum(e), e),
+    )

@@ -45,7 +45,7 @@ from operator import mul
 
 from .exact import AffineFunc, Point, Polynomial, format_point, point, vadd, vscale, vsub
 from .futaki import assert_futaki_vanishes, df_invariant, df_via_cones
-from .measure import _integer_terms, _moment_rows, integrate
+from .measure import _integer_terms, _moment_rows, _monomials, integrate
 from .polytope import EmptyInterior, LabelledPolytope, clip
 
 
@@ -85,15 +85,6 @@ class Crease:
             (rb, ri), delta = _moment_rows(P, [(H, bv, True), (H, bw, False)], 1 + max(dv, dw))
             object.__setattr__(self, "_cache", (dv, dw, dh * delta, rb, ri))
         return self._cache[2:]
-
-
-def _monomials(dim: int, d: int) -> list[tuple]:
-    """Exponents of degree <= d in graded order, so the list for a lower
-    degree is a prefix of this one."""
-    return sorted(
-        (e for e in itertools.product(range(d + 1), repeat=dim) if sum(e) <= d),
-        key=lambda e: (sum(e), e),
-    )
 
 
 def _primitive_directions(dim: int, r: int) -> list[tuple]:

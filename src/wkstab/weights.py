@@ -130,11 +130,6 @@ class Fibration:
         """Complex dimension of the total space: fiber dim + sum of n_a."""
         return self.fiber.dim + sum(f.n for f in self.factors)
 
-    def with_convention(self, convention: Convention) -> "Fibration":
-        return Fibration(
-            self.fiber, self.factors, convention, self.v, self.w_base, self.fano_fiber
-        )
-
     def normalized_inequality(self) -> tuple[bool, ...]:
         """Diagnostic: whether c_a > sum_i p_{ai} for each factor.
 

@@ -5,7 +5,8 @@
 # (deg_c, deg_p1, deg_p2); values are integer coefficients.
 #
 # At the end: dense univariate polynomials over Fraction, and a Fraction
-# reference for Bernstein coefficients, Euclid's gcd, the sampled
+# reference for Bernstein coefficients, the power-tree cell moments of
+# wkstab.measure, Euclid's gcd, the sampled
 # rational-function reconstruction, the Fraction Sturm sequence,
 # interpolation, determinants over Q[x] and root isolation, the per-crease
 # probe loop, and the recession-first from_halfspaces.  Of wkstab.univariate,
@@ -19,6 +20,7 @@ from fractions import Fraction
 from typing import Callable
 
 from wkstab import Polynomial
+from wkstab.bernstein import _barycentric_powers
 from wkstab.exact import det as exact_det, rat, solve_general
 from wkstab.univariate import RootLocation
 
@@ -339,6 +341,26 @@ def bernstein_coefficients_fraction(p: Polynomial, simplex) -> dict[tuple, Fract
         weight = Fraction(math.prod(math.factorial(g) for g in expo), fact_d)
         coeffs[expo] = coeff * weight
     return coeffs
+
+
+# Cell moments as measure._cell_moments computed them before the series
+# kernel: on the cell's barycentric power tree, D^d x^a is an integer form
+# in the barycentric coordinates, read off as power(a + (0,)), and
+# N_a = sum_b coeff_b * b! by Dirichlet's formula.  Kept as the oracle the
+# series kernel is tested against.
+
+
+def cell_moments_power_tree(verts, D_P: int, expos: list) -> list[int]:
+    """[(D_P/D)^d N_a for a in expos], D the lcm of the cell's coordinate
+    denominators (a divisor of D_P) and d = |a|."""
+    D, power = _barycentric_powers(verts)
+    q = D_P // D
+    fact = [math.factorial(i) for i in range(max(map(sum, expos), default=0) + 1)]
+    out = []
+    for a in expos:
+        N = sum(c_b * math.prod(map(fact.__getitem__, b)) for b, c_b in power(a + (0,)).items())
+        out.append(N * q ** sum(a))
+    return out
 
 
 # Rational-function reconstruction from sampled values, as threshold_c found

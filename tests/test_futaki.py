@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -109,7 +110,7 @@ def test_fano_normalization_fixes_convention():
     sol = extremal_affine(fib)
     assert sol.l_ext.gradient == (F(0),)
     assert sol.l_ext.constant == 2 * fib.total_dim  # = 8
-    legacy = extremal_affine(fib.with_convention(Convention.LEGACY))
+    legacy = extremal_affine(dataclasses.replace(fib, convention=Convention.LEGACY))
     assert legacy.l_ext.gradient == (F(0),)
     assert legacy.l_ext.constant == F(-5)
 
@@ -164,7 +165,7 @@ def _fraction_path_system(fib):
 @pytest.mark.parametrize("convention", list(Convention))
 @pytest.mark.parametrize("make", SOLVE_CORPUS)
 def test_integer_moment_system_equals_the_fraction_path(make, convention):
-    fib = make().with_convention(convention)
+    fib = dataclasses.replace(make(), convention=convention)
     sol = extremal_affine(fib)
     M, b = _fraction_path_system(fib)
     assert sol.moment_matrix == M and sol.rhs == b

@@ -335,6 +335,11 @@ def test_cli_sweep_rejects_unknown_keys(capsys):
     )
     code, out, err = run(capsys, "sweep", src)
     assert code == 1
+    # a run that is not a string (here a list, which no dict key can be)
+    src = json.dumps({"template": json.loads(src)["template"], "grid": {"c": [9]}, "run": [1]})
+    code, out, err = run(capsys, "sweep", src)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: sweep.run: unknown command [1] ")
 
 
 def test_cli_sweep_survives_bad_rows(capsys, tmp_path):
@@ -923,3 +928,10 @@ def test_malformed_factor_first_error_line(capsys, factor, line):
     code, out, err = run(capsys, "lext", json.dumps(doc))
     assert (code, out) == (1, "")
     assert err.splitlines()[0] == f"error: {line}"
+
+
+@pytest.mark.parametrize("command", ["info", "lext"])
+def test_factors_without_fiber_is_read_as_a_fibration(capsys, command):
+    code, out, err = run(capsys, command, '{"factors": [{"preset": "P1"}]}')
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == "error: fibration: missing required key 'fiber'"

@@ -35,6 +35,7 @@ from wkstab.polytope import (
 )
 import _oracle
 from _frozen import DIRICHLET_D2, DIRICHLET_D3
+from _reference_fraction import cell_moments_power_tree
 
 
 def mono(dim, expo):
@@ -294,6 +295,60 @@ def test_cell_moments_match_facet_cell_pullback():
         expos = monomials_up_to(n, 5)
         got = [b for b, _ in _cell_values(cell, xi, c, expos)]
         assert got == [integrate_facet_cell(mono(n, e), cell, xi) for e in expos]
+
+
+def _exponent(draw, n, top):
+    """An exponent of n variables and degree <= top."""
+    left, e = draw(st.integers(0, top)), []
+    for _ in range(n - 1):
+        e.append(draw(st.integers(0, left)))
+        left -= e[-1]
+    return tuple(e) + (left,)
+
+
+@st.composite
+def _cells(draw):
+    """(verts, D_P, expos): a cell of 1 to n + 1 vertices in ambient dim
+    n = 1..3, coordinate denominators up to 10^6, D_P a multiple of the
+    cell's lcm, and exponents of degree 0..8 in any order."""
+    n = draw(st.integers(1, 3))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
+    verts = tuple(
+        tuple(draw(coord) for _ in range(n)) for _ in range(draw(st.integers(1, n + 1)))
+    )
+    D_P = math.lcm(*(x.denominator for v in verts for x in v)) * draw(st.integers(1, 30))
+    expos = [_exponent(draw, n, 8) for _ in range(draw(st.integers(0, 8)))]
+    return verts, D_P, expos
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cells())
+@example((((F(1, 3),),), 6, [(8,), (0,), (3,)]))
+@example((((F(1, 2), F(-1, 7)), (F(0), F(2, 5))), 70 * 3, [(0, 0), (4, 4), (1, 0)]))
+def test_cell_moments_equal_the_power_tree(cell):
+    assert _cell_moments(*cell) == cell_moments_power_tree(*cell)
+
+
+def test_fill_never_calls_barycentric_powers(monkeypatch):
+    import wkstab.bernstein as bernstein
+    import wkstab.measure as measure
+
+    calls = []
+    original = bernstein._barycentric_powers
+
+    def counting(verts):
+        calls.append(len(verts))
+        return original(verts)
+
+    monkeypatch.setattr(bernstein, "_barycentric_powers", counting)
+    assert not hasattr(measure, "_barycentric_powers")
+    for P in (interval(), hexagon(), simplex3(), clip(simplex3(), AffineFunc([1, -1, 1], F(-1, 4)))):
+        _fill(P, monomials_up_to(P.dim, 4))
+        assert len(P.moments) == 2 * len(monomials_up_to(P.dim, 4))
+    assert calls == []
+    # the power tree is still bernstein's
+    bernstein.bernstein_coefficients(Polynomial.variable(2, 0) ** 2, Simplex(triangle().vertices))
+    assert calls == [3]
 
 
 @st.composite

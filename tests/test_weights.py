@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -117,7 +118,7 @@ def test_fibration_on_general_fiber():
 def test_with_convention_round_trip():
     fib = projective_bundle(degrees=[[1]], base=[(3, -6)], c=[15], t=1)
     assert fib.convention is Convention.CANONICAL
-    legacy = fib.with_convention(Convention.LEGACY)
+    legacy = dataclasses.replace(fib, convention=Convention.LEGACY)
     assert legacy.convention is Convention.LEGACY
     assert legacy.v == fib.v and legacy.w_base == fib.w_base
 
