@@ -49,6 +49,7 @@ from fractions import Fraction
 from operator import itemgetter, mul
 
 from .exact import Point, Polynomial, _centroid, _cleared
+from .measure import _monomials
 from .polytope import Simplex
 
 CERTIFIED = "certified"
@@ -60,8 +61,8 @@ def bernstein_coefficients(p: Polynomial, simplex: Simplex) -> dict[tuple, Fract
     """Coefficients of p on the simplex in the Bernstein basis of degree deg(p).
 
     Keys are exponent multi-indices gamma with |gamma| = deg(p) over the k+1
-    barycentric coordinates, in ``_compositions`` order; the coefficient of
-    the corner index d*e_i is exactly p(V_i).
+    barycentric coordinates, in ``measure._monomials`` order; the
+    coefficient of the corner index d*e_i is exactly p(V_i).
     """
     B, S = _numerators(p, simplex)
     d = max(p.degree(), 0)
@@ -69,8 +70,8 @@ def bernstein_coefficients(p: Polynomial, simplex: Simplex) -> dict[tuple, Fract
 
 
 def _numerators(p: Polynomial, simplex: Simplex) -> tuple[list[int], int]:
-    """The Bernstein numerators B (in ``_compositions`` order) of p on the
-    simplex and their common denominator S > 0."""
+    """The Bernstein numerators B (in ``measure._monomials`` order) of p on
+    the simplex and their common denominator S > 0."""
     if p.dim != simplex.ambient_dim:
         raise ValueError("polynomial/simplex dimension mismatch")
     d = max(p.degree(), 0)
@@ -129,22 +130,13 @@ def _barycentric_powers(verts: tuple[Point, ...]):
     return D, power
 
 
-def _compositions(d: int, parts: int):
-    """All multi-indices of length ``parts`` summing to d."""
-    if parts == 1:
-        yield (d,)
-        return
-    for head in range(d + 1):
-        for tail in _compositions(d - head, parts - 1):
-            yield (head,) + tail
-
-
 @functools.lru_cache(maxsize=64)
 def _levels(d: int, parts: int):
-    """The multi-indices of each total degree e = 0..d in ``_compositions``
-    order, their positions, the corner positions of degree d in vertex order
-    and the multinomials d!/gamma! of degree d."""
-    comps = [tuple(_compositions(e, parts)) for e in range(d + 1)]
+    """The multi-indices of each total degree e = 0..d in
+    ``measure._monomials`` order, their positions, the corner positions of
+    degree d in vertex order and the multinomials d!/gamma! of degree d."""
+    mons = _monomials(parts, d)
+    comps = [tuple(g for g in mons if sum(g) == e) for e in range(d + 1)]
     pos = [{g: i for i, g in enumerate(level)} for level in comps]
     corners = tuple(pos[d][tuple(d if j == i else 0 for j in range(parts))] for i in range(parts))
     fact_d = math.factorial(d)

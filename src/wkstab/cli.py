@@ -56,7 +56,6 @@ from .weights import (
     NonpositiveWeight,
     NotFanoFibration,
     NotMonotoneFiber,
-    NotReflexiveFiber,
 )
 
 _RUNTIME_ERRORS = (
@@ -65,7 +64,6 @@ _RUNTIME_ERRORS = (
     NonpositiveWeight,
     NotMonotoneFiber,
     NotFanoFibration,
-    NotReflexiveFiber,
     HypothesisViolatedOnBracket,
     FutakiNotVanishing,
     SingularMomentMatrix,

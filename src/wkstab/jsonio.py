@@ -9,15 +9,16 @@ Fibers are interned: polytope_from_json returns one shared LabelledPolytope
 per distinct exact label tuple (the standard_simplex shorthand is keyed by
 its labels too), kept in a bounded LRU of _INTERNED_FIBERS entries.  So every
 command, sweep row and threshold template that names a fiber already parsed
-in this process reuses its vertices, its facet cells, its moment table and
+in this process reuses its vertices, its facet cells, its moment record and
 its monotone point instead of building them again.  Sharing is safe: the
 polytope is immutable, and its derived slots, ``facet_cells``, written only
-by polytope._facet_cells, ``moments`` and ``moment_scale``, written only by
-measure._fill, and ``monotone``, written only by polytope.monotone_point,
-hold exact values fixed by the labels.  Exceptions are not cached, so bad
+by polytope._facet_cells, ``moments``, written only by measure._fill (a
+refill to a higher degree keeps every lower entry), and ``monotone``,
+written only by polytope.monotone_point, hold exact values fixed by the
+labels.  Exceptions are not cached, so bad
 input raises on every parse; a label set that cuts out no polytope raises an
 InputError at ``<path>.labels``.  from_halfspaces itself is not cached:
-library callers get a fresh polytope and a cold table.
+library callers get a fresh polytope and an empty record.
 """
 
 from __future__ import annotations

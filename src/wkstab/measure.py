@@ -12,24 +12,27 @@ on a convex polytope", Proc. AMS 126 (1998), and Baldoni, Berline,
 De Loera, Koeppe & Vergne, Math. Comp. 80 (2011)), so P itself is never
 triangulated.
 
-Moments are cached per polytope as integers.  P.moments, keyed
-(exponent, boundary), holds one integer numerator N per monomial x^a, over a
-denominator that depends only on the degree d = |a|:
+Moments are kept per polytope as integers.  P.moments is one record
+(D_P, J, inner, outer), None until the first fill: inner and outer hold the
+interior and boundary numerators N of every monomial x^a of degree <= some
+filled degree, in _monomials order, each over a denominator that depends
+only on the degree d = |a|:
 
     int_P x^a dx              = N / Delta_d,    Delta_d  = (l + d)! * D_P^d * J,
     int_{boundary P} x^a dsig = N / Delta'_d,   Delta'_d = (l - 1 + d)! * D_P^d * J,
 
 with D_P the lcm of the denominators of P's vertex coordinates and J the lcm
 of the denominators of jac and L_j(0) * jac over the facet cells (below).
-P.moment_scale keeps (D_P, J); both are fixed at the first fill, so a later
-fill never rescales an old entry.  Delta_d = (l + d) Delta'_d, and Delta_d
-divides Delta_{d+1} = (l + d + 1) D_P Delta_d, so any set of moments shares
-the interior denominator of its largest degree.
+Delta_d = (l + d) Delta'_d, and Delta_d divides Delta_{d+1} =
+(l + d + 1) D_P Delta_d, so any set of moments shares the interior
+denominator of its largest degree.
 
-_fill writes both tables in one pass over the facet cells, which the
-polytope owns: polytope._facet_cells triangulates each facet once per
-polytope and keeps each cell's jac = |det[w_i - w_0, xi]|.  On a cell
-v_0..v_k (k = l - 1) of facet j, Dirichlet's formula
+_fill(P, top) returns the record at once when it already reaches degree
+top, and otherwise rebuilds all of it up to top in one pass over the facet
+cells; D_P and J depend on P alone, so a rebuild keeps every lower entry.
+The polytope owns the cells: polytope._facet_cells triangulates each facet
+once per polytope and keeps each cell's jac = |det[w_i - w_0, xi]|.  On a
+cell v_0..v_k (k = l - 1) of facet j, Dirichlet's formula
 int_Delta lambda^b = k! vol b! / (k + |b|)! in the barycentric coordinates
 lambda turns every moment into the functional phi: lambda^b -> b!, and
 
@@ -46,8 +49,8 @@ and comparing the coefficients of c^a gives phi((D_P x)^a) = a! [c^a] h_d(y),
 where the complete homogeneous polynomial h_d(y) is the degree-d part of
 prod_i 1/(1 - y_i) (Baldoni, Berline, De Loera, Koeppe & Vergne, "How to
 integrate a polynomial over a simplex", Math. Comp. 80 (2011)).  So one
-truncated series product per cell, up to the top missing degree, gives every
-N_a (_cell_moments), and its share of the interior moment is
+truncated series product per cell, up to the top degree, gives every N_a
+(_cell_moments), and its share of the interior moment is
 
     L_j(0) * jac * N_a / ((l + d)! * D_P^d)
 
@@ -61,9 +64,10 @@ of f x^b (f with integer coefficients, b in a list) as integer rows, every
 moment brought over the interior denominator Delta_top of one top degree;
 futaki's moment system and probe's crease rows are such rows.  _pair(f, g) =
 sum_a sum_b f_a g_b m(a + b) = int f g clears f and g to integers once, reads
-one row and makes one Fraction.  A read that misses asks _fill for every
-monomial it needs at once, so one read makes one pass over the facet cells,
-and a warm read builds no exponent list.
+one row and makes one Fraction.  A read has one path: _fill(P, top), then
+each moment read by its position in _series_tables(l, top); positions of
+lower degrees are a prefix, so a record filled higher serves every lower
+read.
 
 integrate_simplex and integrate_facet_cell pull whole polynomials back
 through compose_affine instead; they stay as the independent path behind
@@ -78,14 +82,8 @@ import math
 from fractions import Fraction
 from operator import add
 
-from .exact import Point, Polynomial, _cleared, det, vsub
-from .polytope import (
-    LabelledPolytope,
-    Simplex,
-    _facet_cells,
-    _transversal,
-    triangulate_facet,
-)
+from .exact import Point, Polynomial, _cleared, det
+from .polytope import LabelledPolytope, Simplex, _cell_jacobian, _facet_cells, _transversal
 
 
 def integrate_simplex_standard(p: Polynomial) -> Fraction:
@@ -137,8 +135,7 @@ def integrate_facet_cell(
     """
     ell = len(xi)
     k = ell - 1  # cell dimension
-    cols = [vsub(w, cell[0]) for w in cell[1:]] + [xi]
-    jac = abs(det([[cols[c][r] for c in range(ell)] for r in range(ell)]))
+    jac = _cell_jacobian(cell, xi)
     if jac == 0:
         return Fraction(0)
     if k == 0:
@@ -152,9 +149,11 @@ def integrate_facet(p: Polynomial, P: LabelledPolytope, j: int) -> Fraction:
     """d(sigma)-integral of p over facet j of P."""
     if p.dim != P.dim:
         raise ValueError("polynomial/polytope dimension mismatch")
+    if not 0 <= j < P.n_facets:
+        raise IndexError("facet index out of range")
     xi = _transversal(P, j)
     return sum(
-        (integrate_facet_cell(p, cell, xi) for cell in triangulate_facet(P, j)),
+        (integrate_facet_cell(p, cell, xi) for cell, _ in _facet_cells(P)[j]),
         Fraction(0),
     )
 
@@ -185,30 +184,17 @@ def _integer_terms(p: Polynomial) -> tuple[list, int]:
 def _moment_rows(P: LabelledPolytope, requests: list, top: int) -> tuple[list, int]:
     """(rows, Delta_top): for each request (terms, expos, boundary), the row
     [sum_a c_a m(a + b) for b in expos] times Delta_top, an integer row for
-    integer terms [(a, c_a)]; top is at least every deg a + |b|.  A read that
-    misses the table fills the monomials of all the requests in one pass."""
-
-    def read():
-        table, rows = P.moments, []
-        for terms, bs, boundary in requests:
-            s = _scales(P, top, boundary)
-            terms = [(a, sum(a), c) for a, c in terms]
-            rows.append([
-                sum(c * s[d + e] * table[_add(a, b), boundary] for a, d, c in terms)
-                for b, e in zip(bs, map(sum, bs))
-            ])
-        return rows
-
-    rows = None
-    if P.moment_scale is not None:
-        try:
-            rows = read()
-        except KeyError:
-            pass
-    if rows is None:
-        _fill(P, [_add(a, b) for terms, bs, _ in requests for b in bs for a, _ in terms])
-        rows = read()
-    D_P, J = P.moment_scale
+    integer terms [(a, c_a)]; top is at least every deg a + |b|."""
+    D_P, J, inner, outer = _fill(P, top)
+    index = _series_tables(P.dim, top)[0]
+    rows = []
+    for terms, bs, boundary in requests:
+        s, table = _scales(P.dim, D_P, top, boundary), outer if boundary else inner
+        terms = [(a, sum(a), c) for a, c in terms]
+        rows.append([
+            sum(c * s[d + e] * table[index[_add(a, b)]] for a, d, c in terms)
+            for b, e in zip(bs, map(sum, bs))
+        ])
     return rows, math.factorial(P.dim + top) * D_P**top * J
 
 
@@ -216,45 +202,39 @@ def _add(a: tuple, b: tuple) -> tuple:
     return tuple(map(add, a, b))
 
 
-def _scales(P: LabelledPolytope, top: int, boundary: bool) -> list[int]:
+def _scales(dim: int, D_P: int, top: int, boundary: bool) -> list[int]:
     """s with s[d] N / Delta_top the moment of a stored numerator N of degree
     d <= top: s[d] = Delta_top / Delta_d in the interior and (l + d) times
     that on the boundary."""
-    D_P, _ = P.moment_scale
     s = [1] * (top + 1)
     for d in range(top, 0, -1):
-        s[d - 1] = s[d] * (P.dim + d) * D_P
-    return [(P.dim + d) * x for d, x in enumerate(s)] if boundary else s
+        s[d - 1] = s[d] * (dim + d) * D_P
+    return [(dim + d) * x for d, x in enumerate(s)] if boundary else s
 
 
-def _fill(P: LabelledPolytope, expos) -> dict:
-    """Fill the interior and boundary numerators of x^a (a in expos) missing
-    from P.moments, keyed (exponent, boundary), in one pass over the facet
-    cells; the first fill also fixes P.moment_scale = (D_P, J).  Return the
-    table."""
-    table = P.moments
-    missing = [expo for expo in dict.fromkeys(expos) if (expo, False) not in table]
-    if not missing and P.moment_scale is not None:
-        return table
+def _fill(P: LabelledPolytope, top: int) -> tuple:
+    """P.moments = (D_P, J, inner, outer), the interior and boundary
+    numerators of every monomial of degree <= top in _monomials order,
+    rebuilt in one pass over the facet cells unless P.moments already
+    reaches top.  Return the record."""
+    index = _series_tables(P.dim, top)[0]
+    if P.moments and len(P.moments[2]) >= len(index):
+        return P.moments
+    mons = list(index)
     cells = [(cell, jac, L.constant * jac)
              for L, facet in zip(P.labels, _facet_cells(P)) for cell, jac in facet]
-    if P.moment_scale is None:
-        D_P = math.lcm(*(x.denominator for vtx in P.vertices for x in vtx))
-        J = math.lcm(*(x.denominator for _, jac, cjac in cells for x in (jac, cjac)))
-        object.__setattr__(P, "moment_scale", (D_P, J))
-    D_P, J = P.moment_scale
-    inner = [0] * len(missing)
-    outer = [0] * len(missing)
+    D_P = math.lcm(*(x.denominator for vtx in P.vertices for x in vtx))
+    J = math.lcm(*(x.denominator for _, jac, cjac in cells for x in (jac, cjac)))
+    inner = [0] * len(mons)
+    outer = [0] * len(mons)
     for cell, jac, cjac in cells:
         kb = jac.numerator * (J // jac.denominator)
         ki = cjac.numerator * (J // cjac.denominator)
-        for i, N in enumerate(_cell_moments(cell, D_P, missing)):
+        for i, N in enumerate(_cell_moments(cell, D_P, mons)):
             outer[i] += kb * N
             inner[i] += ki * N
-    for expo, m, b in zip(missing, inner, outer):
-        table[expo, False] = m
-        table[expo, True] = b
-    return table
+    object.__setattr__(P, "moments", (D_P, J, inner, outer))
+    return P.moments
 
 
 def _cell_moments(verts: tuple[Point, ...], D_P: int, expos: list) -> list[int]:

@@ -110,16 +110,16 @@ _UNSOLVED = object()  # LabelledPolytope.monotone before monotone_point fills it
 
 class LabelledPolytope:
     """Immutable labelled polytope; construct via :func:`from_halfspaces`.
-    Four slots hold values derived from the labels, filled on first use:
+    Three slots hold values derived from the labels, filled on first use:
     ``facet_cells``, each facet's labelled cells (see :func:`_facet_cells`),
-    ``moments``, a cache of integer moment numerators, ``moment_scale``, the
-    (D_P, J) that fixes their denominators (see measure), and ``monotone``,
-    the answer of :func:`monotone_point`.  None of them is part of equality,
-    hashing or pickling."""
+    ``moments``, the record (D_P, J, interior, boundary) of integer moment
+    numerators up to the degree filled so far (see measure), and
+    ``monotone``, the answer of :func:`monotone_point`.  None of them is part
+    of equality, hashing or pickling."""
 
     __slots__ = (
         "dim", "labels", "vertices", "facet_incidence",
-        "facet_cells", "moments", "moment_scale", "monotone",
+        "facet_cells", "moments", "monotone",
     )
 
     def __init__(self, dim, labels, vertices, facet_incidence):
@@ -128,14 +128,13 @@ class LabelledPolytope:
         object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "facet_incidence", tuple(tuple(f) for f in facet_incidence))
         object.__setattr__(self, "facet_cells", None)
-        object.__setattr__(self, "moments", {})
-        object.__setattr__(self, "moment_scale", None)
+        object.__setattr__(self, "moments", None)
         object.__setattr__(self, "monotone", _UNSOLVED)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabelledPolytope is immutable")
 
-    def __reduce__(self):  # pickle/copy through the constructor; the table starts empty
+    def __reduce__(self):  # pickle/copy through the constructor; the record starts empty
         return LabelledPolytope, (self.dim, self.labels, self.vertices, self.facet_incidence)
 
     @property

@@ -18,8 +18,8 @@ probe does not evaluate them per crease.  Each crease keeps the integer rows
     rb_b = D_k sum_a h_a m_boundary(a + b)   (|b| <= deg v),
     ri_b = D_k sum_a h_a m(a + b)            (|b| <= deg w),
 
-read off one fill of the piece (both tables at once, up to the larger
-degree) by measure._moment_rows, which returns them as integers already:
+read off one fill of the piece (interior and boundary at once, up to the
+larger degree) by measure._moment_rows, which returns them as integers already:
 D_k is h's denominator times the table's denominator Delta_top of the top
 degree 1 + max(deg v, deg w), so no lcm is taken.  The rows are rebuilt only
 when a weight of larger degree arrives.  Boundary moments pair only with v and
@@ -53,8 +53,8 @@ from .polytope import EmptyInterior, LabelledPolytope, clip
 class Crease:
     h: AffineFunc
     positive: LabelledPolytope
-    # derived cache (deg v, deg w, D_k, rb, ri) of _rows, like P.moments;
-    # not part of the value
+    # derived cache (deg v, deg w, D_k, rb, ri) of _rows, read off the
+    # positive piece's moment record; not part of the value
     _cache: tuple = field(default=(-1, -1), init=False, repr=False, compare=False)
 
     def df_value(self, v: Polynomial, w: Polynomial) -> Fraction:

@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import AffineFunc, Polynomial, format_point, radial_derivative, rat
+from .exact import AffineFunc, Polynomial, format_point, rat
 from .polytope import LabelledPolytope, monotone_point, standard_fiber_polytope
 
 
@@ -44,10 +44,6 @@ class NonpositiveWeight(Exception):
         )
         self.vertex = vertex
         self.factor_index = factor_index
-
-
-class NotReflexiveFiber(Exception):
-    pass
 
 
 class NotMonotoneFiber(Exception):
@@ -232,22 +228,3 @@ def fano_anticanonical(
         factors.append(BaseFactor(n=n, s=2 * n * index, c=index, p=p))
     return fibration(fiber, factors, convention)
 
-
-def soliton_weights(fib: Fibration, v_user: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Soliton-type weight pair built from a user weight times the fibration's v.
-
-    Requires a reflexive-type fiber: monotone with monotone point 0 and scale
-    1.  Returns (g, 2(l*g + radial_derivative(g, 0))) with g = v_user * v and
-    l the fiber dimension.
-    """
-    ell = fib.dim
-    origin = tuple([Fraction(0)] * ell)
-    if fib.fano_fiber is None or fib.fano_fiber != (origin, Fraction(1)):
-        raise NotReflexiveFiber(
-            "soliton weights need a monotone fiber with monotone point 0 and scale 1"
-        )
-    if v_user.dim != ell:
-        raise ValueError("v_user has the wrong dimension")
-    g = v_user * fib.v
-    tilde_w = (Polynomial.constant(ell, ell) * g + radial_derivative(g, origin)) * 2
-    return g, tilde_w

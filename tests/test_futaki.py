@@ -202,9 +202,7 @@ def test_cold_solve_fills_each_moment_table_once(monkeypatch, make):
         return wrapper
 
     monkeypatch.setattr(polytope, "triangulate", counting(polytope.triangulate))
-    counted = counting(polytope.triangulate_facet)
-    monkeypatch.setattr(polytope, "triangulate_facet", counted)
-    monkeypatch.setattr(measure, "triangulate_facet", counted)
+    monkeypatch.setattr(polytope, "triangulate_facet", counting(polytope.triangulate_facet))
     monkeypatch.setattr(measure, "_cell_moments", counting(measure._cell_moments))
     solve_extremal(P, v, w_base)
     # from_halfspaces already triangulated each facet, once in P's life; one

@@ -19,6 +19,7 @@ from wkstab import (
 from wkstab.measure import (
     _cell_moments,
     _fill,
+    _monomials,
     _pair,
     integrate_facet_cell,
     integrate_simplex,
@@ -168,10 +169,9 @@ def test_moments_fill_once_per_polytope(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(polytope, "triangulate", counting(polytope.triangulate))
-    counted = counting(polytope.triangulate_facet)
-    monkeypatch.setattr(polytope, "triangulate_facet", counted)
-    monkeypatch.setattr(measure, "triangulate_facet", counted)
+    monkeypatch.setattr(polytope, "triangulate_facet", counting(polytope.triangulate_facet))
     monkeypatch.setattr(measure, "_cell_moments", counting(measure._cell_moments))
+    assert not hasattr(measure, "triangulate_facet")  # measure reads polytope's cells
     # each facet is triangulated at most once in a polytope's life:
     # from_halfspaces does it for Minkowski's relation, and the fill reads
     # the same cells
@@ -182,19 +182,26 @@ def test_moments_fill_once_per_polytope(monkeypatch):
     y = Polynomial.variable(2, 1)
     p = (x + 2 * y) ** 3 + x * y - 7
     first = (integrate(p, P), integrate_boundary(p, P))
-    filled = dict(P.moments)
-    assert set(filled) == {(e, b) for e in p.terms for b in (False, True)}
+    filled = P.moments
+    _, _, inner, outer = filled
+    assert len(inner) == len(outer) == len(_monomials(2, 3))
     n_cells = sum(map(len, P.facet_cells))
     assert calls == ["_cell_moments"] * n_cells
     calls.clear()
     assert (integrate(p, P), integrate_boundary(p, P)) == first
-    assert P.moments == filled
+    assert P.moments is filled
     assert calls == []
-    # a new monomial costs one pass over the cells, however many it adds,
-    # and fills both tables
+    # a higher degree costs one pass over the cells, however many monomials
+    # it adds, rebuilds both halves and keeps every lower entry
     integrate(x ** 5 + y ** 5, P)
     assert calls == ["_cell_moments"] * n_cells
-    assert ((5, 0), True) in P.moments and ((0, 5), True) in P.moments
+    assert P.moments[:2] == filled[:2]
+    assert len(P.moments[2]) == len(P.moments[3]) == len(_monomials(2, 5))
+    assert P.moments[2][:len(inner)] == inner and P.moments[3][:len(outer)] == outer
+    # and a record filled higher serves every lower read
+    calls.clear()
+    assert (integrate(p, P), integrate_boundary(p, P)) == first
+    assert calls == []
     # a clip piece skips the relation: its first fill triangulates each of
     # its facets, once
     calls.clear()
@@ -343,8 +350,8 @@ def test_fill_never_calls_barycentric_powers(monkeypatch):
     monkeypatch.setattr(bernstein, "_barycentric_powers", counting)
     assert not hasattr(measure, "_barycentric_powers")
     for P in (interval(), hexagon(), simplex3(), clip(simplex3(), AffineFunc([1, -1, 1], F(-1, 4)))):
-        _fill(P, monomials_up_to(P.dim, 4))
-        assert len(P.moments) == 2 * len(monomials_up_to(P.dim, 4))
+        _, _, inner, outer = _fill(P, 4)
+        assert len(inner) == len(outer) == len(monomials_up_to(P.dim, 4))
     assert calls == []
     # the power tree is still bernstein's
     bernstein.bernstein_coefficients(Polynomial.variable(2, 0) ** 2, Simplex(triangle().vertices))
@@ -387,44 +394,46 @@ def test_euler_stokes_moments_match_the_triangulations(P):
 def _delta(P, d, boundary):
     """The table's denominator of degree d: (l + d)! (interior) or
     (l - 1 + d)! (boundary), times D_P^d J."""
-    D_P, J = P.moment_scale
+    D_P, J, _, _ = P.moments
     return math.factorial(P.dim - boundary + d) * D_P**d * J
 
 
 @settings(max_examples=30, deadline=None)
 @given(_placed_polytopes())
 def test_moment_table_holds_integers_over_the_degree_denominators(P):
-    expos = monomials_up_to(P.dim, 5)
-    table = _fill(P, expos)
-    assert set(table) == {(e, b) for e in expos for b in (False, True)}
-    assert all(type(N) is int for N in table.values())
-    D_P = math.lcm(*(x.denominator for vtx in P.vertices for x in vtx))
-    assert P.moment_scale[0] == D_P
+    expos = _monomials(P.dim, 5)
+    D_P, J, inner, outer = _fill(P, 5)
+    assert sorted(expos) == sorted(monomials_up_to(P.dim, 5))
+    assert len(inner) == len(outer) == len(expos)
+    assert all(type(N) is int for N in (D_P, J, *inner, *outer))
+    assert D_P == math.lcm(*(x.denominator for vtx in P.vertices for x in vtx))
     cells = triangulate(P)
-    for e in expos:
+    for e, m, b in zip(expos, inner, outer):
         p = mono(P.dim, e)
-        assert F(table[e, False], _delta(P, sum(e), False)) == sum(
+        assert F(m, _delta(P, sum(e), False)) == sum(
             integrate_simplex(p, s) for s in cells
         )
-        assert F(table[e, True], _delta(P, sum(e), True)) == sum(
+        assert F(b, _delta(P, sum(e), True)) == sum(
             integrate_facet(p, P, j) for j in range(P.n_facets)
         )
 
 
 @settings(max_examples=30, deadline=None)
-@given(_placed_polytopes(), st.integers(0, 4), st.data())
-def test_split_fills_build_the_same_table(P, d, data):
-    # J is fixed by the first fill, so a later fill never rescales old entries
-    degree = [e for e in monomials_up_to(P.dim, d) if sum(e) == d]
-    first = data.draw(st.lists(st.sampled_from(degree), unique=True))
-    second = [e for e in degree if e not in first]
-    tables = []
-    for order in ((degree,), (first, second), (second, first)):
+@given(_placed_polytopes(), st.integers(0, 4), st.integers(0, 4))
+def test_split_fills_build_the_same_table(P, d1, d2):
+    # D_P and J depend on P alone, so a record filled to d1 and then to d2
+    # is the one filled straight to the larger degree, D_P and J included,
+    # and a lower fill is its prefix
+    records = []
+    for order in ((max(d1, d2),), (d1, d2), (d2, d1), (min(d1, d2),)):
         Q = from_halfspaces(P.labels)
-        for expos in order:
-            _fill(Q, expos)
-        tables.append((Q.moments, Q.moment_scale))
-    assert tables[0] == tables[1] == tables[2]
+        for d in order:
+            _fill(Q, d)
+        records.append(Q.moments)
+    assert records[0] == records[1] == records[2]
+    D_P, J, inner, outer = records[0]
+    n = len(_monomials(P.dim, min(d1, d2)))
+    assert records[3] == (D_P, J, inner[:n], outer[:n])
 
 
 def _rational_polys(dim):

@@ -298,7 +298,7 @@ def test_polytope_round_trips_through_pickle_and_copy(clone):
     Q = clone(P)
     assert Q == P and hash(Q) == hash(P)
     assert Q.vertices == P.vertices and Q.facet_incidence == P.facet_incidence
-    assert Q.moments == {}  # a derived cache: the copy refills its own
+    assert Q.moments is None  # a derived cache: the copy refills its own
     assert P.facet_cells is not None and Q.facet_cells is None  # so are the cells
     assert integrate(p, Q) == before == integrate(p, P)
     assert Q.facet_cells == P.facet_cells

@@ -12,13 +12,11 @@ from wkstab import (
     Convention,
     NonpositiveWeight,
     NotMonotoneFiber,
-    NotReflexiveFiber,
     Polynomial,
     base_factor,
     fano_anticanonical,
     fibration,
     projective_bundle,
-    soliton_weights,
     standard_fiber_polytope,
 )
 from wkstab.weights import BaseFactor, _build_weights
@@ -121,26 +119,6 @@ def test_with_convention_round_trip():
     legacy = dataclasses.replace(fib, convention=Convention.LEGACY)
     assert legacy.convention is Convention.LEGACY
     assert legacy.v == fib.v and legacy.w_base == fib.w_base
-
-
-def test_soliton_weights_reflexive_only():
-    fib = fano_anticanonical(square(), [(1, 2, None)])
-    g, w = soliton_weights(fib, Polynomial.constant(2, 1))
-    assert g == fib.v
-    # for g constant: w = 2 * dim * g
-    assert w == 2 * 2 * g
-    shifted = projective_bundle(degrees=[[1]], base=[(1, 1)], c=[3], t=F(2))
-    with pytest.raises(NotReflexiveFiber):
-        soliton_weights(shifted, Polynomial.constant(1, 1))
-
-
-def test_soliton_weights_radial_term():
-    fib = fano_anticanonical(square(), [(1, 2, AffineFunc([1, 0], 0))])
-    xp2 = x_var(2, 0) + 2
-    g, w = soliton_weights(fib, Polynomial.constant(2, 1))
-    assert g == xp2
-    # 2*(dim*g + x . grad g) = 2*(2*(x+2) + x) = 6x + 8
-    assert w == x_var(2, 0) * 6 + 8
 
 
 @st.composite
