@@ -273,8 +273,10 @@ def _series_tables(n: int, top: int) -> tuple[dict, list, list[int]]:
 
 def _monomials(dim: int, d: int) -> list[tuple]:
     """Exponents of degree <= d in graded order, so the list for a lower
-    degree is a prefix of this one."""
+    degree is a prefix of this one; degree k from its multisets of variables."""
     return sorted(
-        (e for e in itertools.product(range(d + 1), repeat=dim) if sum(e) <= d),
+        (tuple(map(idx.count, range(dim)))
+         for k in range(d + 1)
+         for idx in itertools.combinations_with_replacement(range(dim), k)),
         key=lambda e: (sum(e), e),
     )

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .exact import AffineFunc, Point, Polynomial, format_point, point, vadd, vscale, vsub
+from .exact import AffineFunc, Point, Polynomial, _cleared, format_point, point, vadd, vscale, vsub
 from .futaki import assert_futaki_vanishes, df_invariant, df_via_cones
 from .measure import _integer_terms, _moment_rows, _monomials, integrate
 from .polytope import EmptyInterior, LabelledPolytope, clip
@@ -178,8 +178,8 @@ def probe(
     dv, dw = v.degree(), max(w.degree(), 0)
     coeffs = [[g.terms.get(b, Fraction(0)) for b in _monomials(P.dim, dg)]
               for g, dg in ((v, dv), (w, dw))]
-    D_vw = math.lcm(*(c.denominator for c in coeffs[0] + coeffs[1]))
-    V, W = ([c.numerator * (D_vw // c.denominator) for c in cs] for cs in coeffs)
+    ints, D_vw = _cleared(coeffs[0] + coeffs[1])
+    V, W = ints[: len(coeffs[0])], ints[len(coeffs[0]) :]
     best: tuple | None = None  # (N_k, ri_k[0], D_k, crease): ratio N_k / (D_vw ri_k[0])
     for crease in family:
         D_k, rb, ri = crease._rows(dv, dw)

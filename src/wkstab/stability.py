@@ -24,16 +24,17 @@ threshold_c locates the smallest Kaehler-class offset c above which the
 vertex condition holds.  The fiber, and with it its moment table, does not
 depend on c, and each factor offset is affine in c, so every entry of the
 extremal moment system M(c) lam = b(c) is a polynomial in c of degree at
-most N (the summed dimensions of the factors whose offset moves).  The
-system is interpolated exactly through N + 1 values of c, as integer
-polynomials over one shared denominator, and solved by Cramer's rule: each
-determinant over Z[c] is ``exact.det`` on the integer matrices at the
-integer nodes 0..B, interpolated.  Each vertex's condition value is then an
-exact rational function of c with integer numerator and denominator, whose
-numerator roots are isolated by integer Sturm sequences.  A certified
-threshold rests on that solve, on the positivity of det M(c) for all
-c >= c_lo (checked by Sturm), and on agreement with the direct pipeline at
-c_hi; no sampled fit enters.
+most N (the summed dimensions of the factors whose offset moves).
+_extremal_over_c, the one place M(c) is built, interpolates it exactly
+through N + 1 values of c over one shared denominator and returns
+(offsets, D, cramer, sound): D = det M(c) and the Cramer determinants, with
+l_ext(c) = (cramer[0] + sum_i x_i cramer[i+1]) / D, each over Z[c] by
+``exact.det`` at integer nodes, interpolated; sound says whether that is
+the extremal solve for every c >= c_lo.  Each vertex's condition value is
+then an exact rational function of c, whose numerator roots are isolated by
+integer Sturm sequences.  A certified threshold rests on that solve, on the
+positivity of det M(c) for all c >= c_lo (checked by Sturm), and on
+agreement with the direct pipeline at c_hi; no sampled fit enters.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
+from operator import pos
 from typing import Callable
 
 from . import univariate as u1
@@ -170,15 +172,21 @@ def concave_cone_indices(fib: Fibration, x0) -> frozenset[int]:
     return frozenset(out)
 
 
+def _vertex_verdict(vals, slack) -> tuple:
+    """(verdict, witness, margin) from vals = ((vertex, value), ...): the
+    first vertex of least slack(value) decides (slack = pos when the value
+    is its own slack).  It is the witness when its slack is negative, and
+    otherwise its slack is the margin."""
+    worst = min(vals, key=lambda pair: slack(pair[1]))
+    margin = slack(worst[1])
+    if margin < 0:
+        return VERDICT_FAILS, worst, None
+    return VERDICT_CERTIFIED, None, margin
+
+
 def _vertex_route(g: Polynomial, vertices, facet: int, cell: int, method: str) -> ConeOutcome:
-    worst = None
-    for vtx in vertices:
-        val = g(vtx)
-        if worst is None or val < worst[1]:
-            worst = (vtx, val)
-    if worst[1] < 0:
-        return ConeOutcome(facet, cell, method, REFUTED, None, worst, 0)
-    return ConeOutcome(facet, cell, method, CERTIFIED, worst[1], None, 0)
+    _, witness, margin = _vertex_verdict([(vtx, g(vtx)) for vtx in vertices], pos)
+    return ConeOutcome(facet, cell, method, REFUTED if witness else CERTIFIED, margin, witness, 0)
 
 
 def check_general(
@@ -247,20 +255,9 @@ def check_fibration(
     sol = extremal_affine(fib)
     if x0 is None:
         x0 = default_base_point(fib.fiber)
-    return _check_cones(fib, sol.l_ext, x0, max_depth)
-
-
-def _check_cones(fib: Fibration, l_ext: AffineFunc, x0, max_depth: int) -> StabilityReport:
-    """check_general with w = l_ext v - w_base for an already solved l_ext,
-    and the factor-derived concavity certificates."""
     return check_general(
-        fib.fiber,
-        x0,
-        fib.v,
-        stability_weight(fib, l_ext),
-        convention=fib.convention,
-        max_depth=max_depth,
-        concave_cones=concave_cone_indices(fib, x0),
+        fib.fiber, x0, fib.v, stability_weight(fib, sol.l_ext), convention=fib.convention,
+        max_depth=max_depth, concave_cones=concave_cone_indices(fib, x0),
     )
 
 
@@ -304,17 +301,13 @@ def check_fano_fiber(fib: Fibration, max_depth: int = 6) -> StabilityReport:
     """
     if fib.fano_fiber is None:
         raise NotMonotoneFiber("check_fano_fiber needs a monotone fiber")
-    x0, _t = fib.fano_fiber
-    sol = extremal_affine(fib)
+    x0 = fib.fano_fiber[0]
     if _fano_hypothesis_failure(fib) is not None:
-        report = _check_cones(fib, sol.l_ext, x0, max_depth)
+        report = check_fibration(fib, x0, max_depth)
         return replace(report, notes=report.notes + (("route", "general-fallback"),))
-    vals = tuple((vtx, condition_value_fano(fib, sol.l_ext, vtx)) for vtx in fib.fiber.vertices)
-    worst = min(vals, key=lambda pair: pair[1])
-    if worst[1] < 0:
-        verdict, witness, margin = VERDICT_FAILS, worst, None
-    else:
-        verdict, witness, margin = VERDICT_CERTIFIED, None, worst[1]
+    l_ext = extremal_affine(fib).l_ext
+    vals = tuple((vtx, condition_value_fano(fib, l_ext, vtx)) for vtx in fib.fiber.vertices)
+    verdict, witness, margin = _vertex_verdict(vals, pos)
     return StabilityReport(
         verdict, METHOD_CONCAVE, 0, fib.convention, x0, witness, margin, vertex_values=vals
     )
@@ -333,13 +326,9 @@ def check_fano_total(fib: Fibration) -> StabilityReport:
         )
     sol = extremal_affine(fib)
     vals = tuple((vtx, sol.l_ext(vtx)) for vtx in fib.fiber.vertices)
-    top = max(vals, key=lambda pair: pair[1])
     bound = Fraction(2 * (fib.total_dim + 1))
-    notes = (("sup_l_ext", str(top[1])), ("bound", str(bound)))
-    if top[1] <= bound:
-        verdict, witness, margin = VERDICT_CERTIFIED, None, bound - top[1]
-    else:
-        verdict, witness, margin = VERDICT_FAILS, top, None
+    verdict, witness, margin = _vertex_verdict(vals, lambda value: bound - value)
+    notes = (("sup_l_ext", str(max(value for _, value in vals))), ("bound", str(bound)))
     return StabilityReport(
         verdict, METHOD_AFFINE, 0, fib.convention, fib.fano_fiber[0], witness, margin,
         vertex_values=vals, notes=notes,
@@ -390,24 +379,23 @@ def _check_template(
             raise ValueError(f"make_fib: factor {a}'s offset is not affine in c at c = {c}")
 
 
-def _exact_vertex_functions(make_fib, fib_lo: Fibration, c_lo: Fraction):
-    """The condition value at each fiber vertex as an exact rational function
-    of c, and whether Cramer's rule is the extremal solve for every c >= c_lo.
+def _extremal_over_c(make_fib, fib_lo: Fibration, c_lo: Fraction):
+    """The extremal solve over Q[c]: (offsets, D, cramer, sound), D and each
+    cramer[i] integer polynomials in c with l_ext(c) = (cramer[0] +
+    sum_i x_i cramer[i + 1]) / D wherever D(c) != 0.
 
-    Returns (offsets, functions, sound), offsets[a] = (c_a(c_lo), Delta_a)
-    with c_a(c) = c_a(c_lo) + Delta_a (c - c_lo), Delta_a read from c_lo and
-    c_lo + 1.  So the entries of the moment system M(c) lam = b(c) are
-    polynomials of degree <= N = sum of n_a over the factors with
-    Delta_a != 0.  They are interpolated through the N + 1 systems at
-    c_lo, ..., c_lo + N on fib_lo's fiber.  Each system is integers over its
-    own denominator, so every entry's N + 1 values are integers over the lcm
-    L of those, and univariate._interpolate fits them as integer polynomials
-    over L N! b^N (c_lo = a/b): one denominator for all of M and b, so M is
-    an integer polynomial matrix.  l_ext = (D_0 + sum_i x_i D_i) / D with
-    D = det M(c) and D_i the Cramer determinants, all by univariate.det; the
-    shared denominator scales D and every D_i alike and cancels.  Each
-    vertex's numerator and denominator are summed on integers and reduced
-    once.
+    offsets[a] = (c_a(c_lo), Delta_a) with c_a(c) = c_a(c_lo) +
+    Delta_a (c - c_lo), Delta_a read from c_lo and c_lo + 1.  So the entries
+    of the moment system M(c) lam = b(c) are polynomials of degree <= N =
+    sum of n_a over the factors with Delta_a != 0.  They are interpolated
+    through the N + 1 systems at c_lo, ..., c_lo + N on fib_lo's fiber.
+    Each system is integers over its own denominator, so every entry's
+    N + 1 values are integers over the lcm L of those, and
+    univariate._interpolate fits them as integer polynomials over
+    L N! b^N (c_lo = a/b): one denominator for all of M and b, so M is an
+    integer polynomial matrix.  D = det M(c) and cramer[i] is D with column
+    i replaced by b, all by univariate.det; the shared denominator scales D
+    and every cramer[i] alike and cancels in l_ext.
 
     sound: M(c_lo) is positive definite and D has no root in [c_lo, oo);
     since det M(c) never vanishes there, no eigenvalue of the symmetric M(c)
@@ -447,28 +435,33 @@ def _exact_vertex_functions(make_fib, fib_lo: Fibration, c_lo: Fraction):
         sound = u1.positive_above(D, c_lo)
     except SingularMomentMatrix:
         sound = False
+    return offsets, D, cramer, sound
 
+
+def _fano_vertex_function(
+    fib_lo: Fibration, offsets, c_lo: Fraction, D, cramer, x: Point
+) -> u1.RationalFunction:
+    """condition_value_fano at the fiber vertex x as an exact rational
+    function of c, from the Q[c] solve (offsets, D, cramer) of
+    _extremal_over_c.  Its numerator and denominator are summed on integers
+    and reduced once."""
     x0, t = fib_lo.fano_fiber
-    K = 2 * fib_lo.total_dim + 2
-    functions = []
-    for x in P.vertices:
-        # condition_value_fano with t l_ext(x) = t (D_0 + sum_i x_i D_i) / D:
-        # num / den = (K D - t D_0 - sum_i t x_i D_i) / D, its scalars cleared
-        # over sigma, then each e_a / u_a added over a common denominator,
-        # where u_a = p_a(x) + c_a(c) and e_a = t s_a - 2 n_a (p_a(x0) + c_a(c))
-        # are affine in c, cleared over one denominator that cancels in e_a / u_a
-        ks, sigma = _cleared([K, -t] + [-t * xi for xi in x])
-        num = u1._int_sum([[k * c for c in Q] for k, Q in zip(ks, [D] + cramer)])
-        den = [sigma * c for c in D]
-        for f, (c_a, d) in zip(fib_lo.factors, offsets):
-            at_0 = c_a - d * c_lo  # c_a(0)
-            (u0, du, e0, de), _ = _cleared(
-                [f.p(x) + at_0, d, t * f.s - 2 * f.n * (f.p(x0) + at_0), -2 * f.n * d]
-            )
-            U, E = (u0, du), (e0, de)
-            num, den = u1._int_sum([u1._int_mul(num, U), u1._int_mul(den, E)]), u1._int_mul(den, U)
-        functions.append(u1._reduced(num, den))
-    return offsets, functions, sound
+    # with l_ext(x) = (C_0 + sum_i x_i C_{i+1}) / D, C = cramer: num / den =
+    # (K D - t C_0 - sum_i t x_i C_{i+1}) / D, K = 2 dim Y + 2, its scalars
+    # cleared over sigma, then each e_a / u_a added over a common denominator, where
+    # u_a = p_a(x) + c_a(c) and e_a = t s_a - 2 n_a (p_a(x0) + c_a(c)) are
+    # affine in c, cleared over one denominator that cancels in e_a / u_a
+    ks, sigma = _cleared([2 * fib_lo.total_dim + 2, -t] + [-t * xi for xi in x])
+    num = u1._int_sum([[k * c for c in Q] for k, Q in zip(ks, [D] + cramer)])
+    den = [sigma * c for c in D]
+    for f, (c_a, d) in zip(fib_lo.factors, offsets):
+        at_0 = c_a - d * c_lo  # c_a(0)
+        (u0, du, e0, de), _ = _cleared(
+            [f.p(x) + at_0, d, t * f.s - 2 * f.n * (f.p(x0) + at_0), -2 * f.n * d]
+        )
+        U, E = (u0, du), (e0, de)
+        num, den = u1._int_sum([u1._int_mul(num, U), u1._int_mul(den, E)]), u1._int_mul(den, U)
+    return u1._reduced(num, den)
 
 
 def threshold_c(
@@ -487,7 +480,7 @@ def threshold_c(
     n, s and p stay fixed.  It is checked at every c built (c_lo, ...,
     c_lo + N and c_hi) and a violation raises ValueError.  Under it the
     moment system is polynomial in c of known degree, so the vertex functions
-    come from one solve over Q[c] (_exact_vertex_functions), not from samples.
+    come from one solve over Q[c] (_extremal_over_c), not from samples.
 
     Certification means: Cramer's rule over Q[c] is the extremal solve for
     every c >= c_lo (M(c_lo) positive definite, det M(c) positive with no
@@ -516,22 +509,19 @@ def threshold_c(
         raise HypothesisViolatedOnBracket(
             f"factor {a}: p(x0) + c >= t s/(2n) fails at c_lo = {c_lo}"
         )
-    verts = fib_lo.fiber.vertices
-    offsets, functions, certified = _exact_vertex_functions(make_fib, fib_lo, c_lo)
-
+    offsets, D, cramer, certified = _extremal_over_c(make_fib, fib_lo, c_lo)
     fib_hi = make_fib(c_hi)
     _check_template(fib_lo, fib_hi, offsets, c_lo, c_hi)
     l_hi = extremal_affine(fib_hi).l_ext
-    at_hi = [condition_value_fano(fib_hi, l_hi, vtx) for vtx in verts]
-    for vtx, fn, value in zip(verts, functions, at_hi):
+    per_vertex, at_hi = [], []
+    for vtx in fib_lo.fiber.vertices:
+        fn = _fano_vertex_function(fib_lo, offsets, c_lo, D, cramer, vtx)
+        value = condition_value_fano(fib_hi, l_hi, vtx)
         if not u1._scaled_value(fn.den, c_hi) or fn(c_hi) != value:
             raise ArithmeticError(
                 f"exact condition value at vertex {format_point(vtx)} disagrees with the "
                 f"direct value {value} at c_hi = {c_hi}"
             )
-
-    per_vertex = []
-    for vtx, fn in zip(verts, functions):
         # the zero numerator () needs no branch: no roots, tail positive, degree -1
         num, den = fn.num, fn.den
         den_ok = u1.positive_above(den, c_lo)
@@ -542,6 +532,7 @@ def threshold_c(
             not num or num[-1] > 0, u1.degree(num), u1.degree(den),
         )
         per_vertex.append(entry)
+        at_hi.append(value)
         certified = certified and entry.tail_positive and den_ok
     sup_low = max(e.low for e in per_vertex)
     sup_high = max(e.high for e in per_vertex)

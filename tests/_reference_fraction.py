@@ -5,8 +5,8 @@
 # (deg_c, deg_p1, deg_p2); values are integer coefficients.
 #
 # At the end: dense univariate polynomials over Fraction, and a Fraction
-# reference for Bernstein coefficients, the power-tree cell moments of
-# wkstab.measure, Euclid's gcd, the sampled
+# reference for Bernstein coefficients, the power-tree cell moments and the
+# filtered exponent list of wkstab.measure, Euclid's gcd, the sampled
 # rational-function reconstruction, the Fraction Sturm sequence,
 # interpolation, determinants over Q[x] and root isolation, the per-crease
 # probe loop, and the recession-first from_halfspaces.  Of wkstab.univariate,
@@ -361,6 +361,18 @@ def cell_moments_power_tree(verts, D_P: int, expos: list) -> list[int]:
         N = sum(c_b * math.prod(map(fact.__getitem__, b)) for b, c_b in power(a + (0,)).items())
         out.append(N * q ** sum(a))
     return out
+
+
+# Exponents as measure._monomials listed them before it built each degree
+# from multisets: every box exponent of itertools.product, filtered to
+# degree <= d.  Kept as the oracle of the graded order.
+
+
+def monomials_by_filter(dim: int, d: int) -> list[tuple]:
+    return sorted(
+        (e for e in itertools.product(range(d + 1), repeat=dim) if sum(e) <= d),
+        key=lambda e: (sum(e), e),
+    )
 
 
 # Rational-function reconstruction from sampled values, as threshold_c found

@@ -36,7 +36,7 @@ from wkstab.polytope import (
 )
 import _oracle
 from _frozen import DIRICHLET_D2, DIRICHLET_D3
-from _reference_fraction import cell_moments_power_tree
+from _reference_fraction import cell_moments_power_tree, monomials_by_filter
 
 
 def mono(dim, expo):
@@ -51,6 +51,18 @@ def test_standard_simplex_monomials_d2(expo, value):
 @pytest.mark.parametrize("expo,value", sorted(DIRICHLET_D3.items()))
 def test_standard_simplex_monomials_d3(expo, value):
     assert integrate_simplex_standard(mono(3, expo)) == value
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5), st.integers(-1, 7))
+def test_monomials_match_the_filtered_product(dim, d):
+    assert _monomials(dim, d) == monomials_by_filter(dim, d)
+
+
+def test_monomials_count_without_the_product_box():
+    # C(dim + d, d) exponents, listed without walking the 7^12 boxes of
+    # itertools.product (the filtered product would not finish here)
+    assert len(_monomials(12, 6)) == math.comb(18, 6)
 
 
 def test_integrate_simplex_affine_image():

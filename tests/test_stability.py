@@ -43,6 +43,7 @@ from wkstab.stability import (
     base_point_candidates,
     concave_cone_indices,
 )
+from wkstab.polytope import cone_decomposition
 from _frozen import (
     COND_TRI_CANONICAL,
     COND_TRI_LEGACY,
@@ -221,6 +222,63 @@ def test_check_fano_total_rejects_non_anticanonical():
         )  # scale 2 fiber
 
 
+def _first_of_the_tied(vals, worst):
+    tied = [vtx for vtx, val in vals if val == worst]
+    assert len(tied) == 2
+    return tied[0]
+
+
+def test_affine_route_witness_is_the_first_tied_vertex():
+    # w = 8 - 2 L_0: on the cone over facet 0, g = 3 - w/2 is -1 at both
+    # facet vertices and 0 at x0
+    P, x0 = triangle(), (F(0), F(0))
+    v = Polynomial.constant(2, 1)
+    w = Polynomial.constant(2, 8) - P.labels[0].to_polynomial() * 2
+    report = check_general(P, x0, v, w, convention=Convention.LEGACY)
+    assert (report.verdict, report.method) == (VERDICT_FAILS, METHOD_AFFINE)
+    first = report.per_cone[0]
+    g = condition_poly_general(P, x0, 0, v, w)
+    cell = cone_decomposition(P, x0).cones[0][0]
+    vals = [(vtx, g(vtx)) for vtx in cell.vertices]
+    assert report.witness == first.witness == (_first_of_the_tied(vals, F(-1)), F(-1))
+
+
+def test_fano_fiber_witness_is_the_first_tied_vertex():
+    # the twist p = (1, 1) is symmetric in x1 <-> x2: (-1, 2) and (2, -1) tie
+    report = check_fano_fiber(projective_bundle([[1, 1]], [(3, 12)], [F(9, 4)], t=1))
+    assert report.verdict == VERDICT_FAILS and ("route", "general-fallback") not in report.notes
+    worst = min(val for _, val in report.vertex_values)
+    assert report.witness == (_first_of_the_tied(report.vertex_values, worst), worst)
+
+
+def test_fano_total_witness_is_the_first_tied_vertex():
+    report = check_fano_total(projective_bundle([[1, 1]], [(3, 15)], [F(5, 2)], t=1))
+    assert report.verdict == VERDICT_FAILS
+    top = max(val for _, val in report.vertex_values)
+    assert report.witness == (_first_of_the_tied(report.vertex_values, top), top)
+    assert dict(report.notes)["sup_l_ext"] == str(top)
+
+
+@pytest.mark.parametrize(
+    "fib, route",
+    [(rank_one(), None), (projective_bundle([[1]], [(1, 10)], [2], t=1), "general-fallback")],
+    ids=["vertex", "fallback"],
+)
+def test_check_fano_fiber_solves_once(monkeypatch, fib, route):
+    calls = []
+    real = futaki.extremal_affine
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stability, "extremal_affine", counting)
+    monkeypatch.setattr(futaki, "extremal_affine", counting)
+    report = check_fano_fiber(fib)
+    assert dict(report.notes).get("route") == route
+    assert len(calls) == 1
+
+
 def test_threshold_canonical_bracket_contains_root():
     res = threshold_c(lambda c: tri_family(c, s=24), F(4), F(9), tol=F(1, 100))
     assert res.certified
@@ -370,8 +428,12 @@ def _monic_pair(fn):
 def _assert_matches_oracle(make_fib):
     c_lo = _c_floor(make_fib)
     fib_lo = make_fib(c_lo)
-    _, functions, sound = stability._exact_vertex_functions(make_fib, fib_lo, c_lo)
+    offsets, D, cramer, sound = stability._extremal_over_c(make_fib, fib_lo, c_lo)
     assert sound
+    functions = [
+        stability._fano_vertex_function(fib_lo, offsets, c_lo, D, cramer, x)
+        for x in fib_lo.fiber.vertices
+    ]
     oracle = _oracle_functions(make_fib, c_lo, c_lo + 5)
     assert [_monic_pair(f) for f in functions] == [_monic_pair(f) for f in oracle]
 
@@ -392,24 +454,43 @@ SHIFTED_TRIANGLE = from_halfspaces(
 )
 
 
-@pytest.mark.parametrize(
-    "make_fib",
-    [
-        lambda c: fibration(SHIFTED_TRIANGLE, [base_factor(3, 24, c, [1, 2], 2)]),
-        # the interval, both conventions
-        lambda c: projective_bundle([[1]], [(3, 24)], [c], t=1),
-        lambda c: projective_bundle([[2]], [(2, 12)], [c], t=1, convention=Convention.LEGACY),
-        # the 3-simplex
-        lambda c: projective_bundle([[1, 2, 0]], [(3, 24)], [c], t=1),
-        # two factors: a fixed offset beside the moving one, and both moving
-        # at different rates (N = n_1 + n_2)
-        lambda c: projective_bundle([[0, 1], [1, 2]], [(1, 4), (3, 24)], [3, c], t=1),
-        lambda c: projective_bundle([[0, 1], [1, 2]], [(1, 4), (1, 6)], [c, 2 * c - 3], t=1),
-    ],
-    ids=["shifted-triangle", "interval", "interval-legacy", "3-simplex", "fixed-and-moving", "two-moving"],
-)
+TEMPLATES = [
+    lambda c: fibration(SHIFTED_TRIANGLE, [base_factor(3, 24, c, [1, 2], 2)]),
+    # the interval, both conventions
+    lambda c: projective_bundle([[1]], [(3, 24)], [c], t=1),
+    lambda c: projective_bundle([[2]], [(2, 12)], [c], t=1, convention=Convention.LEGACY),
+    # the 3-simplex
+    lambda c: projective_bundle([[1, 2, 0]], [(3, 24)], [c], t=1),
+    # two factors: a fixed offset beside the moving one, and both moving
+    # at different rates (N = n_1 + n_2)
+    lambda c: projective_bundle([[0, 1], [1, 2]], [(1, 4), (3, 24)], [3, c], t=1),
+    lambda c: projective_bundle([[0, 1], [1, 2]], [(1, 4), (1, 6)], [c, 2 * c - 3], t=1),
+]
+TEMPLATE_IDS = [
+    "shifted-triangle", "interval", "interval-legacy", "3-simplex",
+    "fixed-and-moving", "two-moving",
+]
+
+
+@pytest.mark.parametrize("make_fib", TEMPLATES, ids=TEMPLATE_IDS)
 def test_exact_vertex_functions_match_sampled_oracle(make_fib):
     _assert_matches_oracle(make_fib)
+
+
+@pytest.mark.parametrize("make_fib", TEMPLATES, ids=TEMPLATE_IDS)
+def test_extremal_over_c_is_the_cramer_solve_of_l_ext(make_fib):
+    # the Q[c] solve alone, with no vertex condition: (cramer[0] +
+    # sum_i x_i cramer[i + 1]) / D is l_ext at c_lo, off the integer nodes,
+    # and beyond the last interpolation node c_lo + N
+    c_lo = _c_floor(make_fib)
+    fib_lo = make_fib(c_lo)
+    offsets, D, cramer, sound = stability._extremal_over_c(make_fib, fib_lo, c_lo)
+    assert sound and len(cramer) == fib_lo.fiber.dim + 1
+    N = sum(f.n for f, (_, d) in zip(fib_lo.factors, offsets) if d)
+    for c in (c_lo, c_lo + F(1, 3), c_lo + N + F(5, 2)):
+        l_ext = extremal_affine(make_fib(c)).l_ext
+        lam = [evaluate(C, c) / evaluate(D, c) for C in cramer]
+        assert AffineFunc(lam[1:], lam[0]) == l_ext
 
 
 def test_threshold_solves_once_and_interpolates_n_plus_one_systems(monkeypatch):
@@ -451,17 +532,18 @@ def test_threshold_rejects_a_template_outside_the_affine_contract(make_fib, c_lo
 
 
 def test_threshold_raises_when_an_exact_function_disagrees_at_c_hi(monkeypatch):
-    real = stability._exact_vertex_functions
+    real = stability._fano_vertex_function
+    verts = tri_family(F(4), s=24).fiber.vertices
 
     def off_by_one(*args):
-        offsets, functions, sound = real(*args)
-        f = functions[1]
+        f = real(*args)
+        if args[-1] != verts[1]:
+            return f
         n = max(len(f.num), len(f.den))
         num = [sum(p[i] for p in (f.num, f.den) if i < len(p)) for i in range(n)]
-        bumped = u1.RationalFunction(tuple(num), f.den)  # f + 1
-        return offsets, [functions[0], bumped] + functions[2:], sound
+        return u1.RationalFunction(tuple(num), f.den)  # f + 1
 
-    monkeypatch.setattr(stability, "_exact_vertex_functions", off_by_one)
+    monkeypatch.setattr(stability, "_fano_vertex_function", off_by_one)
     with pytest.raises(ArithmeticError, match="disagrees"):
         threshold_c(lambda c: tri_family(c, s=24), F(4), F(9))
 
