@@ -31,7 +31,8 @@ _fill(P, top) returns the record at once when it already reaches degree
 top, and otherwise rebuilds all of it up to top in one pass over the facet
 cells; D_P and J depend on P alone, so a rebuild keeps every lower entry.
 The polytope owns the cells: polytope._facet_cells triangulates each facet
-once per polytope and keeps each cell's jac = |det[w_i - w_0, xi]|.  On a
+once per polytope and keeps each cell's jac = |det[w_i - w_0, xi]|, one
+minor of the cell's edge vectors over one entry of the label's gradient.  On a
 cell v_0..v_k (k = l - 1) of facet j, Dirichlet's formula
 int_Delta lambda^b = k! vol b! / (k + |b|)! in the barycentric coordinates
 lambda turns every moment into the functional phi: lambda^b -> b!, and
@@ -65,9 +66,10 @@ moment brought over the interior denominator Delta_top of one top degree;
 futaki's moment system and probe's crease rows are such rows.  _pair(f, g) =
 sum_a sum_b f_a g_b m(a + b) = int f g clears f and g to integers once, reads
 one row and makes one Fraction.  A read has one path: _fill(P, top), then
-each moment read by its position in _series_tables(l, top); positions of
-lower degrees are a prefix, so a record filled higher serves every lower
-read.
+each moment m(a + b) read at position _shifted(l, top, a)[b], from a table
+cached per (l, top, a), so a read builds no exponent tuple a + b.  Positions
+of lower degrees are a prefix, so a record filled higher serves every lower
+read, and a read of degree past top finds no position and raises.
 
 integrate_simplex and integrate_facet_cell pull whole polynomials back
 through compose_affine instead; they stay as the independent path behind
@@ -83,7 +85,7 @@ from fractions import Fraction
 from operator import add
 
 from .exact import Point, Polynomial, _cleared, det
-from .polytope import LabelledPolytope, Simplex, _cell_jacobian, _facet_cells, _transversal
+from .polytope import LabelledPolytope, Simplex, _facet_cells, _transversal
 
 
 def integrate_simplex_standard(p: Polynomial) -> Fraction:
@@ -135,12 +137,12 @@ def integrate_facet_cell(
     """
     ell = len(xi)
     k = ell - 1  # cell dimension
-    jac = _cell_jacobian(cell, xi)
+    E = [[cell[i + 1][r] - cell[0][r] for i in range(k)] for r in range(ell)]
+    jac = abs(det([row + [x] for row, x in zip(E, xi)]))
     if jac == 0:
         return Fraction(0)
     if k == 0:
         return jac * p(cell[0])
-    E = [[cell[i + 1][r] - cell[0][r] for i in range(k)] for r in range(ell)]
     pulled = p.compose_affine(E, cell[0])
     return jac * integrate_simplex_standard(pulled)
 
@@ -186,16 +188,23 @@ def _moment_rows(P: LabelledPolytope, requests: list, top: int) -> tuple[list, i
     [sum_a c_a m(a + b) for b in expos] times Delta_top, an integer row for
     integer terms [(a, c_a)]; top is at least every deg a + |b|."""
     D_P, J, inner, outer = _fill(P, top)
-    index = _series_tables(P.dim, top)[0]
     rows = []
     for terms, bs, boundary in requests:
         s, table = _scales(P.dim, D_P, top, boundary), outer if boundary else inner
-        terms = [(a, sum(a), c) for a, c in terms]
+        terms = [(_shifted(P.dim, top, a), sum(a), c) for a, c in terms]
         rows.append([
-            sum(c * s[d + e] * table[index[_add(a, b)]] for a, d, c in terms)
+            sum(c * s[d + e] * table[at[b]] for at, d, c in terms)
             for b, e in zip(bs, map(sum, bs))
         ])
     return rows, math.factorial(P.dim + top) * D_P**top * J
+
+
+@functools.lru_cache(maxsize=256)
+def _shifted(dim: int, top: int, a: tuple) -> dict:
+    """{b: position of a + b in _monomials(dim, top)} for every b of degree
+    <= top - |a|; a read past top raises KeyError."""
+    index = _series_tables(dim, top)[0]
+    return {b: index[_add(a, b)] for b in _monomials(dim, top - sum(a))}
 
 
 def _add(a: tuple, b: tuple) -> tuple:
@@ -217,10 +226,9 @@ def _fill(P: LabelledPolytope, top: int) -> tuple:
     numerators of every monomial of degree <= top in _monomials order,
     rebuilt in one pass over the facet cells unless P.moments already
     reaches top.  Return the record."""
-    index = _series_tables(P.dim, top)[0]
-    if P.moments and len(P.moments[2]) >= len(index):
+    mons = _monomials(P.dim, top)
+    if P.moments and len(P.moments[2]) >= len(mons):
         return P.moments
-    mons = list(index)
     cells = [(cell, jac, L.constant * jac)
              for L, facet in zip(P.labels, _facet_cells(P)) for cell, jac in facet]
     D_P = math.lcm(*(x.denominator for vtx in P.vertices for x in vtx))
@@ -271,12 +279,14 @@ def _series_tables(n: int, top: int) -> tuple[dict, list, list[int]]:
     return index, steps, fact
 
 
-def _monomials(dim: int, d: int) -> list[tuple]:
+@functools.lru_cache(maxsize=64)
+def _monomials(dim: int, d: int) -> tuple[tuple, ...]:
     """Exponents of degree <= d in graded order, so the list for a lower
-    degree is a prefix of this one; degree k from its multisets of variables."""
-    return sorted(
+    degree is a prefix of this one; degree k from its multisets of variables.
+    Cached, and a tuple because every caller shares it."""
+    return tuple(sorted(
         (tuple(map(idx.count, range(dim)))
          for k in range(d + 1)
          for idx in itertools.combinations_with_replacement(range(dim), k)),
         key=lambda e: (sum(e), e),
-    )
+    ))

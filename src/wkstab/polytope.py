@@ -17,19 +17,31 @@ proof cannot be made, to name the ray of an unbounded input.
 clip never enumerates vertices: a piece P intersect {h >= 0} comes from one
 double-description step on P's vertices and facet incidence (edges found by
 the combinatorial adjacency test, one crossing point per edge that h cuts),
-and it is bounded because P is.
+and it is bounded because P is.  The step runs in integers: with P's
+vertices over their common denominator and h cleared, h's vertex values are
+integers up to one positive factor, and each crossing point is one Fraction
+per coordinate.  Emptiness is decided by sign: P is full-dimensional, so the
+piece has interior exactly when h > 0 at some vertex.
+
+A facet cell's Jacobian |det[w_k - w_0, xi]|, with xi = e_i / g_i the
+transversal of the facet's label (g its gradient, i its first nonzero
+entry), is one minor: expanded along xi's column it is |det W_i| / |g_i|,
+with W_i the columns w_k - w_0 without row i.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exact import (
     AffineFunc,
     Point,
     _centroid,
+    _cleared,
     affine_rank,
     det,
     format_point,
@@ -37,9 +49,6 @@ from .exact import (
     rat,
     solve_general,
     solve_square,
-    vadd,
-    vscale,
-    vsub,
 )
 
 
@@ -297,22 +306,33 @@ def _transversal(P: LabelledPolytope, j: int) -> Point:
     raise ValueError("label has zero gradient")
 
 
-def _cell_jacobian(verts: tuple[Point, ...], xi: Point) -> Fraction:
-    """(dim-1)! times the labelled measure of the facet cell *verts* of the
-    facet with transversal xi: |det[w_i - w_0, xi]|."""
-    cols = [vsub(w, verts[0]) for w in verts[1:]] + [xi]
-    return abs(det([[c[r] for c in cols] for r in range(len(cols))]))
+def _cell_jacobian(verts: tuple[Point, ...], g: Point) -> Fraction:
+    """(dim-1)! times the labelled measure of the facet cell *verts* of a facet
+    whose label has gradient g: |det[w_k - w_0, xi]| with xi = e_i / g_i the
+    transversal of :func:`_transversal`.  Expanded along xi's column this is
+    one minor, |det W_i| / |g_i|, with W_i the columns w_k - w_0 without
+    row i: 1 in dimension 1, one difference in dimension 2, a 2 x 2
+    determinant in dimension 3."""
+    i = next(i for i, gi in enumerate(g) if gi)
+    w0 = verts[0]
+    W = [[w[r] - w0[r] for w in verts[1:]] for r in range(len(g)) if r != i]
+    if len(W) > 2:
+        minor = det(W)
+    elif len(W) == 2:
+        minor = W[0][0] * W[1][1] - W[0][1] * W[1][0]
+    else:
+        minor = W[0][0] if W else 1
+    return abs(minor) / abs(g[i])
 
 
 def _facet_cells(P: LabelledPolytope) -> tuple:
-    """Per facet j, its cells (w_0..w_{dim-1}, jac) with jac = |det[w_i - w_0,
-    xi_j]|, the cell's labelled measure times (dim-1)!; computed once per
-    polytope and kept in P.facet_cells."""
+    """Per facet j, its cells (w_0..w_{dim-1}, jac) with jac the cell's
+    labelled measure times (dim-1)! (:func:`_cell_jacobian`); computed once
+    per polytope and kept in P.facet_cells."""
     if P.facet_cells is None:
-        xis = [_transversal(P, j) for j in range(P.n_facets)]
         object.__setattr__(P, "facet_cells", tuple(
-            tuple((cell, _cell_jacobian(cell, xi)) for cell in triangulate_facet(P, j))
-            for j, xi in enumerate(xis)
+            tuple((cell, _cell_jacobian(cell, L.gradient)) for cell in triangulate_facet(P, j))
+            for j, L in enumerate(P.labels)
         ))
     return P.facet_cells
 
@@ -450,7 +470,7 @@ def clip(P: LabelledPolytope, h: AffineFunc) -> LabelledPolytope:
 
     Labels made redundant by the cut (including *h* itself when it does not
     cut) are dropped.  Raises :class:`EmptyInterior` when the intersection has
-    no interior.
+    no interior, that is when h > 0 at no vertex of P.
 
     The piece comes from one step of the double description method
     (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda & Prodon 1996) on P's
@@ -473,21 +493,25 @@ def clip(P: LabelledPolytope, h: AffineFunc) -> LabelledPolytope:
         for i in inc:
             zeros[i] |= 1 << j
     on_h = 1 << P.n_facets
-    hv = [h(v) for v in P.vertices]
+    D = math.lcm(*(x.denominator for v in P.vertices for x in v))
+    U = [[x.numerator * (D // x.denominator) for x in v] for v in P.vertices]  # D * v
+    *G, C = _cleared(h.gradient + (h.constant,))[0]
+    hv = [sum(map(mul, G, u), C * D) for u in U]  # h(v) times one positive integer
+    above = [i for i, x in enumerate(hv) if x > 0]
+    if not above:  # h <= 0 on P: the piece has no interior point
+        raise EmptyInterior("the halfspace intersection has empty interior")
     found = [(v, z | on_h if x == 0 else z)  # the piece's vertices with Z
              for v, z, x in zip(P.vertices, zeros, hv) if x >= 0]
     below = [i for i, x in enumerate(hv) if x < 0]
-    above = [i for i, x in enumerate(hv) if x > 0]
     for a, b in itertools.product(below, above):
         common = zeros[a] & zeros[b]
         if any((common & z) == common for c, z in enumerate(zeros) if c != a and c != b):
             continue  # a and b span no edge
-        va, t = P.vertices[a], hv[a] / (hv[a] - hv[b])
-        found.append((vadd(va, vscale(t, vsub(P.vertices[b], va))), common | on_h))
+        ha, hb = hv[a], hv[b]  # the crossing (ha b - hb a) / (ha - hb)
+        cross = tuple(Fraction(ha * yb - hb * ya, D * (ha - hb)) for ya, yb in zip(U[a], U[b]))
+        found.append((cross, common | on_h))
     found.sort()
     verts = [v for v, _ in found]
-    if affine_rank(verts) < P.dim:  # -1 when h misses P
-        raise EmptyInterior("the halfspace intersection has empty interior")
     incidence = [frozenset(i for i, (_, z) in enumerate(found) if z >> j & 1)
                  for j in range(P.n_facets + 1)]
     labels, facets = [], []

@@ -33,6 +33,12 @@ so each crease costs one integer dot product, ratios N_k / (D_vw ri_k[0])
 compare by cross-multiplication, and only the winner's ratio becomes a
 Fraction.  A destabilizer's F(f) is re-checked on the independent cone path
 (Crease.df_value_direct) before it is reported.
+
+crease_family builds the offset grid once per family.  Per direction n it
+takes n.x0 once, and each offset s = n.q once, since equal offsets give equal
+creases; so the test h(x0) <= 0 and the removal of duplicates cost one
+comparison and one dict entry per offset, and clip (which decides emptiness
+by the sign of h at P's vertices) runs once per surviving crease.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .exact import AffineFunc, Point, Polynomial, _cleared, format_point, point, vadd, vscale, vsub
+from .exact import AffineFunc, Point, Polynomial, _cleared, dot, format_point, point, vadd, vscale, vsub
 from .futaki import assert_futaki_vanishes, df_invariant, df_via_cones
 from .measure import _integer_terms, _moment_rows, _monomials, integrate
 from .polytope import EmptyInterior, LabelledPolytope, clip
@@ -123,18 +129,17 @@ def crease_family(P: LabelledPolytope, x0, r: int) -> list[Crease]:
         raise ValueError("resolution r must be >= 1")
     if not P.is_interior(x0):
         raise ValueError(f"x0 = {format_point(x0)} is not interior")
-    seen: set = set()
+    grid = _offset_grid(P, r)
     family: list[Crease] = []
-    for n in _primitive_directions(P.dim, r):
-        for q in _offset_grid(P, r):
-            base = AffineFunc(n, -sum(Fraction(ni) * qi for ni, qi in zip(n, q)))
-            for h in (base, -base):
-                if h(x0) > 0:
+    for d in _primitive_directions(P.dim, r):
+        n, m = point(d), point(-c for c in d)
+        nx0 = dot(n, x0)
+        for s in dict.fromkeys(dot(n, q) for q in grid):  # each offset n.q once
+            # h = n.x - s and h = s - n.x, kept when h(x0) <= 0
+            for g, c, keep in ((n, -s, nx0 <= s), (m, s, s <= nx0)):
+                if not keep:
                     continue
-                key = (h.gradient, h.constant)
-                if key in seen:
-                    continue
-                seen.add(key)
+                h = AffineFunc(g, c)
                 try:
                     pos = clip(P, h)
                 except EmptyInterior:

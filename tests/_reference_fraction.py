@@ -9,7 +9,8 @@
 # filtered exponent list of wkstab.measure, Euclid's gcd, the sampled
 # rational-function reconstruction, the Fraction Sturm sequence,
 # interpolation, determinants over Q[x] and root isolation, the per-crease
-# probe loop, and the recession-first from_halfspaces.  Of wkstab.univariate,
+# probe loop, the recession-first from_halfspaces, and the Fraction forms of
+# the facet-cell Jacobian, clip and the moment-row reads.  Of wkstab.univariate,
 # whose integer kernels these are the oracles of, only the RootLocation
 # record is shared, so that located roots compare equal.
 
@@ -21,7 +22,7 @@ from typing import Callable
 
 from wkstab import Polynomial
 from wkstab.bernstein import _barycentric_powers
-from wkstab.exact import det as exact_det, rat, solve_general
+from wkstab.exact import affine_rank, det as exact_det, rat, solve_general, vadd, vscale, vsub
 from wkstab.univariate import RootLocation
 
 REF_NUM = {
@@ -633,3 +634,70 @@ def from_halfspaces_recession_first(labels, *, drop_redundant=False):
     if ray is not None:
         raise UnboundedPolytope(ray)
     return _from_bounded_halfspaces(labels, dim, drop_redundant)
+
+
+# ---------------------------------------------------------------------------
+# Crease pieces as polytope and measure built and read them before the
+# integer and one-minor forms: a facet cell's Jacobian as the full
+# determinant |det[w_k - w_0, xi]|, clip with Fraction vertex values and
+# crossings and emptiness decided by the affine rank of the piece's vertices,
+# and moment rows read through a fresh exponent tuple a + b per term.
+
+
+def cell_jacobian_det(verts, xi):
+    """|det[w_1 - w_0, ..., w_{k} - w_0, xi]| for the cell w_0..w_k."""
+    cols = [vsub(w, verts[0]) for w in verts[1:]] + [xi]
+    return abs(exact_det([[c[r] for c in cols] for r in range(len(cols))]))
+
+
+def clip_fraction(P, h):
+    from wkstab.polytope import EmptyInterior, LabelledPolytope, RedundantLabel
+
+    if h.dim != P.dim:
+        raise ValueError("dimension mismatch in clip")
+    if not any(h.gradient):
+        raise RedundantLabel(P.n_facets)
+    zeros = [0] * len(P.vertices)
+    for j, inc in enumerate(P.facet_incidence):
+        for i in inc:
+            zeros[i] |= 1 << j
+    on_h = 1 << P.n_facets
+    hv = [h(v) for v in P.vertices]
+    found = [(v, z | on_h if x == 0 else z) for v, z, x in zip(P.vertices, zeros, hv) if x >= 0]
+    below = [i for i, x in enumerate(hv) if x < 0]
+    above = [i for i, x in enumerate(hv) if x > 0]
+    for a, b in itertools.product(below, above):
+        common = zeros[a] & zeros[b]
+        if any((common & z) == common for c, z in enumerate(zeros) if c != a and c != b):
+            continue
+        va, t = P.vertices[a], hv[a] / (hv[a] - hv[b])
+        found.append((vadd(va, vscale(t, vsub(P.vertices[b], va))), common | on_h))
+    found.sort()
+    verts = [v for v, _ in found]
+    if affine_rank(verts) < P.dim:
+        raise EmptyInterior("the halfspace intersection has empty interior")
+    incidence = [frozenset(i for i, (_, z) in enumerate(found) if z >> j & 1)
+                 for j in range(P.n_facets + 1)]
+    labels, facets = [], []
+    for L, inc in zip(P.labels + (h,), incidence):
+        if inc and inc not in facets and not any(inc < other for other in incidence):
+            labels.append(L)
+            facets.append(inc)
+    return LabelledPolytope(P.dim, labels, verts, [sorted(inc) for inc in facets])
+
+
+def moment_rows_by_tuple(P, requests, top):
+    from wkstab.measure import _fill, _scales, _series_tables
+
+    D_P, J, inner, outer = _fill(P, top)
+    index = _series_tables(P.dim, top)[0]
+    rows = []
+    for terms, bs, boundary in requests:
+        s, table = _scales(P.dim, D_P, top, boundary), outer if boundary else inner
+        terms = [(a, sum(a), c) for a, c in terms]
+        rows.append([
+            sum(c * s[d + e] * table[index[tuple(x + y for x, y in zip(a, b))]]
+                for a, d, c in terms)
+            for b, e in zip(bs, map(sum, bs))
+        ])
+    return rows, math.factorial(P.dim + top) * D_P**top * J

@@ -16,11 +16,15 @@ from wkstab import (
     standard_fiber_polytope,
     volume,
 )
+from wkstab import bernstein
 from wkstab.measure import (
     _cell_moments,
     _fill,
+    _moment_rows,
     _monomials,
     _pair,
+    _series_tables,
+    _shifted,
     integrate_facet_cell,
     integrate_simplex,
     integrate_simplex_standard,
@@ -28,7 +32,6 @@ from wkstab.measure import (
 from wkstab.polytope import (
     EmptyInterior,
     Simplex,
-    _cell_jacobian,
     _transversal,
     clip,
     triangulate,
@@ -36,7 +39,12 @@ from wkstab.polytope import (
 )
 import _oracle
 from _frozen import DIRICHLET_D2, DIRICHLET_D3
-from _reference_fraction import cell_moments_power_tree, monomials_by_filter
+from _reference_fraction import (
+    cell_jacobian_det,
+    cell_moments_power_tree,
+    monomials_by_filter,
+    moment_rows_by_tuple,
+)
 
 
 def mono(dim, expo):
@@ -56,7 +64,16 @@ def test_standard_simplex_monomials_d3(expo, value):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 5), st.integers(-1, 7))
 def test_monomials_match_the_filtered_product(dim, d):
-    assert _monomials(dim, d) == monomials_by_filter(dim, d)
+    assert list(_monomials(dim, d)) == monomials_by_filter(dim, d)
+
+
+def test_monomials_are_one_cached_tuple():
+    # the exponent list is shared by every caller, so it is immutable, and
+    # the series tables and Bernstein levels list it in the same order
+    mons = _monomials(3, 4)
+    assert type(mons) is tuple and _monomials(3, 4) is mons
+    assert tuple(_series_tables(3, 4)[0]) == mons
+    assert tuple(g for level in bernstein._levels(4, 3)[0] for g in level) == mons
 
 
 def test_monomials_count_without_the_product_box():
@@ -283,7 +300,7 @@ def _cell_values(cell, xi, c, expos):
     """(boundary, interior) moments of one facet cell from _cell_moments'
     integers, over a proper multiple D_P of the cell's denominator D."""
     n = len(cell)
-    jac = _cell_jacobian(cell, xi)
+    jac = cell_jacobian_det(cell, xi)
     D_P = 6 * math.lcm(*(x.denominator for w in cell for x in w))
     out = []
     for e, N in zip(expos, _cell_moments(cell, D_P, expos)):
@@ -446,6 +463,37 @@ def test_split_fills_build_the_same_table(P, d1, d2):
     D_P, J, inner, outer = records[0]
     n = len(_monomials(P.dim, min(d1, d2)))
     assert records[3] == (D_P, J, inner[:n], outer[:n])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_placed_polytopes(), st.data())
+def test_shifted_position_reads_match_the_tuple_reads(P, data):
+    expos = st.sampled_from(monomials_up_to(P.dim, 3))
+    terms = list(data.draw(st.dictionaries(expos, st.integers(-50, 50), max_size=4)).items())
+    bs = data.draw(st.lists(expos, max_size=6))
+    degrees = [sum(a) for a, _ in terms] or [0]
+    top = max(degrees) + max(map(sum, bs), default=0) + data.draw(st.integers(0, 2))
+    requests = [(terms, bs, True), (terms, bs, False)]
+    assert _moment_rows(P, requests, top) == moment_rows_by_tuple(P, requests, top)
+
+
+@pytest.mark.parametrize("top", [0, 1, 2, 3])
+def test_a_read_past_top_raises_and_never_wraps(top):
+    # with the record filled past top, position top + 1 exists in the table,
+    # but a read of degree top + 1 against top must still fail: the scale
+    # list stops at top, and so does the shifted-position table
+    P = triangle()
+    _fill(P, top + 3)
+    request = [([((1, 0), 1)], [(0, top)], False)]
+    with pytest.raises(LookupError):
+        _moment_rows(P, request, top)
+    with pytest.raises(LookupError):
+        moment_rows_by_tuple(P, request, top)
+    at = _shifted(2, top, (1, 0))
+    with pytest.raises(KeyError):
+        at[(0, top)]
+    assert list(at) == list(_monomials(2, top - 1))
+    assert sorted(at.values()) == [i for i, e in enumerate(_monomials(2, top)) if e[0] >= 1]
 
 
 def _rational_polys(dim):

@@ -5,9 +5,9 @@ import pickle
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from _reference_fraction import from_halfspaces_recession_first
+from _reference_fraction import cell_jacobian_det, clip_fraction, from_halfspaces_recession_first
 from conftest import cube, hexagon, interior_points, interval, simplex3, square, triangle
 from wkstab import (
     AffineFunc,
@@ -28,7 +28,7 @@ from wkstab import (
 )
 from wkstab import polytope
 from wkstab.measure import integrate_facet
-from wkstab.polytope import clip, triangulate_facet
+from wkstab.polytope import _cell_jacobian, clip, triangulate_facet
 from _frozen import CLIP_TRIANGLE_VERTICES
 
 
@@ -269,6 +269,81 @@ def test_clip_matches_the_vertex_enumeration_oracle(data, base, twice):
     h = data.draw(_cut(P))
     oracle = _clip_outcome(lambda: polytope._from_bounded_halfspaces(P.labels + (h,), P.dim, True))
     assert _clip_outcome(lambda: clip(P, h)) == oracle
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def _rational_cut(draw, P):
+    """A cut of P with a rational, often non-unit gradient: random, through
+    a vertex, or touching P only at a vertex or only along a facet (from
+    outside, a piece with no interior, or from inside, a redundant h)."""
+    kind = draw(st.sampled_from(["random", "vertex", "touch-vertex", "touch-facet"]))
+    if kind == "touch-facet":
+        L = draw(st.sampled_from(P.labels))
+        k = draw(st.fractions(min_value=F(1, 5), max_value=3))
+        g, c = [-k * x for x in L.gradient], -k * L.constant  # -k L: zero on one facet
+    else:
+        g = draw(st.lists(_RATIONALS, min_size=P.dim, max_size=P.dim).filter(any))
+        values = [sum(gi * xi for gi, xi in zip(g, v)) for v in P.vertices]
+        if kind == "random":
+            c = draw(st.fractions(min_value=-4, max_value=4, max_denominator=7))
+        elif kind == "vertex":
+            c = -draw(st.sampled_from(values))
+        else:
+            c = -max(values)  # h <= 0 on P, zero where g is largest
+    h = AffineFunc(g, c)
+    return -h if kind.startswith("touch") and draw(st.booleans()) else h
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), base=st.sampled_from(range(len(_CLIP_BASES))))
+def test_clip_matches_from_halfspaces_and_the_rank_rule(data, base):
+    # emptiness by the sign of h at the vertices is the old affine-rank rule,
+    # and the piece is the polytope from_halfspaces builds from the labels
+    P = _CLIP_BASES[base]
+    h = data.draw(_rational_cut(P))
+    got = _clip_outcome(lambda: clip(P, h))
+    assert got == _clip_outcome(lambda: clip_fraction(P, h))
+    assert got == _clip_outcome(lambda: from_halfspaces(P.labels + (h,), drop_redundant=True))
+
+
+def test_clip_decides_emptiness_by_sign():
+    # triangle vertices (-1, -1), (2, -1), (-1, 2)
+    P = triangle()
+    touch_vertex = AffineFunc([F(-3, 2), F(-3, 2)], -3)  # zero only at (-1, -1)
+    touch_facet = AffineFunc([F(-2, 3), 0], F(-2, 3))  # zero only on x1 = -1
+    miss = AffineFunc([F(-1, 2), F(-1, 2)], -2)  # negative on all of P
+    for h in (touch_vertex, touch_facet, miss):
+        for build in (clip, clip_fraction):
+            with pytest.raises(EmptyInterior):
+                build(P, h)
+    for h in (-touch_vertex, -touch_facet, -miss):  # h >= 0 on P: h is redundant
+        assert clip(P, h) == clip_fraction(P, h) == P
+    sliver = AffineFunc([F(-3, 2), F(-3, 2)], F(-2999, 1000))  # cuts off a corner
+    assert clip(P, sliver).vertices == clip_fraction(P, sliver).vertices
+
+
+_JAC_COORDS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(
+    st.lists(st.lists(_JAC_COORDS, min_size=dim, max_size=dim), min_size=dim, max_size=dim),
+    st.lists(_JAC_COORDS, min_size=dim, max_size=dim).filter(any),
+)))
+@example(([[F(1, 2)]], [F(-3, 4)]))
+@example(([[0, 0], [F(3, 2), F(-1, 3)]], [0, F(-5, 2)]))
+@example(([[0, 1, 2], [F(1, 3), 0, 0], [1, 1, F(-7, 2)]], [0, 0, -3]))
+def test_cell_jacobian_is_one_minor_of_the_transversal_determinant(case):
+    verts, g = case
+    verts = tuple(tuple(F(x) for x in w) for w in verts)
+    g = tuple(F(x) for x in g)
+    i = next(i for i, gi in enumerate(g) if gi)
+    xi = tuple(1 / gi if r == i else F(0) for r, gi in enumerate(g))
+    jac = _cell_jacobian(verts, g)
+    assert type(jac) is F and jac == cell_jacobian_det(verts, xi)
 
 
 def test_clip_empty_piece_raises():
