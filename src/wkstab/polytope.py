@@ -14,6 +14,11 @@ every cone decomposition read the same cells.  The recession-ray search (one
 vertex enumeration of the recession cone cut by a box) runs only when that
 proof cannot be made, to name the ray of an unbounded input.
 
+Faces are read off the vertex-facet incidence (it fixes the face lattice;
+Ziegler, Lectures on Polytopes, ch. 2) by one rule, :func:`_facets`, which
+from_halfspaces, clip and the fan triangulation of each face all use: no
+label is evaluated and no affine rank computed to decide a face.
+
 clip never enumerates vertices: a piece P intersect {h >= 0} comes from one
 double-description step on P's vertices and facet incidence (edges found by
 the combinatorial adjacency test, one crossing point per edge that h cuts),
@@ -223,25 +228,28 @@ def _recession_ray(labels: list[AffineFunc], dim: int) -> Point | None:
     return None
 
 
-def from_halfspaces(labels, *, drop_redundant: bool = False) -> LabelledPolytope:
+def from_halfspaces(labels) -> LabelledPolytope:
     """Build a labelled polytope from its defining affine functions.
 
     Vertices are enumerated exactly by solving all ``dim x dim`` subsystems of
     ``{L_j = 0}`` and keeping the solutions feasible for every label.  The
-    label set must be minimal (one facet each); with ``drop_redundant=True``
-    redundant labels are silently removed instead of raising.
+    label set must be minimal: :func:`_facets` must keep every label's
+    incidence, or :class:`RedundantLabel` names the first one it does not.
 
     Boundedness is proved after the vertex loop, by Minkowski's relation
     ``sum_j sigma_j dL_j = 0`` with every facet measure ``sigma_j > 0``
     (:func:`_minkowski_relation_holds`).  The loop's polytope has a vertex,
     so the gradients have rank ``dim``; a direction u with ``dL_j(u) >= 0``
-    for all j then has ``dL_j(u) = 0`` for all j, so u = 0.  When the loop
-    raises or the relation fails, :func:`_recession_ray` looks for a ray on
-    the original labels: if it finds one, :class:`UnboundedPolytope` names
-    it; otherwise the loop's own error is re-raised, and a polytope that
-    fails the relation raises ArithmeticError (the relation holds on every
-    bounded polytope).  So the precedence is: malformed labels, then
-    unboundedness, then the loop's EmptyInterior or RedundantLabel.
+    for all j then has ``dL_j(u) = 0`` for all j, so u = 0.  On a bounded
+    set the maximal incidences are exactly the facets; on an unbounded one
+    the rule may keep a label whose incidence is no facet of the vertices'
+    hull, but its cells are degenerate, its measure 0, and the relation
+    fails.  When the loop raises or the relation fails, :func:`_recession_ray`
+    looks for a ray: if it finds one, :class:`UnboundedPolytope` names it;
+    otherwise the loop's own error is re-raised, and a polytope that fails
+    the relation raises ArithmeticError (it holds on every bounded
+    polytope).  So the precedence is: malformed labels, then unboundedness,
+    then the loop's EmptyInterior or RedundantLabel.
     """
     labels = tuple(labels)
     if not labels:
@@ -254,7 +262,7 @@ def from_halfspaces(labels, *, drop_redundant: bool = False) -> LabelledPolytope
             raise RedundantLabel(j)
 
     try:
-        P = _from_bounded_halfspaces(labels, dim, drop_redundant)
+        P = _from_bounded_halfspaces(labels, dim)
     except PolytopeError:
         _raise_if_unbounded(labels, dim)
         raise
@@ -264,28 +272,29 @@ def from_halfspaces(labels, *, drop_redundant: bool = False) -> LabelledPolytope
     return P
 
 
-def _from_bounded_halfspaces(
-    labels: tuple[AffineFunc, ...], dim: int, drop_redundant: bool
-) -> LabelledPolytope:
+def _from_bounded_halfspaces(labels: tuple[AffineFunc, ...], dim: int) -> LabelledPolytope:
     """The vertex/incidence loop of :func:`from_halfspaces`.  Its result is
     the labelled polytope only when the labels cut out a bounded set, which
-    from_halfspaces proves afterwards.  Dropping a redundant label leaves
-    the vertex set as it is, so one enumeration serves: each facet keeps the
-    first label whose zero set cuts it out."""
+    from_halfspaces proves afterwards."""
     verts = _enumerate_vertices(list(labels), dim)
     if not verts or affine_rank(verts) < dim:
         raise EmptyInterior("the halfspace intersection has empty interior")
-    kept: dict[tuple[int, ...], int] = {}  # facet incidence -> its label
-    dropped: list[int] = []
-    for j, L in enumerate(labels):
-        inc = tuple(i for i, v in enumerate(verts) if L(v) == 0)
-        if inc in kept or affine_rank([verts[i] for i in inc]) != dim - 1:
-            dropped.append(j)  # not a facet, or a facet an earlier label cuts out
-        else:
-            kept[inc] = j
-    if dropped and not drop_redundant:
-        raise RedundantLabel(dropped[0])
-    return LabelledPolytope(dim, [labels[j] for j in kept.values()], verts, kept)
+    incidence = [frozenset(i for i, v in enumerate(verts) if L(v) == 0) for L in labels]
+    kept = _facets(incidence)
+    if len(kept) < len(labels):
+        raise RedundantLabel(next(j for j in range(len(labels)) if j not in kept))
+    return LabelledPolytope(dim, labels, verts, [sorted(inc) for inc in incidence])
+
+
+def _facets(incidences: list[frozenset[int]]) -> list[int]:
+    """The positions of the incidences that are facets: nonempty, strictly
+    inside no other incidence, and repeating no earlier one.  When every
+    facet of a polytope is some label's incidence these are its facets, as
+    every proper face lies in a facet and a facet in no other proper face."""
+    return [
+        k for k, inc in enumerate(incidences)
+        if inc and inc not in incidences[:k] and not any(inc < other for other in incidences)
+    ]
 
 
 def _raise_if_unbounded(labels: tuple[AffineFunc, ...], dim: int) -> None:
@@ -407,42 +416,34 @@ def _solve_monotone(P: LabelledPolytope) -> tuple[Point, Fraction] | None:
     return part[:-1], t
 
 
-def _face_triangulation(
-    P: LabelledPolytope, face: tuple[int, ...], on_labels: frozenset[int], fdim: int
-) -> list[tuple[int, ...]]:
+def _face_triangulation(P: LabelledPolytope, face: frozenset[int], fdim: int) -> list[tuple]:
     """Triangulate a face (given by its vertex indices) by a fan from its
-    lowest-indexed vertex, recursing on the face's own facets."""
+    lowest-indexed vertex, recursing on the face's own facets: the maximal
+    proper nonempty sets face & facet_incidence[k], by :func:`_facets`."""
     if len(face) == fdim + 1:
         return [tuple(sorted(face))]
     apex = min(face)
-    pieces: list[tuple[int, ...]] = []
-    seen: set[frozenset[int]] = set()
-    for k in range(P.n_facets):
-        if k in on_labels:
-            continue
-        sub = tuple(i for i in face if P.labels[k](P.vertices[i]) == 0)
-        if not sub or apex in sub or frozenset(sub) in seen:
-            continue
-        if affine_rank([P.vertices[i] for i in sub]) != fdim - 1:
-            continue
-        seen.add(frozenset(sub))
-        for cell in _face_triangulation(P, sub, on_labels | {k}, fdim - 1):
-            pieces.append((apex,) + cell)
-    return sorted(pieces)
+    subs = [s if s != face else frozenset() for s in map(face.intersection, P.facet_incidence)]
+    return sorted(
+        (apex,) + cell
+        for k in _facets(subs) if apex not in subs[k]
+        for cell in _face_triangulation(P, subs[k], fdim - 1)
+    )
 
 
 def triangulate_facet(P: LabelledPolytope, j: int) -> list[tuple[Point, ...]]:
     """Deterministic triangulation of facet *j* into (dim-1)-simplices."""
     if not 0 <= j < P.n_facets:
         raise IndexError("facet index out of range")
-    cells = _face_triangulation(P, P.facet_incidence[j], frozenset({j}), P.dim - 1)
+    cells = _face_triangulation(P, frozenset(P.facet_incidence[j]), P.dim - 1)
     return [tuple(P.vertices[i] for i in cell) for cell in cells]
 
 
 def triangulate(P: LabelledPolytope) -> list[Simplex]:
-    """Triangulation of P by a fan from its lowest-indexed vertex."""
-    cells = _face_triangulation(P, tuple(range(len(P.vertices))), frozenset(), P.dim)
-    return [Simplex(tuple(P.vertices[i] for i in cell)) for cell in cells]
+    """Triangulation of P by a fan from its lowest-indexed vertex.  Its cells
+    span without a rank check: the apex lies off every facet it cones over."""
+    cells = _face_triangulation(P, frozenset(range(len(P.vertices))), P.dim)
+    return [Simplex._spanned(tuple(P.vertices[i] for i in cell)) for cell in cells]
 
 
 @dataclass(frozen=True)
@@ -478,10 +479,8 @@ def clip(P: LabelledPolytope, h: AffineFunc) -> LabelledPolytope:
     carries its zero set Z, the labels vanishing there.  The vertices with
     h >= 0 survive, and each edge (a, b) with h(a) < 0 < h(b) adds one
     crossing point with zero set Z(a) & Z(b) plus h; a and b span an edge
-    when Z(a) & Z(b) lies in no third vertex's zero set.  A label cuts out a
-    facet when its incidence is nonempty, lies strictly in no other label's
-    incidence and repeats no earlier one's: every face lies in a facet and
-    every facet is cut by a label.  The labels, the sorted vertices and the
+    when Z(a) & Z(b) lies in no third vertex's zero set.  The labels kept
+    are those :func:`_facets` keeps; the labels, the sorted vertices and the
     incidence are those from_halfspaces builds.
     """
     if h.dim != P.dim:
@@ -514,9 +513,7 @@ def clip(P: LabelledPolytope, h: AffineFunc) -> LabelledPolytope:
     verts = [v for v, _ in found]
     incidence = [frozenset(i for i, (_, z) in enumerate(found) if z >> j & 1)
                  for j in range(P.n_facets + 1)]
-    labels, facets = [], []
-    for L, inc in zip(P.labels + (h,), incidence):
-        if inc and inc not in facets and not any(inc < other for other in incidence):
-            labels.append(L)
-            facets.append(inc)
-    return LabelledPolytope(P.dim, labels, verts, [sorted(inc) for inc in facets])
+    kept = _facets(incidence)
+    labels = P.labels + (h,)
+    facets = [sorted(incidence[j]) for j in kept]
+    return LabelledPolytope(P.dim, [labels[j] for j in kept], verts, facets)

@@ -9,8 +9,9 @@
 # filtered exponent list of wkstab.measure, Euclid's gcd, the sampled
 # rational-function reconstruction, the Fraction Sturm sequence,
 # interpolation, determinants over Q[x] and root isolation, the per-crease
-# probe loop, the recession-first from_halfspaces, and the Fraction forms of
-# the facet-cell Jacobian, clip and the moment-row reads.  Of wkstab.univariate,
+# probe loop, the rank-based from_halfspaces loop (run recession-first) and
+# label-evaluating face triangulation, and the Fraction forms of the
+# facet-cell Jacobian, clip and the moment-row reads.  Of wkstab.univariate,
 # whose integer kernels these are the oracles of, only the RootLocation
 # record is shared, so that located roots compare equal.
 
@@ -610,16 +611,35 @@ def probe_fraction(v, w, family):
 # from_halfspaces with the recession-ray search first: every input with a
 # nonzero recession direction raises UnboundedPolytope before the vertex loop
 # runs.  The Minkowski certificate must give the same polytope or the same
-# exception on every input.
+# exception on every input.  The loop is the rank-based one polytope used
+# before faces were read off the incidence: a label cuts out a facet when its
+# zero set on the vertices has affine rank dim - 1 and repeats no earlier
+# label's; with drop_redundant the other labels are dropped instead of
+# raising.  The face triangulation beside it evaluates every label at every
+# vertex of the face and keeps the sub-faces of rank fdim - 1.
 
 
-def from_halfspaces_recession_first(labels, *, drop_redundant=False):
-    from wkstab.polytope import (
-        RedundantLabel,
-        UnboundedPolytope,
-        _from_bounded_halfspaces,
-        _recession_ray,
-    )
+def from_halfspaces_by_rank(labels, dim, drop_redundant):
+    from wkstab.polytope import EmptyInterior, LabelledPolytope, RedundantLabel, _enumerate_vertices
+
+    verts = _enumerate_vertices(list(labels), dim)
+    if not verts or affine_rank(verts) < dim:
+        raise EmptyInterior("the halfspace intersection has empty interior")
+    kept = {}  # facet incidence -> its label
+    dropped = []
+    for j, L in enumerate(labels):
+        inc = tuple(i for i, v in enumerate(verts) if L(v) == 0)
+        if inc in kept or affine_rank([verts[i] for i in inc]) != dim - 1:
+            dropped.append(j)
+        else:
+            kept[inc] = j
+    if dropped and not drop_redundant:
+        raise RedundantLabel(dropped[0])
+    return LabelledPolytope(dim, [labels[j] for j in kept.values()], verts, kept)
+
+
+def from_halfspaces_recession_first(labels):
+    from wkstab.polytope import RedundantLabel, UnboundedPolytope, _recession_ray
 
     labels = tuple(labels)
     if not labels:
@@ -633,7 +653,37 @@ def from_halfspaces_recession_first(labels, *, drop_redundant=False):
     ray = _recession_ray(list(labels), dim)
     if ray is not None:
         raise UnboundedPolytope(ray)
-    return _from_bounded_halfspaces(labels, dim, drop_redundant)
+    return from_halfspaces_by_rank(labels, dim, False)
+
+
+def face_triangulation_by_labels(P, face, on_labels, fdim):
+    if len(face) == fdim + 1:
+        return [tuple(sorted(face))]
+    apex = min(face)
+    pieces = []
+    seen = set()
+    for k in range(P.n_facets):
+        if k in on_labels:
+            continue
+        sub = tuple(i for i in face if P.labels[k](P.vertices[i]) == 0)
+        if not sub or apex in sub or frozenset(sub) in seen:
+            continue
+        if affine_rank([P.vertices[i] for i in sub]) != fdim - 1:
+            continue
+        seen.add(frozenset(sub))
+        for cell in face_triangulation_by_labels(P, sub, on_labels | {k}, fdim - 1):
+            pieces.append((apex,) + cell)
+    return sorted(pieces)
+
+
+def triangulate_facet_by_labels(P, j):
+    cells = face_triangulation_by_labels(P, P.facet_incidence[j], frozenset({j}), P.dim - 1)
+    return [tuple(P.vertices[i] for i in cell) for cell in cells]
+
+
+def triangulate_by_labels(P):
+    cells = face_triangulation_by_labels(P, tuple(range(len(P.vertices))), frozenset(), P.dim)
+    return [tuple(P.vertices[i] for i in cell) for cell in cells]
 
 
 # ---------------------------------------------------------------------------

@@ -37,17 +37,23 @@ BAD = st.sampled_from(
 
 @st.composite
 def fibers(draw, max_dim):
+    """A standard simplex shorthand, or a label list: the simplex's labels
+    plus random ones, or, a quarter of the time, random labels alone (often
+    unbounded, with empty interior or redundant)."""
     dim = draw(st.integers(1, max_dim))
     t = draw(POSITIVE)
-    if dim == 3 or draw(st.booleans()):
+    if draw(st.booleans()):
         return {"standard_simplex": {"l": dim, "t": t}}
-    labels = [{"gradient": [int(i == k) for i in range(dim)], "constant": t} for k in range(dim)]
-    labels.append({"gradient": [-1] * dim, "constant": t})
+    labels = []
+    if draw(st.booleans()):
+        labels = [{"gradient": [int(i == k) for i in range(dim)], "constant": t}
+                  for k in range(dim)]
+        labels.append({"gradient": [-1] * dim, "constant": t})
     extra = st.fixed_dictionaries({
         "gradient": st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
         "constant": rationals(-3, 3),
     })
-    labels += draw(st.lists(extra, max_size=5 - len(labels)))
+    labels += draw(st.lists(extra, min_size=not labels, max_size=5 - len(labels)))
     return {"dim": dim, "labels": labels}
 
 

@@ -398,9 +398,10 @@ def _placed_polytopes(draw):
         st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any),
         st.fractions(min_value=-1, max_value=2, max_denominator=3),
     )
-    labels = list(standard_fiber_polytope(dim, t).labels) + draw(st.lists(cut, max_size=2))
+    P = standard_fiber_polytope(dim, t)
     try:
-        P = from_halfspaces(labels, drop_redundant=True)
+        for h in draw(st.lists(cut, max_size=2)):
+            P = clip(P, h)
     except EmptyInterior:
         assume(False)
     return draw(st.sampled_from(_origin_placements(P)))

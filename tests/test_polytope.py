@@ -7,12 +7,20 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _reference_fraction import cell_jacobian_det, clip_fraction, from_halfspaces_recession_first
+from _reference_fraction import (
+    cell_jacobian_det,
+    clip_fraction,
+    from_halfspaces_by_rank,
+    from_halfspaces_recession_first,
+    triangulate_by_labels,
+    triangulate_facet_by_labels,
+)
 from conftest import cube, hexagon, interior_points, interval, simplex3, square, triangle
 from wkstab import (
     AffineFunc,
     EmptyInterior,
     NotInterior,
+    PolytopeError,
     RedundantLabel,
     Simplex,
     UnboundedPolytope,
@@ -27,6 +35,7 @@ from wkstab import (
     triangulate,
 )
 from wkstab import polytope
+from wkstab.exact import affine_rank
 from wkstab.measure import integrate_facet
 from wkstab.polytope import _cell_jacobian, clip, triangulate_facet
 from _frozen import CLIP_TRIANGLE_VERTICES
@@ -102,8 +111,8 @@ def test_redundant_label_raises_and_drops():
     with pytest.raises(RedundantLabel) as info:
         from_halfspaces(labels)
     assert info.value.index == 2
-    P = from_halfspaces(labels, drop_redundant=True)
-    assert P.n_facets == 2
+    P = clip(from_halfspaces(labels[:2]), labels[2])  # clip drops it
+    assert P == from_halfspaces(labels[:2])
     with pytest.raises(RedundantLabel):
         from_halfspaces([AffineFunc([0, 0], 1), AffineFunc([1, 0], 1)])
 
@@ -194,12 +203,12 @@ def test_clip_triangle_by_halfspace():
 )
 def test_clip_matches_from_halfspaces_on_crease_family(P, r):
     # clip builds the piece from P's vertices and incidence; the polytope it
-    # builds is the one from_halfspaces builds from the labels
+    # builds is the one the rank-based loop builds from the labels
     family = crease_family(P, (F(0),) * P.dim, r)
     assert family
     for crease in family:
         Q = clip(P, crease.h)
-        R = from_halfspaces(P.labels + (crease.h,), drop_redundant=True)
+        R = from_halfspaces_by_rank(P.labels + (crease.h,), P.dim, True)
         assert Q.labels == R.labels
         assert Q.vertices == R.vertices
         assert Q.facet_incidence == R.facet_incidence
@@ -267,7 +276,7 @@ def test_clip_matches_the_vertex_enumeration_oracle(data, base, twice):
         if first(P.vertex_centroid()) > 0:
             P = clip(P, first)
     h = data.draw(_cut(P))
-    oracle = _clip_outcome(lambda: polytope._from_bounded_halfspaces(P.labels + (h,), P.dim, True))
+    oracle = _clip_outcome(lambda: from_halfspaces_by_rank(P.labels + (h,), P.dim, True))
     assert _clip_outcome(lambda: clip(P, h)) == oracle
 
 
@@ -301,12 +310,12 @@ def _rational_cut(draw, P):
 @given(data=st.data(), base=st.sampled_from(range(len(_CLIP_BASES))))
 def test_clip_matches_from_halfspaces_and_the_rank_rule(data, base):
     # emptiness by the sign of h at the vertices is the old affine-rank rule,
-    # and the piece is the polytope from_halfspaces builds from the labels
+    # and the piece is the polytope the rank-based loop builds from the labels
     P = _CLIP_BASES[base]
     h = data.draw(_rational_cut(P))
     got = _clip_outcome(lambda: clip(P, h))
     assert got == _clip_outcome(lambda: clip_fraction(P, h))
-    assert got == _clip_outcome(lambda: from_halfspaces(P.labels + (h,), drop_redundant=True))
+    assert got == _clip_outcome(lambda: from_halfspaces_by_rank(P.labels + (h,), P.dim, True))
 
 
 def test_clip_decides_emptiness_by_sign():
@@ -385,9 +394,9 @@ def test_polytope_round_trips_through_pickle_and_copy(clone):
 # ------------------------------------------------- the Minkowski certificate
 
 
-def _outcome(build, labels, drop_redundant):
+def _outcome(build, labels):
     try:
-        P = build(labels, drop_redundant=drop_redundant)
+        P = build(labels)
     except Exception as exc:  # the type and the message must agree
         return type(exc), str(exc)
     return P.labels, P.vertices, P.facet_incidence
@@ -416,10 +425,10 @@ def _label_sets(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(labels=_label_sets(), drop_redundant=st.booleans())
-def test_certificate_matches_recession_first_oracle(labels, drop_redundant):
-    expected = _outcome(from_halfspaces_recession_first, labels, drop_redundant)
-    assert _outcome(from_halfspaces, labels, drop_redundant) == expected
+@given(labels=_label_sets())
+def test_certificate_matches_recession_first_oracle(labels):
+    expected = _outcome(from_halfspaces_recession_first, labels)
+    assert _outcome(from_halfspaces, labels) == expected
 
 
 _LOOP_ACCEPTS_UNBOUNDED = [
@@ -432,7 +441,7 @@ _LOOP_ACCEPTS_UNBOUNDED = [
 
 
 def test_loop_alone_accepts_an_unbounded_set():
-    P = polytope._from_bounded_halfspaces(tuple(_LOOP_ACCEPTS_UNBOUNDED), 3, False)
+    P = polytope._from_bounded_halfspaces(tuple(_LOOP_ACCEPTS_UNBOUNDED), 3)
     assert P.n_facets == 6
     assert not polytope._minkowski_relation_holds(P)
 
@@ -451,13 +460,14 @@ def test_loop_alone_accepts_an_unbounded_set():
         ([AffineFunc([1], 0), AffineFunc([-1], 0)], EmptyInterior),
     ],
 )
-@pytest.mark.parametrize("drop_redundant", [False, True])
-def test_fallback_error_precedence(labels, error, drop_redundant):
+@pytest.mark.parametrize("redundant", [False, True])
+def test_fallback_error_precedence(labels, error, redundant):
+    # a repeated label is redundant, yet unboundedness and an empty interior
+    # still come first
+    labels = labels + [labels[0] * 2] if redundant else labels
     with pytest.raises(error) as info:
-        from_halfspaces(labels, drop_redundant=drop_redundant)
-    assert _outcome(from_halfspaces_recession_first, labels, drop_redundant) == (
-        error, str(info.value)
-    )
+        from_halfspaces(labels)
+    assert _outcome(from_halfspaces_recession_first, labels) == (error, str(info.value))
 
 
 def _sigma(P, j):
@@ -519,4 +529,38 @@ def test_bounded_input_never_searches_for_a_ray(monkeypatch, corpus):
         assert (Q.labels, Q.vertices, Q.facet_incidence) == (
             P.labels, P.vertices, P.facet_incidence
         )
-    assert from_halfspaces(P.labels + (P.labels[0] * 3,), drop_redundant=True) == P
+
+
+# ------------------------------------------------- faces off the incidence
+
+
+def _assert_faces_match_the_label_rule(P):
+    # the incidence rule gives the cells the label-evaluating, rank-testing
+    # triangulation gives, and every cell of P is full-dimensional
+    for j in range(P.n_facets):
+        assert triangulate_facet(P, j) == triangulate_facet_by_labels(P, j)
+    cells = triangulate(P)
+    assert [cell.vertices for cell in cells] == triangulate_by_labels(P)
+    assert all(affine_rank(cell.vertices) == P.dim for cell in cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels=_label_sets())
+def test_faces_match_the_label_rule_on_label_sets(labels):
+    try:  # the bounded sets, with their redundant labels dropped
+        P = from_halfspaces(from_halfspaces_by_rank(labels, labels[0].dim, True).labels)
+    except PolytopeError:
+        return
+    _assert_faces_match_the_label_rule(P)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), base=st.sampled_from(range(len(_CLIP_BASES))))
+def test_faces_match_the_label_rule_on_clip_pieces(data, base):
+    # the octahedron and the square pyramid are not simple
+    P = _CLIP_BASES[base]
+    try:
+        P = clip(P, data.draw(_cut(P)))
+    except EmptyInterior:
+        pass
+    _assert_faces_match_the_label_rule(P)
