@@ -42,11 +42,11 @@ from .stability import (
     HypothesisViolatedOnBracket,
     VERDICT_CERTIFIED,
     VERDICT_FAILS,
+    _fano_evaluator,
     base_point_candidates,
     check_fano_fiber,
     check_fano_total,
     check_fibration,
-    condition_value_fano,
     default_base_point,
     threshold_c,
 )
@@ -294,7 +294,7 @@ def _cmd_check_fano(args) -> int:
 
 def _write_condition_csv(path: str, fib, samples: int) -> None:
     """Plot-ready table: condition value along each segment x0 -> vertex."""
-    sol = extremal_affine(fib)
+    value = _fano_evaluator(fib, extremal_affine(fib).l_ext)
     x0 = fib.fano_fiber[0]
     with _file_io("--csv", path, lambda: open(path, "w", newline="")) as fh:
         writer = csv.writer(fh)
@@ -305,7 +305,7 @@ def _write_condition_csv(path: str, fib, samples: int) -> None:
                 s = Fraction(k, samples)
                 pt = tuple(x0[i] + s * (vtx[i] - x0[i]) for i in range(fib.dim))
                 try:
-                    val = condition_value_fano(fib, sol.l_ext, pt)
+                    val = value(pt)
                 except NonpositiveWeight:
                     continue
                 writer.writerow(

@@ -14,7 +14,9 @@ plus the small amount of exact linear algebra used by the rest of the library
 on integers: each row is scaled once by the lcm of its denominators, then
 reduced fraction-free (Bareiss, Math. Comp. 22 (1968)), where every division
 is exact, so no gcd is paid per entry operation.  One loop, _eliminate, does
-it: ``det`` is its forward pass and ``rref`` its Gauss-Jordan pass.  Results
+it: ``det`` is its forward pass, and ``rref`` and the extremal solve of
+futaki (which reads Sylvester's test off the same pivots) its Gauss-Jordan
+pass.  Results
 are converted back to ``Fraction`` once, and equal those of elimination over
 ``Fraction``.
 """
@@ -179,6 +181,17 @@ class AffineFunc:
         return f"AffineFunc({self.gradient!r}, {self.constant!r})"
 
 
+def _product(F: dict, G: dict) -> dict:
+    """The product of two coefficient maps {exponent: coefficient}, over
+    Fraction or int alike; a cancelled term stays, with coefficient 0."""
+    terms: dict = {}
+    for e1, c1 in F.items():
+        for e2, c2 in G.items():
+            e = tuple(map(add, e1, e2))
+            terms[e] = terms[e] + c1 * c2 if e in terms else c1 * c2
+    return terms
+
+
 def _grlex_key(expo: tuple[int, ...]):
     return (sum(expo), expo)
 
@@ -304,12 +317,7 @@ class Polynomial:
             return Polynomial._from_terms(self.dim, {e: k * c for e, c in self.terms.items()})
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                terms[e] = terms[e] + c1 * c2 if e in terms else c1 * c2
-        return Polynomial._from_terms(self.dim, terms)
+        return Polynomial._from_terms(self.dim, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -428,17 +436,22 @@ def _integer_rows(A: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     return rows, scale
 
 
-def _eliminate(M: list[list[int]], above: bool) -> tuple[int, list[int], int]:
+def _eliminate(M: list[list[int]], above: bool) -> tuple[list[int], list[int], int]:
     """Fraction-free (Bareiss) elimination of the integer rows M, in place.
 
     Each update ``(p*x - f*y) // prev`` divides exactly (every entry is a
     minor of M).  Rows below the pivot are always reduced, the rows above
-    too when *above* (Gauss-Jordan).  Returns the last pivot, the pivot
-    columns and the sign of the row swaps.
+    too when *above* (Gauss-Jordan); the rows from the pivot down get the
+    same updates either way, so both passes meet the same pivots.  Returns
+    the pivot values, the pivot columns and the number of row swaps.  With
+    no swap and pivot columns 0, ..., k-1, the k-th pivot value is the
+    leading principal k x k minor of M (so futaki reads Sylvester's
+    criterion off the pass that solves its system).
     """
     rows, cols = len(M), len(M[0]) if M else 0
+    values: list[int] = []
     pivots: list[int] = []
-    prev = sign = 1
+    prev, swaps = 1, 0
     for c in range(cols):
         r = len(pivots)
         if r == rows:
@@ -448,7 +461,7 @@ def _eliminate(M: list[list[int]], above: bool) -> tuple[int, list[int], int]:
             continue
         if pivot != r:
             M[r], M[pivot] = M[pivot], M[r]
-            sign = -sign
+            swaps += 1
         p, pr = M[r][c], M[r]
         for i in range(0 if above else r + 1, rows):
             if i != r:
@@ -458,8 +471,9 @@ def _eliminate(M: list[list[int]], above: bool) -> tuple[int, list[int], int]:
                 else:
                     M[i] = [p * x // prev for x in M[i]]
         prev = p
+        values.append(p)
         pivots.append(c)
-    return prev, pivots, sign
+    return values, pivots, swaps
 
 
 def rref(A: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
@@ -469,9 +483,9 @@ def rref(A: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     ends with the last pivot on its diagonal and is divided by it once.
     """
     M, _ = _integer_rows(A)
-    prev, pivots, _ = _eliminate(M, above=True)
-    zero = Fraction(0)
-    return [[Fraction(x, prev) if x else zero for x in row] for row in M], pivots
+    values, pivots, _ = _eliminate(M, above=True)
+    last, zero = values[-1] if values else 1, Fraction(0)
+    return [[Fraction(x, last) if x else zero for x in row] for row in M], pivots
 
 
 def det(A: Sequence[Sequence]) -> Fraction:
@@ -481,8 +495,10 @@ def det(A: Sequence[Sequence]) -> Fraction:
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("determinant of a non-square matrix")
-    prev, pivots, sign = _eliminate(M, above=False)
-    return Fraction(sign * prev, scale) if len(pivots) == n else Fraction(0)
+    values, pivots, swaps = _eliminate(M, above=False)
+    if len(pivots) != n:
+        return Fraction(0)
+    return Fraction((-1) ** swaps * (values[-1] if values else 1), scale)
 
 
 def solve_square(A: Sequence[Sequence], b: Sequence) -> Point | None:

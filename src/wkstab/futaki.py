@@ -20,9 +20,12 @@ F and the moment system are bilinear pairings with P's moment table
 - <f, w>, and the system's entries are <v, X_i X_j>, <v, X_i>_boundary and
 <w_base, X_i> on the affine basis X = (1, x_1, ..., x_l).  The table holds
 integer numerators (see measure), so the system is built as an integer
-matrix and right-hand side over one common denominator, and that integer
-system goes to the fraction-free Bareiss solve (exact.solve_square) as it
-is; one Fraction per entry is made only for the ExtremalSolution record.
+matrix and right-hand side over one common denominator, and one
+fraction-free Gauss-Jordan pass of exact._eliminate over that integer
+system [M | b] gives both Sylvester's test of M (positive definite exactly
+when the pass swaps no row and every pivot, a leading principal minor, is
+positive) and the solve; one Fraction per entry is made only for the
+ExtremalSolution record.
 """
 
 from __future__ import annotations
@@ -31,15 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .exact import (
-    AffineFunc,
-    Polynomial,
-    _cleared,
-    det,
-    point,
-    radial_derivative,
-    solve_square,
-)
+from .exact import AffineFunc, Polynomial, _eliminate, point, radial_derivative
 from .measure import _add, _integer_terms, _moment_rows, _pair, integrate_simplex
 from .measure import integrate  # noqa: F401  (perfbench's tracer patches futaki.integrate)
 from .polytope import LabelledPolytope, cone_decomposition
@@ -119,19 +114,34 @@ def _moment_system(
     return M, b, dv * dw * delta
 
 
-def _assert_positive_definite(M) -> None:
+def _definite_pass(M: list[list[int]], b: list[int]) -> tuple[list[list[int]], int]:
+    """(R, d): [M | b] after one Gauss-Jordan pass of exact._eliminate, so
+    M x = b has x_i = R[i][-1] / d, d = det M.
+
+    SingularMomentMatrix unless the integer matrix M is symmetric and, by
+    Sylvester's criterion, positive definite: every leading principal minor
+    is positive exactly when the pass swaps no row (a zero minor forces a
+    swap or skips a column) and every pivot, the minors in order, is > 0.
+    """
     n = len(M)
     for i in range(n):
         for j in range(i):
             if M[i][j] != M[j][i]:
                 raise SingularMomentMatrix("moment matrix is not symmetric")
-    for k in range(1, n + 1):
-        minor = det([row[:k] for row in M[:k]])
-        if minor <= 0:
-            raise SingularMomentMatrix(
-                "moment matrix is not positive definite "
-                "(degenerate polytope or nonpositive v)"
-            )
+    R = [[*row, x] for row, x in zip(M, b)]
+    values, pivots, swaps = _eliminate(R, above=True)
+    if swaps or pivots != list(range(n)) or min(values, default=1) <= 0:
+        raise SingularMomentMatrix(
+            "moment matrix is not positive definite "
+            "(degenerate polytope or nonpositive v)"
+        )
+    return R, values[-1] if values else 1
+
+
+def _assert_positive_definite(M: list[list[int]]) -> None:
+    """SingularMomentMatrix unless the integer matrix M is symmetric and
+    positive definite, by _definite_pass's test."""
+    _definite_pass(M, [0] * len(M))
 
 
 @dataclass(frozen=True)
@@ -155,18 +165,17 @@ def solve_extremal(
 ) -> ExtremalSolution:
     """Solve the moment system for l_ext over raw weight polynomials.
 
-    The integer system of _moment_system is solved as it is; with lam = Lam / q
-    cleared to integers, the residuals b_i - <l_ext v, X_i> = (q b_i -
-    sum_j M_ij Lam_j) / (q den) must all be 0, so they check the solve.
+    The integer system of _moment_system is solved by _definite_pass, which
+    checks M first; with lam = Lam / d, the residuals b_i - <l_ext v, X_i> =
+    (d b_i - sum_j M_ij Lam_j) / (d den) must all be 0, so they check the
+    solve.
     """
     M, b, den = _moment_system(P, v, w_base, convention)
-    _assert_positive_definite(M)
-    lam = solve_square(M, b)
-    if lam is None:
-        raise SingularMomentMatrix("moment system has no unique solution")
-    Lam, q = _cleared(lam)
+    R, d = _definite_pass(M, b)
+    Lam = [row[-1] for row in R]
+    lam = tuple(Fraction(x, d) for x in Lam)
     residuals = tuple(
-        Fraction(bi * q - sum(map(mul, row, Lam)), q * den) for row, bi in zip(M, b)
+        Fraction(bi * d - sum(map(mul, row, Lam)), d * den) for row, bi in zip(M, b)
     )
     if any(residuals):
         raise SingularMomentMatrix("extremal solution failed exact re-verification")

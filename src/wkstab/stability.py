@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
-from operator import pos
+from operator import mul, pos
 from typing import Callable
 
 from . import univariate as u1
@@ -267,19 +267,51 @@ def condition_value_fano(fib: Fibration, l_ext: AffineFunc, x) -> Fraction:
     2(l + sum n_a) + 2 + sum_a (t s_a - 2 n_a (p_a(x0)+c_a))/(p_a(x)+c_a) - t l_ext(x),
 
     with (x0, t) the fiber's monotone point and scale.  For the anticanonical
-    normalization this collapses to 2 dim Y + 2 - l_ext(x).
+    normalization this collapses to 2 dim Y + 2 - l_ext(x).  It is
+    _fano_evaluator(fib, l_ext) at x.
+    """
+    return _fano_evaluator(fib, l_ext)(x)
+
+
+def _fano_evaluator(fib: Fibration, l_ext: AffineFunc) -> Callable[..., Fraction]:
+    """x -> condition_value_fano(fib, l_ext, x), its x-free terms computed once.
+
+    With x = X / D and p_a + c_a = A_a / q_a cleared to integers, the value
+    is (<m, (X, D)> / D + sum_a k_a D / U_a) / sigma, U_a = <A_a, (X, D)>,
+    where (m, k) over sigma clears (-t grad l_ext, K - t l_ext(0); e_a q_a),
+    K = 2 dim Y + 2 and e_a = t s_a - 2 n_a (p_a(x0) + c_a).  So a point costs
+    one integer dot per factor and one Fraction.  The point's errors are
+    condition_value_fano's: ValueError for a wrong length (checked here, as
+    the dots would truncate), then NonpositiveWeight(x, a) for the first a
+    with U_a <= 0.
     """
     if fib.fano_fiber is None:
         raise NotMonotoneFiber("condition_value_fano needs a monotone fiber")
     x0, t = fib.fano_fiber
-    x = point(x)
-    total = 2 * fib.total_dim + 2 - t * l_ext(x)
-    for a, f in enumerate(fib.factors):
-        u = f.p(x) + f.c
-        if u <= 0:
-            raise NonpositiveWeight(x, a)
-        total += (t * f.s - 2 * f.n * (f.p(x0) + f.c)) / u
-    return total
+    forms = [_cleared((*f.p.gradient, f.c)) for f in fib.factors]
+    m, sigma = _cleared(
+        [-t * g for g in l_ext.gradient]
+        + [2 * fib.total_dim + 2 - t * l_ext.constant]
+        + [(t * f.s - 2 * f.n * (f.p(x0) + f.c)) * q for f, (_, q) in zip(fib.factors, forms)]
+    )
+    m, k = m[: l_ext.dim + 1], m[l_ext.dim + 1 :]
+    terms = [(A, k_a) for (A, _), k_a in zip(forms, k)]
+
+    def value(x) -> Fraction:
+        x = point(x)
+        if len(x) != l_ext.dim or terms and len(x) != fib.dim:
+            raise ValueError("dimension mismatch evaluating AffineFunc")
+        X, D = _cleared(x)
+        X.append(D)
+        num, den = sum(map(mul, m, X)), D
+        for a, (A, k_a) in enumerate(terms):
+            U = sum(map(mul, A, X))
+            if U <= 0:
+                raise NonpositiveWeight(x, a)
+            num, den = num * U + k_a * D * den, den * U
+        return Fraction(num, sigma * den)
+
+    return value
 
 
 def _fano_hypothesis_failure(fib: Fibration) -> int | None:
@@ -295,9 +327,9 @@ def check_fano_fiber(fib: Fibration, max_depth: int = 6) -> StabilityReport:
     """Vertex check of the monotone-fiber condition.
 
     Under the hypothesis p_a(x0) + c_a >= t s_a/(2 n_a) the condition value is
-    concave, so vertex nonnegativity certifies it on all of P.  Without the
-    hypothesis this falls back to the cleared per-cone polynomials via
-    check_general.
+    concave, so vertex nonnegativity certifies it on all of P; every vertex
+    is evaluated by one _fano_evaluator.  Without the hypothesis this falls
+    back to the cleared per-cone polynomials via check_general.
     """
     if fib.fano_fiber is None:
         raise NotMonotoneFiber("check_fano_fiber needs a monotone fiber")
@@ -305,8 +337,8 @@ def check_fano_fiber(fib: Fibration, max_depth: int = 6) -> StabilityReport:
     if _fano_hypothesis_failure(fib) is not None:
         report = check_fibration(fib, x0, max_depth)
         return replace(report, notes=report.notes + (("route", "general-fallback"),))
-    l_ext = extremal_affine(fib).l_ext
-    vals = tuple((vtx, condition_value_fano(fib, l_ext, vtx)) for vtx in fib.fiber.vertices)
+    value = _fano_evaluator(fib, extremal_affine(fib).l_ext)
+    vals = tuple((vtx, value(vtx)) for vtx in fib.fiber.vertices)
     verdict, witness, margin = _vertex_verdict(vals, pos)
     return StabilityReport(
         verdict, METHOD_CONCAVE, 0, fib.convention, x0, witness, margin, vertex_values=vals
@@ -512,11 +544,11 @@ def threshold_c(
     offsets, D, cramer, certified = _extremal_over_c(make_fib, fib_lo, c_lo)
     fib_hi = make_fib(c_hi)
     _check_template(fib_lo, fib_hi, offsets, c_lo, c_hi)
-    l_hi = extremal_affine(fib_hi).l_ext
+    value_hi = _fano_evaluator(fib_hi, extremal_affine(fib_hi).l_ext)
     per_vertex, at_hi = [], []
     for vtx in fib_lo.fiber.vertices:
         fn = _fano_vertex_function(fib_lo, offsets, c_lo, D, cramer, vtx)
-        value = condition_value_fano(fib_hi, l_hi, vtx)
+        value = value_hi(vtx)
         if not u1._scaled_value(fn.den, c_hi) or fn(c_hi) != value:
             raise ArithmeticError(
                 f"exact condition value at vertex {format_point(vtx)} disagrees with the "

@@ -10,7 +10,9 @@ fiber coordinates.  The induced weights on P are
     w_base = sum_a s_a (p_a + c_a)^{n_a - 1} prod_{b != a} (p_b + c_b)^{n_b}
 
 (w_base is v * sum_a s_a/(p_a + c_a) with denominators cleared).  Positivity
-of every p_a + c_a on P is required and is checked at the vertices.
+of every p_a + c_a on P is required and is checked at the vertices.  Both
+weights are built factor by factor by the product rule, run on integer
+coefficient maps over one denominator (see _build_weights).
 
 Two sign conventions are carried through the extremal solve (module futaki):
 "canonical", fixed by the Fano normalization l_ext == 2 dim Y on anticanonical
@@ -24,8 +26,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
-from .exact import AffineFunc, Polynomial, format_point, rat
+from .exact import AffineFunc, Polynomial, _cleared, _product, format_point, rat
 from .polytope import LabelledPolytope, monotone_point, standard_fiber_polytope
 
 
@@ -140,21 +144,40 @@ def _build_weights(
     fiber: LabelledPolytope, factors: tuple[BaseFactor, ...]
 ) -> tuple[Polynomial, Polynomial]:
     """v and w_base by the product rule: a factor P^n (P = p + c) sends
-    (v, w_base) to (v P^n, w_base P^n + s v P^(n-1))."""
+    (v, w_base) to (v P^n, w_base P^n + s v P^(n-1)).
+
+    It runs on integer coefficient maps over one tracked denominator d,
+    (v, w_base) = (V, W) / d: with P = A / q (A integer) and s = s_n / s_d,
+    a factor sends (V, W, d) to (s_d V A, s_d W A + s_n q V, s_d q d), then
+    n - 1 times to (V A, W A, q d).  P > 0 at a vertex x = X / D_P is the
+    sign of one integer dot, <A, (X, D_P)>.  One Fraction per output term.
+    """
     dim = fiber.dim
-    v, w_base = Polynomial.constant(dim, 1), Polynomial.zero(dim)
+    D_P = lcm(*(x.denominator for vtx in fiber.vertices for x in vtx))
+    cleared = [[x.numerator * (D_P // x.denominator) for x in vtx] + [D_P]
+               for vtx in fiber.vertices]
+    basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)] + [(0,) * dim]
+    V, W, d = {(0,) * dim: 1}, {}, 1
     for a, f in enumerate(factors):
         if f.p.dim != dim:
             raise ValueError(f"factor {a}: p is a form on the wrong dimension")
-        form = f.form
-        for vert in fiber.vertices:
-            if form(vert) <= 0:
+        A, q = _cleared((*f.p.gradient, f.c))
+        for vert, X in zip(fiber.vertices, cleared):
+            if sum(map(mul, A, X)) <= 0:
                 raise NonpositiveWeight(vert, a)
-        pc = form.to_polynomial()
-        low = pc ** (f.n - 1)
-        high = low * pc
-        v, w_base = v * high, w_base * high + v * low * f.s
-    return v, w_base
+        A = {e: x for e, x in zip(basis, A) if x}
+        sn, sd = f.s.numerator, f.s.denominator
+        W = {e: sd * x for e, x in _product(W, A).items()}
+        for e, x in V.items():
+            W[e] = W.get(e, 0) + sn * q * x
+        V = {e: sd * x for e, x in _product(V, A).items()}
+        for _ in range(f.n - 1):
+            V, W = _product(V, A), _product(W, A)
+        d *= sd * q**f.n
+    return (
+        Polynomial._from_terms(dim, {e: Fraction(x, d) for e, x in V.items()}),
+        Polynomial._from_terms(dim, {e: Fraction(x, d) for e, x in W.items()}),
+    )
 
 
 def fibration(

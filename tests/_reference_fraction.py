@@ -11,7 +11,9 @@
 # interpolation, determinants over Q[x] and root isolation, the per-crease
 # probe loop, the rank-based from_halfspaces loop (run recession-first) and
 # label-evaluating face triangulation, and the Fraction forms of the
-# facet-cell Jacobian, clip and the moment-row reads.  Of wkstab.univariate,
+# facet-cell Jacobian, clip and the moment-row reads, and the Fraction
+# monotone-fiber path (weights, Sylvester's test by minors and a separate
+# solve, the condition value).  Of wkstab.univariate,
 # whose integer kernels these are the oracles of, only the RootLocation
 # record is shared, so that located roots compare equal.
 
@@ -19,11 +21,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+import operator
 from typing import Callable
 
-from wkstab import Polynomial
+from wkstab import AffineFunc, Polynomial
 from wkstab.bernstein import _barycentric_powers
-from wkstab.exact import affine_rank, det as exact_det, rat, solve_general, vadd, vscale, vsub
+from wkstab.exact import (
+    _cleared, affine_rank, det as exact_det, point, rat, solve_general, solve_square, vadd,
+    vscale, vsub,
+)
+from wkstab.futaki import ExtremalSolution, SingularMomentMatrix, _moment_system
+from wkstab.weights import NonpositiveWeight, NotMonotoneFiber
 from wkstab.univariate import RootLocation
 
 REF_NUM = {
@@ -751,3 +759,78 @@ def moment_rows_by_tuple(P, requests, top):
             for b, e in zip(bs, map(sum, bs))
         ])
     return rows, math.factorial(P.dim + top) * D_P**top * J
+
+
+# ---------------------------------------------------------------------------
+# The monotone-fiber vertex path in Fractions, as weights, futaki and
+# stability ran it before their integer kernels: the product rule on Fraction
+# polynomials with per-vertex Fraction positivity, Sylvester's criterion by
+# one determinant per leading minor followed by a separate square solve, and
+# the condition value recomputed term by term at every point.
+
+
+def build_weights_fraction(fiber, factors):
+    dim = fiber.dim
+    v, w_base = Polynomial.constant(dim, 1), Polynomial.zero(dim)
+    for a, f in enumerate(factors):
+        if f.p.dim != dim:
+            raise ValueError(f"factor {a}: p is a form on the wrong dimension")
+        form = f.form
+        for vert in fiber.vertices:
+            if form(vert) <= 0:
+                raise NonpositiveWeight(vert, a)
+        pc = form.to_polynomial()
+        low = pc ** (f.n - 1)
+        high = low * pc
+        v, w_base = v * high, w_base * high + v * low * f.s
+    return v, w_base
+
+
+def assert_positive_definite_by_minors(M):
+    n = len(M)
+    for i in range(n):
+        for j in range(i):
+            if M[i][j] != M[j][i]:
+                raise SingularMomentMatrix("moment matrix is not symmetric")
+    for k in range(1, n + 1):
+        minor = exact_det([row[:k] for row in M[:k]])
+        if minor <= 0:
+            raise SingularMomentMatrix(
+                "moment matrix is not positive definite "
+                "(degenerate polytope or nonpositive v)"
+            )
+
+
+def solve_extremal_by_minors(P, v, w_base, convention):
+    M, b, den = _moment_system(P, v, w_base, convention)
+    assert_positive_definite_by_minors(M)
+    lam = solve_square(M, b)
+    if lam is None:
+        raise SingularMomentMatrix("moment system has no unique solution")
+    Lam, q = _cleared(lam)
+    residuals = tuple(
+        Fraction(bi * q - sum(map(operator.mul, row, Lam)), q * den) for row, bi in zip(M, b)
+    )
+    if any(residuals):
+        raise SingularMomentMatrix("extremal solution failed exact re-verification")
+    return ExtremalSolution(
+        l_ext=AffineFunc(lam[1:], lam[0]),
+        moment_matrix=tuple(tuple(Fraction(x, den) for x in row) for row in M),
+        rhs=tuple(Fraction(x, den) for x in b),
+        residuals=residuals,
+        convention=convention,
+    )
+
+
+def condition_value_fano_fraction(fib, l_ext, x):
+    if fib.fano_fiber is None:
+        raise NotMonotoneFiber("condition_value_fano needs a monotone fiber")
+    x0, t = fib.fano_fiber
+    x = point(x)
+    total = 2 * fib.total_dim + 2 - t * l_ext(x)
+    for a, f in enumerate(fib.factors):
+        u = f.p(x) + f.c
+        if u <= 0:
+            raise NonpositiveWeight(x, a)
+        total += (t * f.s - 2 * f.n * (f.p(x0) + f.c)) / u
+    return total

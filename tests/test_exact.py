@@ -3,7 +3,7 @@ import pickle
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wkstab import (
     AffineFunc,
@@ -321,6 +321,24 @@ def test_det_rref_and_rank_share_one_elimination(M):
     else:
         with pytest.raises(ValueError):
             det(M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1), min_size=n, max_size=n)))
+@example([[0, 1, 5], [1, 1, 7]])  # a zero first minor: a swap, then pivots 1 and 1
+def test_swap_free_pivots_are_the_leading_minors(M):
+    # both passes meet the same pivots; while no row was swapped, the k-th
+    # pivot in column k - 1 is the k-th leading principal minor
+    n = len(M)
+    forward, jordan = [list(row) for row in M], [list(row) for row in M]
+    values, pivots, swaps = exact._eliminate(forward, above=False)
+    assert exact._eliminate(jordan, above=True) == (values, pivots, swaps)
+    minors = [det_fraction([row[:k] for row in M[:k]]) for k in range(1, n + 1)]
+    if swaps == 0 and pivots[:n] == list(range(n)):
+        assert values[:n] == minors
+    else:
+        assert 0 in minors
 
 
 def test_an_all_int_matrix_reaches_the_elimination_uncleared(monkeypatch):

@@ -12,6 +12,7 @@ import pytest
 from conftest import square
 from wkstab import (
     Convention,
+    Polynomial,
     check_fano_fiber,
     cli,
     condition_value_fano,
@@ -25,6 +26,7 @@ from wkstab import (
 )
 from wkstab.jsonio import InputError
 from wkstab.polytope import Simplex, cone_decomposition, triangulate_facet
+from _reference_fraction import condition_value_fano_fraction
 from _frozen import (
     FANO_TOTAL_SUP,
     RANK_ONE_LEXT_CONST,
@@ -489,6 +491,46 @@ def test_cli_csv_samples(capsys, tmp_path):
     rows = dest.read_text().strip().splitlines()
     assert rows[0] == "segment_vertex,step,x1,condition_value"
     assert len(rows) > 1
+
+
+def test_cli_csv_rows_equal_the_condition_value_at_every_sample(capsys, tmp_path):
+    # two factors with rational data; the rows are the points x0 + s (v - x0)
+    # at which every p + c is positive, each with its Fraction value
+    src = json.dumps({
+        "fiber": {"standard_simplex": {"l": 2, "t": 1}},
+        "factors": [
+            {"n": 2, "s": 12, "c": "29/4", "p": [1, "1/2"]},
+            {"n": 1, "s": 4, "c": "7/3", "p": [0, 1]},
+        ],
+    })
+    dest = tmp_path / "cond.csv"
+    code, _, _ = run(capsys, "check-fano", src, "--csv", str(dest), "--csv-samples", "4")
+    assert code == 0
+    fib = jsonio.fibration_from_json(jsonio.loads(src), Convention.CANONICAL)
+    l_ext = extremal_affine(fib).l_ext
+    x0 = fib.fano_fiber[0]
+    want = []
+    for vi, vtx in enumerate(fib.fiber.vertices):
+        for k in range(5):
+            s = F(k, 4)
+            pt = tuple(a + s * (b - a) for a, b in zip(x0, vtx))
+            want.append([str(vi), str(s), *map(str, pt), str(condition_value_fano_fraction(fib, l_ext, pt))])
+    rows = [line.split(",") for line in dest.read_text().splitlines()]
+    assert rows[0] == ["segment_vertex", "step", "x1", "x2", "condition_value"]
+    assert rows[1:] == want
+
+
+def test_cli_check_fano_without_factors(capsys):
+    # no base factor: v = 1, w_base = 0, and the report bytes as before the
+    # integer kernels
+    src = '{"fiber": {"standard_simplex": {"l": 2, "t": 1}}, "factors": []}'
+    fib = jsonio.fibration_from_json(jsonio.loads(src), Convention.CANONICAL)
+    assert (fib.v, fib.w_base) == (Polynomial.constant(2, 1), Polynomial.zero(2))
+    code, out, err = run(capsys, "check-fano", src, "--text")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "435e94d995cb55481870f946a8c30d83df1ccdd85115099e32b7bb50de3820f3"
+    )
 
 
 def test_cli_csv_samples_must_be_positive(capsys, tmp_path):

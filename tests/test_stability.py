@@ -363,6 +363,14 @@ def test_condition_value_fano_requires_positive_factor():
         condition_value_fano(fib, sol.l_ext, (F(-20),))
 
 
+def test_condition_value_fano_rejects_a_point_of_the_wrong_length():
+    fib = projective_bundle([[1, 2]], [(3, 24)], [4], t=1)
+    l_ext = extremal_affine(fib).l_ext
+    for x in ((F(0),), (F(0), F(0), F(0))):
+        with pytest.raises(ValueError, match="dimension mismatch evaluating AffineFunc"):
+            condition_value_fano(fib, l_ext, x)
+
+
 def test_x0_sweep_candidates_agree_on_certified_instance():
     fib = rank_one()
     for x0 in base_point_candidates(fib.fiber):
