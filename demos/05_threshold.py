@@ -1,10 +1,11 @@
 # Kaehler-class thresholds: the smallest c the vertex certificate accepts.
 #
 # For each vertex the condition value is a rational function of c.  The
-# moment system of the extremal solve is polynomial in c of known degree, so
-# the solver interpolates it exactly and solves it over Q[c] (Cramer's rule,
-# Bareiss determinants), isolates the numerators' real roots (integer Sturm
-# sequences), and returns a certified bracket for the sup over vertices.
+# weights are polynomials in (x, c), so the solver reads the moment system of
+# the extremal solve off them one power of c at a time and solves it over
+# Q[c] (Cramer's rule, Bareiss determinants), isolates the numerators' real
+# roots (integer Sturm sequences), and returns a certified bracket for the
+# sup over vertices.
 
 from fractions import Fraction as F
 

@@ -189,8 +189,11 @@ def solve_extremal(
 
 
 def extremal_affine(fib: Fibration) -> ExtremalSolution:
-    """l_ext for a fibration, under the fibration's convention."""
-    return solve_extremal(fib.fiber, fib.v, fib.w_base, fib.convention)
+    """l_ext for a fibration, under its convention, solved once (fib.extremal)."""
+    if fib.extremal is None:
+        sol = solve_extremal(fib.fiber, fib.v, fib.w_base, fib.convention)
+        object.__setattr__(fib, "extremal", sol)
+    return fib.extremal
 
 
 def stability_weight(fib: Fibration, l_ext: AffineFunc | None = None) -> Polynomial:

@@ -21,18 +21,13 @@ hypothesis p_a(x0) + c_a >= t s_a / (2 n_a) (the offset-compared-to-scalar
 bound); that is the vertex route of check_fano_fiber.
 
 threshold_c locates the smallest Kaehler-class offset c above which the
-vertex condition holds.  The fiber, and with it its moment table, does not
-depend on c, and each factor offset is affine in c, so every entry of the
-extremal moment system M(c) lam = b(c) is a polynomial in c of degree at
-most N (the summed dimensions of the factors whose offset moves).
-_extremal_over_c, the one place M(c) is built, interpolates it exactly
-through N + 1 values of c over one shared denominator and returns
-(offsets, D, cramer, sound): D = det M(c) and the Cramer determinants, with
-l_ext(c) = (cramer[0] + sum_i x_i cramer[i+1]) / D, each over Z[c] by
-``exact.det`` at integer nodes, interpolated; sound says whether that is
-the extremal solve for every c >= c_lo.  Each vertex's condition value is
-then an exact rational function of c, whose numerator roots are isolated by
-integer Sturm sequences.  A certified threshold rests on that solve, on the
+vertex condition holds.  Each factor offset is affine in c, so the weights
+are polynomials v(x, c) and w_base(x, c), and _extremal_over_c reads the
+extremal moment system M(c) lam = b(c) off them on the one fiber and solves
+it over Z[c] by Cramer's rule: l_ext(c) = (cramer[0] + sum_i x_i
+cramer[i+1]) / D, D = det M(c).  Each vertex's condition value is then an
+exact rational function of c, whose numerator roots are isolated by integer
+Sturm sequences.  A certified threshold rests on that solve, on the
 positivity of det M(c) for all c >= c_lo (checked by Sturm), and on
 agreement with the direct pipeline at c_hi; no sampled fit enters.
 """
@@ -67,6 +62,7 @@ from .weights import (
     NonpositiveWeight,
     NotFanoFibration,
     NotMonotoneFiber,
+    _build_weights,
 )
 
 VERDICT_CERTIFIED = "CertifiedSufficient"
@@ -411,59 +407,67 @@ def _check_template(
             raise ValueError(f"make_fib: factor {a}'s offset is not affine in c at c = {c}")
 
 
+def _system_over_c(fib_lo: Fibration, offsets, c_lo: Fraction):
+    """(v, w_base, M, b, L): v(x, c) and w_base(x, c), c the last variable,
+    by _build_weights on the forms p_a + c_a(0) + Delta_a c at the vertices
+    lifted to (x, c_lo); M(c) and b(c) on fib_lo's fiber, integer polynomials
+    in c over L.  The c^m coefficients of v and w_base give _moment_system's
+    M_m / den_m and b_m / den_m, and L = lcm of the den_m."""
+    P = fib_lo.fiber
+    forms = [replace(f, c=c_a - d * c_lo, p=AffineFunc((*f.p.gradient, d), 0))
+             for f, (c_a, d) in zip(fib_lo.factors, offsets)]
+    v, w_base = _build_weights([(*x, c_lo) for x in P.vertices], forms)
+
+    def at(p: Polynomial, m: int) -> Polynomial:  # the c^m coefficient of p
+        return Polynomial._from_terms(P.dim, {e[:-1]: x for e, x in p.terms.items() if e[-1] == m})
+
+    systems = [_moment_system(P, at(v, m), at(w_base, m), fib_lo.convention)
+               for m in range(max(e[-1] for e in v.terms) + 1)]
+    L = lcm(*(den for _, _, den in systems))
+    # every entry of M (row by row) and b over L, then its coefficients of c^0..c^N
+    scaled = [[x * (L // den) for row in [*Ms, bs] for x in row] for Ms, bs, den in systems]
+    entries = [u1._trim(e) for e in zip(*scaled)]
+    n = P.dim + 1
+    return v, w_base, [entries[i * n:(i + 1) * n] for i in range(n)], entries[n * n:], L
+
+
 def _extremal_over_c(make_fib, fib_lo: Fibration, c_lo: Fraction):
     """The extremal solve over Q[c]: (offsets, D, cramer, sound), D and each
     cramer[i] integer polynomials in c with l_ext(c) = (cramer[0] +
     sum_i x_i cramer[i + 1]) / D wherever D(c) != 0.
 
     offsets[a] = (c_a(c_lo), Delta_a) with c_a(c) = c_a(c_lo) +
-    Delta_a (c - c_lo), Delta_a read from c_lo and c_lo + 1.  So the entries
-    of the moment system M(c) lam = b(c) are polynomials of degree <= N =
-    sum of n_a over the factors with Delta_a != 0.  They are interpolated
-    through the N + 1 systems at c_lo, ..., c_lo + N on fib_lo's fiber.
-    Each system is integers over its own denominator, so every entry's
-    N + 1 values are integers over the lcm L of those, and
-    univariate._interpolate fits them as integer polynomials over
-    L N! b^N (c_lo = a/b): one denominator for all of M and b, so M is an
-    integer polynomial matrix.  D = det M(c) and cramer[i] is D with column
-    i replaced by b, all by univariate.det; the shared denominator scales D
-    and every cramer[i] alike and cancels in l_ext.
+    Delta_a (c - c_lo), Delta_a read from c_lo and c_lo + 1 and checked up
+    to c_lo + N, N = sum of n_a over the factors with Delta_a != 0.  M(c) and
+    b(c) come from _system_over_c over one denominator.  D = det M(c) and
+    cramer[i] is D with column i replaced by b, all by univariate.det; the
+    denominator scales D and every cramer[i] alike and cancels in l_ext.
 
     sound: M(c_lo) is positive definite and D has no root in [c_lo, oo);
     since det M(c) never vanishes there, no eigenvalue of the symmetric M(c)
     crosses 0, so M(c) is positive definite and Cramer's lam(c) is the
     extremal solve for every c >= c_lo.
     """
-    fibs = [fib_lo, make_fib(c_lo + 1)]
-    offsets = tuple((f.c, g.c - f.c) for f, g in zip(fib_lo.factors, fibs[1].factors))
-    _check_template(fib_lo, fibs[1], offsets, c_lo, c_lo + 1)
+    fib_1 = make_fib(c_lo + 1)
+    offsets = tuple((f.c, g.c - f.c) for f, g in zip(fib_lo.factors, fib_1.factors))
+    _check_template(fib_lo, fib_1, offsets, c_lo, c_lo + 1)
     if any(d < 0 for _, d in offsets):
         raise ValueError("make_fib: a factor offset decreases in c")
     N = sum(f.n for f, (_, d) in zip(fib_lo.factors, offsets) if d)
     for k in range(2, N + 1):
-        fibs.append(make_fib(c_lo + k))
-        _check_template(fib_lo, fibs[k], offsets, c_lo, c_lo + k)
-    P = fib_lo.fiber
-    systems = [_moment_system(P, f.v, f.w_base, f.convention) for f in fibs[: N + 1]]
-    # every system over the one denominator L, interpolated at c_lo + k
-    L = lcm(*(den for _, _, den in systems))
-    scales = [L // den for _, _, den in systems]
-
-    def fit(values):
-        return u1._interpolate(c_lo, [v * s for v, s in zip(values, scales)])[0]
-
-    size = P.dim + 1
-    M = [[fit([Ms[i][j] for Ms, _, _ in systems]) for j in range(size)] for i in range(size)]
-    b = [fit([bs[i] for _, bs, _ in systems]) for i in range(size)]
+        _check_template(fib_lo, make_fib(c_lo + k), offsets, c_lo, c_lo + k)
+    _, _, M, b, _ = _system_over_c(fib_lo, offsets, c_lo)
     D = u1.det(M)
     if not D:
         raise SingularMomentMatrix("the moment determinant vanishes identically in c")
     cramer = [
         u1.det([row[:i] + [b[r]] + row[i + 1 :] for r, row in enumerate(M)])
-        for i in range(size)
+        for i in range(len(M))
     ]
+    q = c_lo.denominator  # M_lo = q^N L M(c_lo), a positive multiple of M(c_lo)
+    M_lo = [[u1._scaled_value(e, c_lo) * q ** (N + 1 - len(e)) for e in row] for row in M]
     try:
-        _assert_positive_definite(systems[0][0])
+        _assert_positive_definite(M_lo)
         sound = u1.positive_above(D, c_lo)
     except SingularMomentMatrix:
         sound = False
@@ -511,8 +515,7 @@ def threshold_c(
     Delta_a (c - c_lo) with Delta_a >= 0; the fiber, the convention and every
     n, s and p stay fixed.  It is checked at every c built (c_lo, ...,
     c_lo + N and c_hi) and a violation raises ValueError.  Under it the
-    moment system is polynomial in c of known degree, so the vertex functions
-    come from one solve over Q[c] (_extremal_over_c), not from samples.
+    vertex functions come from one solve over Q[c] (_extremal_over_c).
 
     Certification means: Cramer's rule over Q[c] is the extremal solve for
     every c >= c_lo (M(c_lo) positive definite, det M(c) positive with no

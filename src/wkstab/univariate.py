@@ -1,18 +1,15 @@
-"""Dense univariate polynomials with integer coefficients: exact
-interpolation, determinants over Z[x], gcds and Sturm root isolation.
+"""Dense univariate polynomials with integer coefficients: determinants
+over Z[x], gcds and Sturm root isolation.
 
 Polynomials are tuples of ints (index = power, no trailing zeros, () = 0).
 A rational polynomial is an integer one over a positive denominator that
 the caller keeps, and most of what is asked of it (its roots, its signs, a
 gcd, a ratio num/den) does not see that denominator: this is the primitive
 polynomial remainder sequence (PRS) view of Collins, with exact quotients by
-Gauss's lemma.  Interpolation takes nodes x0, x0 + 1, ..., x0 + B with
-integer values: the integer forward differences expand Newton's basis
-C(u, j) over B!, and the shift u = x - x0 by x0 = a/b is made in the same
-integer Horner pass, so the fit is an integer polynomial over B! b^B.  A
-determinant over Z[x] takes every entry at the nodes 0..B by integer Horner,
-runs ``exact.det`` on the integer matrix at each node and interpolates those
-values; the fit divides exactly by B!.  One remainder loop, _remainders,
+Gauss's lemma.  A determinant over Z[x] takes every entry at the nodes 0..B
+by integer Horner, runs ``exact.det`` on the integer matrix at each node and
+fits those values by integer forward differences (Newton's basis C(x, j)
+over B!, which divides out exactly).  One remainder loop, _remainders,
 yields the primitive integer PRS: its last member is the gcd, and the PRS of
 p and p' is the Sturm sequence of p.  Each member is a positive multiple of
 the classical one, so every sign, and with it every root count, is
@@ -50,29 +47,23 @@ def derivative(p: Poly1) -> Poly1:
     return _trim(i * p[i] for i in range(1, len(p)))
 
 
-def _interpolate(x0: Fraction, ys: list[int]) -> tuple[Poly1, int]:
+def _interpolate(ys: list[int]) -> tuple[Poly1, int]:
     """(R, w): the polynomial p of degree <= B = len(ys) - 1 with
-    p(x0 + k) = ys[k] is R / w, R an integer polynomial and w = B! b^B for
-    x0 = a/b, so every fit at the same nodes shares w.
+    p(k) = ys[k] for k = 0..B is R / w, R an integer polynomial and w = B!.
 
-    Newton's forward form p(x0 + u) = sum_j Delta^j y_0 C(u, j) has integer
-    differences Delta^j ys[0], and B! C(u, j) = (B!/j!) u (u-1) ... (u-j+1)
-    has integer coefficients.  The shift u = x - x0 rides along: each factor
-    u - i is (bx - a - ib)/b, so
-    R = sum_j Delta^j ys[0] (B!/j!) b^(B-j) (bx - a) ... (bx - a - (j-1)b),
-    taken by Horner's rule from j = B down.
+    Newton's forward form p(x) = sum_j Delta^j y_0 C(x, j) has integer
+    differences Delta^j ys[0], and B! C(x, j) = (B!/j!) x (x-1) ... (x-j+1)
+    has integer coefficients, so R is taken by Horner's rule from j = B down.
     """
     d = list(ys)
     B = len(d) - 1
     for j in range(1, B + 1):
         for i in range(B, j - 1, -1):
             d[i] -= d[i - 1]
-    a, b = x0.numerator, x0.denominator
     R, w = d[B:], 1
     for j in range(B - 1, -1, -1):
-        w *= (j + 1) * b  # (B!/j!) b^(B-j)
-        s = a + j * b  # R <- R (bx - s) + d_j w
-        R = [b * r1 - s * r0 for r0, r1 in zip(R + [0], [0] + R)]
+        w *= j + 1  # B!/j!
+        R = [r1 - j * r0 for r0, r1 in zip(R + [0], [0] + R)]  # R <- R (x - j) + d_j w
         R[0] += d[j] * w
     return _trim(R), w
 
@@ -107,7 +98,7 @@ def det(M) -> Poly1:
         return ()
     vals = [exact.det([[_scaled_value(e, x) for e in row] for row in M]).numerator
             for x in range(sum(degs) + 1)]
-    R, w = _interpolate(Fraction(0), vals)
+    R, w = _interpolate(vals)
     return tuple(c // w for c in R)
 
 

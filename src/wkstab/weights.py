@@ -24,7 +24,7 @@ drops the boundary factor 2).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -119,6 +119,8 @@ class Fibration:
     v: Polynomial
     w_base: Polynomial
     fano_fiber: tuple | None  # (x0, t) when the fiber is monotone with scale t
+    # the extremal solve, filled on first use by futaki.extremal_affine
+    extremal: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -140,11 +142,9 @@ class Fibration:
         return tuple(f.c > sum(f.p.gradient) for f in self.factors)
 
 
-def _build_weights(
-    fiber: LabelledPolytope, factors: tuple[BaseFactor, ...]
-) -> tuple[Polynomial, Polynomial]:
-    """v and w_base by the product rule: a factor P^n (P = p + c) sends
-    (v, w_base) to (v P^n, w_base P^n + s v P^(n-1)).
+def _build_weights(vertices, factors: tuple[BaseFactor, ...]) -> tuple[Polynomial, Polynomial]:
+    """v and w_base at these vertices by the product rule: a factor P^n
+    (P = p + c) sends (v, w_base) to (v P^n, w_base P^n + s v P^(n-1)).
 
     It runs on integer coefficient maps over one tracked denominator d,
     (v, w_base) = (V, W) / d: with P = A / q (A integer) and s = s_n / s_d,
@@ -152,17 +152,16 @@ def _build_weights(
     n - 1 times to (V A, W A, q d).  P > 0 at a vertex x = X / D_P is the
     sign of one integer dot, <A, (X, D_P)>.  One Fraction per output term.
     """
-    dim = fiber.dim
-    D_P = lcm(*(x.denominator for vtx in fiber.vertices for x in vtx))
-    cleared = [[x.numerator * (D_P // x.denominator) for x in vtx] + [D_P]
-               for vtx in fiber.vertices]
+    dim = len(vertices[0])
+    D_P = lcm(*(x.denominator for vtx in vertices for x in vtx))
+    cleared = [[x.numerator * (D_P // x.denominator) for x in vtx] + [D_P] for vtx in vertices]
     basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)] + [(0,) * dim]
     V, W, d = {(0,) * dim: 1}, {}, 1
     for a, f in enumerate(factors):
         if f.p.dim != dim:
             raise ValueError(f"factor {a}: p is a form on the wrong dimension")
         A, q = _cleared((*f.p.gradient, f.c))
-        for vert, X in zip(fiber.vertices, cleared):
+        for vert, X in zip(vertices, cleared):
             if sum(map(mul, A, X)) <= 0:
                 raise NonpositiveWeight(vert, a)
         A = {e: x for e, x in zip(basis, A) if x}
@@ -187,7 +186,7 @@ def fibration(
 ) -> Fibration:
     """Validate the factor data against the fiber polytope and expand weights."""
     factors = tuple(factors)
-    v, w_base = _build_weights(fiber, factors)
+    v, w_base = _build_weights(fiber.vertices, factors)
     return Fibration(
         fiber=fiber,
         factors=factors,

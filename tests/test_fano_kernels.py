@@ -72,7 +72,7 @@ def _fibration_data(draw, min_factors=0, failing=0):
 @given(_fibration_data())
 def test_weights_solve_and_condition_values_match_the_fraction_path(case):
     fiber, factors, convention = case
-    got = _outcome(_build_weights, fiber, factors)
+    got = _outcome(_build_weights, fiber.vertices, factors)
     assert got == _outcome(build_weights_fraction, fiber, factors)
     if got[0] is NonpositiveWeight:
         return
@@ -100,7 +100,7 @@ def test_weights_solve_and_condition_values_match_the_fraction_path(case):
 @given(_fibration_data(min_factors=2, failing=2))
 def test_two_failing_factors_name_the_same_vertex_and_factor(case):
     fiber, factors, _ = case
-    got = _outcome(_build_weights, fiber, factors)
+    got = _outcome(_build_weights, fiber.vertices, factors)
     assert got[0] is NonpositiveWeight
     assert got == _outcome(build_weights_fraction, fiber, factors)
 

@@ -17,6 +17,7 @@ from wkstab import (
     cli,
     condition_value_fano,
     extremal_affine,
+    futaki,
     jsonio,
     measure,
     polytope,
@@ -518,6 +519,34 @@ def test_cli_csv_rows_equal_the_condition_value_at_every_sample(capsys, tmp_path
     rows = [line.split(",") for line in dest.read_text().splitlines()]
     assert rows[0] == ["segment_vertex", "step", "x1", "x2", "condition_value"]
     assert rows[1:] == want
+
+
+@pytest.mark.parametrize(
+    "src, route",
+    [
+        (
+            '{"fiber": {"standard_simplex": {"l": 2, "t": 1}}, "factors": ['
+            '{"n": 2, "s": 12, "c": "29/4", "p": [1, "1/2"]}, '
+            '{"n": 1, "s": 4, "c": "7/3", "p": [0, 1]}]}',
+            None,
+        ),
+        (BERNSTEIN_BAND, "general-fallback"),
+    ],
+    ids=["vertex", "general-fallback"],
+)
+def test_cli_check_fano_csv_solves_once(monkeypatch, capsys, tmp_path, src, route):
+    # the report and the CSV read one extremal solve
+    calls = []
+    real = futaki.solve_extremal
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(futaki, "solve_extremal", counting)
+    code, data, _ = run_json(capsys, "check-fano", src, "--csv", str(tmp_path / "cond.csv"))
+    assert code == 0 and data.get("notes", {}).get("route") == route
+    assert len(calls) == 1
 
 
 def test_cli_check_fano_without_factors(capsys):

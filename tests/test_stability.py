@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import interval, square, triangle
 from _reference_fraction import reconstruct_rational
@@ -480,6 +480,58 @@ TEMPLATE_IDS = [
 ]
 
 
+def _at_c(p, c):
+    """p(x, c) with c, its last variable, set to the given value."""
+    terms = {}
+    for e, x in p.terms.items():
+        terms[e[:-1]] = terms.get(e[:-1], 0) + x * c ** e[-1]
+    return Polynomial(p.dim - 1, terms)
+
+
+def _assert_record_is_the_family(make_fib, steps):
+    # the weights in (x, c) and the moment system read off them, against
+    # make_fib(c) built directly, at c = c_lo + step
+    c_lo = _c_floor(make_fib)
+    fib_lo, fib_1 = make_fib(c_lo), make_fib(c_lo + 1)
+    offsets = tuple((f.c, g.c - f.c) for f, g in zip(fib_lo.factors, fib_1.factors))
+    v, w_base, M, b, L = stability._system_over_c(fib_lo, offsets, c_lo)
+    for c in (c_lo + step for step in steps):
+        fib = make_fib(c)
+        assert (_at_c(v, c), _at_c(w_base, c)) == (fib.v, fib.w_base)
+        Mc, bc, den = futaki._moment_system(fib.fiber, fib.v, fib.w_base, fib.convention)
+        assert [[evaluate(e, c) / L for e in row] for row in M] == [
+            [F(x, den) for x in row] for row in Mc
+        ]
+        assert [evaluate(e, c) / L for e in b] == [F(x, den) for x in bc]
+
+
+# rational steps above c_lo that are not integers, up to past c_lo + N
+OFF_NODE_STEPS = st.lists(
+    st.fractions(0, 9, max_denominator=12).filter(lambda x: x.denominator > 1),
+    min_size=1, max_size=3,
+)
+
+
+@pytest.mark.parametrize("make_fib", TEMPLATES, ids=TEMPLATE_IDS)
+@settings(max_examples=10, deadline=None)
+@given(OFF_NODE_STEPS)
+@example([F(1, 3), F(29, 3)])
+def test_weights_and_system_in_c_are_the_family(make_fib, steps):
+    _assert_record_is_the_family(make_fib, steps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * 2),
+    st.integers(12, 36),
+    st.sampled_from(list(Convention)),
+    OFF_NODE_STEPS,
+)
+@example((F(1), F(2)), 24, Convention.LEGACY, [F(29, 3)])
+def test_weights_and_system_in_c_are_the_family_on_triangle_twists(p, s, convention, steps):
+    _assert_record_is_the_family(lambda c: tri_family(c, s=s, p=p, convention=convention), steps)
+
+
 @pytest.mark.parametrize("make_fib", TEMPLATES, ids=TEMPLATE_IDS)
 def test_exact_vertex_functions_match_sampled_oracle(make_fib):
     _assert_matches_oracle(make_fib)
@@ -501,7 +553,7 @@ def test_extremal_over_c_is_the_cramer_solve_of_l_ext(make_fib):
         assert AffineFunc(lam[1:], lam[0]) == l_ext
 
 
-def test_threshold_solves_once_and_interpolates_n_plus_one_systems(monkeypatch):
+def test_threshold_solves_once_and_builds_no_system_per_node(monkeypatch):
     solves, systems = [], []
     real_solve, real_system = futaki.solve_extremal, stability._moment_system
 
@@ -517,9 +569,16 @@ def test_threshold_solves_once_and_interpolates_n_plus_one_systems(monkeypatch):
     monkeypatch.setattr(stability, "_moment_system", counting_system)
     res = threshold_c(lambda c: tri_family(c, s=24), F(4), F(9), tol=F(1, 100))
     assert res.certified and res.low <= THRESHOLD_CANONICAL_S24 <= res.high
-    # one direct solve, at c_hi; N + 1 = n + 1 = 4 systems at c = 4, ..., 7
+    # one direct solve, at c_hi; the N + 1 = n + 1 = 4 systems are the
+    # c^0, ..., c^3 coefficients of v(x, c) on one fiber, and none is built
+    # from the weights of make_fib(c) at c = 4, ..., 7
     assert len(solves) == 1 and solves[0][1] == tri_family(F(9), s=24).v
-    assert [args[1] for args in systems] == [tri_family(F(c), s=24).v for c in range(4, 8)]
+    assert len(systems) == 4 and all(args[0] is systems[0][0] for args in systems)
+    nodes = [tri_family(F(c), s=24).v for c in range(4, 8)]
+    assert not any(args[1] in nodes for args in systems)
+    for c in (F(9, 2), F(11)):
+        v = sum((args[1] * c**m for m, args in enumerate(systems)), Polynomial.zero(2))
+        assert v == tri_family(c, s=24).v
 
 
 @pytest.mark.parametrize(

@@ -156,4 +156,4 @@ def test_build_weights_equals_the_product_form(case):
         ),
         Polynomial.zero(fiber.dim),
     )
-    assert _build_weights(fiber, factors) == (v, w_base)
+    assert _build_weights(fiber.vertices, factors) == (v, w_base)
