@@ -440,8 +440,10 @@ def _extremal_over_c(make_fib, fib_lo: Fibration, c_lo: Fraction):
     Delta_a (c - c_lo), Delta_a read from c_lo and c_lo + 1 and checked up
     to c_lo + N, N = sum of n_a over the factors with Delta_a != 0.  M(c) and
     b(c) come from _system_over_c over one denominator.  D = det M(c) and
-    cramer[i] is D with column i replaced by b, all by univariate.det; the
-    denominator scales D and every cramer[i] alike and cancels in l_ext.
+    cramer[i] = det M(c) with column i replaced by b come together from
+    univariate.cramer: one fraction-free elimination of [M | b] at each
+    integer node c = 0..B, then one fit per column.  The denominator scales
+    D and every cramer[i] alike and cancels in l_ext.
 
     sound: M(c_lo) is positive definite and D has no root in [c_lo, oo);
     since det M(c) never vanishes there, no eigenvalue of the symmetric M(c)
@@ -457,13 +459,9 @@ def _extremal_over_c(make_fib, fib_lo: Fibration, c_lo: Fraction):
     for k in range(2, N + 1):
         _check_template(fib_lo, make_fib(c_lo + k), offsets, c_lo, c_lo + k)
     _, _, M, b, _ = _system_over_c(fib_lo, offsets, c_lo)
-    D = u1.det(M)
+    D, cramer = u1.cramer(M, b)
     if not D:
         raise SingularMomentMatrix("the moment determinant vanishes identically in c")
-    cramer = [
-        u1.det([row[:i] + [b[r]] + row[i + 1 :] for r, row in enumerate(M)])
-        for i in range(len(M))
-    ]
     q = c_lo.denominator  # M_lo = q^N L M(c_lo), a positive multiple of M(c_lo)
     M_lo = [[u1._scaled_value(e, c_lo) * q ** (N + 1 - len(e)) for e in row] for row in M]
     try:

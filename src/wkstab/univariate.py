@@ -1,23 +1,27 @@
 """Dense univariate polynomials with integer coefficients: determinants
-over Z[x], gcds and Sturm root isolation.
+and Cramer's rule over Z[x], gcds and Sturm root isolation.
 
 Polynomials are tuples of ints (index = power, no trailing zeros, () = 0).
 A rational polynomial is an integer one over a positive denominator that
 the caller keeps, and most of what is asked of it (its roots, its signs, a
 gcd, a ratio num/den) does not see that denominator: this is the primitive
 polynomial remainder sequence (PRS) view of Collins, with exact quotients by
-Gauss's lemma.  A determinant over Z[x] takes every entry at the nodes 0..B
-by integer Horner, runs ``exact.det`` on the integer matrix at each node and
-fits those values by integer forward differences (Newton's basis C(x, j)
-over B!, which divides out exactly).  One remainder loop, _remainders,
+Gauss's lemma.  det M and every Cramer numerator of M y = b over Z[x] come
+from one node loop: at each node 0..B every entry of [M | b] is taken once by
+integer Horner and one fraction-free Gauss-Jordan pass (Bareiss,
+``exact._eliminate``) gives det M(x) and every numerator together (a
+determinant per column only where M(x) is singular); each column of values
+is fitted by integer forward differences (Newton's basis C(x, j) over B!,
+which divides out exactly).  One remainder loop, _remainders,
 yields the primitive integer PRS: its last member is the gcd, and the PRS of
 p and p' is the Sturm sequence of p.  Each member is a positive multiple of
 the classical one, so every sign, and with it every root count, is
 unchanged, and a sign at x = n/d is read off the integer d^deg q(n/d) by
 Horner's rule.  Root isolation bisects on the Sturm sequence of the
-primitive squarefree part and returns exact rational roots when bisection
-lands on one (deflating it out by the integer factor dx - n, so Sturm counts
-stay valid) and width-bounded brackets otherwise.
+primitive squarefree part until an interval holds one root, then halves it
+on the sign of that part alone; it returns exact rational roots when a
+midpoint lands on one (deflating it out by the integer factor dx - n, so
+Sturm counts stay valid) and width-bounded brackets otherwise.
 """
 
 from __future__ import annotations
@@ -85,21 +89,59 @@ def _int_mul(p, q) -> list[int]:
 
 
 def det(M) -> Poly1:
-    """Determinant of a square matrix over Z[x], by evaluation and
-    interpolation.  It has degree at most B = the sum over the rows of the
-    largest entry degree: every entry is taken at the nodes 0..B by integer
-    Horner, ``exact.det`` gives the integer determinant at each node, and
-    the fit of those values over B! divides exactly by B!."""
+    """Determinant of a square matrix over Z[x]: the b-less case of cramer."""
+    return cramer(M)[0]
+
+
+def _int_det(A: list[list[int]]) -> int:
+    values, pivots, swaps = exact._eliminate(A, above=False)
+    if len(pivots) < len(A):
+        return 0
+    return (-1) ** swaps * (values[-1] if values else 1)
+
+
+def cramer(M, b=None) -> tuple[Poly1, list[Poly1]]:
+    """(D, [C_0, ..., C_{n-1}]) for a square matrix M and a vector b over
+    Z[x]: D = det M and C_i = det M with column i replaced by b, so that
+    M (C_0, ..., C_{n-1}) = D b ([] for C when b is None).
+
+    By evaluation and interpolation: each has degree at most B = the sum
+    over the rows of [M | b] of the largest entry degree.  At each node
+    x = 0..B every entry is taken once by integer Horner and one
+    fraction-free Gauss-Jordan pass (exact._eliminate) runs on the integer
+    rows [M(x) | b(x)].  When M(x) is regular the pass ends with rows
+    R[i] = last (e_i | y_i), y = M(x)^-1 b(x) and last = (-1)^swaps det M(x),
+    so D(x) = +-last and C_i(x) = D(x) y_i = +-R[i][n].  Where M(x) is
+    singular D(x) = 0 and each C_i(x) is its own integer determinant.  Every
+    column of values is fitted over B!, which divides out exactly.
+    """
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("determinant of a non-square matrix")
-    degs = [max(map(len, row), default=0) - 1 for row in M]
-    if min(degs, default=0) < 0:
-        return ()
-    vals = [exact.det([[_scaled_value(e, x) for e in row] for row in M]).numerator
-            for x in range(sum(degs) + 1)]
-    R, w = _interpolate(vals)
-    return tuple(c // w for c in R)
+    if b is not None and len(b) != n:
+        raise ValueError("shape mismatch in cramer")
+    rows = M if b is None else [[*row, e] for row, e in zip(M, b)]
+    degs = [max(map(len, row), default=0) - 1 for row in rows]
+    if min(degs, default=0) < 0:  # a zero row of [M | b]
+        return (), [] if b is None else [()] * n
+    nodes = []  # [D(x), C_0(x), ...] at x = 0..B
+    for x in range(sum(degs) + 1):
+        A = [[_scaled_value(e, x) for e in row] for row in rows]
+        values, pivots, swaps = exact._eliminate(A, above=b is not None)
+        if len(pivots) == n and (not n or pivots[-1] < n):  # M(x) is regular
+            s = -1 if swaps % 2 else 1
+            at_x = [s * (values[-1] if values else 1)]
+            if b is not None:
+                at_x += [s * row[n] for row in A]
+        elif b is None:
+            at_x = [0]
+        else:  # A is eliminated: take [M(x) | b(x)] again
+            Mb = [[_scaled_value(e, x) for e in row] for row in rows]
+            at_x = [0] + [_int_det([row[:i] + row[n:] + row[i + 1 : n] for row in Mb])
+                          for i in range(n)]
+        nodes.append(at_x)
+    D, *C = (tuple(c // w for c in R) for R, w in map(_interpolate, zip(*nodes)))
+    return D, C
 
 
 def _primitive(p) -> Poly1:
@@ -171,6 +213,8 @@ def count_roots_between(seq: list[Poly1], a, b) -> int:
     Requires nonzero values at both endpoints.
     """
     a, b = rat(a), rat(b)
+    if b < a:
+        raise ValueError("empty interval: b < a")
     p = seq[0]
     if _scaled_value(p, a) == 0 or _scaled_value(p, b) == 0:
         raise ValueError("Sturm endpoints must not be roots")
@@ -208,9 +252,14 @@ def isolate_roots(p: Poly1, lo, hi, tol) -> list[RootLocation]:
     <= tol whose endpoints are not roots.  Roots at lo or hi themselves are
     not reported.  A repeated factor is divided out by the gcd that ends p's
     Sturm sequence, and a rational root n/d found at lo, hi or a bisection
-    midpoint is deflated by the factor dx - n.
+    midpoint is deflated by the factor dx - n.  Intervals are halved at
+    their midpoints, on Sturm counts while they may hold 0 or >= 2 roots and
+    on the sign of the squarefree part alone once they hold one.  hi < lo
+    raises ValueError.
     """
     lo, hi, tol = rat(lo), rat(hi), rat(tol)
+    if hi < lo:
+        raise ValueError("empty interval: hi < lo")
     if tol <= 0:
         raise ValueError("tol must be positive")
     seq = sturm_sequence(p)
@@ -233,18 +282,25 @@ def isolate_roots(p: Poly1, lo, hi, tol) -> list[RootLocation]:
         n = variations[a] - variations[b]
         if n == 0:
             continue
-        if n == 1 and b - a <= tol:
-            roots.append(RootLocation(a, b, None))
-            continue
         mid = (a + b) / 2
-        if _scaled_value(seq[0], mid) == 0:
-            roots.append(RootLocation(mid, mid, mid))
-            seq = _deflated(seq[0], mid)
-            variations.clear()
-            if degree(seq[0]) < 1:
+        if n == 1:
+            # one simple root: the sign of seq[0] at a midpoint says which half holds it
+            q, above = seq[0], _scaled_value(seq[0], a) > 0
+            while b - a > tol and (v := _scaled_value(q, mid)):
+                a, b = (mid, b) if (v > 0) == above else (a, mid)
+                mid = (a + b) / 2
+            if b - a <= tol:
+                roots.append(RootLocation(a, b, None))
                 continue
-        work.append((a, mid))
-        work.append((mid, b))
+        elif _scaled_value(seq[0], mid):
+            work += [(a, mid), (mid, b)]
+            continue
+        # mid is a root: deflate it out; the halves hold the others, if any
+        roots.append(RootLocation(mid, mid, mid))
+        seq = _deflated(seq[0], mid)
+        variations.clear()
+        if n > 1 and degree(seq[0]) >= 1:
+            work += [(a, mid), (mid, b)]
     return sorted(roots, key=lambda r: r.low)
 
 

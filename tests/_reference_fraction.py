@@ -15,7 +15,10 @@
 # monotone-fiber path (weights, Sylvester's test by minors and a separate
 # solve, the condition value).  Of wkstab.univariate,
 # whose integer kernels these are the oracles of, only the RootLocation
-# record is shared, so that located roots compare equal.
+# record is shared, so that located roots compare equal; the one exception is
+# isolate_roots_full_sturm, the integer isolation as it was before its
+# sign-only halving, which runs on univariate's own Sturm kernels so that it
+# checks the bisection alone.
 
 import itertools
 import math
@@ -32,7 +35,9 @@ from wkstab.exact import (
 )
 from wkstab.futaki import ExtremalSolution, SingularMomentMatrix, _moment_system
 from wkstab.weights import NonpositiveWeight, NotMonotoneFiber
-from wkstab.univariate import RootLocation
+from wkstab.univariate import (
+    RootLocation, _deflated, _quotient, _scaled_value, sign_variations_at, sturm_sequence,
+)
 
 REF_NUM = {
     (10, 0, 0): 12250,
@@ -589,6 +594,47 @@ def isolate_roots_fraction(p, lo, hi, tol):
             p = divmod_exact(p, (-mid, one))[0]
             seq = sturm_sequence_fraction(p)
             if degree(p) < 1:
+                continue
+        work.append((a, mid))
+        work.append((mid, b))
+    return sorted(roots, key=lambda r: r.low)
+
+
+def isolate_roots_full_sturm(p, lo, hi, tol):
+    """wkstab.univariate.isolate_roots on integer polynomials, as it was
+    when every interval, a one-root interval too, was halved on Sturm
+    counts at both of its ends."""
+    lo, hi, tol = rat(lo), rat(hi), rat(tol)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    seq = sturm_sequence(p)
+    if seq and degree(seq[-1]) >= 1:
+        seq = sturm_sequence(_quotient(seq[0], seq[-1]))
+    if not seq or degree(seq[0]) < 1:
+        return []
+    for r in (lo, hi):
+        while _scaled_value(seq[0], r) == 0:
+            seq = _deflated(seq[0], r)
+    variations: dict = {}
+    roots = []
+    work = [(lo, hi)]
+    while work:
+        a, b = work.pop()
+        for x in (a, b):
+            if x not in variations:
+                variations[x] = sign_variations_at(seq, x)
+        n = variations[a] - variations[b]
+        if n == 0:
+            continue
+        if n == 1 and b - a <= tol:
+            roots.append(RootLocation(a, b, None))
+            continue
+        mid = (a + b) / 2
+        if _scaled_value(seq[0], mid) == 0:
+            roots.append(RootLocation(mid, mid, mid))
+            seq = _deflated(seq[0], mid)
+            variations.clear()
+            if degree(seq[0]) < 1:
                 continue
         work.append((a, mid))
         work.append((mid, b))

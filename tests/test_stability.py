@@ -553,6 +553,28 @@ def test_extremal_over_c_is_the_cramer_solve_of_l_ext(make_fib):
         assert AffineFunc(lam[1:], lam[0]) == l_ext
 
 
+# D and cramer of the canonical s = 24 triangle family at c_lo = 4, as the
+# separate univariate.det of each matrix gave them
+S24_D = (0, -103097241168768, 0, 6248317646592, 0, 45560649506400, 0, 2362404048480, 0,
+         2187411156000)
+S24_CRAMER = [
+    (-299919247036416, -912254376402432, 120800807834112, -373510543762944,
+     696571708008960, 68847203698560, 135444498779520, -69297185422080, 52497867744000,
+     8749644624000),
+    (-524858682313728, -43738223526144, -466541050945536, -60747532675200, 627724504310400,
+     29698793752320, 37798464775680, -5249786774400, 26248933872000),
+    (0, -1224670258732032, 524858682313728, -388784209121280, 542677958565120,
+     18899232387840, 201591812136960, -104995735488000, 52497867744000),
+]
+
+
+def test_extremal_over_c_keeps_d_and_cramer_of_the_s24_template():
+    make_fib = lambda c: tri_family(c, s=24)
+    offsets, D, cramer, sound = stability._extremal_over_c(make_fib, make_fib(F(4)), F(4))
+    assert offsets == ((F(4), F(1)),) and sound
+    assert D == S24_D and cramer == S24_CRAMER
+
+
 def test_threshold_solves_once_and_builds_no_system_per_node(monkeypatch):
     solves, systems = [], []
     real_solve, real_system = futaki.solve_extremal, stability._moment_system

@@ -18,6 +18,7 @@ from _reference_fraction import (
     fit_rational,
     interpolate_fraction,
     isolate_roots_fraction,
+    isolate_roots_full_sturm,
     monic,
     mul,
     normalize,
@@ -26,7 +27,7 @@ from _reference_fraction import (
     sturm_sequence_fraction,
     sub,
 )
-from wkstab import exact
+from wkstab import exact, univariate
 from wkstab.univariate import (
     RationalFunction,
     _int_mul,
@@ -36,6 +37,7 @@ from wkstab.univariate import (
     _remainders,
     cauchy_root_bound,
     count_roots_between,
+    cramer,
     degree,
     derivative,
     det,
@@ -519,20 +521,20 @@ def test_det_matches_fraction_oracle(M):
     assert all(type(c) is int for c in D)
 
 
-def test_det_hands_exact_det_only_integers(monkeypatch):
+def test_det_hands_the_elimination_only_integers(monkeypatch):
     x = (F(0), F(1))
     M = [[(F(1, 3), F(2, 7)), (F(5),), ()],
          [(), (F(-1, 2), F(0), F(3, 11)), x],
          [(F(10**20, 3),), (F(1), F(1, 10**9)), (F(4, 9),)]]
     want = det_fraction(M)
     seen = []
-    real = exact.det
+    real = exact._eliminate
 
-    def counting(A):
+    def counting(A, above):
         seen.append([list(row) for row in A])
-        return real(A)
+        return real(A, above)
 
-    monkeypatch.setattr(exact, "det", counting)
+    monkeypatch.setattr(exact, "_eliminate", counting)
     IM, s = cleared_matrix(M)
     assert det(IM) == scale(want, s**3)
     assert len(seen) == 5  # the nodes 0..B, B = 1 + 2 + 1
@@ -582,3 +584,130 @@ def test_isolate_roots_divides_out_a_repeated_root_at_a_midpoint(roots, lo, hi, 
     got = isolate_roots(cleared(p), lo, hi, F(1, 100))
     assert got == isolate_roots_fraction(p, lo, hi, F(1, 100))
     assert [r.exact for r in got] == want
+
+
+def test_isolate_and_count_reject_an_empty_interval():
+    with pytest.raises(ValueError, match="empty interval"):
+        count_roots_between(sturm_sequence((-1, 0, 1)), 2, -2)  # counted -2 roots
+    with pytest.raises(ValueError, match="empty interval"):
+        isolate_roots((-1, 0, 1), 2, -2, F(1, 100))  # reported +-1 inside (2, -2)
+    with pytest.raises(ValueError, match="empty interval"):
+        isolate_roots((-2, 0, 1), 2, -2, F(1, 100))  # looped forever on (2, -2)
+    # a point is an empty interval, but not a reversed one
+    assert isolate_roots((-1, 0, 1), 3, 3, F(1, 100)) == []
+    assert count_roots_between(sturm_sequence((-1, 0, 1)), 3, 3) == 0
+
+
+# ------------------------- the Cramer kernel against the Bareiss oracle
+
+
+@st.composite
+def cramer_systems(draw):
+    """(M, b) over Q[x] with n = 1..4 and entry degree <= 4, sometimes with
+    a zero row of M or M singular through a repeated row."""
+    n = draw(st.integers(1, 4))
+    entry = st.lists(rationals, max_size=5).map(normalize)
+    M = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        M[draw(st.integers(0, n - 1))] = [()] * n
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        M[i] = [mul(e, (F(-2), F(1))) for e in M[j]]
+    return M, [draw(entry) for _ in range(n)]
+
+
+X = (F(0), F(1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cramer_systems())
+@example(([[X, (F(1),)], [(F(1),), X]], [(F(1),), (F(2),)]))  # singular at the node x = 1
+@example(([[X, (F(1),)], [(), ()]], [(F(1),), (F(3),)]))  # a zero row of M beside b_r = 3
+@example(([[X, X], [X, X]], [(F(1),), X]))  # identically singular
+def test_cramer_is_det_and_each_column_replaced_by_b(system):
+    M, b = system
+    rows, s = cleared_matrix([[*row, e] for row, e in zip(M, b)])
+    IM, Ib = [row[:-1] for row in rows], [row[-1] for row in rows]
+    D, C = cramer(IM, Ib)
+    n = len(M)
+    assert D == det(IM) == scale(bareiss_det(M), s**n)
+    assert len(C) == n
+    for i, Ci in enumerate(C):
+        Mi = [row[:i] + [e] + row[i + 1:] for row, e in zip(M, b)]
+        assert Ci == scale(bareiss_det(Mi), s**n)
+    assert all(type(c) is int for p in [D, *C] for c in p)
+
+
+def test_cramer_runs_one_elimination_per_node(monkeypatch):
+    calls = []
+    real = exact._eliminate
+
+    def counting(A, above):
+        calls.append(above)
+        return real(A, above)
+
+    monkeypatch.setattr(exact, "_eliminate", counting)
+    x = (0, 1)
+    D, C = cramer([[x, (1,)], [(2,), x]], [(1,), (0, 0, 1)])  # regular at every node
+    assert (D, C) == ((-2, 0, 1), [(0, 1, -1), (-2, 0, 0, 1)])
+    assert calls == [True] * 4  # nodes 0..B, B = 1 + 2
+    calls.clear()
+    D, C = cramer([[x, (1,)], [(1,), x]], [(1,), (2,)])  # singular at x = 1
+    assert (D, C) == ((-1, 0, 1), [(-2, 1), (-1, 2)])
+    assert calls == [True, True, False, False, True]  # two column dets at x = 1
+    with pytest.raises(ValueError, match="shape"):
+        cramer([[x]], [])
+
+
+# ------------------------- sign-only halving against the full-Sturm bisection
+
+
+@st.composite
+def isolation_cases(draw):
+    """An integer polynomial built from rational linear factors (roots at
+    bisection midpoints, repeated factors), irreducible quadratics and close
+    root pairs, with an interval and a tolerance."""
+    p = (draw(st.sampled_from([1, -3, 2])),)
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["linear", "quadratic", "close"]))
+        if kind == "linear":
+            r = draw(st.builds(F, st.integers(-16, 16), st.sampled_from([1, 2, 3, 4, 8])))
+            factor = (-r.numerator, r.denominator)
+        elif kind == "quadratic":
+            factor = (-draw(st.sampled_from([2, 3, 5, 7])), 0, draw(st.sampled_from([1, 2, 3])))
+        else:  # roots r and r + 1/(1000 d)
+            r = draw(st.builds(F, st.integers(-300, 300), st.sampled_from([7, 64, 100])))
+            d = draw(st.integers(1, 50))
+            factor = tuple(_int_mul((-1000 * d * r.numerator, 1000 * d * r.denominator),
+                                    (-(1000 * d * r.numerator + r.denominator),
+                                     1000 * d * r.denominator)))
+        p = tuple(_int_mul(p, factor))
+    lo = draw(st.builds(F, st.integers(-40, 40), st.sampled_from([1, 2, 4])))
+    hi = lo + draw(st.builds(F, st.integers(0, 60), st.sampled_from([1, 2, 4])))
+    return p, lo, hi, draw(st.sampled_from([F(1), F(1, 8), F(1, 1000), F(1, 10**9)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(isolation_cases())
+@example(((-2, 0, 1), F(0), F(2), F(1, 10**6)))
+@example(((-1, 0, 0, 1), F(-1), F(2), F(1, 100)))  # x^3 - 1: the root 1 at the first midpoint
+@example((tuple(_int_mul(_int_mul((-1, 2), (-1, 2)), (-3, 4))), F(0), F(1), F(1, 1000)))
+def test_isolate_roots_matches_full_sturm_bisection(case):
+    p, lo, hi, tol = case
+    assert isolate_roots(p, lo, hi, tol) == isolate_roots_full_sturm(p, lo, hi, tol)
+
+
+def test_isolate_roots_halves_a_one_root_interval_on_sign_alone(monkeypatch):
+    calls = []
+    real = univariate.sign_variations_at
+
+    def counting(seq, x):
+        calls.append(x)
+        return real(seq, x)
+
+    monkeypatch.setattr(univariate, "sign_variations_at", counting)
+    got = isolate_roots((-2, 0, 1), 0, 2, F(1, 10**6))
+    assert calls == [0, 2]  # one Sturm count, of (0, 2)
+    assert got == isolate_roots_full_sturm((-2, 0, 1), 0, 2, F(1, 10**6))
+    (r,) = got
+    assert r.exact is None and r.low**2 < 2 < r.high**2 and r.high - r.low <= F(1, 10**6)
