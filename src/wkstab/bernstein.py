@@ -15,17 +15,21 @@ node is split only while the budget still covers both its halves.  A
 one-sided: it never certifies a false positive, and may return
 "inconclusive" when the budget runs out.
 
-Only the root's numerators come from p.  They are computed in integers on
-the simplex's barycentric power tree (_barycentric_powers; measure fills its
-moments another way).  With D the lcm of the vertex coordinate
-denominators, each coordinate is x_r = L_r(lambda) / D for an integer linear
-form L_r, and the homogenizing form L_n = D (lambda_0 + ... + lambda_k)
-equals D on the simplex.  So, with C the lcm of p's coefficient denominators and d = deg p,
-every term c_a x^a is C c_a L^(a, d - |a|) / (C D^d), homogeneous of degree
-d, and
+Only the root's numerators come from p, and only through its coefficients.
+With D the lcm of the vertex coordinate denominators, each coordinate is
+x_r = L_r(lambda) / D for an integer linear form L_r, and the homogenizing
+form L_n = D (lambda_0 + ... + lambda_k) equals D on the simplex.  So, with
+C the lcm of p's coefficient denominators and d = deg p, every term
+c_a x^a is C c_a L^(a, d - |a|) / (C D^d), homogeneous of degree d, and
 
-    N_gamma = sum_a C c_a [lambda^gamma] L^(a, d - |a|),
+    N_gamma = sum_a C c_a R_a[gamma],  R_a[gamma] = [lambda^gamma] L^(a, d - |a|),
     B_gamma = gamma! N_gamma,  S = d! C D^d.
+
+The rows R_a of every monomial of degree <= d depend on the cell and d
+alone: _basis reads them once off the cell's integer barycentric power
+tree (_barycentric_powers; measure fills its moments another way) and
+keeps them, so a check that meets the same cone cell again (an interned
+fiber, the same base point) only takes the dot products.
 
 A child's numerators come from its parent's by blossoming, that is by de
 Casteljau's algorithm (Boudaoud, Caruso & Roy, DCG 39 (2008)).  Replacing
@@ -36,6 +40,13 @@ c^(s-1)_(beta + e_i), and the new numerator of gamma is
 two halves of a bisection across the edge (a, b) are the stages over
 I = {a, b} with r = a and r = b; they share one pyramid.  So a node at
 bisection depth t is over S 2^(d t), and p never enters below the root.
+
+The node geometry is integer too.  The root's vertices are cleared once to
+integer rows Y over E, the lcm of their denominators, and a node at depth t
+keeps its vertices as integer rows over E 2^t: a half's midpoint is
+Y_a + Y_b and its other vertices double.  The longest edge is the first
+greatest integer squared length, and a ``Fraction`` point is made only for
+a corner or barycenter witness.
 """
 
 from __future__ import annotations
@@ -46,11 +57,16 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
+from types import MappingProxyType
 
-from .exact import Point, Polynomial, _centroid, _cleared
+from .exact import Point, Polynomial, _cleared
 from .measure import _monomials
 from .polytope import Simplex
+
+#: Cells whose _basis is kept: a check's cone cells come back on every
+#: check of the same fiber and base point.
+_CELLS = 64
 
 CERTIFIED = "certified"
 REFUTED = "refuted"
@@ -71,22 +87,39 @@ def bernstein_coefficients(p: Polynomial, simplex: Simplex) -> dict[tuple, Fract
 
 def _numerators(p: Polynomial, simplex: Simplex) -> tuple[list[int], int]:
     """The Bernstein numerators B (in ``measure._monomials`` order) of p on
-    the simplex and their common denominator S > 0."""
+    the simplex and their common denominator S > 0: B_gamma is gamma! times
+    the dot of p's coefficients, cleared to integers over C, with the cell's
+    column gamma of rows (_basis), and S = d! C D^d."""
     if p.dim != simplex.ambient_dim:
         raise ValueError("polynomial/simplex dimension mismatch")
-    d = max(p.degree(), 0)
-    D, power = _barycentric_powers(simplex.vertices)
+    scale, gamma_fact, rows = _basis(simplex.vertices, max(p.degree(), 0))
+    if not p.terms:  # the zero polynomial, of degree 0 here
+        return [0], scale
     scaled_terms, C = _cleared(p.terms.values())
-    N: dict[tuple, int] = {}
-    for a, scaled in zip(p.terms, scaled_terms):
-        for gamma, v in power(a + (d - sum(a),)).items():
-            N[gamma] = N.get(gamma, 0) + scaled * v
+    columns = zip(*map(rows.__getitem__, p.terms))
+    B = [f * sum(map(mul, scaled_terms, column)) for f, column in zip(gamma_fact, columns)]
+    return B, scale * C
+
+
+@functools.lru_cache(maxsize=_CELLS)
+def _basis(vertices: tuple[Point, ...], d: int) -> tuple[int, tuple[int, ...], MappingProxyType]:
+    """d! D^d, gamma! per multi-index gamma of degree d in ``_levels``
+    order, and, per monomial a of degree <= d in ``measure._monomials``
+    order, the integer row [lambda^gamma] L^(a, d - |a|) over those gamma:
+    x^a has the Bernstein numerators gamma! row[gamma] over d! D^d on the
+    simplex.  Read once off the power tree (_barycentric_powers), then
+    shared, read-only, by every polynomial of degree d on the same cell.
+    gamma! stays out of the rows, which keeps more of their entries small
+    shared ints."""
+    D, power = _barycentric_powers(vertices)
+    gammas = _levels(d, len(vertices))[0][d]
     fact = [math.factorial(i) for i in range(d + 1)]
-    B = [
-        math.prod(fact[g] for g in gamma) * N.get(gamma, 0)
-        for gamma in _levels(d, simplex.k + 1)[0][d]
-    ]
-    return B, fact[d] * C * D**d
+    gamma_fact = tuple(math.prod(fact[g] for g in gamma) for gamma in gammas)
+    rows = {}
+    for a in _monomials(len(vertices[0]), d):
+        form = power(a + (d - sum(a),))
+        rows[a] = tuple(form.get(gamma, 0) for gamma in gammas)
+    return fact[d] * D**d, gamma_fact, MappingProxyType(rows)
 
 
 def _barycentric_powers(verts: tuple[Point, ...]):
@@ -165,20 +198,21 @@ def _stage(d: int, parts: int, r: int, members: tuple):
     return steps, out
 
 
-def _children(simplex: Simplex, B: list[int], d: int):
-    """The two halves of the simplex across the midpoint of its longest edge
+def _children(Y: tuple[tuple[int, ...], ...], B: list[int], d: int):
+    """The two halves of a node across the midpoint of its longest edge
     (a, b), the first such pair in index order on a tie: V_a replaced by the
     midpoint, then V_b, with their numerators over S 2^d when B is over S.
-    Both stages run over the members (a, b), so they share one pyramid.  The
-    halves of a nondegenerate simplex are nondegenerate, so they skip the
-    rank check."""
-    verts = simplex.vertices
-    parts = len(verts)
+    The node's vertices are the integer rows Y over E 2^t, so the halves'
+    are over E 2^(t+1): the midpoint is Y_a + Y_b and every other vertex
+    doubles.  Both stages run over the members (a, b), so they share one
+    pyramid."""
+    parts = len(Y)
     a, b = max(
         itertools.combinations(range(parts), 2),
-        key=lambda e: sum((s - t) ** 2 for s, t in zip(verts[e[0]], verts[e[1]])),
+        key=lambda e: sum((s - t) ** 2 for s, t in zip(Y[e[0]], Y[e[1]])),
     )
-    mid = _centroid([verts[a], verts[b]])
+    mid = tuple(map(add, Y[a], Y[b]))
+    doubled = tuple(tuple(2 * y for y in v) for v in Y)
     steps, _ = _stage(d, parts, a, (a, b))
     pyramid = [B]
     for step in steps:
@@ -186,7 +220,7 @@ def _children(simplex: Simplex, B: list[int], d: int):
         pyramid.append([sum(pick(prev)) for pick in step])
     for r in (a, b):
         _, out = _stage(d, parts, r, (a, b))
-        yield (Simplex._spanned(verts[:r] + (mid,) + verts[r + 1:]),
+        yield (doubled[:r] + (mid,) + doubled[r + 1:],
                [pyramid[t][i] * scale for t, i, scale in out])
 
 
@@ -215,20 +249,24 @@ def certify_nonnegative(
     d = max(p.degree(), 0)
     parts = simplex.k + 1
     _, _, corners, weights = _levels(d, parts)
+    E = math.lcm(*(x.denominator for v in simplex.vertices for x in v))
+    Y = tuple(tuple(x.numerator * (E // x.denominator) for x in v) for v in simplex.vertices)
     # nodes not yet queued that may still be decided
     unassigned = sum(math.factorial(parts) ** i for i in range(1, max_depth + 1))
-    queue = deque([(simplex, B, 0)])
+    queue = deque([(Y, B, 0)])
     bound: Fraction | None = None
     undecided = False
     while queue:  # breadth-first, so depth never decreases
-        cell, B, depth = queue.popleft()
-        S_cell = S << (d * depth)
-        for vtx, c in zip(cell.vertices, corners):
+        Y, B, depth = queue.popleft()
+        S_cell, E_cell = S << (d * depth), E << depth
+        for y, c in zip(Y, corners):
             if B[c] < 0:
+                vtx = tuple(Fraction(x, E_cell) for x in y)
                 return PositivityOutcome(REFUTED, None, (vtx, Fraction(B[c], S_cell)), depth)
         center = sum(map(mul, B, weights))
         if center < 0:
-            witness = (cell.barycenter(), Fraction(center, S_cell * parts**d))
+            barycenter = tuple(Fraction(sum(xs), parts * E_cell) for xs in zip(*Y))
+            witness = (barycenter, Fraction(center, S_cell * parts**d))
             return PositivityOutcome(REFUTED, None, witness, depth)
         low = min(B)
         if low >= 0:
@@ -236,7 +274,7 @@ def certify_nonnegative(
             bound = low if bound is None else min(bound, low)
         elif unassigned >= 2:
             unassigned -= 2
-            queue.extend((child, B_child, depth + 1) for child, B_child in _children(cell, B, d))
+            queue.extend((Y_child, B_child, depth + 1) for Y_child, B_child in _children(Y, B, d))
         else:
             undecided = True
     if undecided:

@@ -7,30 +7,30 @@ Serialization is deterministic: sorted keys, fixed formatting.
 
 Fibers are interned: polytope_from_json returns one shared LabelledPolytope
 per distinct exact label tuple (the standard_simplex shorthand is keyed by
-its labels too), kept in a bounded LRU of _INTERNED_FIBERS entries.  So every
-command, sweep row and threshold template that names a fiber already parsed
-in this process reuses its vertices, its facet cells, its moment record and
-its monotone point instead of building them again.  Sharing is safe: the
+its labels too), kept in polytope._interned, the bounded LRU that
+polytope.standard_fiber_polytope also reads.  So every command, sweep row
+and threshold template that names a fiber already parsed or built in this
+process reuses its vertices, its facet cells, its moment record and its
+monotone point instead of building them again.  Sharing is safe: the
 polytope is immutable, and its derived slots, ``facet_cells``, written only
 by polytope._facet_cells, ``moments``, written only by measure._fill (a
 refill to a higher degree keeps every lower entry), and ``monotone``,
 written only by polytope.monotone_point, hold exact values fixed by the
-labels.  Exceptions are not cached, so bad
-input raises on every parse; a label set that cuts out no polytope raises an
-InputError at ``<path>.labels``.  from_halfspaces itself is not cached:
-library callers get a fresh polytope and an empty record.
+labels.  Exceptions are not cached, so bad input raises on every parse; a
+label set that cuts out no polytope raises an InputError at
+``<path>.labels``.  from_halfspaces itself is not cached: library callers
+get a fresh polytope and an empty record from it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 from fractions import Fraction
 
 from .exact import AffineFunc, Polynomial, rat
 from .futaki import ExtremalSolution
-from .polytope import LabelledPolytope, PolytopeError, _standard_labels, from_halfspaces
+from .polytope import LabelledPolytope, PolytopeError, _interned, _standard_labels
 from .probe import Crease, ProbeReport
 from .stability import StabilityReport, ThresholdResult
 from .weights import BASE_PRESETS, BaseFactor, Convention, Fibration, fibration
@@ -130,15 +130,6 @@ def polytope_to_json(P: LabelledPolytope) -> dict:
         "labels": [affine_to_json(L) for L in P.labels],
         "vertices": [point_to_json(v) for v in P.vertices],
     }
-
-
-#: Distinct fibers kept by polytope_from_json; a batch names only a few.
-_INTERNED_FIBERS = 64
-
-
-@functools.lru_cache(maxsize=_INTERNED_FIBERS)
-def _interned(labels: tuple[AffineFunc, ...]) -> LabelledPolytope:
-    return from_halfspaces(labels)
 
 
 def polytope_from_json(node, path: str = "polytope") -> LabelledPolytope:

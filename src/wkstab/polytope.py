@@ -36,6 +36,7 @@ with W_i the columns w_k - w_0 without row i.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -367,9 +368,23 @@ def standard_fiber_polytope(dim: int, t) -> LabelledPolytope:
 
     Monotone with monotone point 0 and parameter *t*; this is the moment
     polytope of complex projective space scaled so that the labels take the
-    value *t* at the origin.
+    value *t* at the origin.  Interned (see :func:`_interned`): every call
+    with the same dim and t returns one shared polytope.
     """
-    return from_halfspaces(_standard_labels(dim, t))
+    return _interned(_standard_labels(dim, t))
+
+
+#: Distinct fibers kept by _interned; a batch names only a few.
+_INTERNED_FIBERS = 64
+
+
+@functools.lru_cache(maxsize=_INTERNED_FIBERS)
+def _interned(labels: tuple[AffineFunc, ...]) -> LabelledPolytope:
+    """from_halfspaces(labels), one shared polytope per distinct exact label
+    tuple in a bounded LRU.  Sharing is safe: the polytope is immutable, and
+    its derived slots hold exact values fixed by the labels (see
+    :class:`LabelledPolytope`).  Exceptions are not cached."""
+    return from_halfspaces(labels)
 
 
 def _standard_labels(dim: int, t) -> tuple[AffineFunc, ...]:

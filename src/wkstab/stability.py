@@ -160,10 +160,11 @@ def concave_cone_indices(fib: Fibration, x0) -> frozenset[int]:
     so its sign over the cone is decided by the cone's vertices.
     """
     x0 = point(x0)
+    terms = [(f.s, 2 * f.n * (f.p(x0) + f.c)) for f in fib.factors]
     out = []
     for j, L in enumerate(fib.fiber.labels):
         Lj0 = L(x0)
-        if all(Lj0 * f.s - 2 * f.n * (f.p(x0) + f.c) <= 0 for f in fib.factors):
+        if all(Lj0 * s - e <= 0 for s, e in terms):
             out.append(j)
     return frozenset(out)
 

@@ -66,18 +66,33 @@ def _volume(simplex):
     return abs(det([[a - b for a, b in zip(v, v0)] for v in rest]))
 
 
+def _integer_vertices(simplex):
+    # the certifier's root node: the vertices as integer rows over E
+    E = math.lcm(*(x.denominator for v in simplex.vertices for x in v))
+    return tuple(tuple(int(x * E) for x in v) for v in simplex.vertices), E
+
+
+def _node_simplex(Y, E, depth):
+    # a node's vertices are its integer rows over E 2^depth
+    return Simplex(tuple(tuple(F(y, E << depth) for y in v) for v in Y))
+
+
 def test_subdivision_count_and_volume():
     p = Polynomial.variable(2, 0) ** 2
-    children = [child for child, _ in _children(TRI, _numerators(p, TRI)[0], 2)]
+    Y, E = _integer_vertices(TRI)
+    children = [Y_child for Y_child, _ in _children(Y, _numerators(p, TRI)[0], 2)]
     assert len(children) == 2
-    # the longest edge of TRI joins (1, 0) and (0, 1); its midpoint replaces
-    # each end in turn, and the halves tile the parent
+    # the longest edge of TRI joins (1, 0) and (0, 1); its midpoint, (1, 1)
+    # over 2, replaces each end in turn, every other vertex doubles, and the
+    # halves tile the parent
+    assert children == [((0, 0), (1, 1), (0, 2)), ((0, 0), (2, 0), (1, 1))]
+    halves = [_node_simplex(c, E, 1) for c in children]
     mid = (F(1, 2), F(1, 2))
-    assert [c.vertices for c in children] == [
+    assert [c.vertices for c in halves] == [
         (TRI.vertices[0], mid, TRI.vertices[2]),
         (TRI.vertices[0], TRI.vertices[1], mid),
     ]
-    assert [_volume(c) for c in children] == [_volume(TRI) / 2] * 2
+    assert [_volume(c) for c in halves] == [_volume(TRI) / 2] * 2
 
 
 def test_bisection_takes_the_first_longest_edge():
@@ -86,15 +101,24 @@ def test_bisection_takes_the_first_longest_edge():
     # edges tie, and the first pair (V_0, V_1) is split
     tri = Simplex(((F(0), F(1)), (F(0), F(0)), (F(1), F(0))))
     p = Polynomial.variable(2, 0)
-    halves = [c.vertices[0] for c, _ in _children(tri, _numerators(p, tri)[0], 1)]
-    assert halves == [(F(1, 2), F(1, 2)), tri.vertices[0]]
+    Y, _ = _integer_vertices(tri)
+    halves = [c[0] for c, _ in _children(Y, _numerators(p, tri)[0], 1)]
+    assert halves == [(1, 1), (0, 2)]
     tet = Simplex(tuple(
         tuple(F(c) for c in v) for v in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
     ))
     q = Polynomial.variable(3, 0)
-    halves = [c.vertices for c, _ in _children(tet, _numerators(q, tet)[0], 1)]
-    assert halves[0][0] == (F(1), F(0), F(0)) and halves[0][1:] == tet.vertices[1:]
-    assert halves[1][1] == (F(1), F(0), F(0)) and halves[1][0] == tet.vertices[0]
+    Y, _ = _integer_vertices(tet)
+    halves = [c for c, _ in _children(Y, _numerators(q, tet)[0], 1)]
+    doubled = tuple(tuple(2 * y for y in v) for v in Y)
+    assert halves[0][0] == (2, 0, 0) and halves[0][1:] == doubled[1:]
+    assert halves[1][1] == (2, 0, 0) and halves[1][0] == doubled[0]
+    # the same ties over E = 6: scaling every vertex keeps the order of the
+    # squared lengths, so the first longest edge stays (V_0, V_1)
+    tet6 = Simplex(tuple(tuple(x / 6 for x in v) for v in tet.vertices))
+    Y6, E = _integer_vertices(tet6)
+    assert E == 6 and Y6 == Y
+    assert [c for c, _ in _children(Y6, _numerators(q, tet6)[0], 1)] == halves
 
 
 def test_certify_positive_quadratic():
@@ -318,16 +342,19 @@ small = st.fractions(min_value=-2, max_value=2, max_denominator=5)
 
 
 @st.composite
-def certify_case(draw):
+def certify_case(draw, fractional=False):
     # a segment, a rational triangle or a tetrahedron (k = n), a polynomial
-    # of degree <= 5, and a depth <= 3 (<= 2 on tetrahedra).  Besides dense
-    # polynomials, p = (q^2 + e) u^j, where q is a product of affine forms
-    # vanishing at rational interior points, e is a small offset and u is
-    # positive on the cell: these vanish or dip just below 0 inside the cell
-    # (e is a power-of-2 fraction of a vertex value of q^2) and so need
-    # subdivision.
+    # of degree <= 5, and a depth <= 3 (<= 2 on tetrahedra); with
+    # fractional, some vertex coordinate is not an integer and the depth is
+    # >= 1, so the certifier's vertex rows are over E 2^t with E > 1.
+    # Besides dense polynomials, p = (q^2 + e) u^j, where q is a product of
+    # affine forms vanishing at rational interior points, e is a small offset
+    # and u is positive on the cell: these vanish or dip just below 0 inside
+    # the cell (e is a power-of-2 fraction of a vertex value of q^2) and so
+    # need subdivision.
     k = draw(st.integers(1, 3))
     verts = tuple(draw(st.tuples(*[small] * k)) for _ in range(k + 1))
+    assume(not fractional or any(x.denominator > 1 for v in verts for x in v))
     try:
         simplex = Simplex(verts)
     except ValueError:
@@ -336,7 +363,7 @@ def certify_case(draw):
         d = draw(st.integers(0, 5))
         monomials = st.tuples(*[st.integers(0, d)] * k).filter(lambda e: sum(e) <= d)
         p = Polynomial(k, draw(st.dictionaries(monomials, small, min_size=1, max_size=6)))
-        return p, simplex, draw(_depths(k, p))
+        return p, simplex, draw(_depths(k, p, int(fractional)))
     xs = [Polynomial.variable(k, i) for i in range(k)]
     q = Polynomial.constant(k, 1)
     for _ in range(draw(st.integers(1, 2))):
@@ -348,20 +375,29 @@ def certify_case(draw):
     e = draw(st.sampled_from([-1, 0, 1])) * scale / 2 ** draw(st.integers(1, 8))
     u = Polynomial.constant(k, 4) + sum((draw(small) / 2 * x for x in xs), Polynomial.zero(k))
     p = (q * q + e) * u ** draw(st.integers(0, 5 - q.degree() * 2))
-    return p, simplex, draw(_depths(k, p))
+    return p, simplex, draw(_depths(k, p, int(fractional)))
 
 
-def _depths(k, p):
+def _depths(k, p, lowest=0):
     # the Fraction reference takes seconds per tetrahedron at depth 2 (a
     # budget of 601 nodes) above degree 3;
     # test_certify_matches_fraction_reference_below_the_root has one of
     # degree 4 at depth 1
-    return st.integers(0, 3 if k < 3 else 2 if p.degree() <= 3 else 1)
+    return st.integers(lowest, 3 if k < 3 else 2 if p.degree() <= 3 else 1)
 
 
 @settings(max_examples=50, deadline=None)
 @given(certify_case())
 def test_certify_matches_fraction_reference(case):
+    p, simplex, depth = case
+    assert certify_nonnegative(p, simplex, depth) == _certify_reference(p, simplex, depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(certify_case(fractional=True))
+def test_certify_matches_fraction_reference_on_fractional_vertices(case):
+    # every witness, bound and depth below the root is read off vertex rows
+    # over E 2^t, E > 1, and must be the Fraction bisection's
     p, simplex, depth = case
     assert certify_nonnegative(p, simplex, depth) == _certify_reference(p, simplex, depth)
 
@@ -451,16 +487,24 @@ def test_bisection_certifies_a_shallow_dip_within_depth_three(monkeypatch):
 
 def _check_children(p, simplex, levels):
     B, S = _numerators(p, simplex)
-    d = max(p.degree(), 0)
-    children = list(_children(simplex, B, d))
-    assert [child for child, _ in children] == _reference_children(simplex)
-    # the two halves tile the parent
-    assert [_volume(child) for child, _ in children] == [_volume(simplex) / 2] * 2
-    for child, B_child in children:
-        got = bernstein_coefficients(p, child)
+    Y, E = _integer_vertices(simplex)
+    _check_node(p, max(p.degree(), 0), Y, E, 0, B, S, levels)
+
+
+def _check_node(p, d, Y, E, depth, B, S, levels):
+    # the children of the integer node (Y over E 2^depth, B over S), followed
+    # levels deep: each half is the reference half, the two tile the parent,
+    # and the staged numerators over S 2^d are the half's coefficients
+    cell = _node_simplex(Y, E, depth)
+    children = list(_children(Y, B, d))
+    halves = [_node_simplex(Y_child, E, depth + 1) for Y_child, _ in children]
+    assert halves == _reference_children(cell)
+    assert [_volume(half) for half in halves] == [_volume(cell) / 2] * 2
+    for half, (Y_child, B_child) in zip(halves, children):
+        got = bernstein_coefficients(p, half)
         assert dict(zip(got, (F(b, S * 2**d) for b in B_child))) == got
         if levels > 1:
-            _check_children(p, child, levels - 1)
+            _check_node(p, d, Y_child, E, depth + 1, B_child, S * 2**d, levels - 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -484,8 +528,70 @@ def test_root_is_the_only_power_tree_and_rank_check(monkeypatch):
     x = Polynomial.variable(2, 0) - F(1, 3)
     y = Polynomial.variable(2, 1) - F(1, 5)
     p = x * x + y * y - x * y + F(1, 1000)  # needs subdivision to depth >= 2
+    bernstein._basis.cache_clear()
     monkeypatch.setattr(bernstein, "_barycentric_powers", counted("powers", bernstein._barycentric_powers))
     monkeypatch.setattr(polytope, "affine_rank", counted("rank", polytope.affine_rank))
     out = certify_nonnegative(p, TRI, max_depth=3)
     assert out.depth_used >= 2
     assert counts == {"powers": 1, "rank": 0}
+
+
+def test_a_cell_builds_one_power_tree_per_degree(monkeypatch):
+    # the cell's basis is kept: a second certify on the same cell, with
+    # another polynomial of the same degree, builds no power tree; a
+    # polynomial of another degree needs its own basis
+    from wkstab import bernstein
+
+    calls = []
+    real = bernstein._barycentric_powers
+
+    def counting(verts):
+        calls.append(verts)
+        return real(verts)
+
+    bernstein._basis.cache_clear()
+    monkeypatch.setattr(bernstein, "_barycentric_powers", counting)
+    x = Polynomial.variable(2, 0) - F(1, 3)
+    y = Polynomial.variable(2, 1) - F(1, 5)
+    p = x * x + y * y - x * y + F(1, 1000)
+    first = certify_nonnegative(p, TRI, max_depth=3)
+    assert first.depth_used >= 2 and len(calls) == 1
+    assert certify_nonnegative(p, TRI, max_depth=3) == first
+    assert certify_nonnegative(p - F(1, 100), TRI, max_depth=3).status == REFUTED
+    assert len(calls) == 1
+    certify_nonnegative(p * x, TRI, max_depth=3)
+    assert calls == [TRI.vertices] * 2
+
+
+@st.composite
+def one_simplex_many_degrees(draw):
+    # a simplex with some non-integer vertex coordinate (denominators <= 5)
+    # and polynomials of two or three distinct exact degrees on it
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, n))
+    coords = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    verts = tuple(draw(st.tuples(*[coords] * n)) for _ in range(k + 1))
+    assume(any(x.denominator > 1 for v in verts for x in v))
+    try:
+        simplex = Simplex(verts)
+    except ValueError:
+        assume(False)
+    degrees = draw(st.lists(st.integers(0, 5), min_size=2, max_size=3, unique=True))
+    polys = []
+    for d in degrees:
+        top = draw(st.tuples(*[st.integers(0, d)] * n).filter(lambda e: sum(e) == d))
+        lower = st.tuples(*[st.integers(0, d)] * n).filter(lambda e: sum(e) < d)
+        terms = draw(st.dictionaries(lower, rationals, max_size=5))
+        terms[top] = draw(rationals.filter(bool))
+        polys.append(Polynomial(n, terms))
+    return simplex, polys
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_simplex_many_degrees())
+def test_one_cell_keeps_a_basis_per_degree(case):
+    simplex, polys = case
+    for p in polys + polys[::-1]:
+        got = bernstein_coefficients(p, simplex)
+        assert got == bernstein_coefficients_fraction(p, simplex)
+        assert list(got) == list(bernstein_coefficients_fraction(p, simplex))

@@ -190,6 +190,7 @@ def test_cold_solve_fills_each_moment_table_once(monkeypatch, make):
     import wkstab.measure as measure
     import wkstab.polytope as polytope
 
+    polytope._interned.cache_clear()  # a standard fiber built before is shared
     P, v, w_base = make()
     assert not P.moments
     calls = []

@@ -748,8 +748,10 @@ def test_equal_labels_share_one_polytope():
     Q = jsonio.polytope_from_json(_triangle_with_constant(1))
     assert Q is not P and Q.labels != P.labels
     assert jsonio.polytope_from_json({"standard_simplex": {"l": 2, "t": 1}}) is Q
-    # the library builder stays uncached: a fresh polytope and an empty record
-    R = standard_fiber_polytope(2, 1)
+    # the library's standard fiber reads the same table
+    assert standard_fiber_polytope(2, 1) is Q
+    # from_halfspaces stays uncached: a fresh polytope and an empty record
+    R = polytope.from_halfspaces(Q.labels)
     assert R == Q and R is not Q and R.moments is None
 
 
@@ -784,7 +786,7 @@ def test_repeat_check_fano_reuses_the_fiber(capsys, monkeypatch):
         (polytope, "triangulate"),
         (polytope, "triangulate_facet"),
         (measure, "_cell_moments"),
-        (jsonio, "from_halfspaces"),
+        (polytope, "from_halfspaces"),
     ):
         _count_calls(monkeypatch, module, name, counts)
     assert run(capsys, "check-fano", src) == first
@@ -818,7 +820,7 @@ def test_repeat_check_reuses_the_facet_cells(capsys, monkeypatch):
 def test_sweep_builds_its_fiber_once(capsys, monkeypatch):
     jsonio._interned.cache_clear()
     counts = {}
-    _count_calls(monkeypatch, jsonio, "from_halfspaces", counts)
+    _count_calls(monkeypatch, polytope, "from_halfspaces", counts)
     src = json.dumps(
         {
             "template": json.loads(TRI_TEMPLATE.replace('"var"', '"$c"')),

@@ -144,6 +144,7 @@ def test_monotone_point_cases():
 def test_monotone_point_is_solved_once_per_polytope(monkeypatch):
     from wkstab import polytope
 
+    polytope._interned.cache_clear()  # a standard fiber built before is shared
     P = triangle(F(2))
     Q = from_halfspaces(
         [AffineFunc([2, 0], 2), AffineFunc([-1, 0], 1), AffineFunc([0, 1], 1), AffineFunc([0, -1], 1)]

@@ -106,6 +106,15 @@ def test_fano_anticanonical_needs_monotone_scale_one():
         fano_anticanonical(triangle(F(2)), [(3, 3, None)])
 
 
+def test_projective_bundles_share_their_standard_fiber():
+    # the library's standard fibers are interned: a second bundle on the
+    # same simplex reuses the fiber, and with it its moment record
+    a = projective_bundle([[1, 2]], [(3, 18)], [12], 1)
+    b = projective_bundle([[0, 1]], [(2, 12)], [5], 1)
+    assert a.fiber is b.fiber is standard_fiber_polytope(2, 1)
+    assert projective_bundle([[1, 2]], [(3, 18)], [12], 2).fiber is not a.fiber
+
+
 def test_fibration_on_general_fiber():
     fib = fibration(hexagon(), [base_factor(1, 4, 3, [1, 1], 2)])
     assert fib.fano_fiber == (((F(0), F(0))), F(1))
