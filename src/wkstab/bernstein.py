@@ -22,14 +22,16 @@ form L_n = D (lambda_0 + ... + lambda_k) equals D on the simplex.  So, with
 C the lcm of p's coefficient denominators and d = deg p, every term
 c_a x^a is C c_a L^(a, d - |a|) / (C D^d), homogeneous of degree d, and
 
-    N_gamma = sum_a C c_a R_a[gamma],  R_a[gamma] = [lambda^gamma] L^(a, d - |a|),
-    B_gamma = gamma! N_gamma,  S = d! C D^d.
+    B_gamma = sum_a C c_a R_a[gamma],  R_a[gamma] = gamma! [lambda^gamma] L^(a, d - |a|),
+    S = d! C D^d.
 
-The rows R_a of every monomial of degree <= d depend on the cell and d
-alone: _basis reads them once off the cell's integer barycentric power
-tree (_barycentric_powers; measure fills its moments another way) and
-keeps them, so a check that meets the same cone cell again (an interned
-fiber, the same base point) only takes the dot products.
+The row R_a depends on the cell and d alone.  _basis keeps the rows of the
+last _CELLS (cell, degree) pairs, and _numerators reads a row off the
+simplex's integer barycentric power tree (_barycentric_powers; measure
+fills its moments another way) only the first time a polynomial of that
+degree on that cell has the monomial a.  Checks of several factor choices on one fiber
+and base point meet the same cone cells (the rows of a ``sweep`` over s or
+c), and all but the first build no power tree.
 
 A child's numerators come from its parent's by blossoming, that is by de
 Casteljau's algorithm (Boudaoud, Caruso & Roy, DCG 39 (2008)).  Replacing
@@ -58,14 +60,13 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter, mul
-from types import MappingProxyType
 
 from .exact import Point, Polynomial, _cleared
 from .measure import _monomials
 from .polytope import Simplex
 
-#: Cells whose _basis is kept: a check's cone cells come back on every
-#: check of the same fiber and base point.
+#: (cell, degree) pairs whose rows are kept: the cone cells of one fiber and
+#: base point come back for every factor choice checked on them.
 _CELLS = 64
 
 CERTIFIED = "certified"
@@ -87,39 +88,46 @@ def bernstein_coefficients(p: Polynomial, simplex: Simplex) -> dict[tuple, Fract
 
 def _numerators(p: Polynomial, simplex: Simplex) -> tuple[list[int], int]:
     """The Bernstein numerators B (in ``measure._monomials`` order) of p on
-    the simplex and their common denominator S > 0: B_gamma is gamma! times
-    the dot of p's coefficients, cleared to integers over C, with the cell's
-    column gamma of rows (_basis), and S = d! C D^d."""
+    the simplex and their common denominator S > 0: B is the dot of p's
+    coefficients, cleared to integers over C, with the cell's rows of p's
+    monomials (_basis), and S = d! C D^d.  Rows the cell does not hold yet
+    are read off one power tree, which builds only their powers."""
     if p.dim != simplex.ambient_dim:
         raise ValueError("polynomial/simplex dimension mismatch")
-    scale, gamma_fact, rows = _basis(simplex.vertices, max(p.degree(), 0))
+    d = max(p.degree(), 0)
+    scale, rows = _basis(simplex.vertices, d)
+    missing = [a for a in p.terms if a not in rows]
+    if missing:
+        _, power = _barycentric_powers(simplex.vertices)
+        _, pos, _, weights = _levels(d, simplex.k + 1)
+        fact_d = math.factorial(d)
+        for a in missing:
+            row = [0] * len(weights)
+            for gamma, v in power(a + (d - sum(a),)).items():
+                i = pos[d][gamma]
+                row[i] = fact_d // weights[i] * v  # gamma! v
+            rows[a] = tuple(row)
     if not p.terms:  # the zero polynomial, of degree 0 here
         return [0], scale
     scaled_terms, C = _cleared(p.terms.values())
-    columns = zip(*map(rows.__getitem__, p.terms))
-    B = [f * sum(map(mul, scaled_terms, column)) for f, column in zip(gamma_fact, columns)]
+    B = [sum(map(mul, scaled_terms, column)) for column in zip(*map(rows.__getitem__, p.terms))]
     return B, scale * C
 
 
 @functools.lru_cache(maxsize=_CELLS)
-def _basis(vertices: tuple[Point, ...], d: int) -> tuple[int, tuple[int, ...], MappingProxyType]:
-    """d! D^d, gamma! per multi-index gamma of degree d in ``_levels``
-    order, and, per monomial a of degree <= d in ``measure._monomials``
-    order, the integer row [lambda^gamma] L^(a, d - |a|) over those gamma:
-    x^a has the Bernstein numerators gamma! row[gamma] over d! D^d on the
-    simplex.  Read once off the power tree (_barycentric_powers), then
-    shared, read-only, by every polynomial of degree d on the same cell.
-    gamma! stays out of the rows, which keeps more of their entries small
-    shared ints."""
-    D, power = _barycentric_powers(vertices)
-    gammas = _levels(d, len(vertices))[0][d]
-    fact = [math.factorial(i) for i in range(d + 1)]
-    gamma_fact = tuple(math.prod(fact[g] for g in gamma) for gamma in gammas)
-    rows = {}
-    for a in _monomials(len(vertices[0]), d):
-        form = power(a + (d - sum(a),))
-        rows[a] = tuple(form.get(gamma, 0) for gamma in gammas)
-    return fact[d] * D**d, gamma_fact, MappingProxyType(rows)
+def _basis(vertices: tuple[Point, ...], d: int) -> tuple[int, dict]:
+    """d! D^d and the cell's rows in degree d: monomial a -> the Bernstein
+    numerators gamma! [lambda^gamma] L^(a, d - |a|) of x^a over d! D^d, in
+    ``_levels`` order.  Empty at first: _numerators adds the row of each
+    monomial it meets, so a cell holds only rows some polynomial on it used."""
+    return math.factorial(d) * _integer_vertices(vertices)[0] ** d, {}
+
+
+def _integer_vertices(verts: tuple[Point, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The lcm D of the vertex coordinate denominators and the vertices
+    cleared to integer rows D v_i."""
+    D = math.lcm(*(x.denominator for v in verts for x in v))
+    return D, tuple(tuple(x.numerator * (D // x.denominator) for x in v) for v in verts)
 
 
 def _barycentric_powers(verts: tuple[Point, ...]):
@@ -137,10 +145,9 @@ def _barycentric_powers(verts: tuple[Point, ...]):
     tree alive until the cyclic garbage collector runs.
     """
     n, k = len(verts[0]), len(verts) - 1
-    D = math.lcm(*(x.denominator for v in verts for x in v))
+    D, Y = _integer_vertices(verts)
     forms = [
-        [(i, v[r].numerator * (D // v[r].denominator)) for i, v in enumerate(verts) if v[r]]
-        for r in range(n)
+        [(i, y[r]) for i, y in enumerate(Y) if y[r]] for r in range(n)
     ] + [[(i, D) for i in range(k + 1)]]
     tree = {(0,) * (n + 1): {(0,) * (k + 1): 1}}
 
@@ -249,8 +256,7 @@ def certify_nonnegative(
     d = max(p.degree(), 0)
     parts = simplex.k + 1
     _, _, corners, weights = _levels(d, parts)
-    E = math.lcm(*(x.denominator for v in simplex.vertices for x in v))
-    Y = tuple(tuple(x.numerator * (E // x.denominator) for x in v) for v in simplex.vertices)
+    E, Y = _integer_vertices(simplex.vertices)
     # nodes not yet queued that may still be decided
     unassigned = sum(math.factorial(parts) ** i for i in range(1, max_depth + 1))
     queue = deque([(Y, B, 0)])

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wkstab import (
     CERTIFIED,
@@ -275,14 +275,20 @@ def test_certify_never_calls_compose_affine(monkeypatch):
 
 
 def test_coefficients_leave_no_garbage_cycle():
-    # the power tree must die with the call, not wait for the cyclic collector
+    # the power tree must die with the call, not wait for the cyclic
+    # collector, and the rows the cell cache keeps must hold no cycle
+    from wkstab import bernstein
+
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
     p = (x - y) ** 4 + x * y - F(1, 3)
+    bernstein._basis.cache_clear()  # so that the call builds a power tree
     gc.collect()
     gc.disable()
     try:
         bernstein_coefficients(p, TRI)
+        assert gc.collect() == 0
+        bernstein._basis.cache_clear()
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -395,6 +401,12 @@ def test_certify_matches_fraction_reference(case):
 
 @settings(max_examples=40, deadline=None)
 @given(certify_case(fractional=True))
+@example((  # refuted at the barycenter of a depth-1 half over E = 3
+    (Polynomial.variable(2, 0) - F(2, 3)) ** 2
+    + (Polynomial.variable(2, 1) + F(3, 2)) ** 2 - F(1, 8),
+    Simplex(((F(1), F(0)), (F(-5, 3), F(-3)), (F(5), F(0)))),
+    3,
+))
 def test_certify_matches_fraction_reference_on_fractional_vertices(case):
     # every witness, bound and depth below the root is read off vertex rows
     # over E 2^t, E > 1, and must be the Fraction bisection's
@@ -561,6 +573,25 @@ def test_a_cell_builds_one_power_tree_per_degree(monkeypatch):
     assert len(calls) == 1
     certify_nonnegative(p * x, TRI, max_depth=3)
     assert calls == [TRI.vertices] * 2
+
+
+def test_a_cell_keeps_only_the_rows_of_the_monomials_it_met():
+    # a sparse polynomial of high degree builds the powers of its own
+    # monomials, not a row for every monomial of its degree
+    from wkstab import bernstein
+
+    tet = Simplex(tuple(
+        tuple(F(c) for c in v) for v in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, F(1, 2)))
+    ))
+    x, y = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
+    bernstein._basis.cache_clear()
+    for p, met in (
+        (x ** 8, {(8, 0, 0)}),
+        (x ** 8 - y ** 3 + 1, {(8, 0, 0), (0, 3, 0), (0, 0, 0)}),
+    ):
+        assert bernstein_coefficients(p, tet) == bernstein_coefficients_fraction(p, tet)
+        _, rows = bernstein._basis(tet.vertices, 8)
+        assert set(rows) == met
 
 
 @st.composite
