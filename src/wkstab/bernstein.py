@@ -25,13 +25,14 @@ c_a x^a is C c_a L^(a, d - |a|) / (C D^d), homogeneous of degree d, and
     B_gamma = sum_a C c_a R_a[gamma],  R_a[gamma] = gamma! [lambda^gamma] L^(a, d - |a|),
     S = d! C D^d.
 
-The row R_a depends on the cell and d alone.  _basis keeps the rows of the
-last _CELLS (cell, degree) pairs, and _numerators reads a row off the
-simplex's integer barycentric power tree (_barycentric_powers; measure
-fills its moments another way) only the first time a polynomial of that
-degree on that cell has the monomial a.  Checks of several factor choices on one fiber
-and base point meet the same cone cells (the rows of a ``sweep`` over s or
-c), and all but the first build no power tree.
+The row R_a depends on the cell and d alone.  _cell keeps one record per
+cone cell for the last _CELLS cells: E, the vertices cleared to integer
+rows Y, and the rows met so far, keyed by (d, a).  _numerators reads a row
+off the simplex's integer barycentric power tree (_barycentric_powers;
+measure fills its moments another way) only the first time a polynomial
+of degree d on that cell has the monomial a.  Checks of several factor
+choices on one fiber and base point meet the same cone cells (the rows of
+a ``sweep`` over s or c), and all but the first build no power tree.
 
 A child's numerators come from its parent's by blossoming, that is by de
 Casteljau's algorithm (Boudaoud, Caruso & Roy, DCG 39 (2008)).  Replacing
@@ -40,10 +41,11 @@ Casteljau pyramid over I: c^0 = B, c^s_beta = sum_{i in I}
 c^(s-1)_(beta + e_i), and the new numerator of gamma is
 |I|^(d - gamma_r) c^(gamma_r)_(gamma - gamma_r e_r), over S |I|^d.  The
 two halves of a bisection across the edge (a, b) are the stages over
-I = {a, b} with r = a and r = b; they share one pyramid.  So a node at
-bisection depth t is over S 2^(d t), and p never enters below the root.
+I = {a, b} with r = a and r = b; they share one pyramid, and _bisection
+keeps one table per edge for both.  So a node at bisection depth t is over
+S 2^(d t), and p never enters below the root.
 
-The node geometry is integer too.  The root's vertices are cleared once to
+The node geometry is integer too.  The root's vertices are the cell's
 integer rows Y over E, the lcm of their denominators, and a node at depth t
 keeps its vertices as integer rows over E 2^t: a half's midpoint is
 Y_a + Y_b and its other vertices double.  The longest edge is the first
@@ -61,12 +63,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter, mul
 
-from .exact import Point, Polynomial, _cleared
+from .exact import Point, Polynomial, _cleared, _cleared_points
 from .measure import _monomials
 from .polytope import Simplex
 
-#: (cell, degree) pairs whose rows are kept: the cone cells of one fiber and
-#: base point come back for every factor choice checked on them.
+#: Cells whose records are kept: the cone cells of one fiber and base point
+#: come back for every factor choice checked on them.
 _CELLS = 64
 
 CERTIFIED = "certified"
@@ -90,15 +92,16 @@ def _numerators(p: Polynomial, simplex: Simplex) -> tuple[list[int], int]:
     """The Bernstein numerators B (in ``measure._monomials`` order) of p on
     the simplex and their common denominator S > 0: B is the dot of p's
     coefficients, cleared to integers over C, with the cell's rows of p's
-    monomials (_basis), and S = d! C D^d.  Rows the cell does not hold yet
-    are read off one power tree, which builds only their powers."""
+    monomials in degree d (_cell), and S = d! C E^d.  Rows the cell does
+    not hold yet are read off one power tree, which builds only their
+    powers."""
     if p.dim != simplex.ambient_dim:
         raise ValueError("polynomial/simplex dimension mismatch")
     d = max(p.degree(), 0)
-    scale, rows = _basis(simplex.vertices, d)
-    missing = [a for a in p.terms if a not in rows]
+    E, Y, rows = _cell(simplex.vertices)
+    missing = [a for a in p.terms if (d, a) not in rows]
     if missing:
-        _, power = _barycentric_powers(simplex.vertices)
+        power = _barycentric_powers(E, Y)
         _, pos, _, weights = _levels(d, simplex.k + 1)
         fact_d = math.factorial(d)
         for a in missing:
@@ -106,49 +109,45 @@ def _numerators(p: Polynomial, simplex: Simplex) -> tuple[list[int], int]:
             for gamma, v in power(a + (d - sum(a),)).items():
                 i = pos[d][gamma]
                 row[i] = fact_d // weights[i] * v  # gamma! v
-            rows[a] = tuple(row)
+            rows[d, a] = tuple(row)
+    scale = math.factorial(d) * E**d
     if not p.terms:  # the zero polynomial, of degree 0 here
         return [0], scale
     scaled_terms, C = _cleared(p.terms.values())
-    B = [sum(map(mul, scaled_terms, column)) for column in zip(*map(rows.__getitem__, p.terms))]
+    B = [sum(map(mul, scaled_terms, column)) for column in zip(*(rows[d, a] for a in p.terms))]
     return B, scale * C
 
 
 @functools.lru_cache(maxsize=_CELLS)
-def _basis(vertices: tuple[Point, ...], d: int) -> tuple[int, dict]:
-    """d! D^d and the cell's rows in degree d: monomial a -> the Bernstein
-    numerators gamma! [lambda^gamma] L^(a, d - |a|) of x^a over d! D^d, in
-    ``_levels`` order.  Empty at first: _numerators adds the row of each
-    monomial it meets, so a cell holds only rows some polynomial on it used."""
-    return math.factorial(d) * _integer_vertices(vertices)[0] ** d, {}
+def _cell(vertices: tuple[Point, ...]) -> tuple[int, tuple[tuple[int, ...], ...], dict]:
+    """The cell's record (E, Y, rows): the lcm E of the vertex coordinate
+    denominators, the vertices cleared to integer rows Y = E v_i, and the
+    rows (d, a) -> the Bernstein numerators gamma! [lambda^gamma]
+    L^(a, d - |a|) of x^a over d! E^d, in ``_levels`` order.  The rows are
+    empty at first: _numerators adds the row of each monomial it meets, so
+    a cell holds only rows some polynomial on it used."""
+    return (*_cleared_points(vertices), {})
 
 
-def _integer_vertices(verts: tuple[Point, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The lcm D of the vertex coordinate denominators and the vertices
-    cleared to integer rows D v_i."""
-    D = math.lcm(*(x.denominator for v in verts for x in v))
-    return D, tuple(tuple(x.numerator * (D // x.denominator) for x in v) for v in verts)
+def _barycentric_powers(E: int, Y: tuple[tuple[int, ...], ...]):
+    """The integer barycentric power tree of the simplex whose vertices are
+    the integer rows Y over E.
 
-
-def _barycentric_powers(verts: tuple[Point, ...]):
-    """The integer barycentric power tree of the simplex spanned by *verts*.
-
-    With D the lcm of the vertex coordinate denominators and lambda_0..lambda_k
-    the barycentric coordinates, the n coordinates scaled by D are integer
-    linear forms L_r(lambda) = sum_i D v_i[r] lambda_i, and the homogenizing
-    form is L_n = D (lambda_0 + ... + lambda_k), equal to D on the simplex.
-    Returns D and a memoised ``power(a)`` giving prod_r L_r^a_r (len(a) = n+1)
-    as a dict from lambda exponents to integers; each power is one linear
-    form times a smaller one, so the terms of p share their factors.
-    ``power`` walks down to a stored power instead of calling itself: a
-    self-referencing closure is a reference cycle, which would keep every
-    tree alive until the cyclic garbage collector runs.
+    With lambda_0..lambda_k the barycentric coordinates, the n coordinates
+    scaled by E are integer linear forms L_r(lambda) = sum_i Y_i[r] lambda_i,
+    and the homogenizing form is L_n = E (lambda_0 + ... + lambda_k), equal
+    to E on the simplex.  Returns a memoised ``power(a)`` giving
+    prod_r L_r^a_r (len(a) = n+1) as a dict from lambda exponents to
+    integers; each power is one linear form times a smaller one, so the
+    terms of p share their factors.  ``power`` walks down to a stored power
+    instead of calling itself: a self-referencing closure is a reference
+    cycle, which would keep every tree alive until the cyclic garbage
+    collector runs.
     """
-    n, k = len(verts[0]), len(verts) - 1
-    D, Y = _integer_vertices(verts)
+    n, k = len(Y[0]), len(Y) - 1
     forms = [
         [(i, y[r]) for i, y in enumerate(Y) if y[r]] for r in range(n)
-    ] + [[(i, D) for i in range(k + 1)]]
+    ] + [[(i, E) for i in range(k + 1)]]
     tree = {(0,) * (n + 1): {(0,) * (k + 1): 1}}
 
     def power(a):
@@ -167,7 +166,7 @@ def _barycentric_powers(verts: tuple[Point, ...]):
             tree[a] = got
         return got
 
-    return D, power
+    return power
 
 
 @functools.lru_cache(maxsize=64)
@@ -185,24 +184,25 @@ def _levels(d: int, parts: int):
 
 
 @functools.lru_cache(maxsize=1024)
-def _stage(d: int, parts: int, r: int, members: tuple):
-    """Tables for replacing vertex r by the mean of the vertices ``members``:
-    per pyramid level below d, one getter per multi-index beta picking its
-    parents beta + e_i, i in members; per output multi-index gamma, its
-    (level, position, scale)."""
+def _bisection(d: int, parts: int, a: int, b: int):
+    """Tables for bisecting across the edge (a, b): per pyramid level below
+    d, one getter per multi-index beta picking its parents beta + e_a and
+    beta + e_b; and for each half, V_a then V_b replaced by the midpoint,
+    per output multi-index gamma its (level t = gamma_r, position of
+    gamma - t e_r, scale 2^(d - t)) with r the replaced vertex."""
     comps, pos, _, _ = _levels(d, parts)
     steps = []
     for e in range(d - 1, -1, -1):
         steps.append([
-            itemgetter(*(pos[e + 1][beta[:i] + (beta[i] + 1,) + beta[i + 1:]] for i in members))
+            itemgetter(*(pos[e + 1][beta[:i] + (beta[i] + 1,) + beta[i + 1:]] for i in (a, b)))
             for beta in comps[e]
         ])
-    out = []
+    outs = ([], [])
     for gamma in comps[d]:
-        t = gamma[r]
-        rest = gamma[:r] + (0,) + gamma[r + 1:]
-        out.append((t, pos[d - t][rest], len(members) ** (d - t)))
-    return steps, out
+        for out, r in zip(outs, (a, b)):
+            t = gamma[r]
+            out.append((t, pos[d - t][gamma[:r] + (0,) + gamma[r + 1:]], 1 << (d - t)))
+    return steps, outs
 
 
 def _children(Y: tuple[tuple[int, ...], ...], B: list[int], d: int):
@@ -211,8 +211,7 @@ def _children(Y: tuple[tuple[int, ...], ...], B: list[int], d: int):
     midpoint, then V_b, with their numerators over S 2^d when B is over S.
     The node's vertices are the integer rows Y over E 2^t, so the halves'
     are over E 2^(t+1): the midpoint is Y_a + Y_b and every other vertex
-    doubles.  Both stages run over the members (a, b), so they share one
-    pyramid."""
+    doubles.  Both halves are read off one pyramid over the edge."""
     parts = len(Y)
     a, b = max(
         itertools.combinations(range(parts), 2),
@@ -220,13 +219,12 @@ def _children(Y: tuple[tuple[int, ...], ...], B: list[int], d: int):
     )
     mid = tuple(map(add, Y[a], Y[b]))
     doubled = tuple(tuple(2 * y for y in v) for v in Y)
-    steps, _ = _stage(d, parts, a, (a, b))
+    steps, outs = _bisection(d, parts, a, b)
     pyramid = [B]
     for step in steps:
         prev = pyramid[-1]
         pyramid.append([sum(pick(prev)) for pick in step])
-    for r in (a, b):
-        _, out = _stage(d, parts, r, (a, b))
+    for r, out in zip((a, b), outs):
         yield (doubled[:r] + (mid,) + doubled[r + 1:],
                [pyramid[t][i] * scale for t, i, scale in out])
 
@@ -256,9 +254,10 @@ def certify_nonnegative(
     d = max(p.degree(), 0)
     parts = simplex.k + 1
     _, _, corners, weights = _levels(d, parts)
-    E, Y = _integer_vertices(simplex.vertices)
-    # nodes not yet queued that may still be decided
-    unassigned = sum(math.factorial(parts) ** i for i in range(1, max_depth + 1))
+    E, Y, _ = _cell(simplex.vertices)
+    # nodes not yet queued that may still be decided: q + q^2 + ... + q^max_depth
+    q = math.factorial(parts)
+    unassigned = (q ** (max_depth + 1) - q) // (q - 1) if q > 1 else max_depth
     queue = deque([(Y, B, 0)])
     bound: Fraction | None = None
     undecided = False

@@ -16,9 +16,9 @@ reduced fraction-free (Bareiss, Math. Comp. 22 (1968)), where every division
 is exact, so no gcd is paid per entry operation.  One loop, _eliminate, does
 it: ``det`` is its forward pass, and ``rref`` and the extremal solve of
 futaki (which reads Sylvester's test off the same pivots) its Gauss-Jordan
-pass.  Results
-are converted back to ``Fraction`` once, and equal those of elimination over
-``Fraction``.
+pass.  Results are converted back to ``Fraction`` once, and equal those of
+elimination over ``Fraction``.  A point set is cleared to integer rows by
+one rule, _cleared_points.
 """
 
 from __future__ import annotations
@@ -419,6 +419,13 @@ def _cleared(xs: Iterable[Fraction]) -> tuple[list[int], int]:
     xs = list(xs)
     den = lcm(*(x.denominator for x in xs))
     return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _cleared_points(points: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The lcm D of the points' coordinate denominators and the points
+    cleared to integer rows D x."""
+    D = lcm(*(x.denominator for v in points for x in v))
+    return D, tuple([tuple([x.numerator * (D // x.denominator) for x in v]) for v in points])
 
 
 def _integer_rows(A: Sequence[Sequence]) -> tuple[list[list[int]], int]:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -48,6 +47,7 @@ from .exact import (
     Point,
     _centroid,
     _cleared,
+    _cleared_points,
     affine_rank,
     det,
     format_point,
@@ -507,8 +507,7 @@ def clip(P: LabelledPolytope, h: AffineFunc) -> LabelledPolytope:
         for i in inc:
             zeros[i] |= 1 << j
     on_h = 1 << P.n_facets
-    D = math.lcm(*(x.denominator for v in P.vertices for x in v))
-    U = [[x.numerator * (D // x.denominator) for x in v] for v in P.vertices]  # D * v
+    D, U = _cleared_points(P.vertices)  # U = D * v
     *G, C = _cleared(h.gradient + (h.constant,))[0]
     hv = [sum(map(mul, G, u), C * D) for u in U]  # h(v) times one positive integer
     above = [i for i, x in enumerate(hv) if x > 0]

@@ -93,13 +93,6 @@ def det(M) -> Poly1:
     return cramer(M)[0]
 
 
-def _int_det(A: list[list[int]]) -> int:
-    values, pivots, swaps = exact._eliminate(A, above=False)
-    if len(pivots) < len(A):
-        return 0
-    return (-1) ** swaps * (values[-1] if values else 1)
-
-
 def cramer(M, b=None) -> tuple[Poly1, list[Poly1]]:
     """(D, [C_0, ..., C_{n-1}]) for a square matrix M and a vector b over
     Z[x]: D = det M and C_i = det M with column i replaced by b, so that
@@ -137,7 +130,7 @@ def cramer(M, b=None) -> tuple[Poly1, list[Poly1]]:
             at_x = [0]
         else:  # A is eliminated: take [M(x) | b(x)] again
             Mb = [[_scaled_value(e, x) for e in row] for row in rows]
-            at_x = [0] + [_int_det([row[:i] + row[n:] + row[i + 1 : n] for row in Mb])
+            at_x = [0] + [int(exact.det([row[:i] + row[n:] + row[i + 1 : n] for row in Mb]))
                           for i in range(n)]
         nodes.append(at_x)
     D, *C = (tuple(c // w for c in R) for R, w in map(_interpolate, zip(*nodes)))

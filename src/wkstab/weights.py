@@ -26,10 +26,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
-from .exact import AffineFunc, Polynomial, _cleared, _product, format_point, rat
+from .exact import AffineFunc, Polynomial, _cleared, _cleared_points, _product, format_point, rat
 from .polytope import LabelledPolytope, monotone_point, standard_fiber_polytope
 
 
@@ -153,8 +152,7 @@ def _build_weights(vertices, factors: tuple[BaseFactor, ...]) -> tuple[Polynomia
     sign of one integer dot, <A, (X, D_P)>.  One Fraction per output term.
     """
     dim = len(vertices[0])
-    D_P = lcm(*(x.denominator for vtx in vertices for x in vtx))
-    cleared = [[x.numerator * (D_P // x.denominator) for x in vtx] + [D_P] for vtx in vertices]
+    D_P, cleared = _cleared_points(vertices)
     basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)] + [(0,) * dim]
     V, W, d = {(0,) * dim: 1}, {}, 1
     for a, f in enumerate(factors):
@@ -162,7 +160,7 @@ def _build_weights(vertices, factors: tuple[BaseFactor, ...]) -> tuple[Polynomia
             raise ValueError(f"factor {a}: p is a form on the wrong dimension")
         A, q = _cleared((*f.p.gradient, f.c))
         for vert, X in zip(vertices, cleared):
-            if sum(map(mul, A, X)) <= 0:
+            if sum(map(mul, A, X), A[-1] * D_P) <= 0:  # map stops at the end of X
                 raise NonpositiveWeight(vert, a)
         A = {e: x for e, x in zip(basis, A) if x}
         sn, sd = f.s.numerator, f.s.denominator

@@ -30,8 +30,8 @@ from typing import Callable
 from wkstab import AffineFunc, Polynomial
 from wkstab.bernstein import _barycentric_powers
 from wkstab.exact import (
-    _cleared, affine_rank, det as exact_det, point, rat, solve_general, solve_square, vadd,
-    vscale, vsub,
+    _cleared, _cleared_points, affine_rank, det as exact_det, point, rat, solve_general,
+    solve_square, vadd, vscale, vsub,
 )
 from wkstab.futaki import ExtremalSolution, SingularMomentMatrix, _moment_system
 from wkstab.weights import NonpositiveWeight, NotMonotoneFiber
@@ -368,7 +368,8 @@ def bernstein_coefficients_fraction(p: Polynomial, simplex) -> dict[tuple, Fract
 def cell_moments_power_tree(verts, D_P: int, expos: list) -> list[int]:
     """[(D_P/D)^d N_a for a in expos], D the lcm of the cell's coordinate
     denominators (a divisor of D_P) and d = |a|."""
-    D, power = _barycentric_powers(verts)
+    D, Y = _cleared_points(verts)
+    power = _barycentric_powers(D, Y)
     q = D_P // D
     fact = [math.factorial(i) for i in range(max(map(sum, expos), default=0) + 1)]
     out = []

@@ -282,13 +282,13 @@ def test_coefficients_leave_no_garbage_cycle():
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
     p = (x - y) ** 4 + x * y - F(1, 3)
-    bernstein._basis.cache_clear()  # so that the call builds a power tree
+    bernstein._cell.cache_clear()  # so that the call builds a power tree
     gc.collect()
     gc.disable()
     try:
         bernstein_coefficients(p, TRI)
         assert gc.collect() == 0
-        bernstein._basis.cache_clear()
+        bernstein._cell.cache_clear()
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -483,6 +483,13 @@ def test_node_budget_bounds_an_undecidable_input(monkeypatch, max_depth):
     assert nodes[0] <= sum(6**i for i in range(max_depth + 1))
 
 
+def test_a_root_certified_input_takes_a_huge_node_budget():
+    # an input decided at the root costs next to nothing at any max_depth:
+    # the node budget is one closed form, not a sum over the depths
+    out = certify_nonnegative(Polynomial.constant(2, 1), TRI, max_depth=10**5)
+    assert out == PositivityOutcome(CERTIFIED, F(1), None, 0)
+
+
 def test_bisection_certifies_a_shallow_dip_within_depth_three(monkeypatch):
     # min 1/10000 at the interior point (1/3, 1/5): barycentric subdivision
     # left this Inconclusive at depths 3 and 4; bisection spends its budget
@@ -540,7 +547,7 @@ def test_root_is_the_only_power_tree_and_rank_check(monkeypatch):
     x = Polynomial.variable(2, 0) - F(1, 3)
     y = Polynomial.variable(2, 1) - F(1, 5)
     p = x * x + y * y - x * y + F(1, 1000)  # needs subdivision to depth >= 2
-    bernstein._basis.cache_clear()
+    bernstein._cell.cache_clear()
     monkeypatch.setattr(bernstein, "_barycentric_powers", counted("powers", bernstein._barycentric_powers))
     monkeypatch.setattr(polytope, "affine_rank", counted("rank", polytope.affine_rank))
     out = certify_nonnegative(p, TRI, max_depth=3)
@@ -549,19 +556,19 @@ def test_root_is_the_only_power_tree_and_rank_check(monkeypatch):
 
 
 def test_a_cell_builds_one_power_tree_per_degree(monkeypatch):
-    # the cell's basis is kept: a second certify on the same cell, with
+    # the cell's rows are kept: a second certify on the same cell, with
     # another polynomial of the same degree, builds no power tree; a
-    # polynomial of another degree needs its own basis
+    # polynomial of another degree needs its own rows
     from wkstab import bernstein
 
     calls = []
     real = bernstein._barycentric_powers
 
-    def counting(verts):
-        calls.append(verts)
-        return real(verts)
+    def counting(E, Y):
+        calls.append((E, Y))
+        return real(E, Y)
 
-    bernstein._basis.cache_clear()
+    bernstein._cell.cache_clear()
     monkeypatch.setattr(bernstein, "_barycentric_powers", counting)
     x = Polynomial.variable(2, 0) - F(1, 3)
     y = Polynomial.variable(2, 1) - F(1, 5)
@@ -572,7 +579,7 @@ def test_a_cell_builds_one_power_tree_per_degree(monkeypatch):
     assert certify_nonnegative(p - F(1, 100), TRI, max_depth=3).status == REFUTED
     assert len(calls) == 1
     certify_nonnegative(p * x, TRI, max_depth=3)
-    assert calls == [TRI.vertices] * 2
+    assert calls == [(1, ((0, 0), (1, 0), (0, 1)))] * 2
 
 
 def test_a_cell_keeps_only_the_rows_of_the_monomials_it_met():
@@ -584,14 +591,40 @@ def test_a_cell_keeps_only_the_rows_of_the_monomials_it_met():
         tuple(F(c) for c in v) for v in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, F(1, 2)))
     ))
     x, y = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
-    bernstein._basis.cache_clear()
+    bernstein._cell.cache_clear()
     for p, met in (
         (x ** 8, {(8, 0, 0)}),
         (x ** 8 - y ** 3 + 1, {(8, 0, 0), (0, 3, 0), (0, 0, 0)}),
     ):
         assert bernstein_coefficients(p, tet) == bernstein_coefficients_fraction(p, tet)
-        _, rows = bernstein._basis(tet.vertices, 8)
-        assert set(rows) == met
+        _, _, rows = bernstein._cell(tet.vertices)
+        assert set(rows) == {(8, a) for a in met}
+
+
+def test_two_degrees_on_one_cell_share_one_record():
+    # the cell alone fixes E and Y, so polynomials of two degrees on it
+    # leave one record, whose rows are keyed by degree and monomial: the
+    # constant monomial has a row in each degree
+    from wkstab import bernstein
+
+    x = Polynomial.variable(2, 0)
+    bernstein._cell.cache_clear()
+    for p in (x + 1, x ** 3 + 1, x + 2):
+        assert bernstein_coefficients(p, TRI) == bernstein_coefficients_fraction(p, TRI)
+    assert bernstein._cell.cache_info().currsize == 1
+    _, _, rows = bernstein._cell(TRI.vertices)
+    assert set(rows) == {(1, (1, 0)), (1, (0, 0)), (3, (3, 0)), (3, (0, 0))}
+
+
+def test_one_bisection_fills_one_table():
+    # both halves of a bisection are read off one table for its edge
+    from wkstab import bernstein
+
+    p = Polynomial.variable(2, 0) ** 2
+    Y, _ = _integer_vertices(TRI)
+    bernstein._bisection.cache_clear()
+    assert len(list(_children(Y, _numerators(p, TRI)[0], 2))) == 2
+    assert bernstein._bisection.cache_info().currsize == 1
 
 
 @st.composite

@@ -372,9 +372,9 @@ def test_fill_never_calls_barycentric_powers(monkeypatch):
     calls = []
     original = bernstein._barycentric_powers
 
-    def counting(verts):
-        calls.append(len(verts))
-        return original(verts)
+    def counting(E, Y):
+        calls.append(len(Y))
+        return original(E, Y)
 
     monkeypatch.setattr(bernstein, "_barycentric_powers", counting)
     assert not hasattr(measure, "_barycentric_powers")
