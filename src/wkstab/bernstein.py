@@ -255,9 +255,10 @@ def certify_nonnegative(
     parts = simplex.k + 1
     _, _, corners, weights = _levels(d, parts)
     E, Y, _ = _cell(simplex.vertices)
-    # nodes not yet queued that may still be decided: q + q^2 + ... + q^max_depth
-    q = math.factorial(parts)
-    unassigned = (q ** (max_depth + 1) - q) // (q - 1) if q > 1 else max_depth
+    # nodes not yet queued that may still be decided: q + q^2 + ... + q^max_depth,
+    # capped at 2^62, more than any run decides (64 levels pass it when q >= 2)
+    q, m = math.factorial(parts), min(max_depth, 64)
+    unassigned = min((q ** (m + 1) - q) // (q - 1) if q > 1 else max_depth, 1 << 62)
     queue = deque([(Y, B, 0)])
     bound: Fraction | None = None
     undecided = False

@@ -15,17 +15,18 @@ The extremal affine function l_ext is the unique affine function for which F
 with w = l_ext v - w_base vanishes on all affine functions; it is found by
 solving the (l+1) x (l+1) moment system exactly.
 
-F and the moment system are bilinear pairings with P's moment table
-(measure._pair), so no product polynomial is formed: F(f) = 2 <f, v>_boundary
-- <f, w>, and the system's entries are <v, X_i X_j>, <v, X_i>_boundary and
-<w_base, X_i> on the affine basis X = (1, x_1, ..., x_l).  The table holds
-integer numerators (see measure), so the system is built as an integer
-matrix and right-hand side over one common denominator, and one
-fraction-free Gauss-Jordan pass of exact._eliminate over that integer
-system [M | b] gives both Sylvester's test of M (positive definite exactly
-when the pass swaps no row and every pivot, a leading principal minor, is
-positive) and the solve; one Fraction per entry is made only for the
-ExtremalSolution record.
+F and the moment system are bilinear pairings with P's moment table, so no
+product polynomial is formed.  _moment_system is the one reader of pairings
+against the affine basis X = (1, x_1, ..., x_l): one measure._moment_rows
+call reads <v, X_i X_j>, <v, X_i>_boundary and <w_base, X_i>, and with
+w_base = -w the canonical right-hand side is F(X_i), the Futaki check of
+assert_futaki_vanishes.  The table holds integer numerators (see measure),
+so the system is built as an integer matrix and right-hand side over one
+common denominator, and one fraction-free Gauss-Jordan pass of
+exact._eliminate over that integer system [M | b] gives both Sylvester's
+test of M (positive definite exactly when the pass swaps no row and every
+pivot, a leading principal minor, is positive) and the solve; one Fraction
+per entry is made only for the ExtremalSolution record.
 """
 
 from __future__ import annotations
@@ -79,12 +80,6 @@ def df_via_cones(P: LabelledPolytope, x0, v: Polynomial, w: Polynomial, f: Polyn
     return total
 
 
-def _affine_basis(ell: int) -> list[Polynomial]:
-    return [Polynomial.constant(ell, 1)] + [
-        Polynomial.variable(ell, i) for i in range(ell)
-    ]
-
-
 def _moment_system(
     P: LabelledPolytope,
     v: Polynomial,
@@ -101,7 +96,9 @@ def _moment_system(
     call, so a cold P is filled in one pass over its facets and a warm one
     builds no exponent list.
     """
-    E = [next(iter(Xi.terms)) for Xi in _affine_basis(P.dim)]  # 0, e_1, ..., e_l
+    if v.dim != P.dim or w_base.dim != P.dim:
+        raise ValueError("polynomial/polytope dimension mismatch")
+    E = [(0,) * P.dim] + [tuple(int(r == i) for r in range(P.dim)) for i in range(P.dim)]
     EE = [_add(Ei, Ej) for Ei in E for Ej in E]
     (V, dv), (W, dw) = _integer_terms(v), _integer_terms(w_base)
     top = max(v.degree() + 2, w_base.degree() + 1)
@@ -217,11 +214,11 @@ def futaki_character(fib: Fibration) -> tuple:
     )
 
 
-def assert_futaki_vanishes(
-    P: LabelledPolytope, v: Polynomial, w: Polynomial
-) -> None:
-    """Raise FutakiNotVanishing unless F kills every affine basis element."""
-    for i, Xi in enumerate(_affine_basis(P.dim)):
-        val = df_invariant(P, v, w, Xi)
-        if val != 0:
-            raise FutakiNotVanishing(i, val)
+def assert_futaki_vanishes(P: LabelledPolytope, v: Polynomial, w: Polynomial) -> None:
+    """Raise FutakiNotVanishing at the first affine basis element X_i with
+    F(X_i) = 2 <v, X_i>_boundary - <w, X_i> != 0, read as b_i / den off the
+    right-hand side of the canonical moment system of (v, -w)."""
+    _, b, den = _moment_system(P, v, -w, Convention.CANONICAL)
+    for i, bi in enumerate(b):
+        if bi:
+            raise FutakiNotVanishing(i, Fraction(bi, den))

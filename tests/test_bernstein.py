@@ -15,6 +15,7 @@ from wkstab import (
     certify_nonnegative,
 )
 from wkstab.bernstein import PositivityOutcome, _children, _numerators
+from wkstab.measure import _monomials
 from wkstab.polytope import Simplex
 from _reference_fraction import bernstein_coefficients_fraction
 
@@ -490,6 +491,17 @@ def test_a_root_certified_input_takes_a_huge_node_budget():
     assert out == PositivityOutcome(CERTIFIED, F(1), None, 0)
 
 
+def test_a_deep_max_depth_decides_like_a_shallow_one():
+    # the budget is capped far above any reachable node count, so max_depth
+    # 10^7 builds no integer of millions of digits and bisects just as 6 does
+    x = Polynomial.variable(2, 0) - F(1, 3)
+    y = Polynomial.variable(2, 1) - F(1, 5)
+    p = x * x + y * y - x * y + F(1, 10000)
+    out = certify_nonnegative(p, TRI, max_depth=6)
+    assert out.status == CERTIFIED and out.depth_used > 0
+    assert certify_nonnegative(p, TRI, max_depth=10**7) == out
+
+
 def test_bisection_certifies_a_shallow_dip_within_depth_three(monkeypatch):
     # min 1/10000 at the interior point (1/3, 1/5): barycentric subdivision
     # left this Inconclusive at depths 3 and 4; bisection spends its budget
@@ -643,9 +655,11 @@ def one_simplex_many_degrees(draw):
     degrees = draw(st.lists(st.integers(0, 5), min_size=2, max_size=3, unique=True))
     polys = []
     for d in degrees:
-        top = draw(st.tuples(*[st.integers(0, d)] * n).filter(lambda e: sum(e) == d))
-        lower = st.tuples(*[st.integers(0, d)] * n).filter(lambda e: sum(e) < d)
-        terms = draw(st.dictionaries(lower, rationals, max_size=5))
+        # the exponents of degree d and below d, listed rather than filtered
+        # out of a box (filtering failed Hypothesis's filter_too_much check)
+        top = draw(st.sampled_from([e for e in _monomials(n, d) if sum(e) == d]))
+        lower = [e for e in _monomials(n, d) if sum(e) < d]
+        terms = draw(st.dictionaries(st.sampled_from(lower), rationals, max_size=5)) if d else {}
         terms[top] = draw(rationals.filter(bool))
         polys.append(Polynomial(n, terms))
     return simplex, polys

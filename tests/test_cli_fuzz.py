@@ -12,7 +12,9 @@ four sweep rows), so every example runs quickly.
 
 import contextlib
 import functools
+import hashlib
 import io
+import itertools
 import json
 import operator
 
@@ -35,6 +37,11 @@ BAD = st.sampled_from(
 )
 
 
+def _simplex_labels(dim, t):
+    return [{"gradient": [int(i == k) for i in range(dim)], "constant": t}
+            for k in range(dim)] + [{"gradient": [-1] * dim, "constant": t}]
+
+
 @st.composite
 def fibers(draw, max_dim):
     """A standard simplex shorthand, or a label list: the simplex's labels
@@ -44,11 +51,7 @@ def fibers(draw, max_dim):
     t = draw(POSITIVE)
     if draw(st.booleans()):
         return {"standard_simplex": {"l": dim, "t": t}}
-    labels = []
-    if draw(st.booleans()):
-        labels = [{"gradient": [int(i == k) for i in range(dim)], "constant": t}
-                  for k in range(dim)]
-        labels.append({"gradient": [-1] * dim, "constant": t})
+    labels = _simplex_labels(dim, t) if draw(st.booleans()) else []
     extra = st.fixed_dictionaries({
         "gradient": st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
         "constant": rationals(-3, 3),
@@ -181,3 +184,61 @@ def test_random_sweep_documents_exit_by_the_contract(doc):
         assert any(row["verdict"] == "Error" for row in json.loads(out)["rows"])
     else:
         assert err == ""
+
+
+# the commands whose reports do not depend on the order of the fiber's
+# labels; check is not one, since its Bernstein cells (and so its per-cone
+# outcomes) follow the label order
+PERMUTABLE = [
+    ["lext"],
+    ["futaki"],
+    ["check-fano", "--max-depth", "1"],
+    ["threshold", "--lo", "6", "--hi", "12", "--tol", "1/2"],
+]
+
+
+def _agrees_under_permutation(command, doc, order):
+    """Run command on doc and on doc with its fiber's labels in the given
+    order, assert the two agree, and return the first run's (code, out)."""
+    code, out, err = _run([command[0], json.dumps(doc), *command[1:]])
+    labels = [doc["fiber"]["labels"][i] for i in order]
+    permuted = {**doc, "fiber": {**doc["fiber"], "labels": labels}}
+    again = _run([command[0], json.dumps(permuted), *command[1:]])
+    assert again[0] == code
+    # an input error may name a label by its index, and check-fano's
+    # fallback route runs check's per-cone route
+    if not err.startswith("error: fibration.fiber.labels") and "general-fallback" not in out:
+        assert again == (code, out, err), (command, doc, order)
+    return code, out
+
+
+def test_every_label_order_of_the_triangle_gives_the_same_reports():
+    golden = ["threshold", "--lo", "4", "--hi", "9", "--tol", "1/100"]
+    for command in [*PERMUTABLE[:3], golden]:
+        c = "var" if command[0] == "threshold" else 9
+        doc = {"fiber": {"dim": 2, "labels": _simplex_labels(2, 1)},
+               "factors": [{"preset": "P3", "c": c, "p": [1, 2]}]}
+        for order in itertools.permutations(range(3)):
+            code, out = _agrees_under_permutation(command, doc, order)
+            assert code == 0
+    # the threshold report is the golden one of the command-line smoke runs
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("d1604944")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=st.sampled_from(PERMUTABLE).flatmap(
+        lambda command: st.tuples(
+            st.just(command), fibrations(max_dim=2, var=command[0] == "threshold")
+        )
+    ),
+    data=st.data(),
+    legacy=st.booleans(),
+)
+def test_label_order_does_not_change_the_reports(case, data, legacy):
+    command, doc = case
+    if "standard_simplex" in doc["fiber"]:  # written out as its label list
+        body = doc["fiber"]["standard_simplex"]
+        doc["fiber"] = {"dim": body["l"], "labels": _simplex_labels(body["l"], body["t"])}
+    order = data.draw(st.permutations(range(len(doc["fiber"]["labels"]))))
+    _agrees_under_permutation(command + (["--legacy-sign"] if legacy else []), doc, order)

@@ -1,24 +1,30 @@
 import dataclasses
+import operator
 import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import hexagon, interior_points, square, triangle
+from conftest import hexagon, interior_points, interval, square, triangle
 from wkstab import (
     AffineFunc,
     Convention,
     FutakiNotVanishing,
     Polynomial,
     assert_futaki_vanishes,
+    base_factor,
+    check_general,
     df_invariant,
     df_via_cones,
     extremal_affine,
     fano_anticanonical,
+    fibration,
     futaki_character,
     integrate_facet,
     jsonio,
+    probe,
     projective_bundle,
     solve_extremal,
     stability_weight,
@@ -245,3 +251,103 @@ def test_translation_equivariance_of_extremal():
     sol = solve_extremal(P, fib.v, fib.w_base, Convention.CANONICAL)
     sol_m = solve_extremal(moved, v_m, w_m, Convention.CANONICAL)
     assert sol_m.l_ext == sol.l_ext.compose_affine(A, back)
+
+
+def test_futaki_check_reads_the_moment_table_once(monkeypatch):
+    # the check is the right-hand side of one moment system: one row read,
+    # and neither the pairing nor df_invariant runs per basis element
+    import wkstab.futaki as futaki
+    import wkstab.measure as measure
+
+    reads = []
+
+    def counting(*args):
+        reads.append(args[0])
+        return real(*args)
+
+    def forbidden(*args):
+        raise AssertionError("the Futaki check read F a second way")
+
+    real = measure._moment_rows
+    monkeypatch.setattr(measure, "_moment_rows", counting)
+    monkeypatch.setattr(futaki, "_moment_rows", counting)
+    for name in ("_pair", "df_invariant"):
+        monkeypatch.setattr(futaki, name, forbidden)
+    monkeypatch.setattr(measure, "_pair", forbidden)
+    fib = projective_bundle([[1, 2]], [(3, 18)], [12], 1)
+    w = stability_weight(fib)
+    reads.clear()
+    assert_futaki_vanishes(fib.fiber, fib.v, w)
+    assert reads == [fib.fiber]
+    with pytest.raises(FutakiNotVanishing):
+        assert_futaki_vanishes(fib.fiber, fib.v, w + 1)
+    assert reads == [fib.fiber] * 2
+
+
+@pytest.mark.parametrize(
+    "v, w",
+    [
+        # one-variable weights on the triangle once raised a bare KeyError
+        (Polynomial.variable(1, 0) + 3, Polynomial.constant(1, 2)),
+        # three-variable ones once solved silently (l_ext = 24/5)
+        (Polynomial.variable(3, 2) + 3, Polynomial.constant(3, 2)),
+        (Polynomial.constant(2, 3), Polynomial.variable(3, 0)),
+    ],
+)
+def test_weights_of_another_dimension_raise(v, w):
+    P = triangle()
+    fib = dataclasses.replace(projective_bundle([[1, 2]], [(3, 18)], [12], 1), v=v, w_base=w)
+    calls = [
+        lambda: solve_extremal(P, v, w),
+        lambda: solve_extremal(P, v, w, Convention.LEGACY),
+        lambda: futaki_character(fib),
+        lambda: assert_futaki_vanishes(P, v, w),
+        lambda: check_general(P, (0, 0), v, w),
+        lambda: probe(P, v, w, [], verify_futaki=True),
+        lambda: probe(P, v, w, [], verify_futaki=False),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="polynomial/polytope dimension mismatch"):
+            call()
+
+
+FUTAKI_POLYTOPES = [interval(), interval(F(1, 2)), triangle(), triangle(F(2)), square(), hexagon()]
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def futaki_cases(draw):
+    """(P, x0, v, w, balanced): random weights, or, when balanced, a
+    fibration's v with its stability weight, for which F kills every affine
+    function."""
+    P = draw(st.sampled_from(FUTAKI_POLYTOPES))
+    x0 = draw(st.sampled_from(interior_points(P)))
+    if draw(st.booleans()):
+        exponents = st.tuples(*[st.integers(0, 2)] * P.dim)
+        v, w = (Polynomial(P.dim, draw(st.dictionaries(exponents, SMALL, max_size=4)))
+                for _ in range(2))
+        return P, x0, v, w, False
+    p = draw(st.lists(SMALL, min_size=P.dim, max_size=P.dim))
+    c = 1 + max(-sum(map(operator.mul, p, vtx)) for vtx in P.vertices) + draw(SMALL.map(abs))
+    factor = base_factor(draw(st.integers(1, 3)), draw(SMALL) * 8, c, p, P.dim)
+    fib = fibration(P, [factor])
+    return P, x0, fib.v, stability_weight(fib), True
+
+
+@settings(max_examples=60, deadline=None)
+@given(futaki_cases())
+def test_futaki_check_agrees_with_the_cone_path(case):
+    # the moment-system read of F(X_i) against the independent cone
+    # decomposition at x0: the check raises exactly when some F(X_i) != 0,
+    # naming the first such i and its exact value
+    P, x0, v, w, balanced = case
+    basis = [Polynomial.constant(P.dim, 1)] + [Polynomial.variable(P.dim, i) for i in range(P.dim)]
+    values = [df_via_cones(P, x0, v, w, X) for X in basis]
+    first = next(((i, val) for i, val in enumerate(values) if val), None)
+    if first is None:
+        assert_futaki_vanishes(P, v, w)
+        return
+    assert not balanced
+    with pytest.raises(FutakiNotVanishing) as info:
+        assert_futaki_vanishes(P, v, w)
+    assert (info.value.basis_index, info.value.value) == first
