@@ -15,15 +15,22 @@ node is split only while the budget still covers both its halves.  A
 one-sided: it never certifies a false positive, and may return
 "inconclusive" when the budget runs out.
 
-Only the root's numerators come from p, and only through its coefficients.
-With D the lcm of the vertex coordinate denominators, each coordinate is
-x_r = L_r(lambda) / D for an integer linear form L_r, and the homogenizing
-form L_n = D (lambda_0 + ... + lambda_k) equals D on the simplex.  So, with
-C the lcm of p's coefficient denominators and d = deg p, every term
-c_a x^a is C c_a L^(a, d - |a|) / (C D^d), homogeneous of degree d, and
+Only the root's numerators come from p, and only through its integer
+coefficients: p comes as integer terms G_a over one positive denominator C,
+either handed in that way (the cone conditions of stability are built so)
+or cleared here from a Polynomial over the lcm of its coefficient
+denominators; both run the same path.  With D the lcm of the vertex
+coordinate denominators, each coordinate is x_r = L_r(lambda) / D for an
+integer linear form L_r, and the homogenizing form L_n = D (lambda_0 + ...
++ lambda_k) equals D on the simplex.  So, with d = deg p read off G's
+nonzero terms, every term (G_a / C) x^a is G_a L^(a, d - |a|) / (C D^d),
+homogeneous of degree d, and
 
-    B_gamma = sum_a C c_a R_a[gamma],  R_a[gamma] = gamma! [lambda^gamma] L^(a, d - |a|),
+    B_gamma = sum_a G_a R_a[gamma],  R_a[gamma] = gamma! [lambda^gamma] L^(a, d - |a|),
     S = d! C D^d.
+
+A positive multiple of (G, C) scales every numerator and S alike, so the
+decisions, bounds and witnesses do not depend on which one is handed in.
 
 The row R_a depends on the cell and d alone.  _cell keeps one record per
 cone cell for the last _CELLS cells: E, the vertices cleared to integer
@@ -88,18 +95,41 @@ def bernstein_coefficients(p: Polynomial, simplex: Simplex) -> dict[tuple, Fract
     return {gamma: Fraction(b, S) for gamma, b in zip(_levels(d, simplex.k + 1)[0][d], B)}
 
 
-def _numerators(p: Polynomial, simplex: Simplex) -> tuple[list[int], int]:
-    """The Bernstein numerators B (in ``measure._monomials`` order) of p on
-    the simplex and their common denominator S > 0: B is the dot of p's
-    coefficients, cleared to integers over C, with the cell's rows of p's
-    monomials in degree d (_cell), and S = d! C E^d.  Rows the cell does
+def _integer_form(p, n: int) -> tuple[dict, int, int]:
+    """(G, S, d): p as integer terms G over one positive denominator S, with
+    d = max(deg p, 0).  p is a Polynomial, cleared here over the lcm of its
+    coefficient denominators, or a pair (G, S) already cleared, whose zero
+    terms are dropped.  ValueError unless every exponent has length n."""
+    if isinstance(p, Polynomial):
+        if p.dim != n:
+            raise ValueError("polynomial/simplex dimension mismatch")
+        ints, S = _cleared(p.terms.values())
+        G = dict(zip(p.terms, ints))
+    else:
+        G, S = p
+        if S <= 0:
+            raise ValueError("the denominator of a cleared polynomial must be positive")
+        G = {a: c for a, c in G.items() if c}
+        if any(len(a) != n for a in G):
+            raise ValueError("polynomial/simplex dimension mismatch")
+    return G, S, max(map(sum, G), default=0)
+
+
+def _numerators(p, simplex: Simplex) -> tuple[list[int], int]:
+    """The Bernstein numerators B (in ``measure._monomials`` order) of p, a
+    Polynomial or a pair (G, S) of integer terms over S > 0 (see
+    _integer_form), on the simplex and their common denominator."""
+    return _cleared_numerators(*_integer_form(p, simplex.ambient_dim), simplex)
+
+
+def _cleared_numerators(G: dict, S: int, d: int, simplex: Simplex) -> tuple[list[int], int]:
+    """The Bernstein numerators of G / S, of degree d, and their common
+    denominator: B is the dot of G's coefficients with the cell's rows of
+    G's monomials in degree d (_cell), over d! S E^d.  Rows the cell does
     not hold yet are read off one power tree, which builds only their
     powers."""
-    if p.dim != simplex.ambient_dim:
-        raise ValueError("polynomial/simplex dimension mismatch")
-    d = max(p.degree(), 0)
     E, Y, rows = _cell(simplex.vertices)
-    missing = [a for a in p.terms if (d, a) not in rows]
+    missing = [a for a in G if (d, a) not in rows]
     if missing:
         power = _barycentric_powers(E, Y)
         _, pos, _, weights = _levels(d, simplex.k + 1)
@@ -110,12 +140,11 @@ def _numerators(p: Polynomial, simplex: Simplex) -> tuple[list[int], int]:
                 i = pos[d][gamma]
                 row[i] = fact_d // weights[i] * v  # gamma! v
             rows[d, a] = tuple(row)
-    scale = math.factorial(d) * E**d
-    if not p.terms:  # the zero polynomial, of degree 0 here
+    scale = math.factorial(d) * E**d * S
+    if not G:  # the zero polynomial, of degree 0 here
         return [0], scale
-    scaled_terms, C = _cleared(p.terms.values())
-    B = [sum(map(mul, scaled_terms, column)) for column in zip(*(rows[d, a] for a in p.terms))]
-    return B, scale * C
+    B = [sum(map(mul, G.values(), column)) for column in zip(*(rows[d, a] for a in G))]
+    return B, scale
 
 
 @functools.lru_cache(maxsize=_CELLS)
@@ -238,9 +267,14 @@ class PositivityOutcome:
 
 
 def certify_nonnegative(
-    p: Polynomial, simplex: Simplex, max_depth: int = 6
+    p: Polynomial | tuple[dict, int], simplex: Simplex, max_depth: int = 6
 ) -> PositivityOutcome:
     """Certify p >= 0 on the simplex, refute with an exact witness, or give up.
+
+    p is a Polynomial or, already cleared, a pair (G, S) of integer terms
+    {exponent: int} over one denominator S > 0 (the cone conditions of
+    stability come that way); a Polynomial is cleared first, so both run
+    the same path and give the same outcome for the same polynomial.
 
     Sound in both directions it decides: CERTIFIED comes with a rational lower
     bound (min Bernstein coefficient over the leaves) and REFUTED with an
@@ -250,8 +284,8 @@ def certify_nonnegative(
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
-    B, S = _numerators(p, simplex)
-    d = max(p.degree(), 0)
+    G, S, d = _integer_form(p, simplex.ambient_dim)
+    B, S = _cleared_numerators(G, S, d, simplex)
     parts = simplex.k + 1
     _, _, corners, weights = _levels(d, parts)
     E, Y, _ = _cell(simplex.vertices)

@@ -16,17 +16,18 @@ with w = l_ext v - w_base vanishes on all affine functions; it is found by
 solving the (l+1) x (l+1) moment system exactly.
 
 F and the moment system are bilinear pairings with P's moment table, so no
-product polynomial is formed.  _moment_system is the one reader of pairings
-against the affine basis X = (1, x_1, ..., x_l): one measure._moment_rows
-call reads <v, X_i X_j>, <v, X_i>_boundary and <w_base, X_i>, and with
-w_base = -w the canonical right-hand side is F(X_i), the Futaki check of
-assert_futaki_vanishes.  The table holds integer numerators (see measure),
-so the system is built as an integer matrix and right-hand side over one
-common denominator, and one fraction-free Gauss-Jordan pass of
-exact._eliminate over that integer system [M | b] gives both Sylvester's
-test of M (positive definite exactly when the pass swaps no row and every
-pivot, a leading principal minor, is positive) and the solve; one Fraction
-per entry is made only for the ExtremalSolution record.
+product polynomial is formed.  Pairings against the affine basis X = (1,
+x_1, ..., x_l) are read in one measure._moment_rows call each:
+_moment_system reads <v, X_i X_j>, <v, X_i>_boundary and <w_base, X_i>, and
+the Futaki check assert_futaki_vanishes reads only the last two, since with
+w_base = -w the canonical right-hand side is F(X_i).  The table holds
+integer numerators (see measure), so the system is built as an integer
+matrix and right-hand side over one common denominator, and one
+fraction-free Gauss-Jordan pass of exact._eliminate over that integer
+system [M | b] gives both Sylvester's test of M (positive definite exactly
+when the pass swaps no row and every pivot, a leading principal minor, is
+positive) and the solve; one Fraction per entry is made only for the
+ExtremalSolution record.
 """
 
 from __future__ import annotations
@@ -80,6 +81,18 @@ def df_via_cones(P: LabelledPolytope, x0, v: Polynomial, w: Polynomial, f: Polyn
     return total
 
 
+def _check_weight_dims(P: LabelledPolytope, *weights: Polynomial) -> None:
+    """The one dimension check of weights against P, for every reader of
+    pairings and for the cone conditions of stability."""
+    if any(p.dim != P.dim for p in weights):
+        raise ValueError("polynomial/polytope dimension mismatch")
+
+
+def _affine_exponents(dim: int) -> list[tuple]:
+    """The exponents of the affine basis X = (1, x_1, ..., x_l)."""
+    return [(0,) * dim] + [tuple(int(r == i) for r in range(dim)) for i in range(dim)]
+
+
 def _moment_system(
     P: LabelledPolytope,
     v: Polynomial,
@@ -96,9 +109,8 @@ def _moment_system(
     call, so a cold P is filled in one pass over its facets and a warm one
     builds no exponent list.
     """
-    if v.dim != P.dim or w_base.dim != P.dim:
-        raise ValueError("polynomial/polytope dimension mismatch")
-    E = [(0,) * P.dim] + [tuple(int(r == i) for r in range(P.dim)) for i in range(P.dim)]
+    _check_weight_dims(P, v, w_base)
+    E = _affine_exponents(P.dim)
     EE = [_add(Ei, Ej) for Ei in E for Ej in E]
     (V, dv), (W, dw) = _integer_terms(v), _integer_terms(w_base)
     top = max(v.degree() + 2, w_base.degree() + 1)
@@ -216,9 +228,16 @@ def futaki_character(fib: Fibration) -> tuple:
 
 def assert_futaki_vanishes(P: LabelledPolytope, v: Polynomial, w: Polynomial) -> None:
     """Raise FutakiNotVanishing at the first affine basis element X_i with
-    F(X_i) = 2 <v, X_i>_boundary - <w, X_i> != 0, read as b_i / den off the
-    right-hand side of the canonical moment system of (v, -w)."""
-    _, b, den = _moment_system(P, v, -w, Convention.CANONICAL)
-    for i, bi in enumerate(b):
-        if bi:
-            raise FutakiNotVanishing(i, Fraction(bi, den))
+    F(X_i) = 2 <v, X_i>_boundary - <w, X_i> != 0.  Only the two rows the
+    canonical right-hand side of _moment_system reads are read, in one
+    measure._moment_rows call up to degree max(deg v, deg w, 0) + 1: with v
+    and w cleared over dv and dw, F(X_i) = (2 dw B_i - dv W_i) / (dv dw
+    Delta_top)."""
+    _check_weight_dims(P, v, w)
+    E = _affine_exponents(P.dim)
+    (V, dv), (W, dw) = _integer_terms(v), _integer_terms(w)
+    top = max(v.degree(), w.degree(), 0) + 1
+    (B, WB), delta = _moment_rows(P, [(V, E, True), (W, E, False)], top)
+    for i, (x, y) in enumerate(zip(B, WB)):
+        if 2 * dw * x != dv * y:
+            raise FutakiNotVanishing(i, Fraction(2 * dw * x - dv * y, dv * dw * delta))

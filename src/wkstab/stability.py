@@ -6,7 +6,12 @@ F vanishes on affine functions and
 
     g_j(x) = (1/L_j(x0)) ((l+1) v(x) + d_x v . (x - x0)) - w(x)/2  >=  0 on P_j
 
-for every j.  Certification routes, soundest-first:
+for every j.  Each g_j is built on integers (_cone_conditions): v, w and x0
+are cleared once each, A times their denominators is one integer
+coefficient map read off v's terms, and g_j is an integer map G_j over one
+positive S_j, handed as it is to the cell's route.  No Polynomial or
+Fraction is built per cone; a Fraction is made only for a reported value.
+Certification routes, soundest-first:
 
 * AffineVertex - g_j is affine, so cell-vertex evaluation is exact;
 * VertexConcave - a caller-supplied (or factor-derived) concavity certificate
@@ -36,23 +41,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul, pos
 from typing import Callable
 
 from . import univariate as u1
 from .bernstein import CERTIFIED, INCONCLUSIVE, REFUTED, certify_nonnegative
 from .exact import (
-    AffineFunc, Point, Polynomial, _cleared, format_point, point, radial_derivative, rat,
+    AffineFunc, Point, Polynomial, _cleared, _cleared_points, format_point, point, rat,
 )
 from .futaki import (
     SingularMomentMatrix,
     _assert_positive_definite,
+    _check_weight_dims,
     _moment_system,
     assert_futaki_vanishes,
     extremal_affine,
     stability_weight,
 )
+from .measure import _integer_terms
 from .polytope import (
     LabelledPolytope, NotInterior, cone_decomposition, monotone_point, triangulate,
 )
@@ -112,20 +119,55 @@ class StabilityReport:
 def condition_poly_general(
     P: LabelledPolytope, x0, j: int, v: Polynomial, w: Polynomial
 ) -> Polynomial:
-    """The cleared cone inequality polynomial g_j (nonnegativity wanted)."""
+    """The cone inequality polynomial g_j (nonnegativity wanted), read off
+    the integer cone condition (G_j, S_j) as G_j / S_j."""
+    _check_weight_dims(P, v, w)
     x0 = point(x0)
     if not P.is_interior(x0):
         raise NotInterior(x0)
-    return _cone_conditions(P, x0, v, w)[j]
+    G, S = _cone_conditions(P, x0, v, w)[j]
+    return Polynomial._from_terms(P.dim, {a: Fraction(c, S) for a, c in G.items()})
+
+
+def _label_values(P: LabelledPolytope, X0: list[int], D0: int) -> list[tuple[int, int]]:
+    """(l_j, q_j) per facet with L_j(x0) = l_j / (q_j D0), x0 = X0 / D0:
+    each label's gradient and constant cleared to integers over q_j > 0."""
+    out = []
+    for L in P.labels:
+        (*U, lam), q = _cleared((*L.gradient, L.constant))
+        out.append((sum(map(mul, U, X0)) + lam * D0, q))
+    return out
 
 
 def _cone_conditions(
     P: LabelledPolytope, x0: Point, v: Polynomial, w: Polynomial
-) -> list[Polynomial]:
-    """Every g_j, in facet order: g_j = A / L_j(x0) - w/2 with
-    A = (dim + 1) v + d_x v . (x - x0)."""
-    A, half_w = v * (P.dim + 1) + radial_derivative(v, x0), w * Fraction(1, 2)
-    return [A * (Fraction(1) / L(x0)) - half_w for L in P.labels]
+) -> list[tuple[dict, int]]:
+    """Every g_j, in facet order, as integer terms G_j over S_j > 0:
+    g_j = A / L_j(x0) - w/2 with A = (dim + 1) v + d_x v . (x - x0).
+
+    With v = V / C_v, w = W / C_w and x0 = X0 / D0 cleared once each, the
+    integer map A^ = C_v D0 A takes one pass over v's terms: V_a x^a gives
+    (dim + 1 + |a|) D0 V_a to x^a and -a_i X0_i V_a to x^(a - e_i).  With
+    L_j(x0) = l_j / (q_j D0) (_label_values), l_j > 0 for interior x0,
+    G_j = 2 C_w q_j A^ - C_v l_j W and S_j = 2 C_v C_w l_j.  G_j keeps only
+    its nonzero terms, so a cancelled top degree leaves the true degree."""
+    X0, D0 = _cleared(x0)
+    (V, Cv), (W, Cw) = _integer_terms(v), _integer_terms(w)
+    A: dict = {}
+    for a, c in V:
+        A[a] = A.get(a, 0) + (P.dim + 1 + sum(a)) * D0 * c
+        for i, (ai, xi) in enumerate(zip(a, X0)):
+            if ai and xi:
+                b = a[:i] + (ai - 1,) + a[i + 1:]
+                A[b] = A.get(b, 0) - ai * xi * c
+    out = []
+    for ell, q in _label_values(P, X0, D0):
+        s, t = 2 * Cw * q, Cv * ell
+        G = {a: s * c for a, c in A.items()}
+        for a, c in W:
+            G[a] = G.get(a, 0) - t * c
+        out.append(({a: c for a, c in G.items() if c}, 2 * Cv * Cw * ell))
+    return out
 
 
 def default_base_point(P: LabelledPolytope) -> Point:
@@ -157,16 +199,24 @@ def concave_cone_indices(fib: Fibration, x0) -> frozenset[int]:
     """Facets j where L_j(x0) s_a - 2 n_a (p_a(x0) + c_a) <= 0 for every a.
 
     On such cones the cleared inequality has the shape (positive) * (concave),
-    so its sign over the cone is decided by the cone's vertices.
+    so its sign over the cone is decided by the cone's vertices.  The signs
+    are read on integers: with x0 = X0 / D0, L_j(x0) = l_j / (q_j D0)
+    (_label_values), p_a + c_a cleared to (P_a, K_a) over r_a and s_a =
+    sigma_a / tau_a, the value times q_j tau_a r_a D0 > 0 is
+    l_j sigma_a r_a - 2 n_a tau_a q_j (<P_a, X0> + K_a D0).
     """
-    x0 = point(x0)
-    terms = [(f.s, 2 * f.n * (f.p(x0) + f.c)) for f in fib.factors]
-    out = []
-    for j, L in enumerate(fib.fiber.labels):
-        Lj0 = L(x0)
-        if all(Lj0 * s - e <= 0 for s, e in terms):
-            out.append(j)
-    return frozenset(out)
+    X0, D0 = _cleared(point(x0))
+    if len(X0) != fib.dim:
+        raise ValueError("dimension mismatch evaluating AffineFunc")
+    terms = []
+    for f in fib.factors:
+        (*Pa, Ka), r = _cleared((*f.p.gradient, f.c))
+        at_x0 = sum(map(mul, Pa, X0)) + Ka * D0
+        terms.append((f.s.numerator * r, 2 * f.n * f.s.denominator * at_x0))
+    return frozenset(
+        j for j, (ell, q) in enumerate(_label_values(fib.fiber, X0, D0))
+        if all(ell * s - q * e <= 0 for s, e in terms)
+    )
 
 
 def _vertex_verdict(vals, slack) -> tuple:
@@ -181,8 +231,19 @@ def _vertex_verdict(vals, slack) -> tuple:
     return VERDICT_CERTIFIED, None, margin
 
 
-def _vertex_route(g: Polynomial, vertices, facet: int, cell: int, method: str) -> ConeOutcome:
-    _, witness, margin = _vertex_verdict([(vtx, g(vtx)) for vtx in vertices], pos)
+def _vertex_route(G: dict, S: int, vertices, facet: int, cell: int, method: str) -> ConeOutcome:
+    """Decide G / S >= 0 on a cell by its vertex values, each an integer sum
+    over S E^d with the vertices cleared to integer rows over E."""
+    E, Y = _cleared_points(vertices)
+    d = max(map(sum, G), default=0)
+
+    def value(y) -> Fraction:
+        return Fraction(
+            sum(c * E ** (d - sum(a)) * prod(map(pow, y, a)) for a, c in G.items()), S * E**d
+        )
+
+    vals = [(vtx, value(y)) for vtx, y in zip(vertices, Y)]
+    _, witness, margin = _vertex_verdict(vals, pos)
     return ConeOutcome(facet, cell, method, REFUTED if witness else CERTIFIED, margin, witness, 0)
 
 
@@ -200,24 +261,30 @@ def check_general(
     report Inconclusive when the subdivision's node budget (set by
     max_depth, see bernstein.certify_nonnegative) runs out.
 
-    Under the canonical convention, refuses to run (FutakiNotVanishing) when
-    F does not already vanish on affine functions; the legacy convention is
-    not checked, since its solver's defining pairing differs.
+    Each g_j is the integer cone condition (G_j, S_j) of _cone_conditions:
+    an affine one or one on a concave cone is decided at the cell vertices,
+    and any other goes to certify_nonnegative as it is, once per cell.
+    Weights of another dimension than P raise ValueError under either
+    convention.  Under the canonical convention, refuses to run
+    (FutakiNotVanishing) when F does not already vanish on affine
+    functions; the legacy convention is not checked, since its solver's
+    defining pairing differs.
     """
+    _check_weight_dims(P, v, w)
     x0 = point(x0)
     if convention is Convention.CANONICAL:
         assert_futaki_vanishes(P, v, w)
     decomp = cone_decomposition(P, x0)
     outcomes: list[ConeOutcome] = []
-    for j, (g, cells) in enumerate(zip(_cone_conditions(P, x0, v, w), decomp.cones)):
-        affine = g.degree() <= 1
+    for j, ((G, S), cells) in enumerate(zip(_cone_conditions(P, x0, v, w), decomp.cones)):
+        affine = max(map(sum, G), default=-1) <= 1
         for ci, cell in enumerate(cells):
             if affine:
-                outcomes.append(_vertex_route(g, cell.vertices, j, ci, METHOD_AFFINE))
+                outcomes.append(_vertex_route(G, S, cell.vertices, j, ci, METHOD_AFFINE))
             elif j in concave_cones:
-                outcomes.append(_vertex_route(g, cell.vertices, j, ci, METHOD_CONCAVE))
+                outcomes.append(_vertex_route(G, S, cell.vertices, j, ci, METHOD_CONCAVE))
             else:
-                res = certify_nonnegative(g, cell, max_depth)
+                res = certify_nonnegative((G, S), cell, max_depth)
                 outcomes.append(
                     ConeOutcome(
                         j, ci, METHOD_BERNSTEIN, res.status,

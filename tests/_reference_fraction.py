@@ -13,7 +13,8 @@
 # label-evaluating face triangulation, and the Fraction forms of the
 # facet-cell Jacobian, clip and the moment-row reads, and the Fraction
 # monotone-fiber path (weights, Sylvester's test by minors and a separate
-# solve, the condition value).  Of wkstab.univariate,
+# solve, the condition value), and the Fraction cone conditions g_j and
+# concave-cone test of the general route.  Of wkstab.univariate,
 # whose integer kernels these are the oracles of, only the RootLocation
 # record is shared, so that located roots compare equal; the one exception is
 # isolate_roots_full_sturm, the integer isolation as it was before its
@@ -27,7 +28,7 @@ from fractions import Fraction
 import operator
 from typing import Callable
 
-from wkstab import AffineFunc, Polynomial
+from wkstab import AffineFunc, Polynomial, radial_derivative
 from wkstab.bernstein import _barycentric_powers
 from wkstab.exact import (
     _cleared, _cleared_points, affine_rank, det as exact_det, point, rat, solve_general,
@@ -881,3 +882,21 @@ def condition_value_fano_fraction(fib, l_ext, x):
             raise NonpositiveWeight(x, a)
         total += (t * f.s - 2 * f.n * (f.p(x0) + f.c)) / u
     return total
+
+
+def cone_conditions_fraction(P, x0, v, w):
+    """Every g_j = A / L_j(x0) - w/2, A = (dim + 1) v + d_x v . (x - x0), in
+    facet order, by Fraction polynomial arithmetic."""
+    x0 = point(x0)
+    A, half_w = v * (P.dim + 1) + radial_derivative(v, x0), w * Fraction(1, 2)
+    return [A * (Fraction(1) / L(x0)) - half_w for L in P.labels]
+
+
+def concave_cone_indices_fraction(fib, x0):
+    """Facets j with L_j(x0) s_a - 2 n_a (p_a(x0) + c_a) <= 0 for every a,
+    evaluated in Fractions."""
+    x0 = point(x0)
+    terms = [(f.s, 2 * f.n * (f.p(x0) + f.c)) for f in fib.factors]
+    return frozenset(
+        j for j, L in enumerate(fib.fiber.labels) if all(L(x0) * s - e <= 0 for s, e in terms)
+    )

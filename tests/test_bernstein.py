@@ -15,6 +15,7 @@ from wkstab import (
     certify_nonnegative,
 )
 from wkstab.bernstein import PositivityOutcome, _children, _numerators
+from wkstab.exact import _cleared
 from wkstab.measure import _monomials
 from wkstab.polytope import Simplex
 from _reference_fraction import bernstein_coefficients_fraction
@@ -673,3 +674,24 @@ def test_one_cell_keeps_a_basis_per_degree(case):
         got = bernstein_coefficients(p, simplex)
         assert got == bernstein_coefficients_fraction(p, simplex)
         assert list(got) == list(bernstein_coefficients_fraction(p, simplex))
+
+
+@settings(max_examples=40, deadline=None)
+@given(certify_case(fractional=True), st.integers(1, 10**6))
+def test_the_cleared_form_decides_like_the_polynomial(case, k):
+    # p's coefficients cleared, times k, over k times their denominator, with
+    # a zero term that must not raise the degree: same outcome, bound and
+    # witness as the Polynomial itself
+    p, simplex, depth = case
+    ints, C = _cleared(p.terms.values())
+    G = {a: k * c for a, c in zip(p.terms, ints)}
+    G[(p.degree() + 1,) + (0,) * (p.dim - 1)] = 0
+    want = certify_nonnegative(p, simplex, depth)
+    assert certify_nonnegative((G, k * C), simplex, depth) == want
+
+
+def test_the_cleared_form_is_checked():
+    with pytest.raises(ValueError, match="positive"):
+        certify_nonnegative(({(0, 0): 1}, 0), TRI)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        certify_nonnegative(({(0,): 1}, 1), TRI)

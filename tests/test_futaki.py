@@ -16,6 +16,7 @@ from wkstab import (
     assert_futaki_vanishes,
     base_factor,
     check_general,
+    condition_poly_general,
     df_invariant,
     df_via_cones,
     extremal_affine,
@@ -284,6 +285,26 @@ def test_futaki_check_reads_the_moment_table_once(monkeypatch):
     assert reads == [fib.fiber] * 2
 
 
+def test_futaki_check_reads_only_the_right_hand_side(monkeypatch):
+    # <v, X_i>_boundary and <w, X_i> up to max(deg v, deg w) + 1, not the
+    # (l+1)^2 row <v, X_i X_j> of the moment matrix
+    import wkstab.futaki as futaki
+
+    reads = []
+    real = futaki._moment_rows
+
+    def recording(P, requests, top):
+        reads.append(([(len(bs), boundary) for _, bs, boundary in requests], top))
+        return real(P, requests, top)
+
+    monkeypatch.setattr(futaki, "_moment_rows", recording)
+    fib = projective_bundle([[1, 2]], [(3, 18)], [12], 1)
+    w = stability_weight(fib)
+    reads.clear()
+    assert_futaki_vanishes(fib.fiber, fib.v, w)
+    assert reads == [([(3, True), (3, False)], max(fib.v.degree(), w.degree()) + 1)]
+
+
 @pytest.mark.parametrize(
     "v, w",
     [
@@ -303,6 +324,8 @@ def test_weights_of_another_dimension_raise(v, w):
         lambda: futaki_character(fib),
         lambda: assert_futaki_vanishes(P, v, w),
         lambda: check_general(P, (0, 0), v, w),
+        lambda: check_general(P, (0, 0), v, w, convention=Convention.LEGACY),
+        lambda: condition_poly_general(P, (0, 0), 0, v, w),
         lambda: probe(P, v, w, [], verify_futaki=True),
         lambda: probe(P, v, w, [], verify_futaki=False),
     ]

@@ -1,11 +1,15 @@
 import itertools
+import math
+import operator
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import interval, square, triangle
-from _reference_fraction import reconstruct_rational
+from conftest import hexagon, interval, square, triangle
+from _reference_fraction import (
+    concave_cone_indices_fraction, cone_conditions_fraction, reconstruct_rational,
+)
 from wkstab import (
     AffineFunc,
     Convention,
@@ -16,6 +20,7 @@ from wkstab import (
     VERDICT_CERTIFIED,
     VERDICT_FAILS,
     base_factor,
+    certify_nonnegative,
     check_fano_fiber,
     check_fano_total,
     check_fibration,
@@ -31,7 +36,7 @@ from wkstab import (
     stability_weight,
     threshold_c,
 )
-from wkstab import futaki, stability
+from wkstab import exact, futaki, stability
 from wkstab.exact import det as exact_det
 from wkstab import univariate as u1
 from _reference_fraction import evaluate
@@ -667,3 +672,136 @@ def test_threshold_certified_needs_det_m_positive_above_c_lo(monkeypatch):
         M = futaki.extremal_affine(tri_family(c, s=24)).moment_matrix
         scales.add(evaluate(tested[0], c) / exact_det(M))
     assert len(scales) == 1 and scales.pop() > 0
+
+
+def rational_quad():
+    return from_halfspaces([
+        AffineFunc([2, 0], 1), AffineFunc([0, 3], 2),
+        AffineFunc([-1, -1], F(3, 2)), AffineFunc([1, -2], 3),
+    ])
+
+
+CONE_POLYTOPES = [
+    interval(), interval(F(1, 2)), triangle(), triangle(F(2)), square(), hexagon(),
+    rational_quad(),
+]
+COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def cone_cases(draw):
+    """(P, x0, v, w, fib): a rational interior x0 with denominators up to 7,
+    and random weights (fib None) or a fibration's v and stability weight
+    under either convention."""
+    P = draw(st.sampled_from(CONE_POLYTOPES))
+    q = draw(st.integers(1, 7))
+    box = [(math.floor(min(x) * q) + 1, math.ceil(max(x) * q) - 1) for x in zip(*P.vertices)]
+    x0 = draw(st.tuples(*[
+        st.integers(lo, max(lo, hi)).map(lambda k: F(k, q)) for lo, hi in box
+    ]).filter(P.is_interior))
+    if draw(st.booleans()):
+        exponents = st.tuples(*[st.integers(0, 2)] * P.dim)
+        v, w = (Polynomial(P.dim, draw(st.dictionaries(exponents, COEFF, max_size=4)))
+                for _ in range(2))
+        return P, x0, v, w, None
+    factors = []
+    for _ in range(draw(st.integers(1, 2))):
+        p = draw(st.lists(COEFF, min_size=P.dim, max_size=P.dim))
+        c = 1 + max(-sum(map(operator.mul, p, vtx)) for vtx in P.vertices) + abs(draw(COEFF))
+        factors.append(base_factor(draw(st.integers(1, 3)), draw(COEFF) * 8, c, p, P.dim))
+    fib = fibration(P, factors, draw(st.sampled_from(list(Convention))))
+    return P, x0, fib.v, stability_weight(fib), fib
+
+
+@settings(max_examples=80, deadline=None)
+@given(cone_cases())
+def test_integer_cone_conditions_match_the_fraction_reference(case):
+    # each (G_j, S_j) is g_j over a positive denominator, with its true
+    # degree, and the concave cones are the Fraction test's
+    P, x0, v, w, fib = case
+    want = cone_conditions_fraction(P, x0, v, w)
+    got = stability._cone_conditions(P, x0, v, w)
+    assert len(got) == len(want) == P.n_facets
+    for j, ((G, S), g) in enumerate(zip(got, want)):
+        assert S > 0 and all(G.values())
+        assert Polynomial(P.dim, {a: F(c, S) for a, c in G.items()}) == g
+        assert max(map(sum, G), default=-1) == g.degree()
+        assert condition_poly_general(P, x0, j, v, w) == g
+    if fib is not None:
+        assert concave_cone_indices(fib, x0) == concave_cone_indices_fraction(fib, x0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cone_cases())
+def test_general_route_outcomes_match_the_fraction_cone_conditions(case):
+    # every cell outcome of check_general, as certify_nonnegative or the
+    # vertex values give it on the Fraction g_j
+    P, x0, v, w, fib = case
+    concave = frozenset() if fib is None else concave_cone_indices(fib, x0)
+    report = check_general(P, x0, v, w, convention=Convention.LEGACY, max_depth=2,
+                           concave_cones=concave)
+    gs = cone_conditions_fraction(P, x0, v, w)
+    cells = [(j, ci, cell) for j, cone in enumerate(cone_decomposition(P, x0).cones)
+             for ci, cell in enumerate(cone)]
+    assert len(report.per_cone) == len(cells)
+    for out, (j, ci, cell) in zip(report.per_cone, cells):
+        g = gs[j]
+        assert (out.facet, out.cell) == (j, ci)
+        if g.degree() <= 1 or j in concave:
+            assert out.method == (METHOD_AFFINE if g.degree() <= 1 else METHOD_CONCAVE)
+            vals = [(vtx, g(vtx)) for vtx in cell.vertices]
+            worst = min(vals, key=lambda pair: pair[1])
+            if worst[1] < 0:
+                assert (out.status, out.value, out.witness) == ("refuted", None, worst)
+            else:
+                assert (out.status, out.value, out.witness) == ("certified", worst[1], None)
+        else:
+            res = certify_nonnegative(g, cell, 2)
+            assert out.method == METHOD_BERNSTEIN
+            assert (out.status, out.value, out.witness, out.depth) == (
+                res.status, res.lower_bound, res.witness, res.depth_used)
+
+
+def test_cancelled_top_degree_gives_the_true_degree():
+    # v = x^2 + 1 on [-1, 1] at x0 = 0: A = 2 v + x v' = 4 x^2 + 2 and
+    # L_j(0) = 1, so w = 8 x^2 leaves g_j = 2, of degree 0 < deg A = deg w
+    P, x = interval(), Polynomial.variable(1, 0)
+    v, w = x * x + 1, x * x * 8
+    for G, S in stability._cone_conditions(P, (F(0),), v, w):
+        assert list(G) == [(0,)] and F(G[(0,)], S) == 2
+    assert condition_poly_general(P, (F(0),), 0, v, w) == Polynomial.constant(1, 2)
+    report = check_general(P, (F(0),), v, w, convention=Convention.LEGACY)
+    assert (report.verdict, report.method, report.margin) == (VERDICT_CERTIFIED, METHOD_AFFINE, 2)
+
+
+def test_check_general_hands_each_bernstein_cell_its_integer_condition_once(monkeypatch):
+    # one certify_nonnegative call per Bernstein cell, on the cleared pair;
+    # no radial derivative and no Polynomial is built on the way
+    real = stability.certify_nonnegative
+    calls = []
+
+    def counting(p, cell, max_depth):
+        assert type(p) is tuple and all(type(c) is int for c in p[0].values())
+        calls.append(cell)
+        return real(p, cell, max_depth)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check_general built a polynomial")
+
+    monkeypatch.setattr(stability, "certify_nonnegative", counting)
+    cases = [
+        (projective_bundle([[0, 1]], [(3, 36)], [F(41, 32)], t=1), None),
+        (projective_bundle([[0, 1]], [(3, 36)], [F(101, 100)], t=1), (F(-3, 16), F(5, 16))),
+        (projective_bundle([[0, 0, 1]], [(3, 48)], [F(15, 8)], t=1), None),
+    ]
+    for fib, x0 in cases:
+        x0 = default_base_point(fib.fiber) if x0 is None else x0
+        w, concave = stability_weight(fib), concave_cone_indices(fib, x0)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(exact, "radial_derivative", forbidden)
+            m.setattr(Polynomial, "__init__", forbidden)
+            m.setattr(Polynomial, "_from_terms", staticmethod(forbidden))
+            report = check_general(fib.fiber, x0, fib.v, w, max_depth=3, concave_cones=concave)
+        bernstein = [o for o in report.per_cone if o.method == METHOD_BERNSTEIN]
+        assert len(calls) == len(bernstein) > 0
