@@ -119,20 +119,21 @@ def _numerators(p, simplex: Simplex) -> tuple[list[int], int]:
     """The Bernstein numerators B (in ``measure._monomials`` order) of p, a
     Polynomial or a pair (G, S) of integer terms over S > 0 (see
     _integer_form), on the simplex and their common denominator."""
-    return _cleared_numerators(*_integer_form(p, simplex.ambient_dim), simplex)
+    G, S, d = _integer_form(p, simplex.ambient_dim)
+    return _cleared_numerators(G, S, d, _cell(simplex.vertices), simplex.k + 1)
 
 
-def _cleared_numerators(G: dict, S: int, d: int, simplex: Simplex) -> tuple[list[int], int]:
-    """The Bernstein numerators of G / S, of degree d, and their common
+def _cleared_numerators(G: dict, S: int, d: int, record, parts: int) -> tuple[list[int], int]:
+    """The Bernstein numerators of G / S, of degree d, on the simplex with
+    parts vertices whose _cell record is given, and their common
     denominator: B is the dot of G's coefficients with the cell's rows of
-    G's monomials in degree d (_cell), over d! S E^d.  Rows the cell does
-    not hold yet are read off one power tree, which builds only their
-    powers."""
-    E, Y, rows = _cell(simplex.vertices)
+    G's monomials in degree d, over d! S E^d.  Rows the cell does not hold
+    yet are read off one power tree, which builds only their powers."""
+    E, Y, rows = record
     missing = [a for a in G if (d, a) not in rows]
     if missing:
         power = _barycentric_powers(E, Y)
-        _, pos, _, weights = _levels(d, simplex.k + 1)
+        _, pos, _, weights = _levels(d, parts)
         fact_d = math.factorial(d)
         for a in missing:
             row = [0] * len(weights)
@@ -285,10 +286,10 @@ def certify_nonnegative(
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     G, S, d = _integer_form(p, simplex.ambient_dim)
-    B, S = _cleared_numerators(G, S, d, simplex)
-    parts = simplex.k + 1
+    parts, record = simplex.k + 1, _cell(simplex.vertices)
+    B, S = _cleared_numerators(G, S, d, record, parts)
     _, _, corners, weights = _levels(d, parts)
-    E, Y, _ = _cell(simplex.vertices)
+    E, Y, _ = record
     # nodes not yet queued that may still be decided: q + q^2 + ... + q^max_depth,
     # capped at 2^62, more than any run decides (64 levels pass it when q >= 2)
     q, m = math.factorial(parts), min(max_depth, 64)
