@@ -144,7 +144,7 @@ def _verdict_exit(verdict: str) -> int:
 
 def _emit_report(args, report) -> int:
     data = jsonio.report_to_json(report)
-    _emit(args, data, _report_lines(data))
+    _emit(args, data, _report_lines(data) if args.format == "text" else [])
     return _verdict_exit(report.verdict)
 
 

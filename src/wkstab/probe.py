@@ -50,7 +50,7 @@ from fractions import Fraction
 from operator import mul
 
 from .exact import AffineFunc, Point, Polynomial, _cleared, dot, format_point, point, vadd, vscale, vsub
-from .futaki import assert_futaki_vanishes, df_invariant, df_via_cones
+from .futaki import _check_weight_dims, assert_futaki_vanishes, df_invariant, df_via_cones
 from .measure import _integer_terms, _moment_rows, _monomials, integrate
 from .polytope import EmptyInterior, LabelledPolytope, clip
 
@@ -175,10 +175,9 @@ def probe(
     minimum is evidence only; a negative F(f) is an exact refutation witness,
     re-checked on the cone path (ArithmeticError if the two disagree).
     """
+    _check_weight_dims(P, v, w)
     if verify_futaki:
         assert_futaki_vanishes(P, v, w)
-    if v.dim != P.dim or w.dim != P.dim:
-        raise ValueError("polynomial/polytope dimension mismatch")
     # |f|_L1 = ri[0] / D_k needs ri even when w = 0
     dv, dw = v.degree(), max(w.degree(), 0)
     coeffs = [[g.terms.get(b, Fraction(0)) for b in _monomials(P.dim, dg)]

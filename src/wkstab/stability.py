@@ -7,9 +7,10 @@ F vanishes on affine functions and
     g_j(x) = (1/L_j(x0)) ((l+1) v(x) + d_x v . (x - x0)) - w(x)/2  >=  0 on P_j
 
 for every j.  Each g_j is built on integers (_cone_conditions): v, w and x0
-are cleared once each, A times their denominators is one integer
-coefficient map read off v's terms, and g_j is an integer map G_j over one
-positive S_j, handed as it is to the cell's route.  No Polynomial or
+are cleared once each (x0 shown interior by its label signs), A times their
+denominators is one integer coefficient map read off v's terms, and g_j is
+an integer map G_j over one positive S_j, handed as it is to the cell's
+route.  No Polynomial or
 Fraction is built per cone; a Fraction is made only for a reported value.
 Certification routes, soundest-first:
 
@@ -34,7 +35,8 @@ cramer[i+1]) / D, D = det M(c).  Each vertex's condition value is then an
 exact rational function of c, whose numerator roots are isolated by integer
 Sturm sequences.  A certified threshold rests on that solve, on the
 positivity of det M(c) for all c >= c_lo (checked by Sturm), and on
-agreement with the direct pipeline at c_hi; no sampled fit enters.
+agreement with the direct pipeline at c_hi; no sampled fit enters.  The
+vertex denominators' signs follow from these (threshold_c).
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .futaki import (
 )
 from .measure import _integer_terms
 from .polytope import (
-    LabelledPolytope, NotInterior, cone_decomposition, monotone_point, triangulate,
+    LabelledPolytope, NotInterior, Simplex, _facet_cells, monotone_point, triangulate,
 )
 from .weights import (
     Convention,
@@ -120,18 +122,19 @@ def condition_poly_general(
     P: LabelledPolytope, x0, j: int, v: Polynomial, w: Polynomial
 ) -> Polynomial:
     """The cone inequality polynomial g_j (nonnegativity wanted), read off
-    the integer cone condition (G_j, S_j) as G_j / S_j."""
+    the integer cone condition (G_j, S_j) as G_j / S_j, after the weight
+    dimensions; _cone_conditions validates x0."""
     _check_weight_dims(P, v, w)
-    x0 = point(x0)
-    if not P.is_interior(x0):
-        raise NotInterior(x0)
-    G, S = _cone_conditions(P, x0, v, w)[j]
+    G, S = _cone_conditions(P, point(x0), v, w)[j]
     return Polynomial._from_terms(P.dim, {a: Fraction(c, S) for a, c in G.items()})
 
 
 def _label_values(P: LabelledPolytope, X0: list[int], D0: int) -> list[tuple[int, int]]:
     """(l_j, q_j) per facet with L_j(x0) = l_j / (q_j D0), x0 = X0 / D0:
-    each label's gradient and constant cleared to integers over q_j > 0."""
+    each label's gradient and constant cleared to integers over q_j > 0.  An
+    X0 of another length than P.dim raises ValueError (the dot would truncate)."""
+    if len(X0) != P.dim:
+        raise ValueError("dimension mismatch evaluating AffineFunc")
     out = []
     for L in P.labels:
         (*U, lam), q = _cleared((*L.gradient, L.constant))
@@ -150,8 +153,12 @@ def _cone_conditions(
     (dim + 1 + |a|) D0 V_a to x^a and -a_i X0_i V_a to x^(a - e_i).  With
     L_j(x0) = l_j / (q_j D0) (_label_values), l_j > 0 for interior x0,
     G_j = 2 C_w q_j A^ - C_v l_j W and S_j = 2 C_v C_w l_j.  G_j keeps only
-    its nonzero terms, so a cancelled top degree leaves the true degree."""
+    its nonzero terms, so a cancelled top degree leaves the true degree.
+    The check path's one test of x0: NotInterior unless every l_j > 0."""
     X0, D0 = _cleared(x0)
+    labels = _label_values(P, X0, D0)
+    if any(ell <= 0 for ell, _ in labels):
+        raise NotInterior(x0)
     (V, Cv), (W, Cw) = _integer_terms(v), _integer_terms(w)
     A: dict = {}
     for a, c in V:
@@ -161,7 +168,7 @@ def _cone_conditions(
                 b = a[:i] + (ai - 1,) + a[i + 1:]
                 A[b] = A.get(b, 0) - ai * xi * c
     out = []
-    for ell, q in _label_values(P, X0, D0):
+    for ell, q in labels:
         s, t = 2 * Cw * q, Cv * ell
         G = {a: s * c for a, c in A.items()}
         for a, c in W:
@@ -177,22 +184,14 @@ def default_base_point(P: LabelledPolytope) -> Point:
 
 
 def base_point_candidates(P: LabelledPolytope) -> list[Point]:
-    """Interior points worth trying as x0: monotone point, vertex centroid,
-    and the barycenters of the fan triangulation cells."""
-    cands: list[Point] = []
+    """Interior points worth trying as x0, each once: the monotone point
+    (t > 0), the vertex centroid and the fan triangulation cells'
+    barycenters, all strictly interior as P and its cells are full-dim."""
     mono = monotone_point(P)
-    if mono is not None:
-        cands.append(mono[0])
+    cands = [mono[0]] if mono is not None else []
     cands.append(P.vertex_centroid())
-    for cell in triangulate(P):
-        cands.append(cell.barycenter())
-    seen: set = set()
-    out = []
-    for c in cands:
-        if c not in seen and P.is_interior(c):
-            seen.add(c)
-            out.append(c)
-    return out
+    cands.extend(cell.barycenter() for cell in triangulate(P))
+    return list(dict.fromkeys(cands))
 
 
 def concave_cone_indices(fib: Fibration, x0) -> frozenset[int]:
@@ -203,11 +202,10 @@ def concave_cone_indices(fib: Fibration, x0) -> frozenset[int]:
     are read on integers: with x0 = X0 / D0, L_j(x0) = l_j / (q_j D0)
     (_label_values), p_a + c_a cleared to (P_a, K_a) over r_a and s_a =
     sigma_a / tau_a, the value times q_j tau_a r_a D0 > 0 is
-    l_j sigma_a r_a - 2 n_a tau_a q_j (<P_a, X0> + K_a D0).
+    l_j sigma_a r_a - 2 n_a tau_a q_j (<P_a, X0> + K_a D0).  Any x0 of
+    length fib.dim gets a set.
     """
     X0, D0 = _cleared(point(x0))
-    if len(X0) != fib.dim:
-        raise ValueError("dimension mismatch evaluating AffineFunc")
     terms = []
     for f in fib.factors:
         (*Pa, Ka), r = _cleared((*f.p.gradient, f.c))
@@ -263,22 +261,23 @@ def check_general(
 
     Each g_j is the integer cone condition (G_j, S_j) of _cone_conditions:
     an affine one or one on a concave cone is decided at the cell vertices,
-    and any other goes to certify_nonnegative as it is, once per cell.
+    and any other goes to certify_nonnegative as it is, once per cell.  A
+    cell is a facet cell plus x0, as in cone_decomposition.
     Weights of another dimension than P raise ValueError under either
     convention.  Under the canonical convention, refuses to run
     (FutakiNotVanishing) when F does not already vanish on affine
     functions; the legacy convention is not checked, since its solver's
-    defining pairing differs.
+    defining pairing differs.  Then _cone_conditions validates x0.
     """
     _check_weight_dims(P, v, w)
     x0 = point(x0)
     if convention is Convention.CANONICAL:
         assert_futaki_vanishes(P, v, w)
-    decomp = cone_decomposition(P, x0)
     outcomes: list[ConeOutcome] = []
-    for j, ((G, S), cells) in enumerate(zip(_cone_conditions(P, x0, v, w), decomp.cones)):
+    for j, ((G, S), bases) in enumerate(zip(_cone_conditions(P, x0, v, w), _facet_cells(P))):
         affine = max(map(sum, G), default=-1) <= 1
-        for ci, cell in enumerate(cells):
+        for ci, (base, _) in enumerate(bases):
+            cell = Simplex._spanned(base + (x0,))
             if affine:
                 outcomes.append(_vertex_route(G, S, cell.vertices, j, ci, METHOD_AFFINE))
             elif j in concave_cones:
@@ -585,12 +584,20 @@ def threshold_c(
 
     Certification means: Cramer's rule over Q[c] is the extremal solve for
     every c >= c_lo (M(c_lo) positive definite, det M(c) positive with no
-    root above c_lo); above the returned bracket every vertex value is
-    provably positive (positive numerator leading coefficient, no numerator
-    root beyond the bracket, denominator positive on [c_lo, oo)); and the
-    direct pipeline value at c_hi is nonnegative.  The exact functions must
-    equal the direct pipeline values at c_hi; a mismatch raises
-    ArithmeticError.
+    root above c_lo: the one Sturm count, on D); above the returned bracket
+    every vertex value is provably positive (positive numerator leading
+    coefficient, no numerator root beyond the bracket); and the direct
+    pipeline value at c_hi is nonnegative.  The exact functions must equal
+    the direct pipeline values at c_hi; a mismatch raises ArithmeticError.
+
+    A vertex denominator is positive on [c_lo, oo) once D is, so it gets
+    no count of its own.  Before _reduced it is sigma D prod_a kappa_a
+    U_a(c) with sigma, kappa_a > 0 and U_a(c) = p_a(x) + c_a(c) =
+    U_a(c_lo) + Delta_a (c - c_lo), where U_a(c_lo) > 0 at every fiber
+    vertex (_build_weights raises otherwise) and Delta_a >= 0.  _reduced
+    divides out a common factor and makes the leading coefficient
+    positive, so the reduced denominator has no root on [c_lo, oo) and is
+    positive there.  When the solve is not sound, nothing is certified.
     """
     c_lo, c_hi, tol = rat(c_lo), rat(c_hi), rat(tol)
     if c_hi < c_lo:
@@ -624,17 +631,16 @@ def threshold_c(
                 f"direct value {value} at c_hi = {c_hi}"
             )
         # the zero numerator () needs no branch: no roots, tail positive, degree -1
-        num, den = fn.num, fn.den
-        den_ok = u1.positive_above(den, c_lo)
+        num = fn.num
         roots = u1.isolate_roots(num, c_lo, max(c_hi, u1.cauchy_root_bound(num)) + 1, tol)
         top = roots[-1] if roots else u1.RootLocation(c_lo, c_lo, c_lo)
         entry = VertexThreshold(
             vtx, top.low, top.high, top.exact, "root" if roots else "floor",
-            not num or num[-1] > 0, u1.degree(num), u1.degree(den),
+            not num or num[-1] > 0, u1.degree(num), u1.degree(fn.den),
         )
         per_vertex.append(entry)
         at_hi.append(value)
-        certified = certified and entry.tail_positive and den_ok
+        certified = certified and entry.tail_positive
     sup_low = max(e.low for e in per_vertex)
     sup_high = max(e.high for e in per_vertex)
     exact = sup_low if sup_low == sup_high else None

@@ -13,8 +13,11 @@ from _reference_fraction import (
 from wkstab import (
     AffineFunc,
     Convention,
+    FutakiNotVanishing,
+    LabelledPolytope,
     NonpositiveWeight,
     NotFanoFibration,
+    NotInterior,
     NotMonotoneFiber,
     Polynomial,
     VERDICT_CERTIFIED,
@@ -665,13 +668,49 @@ def test_threshold_certified_needs_det_m_positive_above_c_lo(monkeypatch):
     monkeypatch.setattr(u1, "positive_above", det_fails)
     res = threshold_c(lambda c: tri_family(c, s=24), F(4), F(9))
     assert not res.certified
-    assert len(tested) == 1 + 3  # D, then each vertex's denominator
+    assert len(tested) == 1  # D only: a vertex denominator's sign follows from it
     # D is det M(c) times one positive constant
     scales = set()
     for c in (F(4), F(9, 2), F(11)):
         M = futaki.extremal_affine(tri_family(c, s=24)).moment_matrix
         scales.add(evaluate(tested[0], c) / exact_det(M))
     assert len(scales) == 1 and scales.pop() > 0
+
+
+def _assert_vertex_denominators_positive(make_fib, step):
+    # threshold_c runs no Sturm count on a vertex denominator: whenever the
+    # Q[c] solve is sound, each one is positive on [c_lo, oo) already
+    c_lo = _c_floor(make_fib) + step
+    fib_lo = make_fib(c_lo)
+    offsets, D, cramer, sound = stability._extremal_over_c(make_fib, fib_lo, c_lo)
+    if sound:
+        for x in fib_lo.fiber.vertices:
+            fn = stability._fano_vertex_function(fib_lo, offsets, c_lo, D, cramer, x)
+            assert u1.positive_above(fn.den, c_lo)
+
+
+STEPS_ABOVE_FLOOR = st.fractions(0, 12, max_denominator=9)
+
+
+@pytest.mark.parametrize("make_fib", TEMPLATES, ids=TEMPLATE_IDS)
+@settings(max_examples=8, deadline=None)
+@given(STEPS_ABOVE_FLOOR)
+@example(F(0))
+def test_vertex_denominators_are_positive_above_c_lo_when_sound(make_fib, step):
+    _assert_vertex_denominators_positive(make_fib, step)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(TRIANGLE_TWISTS),
+    st.integers(12, 36),
+    st.sampled_from(list(Convention)),
+    STEPS_ABOVE_FLOOR,
+)
+def test_vertex_denominators_are_positive_above_c_lo_on_triangle_twists(p, s, convention, step):
+    _assert_vertex_denominators_positive(
+        lambda c: tri_family(c, s=s, p=p, convention=convention), step
+    )
 
 
 def rational_quad():
@@ -805,3 +844,74 @@ def test_check_general_hands_each_bernstein_cell_its_integer_condition_once(monk
             report = check_general(fib.fiber, x0, fib.v, w, max_depth=3, concave_cones=concave)
         bernstein = [o for o in report.per_cone if o.method == METHOD_BERNSTEIN]
         assert len(calls) == len(bernstein) > 0
+
+
+def test_check_path_evaluates_no_label_in_fractions(monkeypatch):
+    # x0 is validated once, on the integer label values of _cone_conditions:
+    # no AffineFunc is evaluated and no is_interior test runs, at the
+    # default x0, a given x0 or any base point candidate
+    cases = [
+        projective_bundle([[1, 2]], [(3, 24)], [4], t=1),
+        projective_bundle([[0, 1]], [(3, 36)], [F(101, 100)], t=1),
+        projective_bundle([[2]], [(2, 12)], [3], t=1, convention=Convention.LEGACY),
+        fibration(rational_quad(), [base_factor(3, 24, 6, [1, 1], 2)]),
+    ]
+    given_x0 = {2: (F(-3, 16), F(5, 16)), 1: (F(1, 3),)}
+    weights = [stability_weight(fib) for fib in cases]
+    calls = []
+    for cls, name in ((AffineFunc, "__call__"), (LabelledPolytope, "is_interior")):
+        def recording(self, x, real=getattr(cls, name), name=name):
+            calls.append(name)
+            return real(self, x)
+
+        monkeypatch.setattr(cls, name, recording)
+    for fib, w in zip(cases, weights):
+        P = fib.fiber
+        check_fibration(fib, max_depth=2)
+        for x0 in [given_x0[P.dim]] + base_point_candidates(P):
+            check_fibration(fib, x0, max_depth=2)
+            check_general(P, x0, fib.v, w, convention=fib.convention, max_depth=2)
+            for j in range(P.n_facets):
+                condition_poly_general(P, x0, j, fib.v, w)
+    assert calls == []
+
+
+BAD_X0_FIB = tri_family(F(4), s=24)  # the triangle 1 + x, 1 + y, 1 - x - y >= 0
+BAD_X0_RUNS = {
+    "check_general": lambda x0: check_general(
+        BAD_X0_FIB.fiber, x0, BAD_X0_FIB.v, stability_weight(BAD_X0_FIB)),
+    "condition_poly_general": lambda x0: condition_poly_general(
+        BAD_X0_FIB.fiber, x0, 2, BAD_X0_FIB.v, stability_weight(BAD_X0_FIB)),
+    "check_fibration": lambda x0: check_fibration(BAD_X0_FIB, x0),
+}
+
+
+@pytest.mark.parametrize("run", list(BAD_X0_RUNS.values()), ids=list(BAD_X0_RUNS))
+@pytest.mark.parametrize(
+    "x0, error, message",
+    [
+        ((F(0),), ValueError, "dimension mismatch evaluating AffineFunc"),
+        ((F(0),) * 3, ValueError, "dimension mismatch evaluating AffineFunc"),
+        ((F(1, 2), F(1, 2)), NotInterior, "point (1/2, 1/2) is not strictly interior"),
+        ((F(-1), F(-1)), NotInterior, "point (-1, -1) is not strictly interior"),
+        ((F(3), F(-2, 3)), NotInterior, "point (3, -2/3) is not strictly interior"),
+    ],
+    ids=["short", "long", "on-a-facet", "at-a-vertex", "outside"],
+)
+def test_a_bad_base_point_raises_one_error_on_every_entry(run, x0, error, message):
+    with pytest.raises(error) as info:
+        run(x0)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_weights_and_futaki_are_checked_before_the_base_point():
+    P, outside = triangle(), (F(3), F(3))
+    v = Polynomial.constant(2, 1)
+    with pytest.raises(ValueError, match="polynomial/polytope dimension mismatch"):
+        check_general(P, outside, v, Polynomial.constant(1, 1))
+    with pytest.raises(ValueError, match="polynomial/polytope dimension mismatch"):
+        condition_poly_general(P, outside, 0, v, Polynomial.constant(1, 1))
+    with pytest.raises(FutakiNotVanishing):
+        check_general(P, outside, v, Polynomial.variable(2, 0))
+    with pytest.raises(NotInterior):
+        check_general(P, outside, v, Polynomial.variable(2, 0), convention=Convention.LEGACY)
