@@ -22,8 +22,10 @@ import argparse
 import csv
 import functools
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import jsonio
 from .exact import format_point, rat
@@ -124,8 +126,8 @@ def _fibration(args) -> Fibration:
     return jsonio.fibration_from_json(_load_input(args.input), _convention(args))
 
 
-def _emit(args, data: dict, text_lines: list[str]) -> None:
-    out = jsonio.dumps(data) if args.format == "json" else "\n".join(text_lines) + "\n"
+def _emit(args, data: dict, text_lines: Callable[[], list[str]]) -> None:
+    out = jsonio.dumps(data) if args.format == "json" else "\n".join(text_lines()) + "\n"
     if args.out:
         _file_io("--out", args.out, lambda: Path(args.out).write_text(out))
     else:
@@ -144,7 +146,7 @@ def _verdict_exit(verdict: str) -> int:
 
 def _emit_report(args, report) -> int:
     data = jsonio.report_to_json(report)
-    _emit(args, data, _report_lines(data) if args.format == "text" else [])
+    _emit(args, data, lambda: _report_lines(data))
     return _verdict_exit(report.verdict)
 
 
@@ -180,7 +182,6 @@ def _cmd_info(args) -> int:
     node = _load_input(args.input)
     conv = _convention(args)
     data: dict = {"convention": conv.value}
-    lines: list[str] = [f"convention: {conv.value}"]
     if isinstance(node, dict) and ("fiber" in node or "factors" in node):
         fib = jsonio.fibration_from_json(node, conv)
         P = fib.fiber
@@ -199,11 +200,6 @@ def _cmd_info(args) -> int:
             "w_base_degree": fib.w_base.degree(),
             "normalized_inequality": list(fib.normalized_inequality()),
         }
-        lines.append(f"total dim Y: {fib.total_dim}; factors: {len(fib.factors)}")
-        lines.append(
-            "normalized inequality c_a > sum p_ai: "
-            + ", ".join(map(str, fib.normalized_inequality()))
-        )
     else:
         P = jsonio.polytope_from_json(node)
     mono = monotone_point(P)
@@ -215,30 +211,38 @@ def _cmd_info(args) -> int:
         if mono is None
         else {"x0": jsonio.point_to_json(mono[0]), "t": jsonio.rational_to_json(mono[1])}
     )
-    lines.append(f"dim: {P.dim}; facets: {P.n_facets}; vertices: {len(P.vertices)}")
-    lines.append(f"volume: {_fmt(volume(P))}; simple (Delzant-type): {P.is_simple()}")
-    lines.append(
-        "monotone: none"
-        if mono is None
-        else f"monotone: x0 = {format_point(mono[0])}, t = {_fmt(mono[1])}"
-    )
-    for vtx in P.vertices:
-        lines.append(f"  vertex {format_point(vtx)}")
-    _emit(args, data, lines)
+    _emit(args, data, lambda: _info_lines(data))
     return 0
 
 
+def _info_lines(data: dict) -> list[str]:
+    lines = [f"convention: {data['convention']}"]
+    if "fibration" in data:
+        fd = data["fibration"]
+        lines.append(f"total dim Y: {fd['total_dim']}; factors: {len(fd['factors'])}")
+        lines.append(
+            "normalized inequality c_a > sum p_ai: "
+            + ", ".join(map(str, fd["normalized_inequality"]))
+        )
+    P, mono = data["polytope"], data["polytope"]["monotone"]
+    lines.append(f"dim: {P['dim']}; facets: {len(P['labels'])}; vertices: {len(P['vertices'])}")
+    lines.append(f"volume: {P['volume']}; simple (Delzant-type): {P['simple']}")
+    lines.append(
+        "monotone: none"
+        if mono is None
+        else f"monotone: x0 = {format_point(mono['x0'])}, t = {mono['t']}"
+    )
+    return lines + [f"  vertex {format_point(vtx)}" for vtx in P["vertices"]]
+
+
 def _cmd_lext(args) -> int:
-    fib = _fibration(args)
-    sol = extremal_affine(fib)
-    data = jsonio.extremal_to_json(sol)
-    grad = ", ".join(_fmt(g) for g in sol.l_ext.gradient)
-    lines = [
-        f"l_ext: gradient ({grad}), constant {_fmt(sol.l_ext.constant)}",
+    sol = extremal_affine(_fibration(args))
+    _emit(args, jsonio.extremal_to_json(sol), lambda: [
+        f"l_ext: gradient ({', '.join(map(_fmt, sol.l_ext.gradient))}), "
+        f"constant {_fmt(sol.l_ext.constant)}",
         f"constant function: {sol.is_constant}",
         f"convention: {sol.convention.value}",
-    ]
-    _emit(args, data, lines)
+    ])
     return 0
 
 
@@ -250,12 +254,11 @@ def _cmd_futaki(args) -> int:
         "vanishes": all(x == 0 for x in char),
         "convention": fib.convention.value,
     }
-    lines = [
+    _emit(args, data, lambda: [
         f"futaki character: ({', '.join(_fmt(x) for x in char)})",
         f"vanishes (l_ext constant): {data['vanishes']}",
         f"convention: {fib.convention.value}",
-    ]
-    _emit(args, data, lines)
+    ])
     return 0
 
 
@@ -272,12 +275,12 @@ def _cmd_check(args) -> int:
             "convention": fib.convention.value,
             "x0_sweep": [jsonio.report_to_json(r) for _, r in reports],
         }
-        lines = [f"x0 sweep over {len(reports)} base points:"]
-        for x0, r in reports:
-            lines.append(f"  x0 = {format_point(x0)}: {r.verdict}")
-        lines.append(f"best verdict: {best.verdict}")
-        lines.append(f"convention: {fib.convention.value}")
-        _emit(args, data, lines)
+        _emit(args, data, lambda: [
+            f"x0 sweep over {len(reports)} base points:",
+            *(f"  x0 = {format_point(x0)}: {r.verdict}" for x0, r in reports),
+            f"best verdict: {best.verdict}",
+            f"convention: {fib.convention.value}",
+        ])
         return _verdict_exit(best.verdict)
     if args.x0 is not None and len(args.x0) != fib.dim:
         raise InputError("--x0", f"expected {fib.dim} coordinates, got {len(args.x0)}")
@@ -322,24 +325,20 @@ def _cmd_threshold(args) -> int:
         _load_input(args.input), _convention(args)
     )
     res = threshold_c(make_fib, args.lo, args.hi, tol=args.tol)
-    data = jsonio.threshold_to_json(res)
-    lines = [
+    _emit(args, jsonio.threshold_to_json(res), lambda: [
         f"threshold bracket: [{_fmt(res.low)}, {_fmt(res.high)}]"
         + (f" (exact {_fmt(res.exact)})" if res.exact is not None else ""),
         f"certified for larger c: {res.certified}",
         f"condition value at c_hi: {_fmt(res.value_at_hi)}",
         f"hypothesis floor c_lo: {_fmt(res.floor)}",
         f"convention: {res.convention.value}",
-    ]
-    for e in res.per_vertex:
-        where = (
-            f"[{_fmt(e.low)}, {_fmt(e.high)}]" if e.exact is None else _fmt(e.exact)
-        )
-        lines.append(
-            f"  vertex {format_point(e.vertex)}: {e.kind} {where} "
-            f"(num deg {e.num_degree}, den deg {e.den_degree})"
-        )
-    _emit(args, data, lines)
+        *(
+            f"  vertex {format_point(e.vertex)}: {e.kind} "
+            + (f"[{_fmt(e.low)}, {_fmt(e.high)}]" if e.exact is None else _fmt(e.exact))
+            + f" (num deg {e.num_degree}, den deg {e.den_degree})"
+            for e in res.per_vertex
+        ),
+    ])
     return 0 if res.certified else 3
 
 
@@ -358,7 +357,7 @@ def _cmd_probe(args) -> int:
     data = jsonio.probe_to_json(report, fib.v, w)
     data["convention"] = fib.convention.value
     data["resolution"] = args.resolution
-    lines = [
+    _emit(args, data, lambda: [
         f"creases tried: {report.n_creases} (resolution {args.resolution})",
         "min ratio F(f)/|f|_L1: "
         + ("n/a" if report.min_ratio is None else _fmt(report.min_ratio)),
@@ -366,21 +365,20 @@ def _cmd_probe(args) -> int:
         "note: positive min ratio is evidence only (L1 surrogate), "
         "negative F(f) is an exact refutation",
         f"convention: {fib.convention.value}",
-    ]
-    if report.destabilizer is not None:
-        h = report.destabilizer.h
-        grad = ", ".join(_fmt(g) for g in h.gradient)
-        lines.append(f"destabilizer crease: h = ({grad}).x + {_fmt(h.constant)}")
-    _emit(args, data, lines)
+    ] + [
+        f"destabilizer crease: h = ({', '.join(map(_fmt, d.h.gradient))}).x + {_fmt(d.h.constant)}"
+        for d in (report.destabilizer,) if d is not None
+    ])
     return 2 if report.found_destabilizer else 0
 
 
 def _substitute(node, binding: dict, path: str):
     if isinstance(node, str) and node.startswith("$"):
-        name = node[1:]
-        if name not in binding:
-            raise InputError(path, f"unbound placeholder ${name}")
-        return jsonio.rational_to_json(binding[name])
+        try:
+            value = binding[node[1:]]
+        except KeyError:
+            raise InputError(path, f"unbound placeholder {node}") from None
+        return jsonio.rational_to_json(value)
     if isinstance(node, list):
         return [_substitute(x, binding, f"{path}[{i}]") for i, x in enumerate(node)]
     if isinstance(node, dict):
@@ -388,15 +386,15 @@ def _substitute(node, binding: dict, path: str):
     return node
 
 
-def _placeholders(node) -> set[str]:
-    """The names of the $name placeholders in a template."""
-    if isinstance(node, str):
-        return {node[1:]} if node.startswith("$") else set()
-    if isinstance(node, dict):
-        node = list(node.values())
-    if isinstance(node, list):
-        return set().union(*map(_placeholders, node))
-    return set()
+def _placeholders(template) -> set[str]:
+    """The $name placeholders a template names, read by a _substitute pass two
+    frames deeper than any row's, so a template too deep for a row raises here."""
+    names: dict = defaultdict(Fraction)
+    try:
+        _substitute(template, names, "sweep.template")
+    except RecursionError:
+        raise InputError("sweep.template", "nested too deeply") from None
+    return set(names)
 
 
 def _check_used(name: str, used: set[str], path: str) -> str:
@@ -471,21 +469,17 @@ def _cmd_sweep(args) -> int:
     conv = _convention(args)
     rows = _sweep_rows(node)
     out_rows = []
-    lines = [f"sweep: {len(rows)} rows, command {run}, convention {conv.value}"]
     for binding in rows:
         row = {"bindings": {k: jsonio.rational_to_json(v) for k, v in sorted(binding.items())}}
-        bstr = ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(binding.items()))
         try:
             concrete = _substitute(node["template"], binding, "sweep.template")
             fib = jsonio.fibration_from_json(concrete, conv, path="sweep.template")
             report = runner(fib)
         except _RUNTIME_ERRORS as exc:
             row.update(verdict=VERDICT_ERROR, error=str(exc), margin=None, witness=None)
-            lines.append(f"  {bstr}: {VERDICT_ERROR} ({exc})")
         else:
             fields = jsonio.report_to_json(report)
             row.update((key, fields[key]) for key in ("verdict", "margin", "witness"))
-            lines.append(f"  {bstr}: {report.verdict}")
         out_rows.append(row)
     data = {
         "command": run,
@@ -496,7 +490,11 @@ def _cmd_sweep(args) -> int:
     if args.csv:
         _write_sweep_csv(args.csv, out_rows)
     verdicts = {r["verdict"] for r in out_rows}
-    _emit(args, data, lines)
+    _emit(args, data, lambda: [
+        f"sweep: {len(rows)} rows, command {run}, convention {conv.value}",
+        *(f"  {', '.join(f'{k}={v}' for k, v in r['bindings'].items())}: {r['verdict']}"
+          + (f" ({r['error']})" if "error" in r else "") for r in out_rows),
+    ])
     if VERDICT_ERROR in verdicts:
         return 1
     return min({_verdict_exit(v) for v in verdicts} - {0}, default=0)

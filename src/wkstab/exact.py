@@ -100,7 +100,7 @@ def _centroid(points: Sequence[Point]) -> Point:
 class AffineFunc:
     """An affine function ``x -> <gradient, x> + constant`` on Q^dim."""
 
-    __slots__ = ("gradient", "constant")
+    __slots__ = ("gradient", "constant", "_hash")
 
     def __init__(self, gradient: Iterable, constant=0):
         object.__setattr__(self, "gradient", point(gradient))
@@ -174,8 +174,12 @@ class AffineFunc:
             and self.constant == other.constant
         )
 
-    def __hash__(self):
-        return hash((self.gradient, self.constant))
+    def __hash__(self):  # computed once: interned label tuples are hashed per lookup
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.gradient, self.constant)))
+            return self._hash
 
     def __repr__(self):
         return f"AffineFunc({self.gradient!r}, {self.constant!r})"

@@ -26,14 +26,17 @@ matrix and right-hand side over one common denominator, and one
 fraction-free Gauss-Jordan pass of exact._eliminate over that integer
 system [M | b] gives both Sylvester's test of M (positive definite exactly
 when the pass swaps no row and every pivot, a leading principal minor, is
-positive) and the solve; one Fraction per entry is made only for the
-ExtremalSolution record.
+positive) and the solve.  The ExtremalSolution record keeps that integer
+system and solution; only l_ext's l + 1 coefficients are made Fractions,
+and the moment matrix, right-hand side and residuals are built as Fractions
+when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .exact import AffineFunc, Polynomial, _eliminate, point, radial_derivative
@@ -155,15 +158,40 @@ def _assert_positive_definite(M: list[list[int]]) -> None:
 
 @dataclass(frozen=True)
 class ExtremalSolution:
+    """l_ext and the integer moment system it solves exactly.
+
+    system = (M, b, den) is _moment_system's M lam = b over den > 0, and
+    solution = (Lam, d) gives lam = Lam / d, constant first, d > 0 the least
+    common denominator.  The Fraction views moment_matrix = M / den, rhs =
+    b / den and residuals b_i - <l_ext v, X_i> = (d b_i - sum_j M_ij Lam_j)
+    / (d den) are built from these integers each time they are read.
+    """
+
     l_ext: AffineFunc
-    moment_matrix: tuple
-    rhs: tuple
-    residuals: tuple
     convention: Convention
+    system: tuple
+    solution: tuple
 
     @property
     def is_constant(self) -> bool:
         return all(g == 0 for g in self.l_ext.gradient)
+
+    @property
+    def moment_matrix(self) -> tuple:
+        M, _, den = self.system
+        return tuple(tuple(Fraction(x, den) for x in row) for row in M)
+
+    @property
+    def rhs(self) -> tuple:
+        _, b, den = self.system
+        return tuple(Fraction(x, den) for x in b)
+
+    @property
+    def residuals(self) -> tuple:
+        (M, b, den), (Lam, d) = self.system, self.solution
+        return tuple(
+            Fraction(bi * d - sum(map(mul, row, Lam)), d * den) for row, bi in zip(M, b)
+        )
 
 
 def solve_extremal(
@@ -175,25 +203,23 @@ def solve_extremal(
     """Solve the moment system for l_ext over raw weight polynomials.
 
     The integer system of _moment_system is solved by _definite_pass, which
-    checks M first; with lam = Lam / d, the residuals b_i - <l_ext v, X_i> =
-    (d b_i - sum_j M_ij Lam_j) / (d den) must all be 0, so they check the
-    solve.
+    checks M first; with lam = Lam / d, every residual numerator d b_i -
+    sum_j M_ij Lam_j must be 0, so it checks the solve on integers.  Lam and
+    d are then divided by their gcd, so d is lam's least common denominator.
     """
     M, b, den = _moment_system(P, v, w_base, convention)
     R, d = _definite_pass(M, b)
     Lam = [row[-1] for row in R]
-    lam = tuple(Fraction(x, d) for x in Lam)
-    residuals = tuple(
-        Fraction(bi * d - sum(map(mul, row, Lam)), d * den) for row, bi in zip(M, b)
-    )
-    if any(residuals):
+    if any(bi * d != sum(map(mul, row, Lam)) for row, bi in zip(M, b)):
         raise SingularMomentMatrix("extremal solution failed exact re-verification")
+    g = gcd(d, *Lam)
+    Lam, d = tuple(x // g for x in Lam), d // g
+    lam = [Fraction(x, d) for x in Lam]
     return ExtremalSolution(
         l_ext=AffineFunc(lam[1:], lam[0]),
-        moment_matrix=tuple(tuple(Fraction(x, den) for x in row) for row in M),
-        rhs=tuple(Fraction(x, den) for x in b),
-        residuals=residuals,
         convention=convention,
+        system=(tuple(map(tuple, M)), tuple(b), den),
+        solution=(Lam, d),
     )
 
 

@@ -2,13 +2,22 @@
 
 Rational numbers travel as JSON integers or "a/b" strings; decimal literals
 are rejected at parse time (floats cannot faithfully carry the exact data the
-solvers need).  Parse errors carry the field path of the offending node.
-Serialization is deterministic: sorted keys, fixed formatting.
+solvers need), and so is input nested past the recursion limit.  Parse
+errors carry the field path of the offending node.  Serialization is
+deterministic: sorted keys and a two-space indent, the bytes of
+json.dumps(obj, sort_keys=True, indent=2), written by dumps in one pass over
+the report tree (json.dumps runs its pure-Python encoder when given an
+indent); a report carries no float, and dumps rejects one.
 
 Fibers are interned: polytope_from_json returns one shared LabelledPolytope
 per distinct exact label tuple (the standard_simplex shorthand is keyed by
 its labels too), kept in polytope._interned, the bounded LRU that
-polytope.standard_fiber_polytope also reads.  So every command, sweep row
+polytope.standard_fiber_polytope also reads.  A fiber node parsed before is
+found before its labels are parsed: _PARSED_LABELS, bounded like the
+intern table, keeps each parsed label tuple under the shorthand's validated
+(l, t) or under a key of the label list's raw JSON values, so a repeated
+node costs no AffineFunc and no label hash; a node whose values are not all
+JSON ints and strings is parsed every time.  So every command, sweep row
 and threshold template that names a fiber already parsed or built in this
 process reuses its vertices, its facet cells, its moment record and its
 monotone point instead of building them again.  Sharing is safe: the
@@ -26,11 +35,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import OrderedDict
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .exact import AffineFunc, Polynomial, rat
 from .futaki import ExtremalSolution
-from .polytope import LabelledPolytope, PolytopeError, _interned, _standard_labels
+from .polytope import (
+    _INTERNED_FIBERS, LabelledPolytope, PolytopeError, _interned, _standard_labels,
+)
 from .probe import Crease, ProbeReport
 from .stability import StabilityReport, ThresholdResult
 from .weights import BASE_PRESETS, BaseFactor, Convention, Fibration, fibration
@@ -60,15 +73,58 @@ def loads(text: str):
         raise InputError("<input>", f"invalid JSON: {exc}") from exc
     except ValueError as exc:  # an integer past Python's int-conversion digit limit
         raise InputError("<input>", str(exc)) from exc
+    except RecursionError:  # arrays or objects nested past the recursion limit
+        raise InputError("<input>", "invalid JSON: nested too deeply") from None
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) + "\n", written in one pass
+    (given an indent, json.dumps runs the standard library's pure-Python
+    encoder).  obj is a tree of dicts with str keys, lists or tuples, strs,
+    ints, bools and None; anything else, floats included, raises TypeError."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x, newline: str, out: list[str]) -> None:
+    """Append x's JSON text to out; newline (with the indent) starts each
+    of its lines after the first."""
+    if isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, dict):
+        inner, sep = newline + "  ", "{"
+        for key in sorted(x):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _write(x[key], inner, out)
+            sep = ","
+        out.append(newline + "}" if x else "{}")
+    elif isinstance(x, (list, tuple)):
+        inner, sep = newline + "  ", "["
+        for item in x:
+            out.append(sep + inner)
+            _write(item, inner, out)
+            sep = ","
+        out.append(newline + "]" if x else "[]")
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def rational_to_json(x: Fraction):
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if type(x) is not Fraction:  # a report's values already are
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def rational_from_json(node, path: str) -> Fraction:
@@ -132,6 +188,12 @@ def polytope_to_json(P: LabelledPolytope) -> dict:
     }
 
 
+#: Label tuples of the fibers parsed so far, by the key of their JSON node
+#: (_labels_key, or (l, t) for the standard_simplex shorthand), least
+#: recently used first; bounded like polytope._interned.
+_PARSED_LABELS: OrderedDict = OrderedDict()
+
+
 def polytope_from_json(node, path: str = "polytope") -> LabelledPolytope:
     """The fiber *node* describes, shared with every earlier parse of the same
     exact labels in this process (see the module docstring)."""
@@ -146,9 +208,51 @@ def polytope_from_json(node, path: str = "polytope") -> LabelledPolytope:
         t = rational_from_json(body["t"], f"{path}.standard_simplex.t")
         if ell < 1 or t <= 0:
             raise InputError(f"{path}.standard_simplex", "need l >= 1 and t > 0")
-        return _interned(_standard_labels(ell, t))
+        return _fiber((ell, t), lambda: _standard_labels(ell, t), path)
     # "vertices" is derived data: accepted on input (round-trips) but ignored.
     _expect_keys(node, path, ("dim", "labels"), optional=("vertices",))
+    return _fiber(_labels_key(node), lambda: _parse_labels(node, path), path)
+
+
+def _labels_key(node: dict):
+    """(dim, (*gradient, constant) per label) of a label-given fiber node
+    whose every value there is an exact int or str, else None: equal keys
+    are equal nodes, up to the ignored "vertices"."""
+    dim, labels = node["dim"], node["labels"]
+    if type(dim) is not int or type(labels) is not list:
+        return None
+    key = [dim]
+    for L in labels:
+        if type(L) is not dict or len(L) != 2 or type(L.get("gradient")) is not list:
+            return None
+        item = (*L["gradient"], L.get("constant"))
+        if any(type(x) is not int and type(x) is not str for x in item):
+            return None
+        key.append(item)
+    return tuple(key)
+
+
+def _fiber(key, parse, path: str) -> LabelledPolytope:
+    """_interned(labels) for the labels stored under key, or else for
+    parse()'s, stored under key (when not None) only once they cut out a
+    polytope, so that a bad node raises on every parse."""
+    labels = _PARSED_LABELS.get(key)
+    if labels is not None:
+        _PARSED_LABELS.move_to_end(key)
+        return _interned(labels)
+    labels = parse()
+    try:
+        P = _interned(labels)
+    except PolytopeError as exc:  # unbounded, empty-interior or redundant labels
+        raise InputError(f"{path}.labels", str(exc)) from exc
+    if key is not None:
+        _PARSED_LABELS[key] = labels
+        if len(_PARSED_LABELS) > _INTERNED_FIBERS:
+            _PARSED_LABELS.popitem(last=False)
+    return P
+
+
+def _parse_labels(node: dict, path: str) -> tuple[AffineFunc, ...]:
     dim = _expect(node["dim"], int, f"{path}.dim", "an integer")
     if dim < 1:
         raise InputError(f"{path}.dim", f"need dim >= 1, got {dim}")
@@ -163,10 +267,7 @@ def polytope_from_json(node, path: str = "polytope") -> LabelledPolytope:
             raise InputError(
                 f"{path}.labels[{j}]", f"gradient length {L.dim} != dim {dim}"
             )
-    try:
-        return _interned(tuple(labels))
-    except PolytopeError as exc:  # unbounded, empty-interior or redundant labels
-        raise InputError(f"{path}.labels", str(exc)) from exc
+    return tuple(labels)
 
 
 VAR_MARKER = "var"

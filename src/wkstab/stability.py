@@ -72,6 +72,7 @@ from .weights import (
     NotFanoFibration,
     NotMonotoneFiber,
     _build_weights,
+    _offset_terms,
 )
 
 VERDICT_CERTIFIED = "CertifiedSufficient"
@@ -199,21 +200,15 @@ def concave_cone_indices(fib: Fibration, x0) -> frozenset[int]:
 
     On such cones the cleared inequality has the shape (positive) * (concave),
     so its sign over the cone is decided by the cone's vertices.  The signs
-    are read on integers: with x0 = X0 / D0, L_j(x0) = l_j / (q_j D0)
-    (_label_values), p_a + c_a cleared to (P_a, K_a) over r_a and s_a =
-    sigma_a / tau_a, the value times q_j tau_a r_a D0 > 0 is
-    l_j sigma_a r_a - 2 n_a tau_a q_j (<P_a, X0> + K_a D0).  Any x0 of
+    are read on integers: with L_j(x0) = l_j / (q_j D0) (_label_values), the
+    value has the sign of l_j S_a - q_j E_a (_offset_terms).  Any x0 of
     length fib.dim gets a set.
     """
     X0, D0 = _cleared(point(x0))
-    terms = []
-    for f in fib.factors:
-        (*Pa, Ka), r = _cleared((*f.p.gradient, f.c))
-        at_x0 = sum(map(mul, Pa, X0)) + Ka * D0
-        terms.append((f.s.numerator * r, 2 * f.n * f.s.denominator * at_x0))
+    terms = _offset_terms(fib.factors, X0, D0)
     return frozenset(
         j for j, (ell, q) in enumerate(_label_values(fib.fiber, X0, D0))
-        if all(ell * s - q * e <= 0 for s, e in terms)
+        if all(ell * S - q * E <= 0 for _, S, E in terms)
     )
 
 
@@ -342,23 +337,25 @@ def _fano_evaluator(fib: Fibration, l_ext: AffineFunc) -> Callable[..., Fraction
     With x = X / D and p_a + c_a = A_a / q_a cleared to integers, the value
     is (<m, (X, D)> / D + sum_a k_a D / U_a) / sigma, U_a = <A_a, (X, D)>,
     where (m, k) over sigma clears (-t grad l_ext, K - t l_ext(0); e_a q_a),
-    K = 2 dim Y + 2 and e_a = t s_a - 2 n_a (p_a(x0) + c_a).  So a point costs
-    one integer dot per factor and one Fraction.  The point's errors are
-    condition_value_fano's: ValueError for a wrong length (checked here, as
-    the dots would truncate), then NonpositiveWeight(x, a) for the first a
-    with U_a <= 0.
+    K = 2 dim Y + 2, e_a = t s_a - 2 n_a (p_a(x0) + c_a) and, with t = t_n /
+    t_d, e_a q_a = (t_n D0 S_a - t_d E_a) / (t_d s_d D0) (_offset_terms).
+    So a point costs one integer dot per factor and one Fraction.  The
+    point's errors are condition_value_fano's: ValueError for a wrong length
+    (checked here, as the dots would truncate), then NonpositiveWeight(x, a)
+    for the first a with U_a <= 0.
     """
     if fib.fano_fiber is None:
         raise NotMonotoneFiber("condition_value_fano needs a monotone fiber")
-    x0, t = fib.fano_fiber
-    forms = [_cleared((*f.p.gradient, f.c)) for f in fib.factors]
+    (X0, D0), t = _cleared(fib.fano_fiber[0]), fib.fano_fiber[1]
+    (tn, td), forms = t.as_integer_ratio(), _offset_terms(fib.factors, X0, D0)
     m, sigma = _cleared(
         [-t * g for g in l_ext.gradient]
         + [2 * fib.total_dim + 2 - t * l_ext.constant]
-        + [(t * f.s - 2 * f.n * (f.p(x0) + f.c)) * q for f, (_, q) in zip(fib.factors, forms)]
+        + [Fraction(tn * D0 * S - td * E, td * f.s.denominator * D0)
+           for f, (_, S, E) in zip(fib.factors, forms)]
     )
     m, k = m[: l_ext.dim + 1], m[l_ext.dim + 1 :]
-    terms = [(A, k_a) for (A, _), k_a in zip(forms, k)]
+    terms = [(A, k_a) for (A, _, _), k_a in zip(forms, k)]
 
     def value(x) -> Fraction:
         x = point(x)
@@ -379,11 +376,11 @@ def _fano_evaluator(fib: Fibration, l_ext: AffineFunc) -> Callable[..., Fraction
 
 def _fano_hypothesis_failure(fib: Fibration) -> int | None:
     """The first factor a with p_a(x0) + c_a < t s_a/(2 n_a), or None when
-    the hypothesis holds for every factor."""
-    x0, t = fib.fano_fiber
-    return next(
-        (a for a, f in enumerate(fib.factors) if f.p(x0) + f.c < t * f.s / (2 * f.n)), None
-    )
+    the hypothesis holds for every factor; that is t_n D0 S_a > t_d E_a for
+    t = t_n / t_d (_offset_terms)."""
+    (X0, D0), (tn, td) = _cleared(fib.fano_fiber[0]), fib.fano_fiber[1].as_integer_ratio()
+    terms = _offset_terms(fib.factors, X0, D0)
+    return next((a for a, (_, S, E) in enumerate(terms) if tn * D0 * S > td * E), None)
 
 
 def check_fano_fiber(fib: Fibration, max_depth: int = 6) -> StabilityReport:

@@ -177,6 +177,19 @@ def _build_weights(vertices, factors: tuple[BaseFactor, ...]) -> tuple[Polynomia
     )
 
 
+def _offset_terms(factors, X0: list[int], D0: int) -> list[tuple[list[int], int, int]]:
+    """(A_a, S_a, E_a) per factor on integers, with x0 = X0 / D0, p_a + c_a
+    = (G_a, C_a) / q_a = A_a / q_a and s_a = s_n / s_d cleared: S_a = s_n q_a
+    and E_a = 2 n_a s_d (<G_a, X0> + C_a D0), so that for every rational L,
+    L s_a - 2 n_a (p_a(x0) + c_a) = (L D0 S_a - E_a) / (s_d q_a D0)."""
+    out = []
+    for f in factors:
+        A, q = _cleared((*f.p.gradient, f.c))
+        at_x0 = sum(map(mul, A[:-1], X0)) + A[-1] * D0
+        out.append((A, f.s.numerator * q, 2 * f.n * f.s.denominator * at_x0))
+    return out
+
+
 def fibration(
     fiber: LabelledPolytope,
     factors,

@@ -13,8 +13,8 @@
 # label-evaluating face triangulation, and the Fraction forms of the
 # facet-cell Jacobian, clip and the moment-row reads, and the Fraction
 # monotone-fiber path (weights, Sylvester's test by minors and a separate
-# solve, the condition value), and the Fraction cone conditions g_j and
-# concave-cone test of the general route.  Of wkstab.univariate,
+# solve, the Fano hypothesis, the condition value), and the Fraction cone
+# conditions g_j and concave-cone test of the general route.  Of wkstab.univariate,
 # whose integer kernels these are the oracles of, only the RootLocation
 # record is shared, so that located roots compare equal; the one exception is
 # isolate_roots_full_sturm, the integer isolation as it was before its
@@ -863,10 +863,17 @@ def solve_extremal_by_minors(P, v, w_base, convention):
         raise SingularMomentMatrix("extremal solution failed exact re-verification")
     return ExtremalSolution(
         l_ext=AffineFunc(lam[1:], lam[0]),
-        moment_matrix=tuple(tuple(Fraction(x, den) for x in row) for row in M),
-        rhs=tuple(Fraction(x, den) for x in b),
-        residuals=residuals,
         convention=convention,
+        system=(tuple(map(tuple, M)), tuple(b), den),
+        solution=(tuple(Lam), q),
+    )
+
+
+def fano_hypothesis_failure_fraction(fib):
+    """The first factor a with p_a(x0) + c_a < t s_a/(2 n_a), or None."""
+    x0, t = fib.fano_fiber
+    return next(
+        (a for a, f in enumerate(fib.factors) if f.p(x0) + f.c < t * f.s / (2 * f.n)), None
     )
 
 

@@ -5,6 +5,7 @@ condition value with its per-fibration constants computed once."""
 
 import math
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from _reference_fraction import (
     assert_positive_definite_by_minors,
     build_weights_fraction,
     condition_value_fano_fraction,
+    fano_hypothesis_failure_fraction,
     solve_extremal_by_minors,
 )
 from wkstab import (
@@ -171,3 +173,40 @@ def test_positive_definite_test_matches_the_leading_minors(M):
         return None
 
     assert outcome(_assert_positive_definite) == outcome(assert_positive_definite_by_minors)
+
+
+@st.composite
+def _hypothesis_data(draw):
+    """(x0, t, factors): a rational point x0 in dims 1-3, a rational t > 0
+    and 1-3 factors with rational s (negative too), p and c, each c drawn
+    either freely or exactly on its bound t s / (2 n) - p(x0)."""
+    dim = draw(st.integers(1, 3))
+    x0 = tuple(draw(st.lists(RATIONALS, min_size=dim, max_size=dim)))
+    t = draw(st.fractions(F(1, 12), 4, max_denominator=12))
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        n, s = draw(st.integers(1, 4)), draw(RATIONALS)
+        p = AffineFunc(draw(st.lists(RATIONALS, min_size=dim, max_size=dim)), 0)
+        bound = t * s / (2 * n) - p(x0)
+        c = draw(st.sampled_from([bound, bound + F(1, 144), bound - F(1, 144)]) | RATIONALS)
+        factors.append(BaseFactor(n=n, s=s, c=c, p=p))
+    return x0, t, tuple(factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hypothesis_data())
+def test_fano_hypothesis_on_integers_matches_the_fraction_form(case):
+    x0, t, factors = case
+    # the hypothesis reads only the monotone point and the factors
+    fib = SimpleNamespace(fano_fiber=(x0, t), factors=factors)
+    assert _fano_hypothesis_failure(fib) == fano_hypothesis_failure_fraction(fib)
+
+
+def test_fano_hypothesis_holds_at_equality():
+    x0, t = (F(1, 3), F(-1, 2)), F(3, 2)
+    p = AffineFunc([F(2, 5), -3], 0)
+    on = BaseFactor(n=2, s=F(-7, 3), c=t * F(-7, 3) / 4 - p(x0), p=p)
+    below = BaseFactor(n=2, s=F(-7, 3), c=on.c - F(1, 10**9), p=p)
+    for factors, want in (((on,), None), ((on, below), 1), ((below, on), 0)):
+        fib = SimpleNamespace(fano_fiber=(x0, t), factors=factors)
+        assert _fano_hypothesis_failure(fib) == fano_hypothesis_failure_fraction(fib) == want

@@ -30,8 +30,10 @@ from wkstab import (
     solve_extremal,
     stability_weight,
 )
+from wkstab import futaki
 from wkstab.measure import integrate_simplex
 from wkstab.polytope import triangulate
+from _reference_fraction import solve_extremal_by_minors
 from _frozen import (
     RANK_ONE_FUTAKI,
     RANK_ONE_LEXT_CONST,
@@ -179,6 +181,32 @@ def test_integer_moment_system_equals_the_fraction_path(make, convention):
     assert sol.residuals == (F(0),) * len(b)
     entries = [x for row in sol.moment_matrix for x in row] + list(sol.rhs + sol.residuals)
     assert all(type(x) is F for x in entries)
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+@pytest.mark.parametrize("make", SOLVE_CORPUS)
+def test_the_extremal_record_builds_its_views_when_read(make, convention, monkeypatch):
+    fib = dataclasses.replace(make(), convention=convention)
+    want = solve_extremal_by_minors(fib.fiber, fib.v, fib.w_base, convention)
+    matrix, rhs, residuals = want.moment_matrix, want.rhs, want.residuals
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(futaki, "Fraction", counted)
+    sol = solve_extremal(fib.fiber, fib.v, fib.w_base, convention)
+    n = fib.dim + 1
+    assert len(made) == n  # l_ext's coefficients only
+    assert sol.moment_matrix == matrix and len(made) == n + n * n
+    assert sol.rhs == rhs and sol.residuals == residuals == (F(0),) * n
+    assert (sol.l_ext, sol.convention) == (want.l_ext, want.convention)
+    # the residuals are recomputed from the integers, not stored: a moved
+    # solution numerator shows in them
+    (Lam, d) = sol.solution
+    moved = dataclasses.replace(sol, solution=((Lam[0] + 1, *Lam[1:]), d))
+    assert any(moved.residuals)
 
 
 def _bundle_weights():

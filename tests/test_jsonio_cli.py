@@ -8,6 +8,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import square
 from wkstab import (
@@ -1007,3 +1008,180 @@ def test_factors_without_fiber_is_read_as_a_fibration(capsys, command):
     code, out, err = run(capsys, command, '{"factors": [{"preset": "P1"}]}')
     assert (code, out) == (1, "")
     assert err.splitlines()[0] == "error: fibration: missing required key 'fiber'"
+
+
+# ------------------------------------------------------------ report writer
+
+_STRINGS = st.text(
+    st.characters() | st.sampled_from("\ud800\udbff\udc00\udfff\x00\x01\x1f\x7f\"\\/\u00fc\u2028\U0001f600"),
+    max_size=6,
+)
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | _STRINGS
+    | st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64))
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_STRINGS, kids, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TREES)
+def test_dumps_writes_the_bytes_of_the_standard_library(tree):
+    assert jsonio.dumps(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj", [1.5, float("nan"), [0.0], {"x": {"y": -1e300}}, {1: 2}, F(1, 2), (1, {2})]
+)
+def test_dumps_rejects_what_no_report_carries(obj):
+    with pytest.raises(TypeError):
+        jsonio.dumps(obj)
+
+
+# ------------------------------------------------- fibers found before parsing
+
+
+def test_a_parsed_fiber_is_found_before_its_labels_are_parsed(monkeypatch):
+    for node in (_triangle_with_constant("3/7"), {"standard_simplex": {"l": 3, "t": "5/7"}}):
+        P = jsonio.polytope_from_json(node)
+        counts = {}
+        _count_calls(monkeypatch, jsonio, "affine_from_json", counts)
+        _count_calls(monkeypatch, jsonio, "_standard_labels", counts)
+        assert jsonio.polytope_from_json(json.loads(json.dumps(node))) is P
+        assert counts == {}
+        monkeypatch.undo()
+    # two spellings of one label tuple: two keys, one polytope
+    P = jsonio.polytope_from_json(_triangle_with_constant("1/3"))
+    for _ in range(2):
+        assert jsonio.polytope_from_json(_triangle_with_constant("2/6")) is P
+        assert jsonio.polytope_from_json(_triangle_with_constant("1/3")) is P
+
+
+def _set(path, value):
+    def change(node):
+        *keys, last = path
+        target = node
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        return node
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        _set(("labels", 0, "constant"), True),
+        _set(("labels", 0, "constant"), 1.0),
+        _set(("labels", 0, "gradient"), (1, 0)),
+        _set(("labels", 0, "gradient", 1), False),
+        _set(("labels", 0, "note"), 1),
+        _set(("dim",), True),
+        _set(("extra",), 1),
+        lambda node: dict(node, labels=tuple(node["labels"])),
+    ],
+    ids=["bool", "float", "tuple-gradient", "bool-gradient", "extra-label-key", "bool-dim",
+         "extra-key", "tuple-labels"],
+)
+def test_a_node_near_a_parsed_fiber_is_still_rejected(change):
+    good = _triangle_with_constant(1)
+    jsonio.polytope_from_json(good)
+    bad = change(json.loads(json.dumps(good)))  # a deep copy: the labels are shared
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(InputError) as info:
+            jsonio.polytope_from_json(bad)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+
+
+@pytest.mark.parametrize("t", [True, 1.0, 0, "-1"])
+def test_a_bad_shorthand_is_rejected_after_a_good_one(t):
+    jsonio.polytope_from_json({"standard_simplex": {"l": 2, "t": 1}})
+    for _ in range(2):
+        with pytest.raises(InputError):
+            jsonio.polytope_from_json({"standard_simplex": {"l": 2, "t": t}})
+
+
+def test_a_cleared_intern_table_builds_a_fresh_fiber(monkeypatch):
+    node = _triangle_with_constant("5/3")
+    P = jsonio.polytope_from_json(node)
+    jsonio._interned.cache_clear()
+    counts = {}
+    _count_calls(monkeypatch, polytope, "from_halfspaces", counts)
+    Q = jsonio.polytope_from_json(node)
+    assert Q is not P and Q == P and counts == {"from_halfspaces": 1}
+    assert jsonio.polytope_from_json(node) is Q and counts == {"from_halfspaces": 1}
+
+
+def test_the_parsed_fiber_memo_is_bounded_like_the_intern_table():
+    for k in range(polytope._INTERNED_FIBERS + 5):
+        jsonio.polytope_from_json({"standard_simplex": {"l": 1, "t": k + 1}})
+    assert len(jsonio._PARSED_LABELS) == polytope._INTERNED_FIBERS
+
+
+# ------------------------------------------------------------- deep nesting
+
+
+def test_deeply_nested_input_exits_one_with_a_path(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "info", str(deep))
+    assert (code, out) == (1, "") and err.startswith("error: <input>: ")
+    assert err.count("\n") == 1
+
+
+def test_no_sweep_template_overflows_a_row(capsys):
+    # whatever the depth, the input or the template walk fails once with a
+    # path, or every row runs: no RecursionError escapes
+    seen = set()
+    for depth in range(100, 1000, 9):
+        src = (
+            '{"template": {"fiber": {"standard_simplex": {"l": 1, "t": 1}}, '
+            '"factors": [{"n": 1, "s": 4, "c": ' + "[" * depth + '"$c"' + "]" * depth
+            + '}]}, "rows": [{"c": 3}]}'
+        )
+        code, out, err = run(capsys, "sweep", src)
+        assert code == 1
+        if err:
+            where = err.split(": ")[1]
+            assert out == "" and where in ("<input>", "sweep.template")
+            assert err.endswith("nested too deeply\n")
+        else:
+            where = "row"
+            assert json.loads(out)["rows"][0]["verdict"] == "Error"
+        seen.add(where)
+    assert {"row", "sweep.template"} <= seen
+
+
+# ----------------------------------------------------------- text rendering
+
+
+def test_json_runs_render_no_text(capsys, monkeypatch, request):
+    # these runs fill the interned interval's moment record past the degree
+    # that test_measure's fill test expects of a fresh one
+    request.addfinalizer(jsonio._interned.cache_clear)
+
+    def refuse(*args):
+        raise AssertionError("text rendered on a JSON run")
+
+    sweep = json.dumps(
+        {"template": json.loads(TRI_TEMPLATE.replace('"var"', '"$c"')),
+         "rows": [{"c": 9}, {"c": -5}]}
+    )
+    runs = [
+        ["info", RANK_ONE], ["info", '{"standard_simplex": {"l": 2, "t": 1}}'],
+        ["lext", RANK_ONE], ["futaki", RANK_ONE], ["check-fano", RANK_ONE_REFUTED],
+        ["check", RANK_ONE, "--x0-sweep"], ["check-fano-total", TRI_S24],
+        ["threshold", TRI_TEMPLATE, "--lo", "4", "--hi", "9"],
+        ["probe", RANK_ONE_REFUTED], ["sweep", sweep],
+    ]
+    want = [run(capsys, *argv) for argv in runs]
+    for name in ("_fmt", "format_point", "_report_lines", "_info_lines"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert [run(capsys, *argv) for argv in runs] == want
+    assert all(out.startswith("{") for _, out, _ in want)
