@@ -36,10 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
-from .exact import AffineFunc, Polynomial, _eliminate, point, radial_derivative
+from .exact import AffineFunc, Polynomial, _eliminate, _product, point, radial_derivative
 from .measure import _add, _integer_terms, _moment_rows, _pair, integrate_simplex
 from .measure import integrate  # noqa: F401  (perfbench's tracer patches futaki.integrate)
 from .polytope import LabelledPolytope, cone_decomposition
@@ -232,10 +232,21 @@ def extremal_affine(fib: Fibration) -> ExtremalSolution:
 
 
 def stability_weight(fib: Fibration, l_ext: AffineFunc | None = None) -> Polynomial:
-    """The w entering the stability condition: l_ext * v - w_base."""
+    """The w entering the stability condition: l_ext * v - w_base.
+
+    Formed on integers: l_ext, v and w_base are cleared over dl, dv and dw,
+    l_ext v is one exact._product of integer maps, and w's terms are brought
+    over D = lcm(dl dv, dw), so only w's own terms become Fractions, in the
+    order Polynomial arithmetic gives them."""
     if l_ext is None:
         l_ext = extremal_affine(fib).l_ext
-    return l_ext.to_polynomial() * fib.v - fib.w_base
+    (L, dl), (V, dv), (W, dw) = map(_integer_terms, (l_ext.to_polynomial(), fib.v, fib.w_base))
+    D = lcm(dl * dv, dw)
+    a, b = D // (dl * dv), D // dw
+    terms = {e: a * c for e, c in _product(dict(L), dict(V)).items() if c}
+    for e, c in W:
+        terms[e] = terms[e] - b * c if e in terms else -b * c
+    return Polynomial._from_terms(fib.v.dim, {e: Fraction(c, D) for e, c in terms.items() if c})
 
 
 def futaki_character(fib: Fibration) -> tuple:

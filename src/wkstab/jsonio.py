@@ -19,13 +19,14 @@ intern table, keeps each parsed label tuple under the shorthand's validated
 node costs no AffineFunc and no label hash; a node whose values are not all
 JSON ints and strings is parsed every time.  So every command, sweep row
 and threshold template that names a fiber already parsed or built in this
-process reuses its vertices, its facet cells, its moment record and its
-monotone point instead of building them again.  Sharing is safe: the
-polytope is immutable, and its derived slots, ``facet_cells``, written only
-by polytope._facet_cells, ``moments``, written only by measure._fill (a
-refill to a higher degree keeps every lower entry), and ``monotone``,
-written only by polytope.monotone_point, hold exact values fixed by the
-labels.  Exceptions are not cached, so bad input raises on every parse; a
+process reuses its vertices, its integer vertex record, its facet cells,
+its moment record and its monotone point instead of building them again.
+Sharing is safe: the polytope is immutable, and its derived slots,
+``cleared``, written only by polytope._vertex_record, ``facet_cells``,
+written only by polytope._facet_cells, ``moments``, written only by
+measure._fill (a refill to a higher degree keeps every lower entry), and
+``monotone``, written only by polytope.monotone_point, hold exact values
+fixed by the labels.  Exceptions are not cached, so bad input raises on every parse; a
 label set that cuts out no polytope raises an InputError at
 ``<path>.labels``.  from_halfspaces itself is not cached: library callers
 get a fresh polytope and an empty record from it.

@@ -22,7 +22,8 @@ only on the degree d = |a|:
     int_{boundary P} x^a dsig = N / Delta'_d,   Delta'_d = (l - 1 + d)! * D_P^d * J,
 
 with D_P the lcm of the denominators of P's vertex coordinates and J the lcm
-of the denominators of jac and L_j(0) * jac over the facet cells (below).
+of the denominators of jac and L_j(0) * jac over the facet cells (below),
+each in lowest terms.
 Delta_d = (l + d) Delta'_d, and Delta_d divides Delta_{d+1} =
 (l + d + 1) D_P Delta_d, so any set of moments shares the interior
 denominator of its largest degree.
@@ -30,10 +31,15 @@ denominator of its largest degree.
 _fill(P, top) returns the record at once when it already reaches degree
 top, and otherwise rebuilds all of it up to top in one pass over the facet
 cells; D_P and J depend on P alone, so a rebuild keeps every lower entry.
-The polytope owns the cells: polytope._facet_cells triangulates each facet
-once per polytope and keeps each cell's jac = |det[w_i - w_0, xi]|, one
-minor of the cell's edge vectors over one entry of the label's gradient.  On a
-cell v_0..v_k (k = l - 1) of facet j, Dirichlet's formula
+The polytope owns the cells and the integers they are read on:
+polytope._vertex_record clears P's vertices once to the rows u = D_P v,
+and polytope._facet_cells triangulates each facet once per polytope into
+vertex-index cells, keeping each cell's jac = |det[w_i - w_0, xi]| as an
+integer numerator and denominator (one integer minor of the cell's U rows
+over D_P^(l-1) |g_i|).  So a fill hands each cell's U rows to _cell_moments
+as they are and reads jac and L_j(0) jac off integers, with no Fraction per
+cell or per vertex coordinate.  On a cell v_0..v_k (k = l - 1) of facet j,
+Dirichlet's formula
 int_Delta lambda^b = k! vol b! / (k + |b|)! in the barycentric coordinates
 lambda turns every moment into the functional phi: lambda^b -> b!, and
 
@@ -85,7 +91,7 @@ from fractions import Fraction
 from operator import add
 
 from .exact import Point, Polynomial, _cleared, det
-from .polytope import LabelledPolytope, Simplex, _facet_cells, _transversal
+from .polytope import LabelledPolytope, Simplex, _facet_cells, _points, _transversal, _vertex_record
 
 
 def integrate_simplex_standard(p: Polynomial) -> Fraction:
@@ -155,7 +161,7 @@ def integrate_facet(p: Polynomial, P: LabelledPolytope, j: int) -> Fraction:
         raise IndexError("facet index out of range")
     xi = _transversal(P, j)
     return sum(
-        (integrate_facet_cell(p, cell, xi) for cell, _ in _facet_cells(P)[j]),
+        (integrate_facet_cell(p, _points(P, cell), xi) for cell, _, _ in _facet_cells(P)[j]),
         Fraction(0),
     )
 
@@ -225,42 +231,47 @@ def _fill(P: LabelledPolytope, top: int) -> tuple:
     """P.moments = (D_P, J, inner, outer), the interior and boundary
     numerators of every monomial of degree <= top in _monomials order,
     rebuilt in one pass over the facet cells unless P.moments already
-    reaches top.  Return the record."""
+    reaches top.  Return the record.
+
+    A cell (cell, n, d) of facet j has jac = n / d and L_j(0) jac = cn / cd
+    with cn = n a, cd = d b for L_j(0) = a / b, so J is the lcm of
+    d / gcd(n, d) and cd / gcd(cn, cd), and the cell's weights
+    jac J = n J / d and L_j(0) jac J = cn J / cd are exact integer
+    quotients."""
     mons = _monomials(P.dim, top)
     if P.moments and len(P.moments[2]) >= len(mons):
         return P.moments
-    cells = [(cell, jac, L.constant * jac)
-             for L, facet in zip(P.labels, _facet_cells(P)) for cell, jac in facet]
-    D_P = math.lcm(*(x.denominator for vtx in P.vertices for x in vtx))
-    J = math.lcm(*(x.denominator for _, jac, cjac in cells for x in (jac, cjac)))
+    D_P, U, _ = _vertex_record(P)
+    cells = [([U[k] for k in cell], n, d, n * L.constant.numerator, d * L.constant.denominator)
+             for L, facet in zip(P.labels, _facet_cells(P)) for cell, n, d in facet]
+    J = math.lcm(*(d // math.gcd(n, d) for _, n, d, _, _ in cells),
+                 *(cd // math.gcd(cn, cd) for _, _, _, cn, cd in cells))
     inner = [0] * len(mons)
     outer = [0] * len(mons)
-    for cell, jac, cjac in cells:
-        kb = jac.numerator * (J // jac.denominator)
-        ki = cjac.numerator * (J // cjac.denominator)
-        for i, N in enumerate(_cell_moments(cell, D_P, mons)):
+    for rows, n, d, cn, cd in cells:
+        kb, ki = n * J // d, cn * J // cd
+        for i, N in enumerate(_cell_moments(rows, mons)):
             outer[i] += kb * N
             inner[i] += ki * N
     object.__setattr__(P, "moments", (D_P, J, inner, outer))
     return P.moments
 
 
-def _cell_moments(verts: tuple[Point, ...], D_P: int, expos: list) -> list[int]:
+def _cell_moments(rows: list, expos: list) -> list[int]:
     """[N_a for a in expos]: the integers with
 
         int_cell x^a dsigma = jac * N_a / ((l - 1 + d)! * D_P^d)
 
-    on the simplex cell *verts* (d = |a|, D_P a multiple of every coordinate
-    denominator), that is N_a = a! [c^a] prod_i 1/(1 - <c, u_i>) with
-    u_i = D_P v_i (see the module docstring).  The truncated product is
-    built one vertex at a time: dividing a series A by 1 - <c, u> gives B
-    with B_e = A_e + sum_r u_r B_(e - e_r), so B is filled in place in graded
+    on the simplex cell whose vertices v have the integer rows u = D_P v
+    (d = |a|), that is N_a = a! [c^a] prod_i 1/(1 - <c, u_i>) (see the
+    module docstring).  The truncated product is built one vertex at a
+    time: dividing a series A by 1 - <c, u> gives B with
+    B_e = A_e + sum_r u_r B_(e - e_r), so B is filled in place in graded
     order, one step per monomial and variable.
     """
-    index, steps, fact = _series_tables(len(verts[0]), max(map(sum, expos), default=0))
+    index, steps, fact = _series_tables(len(rows[0]), max(map(sum, expos), default=0))
     B = [1] + [0] * (len(fact) - 1)
-    for v in verts:
-        u = [x.numerator * (D_P // x.denominator) for x in v]
+    for u in rows:
         for t, r, p in steps:
             B[t] += u[r] * B[p]
     return [fact[i] * B[i] for i in map(index.__getitem__, expos)]

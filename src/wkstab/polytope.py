@@ -19,19 +19,27 @@ Ziegler, Lectures on Polytopes, ch. 2) by one rule, :func:`_facets`, which
 from_halfspaces, clip and the fan triangulation of each face all use: no
 label is evaluated and no affine rank computed to decide a face.
 
+Each polytope keeps one integer record of its vertices, built on first use
+(:func:`_vertex_record`): the lcm D_P of their coordinate denominators, the
+rows U = D_P v (exact._cleared_points), and each vertex's zero set as a
+bitmask over the labels.  clip, the facet cells and measure's moment fill
+all read it, so a polytope's vertices are cleared once in its life.
+
 clip never enumerates vertices: a piece P intersect {h >= 0} comes from one
 double-description step on P's vertices and facet incidence (edges found by
 the combinatorial adjacency test, one crossing point per edge that h cuts),
-and it is bounded because P is.  The step runs in integers: with P's
-vertices over their common denominator and h cleared, h's vertex values are
-integers up to one positive factor, and each crossing point is one Fraction
-per coordinate.  Emptiness is decided by sign: P is full-dimensional, so the
-piece has interior exactly when h > 0 at some vertex.
+and it is bounded because P is.  The step runs on P's integer record: with
+h cleared, h's vertex values are integers up to one positive factor, and
+each crossing point is one Fraction per coordinate.  Emptiness is decided
+by sign: P is full-dimensional, so the piece has interior exactly when
+h > 0 at some vertex.
 
-A facet cell's Jacobian |det[w_k - w_0, xi]|, with xi = e_i / g_i the
-transversal of the facet's label (g its gradient, i its first nonzero
-entry), is one minor: expanded along xi's column it is |det W_i| / |g_i|,
-with W_i the columns w_k - w_0 without row i.
+The facet cells are vertex-index simplices.  A cell's Jacobian
+|det[w_k - w_0, xi]|, with xi = e_i / g_i the transversal of the facet's
+label (g its gradient, i its first nonzero entry), is one integer minor:
+expanded along xi's column it is |det W_i| / (D_P^(l-1) |g_i|), with W_i
+the integer columns u_k - u_0 of the cell's U rows without row i, and it is
+kept as that integer numerator and denominator.
 """
 
 from __future__ import annotations
@@ -125,16 +133,17 @@ _UNSOLVED = object()  # LabelledPolytope.monotone before monotone_point fills it
 
 class LabelledPolytope:
     """Immutable labelled polytope; construct via :func:`from_halfspaces`.
-    Three slots hold values derived from the labels, filled on first use:
-    ``facet_cells``, each facet's labelled cells (see :func:`_facet_cells`),
-    ``moments``, the record (D_P, J, interior, boundary) of integer moment
-    numerators up to the degree filled so far (see measure), and
-    ``monotone``, the answer of :func:`monotone_point`.  None of them is part
-    of equality, hashing or pickling."""
+    Four slots hold values derived from the labels, filled on first use:
+    ``cleared``, the integer vertex record (D_P, U, zeros) of
+    :func:`_vertex_record`, ``facet_cells``, each facet's labelled cells (see
+    :func:`_facet_cells`), ``moments``, the record (D_P, J, interior,
+    boundary) of integer moment numerators up to the degree filled so far
+    (see measure), and ``monotone``, the answer of :func:`monotone_point`.
+    None of them is part of equality, hashing or pickling."""
 
     __slots__ = (
         "dim", "labels", "vertices", "facet_incidence",
-        "facet_cells", "moments", "monotone",
+        "cleared", "facet_cells", "moments", "monotone",
     )
 
     def __init__(self, dim, labels, vertices, facet_incidence):
@@ -142,6 +151,7 @@ class LabelledPolytope:
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "facet_incidence", tuple(tuple(f) for f in facet_incidence))
+        object.__setattr__(self, "cleared", None)
         object.__setattr__(self, "facet_cells", None)
         object.__setattr__(self, "moments", None)
         object.__setattr__(self, "monotone", _UNSOLVED)
@@ -316,40 +326,65 @@ def _transversal(P: LabelledPolytope, j: int) -> Point:
     raise ValueError("label has zero gradient")
 
 
-def _cell_jacobian(verts: tuple[Point, ...], g: Point) -> Fraction:
-    """(dim-1)! times the labelled measure of the facet cell *verts* of a facet
-    whose label has gradient g: |det[w_k - w_0, xi]| with xi = e_i / g_i the
+def _vertex_record(P: LabelledPolytope) -> tuple:
+    """P.cleared = (D_P, U, zeros): the vertices as integer rows U = D_P v
+    over the lcm D_P of their coordinate denominators, and each vertex's
+    zero set as a bitmask over the labels (bit j when it lies on facet j);
+    built once per polytope."""
+    if P.cleared is None:
+        zeros = [0] * len(P.vertices)
+        for j, inc in enumerate(P.facet_incidence):
+            for i in inc:
+                zeros[i] |= 1 << j
+        object.__setattr__(P, "cleared", (*_cleared_points(P.vertices), tuple(zeros)))
+    return P.cleared
+
+
+def _cell_jacobian(rows, D: int, g: Point) -> tuple[int, int]:
+    """(n, d) with n / d the labelled measure times (dim-1)! of the facet
+    cell whose vertices w_k have integer rows u_k = D w_k, on a facet whose
+    label has gradient g: |det[w_k - w_0, xi]| with xi = e_i / g_i the
     transversal of :func:`_transversal`.  Expanded along xi's column this is
-    one minor, |det W_i| / |g_i|, with W_i the columns w_k - w_0 without
-    row i: 1 in dimension 1, one difference in dimension 2, a 2 x 2
-    determinant in dimension 3."""
-    i = next(i for i, gi in enumerate(g) if gi)
-    w0 = verts[0]
-    W = [[w[r] - w0[r] for w in verts[1:]] for r in range(len(g)) if r != i]
+    one minor, |det W_i| / (D^(dim-1) |g_i|), with W_i the integer columns
+    u_k - u_0 without row i: 1 in dimension 1, one difference in dimension
+    2, a 2 x 2 determinant in dimension 3.  So n = |det W_i| den(g_i) and
+    d = |num(g_i)| D^(dim-1)."""
+    i, gi = next((i, gi) for i, gi in enumerate(g) if gi)
+    u0 = rows[0]
+    W = [[u[r] - u0[r] for u in rows[1:]] for r in range(len(g)) if r != i]
     if len(W) > 2:
-        minor = det(W)
+        minor = det(W).numerator
     elif len(W) == 2:
         minor = W[0][0] * W[1][1] - W[0][1] * W[1][0]
     else:
         minor = W[0][0] if W else 1
-    return abs(minor) / abs(g[i])
+    return abs(minor) * gi.denominator, abs(gi.numerator) * D ** (len(g) - 1)
 
 
 def _facet_cells(P: LabelledPolytope) -> tuple:
-    """Per facet j, its cells (w_0..w_{dim-1}, jac) with jac the cell's
-    labelled measure times (dim-1)! (:func:`_cell_jacobian`); computed once
-    per polytope and kept in P.facet_cells."""
+    """Per facet j, its cells (cell, n, d): cell the vertex indices of one
+    simplex of the facet's triangulation (:func:`_facet_triangulation`) and
+    n / d its labelled measure times (dim-1)! on P's integer rows
+    (:func:`_cell_jacobian`); computed once per polytope and kept in
+    P.facet_cells."""
     if P.facet_cells is None:
+        D, U, _ = _vertex_record(P)
         object.__setattr__(P, "facet_cells", tuple(
-            tuple((cell, _cell_jacobian(cell, L.gradient)) for cell in triangulate_facet(P, j))
+            tuple((cell, *_cell_jacobian([U[k] for k in cell], D, L.gradient))
+                  for cell in _facet_triangulation(P, j))
             for j, L in enumerate(P.labels)
         ))
     return P.facet_cells
 
 
+def _points(P: LabelledPolytope, cell: tuple[int, ...]) -> tuple[Point, ...]:
+    """The vertices of P at the indices *cell*."""
+    return tuple(P.vertices[i] for i in cell)
+
+
 def _facet_measure(P: LabelledPolytope, j: int) -> Fraction:
     """The labelled measure of facet j times (dim-1)!."""
-    return sum((jac for _, jac in _facet_cells(P)[j]), Fraction(0))
+    return sum((Fraction(n, d) for _, n, d in _facet_cells(P)[j]), Fraction(0))
 
 
 def _minkowski_relation_holds(P: LabelledPolytope) -> bool:
@@ -446,19 +481,25 @@ def _face_triangulation(P: LabelledPolytope, face: frozenset[int], fdim: int) ->
     )
 
 
+def _facet_triangulation(P: LabelledPolytope, j: int) -> list[tuple[int, ...]]:
+    """Facet j's fan triangulation as vertex-index cells; :func:`_facet_cells`
+    runs it once per facet in P's life."""
+    return _face_triangulation(P, frozenset(P.facet_incidence[j]), P.dim - 1)
+
+
 def triangulate_facet(P: LabelledPolytope, j: int) -> list[tuple[Point, ...]]:
-    """Deterministic triangulation of facet *j* into (dim-1)-simplices."""
+    """Deterministic triangulation of facet *j* into (dim-1)-simplices: the
+    cells of P's record (:func:`_facet_cells`) as points."""
     if not 0 <= j < P.n_facets:
         raise IndexError("facet index out of range")
-    cells = _face_triangulation(P, frozenset(P.facet_incidence[j]), P.dim - 1)
-    return [tuple(P.vertices[i] for i in cell) for cell in cells]
+    return [_points(P, cell) for cell, _, _ in _facet_cells(P)[j]]
 
 
 def triangulate(P: LabelledPolytope) -> list[Simplex]:
     """Triangulation of P by a fan from its lowest-indexed vertex.  Its cells
     span without a rank check: the apex lies off every facet it cones over."""
     cells = _face_triangulation(P, frozenset(range(len(P.vertices))), P.dim)
-    return [Simplex._spanned(tuple(P.vertices[i] for i in cell)) for cell in cells]
+    return [Simplex._spanned(_points(P, cell)) for cell in cells]
 
 
 @dataclass(frozen=True)
@@ -476,7 +517,8 @@ def cone_decomposition(P: LabelledPolytope, x0) -> ConeDecomposition:
     if not P.is_interior(x0):
         raise NotInterior(x0)
     cones = tuple(
-        tuple(Simplex._spanned(base + (x0,)) for base, _ in cells) for cells in _facet_cells(P)
+        tuple(Simplex._spanned(_points(P, cell) + (x0,)) for cell, _, _ in cells)
+        for cells in _facet_cells(P)
     )
     return ConeDecomposition(x0=x0, cones=cones)
 
@@ -502,12 +544,8 @@ def clip(P: LabelledPolytope, h: AffineFunc) -> LabelledPolytope:
         raise ValueError("dimension mismatch in clip")
     if not any(h.gradient):
         raise RedundantLabel(P.n_facets)
-    zeros = [0] * len(P.vertices)  # Z(i) as a bitmask over the labels
-    for j, inc in enumerate(P.facet_incidence):
-        for i in inc:
-            zeros[i] |= 1 << j
+    D, U, zeros = _vertex_record(P)  # U = D * v, Z(i) as a bitmask over the labels
     on_h = 1 << P.n_facets
-    D, U = _cleared_points(P.vertices)  # U = D * v
     *G, C = _cleared(h.gradient + (h.constant,))[0]
     hv = [sum(map(mul, G, u), C * D) for u in U]  # h(v) times one positive integer
     above = [i for i, x in enumerate(hv) if x > 0]

@@ -34,11 +34,14 @@ compare by cross-multiplication, and only the winner's ratio becomes a
 Fraction.  A destabilizer's F(f) is re-checked on the independent cone path
 (Crease.df_value_direct) before it is reported.
 
-crease_family builds the offset grid once per family.  Per direction n it
-takes n.x0 once, and each offset s = n.q once, since equal offsets give equal
-creases; so the test h(x0) <= 0 and the removal of duplicates cost one
-comparison and one dict entry per offset, and clip (which decides emptiness
-by the sign of h at P's vertices) runs once per surviving crease.
+crease_family builds the offset grid once per family and clears it with x0
+to integer rows over one denominator E.  Per direction n it takes the
+integer dot n.(E x0) once, and each offset E n.q once, since equal offsets
+give equal creases; so the test h(x0) <= 0 and the removal of duplicates
+cost one integer comparison and one dict entry per offset, only a kept
+crease's offset becomes a Fraction, and clip (which decides emptiness by
+the sign of h at P's vertices) runs once per surviving crease.  Crease._rows
+reads h's integer terms straight off its label.
 """
 
 from __future__ import annotations
@@ -49,9 +52,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .exact import AffineFunc, Point, Polynomial, _cleared, dot, format_point, point, vadd, vscale, vsub
-from .futaki import _check_weight_dims, assert_futaki_vanishes, df_invariant, df_via_cones
-from .measure import _integer_terms, _moment_rows, _monomials, integrate
+from .exact import (
+    AffineFunc, Point, Polynomial, _cleared, _cleared_points, format_point, point, vadd, vscale, vsub,
+)
+from .futaki import (
+    _affine_exponents, _check_weight_dims, assert_futaki_vanishes, df_invariant, df_via_cones,
+)
+from .measure import _moment_rows, _monomials, integrate
 from .polytope import EmptyInterior, LabelledPolytope, clip
 
 
@@ -85,8 +92,9 @@ class Crease:
         filled at most once per rebuild, and over one denominator D_k."""
         if self._cache[0] < dv or self._cache[1] < dw:
             dv, dw = max(dv, self._cache[0]), max(dw, self._cache[1])
-            P = self.positive
-            H, dh = _integer_terms(self.h.to_polynomial())
+            P, h = self.positive, self.h
+            ints, dh = _cleared((h.constant, *h.gradient))
+            H = [(a, c) for a, c in zip(_affine_exponents(P.dim), ints) if c]
             bv, bw = _monomials(P.dim, dv), _monomials(P.dim, dw)
             (rb, ri), delta = _moment_rows(P, [(H, bv, True), (H, bw, False)], 1 + max(dv, dw))
             object.__setattr__(self, "_cache", (dv, dw, dh * delta, rb, ri))
@@ -129,17 +137,17 @@ def crease_family(P: LabelledPolytope, x0, r: int) -> list[Crease]:
         raise ValueError("resolution r must be >= 1")
     if not P.is_interior(x0):
         raise ValueError(f"x0 = {format_point(x0)} is not interior")
-    grid = _offset_grid(P, r)
+    E, (X, *grid) = _cleared_points([x0, *_offset_grid(P, r)])
     family: list[Crease] = []
     for d in _primitive_directions(P.dim, r):
         n, m = point(d), point(-c for c in d)
-        nx0 = dot(n, x0)
-        for s in dict.fromkeys(dot(n, q) for q in grid):  # each offset n.q once
-            # h = n.x - s and h = s - n.x, kept when h(x0) <= 0
+        nx0 = sum(map(mul, d, X))
+        for s in dict.fromkeys(sum(map(mul, d, q)) for q in grid):  # each offset E n.q once
+            # h = n.x - s/E and h = s/E - n.x, kept when h(x0) <= 0
             for g, c, keep in ((n, -s, nx0 <= s), (m, s, s <= nx0)):
                 if not keep:
                     continue
-                h = AffineFunc(g, c)
+                h = AffineFunc(g, Fraction(c, E))
                 try:
                     pos = clip(P, h)
                 except EmptyInterior:

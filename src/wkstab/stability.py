@@ -63,7 +63,7 @@ from .futaki import (
 )
 from .measure import _integer_terms
 from .polytope import (
-    LabelledPolytope, NotInterior, Simplex, _facet_cells, monotone_point, triangulate,
+    LabelledPolytope, NotInterior, Simplex, _facet_cells, _points, monotone_point, triangulate,
 )
 from .weights import (
     Convention,
@@ -271,8 +271,8 @@ def check_general(
     outcomes: list[ConeOutcome] = []
     for j, ((G, S), bases) in enumerate(zip(_cone_conditions(P, x0, v, w), _facet_cells(P))):
         affine = max(map(sum, G), default=-1) <= 1
-        for ci, (base, _) in enumerate(bases):
-            cell = Simplex._spanned(base + (x0,))
+        for ci, (base, _, _) in enumerate(bases):
+            cell = Simplex._spanned(_points(P, base) + (x0,))
             if affine:
                 outcomes.append(_vertex_route(G, S, cell.vertices, j, ci, METHOD_AFFINE))
             elif j in concave_cones:

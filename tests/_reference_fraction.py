@@ -9,7 +9,8 @@
 # filtered exponent list of wkstab.measure, Euclid's gcd, the sampled
 # rational-function reconstruction, the Fraction Sturm sequence,
 # interpolation, determinants over Q[x] and root isolation, the per-crease
-# probe loop, the rank-based from_halfspaces loop (run recession-first) and
+# probe loop and the Fraction crease filter and stability weight, the
+# rank-based from_halfspaces loop (run recession-first) and
 # label-evaluating face triangulation, and the Fraction forms of the
 # facet-cell Jacobian, clip and the moment-row reads, and the Fraction
 # monotone-fiber path (weights, Sylvester's test by minors and a separate
@@ -661,6 +662,39 @@ def probe_fraction(v, w, family):
     if best is None:
         return None, None, None
     return best[0], best[1], best[1] if best[0] < 0 else None
+
+
+# The crease family as crease_family built it before its integer offsets: one
+# Fraction dot n.q per direction and grid point, and the Fraction test
+# h(x0) <= 0 per offset.  And w = l_ext v - w_base as futaki formed it
+# before its integer product: Fraction Polynomial arithmetic.
+
+
+def crease_family_fraction(P, x0, r):
+    from wkstab.exact import dot
+    from wkstab.polytope import EmptyInterior, clip
+    from wkstab.probe import _offset_grid, _primitive_directions
+
+    x0 = point(x0)
+    grid = _offset_grid(P, r)
+    family = []
+    for d in _primitive_directions(P.dim, r):
+        n, m = point(d), point(-c for c in d)
+        nx0 = dot(n, x0)
+        for s in dict.fromkeys(dot(n, q) for q in grid):
+            for g, c, keep in ((n, -s, nx0 <= s), (m, s, s <= nx0)):
+                if not keep:
+                    continue
+                h = AffineFunc(g, c)
+                try:
+                    family.append((h, clip(P, h)))
+                except EmptyInterior:
+                    continue
+    return family
+
+
+def stability_weight_fraction(fib, l_ext):
+    return l_ext.to_polynomial() * fib.v - fib.w_base
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import hexagon, interior_points, interval, square, triangle
 from wkstab import (
@@ -33,7 +33,7 @@ from wkstab import (
 from wkstab import futaki
 from wkstab.measure import integrate_simplex
 from wkstab.polytope import triangulate
-from _reference_fraction import solve_extremal_by_minors
+from _reference_fraction import solve_extremal_by_minors, stability_weight_fraction
 from _frozen import (
     RANK_ONE_FUTAKI,
     RANK_ONE_LEXT_CONST,
@@ -239,6 +239,7 @@ def test_cold_solve_fills_each_moment_table_once(monkeypatch, make):
 
     monkeypatch.setattr(polytope, "triangulate", counting(polytope.triangulate))
     monkeypatch.setattr(polytope, "triangulate_facet", counting(polytope.triangulate_facet))
+    monkeypatch.setattr(polytope, "_facet_triangulation", counting(polytope._facet_triangulation))
     monkeypatch.setattr(measure, "_cell_moments", counting(measure._cell_moments))
     solve_extremal(P, v, w_base)
     # from_halfspaces already triangulated each facet, once in P's life; one
@@ -255,6 +256,42 @@ def test_stability_weight_pairs_to_zero_on_affine():
     for fib in (rank_one(), projective_bundle([[1, 2]], [(3, 18)], [12], 1)):
         w = stability_weight(fib)
         assert_futaki_vanishes(fib.fiber, fib.v, w)
+
+
+_WEIGHT_COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def _polys(dim, degree):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, degree)] * dim), _WEIGHT_COEFFS, max_size=5
+    ).map(lambda terms: Polynomial(dim, terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(
+    st.lists(_WEIGHT_COEFFS, min_size=dim + 1, max_size=dim + 1), _polys(dim, 3), _polys(dim, 4),
+)))
+# x v cancels v's x term, which w_base then brings back
+@example(([F(1), F(-1)], Polynomial(1, {(1,): 1, (0,): 1}), Polynomial(1, {(1,): F(2, 3)})))
+@example(([F(0), F(0)], Polynomial(1, {(2,): F(1, 2)}), Polynomial(1, {(2,): F(3, 4)})))
+def test_stability_weight_on_integers_is_the_fraction_weight(case):
+    # the same terms, in the same order, as Fraction Polynomial arithmetic
+    (*grad, const), v, w_base = case
+    dim = len(grad)
+    fib = dataclasses.replace(rank_one() if dim == 1 else (
+        projective_bundle([[1, 2]], [(3, 18)], [12], 1) if dim == 2
+        else projective_bundle([[1, 0, 2]], [(3, 24)], [9], 1)), v=v, w_base=w_base)
+    l_ext = AffineFunc(grad, const)
+    w = stability_weight(fib, l_ext)
+    assert list(w.terms.items()) == list(stability_weight_fraction(fib, l_ext).terms.items())
+    assert all(type(c) is F for c in w.terms.values())
+
+
+def test_stability_weight_reads_the_solved_l_ext():
+    for fib in (rank_one(), rank_one(convention=Convention.LEGACY),
+                projective_bundle([[1, 2]], [(3, 18)], [F(25, 2)], F(1, 2))):
+        ref = stability_weight_fraction(fib, extremal_affine(fib).l_ext)
+        assert list(stability_weight(fib).terms.items()) == list(ref.terms.items())
 
 
 def test_stability_weight_legacy_pairs_differently():

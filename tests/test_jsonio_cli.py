@@ -786,6 +786,7 @@ def test_repeat_check_fano_reuses_the_fiber(capsys, monkeypatch):
     for module, name in (
         (polytope, "triangulate"),
         (polytope, "triangulate_facet"),
+        (polytope, "_facet_triangulation"),
         (measure, "_cell_moments"),
         (polytope, "from_halfspaces"),
     ):
@@ -805,7 +806,7 @@ def test_repeat_check_reuses_the_facet_cells(capsys, monkeypatch):
     first = run(capsys, "check", BERNSTEIN_BAND, "--max-depth", "3")
     assert first[0] == 0 and '"BernsteinSubdivision"' in first[1]
     counts = {}
-    for name in ("triangulate", "triangulate_facet", "affine_rank"):
+    for name in ("triangulate", "triangulate_facet", "_facet_triangulation", "affine_rank"):
         _count_calls(monkeypatch, polytope, name, counts)
     assert run(capsys, "check", BERNSTEIN_BAND, "--max-depth", "3") == first
     assert counts == {}

@@ -35,7 +35,7 @@ from wkstab import (
     triangulate,
 )
 from wkstab import polytope
-from wkstab.exact import affine_rank
+from wkstab.exact import _cleared_points, affine_rank
 from wkstab.measure import integrate_facet
 from wkstab.polytope import _cell_jacobian, clip, triangulate_facet
 from _frozen import CLIP_TRIANGLE_VERTICES
@@ -352,8 +352,36 @@ def test_cell_jacobian_is_one_minor_of_the_transversal_determinant(case):
     g = tuple(F(x) for x in g)
     i = next(i for i, gi in enumerate(g) if gi)
     xi = tuple(1 / gi if r == i else F(0) for r, gi in enumerate(g))
-    jac = _cell_jacobian(verts, g)
-    assert type(jac) is F and jac == cell_jacobian_det(verts, xi)
+    D, U = _cleared_points(verts)
+    n, d = _cell_jacobian(U, D, g)
+    assert type(n) is type(d) is int and d > 0
+    assert F(n, d) == cell_jacobian_det(verts, xi)
+
+
+def test_a_second_clip_reads_the_vertex_record(monkeypatch):
+    # clip reads P's integer vertex record: a piece's vertices are cleared on
+    # its first use only, and from_halfspaces already cleared triangle()'s
+    calls = []
+
+    def counting(points):
+        calls.append(points)
+        return _cleared_points(points)
+
+    monkeypatch.setattr(polytope, "_cleared_points", counting)
+    Q = clip(triangle(), AffineFunc([1, 2], F(-1, 2)))
+    assert calls == [] and Q.cleared is None
+    cuts = [AffineFunc([-1, 1], F(1, 3)), AffineFunc([0, 1], F(-1, 5)), AffineFunc([3, -1], 2)]
+    pieces = [clip(Q, h) for h in cuts]
+    assert calls == [Q.vertices]
+    D, U, zeros = Q.cleared
+    assert (D, U) == _cleared_points(Q.vertices)
+    assert zeros == tuple(
+        sum(1 << j for j, inc in enumerate(Q.facet_incidence) if i in inc)
+        for i in range(len(Q.vertices))
+    )
+    assert [(R.labels, R.vertices, R.facet_incidence) for R in pieces] == [
+        (R.labels, R.vertices, R.facet_incidence) for R in (clip_fraction(Q, h) for h in cuts)
+    ]
 
 
 def test_clip_empty_piece_raises():

@@ -1,9 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import interval, triangle
 from wkstab import (
+    AffineFunc,
     Convention,
     FutakiNotVanishing,
     Polynomial,
@@ -12,12 +14,13 @@ from wkstab import (
     default_base_point,
     extremal_affine,
     fano_anticanonical,
+    from_halfspaces,
     probe,
     projective_bundle,
     stability_weight,
 )
 from wkstab.probe import _offset_grid, _primitive_directions
-from _reference_fraction import probe_fraction
+from _reference_fraction import crease_family_fraction, probe_fraction
 
 
 def rank_one(p=1, c=15, convention=Convention.CANONICAL):
@@ -53,6 +56,47 @@ def test_primitive_directions_half_lattice():
 def test_offset_grid_subdivides_to_vertices():
     grid = _offset_grid(interval(), 1)
     assert set(grid) == {(F(-1),), (F(-1, 2),), (F(0),), (F(1, 2),), (F(1),)}
+
+
+_FAMILY_BASES = [
+    interval(),
+    triangle(),
+    from_halfspaces([
+        AffineFunc([2, 0], 1), AffineFunc([0, 3], 2),
+        AffineFunc([-1, -1], F(3, 2)), AffineFunc([1, -2], 3),
+    ]),
+]
+
+
+@st.composite
+def _base_points(draw):
+    """(k, r, x0): a base polytope, a resolution and a nonzero rational
+    interior point."""
+    k = draw(st.integers(0, len(_FAMILY_BASES) - 1))
+    P = _FAMILY_BASES[k]
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=21)
+    x0 = tuple(draw(coord) for _ in range(P.dim))
+    assume(any(x0) and P.is_interior(x0))
+    return k, draw(st.integers(1, 3)), x0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_base_points())
+@example((0, 2, (F(3, 7),)))
+@example((1, 3, (F(1, 3), F(-2, 7))))
+@example((1, 1, (F(-1, 2), F(-1, 2))))  # a grid point: h(x0) = 0 on every direction
+@example((2, 2, (F(-1, 3), F(1, 7))))
+def test_integer_offsets_keep_the_fraction_filter_creases(case):
+    # crease_family's integer test h(x0) <= 0 keeps exactly the creases of
+    # the Fraction filter, in the same order, with the same pieces
+    k, r, x0 = case
+    P = _FAMILY_BASES[k]
+    fam = crease_family(P, x0, r)
+    ref = crease_family_fraction(P, x0, r)
+    assert [c.h for c in fam] == [h for h, _ in ref]
+    assert [(c.positive.labels, c.positive.vertices, c.positive.facet_incidence) for c in fam] == [
+        (Q.labels, Q.vertices, Q.facet_incidence) for _, Q in ref
+    ]
 
 
 def test_family_requires_interior_base_point():
