@@ -70,8 +70,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter, mul
 
-from .exact import Point, Polynomial, _cleared, _cleared_points
-from .measure import _monomials
+from .exact import Point, Polynomial, _cleared_points
+from .measure import _integer_terms, _monomials
 from .polytope import Simplex
 
 #: Cells whose records are kept: the cone cells of one fiber and base point
@@ -97,21 +97,11 @@ def bernstein_coefficients(p: Polynomial, simplex: Simplex) -> dict[tuple, Fract
 
 def _integer_form(p, n: int) -> tuple[dict, int, int]:
     """(G, S, d): p as integer terms G over one positive denominator S, with
-    d = max(deg p, 0).  p is a Polynomial, cleared here over the lcm of its
-    coefficient denominators, or a pair (G, S) already cleared, whose zero
-    terms are dropped.  ValueError unless every exponent has length n."""
-    if isinstance(p, Polynomial):
-        if p.dim != n:
-            raise ValueError("polynomial/simplex dimension mismatch")
-        ints, S = _cleared(p.terms.values())
-        G = dict(zip(p.terms, ints))
-    else:
-        G, S = p
-        if S <= 0:
-            raise ValueError("the denominator of a cleared polynomial must be positive")
-        G = {a: c for a, c in G.items() if c}
-        if any(len(a) != n for a in G):
-            raise ValueError("polynomial/simplex dimension mismatch")
+    d = max(deg p, 0).  p is a Polynomial or a pair (G, S) already cleared,
+    read by measure._integer_terms (ValueError unless p is on n variables);
+    a pair's zero terms are dropped."""
+    G, S = _integer_terms(p, n)
+    G = {a: c for a, c in G.items() if c}
     return G, S, max(map(sum, G), default=0)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Sequence
 
@@ -240,6 +240,12 @@ class Polynomial:
         object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
         return poly
 
+    @classmethod
+    def _from_cleared(cls, dim: int, terms: dict, den: int) -> "Polynomial":
+        """The polynomial terms / den, for integer terms whose exponents are
+        int tuples of length dim and den > 0: one Fraction per nonzero term."""
+        return cls._from_terms(dim, {e: Fraction(c, den) for e, c in terms.items()})
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -423,6 +429,15 @@ def _cleared(xs: Iterable[Fraction]) -> tuple[list[int], int]:
     xs = list(xs)
     den = lcm(*(x.denominator for x in xs))
     return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _lowest(terms: dict, den: int) -> tuple[dict, int]:
+    """terms / den (integer coefficients, den > 0) in lowest terms: the
+    nonzero terms and den divided by the gcd of den and every coefficient,
+    which is what _cleared gives for the Fractions terms[a] / den."""
+    terms = {a: c for a, c in terms.items() if c}
+    g = gcd(den, *terms.values())
+    return {a: c // g for a, c in terms.items()}, den // g
 
 
 def _cleared_points(points: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[int, ...], ...]]:

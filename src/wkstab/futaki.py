@@ -16,8 +16,13 @@ with w = l_ext v - w_base vanishes on all affine functions; it is found by
 solving the (l+1) x (l+1) moment system exactly.
 
 F and the moment system are bilinear pairings with P's moment table, so no
-product polynomial is formed.  Pairings against the affine basis X = (1,
-x_1, ..., x_l) are read in one measure._moment_rows call each:
+product polynomial is formed.  Their weights are Polynomials or pairs
+(terms, den) already cleared, both read through measure._integer_terms:
+extremal_affine, futaki_character and stability_weight hand in a
+fibration's integer record (weights.Fibration.weights) as it is, and
+_stability_terms forms w = l_ext v - w_base as such a pair, which
+stability.check_fibration hands on.  Pairings against the affine basis X =
+(1, x_1, ..., x_l) are read in one measure._moment_rows call each:
 _moment_system reads <v, X_i X_j>, <v, X_i>_boundary and <w_base, X_i>, and
 the Futaki check assert_futaki_vanishes reads only the last two, since with
 w_base = -w the canonical right-hand side is F(X_i).  The table holds
@@ -34,13 +39,16 @@ when read.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .exact import AffineFunc, Polynomial, _eliminate, _product, point, radial_derivative
-from .measure import _add, _integer_terms, _moment_rows, _pair, integrate_simplex
+from .exact import (
+    AffineFunc, Polynomial, _cleared, _eliminate, _lowest, _product, point, radial_derivative,
+)
+from .measure import _add, _degree, _integer_terms, _moment_rows, _pair, integrate_simplex
 from .measure import integrate  # noqa: F401  (perfbench's tracer patches futaki.integrate)
 from .polytope import LabelledPolytope, cone_decomposition
 from .weights import Convention, Fibration
@@ -84,39 +92,37 @@ def df_via_cones(P: LabelledPolytope, x0, v: Polynomial, w: Polynomial, f: Polyn
     return total
 
 
-def _check_weight_dims(P: LabelledPolytope, *weights: Polynomial) -> None:
-    """The one dimension check of weights against P, for every reader of
-    pairings and for the cone conditions of stability."""
-    if any(p.dim != P.dim for p in weights):
-        raise ValueError("polynomial/polytope dimension mismatch")
-
-
-def _affine_exponents(dim: int) -> list[tuple]:
+@functools.lru_cache(maxsize=8)
+def _affine_exponents(dim: int) -> tuple[tuple, ...]:
     """The exponents of the affine basis X = (1, x_1, ..., x_l)."""
-    return [(0,) * dim] + [tuple(int(r == i) for r in range(dim)) for i in range(dim)]
+    return ((0,) * dim, *(tuple(int(r == i) for r in range(dim)) for i in range(dim)))
+
+
+@functools.lru_cache(maxsize=8)
+def _affine_products(dim: int) -> tuple[tuple, ...]:
+    """The exponents of the products X_i X_j, row by row."""
+    E = _affine_exponents(dim)
+    return tuple(_add(Ei, Ej) for Ei in E for Ej in E)
 
 
 def _moment_system(
-    P: LabelledPolytope,
-    v: Polynomial,
-    w_base: Polynomial,
-    convention: Convention,
+    P: LabelledPolytope, v, w_base, convention: Convention
 ) -> tuple[list[list[int]], list[int], int]:
     """(M, b, den): the moment system M lam = b as integers over one common
     denominator den > 0, the system's own being M / den and b / den.
 
-    With v = V / dv and w_base = W / dw cleared to integers, every moment read
+    With v = V / dv and w_base = W / dw cleared to integers (_integer_terms,
+    which also checks their dimension), every moment read
     is brought over Delta_top (see measure), top = max(deg v + 2, deg w_base
     + 1), so den = dv * dw * Delta_top.  The three rows it reads (<v, X_i X_j>,
     <v, X_i>_boundary, <w_base, X_i>) come from one measure._moment_rows
     call, so a cold P is filled in one pass over its facets and a warm one
     builds no exponent list.
     """
-    _check_weight_dims(P, v, w_base)
-    E = _affine_exponents(P.dim)
-    EE = [_add(Ei, Ej) for Ei in E for Ej in E]
-    (V, dv), (W, dw) = _integer_terms(v), _integer_terms(w_base)
-    top = max(v.degree() + 2, w_base.degree() + 1)
+    (V, dv), (W, dw) = _integer_terms(v, P.dim), _integer_terms(w_base, P.dim)
+    E, EE = _affine_exponents(P.dim), _affine_products(P.dim)
+    top = max(_degree(V) + 2, _degree(W) + 1)
+    V, W = V.items(), W.items()
     (MM, B, WB), delta = _moment_rows(P, [(V, EE, False), (V, E, True), (W, E, False)], top)
     n = len(E)
     M = [[dw * x for x in MM[i * n:(i + 1) * n]] for i in range(n)]
@@ -195,12 +201,10 @@ class ExtremalSolution:
 
 
 def solve_extremal(
-    P: LabelledPolytope,
-    v: Polynomial,
-    w_base: Polynomial,
-    convention: Convention = Convention.CANONICAL,
+    P: LabelledPolytope, v, w_base, convention: Convention = Convention.CANONICAL
 ) -> ExtremalSolution:
-    """Solve the moment system for l_ext over raw weight polynomials.
+    """Solve the moment system for l_ext over weights v and w_base, each a
+    Polynomial or a cleared pair (see measure._integer_terms).
 
     The integer system of _moment_system is solved by _definite_pass, which
     checks M first; with lam = Lam / d, every residual numerator d b_i -
@@ -224,29 +228,39 @@ def solve_extremal(
 
 
 def extremal_affine(fib: Fibration) -> ExtremalSolution:
-    """l_ext for a fibration, under its convention, solved once (fib.extremal)."""
+    """l_ext for a fibration, under its convention, solved once (fib.extremal)
+    on its integer weights."""
     if fib.extremal is None:
-        sol = solve_extremal(fib.fiber, fib.v, fib.w_base, fib.convention)
+        sol = solve_extremal(fib.fiber, *fib.weights, fib.convention)
         object.__setattr__(fib, "extremal", sol)
     return fib.extremal
 
 
 def stability_weight(fib: Fibration, l_ext: AffineFunc | None = None) -> Polynomial:
-    """The w entering the stability condition: l_ext * v - w_base.
+    """The w entering the stability condition: l_ext * v - w_base, the
+    Polynomial of _stability_terms."""
+    return Polynomial._from_cleared(fib.dim, *_stability_terms(fib, l_ext))
 
-    Formed on integers: l_ext, v and w_base are cleared over dl, dv and dw,
-    l_ext v is one exact._product of integer maps, and w's terms are brought
-    over D = lcm(dl dv, dw), so only w's own terms become Fractions, in the
-    order Polynomial arithmetic gives them."""
+
+def _stability_terms(fib: Fibration, l_ext: AffineFunc | None = None) -> tuple[dict, int]:
+    """(T, D): w = l_ext * v - w_base as integer terms T over D in lowest
+    terms, in the order Polynomial arithmetic gives w's terms.
+
+    l_ext's nonzero terms are cleared over dl, in to_polynomial's order, and
+    with fib.weights = ((V, dv), (W, dw)), l_ext v is one exact._product of
+    integer maps and w's terms are brought over lcm(dl dv, dw)."""
     if l_ext is None:
         l_ext = extremal_affine(fib).l_ext
-    (L, dl), (V, dv), (W, dw) = map(_integer_terms, (l_ext.to_polynomial(), fib.v, fib.w_base))
+    ints, dl = _cleared((*l_ext.gradient, l_ext.constant))
+    E = _affine_exponents(fib.dim)
+    L = {e: c for e, c in zip((*E[1:], E[0]), ints) if c}
+    (V, dv), (W, dw) = fib.weights
     D = lcm(dl * dv, dw)
     a, b = D // (dl * dv), D // dw
-    terms = {e: a * c for e, c in _product(dict(L), dict(V)).items() if c}
-    for e, c in W:
+    terms = {e: a * c for e, c in _product(L, V).items() if c}
+    for e, c in W.items():
         terms[e] = terms[e] - b * c if e in terms else -b * c
-    return Polynomial._from_terms(fib.v.dim, {e: Fraction(c, D) for e, c in terms.items() if c})
+    return _lowest(terms, D)
 
 
 def futaki_character(fib: Fibration) -> tuple:
@@ -255,7 +269,7 @@ def futaki_character(fib: Fibration) -> tuple:
     Fits the constant candidate lambda0 = b_0 / M_00 and reports the vector
     (b_i - M_{i0} lambda0) for i = 1..l; l_ext is constant iff this vanishes.
     """
-    M, b, den = _moment_system(fib.fiber, fib.v, fib.w_base, fib.convention)
+    M, b, den = _moment_system(fib.fiber, *fib.weights, fib.convention)
     if M[0][0] == 0:
         raise SingularMomentMatrix("zero total v-mass")
     return tuple(
@@ -263,18 +277,18 @@ def futaki_character(fib: Fibration) -> tuple:
     )
 
 
-def assert_futaki_vanishes(P: LabelledPolytope, v: Polynomial, w: Polynomial) -> None:
+def assert_futaki_vanishes(P: LabelledPolytope, v, w) -> None:
     """Raise FutakiNotVanishing at the first affine basis element X_i with
-    F(X_i) = 2 <v, X_i>_boundary - <w, X_i> != 0.  Only the two rows the
+    F(X_i) = 2 <v, X_i>_boundary - <w, X_i> != 0, v and w each a Polynomial
+    or a cleared pair (see measure._integer_terms).  Only the two rows the
     canonical right-hand side of _moment_system reads are read, in one
     measure._moment_rows call up to degree max(deg v, deg w, 0) + 1: with v
     and w cleared over dv and dw, F(X_i) = (2 dw B_i - dv W_i) / (dv dw
     Delta_top)."""
-    _check_weight_dims(P, v, w)
+    (V, dv), (W, dw) = _integer_terms(v, P.dim), _integer_terms(w, P.dim)
     E = _affine_exponents(P.dim)
-    (V, dv), (W, dw) = _integer_terms(v), _integer_terms(w)
-    top = max(v.degree(), w.degree(), 0) + 1
-    (B, WB), delta = _moment_rows(P, [(V, E, True), (W, E, False)], top)
+    top = max(_degree(V), _degree(W), 0) + 1
+    (B, WB), delta = _moment_rows(P, [(V.items(), E, True), (W.items(), E, False)], top)
     for i, (x, y) in enumerate(zip(B, WB)):
         if 2 * dw * x != dv * y:
             raise FutakiNotVanishing(i, Fraction(2 * dw * x - dv * y, dv * dw * delta))

@@ -13,10 +13,10 @@ De Loera, Koeppe & Vergne, Math. Comp. 80 (2011)), so P itself is never
 triangulated.
 
 Moments are kept per polytope as integers.  P.moments is one record
-(D_P, J, inner, outer), None until the first fill: inner and outer hold the
-interior and boundary numerators N of every monomial x^a of degree <= some
-filled degree, in _monomials order, each over a denominator that depends
-only on the degree d = |a|:
+(D_P, J, inner, outer, scaled), None until the first fill: inner and outer
+hold the interior and boundary numerators N of every monomial x^a of
+degree <= some filled degree, in _monomials order, each over a denominator
+that depends only on the degree d = |a|:
 
     int_P x^a dx              = N / Delta_d,    Delta_d  = (l + d)! * D_P^d * J,
     int_{boundary P} x^a dsig = N / Delta'_d,   Delta'_d = (l - 1 + d)! * D_P^d * J,
@@ -31,6 +31,8 @@ denominator of its largest degree.
 _fill(P, top) returns the record at once when it already reaches degree
 top, and otherwise rebuilds all of it up to top in one pass over the facet
 cells; D_P and J depend on P alone, so a rebuild keeps every lower entry.
+scaled holds, per (top, boundary) read so far, the numerators brought over
+Delta_top (below); a rebuild starts it empty.
 The polytope owns the cells and the integers they are read on:
 polytope._vertex_record clears P's vertices once to the rows u = D_P v,
 and polytope._facet_cells triangulates each facet once per polytope into
@@ -71,11 +73,15 @@ of f x^b (f with integer coefficients, b in a list) as integer rows, every
 moment brought over the interior denominator Delta_top of one top degree;
 futaki's moment system and probe's crease rows are such rows.  _pair(f, g) =
 sum_a sum_b f_a g_b m(a + b) = int f g clears f and g to integers once, reads
-one row and makes one Fraction.  A read has one path: _fill(P, top), then
-each moment m(a + b) read at position _shifted(l, top, a)[b], from a table
-cached per (l, top, a), so a read builds no exponent tuple a + b.  Positions
+one row and makes one Fraction.  A read has one path: _fill(P, top), the
+record's scaled table for (top, boundary), whose entry of degree d is the
+stored numerator times Delta_top / Delta_d (_scales), and then each entry
+of a row is one dot product, f's coefficients against the table at the
+positions of the a + b (_positions, cached per exponent lists).  Positions
 of lower degrees are a prefix, so a record filled higher serves every lower
 read, and a read of degree past top finds no position and raises.
+f and g are Polynomials or pairs (terms, den) already cleared, both read
+through _integer_terms, so a fibration's integer weights pass as they are.
 
 integrate_simplex and integrate_facet_cell pull whole polynomials back
 through compose_affine instead; they stay as the independent path behind
@@ -88,7 +94,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .exact import Point, Polynomial, _cleared, det
 from .polytope import LabelledPolytope, Simplex, _facet_cells, _points, _transversal, _vertex_record
@@ -171,46 +177,67 @@ def integrate_boundary(p: Polynomial, P: LabelledPolytope) -> Fraction:
     return _pair(p, Polynomial.constant(P.dim, 1), P, True)
 
 
-def _pair(f: Polynomial, g: Polynomial, P: LabelledPolytope, boundary: bool) -> Fraction:
+def _pair(f, g, P: LabelledPolytope, boundary: bool) -> Fraction:
     """The bilinear pairing sum_a sum_b f_a g_b m(a + b) = int f g, read from
-    P.moments without forming the product f * g."""
-    if f.dim != P.dim or g.dim != P.dim:
+    P.moments without forming the product f * g; f and g as _integer_terms
+    takes them."""
+    (F, df), (G, dg) = _integer_terms(f, P.dim), _integer_terms(g, P.dim)
+    top = max(_degree(F), 0) + max(_degree(G), 0)
+    [row], delta = _moment_rows(P, [(F.items(), tuple(G), boundary)], top)
+    return Fraction(sum(map(mul, G.values(), row)), df * dg * delta)
+
+
+def _integer_terms(p, dim: int) -> tuple[dict, int]:
+    """(G, den): p as integer terms {a: c_a} over den > 0.  p is a
+    Polynomial, cleared here over the least common denominator of its
+    coefficients, or a pair (G, den) already cleared, which passes as it is.
+    ValueError unless p is on dim variables: a Polynomial by its dim, a pair
+    by the length of its exponents (so the zero pair fits every dim)."""
+    if isinstance(p, Polynomial):
+        if p.dim != dim:
+            raise ValueError("polynomial/polytope dimension mismatch")
+        ints, den = _cleared(p.terms.values())
+        return dict(zip(p.terms, ints)), den
+    G, den = p
+    if den <= 0:
+        raise ValueError("the denominator of a cleared polynomial must be positive")
+    if any(map(dim.__ne__, map(len, G))):
         raise ValueError("polynomial/polytope dimension mismatch")
-    (F, df), (G, dg) = _integer_terms(f), _integer_terms(g)
-    top = max(f.degree(), 0) + max(g.degree(), 0)
-    [row], delta = _moment_rows(P, [(F, [b for b, _ in G], boundary)], top)
-    return Fraction(sum(c * r for (_, c), r in zip(G, row)), df * dg * delta)
+    return G, den
 
 
-def _integer_terms(p: Polynomial) -> tuple[list, int]:
-    """([(a, c_a)], den): p's terms with integer coefficients c_a over their
-    least common denominator den."""
-    ints, den = _cleared(p.terms.values())
-    return list(zip(p.terms, ints)), den
+def _degree(G: dict) -> int:
+    """The total degree of the terms G; -1 when there are none."""
+    return max(map(sum, G), default=-1)
 
 
 def _moment_rows(P: LabelledPolytope, requests: list, top: int) -> tuple[list, int]:
     """(rows, Delta_top): for each request (terms, expos, boundary), the row
     [sum_a c_a m(a + b) for b in expos] times Delta_top, an integer row for
-    integer terms [(a, c_a)]; top is at least every deg a + |b|."""
-    D_P, J, inner, outer = _fill(P, top)
+    integer terms, pairs (a, c_a); top is at least every deg a + |b|.  Each
+    entry is one dot product of the c_a with the record's scaled table for
+    (top, boundary), built here on its first read, at _positions."""
+    D_P, J, inner, outer, scaled = _fill(P, top)
     rows = []
     for terms, bs, boundary in requests:
-        s, table = _scales(P.dim, D_P, top, boundary), outer if boundary else inner
-        terms = [(_shifted(P.dim, top, a), sum(a), c) for a, c in terms]
-        rows.append([
-            sum(c * s[d + e] * table[at[b]] for at, d, c in terms)
-            for b, e in zip(bs, map(sum, bs))
-        ])
+        table = scaled.get((top, boundary))
+        if table is None:
+            s = _scales(P.dim, D_P, top, boundary)
+            table = scaled[top, boundary] = [
+                s[sum(e)] * N for e, N in zip(_monomials(P.dim, top), outer if boundary else inner)
+            ]
+        expos, coeffs = tuple(zip(*terms)) or ((), ())
+        rows.append([sum(map(mul, coeffs, map(table.__getitem__, at)))
+                     for at in _positions(P.dim, top, expos, tuple(bs))])
     return rows, math.factorial(P.dim + top) * D_P**top * J
 
 
 @functools.lru_cache(maxsize=256)
-def _shifted(dim: int, top: int, a: tuple) -> dict:
-    """{b: position of a + b in _monomials(dim, top)} for every b of degree
-    <= top - |a|; a read past top raises KeyError."""
+def _positions(dim: int, top: int, expos: tuple, bs: tuple) -> tuple:
+    """For each b in bs, the positions of the a + b (a in expos) in
+    _monomials(dim, top); an a + b of degree past top raises KeyError."""
     index = _series_tables(dim, top)[0]
-    return {b: index[_add(a, b)] for b in _monomials(dim, top - sum(a))}
+    return tuple(tuple(index[_add(a, b)] for a in expos) for b in bs)
 
 
 def _add(a: tuple, b: tuple) -> tuple:
@@ -228,10 +255,10 @@ def _scales(dim: int, D_P: int, top: int, boundary: bool) -> list[int]:
 
 
 def _fill(P: LabelledPolytope, top: int) -> tuple:
-    """P.moments = (D_P, J, inner, outer), the interior and boundary
+    """P.moments = (D_P, J, inner, outer, scaled), the interior and boundary
     numerators of every monomial of degree <= top in _monomials order,
     rebuilt in one pass over the facet cells unless P.moments already
-    reaches top.  Return the record.
+    reaches top, with no scaled table yet.  Return the record.
 
     A cell (cell, n, d) of facet j has jac = n / d and L_j(0) jac = cn / cd
     with cn = n a, cd = d b for L_j(0) = a / b, so J is the lcm of
@@ -253,7 +280,7 @@ def _fill(P: LabelledPolytope, top: int) -> tuple:
         for i, N in enumerate(_cell_moments(rows, mons)):
             outer[i] += kb * N
             inner[i] += ki * N
-    object.__setattr__(P, "moments", (D_P, J, inner, outer))
+    object.__setattr__(P, "moments", (D_P, J, inner, outer, {}))
     return P.moments
 
 

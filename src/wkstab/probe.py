@@ -55,10 +55,8 @@ from operator import mul
 from .exact import (
     AffineFunc, Point, Polynomial, _cleared, _cleared_points, format_point, point, vadd, vscale, vsub,
 )
-from .futaki import (
-    _affine_exponents, _check_weight_dims, assert_futaki_vanishes, df_invariant, df_via_cones,
-)
-from .measure import _moment_rows, _monomials, integrate
+from .futaki import _affine_exponents, assert_futaki_vanishes, df_invariant, df_via_cones
+from .measure import _degree, _integer_terms, _moment_rows, _monomials, integrate
 from .polytope import EmptyInterior, LabelledPolytope, clip
 
 
@@ -183,15 +181,14 @@ def probe(
     minimum is evidence only; a negative F(f) is an exact refutation witness,
     re-checked on the cone path (ArithmeticError if the two disagree).
     """
-    _check_weight_dims(P, v, w)
+    (Gv, cv), (Gw, cw) = _integer_terms(v, P.dim), _integer_terms(w, P.dim)
     if verify_futaki:
-        assert_futaki_vanishes(P, v, w)
+        assert_futaki_vanishes(P, (Gv, cv), (Gw, cw))
     # |f|_L1 = ri[0] / D_k needs ri even when w = 0
-    dv, dw = v.degree(), max(w.degree(), 0)
-    coeffs = [[g.terms.get(b, Fraction(0)) for b in _monomials(P.dim, dg)]
-              for g, dg in ((v, dv), (w, dw))]
-    ints, D_vw = _cleared(coeffs[0] + coeffs[1])
-    V, W = ints[: len(coeffs[0])], ints[len(coeffs[0]) :]
+    dv, dw = _degree(Gv), max(_degree(Gw), 0)
+    D_vw = math.lcm(cv, cw)
+    V = [Gv.get(b, 0) * (D_vw // cv) for b in _monomials(P.dim, dv)]
+    W = [Gw.get(b, 0) * (D_vw // cw) for b in _monomials(P.dim, dw)]
     best: tuple | None = None  # (N_k, ri_k[0], D_k, crease): ratio N_k / (D_vw ri_k[0])
     for crease in family:
         D_k, rb, ri = crease._rows(dv, dw)

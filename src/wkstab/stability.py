@@ -55,11 +55,10 @@ from .exact import (
 from .futaki import (
     SingularMomentMatrix,
     _assert_positive_definite,
-    _check_weight_dims,
     _moment_system,
+    _stability_terms,
     assert_futaki_vanishes,
     extremal_affine,
-    stability_weight,
 )
 from .measure import _integer_terms
 from .polytope import (
@@ -119,15 +118,12 @@ class StabilityReport:
         return self.verdict == VERDICT_CERTIFIED
 
 
-def condition_poly_general(
-    P: LabelledPolytope, x0, j: int, v: Polynomial, w: Polynomial
-) -> Polynomial:
+def condition_poly_general(P: LabelledPolytope, x0, j: int, v, w) -> Polynomial:
     """The cone inequality polynomial g_j (nonnegativity wanted), read off
-    the integer cone condition (G_j, S_j) as G_j / S_j, after the weight
-    dimensions; _cone_conditions validates x0."""
-    _check_weight_dims(P, v, w)
-    G, S = _cone_conditions(P, point(x0), v, w)[j]
-    return Polynomial._from_terms(P.dim, {a: Fraction(c, S) for a, c in G.items()})
+    the integer cone condition (G_j, S_j) as G_j / S_j, after v and w (each
+    a Polynomial or a cleared pair) are cleared; _cone_conditions validates x0."""
+    v, w = _integer_terms(v, P.dim), _integer_terms(w, P.dim)
+    return Polynomial._from_cleared(P.dim, *_cone_conditions(P, point(x0), v, w)[j])
 
 
 def _label_values(P: LabelledPolytope, X0: list[int], D0: int) -> list[tuple[int, int]]:
@@ -143,13 +139,11 @@ def _label_values(P: LabelledPolytope, X0: list[int], D0: int) -> list[tuple[int
     return out
 
 
-def _cone_conditions(
-    P: LabelledPolytope, x0: Point, v: Polynomial, w: Polynomial
-) -> list[tuple[dict, int]]:
+def _cone_conditions(P: LabelledPolytope, x0: Point, v, w) -> list[tuple[dict, int]]:
     """Every g_j, in facet order, as integer terms G_j over S_j > 0:
     g_j = A / L_j(x0) - w/2 with A = (dim + 1) v + d_x v . (x - x0).
 
-    With v = V / C_v, w = W / C_w and x0 = X0 / D0 cleared once each, the
+    With v = V / C_v and w = W / C_w (_integer_terms) and x0 = X0 / D0, the
     integer map A^ = C_v D0 A takes one pass over v's terms: V_a x^a gives
     (dim + 1 + |a|) D0 V_a to x^a and -a_i X0_i V_a to x^(a - e_i).  With
     L_j(x0) = l_j / (q_j D0) (_label_values), l_j > 0 for interior x0,
@@ -160,9 +154,9 @@ def _cone_conditions(
     labels = _label_values(P, X0, D0)
     if any(ell <= 0 for ell, _ in labels):
         raise NotInterior(x0)
-    (V, Cv), (W, Cw) = _integer_terms(v), _integer_terms(w)
+    (V, Cv), (W, Cw) = _integer_terms(v, P.dim), _integer_terms(w, P.dim)
     A: dict = {}
-    for a, c in V:
+    for a, c in V.items():
         A[a] = A.get(a, 0) + (P.dim + 1 + sum(a)) * D0 * c
         for i, (ai, xi) in enumerate(zip(a, X0)):
             if ai and xi:
@@ -172,7 +166,7 @@ def _cone_conditions(
     for ell, q in labels:
         s, t = 2 * Cw * q, Cv * ell
         G = {a: s * c for a, c in A.items()}
-        for a, c in W:
+        for a, c in W.items():
             G[a] = G.get(a, 0) - t * c
         out.append(({a: c for a, c in G.items() if c}, 2 * Cv * Cw * ell))
     return out
@@ -243,8 +237,8 @@ def _vertex_route(G: dict, S: int, vertices, facet: int, cell: int, method: str)
 def check_general(
     P: LabelledPolytope,
     x0,
-    v: Polynomial,
-    w: Polynomial,
+    v,
+    w,
     *,
     convention: Convention = Convention.CANONICAL,
     max_depth: int = 6,
@@ -258,13 +252,15 @@ def check_general(
     an affine one or one on a concave cone is decided at the cell vertices,
     and any other goes to certify_nonnegative as it is, once per cell.  A
     cell is a facet cell plus x0, as in cone_decomposition.
-    Weights of another dimension than P raise ValueError under either
+    v and w, each a Polynomial or a cleared pair, are cleared once for the
+    Futaki check and the cone conditions (measure._integer_terms), and
+    weights of another dimension than P raise ValueError under either
     convention.  Under the canonical convention, refuses to run
     (FutakiNotVanishing) when F does not already vanish on affine
     functions; the legacy convention is not checked, since its solver's
     defining pairing differs.  Then _cone_conditions validates x0.
     """
-    _check_weight_dims(P, v, w)
+    v, w = _integer_terms(v, P.dim), _integer_terms(w, P.dim)
     x0 = point(x0)
     if convention is Convention.CANONICAL:
         assert_futaki_vanishes(P, v, w)
@@ -314,7 +310,7 @@ def check_fibration(
     if x0 is None:
         x0 = default_base_point(fib.fiber)
     return check_general(
-        fib.fiber, x0, fib.v, stability_weight(fib, sol.l_ext), convention=fib.convention,
+        fib.fiber, x0, fib.weights[0], _stability_terms(fib, sol.l_ext), convention=fib.convention,
         max_depth=max_depth, concave_cones=concave_cone_indices(fib, x0),
     )
 
@@ -473,20 +469,18 @@ def _check_template(
 
 def _system_over_c(fib_lo: Fibration, offsets, c_lo: Fraction):
     """(v, w_base, M, b, L): v(x, c) and w_base(x, c), c the last variable,
-    by _build_weights on the forms p_a + c_a(0) + Delta_a c at the vertices
-    lifted to (x, c_lo); M(c) and b(c) on fib_lo's fiber, integer polynomials
-    in c over L.  The c^m coefficients of v and w_base give _moment_system's
-    M_m / den_m and b_m / den_m, and L = lcm of the den_m."""
+    as _build_weights' integer pairs on the forms p_a + c_a(0) + Delta_a c at
+    the vertices lifted to (x, c_lo); M(c) and b(c) on fib_lo's fiber,
+    integer polynomials in c over L.  The c^m terms of v and w_base, over
+    their own denominators, give _moment_system's M_m / den_m and b_m /
+    den_m, and L = lcm of the den_m."""
     P = fib_lo.fiber
     forms = [replace(f, c=c_a - d * c_lo, p=AffineFunc((*f.p.gradient, d), 0))
              for f, (c_a, d) in zip(fib_lo.factors, offsets)]
     v, w_base = _build_weights([(*x, c_lo) for x in P.vertices], forms)
-
-    def at(p: Polynomial, m: int) -> Polynomial:  # the c^m coefficient of p
-        return Polynomial._from_terms(P.dim, {e[:-1]: x for e, x in p.terms.items() if e[-1] == m})
-
-    systems = [_moment_system(P, at(v, m), at(w_base, m), fib_lo.convention)
-               for m in range(max(e[-1] for e in v.terms) + 1)]
+    systems = [_moment_system(P, *[({e[:-1]: x for e, x in G.items() if e[-1] == m}, d)
+                                   for G, d in (v, w_base)], fib_lo.convention)
+               for m in range(max(e[-1] for e in v[0]) + 1)]
     L = lcm(*(den for _, _, den in systems))
     # every entry of M (row by row) and b over L, then its coefficients of c^0..c^N
     scaled = [[x * (L // den) for row in [*Ms, bs] for x in row] for Ms, bs, den in systems]

@@ -829,7 +829,7 @@ def clip_fraction(P, h):
 def moment_rows_by_tuple(P, requests, top):
     from wkstab.measure import _fill, _scales, _series_tables
 
-    D_P, J, inner, outer = _fill(P, top)
+    D_P, J, inner, outer, _ = _fill(P, top)
     index = _series_tables(P.dim, top)[0]
     rows = []
     for terms, bs, boundary in requests:

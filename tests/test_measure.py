@@ -23,8 +23,8 @@ from wkstab.measure import (
     _moment_rows,
     _monomials,
     _pair,
+    _positions,
     _series_tables,
-    _shifted,
     integrate_facet_cell,
     integrate_simplex,
     integrate_simplex_standard,
@@ -212,7 +212,7 @@ def test_moments_fill_once_per_polytope(monkeypatch):
     p = (x + 2 * y) ** 3 + x * y - 7
     first = (integrate(p, P), integrate_boundary(p, P))
     filled = P.moments
-    _, _, inner, outer = filled
+    _, _, inner, outer, _ = filled
     assert len(inner) == len(outer) == len(_monomials(2, 3))
     n_cells = sum(map(len, P.facet_cells))
     assert calls == ["_cell_moments"] * n_cells
@@ -393,7 +393,7 @@ def test_fill_never_calls_barycentric_powers(monkeypatch):
     # an earlier test
     for Q in (interval(), hexagon(), simplex3(), clip(simplex3(), AffineFunc([1, -1, 1], F(-1, 4)))):
         P = from_halfspaces(Q.labels)
-        _, _, inner, outer = _fill(P, 4)
+        _, _, inner, outer, _ = _fill(P, 4)
         assert len(inner) == len(outer) == len(monomials_up_to(P.dim, 4))
     assert calls == []
     # the power tree is still bernstein's
@@ -438,7 +438,7 @@ def test_euler_stokes_moments_match_the_triangulations(P):
 def _delta(P, d, boundary):
     """The table's denominator of degree d: (l + d)! (interior) or
     (l - 1 + d)! (boundary), times D_P^d J."""
-    D_P, J, _, _ = P.moments
+    D_P, J = P.moments[:2]
     return math.factorial(P.dim - boundary + d) * D_P**d * J
 
 
@@ -446,20 +446,28 @@ def _delta(P, d, boundary):
 @given(_placed_polytopes())
 def test_moment_table_holds_integers_over_the_degree_denominators(P):
     expos = _monomials(P.dim, 5)
-    D_P, J, inner, outer = _fill(P, 5)
+    D_P, J, inner, outer, scaled = _fill(P, 5)
     assert sorted(expos) == sorted(monomials_up_to(P.dim, 5))
     assert len(inner) == len(outer) == len(expos)
     assert all(type(N) is int for N in (D_P, J, *inner, *outer))
     assert D_P == math.lcm(*(x.denominator for vtx in P.vertices for x in vtx))
+    # a read at top 4 builds its scaled tables: every numerator of degree
+    # <= 4 brought over the one interior denominator Delta_4
+    _moment_rows(P, [([], [], True), ([], [], False)], 4)
+    n4 = len(_monomials(P.dim, 4))
+    assert P.moments[4] is scaled and {(4, False), (4, True)} <= set(scaled)
+    assert all(len(scaled[4, b]) == n4 and all(type(N) is int for N in scaled[4, b])
+               for b in (False, True))
     cells = triangulate(P)
-    for e, m, b in zip(expos, inner, outer):
+    for i, (e, m, b) in enumerate(zip(expos, inner, outer)):
         p = mono(P.dim, e)
-        assert F(m, _delta(P, sum(e), False)) == sum(
-            integrate_simplex(p, s) for s in cells
-        )
-        assert F(b, _delta(P, sum(e), True)) == sum(
-            integrate_facet(p, P, j) for j in range(P.n_facets)
-        )
+        interior = sum(integrate_simplex(p, s) for s in cells)
+        boundary = sum(integrate_facet(p, P, j) for j in range(P.n_facets))
+        assert F(m, _delta(P, sum(e), False)) == interior
+        assert F(b, _delta(P, sum(e), True)) == boundary
+        if i < n4:
+            assert F(scaled[4, False][i], _delta(P, 4, False)) == interior
+            assert F(scaled[4, True][i], _delta(P, 4, False)) == boundary
 
 
 @settings(max_examples=30, deadline=None)
@@ -475,28 +483,36 @@ def test_split_fills_build_the_same_table(P, d1, d2):
             _fill(Q, d)
         records.append(Q.moments)
     assert records[0] == records[1] == records[2]
-    D_P, J, inner, outer = records[0]
+    D_P, J, inner, outer, _ = records[0]
     n = len(_monomials(P.dim, min(d1, d2)))
-    assert records[3] == (D_P, J, inner[:n], outer[:n])
+    assert records[3] == (D_P, J, inner[:n], outer[:n], {})
 
 
 @settings(max_examples=60, deadline=None)
 @given(_placed_polytopes(), st.data())
-def test_shifted_position_reads_match_the_tuple_reads(P, data):
+def test_dot_product_reads_match_the_tuple_reads(P, data):
+    # random integer terms and exponent lists, both boundary flags, and
+    # each read either on a record filled to its own top or on one filled
+    # higher first (whose scaled tables for the higher top exist already)
     expos = st.sampled_from(monomials_up_to(P.dim, 3))
     terms = list(data.draw(st.dictionaries(expos, st.integers(-50, 50), max_size=4)).items())
     bs = data.draw(st.lists(expos, max_size=6))
     degrees = [sum(a) for a, _ in terms] or [0]
     top = max(degrees) + max(map(sum, bs), default=0) + data.draw(st.integers(0, 2))
     requests = [(terms, bs, True), (terms, bs, False)]
+    higher = top + data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()):
+        _moment_rows(P, requests, higher)
+    assert _moment_rows(P, requests, top) == moment_rows_by_tuple(P, requests, top)
+    assert _moment_rows(P, requests, higher) == moment_rows_by_tuple(P, requests, higher)
     assert _moment_rows(P, requests, top) == moment_rows_by_tuple(P, requests, top)
 
 
 @pytest.mark.parametrize("top", [0, 1, 2, 3])
 def test_a_read_past_top_raises_and_never_wraps(top):
-    # with the record filled past top, position top + 1 exists in the table,
-    # but a read of degree top + 1 against top must still fail: the scale
-    # list stops at top, and so does the shifted-position table
+    # with the record filled past top, position top + 1 exists in the
+    # record, but a read of degree top + 1 against top must still fail: the
+    # positions and the scaled table both stop at top
     P = triangle()
     _fill(P, top + 3)
     request = [([((1, 0), 1)], [(0, top)], False)]
@@ -504,11 +520,12 @@ def test_a_read_past_top_raises_and_never_wraps(top):
         _moment_rows(P, request, top)
     with pytest.raises(LookupError):
         moment_rows_by_tuple(P, request, top)
-    at = _shifted(2, top, (1, 0))
     with pytest.raises(KeyError):
-        at[(0, top)]
-    assert list(at) == list(_monomials(2, top - 1))
-    assert sorted(at.values()) == [i for i, e in enumerate(_monomials(2, top)) if e[0] >= 1]
+        _positions(2, top, ((1, 0),), ((0, top),))
+    _moment_rows(P, [([((1, 0), 1)], [], False)], top)
+    assert len(P.moments[4][top, False]) == len(_monomials(2, top))
+    at = _positions(2, top, ((1, 0),), _monomials(2, top - 1))
+    assert sorted(i for [i] in at) == [i for i, e in enumerate(_monomials(2, top)) if e[0] >= 1]
 
 
 def _rational_polys(dim):

@@ -135,13 +135,17 @@ def test_df_value_direct_never_reads_the_moment_table():
         value = crease.df_value(fib.v, w)
         record = crease.positive.moments
         assert record
-        _, _, inner, outer = record
-        for i in range(len(inner)):
-            inner[i], outer[i] = 10**6 + i, 7 * 10**6 - i
-        corrupted = (list(inner), list(outer))
+        # corrupt the numerators and the scaled tables read off them
+        _, _, inner, outer, scaled = record
+        tables = (inner, outer, *scaled.values())
+        for table in tables:
+            for i in range(len(table)):
+                table[i] = 10**6 + 7 * i
+        corrupted = [list(table) for table in tables]
         assert crease.df_value(fib.v, w) != value
         assert crease.df_value_direct(fib.v, w) == value
-        assert crease.positive.moments is record and (inner, outer) == corrupted
+        assert crease.positive.moments is record
+        assert [list(table) for table in tables] == corrupted
 
 
 def test_df_value_matches_direct_recompute():

@@ -488,12 +488,18 @@ TEMPLATE_IDS = [
 ]
 
 
+def _poly(p, dim):
+    """The Polynomial of a cleared pair p = (terms, den) on dim variables."""
+    return Polynomial(dim, {e: F(x, p[1]) for e, x in p[0].items()})
+
+
 def _at_c(p, c):
-    """p(x, c) with c, its last variable, set to the given value."""
+    """p(x, c) with c, its last variable, set to the given value, for p the
+    cleared pair (terms, den) of _system_over_c."""
     terms = {}
-    for e, x in p.terms.items():
-        terms[e[:-1]] = terms.get(e[:-1], 0) + x * c ** e[-1]
-    return Polynomial(p.dim - 1, terms)
+    for e, x in p[0].items():
+        terms[e[:-1]] = terms.get(e[:-1], 0) + F(x, p[1]) * c ** e[-1]
+    return Polynomial(len(e) - 1, terms)
 
 
 def _assert_record_is_the_family(make_fib, steps):
@@ -602,12 +608,13 @@ def test_threshold_solves_once_and_builds_no_system_per_node(monkeypatch):
     # one direct solve, at c_hi; the N + 1 = n + 1 = 4 systems are the
     # c^0, ..., c^3 coefficients of v(x, c) on one fiber, and none is built
     # from the weights of make_fib(c) at c = 4, ..., 7
-    assert len(solves) == 1 and solves[0][1] == tri_family(F(9), s=24).v
+    # (the solves and systems read the cleared pairs of the integer weights)
+    assert len(solves) == 1 and solves[0][1] == tri_family(F(9), s=24).weights[0]
     assert len(systems) == 4 and all(args[0] is systems[0][0] for args in systems)
     nodes = [tri_family(F(c), s=24).v for c in range(4, 8)]
-    assert not any(args[1] in nodes for args in systems)
+    assert not any(_poly(args[1], 2) in nodes for args in systems)
     for c in (F(9, 2), F(11)):
-        v = sum((args[1] * c**m for m, args in enumerate(systems)), Polynomial.zero(2))
+        v = sum((_poly(args[1], 2) * c**m for m, args in enumerate(systems)), Polynomial.zero(2))
         assert v == tri_family(c, s=24).v
 
 
@@ -835,15 +842,17 @@ def test_check_general_hands_each_bernstein_cell_its_integer_condition_once(monk
     ]
     for fib, x0 in cases:
         x0 = default_base_point(fib.fiber) if x0 is None else x0
-        w, concave = stability_weight(fib), concave_cone_indices(fib, x0)
+        v, w, concave = fib.v, stability_weight(fib), concave_cone_indices(fib, x0)
         calls.clear()
         with monkeypatch.context() as m:
             m.setattr(exact, "radial_derivative", forbidden)
             m.setattr(Polynomial, "__init__", forbidden)
             m.setattr(Polynomial, "_from_terms", staticmethod(forbidden))
-            report = check_general(fib.fiber, x0, fib.v, w, max_depth=3, concave_cones=concave)
+            report = check_general(fib.fiber, x0, v, w, max_depth=3, concave_cones=concave)
+            # check_fibration hands on the integer weights, w included
+            assert check_fibration(fib, x0, max_depth=3) == report
         bernstein = [o for o in report.per_cone if o.method == METHOD_BERNSTEIN]
-        assert len(calls) == len(bernstein) > 0
+        assert len(calls) == 2 * len(bernstein) > 0
 
 
 def test_check_path_evaluates_no_label_in_fractions(monkeypatch):

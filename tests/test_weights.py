@@ -19,6 +19,7 @@ from wkstab import (
     projective_bundle,
     standard_fiber_polytope,
 )
+from wkstab.measure import _integer_terms
 from wkstab.weights import BaseFactor, _build_weights
 
 
@@ -149,8 +150,10 @@ def _factor_sets(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_factor_sets())
-def test_build_weights_equals_the_product_form(case):
+@given(_factor_sets(), st.booleans())
+def test_build_weights_equals_the_product_form(case, legacy):
+    # the integer record is the Fraction product form cleared by
+    # _integer_terms, and the lazy fib.v and fib.w_base are that form
     fiber, factors = case
     P = [f.form.to_polynomial() for f in factors]
     one = Polynomial.constant(fiber.dim, 1)
@@ -165,4 +168,32 @@ def test_build_weights_equals_the_product_form(case):
         ),
         Polynomial.zero(fiber.dim),
     )
-    assert _build_weights(fiber.vertices, factors) == (v, w_base)
+    record = _build_weights(fiber.vertices, factors)
+    assert record == (_integer_terms(v, fiber.dim), _integer_terms(w_base, fiber.dim))
+    assert all(type(c) is int for G, d in record for c in (d, *G.values()))
+    fib = fibration(fiber, factors, Convention.LEGACY if legacy else Convention.CANONICAL)
+    assert fib.weights == record
+    assert (fib.w_base, fib.v) == (w_base, v)
+    assert list(fib.v.terms.items()) == list(v.terms.items())
+    assert fib.v is fib.v  # built once
+
+
+def _bundle(c=F(25, 2)):
+    return projective_bundle([[1, 2]], [(3, 18)], [c], F(1, 2))
+
+
+def test_fibrations_from_the_same_data_are_equal_whether_or_not_v_was_read():
+    a, b, c = _bundle(), _bundle(), _bundle()
+    assert a is not b and "v" not in vars(b)
+    assert a.v and c.w_base  # read on a and c, not on b
+    assert "v" not in vars(b) and "w_base" not in vars(b)
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert len({a, b, c}) == 1
+    assert a.weights == b.weights and a.v == b.v and c.w_base == b.w_base
+    other = _bundle(13)
+    assert other != a and other.v != a.v
+    assert dataclasses.replace(a, convention=Convention.LEGACY) != b
+    # an equal fibration solved on one side is still equal
+    from wkstab import extremal_affine
+    extremal_affine(a)
+    assert a == b and hash(a) == hash(b)
