@@ -15,11 +15,10 @@ node is split only while the budget still covers both its halves.  A
 one-sided: it never certifies a false positive, and may return
 "inconclusive" when the budget runs out.
 
-Only the root's numerators come from p, and only through its integer
-coefficients: p comes as integer terms G_a over one positive denominator C,
-either handed in that way (the cone conditions of stability are built so)
-or cleared here from a Polynomial over the lcm of its coefficient
-denominators; both run the same path.  With D the lcm of the vertex
+Only the root's numerators come from p, and only through its integer form
+(Polynomial.cleared): integer terms G_a over one positive denominator C.
+The cone conditions of stability are Polynomials built on such integers,
+so their Fraction terms are never made.  With D the lcm of the vertex
 coordinate denominators, each coordinate is x_r = L_r(lambda) / D for an
 integer linear form L_r, and the homogenizing form L_n = D (lambda_0 + ...
 + lambda_k) equals D on the simplex.  So, with d = deg p read off G's
@@ -30,7 +29,7 @@ homogeneous of degree d, and
     S = d! C D^d.
 
 A positive multiple of (G, C) scales every numerator and S alike, so the
-decisions, bounds and witnesses do not depend on which one is handed in.
+decisions, bounds and witnesses do not depend on which one p is built on.
 
 The row R_a depends on the cell and d alone.  _cell keeps one record per
 cone cell for the last _CELLS cells: E, the vertices cleared to integer
@@ -71,7 +70,7 @@ from fractions import Fraction
 from operator import add, itemgetter, mul
 
 from .exact import Point, Polynomial, _cleared_points
-from .measure import _integer_terms, _monomials
+from .measure import _degree, _integer_terms, _monomials
 from .polytope import Simplex
 
 #: Cells whose records are kept: the cone cells of one fiber and base point
@@ -95,22 +94,12 @@ def bernstein_coefficients(p: Polynomial, simplex: Simplex) -> dict[tuple, Fract
     return {gamma: Fraction(b, S) for gamma, b in zip(_levels(d, simplex.k + 1)[0][d], B)}
 
 
-def _integer_form(p, n: int) -> tuple[dict, int, int]:
-    """(G, S, d): p as integer terms G over one positive denominator S, with
-    d = max(deg p, 0).  p is a Polynomial or a pair (G, S) already cleared,
-    read by measure._integer_terms (ValueError unless p is on n variables);
-    a pair's zero terms are dropped."""
-    G, S = _integer_terms(p, n)
-    G = {a: c for a, c in G.items() if c}
-    return G, S, max(map(sum, G), default=0)
-
-
-def _numerators(p, simplex: Simplex) -> tuple[list[int], int]:
-    """The Bernstein numerators B (in ``measure._monomials`` order) of p, a
-    Polynomial or a pair (G, S) of integer terms over S > 0 (see
-    _integer_form), on the simplex and their common denominator."""
-    G, S, d = _integer_form(p, simplex.ambient_dim)
-    return _cleared_numerators(G, S, d, _cell(simplex.vertices), simplex.k + 1)
+def _numerators(p: Polynomial, simplex: Simplex) -> tuple[list[int], int]:
+    """The Bernstein numerators B (in ``measure._monomials`` order) of p on
+    the simplex and their common denominator, read off p's integer form
+    (ValueError unless p is on the simplex's ambient dimension)."""
+    G, S = _integer_terms(p, simplex.ambient_dim)
+    return _cleared_numerators(G, S, max(_degree(G), 0), _cell(simplex.vertices), simplex.k + 1)
 
 
 def _cleared_numerators(G: dict, S: int, d: int, record, parts: int) -> tuple[list[int], int]:
@@ -257,15 +246,8 @@ class PositivityOutcome:
     depth_used: int
 
 
-def certify_nonnegative(
-    p: Polynomial | tuple[dict, int], simplex: Simplex, max_depth: int = 6
-) -> PositivityOutcome:
+def certify_nonnegative(p: Polynomial, simplex: Simplex, max_depth: int = 6) -> PositivityOutcome:
     """Certify p >= 0 on the simplex, refute with an exact witness, or give up.
-
-    p is a Polynomial or, already cleared, a pair (G, S) of integer terms
-    {exponent: int} over one denominator S > 0 (the cone conditions of
-    stability come that way); a Polynomial is cleared first, so both run
-    the same path and give the same outcome for the same polynomial.
 
     Sound in both directions it decides: CERTIFIED comes with a rational lower
     bound (min Bernstein coefficient over the leaves) and REFUTED with an
@@ -275,8 +257,8 @@ def certify_nonnegative(
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
-    G, S, d = _integer_form(p, simplex.ambient_dim)
-    parts, record = simplex.k + 1, _cell(simplex.vertices)
+    G, S = _integer_terms(p, simplex.ambient_dim)
+    d, parts, record = max(_degree(G), 0), simplex.k + 1, _cell(simplex.vertices)
     B, S = _cleared_numerators(G, S, d, record, parts)
     _, _, corners, weights = _levels(d, parts)
     E, Y, _ = record

@@ -206,9 +206,15 @@ class Polynomial:
     ``terms`` maps exponent tuples (length ``dim``, nonnegative ints) to
     nonzero rational coefficients.  Zero coefficients are never stored, so
     structural equality of the term maps is semantic equality.
+
+    cleared() is its integer form (G, den), p = G / den: the nonzero terms as
+    integers, in the order of ``terms``, over one den > 0, kept once made.
+    Built from Fractions, p is cleared over their least common denominator;
+    built on integers (_from_cleared), p keeps them and makes ``terms`` only
+    when first read.  Equality, hashing, repr and pickling read ``terms``.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "_terms", "_ints")
 
     def __init__(self, dim: int, terms: dict | None = None):
         if dim < 0:
@@ -221,8 +227,13 @@ class Polynomial:
             c = rat(coeff)
             if c:
                 clean[expo] = c
+        self._set(dim, clean, None)
+
+    def _set(self, dim: int, terms: dict | None, ints: tuple | None) -> "Polynomial":
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_ints", ints)
+        return self
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Polynomial is immutable")
@@ -235,16 +246,32 @@ class Polynomial:
         """The polynomial on *terms*, whose exponents are already int tuples
         of length dim and whose coefficients are already Fractions: only the
         zero terms are dropped, in place of the constructor's checks."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "dim", dim)
-        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
-        return poly
+        return object.__new__(cls)._set(dim, {e: c for e, c in terms.items() if c}, None)
 
     @classmethod
     def _from_cleared(cls, dim: int, terms: dict, den: int) -> "Polynomial":
         """The polynomial terms / den, for integer terms whose exponents are
-        int tuples of length dim and den > 0: one Fraction per nonzero term."""
-        return cls._from_terms(dim, {e: Fraction(c, den) for e, c in terms.items()})
+        int tuples of length dim and den > 0 (ValueError otherwise).  Its
+        integer form is these terms, the zero ones dropped, over den; no
+        Fraction is made here."""
+        if den <= 0:
+            raise ValueError("the denominator of a cleared polynomial must be positive")
+        return object.__new__(cls)._set(dim, None, ({e: c for e, c in terms.items() if c}, den))
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            G, den = self._ints
+            object.__setattr__(self, "_terms", {e: Fraction(c, den) for e, c in G.items()})
+        return self._terms
+
+    def cleared(self) -> tuple[dict, int]:
+        """(G, den), the integer form of the class docstring; the map G is
+        shared, not a copy."""
+        if self._ints is None:
+            ints, den = _cleared(self._terms.values())
+            object.__setattr__(self, "_ints", (dict(zip(self._terms, ints)), den))
+        return self._ints
 
     # -- constructors ------------------------------------------------------
 
@@ -272,10 +299,10 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(map(sum, self._ints[0] if self._terms is None else self._terms), default=-1)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return self.degree() >= 0
 
     def terms_sorted(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in descending graded-lexicographic order (canonical)."""
@@ -433,9 +460,9 @@ def _cleared(xs: Iterable[Fraction]) -> tuple[list[int], int]:
 
 def _lowest(terms: dict, den: int) -> tuple[dict, int]:
     """terms / den (integer coefficients, den > 0) in lowest terms: the
-    nonzero terms and den divided by the gcd of den and every coefficient,
-    which is what _cleared gives for the Fractions terms[a] / den."""
-    terms = {a: c for a, c in terms.items() if c}
+    terms and den divided by the gcd of den and every coefficient, which,
+    the zero terms dropped (as _from_cleared does), is what _cleared gives
+    for the Fractions terms[a] / den."""
     g = gcd(den, *terms.values())
     return {a: c // g for a, c in terms.items()}, den // g
 

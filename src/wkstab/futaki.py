@@ -16,12 +16,11 @@ with w = l_ext v - w_base vanishes on all affine functions; it is found by
 solving the (l+1) x (l+1) moment system exactly.
 
 F and the moment system are bilinear pairings with P's moment table, so no
-product polynomial is formed.  Their weights are Polynomials or pairs
-(terms, den) already cleared, both read through measure._integer_terms:
-extremal_affine, futaki_character and stability_weight hand in a
-fibration's integer record (weights.Fibration.weights) as it is, and
-_stability_terms forms w = l_ext v - w_base as such a pair, which
-stability.check_fibration hands on.  Pairings against the affine basis X =
+product polynomial is formed.  Their weights are Polynomials, read through
+their integer forms (Polynomial.cleared): a fibration's v and w_base are
+built on integers, and stability_weight forms w = l_ext v - w_base on
+integers too, so no Fraction term of a weight is made on the way from the
+fibration to the moment rows.  Pairings against the affine basis X =
 (1, x_1, ..., x_l) are read in one measure._moment_rows call each:
 _moment_system reads <v, X_i X_j>, <v, X_i>_boundary and <w_base, X_i>, and
 the Futaki check assert_futaki_vanishes reads only the last two, since with
@@ -106,12 +105,12 @@ def _affine_products(dim: int) -> tuple[tuple, ...]:
 
 
 def _moment_system(
-    P: LabelledPolytope, v, w_base, convention: Convention
+    P: LabelledPolytope, v: Polynomial, w_base: Polynomial, convention: Convention
 ) -> tuple[list[list[int]], list[int], int]:
     """(M, b, den): the moment system M lam = b as integers over one common
     denominator den > 0, the system's own being M / den and b / den.
 
-    With v = V / dv and w_base = W / dw cleared to integers (_integer_terms,
+    With v = V / dv and w_base = W / dw their integer forms (_integer_terms,
     which also checks their dimension), every moment read
     is brought over Delta_top (see measure), top = max(deg v + 2, deg w_base
     + 1), so den = dv * dw * Delta_top.  The three rows it reads (<v, X_i X_j>,
@@ -201,10 +200,10 @@ class ExtremalSolution:
 
 
 def solve_extremal(
-    P: LabelledPolytope, v, w_base, convention: Convention = Convention.CANONICAL
+    P: LabelledPolytope, v: Polynomial, w_base: Polynomial,
+    convention: Convention = Convention.CANONICAL,
 ) -> ExtremalSolution:
-    """Solve the moment system for l_ext over weights v and w_base, each a
-    Polynomial or a cleared pair (see measure._integer_terms).
+    """Solve the moment system for l_ext over weights v and w_base.
 
     The integer system of _moment_system is solved by _definite_pass, which
     checks M first; with lam = Lam / d, every residual numerator d b_i -
@@ -228,39 +227,34 @@ def solve_extremal(
 
 
 def extremal_affine(fib: Fibration) -> ExtremalSolution:
-    """l_ext for a fibration, under its convention, solved once (fib.extremal)
-    on its integer weights."""
+    """l_ext for a fibration, under its convention, solved once (fib.extremal)."""
     if fib.extremal is None:
-        sol = solve_extremal(fib.fiber, *fib.weights, fib.convention)
+        sol = solve_extremal(fib.fiber, fib.v, fib.w_base, fib.convention)
         object.__setattr__(fib, "extremal", sol)
     return fib.extremal
 
 
 def stability_weight(fib: Fibration, l_ext: AffineFunc | None = None) -> Polynomial:
-    """The w entering the stability condition: l_ext * v - w_base, the
-    Polynomial of _stability_terms."""
-    return Polynomial._from_cleared(fib.dim, *_stability_terms(fib, l_ext))
-
-
-def _stability_terms(fib: Fibration, l_ext: AffineFunc | None = None) -> tuple[dict, int]:
-    """(T, D): w = l_ext * v - w_base as integer terms T over D in lowest
-    terms, in the order Polynomial arithmetic gives w's terms.
+    """The w entering the stability condition: l_ext * v - w_base, built on
+    integers in lowest terms, with the terms in the order Polynomial
+    arithmetic gives them.
 
     l_ext's nonzero terms are cleared over dl, in to_polynomial's order, and
-    with fib.weights = ((V, dv), (W, dw)), l_ext v is one exact._product of
-    integer maps and w's terms are brought over lcm(dl dv, dw)."""
+    with v = V / dv and w_base = W / dw their integer forms, l_ext v is one
+    exact._product of integer maps and w's terms are brought over
+    lcm(dl dv, dw)."""
     if l_ext is None:
         l_ext = extremal_affine(fib).l_ext
     ints, dl = _cleared((*l_ext.gradient, l_ext.constant))
     E = _affine_exponents(fib.dim)
     L = {e: c for e, c in zip((*E[1:], E[0]), ints) if c}
-    (V, dv), (W, dw) = fib.weights
+    (V, dv), (W, dw) = fib.v.cleared(), fib.w_base.cleared()
     D = lcm(dl * dv, dw)
     a, b = D // (dl * dv), D // dw
     terms = {e: a * c for e, c in _product(L, V).items() if c}
     for e, c in W.items():
         terms[e] = terms[e] - b * c if e in terms else -b * c
-    return _lowest(terms, D)
+    return Polynomial._from_cleared(fib.dim, *_lowest(terms, D))
 
 
 def futaki_character(fib: Fibration) -> tuple:
@@ -269,7 +263,7 @@ def futaki_character(fib: Fibration) -> tuple:
     Fits the constant candidate lambda0 = b_0 / M_00 and reports the vector
     (b_i - M_{i0} lambda0) for i = 1..l; l_ext is constant iff this vanishes.
     """
-    M, b, den = _moment_system(fib.fiber, *fib.weights, fib.convention)
+    M, b, den = _moment_system(fib.fiber, fib.v, fib.w_base, fib.convention)
     if M[0][0] == 0:
         raise SingularMomentMatrix("zero total v-mass")
     return tuple(
@@ -277,10 +271,9 @@ def futaki_character(fib: Fibration) -> tuple:
     )
 
 
-def assert_futaki_vanishes(P: LabelledPolytope, v, w) -> None:
+def assert_futaki_vanishes(P: LabelledPolytope, v: Polynomial, w: Polynomial) -> None:
     """Raise FutakiNotVanishing at the first affine basis element X_i with
-    F(X_i) = 2 <v, X_i>_boundary - <w, X_i> != 0, v and w each a Polynomial
-    or a cleared pair (see measure._integer_terms).  Only the two rows the
+    F(X_i) = 2 <v, X_i>_boundary - <w, X_i> != 0.  Only the two rows the
     canonical right-hand side of _moment_system reads are read, in one
     measure._moment_rows call up to degree max(deg v, deg w, 0) + 1: with v
     and w cleared over dv and dw, F(X_i) = (2 dw B_i - dv W_i) / (dv dw

@@ -24,7 +24,7 @@ its moment record and its monotone point instead of building them again.
 Sharing is safe: the polytope is immutable, and its derived slots,
 ``cleared``, written only by polytope._vertex_record, ``facet_cells``,
 written only by polytope._facet_cells, ``moments``, written only by
-measure._fill (a refill to a higher degree keeps every lower entry), and
+measure._fill (a refill to a higher degree keeps every lower moment), and
 ``monotone``, written only by polytope.monotone_point, hold exact values
 fixed by the labels.  Exceptions are not cached, so bad input raises on every parse; a
 label set that cuts out no polytope raises an InputError at

@@ -12,11 +12,9 @@ on a convex polytope", Proc. AMS 126 (1998), and Baldoni, Berline,
 De Loera, Koeppe & Vergne, Math. Comp. 80 (2011)), so P itself is never
 triangulated.
 
-Moments are kept per polytope as integers.  P.moments is one record
-(D_P, J, inner, outer, scaled), None until the first fill: inner and outer
-hold the interior and boundary numerators N of every monomial x^a of
-degree <= some filled degree, in _monomials order, each over a denominator
-that depends only on the degree d = |a|:
+Moments are kept per polytope as integers.  Each moment of a monomial x^a
+has a numerator N over a denominator that depends only on the degree
+d = |a|:
 
     int_P x^a dx              = N / Delta_d,    Delta_d  = (l + d)! * D_P^d * J,
     int_{boundary P} x^a dsig = N / Delta'_d,   Delta'_d = (l - 1 + d)! * D_P^d * J,
@@ -26,13 +24,15 @@ of the denominators of jac and L_j(0) * jac over the facet cells (below),
 each in lowest terms.
 Delta_d = (l + d) Delta'_d, and Delta_d divides Delta_{d+1} =
 (l + d + 1) D_P Delta_d, so any set of moments shares the interior
-denominator of its largest degree.
+denominator of its largest degree.  P.moments is one record
+(D_P, J, T, inner, outer), None until the first fill: inner and outer hold
+the interior and boundary moments of every monomial of degree <= T, in
+_monomials order, each as one integer over that shared denominator
+Delta_T, so each side has one table.
 
 _fill(P, top) returns the record at once when it already reaches degree
-top, and otherwise rebuilds all of it up to top in one pass over the facet
-cells; D_P and J depend on P alone, so a rebuild keeps every lower entry.
-scaled holds, per (top, boundary) read so far, the numerators brought over
-Delta_top (below); a rebuild starts it empty.
+top, and otherwise rebuilds all of it up to T = top in one pass over the
+facet cells, then brings each numerator over Delta_T (_scales).
 The polytope owns the cells and the integers they are read on:
 polytope._vertex_record clears P's vertices once to the rows u = D_P v,
 and polytope._facet_cells triangulates each facet once per polytope into
@@ -72,16 +72,15 @@ Products are never formed to be integrated.  _moment_rows reads the moments
 of f x^b (f with integer coefficients, b in a list) as integer rows, every
 moment brought over the interior denominator Delta_top of one top degree;
 futaki's moment system and probe's crease rows are such rows.  _pair(f, g) =
-sum_a sum_b f_a g_b m(a + b) = int f g clears f and g to integers once, reads
-one row and makes one Fraction.  A read has one path: _fill(P, top), the
-record's scaled table for (top, boundary), whose entry of degree d is the
-stored numerator times Delta_top / Delta_d (_scales), and then each entry
-of a row is one dot product, f's coefficients against the table at the
-positions of the a + b (_positions, cached per exponent lists).  Positions
-of lower degrees are a prefix, so a record filled higher serves every lower
-read, and a read of degree past top finds no position and raises.
-f and g are Polynomials or pairs (terms, den) already cleared, both read
-through _integer_terms, so a fibration's integer weights pass as they are.
+sum_a sum_b f_a g_b m(a + b) = int f g reads the integer forms of the
+Polynomials f and g (Polynomial.cleared), one row, and makes one Fraction.
+A read has one path: _fill(P, top), then each entry of a row is one dot
+product, f's coefficients against the table at the positions of the a + b
+(_positions, cached per exponent lists).  Positions of lower degrees are a
+prefix, so a record filled to T > top serves the read: its entries of
+degree <= top are Delta_T / Delta_top times those over Delta_top, and each
+row entry is divided by that factor exactly.  A read of degree past top
+finds no position and raises.
 
 integrate_simplex and integrate_facet_cell pull whole polynomials back
 through compose_affine instead; they stay as the independent path behind
@@ -96,7 +95,7 @@ import math
 from fractions import Fraction
 from operator import add, mul
 
-from .exact import Point, Polynomial, _cleared, det
+from .exact import Point, Polynomial, det
 from .polytope import LabelledPolytope, Simplex, _facet_cells, _points, _transversal, _vertex_record
 
 
@@ -177,33 +176,21 @@ def integrate_boundary(p: Polynomial, P: LabelledPolytope) -> Fraction:
     return _pair(p, Polynomial.constant(P.dim, 1), P, True)
 
 
-def _pair(f, g, P: LabelledPolytope, boundary: bool) -> Fraction:
+def _pair(f: Polynomial, g: Polynomial, P: LabelledPolytope, boundary: bool) -> Fraction:
     """The bilinear pairing sum_a sum_b f_a g_b m(a + b) = int f g, read from
-    P.moments without forming the product f * g; f and g as _integer_terms
-    takes them."""
+    P.moments without forming the product f * g."""
     (F, df), (G, dg) = _integer_terms(f, P.dim), _integer_terms(g, P.dim)
     top = max(_degree(F), 0) + max(_degree(G), 0)
     [row], delta = _moment_rows(P, [(F.items(), tuple(G), boundary)], top)
     return Fraction(sum(map(mul, G.values(), row)), df * dg * delta)
 
 
-def _integer_terms(p, dim: int) -> tuple[dict, int]:
-    """(G, den): p as integer terms {a: c_a} over den > 0.  p is a
-    Polynomial, cleared here over the least common denominator of its
-    coefficients, or a pair (G, den) already cleared, which passes as it is.
-    ValueError unless p is on dim variables: a Polynomial by its dim, a pair
-    by the length of its exponents (so the zero pair fits every dim)."""
-    if isinstance(p, Polynomial):
-        if p.dim != dim:
-            raise ValueError("polynomial/polytope dimension mismatch")
-        ints, den = _cleared(p.terms.values())
-        return dict(zip(p.terms, ints)), den
-    G, den = p
-    if den <= 0:
-        raise ValueError("the denominator of a cleared polynomial must be positive")
-    if any(map(dim.__ne__, map(len, G))):
+def _integer_terms(p: Polynomial, dim: int) -> tuple[dict, int]:
+    """p.cleared(), the integer terms {a: c_a} over den > 0; ValueError
+    unless p is on dim variables."""
+    if p.dim != dim:
         raise ValueError("polynomial/polytope dimension mismatch")
-    return G, den
+    return p.cleared()
 
 
 def _degree(G: dict) -> int:
@@ -215,20 +202,19 @@ def _moment_rows(P: LabelledPolytope, requests: list, top: int) -> tuple[list, i
     """(rows, Delta_top): for each request (terms, expos, boundary), the row
     [sum_a c_a m(a + b) for b in expos] times Delta_top, an integer row for
     integer terms, pairs (a, c_a); top is at least every deg a + |b|.  Each
-    entry is one dot product of the c_a with the record's scaled table for
-    (top, boundary), built here on its first read, at _positions."""
-    D_P, J, inner, outer, scaled = _fill(P, top)
+    entry is one dot product of the c_a with the record's table for the
+    side at _positions, over the record's Delta_T; when T > top, it is then
+    divided exactly by Delta_T / Delta_top."""
+    D_P, J, T, inner, outer = _fill(P, top)
     rows = []
     for terms, bs, boundary in requests:
-        table = scaled.get((top, boundary))
-        if table is None:
-            s = _scales(P.dim, D_P, top, boundary)
-            table = scaled[top, boundary] = [
-                s[sum(e)] * N for e, N in zip(_monomials(P.dim, top), outer if boundary else inner)
-            ]
+        table = outer if boundary else inner
         expos, coeffs = tuple(zip(*terms)) or ((), ())
         rows.append([sum(map(mul, coeffs, map(table.__getitem__, at)))
                      for at in _positions(P.dim, top, expos, tuple(bs))])
+    if T > top:
+        k = math.perm(P.dim + T, T - top) * D_P ** (T - top)  # Delta_T / Delta_top
+        rows = [[x // k for x in row] for row in rows]
     return rows, math.factorial(P.dim + top) * D_P**top * J
 
 
@@ -245,9 +231,10 @@ def _add(a: tuple, b: tuple) -> tuple:
 
 
 def _scales(dim: int, D_P: int, top: int, boundary: bool) -> list[int]:
-    """s with s[d] N / Delta_top the moment of a stored numerator N of degree
-    d <= top: s[d] = Delta_top / Delta_d in the interior and (l + d) times
-    that on the boundary."""
+    """s with s[d] N / Delta_top the moment whose numerator of degree
+    d <= top is N over Delta_d (interior) or Delta'_d (boundary): s[d] =
+    Delta_top / Delta_d in the interior and (l + d) times that on the
+    boundary."""
     s = [1] * (top + 1)
     for d in range(top, 0, -1):
         s[d - 1] = s[d] * (dim + d) * D_P
@@ -255,19 +242,19 @@ def _scales(dim: int, D_P: int, top: int, boundary: bool) -> list[int]:
 
 
 def _fill(P: LabelledPolytope, top: int) -> tuple:
-    """P.moments = (D_P, J, inner, outer, scaled), the interior and boundary
-    numerators of every monomial of degree <= top in _monomials order,
-    rebuilt in one pass over the facet cells unless P.moments already
-    reaches top, with no scaled table yet.  Return the record.
+    """P.moments = (D_P, J, T, inner, outer), the interior and boundary
+    moments of every monomial of degree <= T in _monomials order as
+    integers over Delta_T, rebuilt to T = top in one pass over the facet
+    cells unless P.moments already reaches top.  Return the record.
 
     A cell (cell, n, d) of facet j has jac = n / d and L_j(0) jac = cn / cd
     with cn = n a, cd = d b for L_j(0) = a / b, so J is the lcm of
     d / gcd(n, d) and cd / gcd(cn, cd), and the cell's weights
     jac J = n J / d and L_j(0) jac J = cn J / cd are exact integer
     quotients."""
-    mons = _monomials(P.dim, top)
-    if P.moments and len(P.moments[2]) >= len(mons):
+    if P.moments and P.moments[2] >= top:
         return P.moments
+    mons = _monomials(P.dim, top)
     D_P, U, _ = _vertex_record(P)
     cells = [([U[k] for k in cell], n, d, n * L.constant.numerator, d * L.constant.denominator)
              for L, facet in zip(P.labels, _facet_cells(P)) for cell, n, d in facet]
@@ -280,7 +267,10 @@ def _fill(P: LabelledPolytope, top: int) -> tuple:
         for i, N in enumerate(_cell_moments(rows, mons)):
             outer[i] += kb * N
             inner[i] += ki * N
-    object.__setattr__(P, "moments", (D_P, J, inner, outer, {}))
+    tables = [[s[sum(e)] * N for e, N in zip(mons, table)]
+              for s, table in ((_scales(P.dim, D_P, top, False), inner),
+                               (_scales(P.dim, D_P, top, True), outer))]
+    object.__setattr__(P, "moments", (D_P, J, top, *tables))
     return P.moments
 
 

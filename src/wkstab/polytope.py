@@ -136,9 +136,10 @@ class LabelledPolytope:
     Four slots hold values derived from the labels, filled on first use:
     ``cleared``, the integer vertex record (D_P, U, zeros) of
     :func:`_vertex_record`, ``facet_cells``, each facet's labelled cells (see
-    :func:`_facet_cells`), ``moments``, the record (D_P, J, interior,
-    boundary) of integer moment numerators up to the degree filled so far
-    (see measure), and ``monotone``, the answer of :func:`monotone_point`.
+    :func:`_facet_cells`), ``moments``, the record (D_P, J, T, interior,
+    boundary) of the integer moments up to the degree T filled so far, all
+    over one denominator (see measure), and ``monotone``, the answer of
+    :func:`monotone_point`.
     None of them is part of equality, hashing or pickling."""
 
     __slots__ = (

@@ -183,7 +183,7 @@ def probe(
     """
     (Gv, cv), (Gw, cw) = _integer_terms(v, P.dim), _integer_terms(w, P.dim)
     if verify_futaki:
-        assert_futaki_vanishes(P, (Gv, cv), (Gw, cw))
+        assert_futaki_vanishes(P, v, w)
     # |f|_L1 = ri[0] / D_k needs ri even when w = 0
     dv, dw = _degree(Gv), max(_degree(Gw), 0)
     D_vw = math.lcm(cv, cw)

@@ -6,12 +6,13 @@ F vanishes on affine functions and
 
     g_j(x) = (1/L_j(x0)) ((l+1) v(x) + d_x v . (x - x0)) - w(x)/2  >=  0 on P_j
 
-for every j.  Each g_j is built on integers (_cone_conditions): v, w and x0
-are cleared once each (x0 shown interior by its label signs), A times their
-denominators is one integer coefficient map read off v's terms, and g_j is
-an integer map G_j over one positive S_j, handed as it is to the cell's
-route.  No Polynomial or
-Fraction is built per cone; a Fraction is made only for a reported value.
+for every j.  Each g_j is built on integers (_cone_conditions): v and w are
+read through their integer forms and x0 is cleared once (and shown interior
+by its label signs), A times their denominators is one integer coefficient
+map read off v's terms, and g_j is an integer map G_j over one positive S_j.
+The vertex routes read it as it is, and the Bernstein route gets it as a
+Polynomial built on those integers.  No Fraction is built per cone; one is
+made only for a reported value.
 Certification routes, soundest-first:
 
 * AffineVertex - g_j is affine, so cell-vertex evaluation is exact;
@@ -56,9 +57,9 @@ from .futaki import (
     SingularMomentMatrix,
     _assert_positive_definite,
     _moment_system,
-    _stability_terms,
     assert_futaki_vanishes,
     extremal_affine,
+    stability_weight,
 )
 from .measure import _integer_terms
 from .polytope import (
@@ -119,10 +120,8 @@ class StabilityReport:
 
 
 def condition_poly_general(P: LabelledPolytope, x0, j: int, v, w) -> Polynomial:
-    """The cone inequality polynomial g_j (nonnegativity wanted), read off
-    the integer cone condition (G_j, S_j) as G_j / S_j, after v and w (each
-    a Polynomial or a cleared pair) are cleared; _cone_conditions validates x0."""
-    v, w = _integer_terms(v, P.dim), _integer_terms(w, P.dim)
+    """The cone inequality polynomial g_j (nonnegativity wanted), built on
+    the integer cone condition (G_j, S_j) of _cone_conditions as G_j / S_j."""
     return Polynomial._from_cleared(P.dim, *_cone_conditions(P, point(x0), v, w)[j])
 
 
@@ -143,18 +142,19 @@ def _cone_conditions(P: LabelledPolytope, x0: Point, v, w) -> list[tuple[dict, i
     """Every g_j, in facet order, as integer terms G_j over S_j > 0:
     g_j = A / L_j(x0) - w/2 with A = (dim + 1) v + d_x v . (x - x0).
 
-    With v = V / C_v and w = W / C_w (_integer_terms) and x0 = X0 / D0, the
+    With v = V / C_v and w = W / C_w their integer forms (_integer_terms,
+    which checks their dimension first) and x0 = X0 / D0, the
     integer map A^ = C_v D0 A takes one pass over v's terms: V_a x^a gives
     (dim + 1 + |a|) D0 V_a to x^a and -a_i X0_i V_a to x^(a - e_i).  With
     L_j(x0) = l_j / (q_j D0) (_label_values), l_j > 0 for interior x0,
     G_j = 2 C_w q_j A^ - C_v l_j W and S_j = 2 C_v C_w l_j.  G_j keeps only
     its nonzero terms, so a cancelled top degree leaves the true degree.
     The check path's one test of x0: NotInterior unless every l_j > 0."""
+    (V, Cv), (W, Cw) = _integer_terms(v, P.dim), _integer_terms(w, P.dim)
     X0, D0 = _cleared(x0)
     labels = _label_values(P, X0, D0)
     if any(ell <= 0 for ell, _ in labels):
         raise NotInterior(x0)
-    (V, Cv), (W, Cw) = _integer_terms(v, P.dim), _integer_terms(w, P.dim)
     A: dict = {}
     for a, c in V.items():
         A[a] = A.get(a, 0) + (P.dim + 1 + sum(a)) * D0 * c
@@ -237,8 +237,8 @@ def _vertex_route(G: dict, S: int, vertices, facet: int, cell: int, method: str)
 def check_general(
     P: LabelledPolytope,
     x0,
-    v,
-    w,
+    v: Polynomial,
+    w: Polynomial,
     *,
     convention: Convention = Convention.CANONICAL,
     max_depth: int = 6,
@@ -250,23 +250,24 @@ def check_general(
 
     Each g_j is the integer cone condition (G_j, S_j) of _cone_conditions:
     an affine one or one on a concave cone is decided at the cell vertices,
-    and any other goes to certify_nonnegative as it is, once per cell.  A
-    cell is a facet cell plus x0, as in cone_decomposition.
-    v and w, each a Polynomial or a cleared pair, are cleared once for the
-    Futaki check and the cone conditions (measure._integer_terms), and
-    weights of another dimension than P raise ValueError under either
-    convention.  Under the canonical convention, refuses to run
-    (FutakiNotVanishing) when F does not already vanish on affine
-    functions; the legacy convention is not checked, since its solver's
-    defining pairing differs.  Then _cone_conditions validates x0.
+    and any other goes to certify_nonnegative as the Polynomial built on
+    those integers, once per cell.  A cell is a facet cell plus x0, as in
+    cone_decomposition.  Weights of another dimension than P raise
+    ValueError first, under either convention.  Under the canonical
+    convention, refuses to run (FutakiNotVanishing) when F does not already
+    vanish on affine functions; the legacy convention is not checked, since
+    its solver's defining pairing differs.  Then _cone_conditions validates
+    x0.
     """
-    v, w = _integer_terms(v, P.dim), _integer_terms(w, P.dim)
+    for p in (v, w):  # the weights' dimension before anything else
+        _integer_terms(p, P.dim)
     x0 = point(x0)
     if convention is Convention.CANONICAL:
         assert_futaki_vanishes(P, v, w)
     outcomes: list[ConeOutcome] = []
     for j, ((G, S), bases) in enumerate(zip(_cone_conditions(P, x0, v, w), _facet_cells(P))):
         affine = max(map(sum, G), default=-1) <= 1
+        g = Polynomial._from_cleared(P.dim, G, S)
         for ci, (base, _, _) in enumerate(bases):
             cell = Simplex._spanned(_points(P, base) + (x0,))
             if affine:
@@ -274,7 +275,7 @@ def check_general(
             elif j in concave_cones:
                 outcomes.append(_vertex_route(G, S, cell.vertices, j, ci, METHOD_CONCAVE))
             else:
-                res = certify_nonnegative((G, S), cell, max_depth)
+                res = certify_nonnegative(g, cell, max_depth)
                 outcomes.append(
                     ConeOutcome(
                         j, ci, METHOD_BERNSTEIN, res.status,
@@ -306,11 +307,11 @@ def check_fibration(
 ) -> StabilityReport:
     """Solve for l_ext, form w = l_ext v - w_base, and run check_general with
     the factor-derived concavity certificates."""
-    sol = extremal_affine(fib)
+    w = stability_weight(fib)
     if x0 is None:
         x0 = default_base_point(fib.fiber)
     return check_general(
-        fib.fiber, x0, fib.weights[0], _stability_terms(fib, sol.l_ext), convention=fib.convention,
+        fib.fiber, x0, fib.v, w, convention=fib.convention,
         max_depth=max_depth, concave_cones=concave_cone_indices(fib, x0),
     )
 
@@ -469,18 +470,22 @@ def _check_template(
 
 def _system_over_c(fib_lo: Fibration, offsets, c_lo: Fraction):
     """(v, w_base, M, b, L): v(x, c) and w_base(x, c), c the last variable,
-    as _build_weights' integer pairs on the forms p_a + c_a(0) + Delta_a c at
+    as _build_weights gives them on the forms p_a + c_a(0) + Delta_a c at
     the vertices lifted to (x, c_lo); M(c) and b(c) on fib_lo's fiber,
-    integer polynomials in c over L.  The c^m terms of v and w_base, over
-    their own denominators, give _moment_system's M_m / den_m and b_m /
-    den_m, and L = lcm of the den_m."""
+    integer polynomials in c over L.  The c^m terms of v and w_base, built
+    on their integers over v's and w_base's own denominators, give
+    _moment_system's M_m / den_m and b_m / den_m, and L = lcm of the den_m."""
     P = fib_lo.fiber
     forms = [replace(f, c=c_a - d * c_lo, p=AffineFunc((*f.p.gradient, d), 0))
              for f, (c_a, d) in zip(fib_lo.factors, offsets)]
     v, w_base = _build_weights([(*x, c_lo) for x in P.vertices], forms)
-    systems = [_moment_system(P, *[({e[:-1]: x for e, x in G.items() if e[-1] == m}, d)
-                                   for G, d in (v, w_base)], fib_lo.convention)
-               for m in range(max(e[-1] for e in v[0]) + 1)]
+    (V, dv), (W, dw) = v.cleared(), w_base.cleared()
+
+    def power(G: dict, d: int, m: int) -> Polynomial:  # the c^m terms of G / d
+        return Polynomial._from_cleared(P.dim, {e[:-1]: x for e, x in G.items() if e[-1] == m}, d)
+
+    systems = [_moment_system(P, power(V, dv, m), power(W, dw, m), fib_lo.convention)
+               for m in range(max(e[-1] for e in V) + 1)]
     L = lcm(*(den for _, _, den in systems))
     # every entry of M (row by row) and b over L, then its coefficients of c^0..c^N
     scaled = [[x * (L // den) for row in [*Ms, bs] for x in row] for Ms, bs, den in systems]

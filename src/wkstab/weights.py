@@ -12,11 +12,11 @@ fiber coordinates.  The induced weights on P are
 (w_base is v * sum_a s_a/(p_a + c_a) with denominators cleared).  Positivity
 of every p_a + c_a on P is required and is checked at the vertices.  Both
 weights are built factor by factor by the product rule, run on integer
-coefficient maps over one denominator (see _build_weights), and a Fibration
-keeps them as they come out: integer terms, each map over its own
-denominator in lowest terms.  Every pairing, the extremal solve and the
-stability weight read that record; fib.v and fib.w_base are Polynomials
-built from it on first read.
+coefficient maps over one denominator (see _build_weights), and fib.v and
+fib.w_base are Polynomials built on the integers as they come out, each map
+over its own denominator in lowest terms.  Every pairing, the extremal solve
+and the stability weight read that integer form (Polynomial.cleared); the
+Fraction terms are built only when something reads them.
 
 Two sign conventions are carried through the extremal solve (module futaki):
 "canonical", fixed by the Fano normalization l_ext == 2 dim Y on anticanonical
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from operator import mul
 
@@ -119,25 +118,17 @@ BASE_PRESETS: dict[str, BasePreset] = {
 
 @dataclass(frozen=True)
 class Fibration:
-    """weights = ((V, dv), (W, dw)), v = V / dv and w_base = W / dw as
-    _build_weights gives them.  The factors fix the weights, so they take
-    no part in equality, hashing or repr."""
+    """v and w_base as _build_weights gives them.  The factors fix the
+    weights, so they take no part in equality, hashing or repr."""
 
     fiber: LabelledPolytope
     factors: tuple[BaseFactor, ...]
     convention: Convention
-    weights: tuple = field(repr=False, compare=False)
+    v: Polynomial = field(repr=False, compare=False)
+    w_base: Polynomial = field(repr=False, compare=False)
     fano_fiber: tuple | None  # (x0, t) when the fiber is monotone with scale t
     # the extremal solve, filled on first use by futaki.extremal_affine
     extremal: object = field(default=None, init=False, repr=False, compare=False)
-
-    @cached_property
-    def v(self) -> Polynomial:
-        return Polynomial._from_cleared(self.dim, *self.weights[0])
-
-    @cached_property
-    def w_base(self) -> Polynomial:
-        return Polynomial._from_cleared(self.dim, *self.weights[1])
 
     @property
     def dim(self) -> int:
@@ -159,18 +150,21 @@ class Fibration:
         return tuple(f.c > sum(f.p.gradient) for f in self.factors)
 
 
-def _build_weights(vertices, factors: tuple[BaseFactor, ...]) -> tuple[tuple, tuple]:
-    """((V, dv), (W, dw)): v = V / dv and w_base = W / dw at these vertices,
-    integer terms in lowest terms, by the product rule: a factor P^n
+def _build_weights(vertices, factors: tuple[BaseFactor, ...]) -> tuple[Polynomial, Polynomial]:
+    """(v, w_base) at these vertices, built on integer terms in lowest
+    terms, by the product rule: a factor P^n
     (P = p + c) sends (v, w_base) to (v P^n, w_base P^n + s v P^(n-1)).
 
     It runs on integer coefficient maps over one tracked denominator d,
     (v, w_base) = (V, W) / d: with P = A / q (A integer) and s = s_n / s_d,
-    a factor sends (V, W, d) to (s_d V A, s_d W A + s_n q V, s_d q d), then
-    n - 1 times to (V A, W A, q d).  P > 0 at a vertex x = X / D_P is the
-    sign of one integer dot, <A, (X, D_P)>.  At the end each map is divided
+    a factor sends (V, W, d) to (s_d V A^n, (s_d W A + s_n q V) A^(n-1),
+    s_d q^n d) and drops v's terms that cancel, so they come in the order
+    Polynomial arithmetic gives prod_a (p_a + c_a)^(n_a), each power formed
+    first.  P > 0 at a vertex x = X / D_P is the sign of one integer
+    dot, <A, (X, D_P)>.  At the end each map is divided
     by the gcd of d and its coefficients once (exact._lowest), so the
-    integers are those that clearing v's and w_base's Fractions would give.
+    integer forms are those that clearing v's and w_base's Fractions would
+    give, and each Polynomial is built on its own (_from_cleared).
     """
     dim = len(vertices[0])
     D_P, cleared = _cleared_points(vertices)
@@ -188,11 +182,13 @@ def _build_weights(vertices, factors: tuple[BaseFactor, ...]) -> tuple[tuple, tu
         W = {e: sd * x for e, x in _product(W, A).items()}
         for e, x in V.items():
             W[e] = W.get(e, 0) + sn * q * x
-        V = {e: sd * x for e, x in _product(V, A).items()}
+        An = A  # A^n; no power of one form cancels a term
         for _ in range(f.n - 1):
-            V, W = _product(V, A), _product(W, A)
+            W, An = _product(W, A), _product(An, A)
+        V = {e: sd * x for e, x in _product(V, An).items() if x}
         d *= sd * q**f.n
-    return _lowest(V, d), _lowest(W, d)
+    (V, dv), (W, dw) = _lowest(V, d), _lowest(W, d)
+    return Polynomial._from_cleared(dim, V, dv), Polynomial._from_cleared(dim, W, dw)
 
 
 def _offset_terms(factors, X0: list[int], D0: int) -> list[tuple[list[int], int, int]]:
@@ -215,13 +211,8 @@ def fibration(
 ) -> Fibration:
     """Validate the factor data against the fiber polytope and expand weights."""
     factors = tuple(factors)
-    return Fibration(
-        fiber=fiber,
-        factors=factors,
-        convention=convention,
-        weights=_build_weights(fiber.vertices, factors),
-        fano_fiber=monotone_point(fiber),
-    )
+    v, w_base = _build_weights(fiber.vertices, factors)
+    return Fibration(fiber, factors, convention, v, w_base, monotone_point(fiber))
 
 
 def projective_bundle(

@@ -827,9 +827,17 @@ def clip_fraction(P, h):
 
 
 def moment_rows_by_tuple(P, requests, top):
-    from wkstab.measure import _fill, _scales, _series_tables
+    from wkstab.measure import _fill, _monomials, _scales, _series_tables
 
-    D_P, J, inner, outer, _ = _fill(P, top)
+    D_P, J, T, *tables = _fill(P, top)
+    # the record holds each numerator brought over Delta_T: take it back,
+    # exactly, to the denominator of its own degree
+    raw = []
+    for boundary, table in zip((False, True), tables):
+        s = _scales(P.dim, D_P, T, boundary)
+        raw.append([divmod(x, s[sum(e)]) for e, x in zip(_monomials(P.dim, T), table)])
+        assert not any(r for _, r in raw[-1])
+    inner, outer = ([N for N, _ in numerators] for numerators in raw)
     index = _series_tables(P.dim, top)[0]
     rows = []
     for terms, bs, boundary in requests:

@@ -679,19 +679,21 @@ def test_one_cell_keeps_a_basis_per_degree(case):
 @settings(max_examples=40, deadline=None)
 @given(certify_case(fractional=True), st.integers(1, 10**6))
 def test_the_cleared_form_decides_like_the_polynomial(case, k):
-    # p's coefficients cleared, times k, over k times their denominator, with
-    # a zero term that must not raise the degree: same outcome, bound and
-    # witness as the Polynomial itself
+    # p built on its coefficients cleared, times k, over k times their
+    # denominator, with a zero term that must not raise the degree: same
+    # outcome, bound and witness as p built from Fractions
     p, simplex, depth = case
     ints, C = _cleared(p.terms.values())
     G = {a: k * c for a, c in zip(p.terms, ints)}
     G[(p.degree() + 1,) + (0,) * (p.dim - 1)] = 0
     want = certify_nonnegative(p, simplex, depth)
-    assert certify_nonnegative((G, k * C), simplex, depth) == want
+    q = Polynomial._from_cleared(p.dim, G, k * C)
+    assert certify_nonnegative(q, simplex, depth) == want
+    assert q == p and q.degree() == p.degree()
 
 
 def test_the_cleared_form_is_checked():
     with pytest.raises(ValueError, match="positive"):
-        certify_nonnegative(({(0, 0): 1}, 0), TRI)
+        certify_nonnegative(Polynomial._from_cleared(2, {(0, 0): 1}, 0), TRI)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        certify_nonnegative(({(0,): 1}, 1), TRI)
+        certify_nonnegative(Polynomial._from_cleared(1, {(0,): 1}, 1), TRI)

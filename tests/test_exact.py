@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from fractions import Fraction as F
 
@@ -400,3 +401,38 @@ def test_values_round_trip_through_pickle_and_copy(clone):
         p2.dim = 3
     assert integrate(p2, P) == integrate(p, P)
     assert integrate(f2.to_polynomial(), P) == integrate(f.to_polynomial(), P)
+
+
+# ---------------------------------------------------------------------------
+# the integer form: a polynomial built on integers is the one built from
+# the same Fractions
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(lambda dim: st.tuples(
+        st.just(dim),
+        st.dictionaries(st.tuples(*[st.integers(0, 3)] * dim), st.integers(-40, 40), max_size=6),
+    )),
+    st.integers(1, 60),
+)
+def test_a_polynomial_built_on_integers_is_the_one_built_on_fractions(case, den):
+    dim, G = case
+    q = Polynomial._from_cleared(dim, G, den)
+    p = Polynomial(dim, {a: F(c, den) for a, c in G.items()})
+    # the integer form is the integers q was given, zero terms dropped, and
+    # for p the coefficients over their least common denominator; neither
+    # builds q's Fraction terms
+    nonzero = {a: c for a, c in G.items() if c}
+    lcd = math.lcm(*(c.denominator for c in p.terms.values()))
+    assert q.cleared() == (nonzero, den) and q.cleared() is q.cleared()
+    assert p.cleared() == ({a: int(c * lcd) for a, c in p.terms.items()}, lcd)
+    assert list(p.cleared()[0]) == list(nonzero)
+    assert q.degree() == p.degree() and bool(q) == bool(p)
+    assert q._terms is None
+    assert q == p and p == q and hash(q) == hash(p) and repr(q) == repr(p)
+    assert list(q.terms.items()) == list(p.terms.items())
+    assert q.terms is q.terms  # built once
+    r = pickle.loads(pickle.dumps(Polynomial._from_cleared(dim, G, den)))
+    assert r == p and hash(r) == hash(p) and list(r.terms.items()) == list(p.terms.items())

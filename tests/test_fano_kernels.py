@@ -78,14 +78,15 @@ def test_weights_solve_and_condition_values_match_the_fraction_path(case):
     fiber, factors, convention = case
     got = _outcome(_build_weights, fiber.vertices, factors)
     want = _outcome(build_weights_fraction, fiber, factors)
-    if isinstance(want[0], Polynomial):  # the integer record is the Fractions cleared
-        want = tuple(_integer_terms(p, fiber.dim) for p in want)
+    if isinstance(want[0], Polynomial):  # the integer forms are the Fractions cleared
+        got = tuple(p.cleared() for p in got)
+        want_polys, want = want, tuple(_integer_terms(p, fiber.dim) for p in want)
     assert got == want
     if got[0] is NonpositiveWeight:
         return
     fib = fibration(fiber, factors, convention)
-    sol = solve_extremal(fiber, *fib.weights, convention)
-    assert sol == solve_extremal(fiber, fib.v, fib.w_base, convention)
+    sol = solve_extremal(fiber, fib.v, fib.w_base, convention)
+    assert sol == solve_extremal(fiber, *want_polys, convention)
     assert sol == solve_extremal_by_minors(fiber, fib.v, fib.w_base, convention)
     value = _fano_evaluator(fib, sol.l_ext)
     x0 = fib.fano_fiber[0]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import operator
 import random
 from fractions import Fraction as F
@@ -31,7 +32,7 @@ from wkstab import (
     stability_weight,
 )
 from wkstab import futaki
-from wkstab.measure import _integer_terms, integrate_simplex
+from wkstab.measure import integrate_simplex
 from wkstab.polytope import triangulate
 from _reference_fraction import solve_extremal_by_minors, stability_weight_fraction
 from _frozen import (
@@ -281,7 +282,7 @@ def test_stability_weight_on_integers_is_the_fraction_weight(case):
     fib = dataclasses.replace(rank_one() if dim == 1 else (
         projective_bundle([[1, 2]], [(3, 18)], [12], 1) if dim == 2
         else projective_bundle([[1, 0, 2]], [(3, 24)], [9], 1)),
-        weights=(_integer_terms(v, dim), _integer_terms(w_base, dim)))
+        v=v, w_base=w_base)
     l_ext = AffineFunc(grad, const)
     w = stability_weight(fib, l_ext)
     assert list(w.terms.items()) == list(stability_weight_fraction(fib, l_ext).terms.items())
@@ -383,8 +384,7 @@ def test_futaki_check_reads_only_the_right_hand_side(monkeypatch):
 )
 def test_weights_of_another_dimension_raise(v, w):
     P = triangle()
-    fib = dataclasses.replace(projective_bundle([[1, 2]], [(3, 18)], [12], 1),
-                              weights=(_integer_terms(v, v.dim), _integer_terms(w, w.dim)))
+    fib = dataclasses.replace(projective_bundle([[1, 2]], [(3, 18)], [12], 1), v=v, w_base=w)
     calls = [
         lambda: solve_extremal(P, v, w),
         lambda: solve_extremal(P, v, w, Convention.LEGACY),
@@ -395,15 +395,6 @@ def test_weights_of_another_dimension_raise(v, w):
         lambda: condition_poly_general(P, (0, 0), 0, v, w),
         lambda: probe(P, v, w, [], verify_futaki=True),
         lambda: probe(P, v, w, [], verify_futaki=False),
-    ]
-    # and the same weights handed in as cleared pairs
-    pv, pw = _integer_terms(v, v.dim), _integer_terms(w, w.dim)
-    calls += [
-        lambda: solve_extremal(P, pv, pw),
-        lambda: assert_futaki_vanishes(P, pv, pw),
-        lambda: check_general(P, (0, 0), pv, pw),
-        lambda: check_general(P, (0, 0), pv, pw, convention=Convention.LEGACY),
-        lambda: condition_poly_general(P, (0, 0), 0, pv, pw),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="polynomial/polytope dimension mismatch"):
@@ -441,22 +432,34 @@ def _either(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def _built_on_integers(p):
+    """p built by Polynomial._from_cleared on its coefficients cleared over
+    their least common denominator, here and not by p.cleared()."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return Polynomial._from_cleared(p.dim, {a: int(c * den) for a, c in p.terms.items()}, den)
+
+
 @settings(max_examples=40, deadline=None)
 @given(futaki_cases(), st.sampled_from(list(Convention)))
-def test_entry_points_read_a_polynomial_and_its_cleared_pair_alike(case, convention):
-    # one clearing rule: each public entry point gives the same result, or
-    # raises the same error, for Polynomial weights and for their cleared
-    # pairs (terms, den)
+def test_entry_points_read_a_polynomial_built_on_fractions_or_integers_alike(case, convention):
+    # one integer form: each public entry point gives the same result, or
+    # raises the same error, for weights built from Fractions and for the
+    # same weights built from integers (Polynomial._from_cleared)
     P, x0, v, w, _ = case
-    pairs = _integer_terms(v, P.dim), _integer_terms(w, P.dim)
+    fractions = Polynomial(P.dim, v.terms), Polynomial(P.dim, w.terms)
+    integers = _built_on_integers(v), _built_on_integers(w)
+    assert fractions == integers
+    f = Polynomial.variable(P.dim, 0) + 1
     entries = [
         (solve_extremal, (P,), {"convention": convention}),
         (assert_futaki_vanishes, (P,), {}),
         (check_general, (P, x0), {"convention": convention, "max_depth": 1}),
         *((condition_poly_general, (P, x0, j), {}) for j in range(P.n_facets)),
+        (df_invariant, (P,), {"f": f}),
+        (lambda v, w: probe(P, v, w, [], verify_futaki=True), (), {}),
     ]
     for fn, args, kwargs in entries:
-        assert _either(fn, *args, v, w, **kwargs) == _either(fn, *args, *pairs, **kwargs)
+        assert _either(fn, *args, *fractions, **kwargs) == _either(fn, *args, *integers, **kwargs)
 
 
 @settings(max_examples=60, deadline=None)

@@ -212,8 +212,8 @@ def test_moments_fill_once_per_polytope(monkeypatch):
     p = (x + 2 * y) ** 3 + x * y - 7
     first = (integrate(p, P), integrate_boundary(p, P))
     filled = P.moments
-    _, _, inner, outer, _ = filled
-    assert len(inner) == len(outer) == len(_monomials(2, 3))
+    D_P, _, T, inner, outer = filled
+    assert T == 3 and len(inner) == len(outer) == len(_monomials(2, 3))
     n_cells = sum(map(len, P.facet_cells))
     assert calls == ["_cell_moments"] * n_cells
     calls.clear()
@@ -221,12 +221,15 @@ def test_moments_fill_once_per_polytope(monkeypatch):
     assert P.moments is filled
     assert calls == []
     # a higher degree costs one pass over the cells, however many monomials
-    # it adds, rebuilds both halves and keeps every lower entry
+    # it adds, rebuilds both halves and keeps every lower entry, brought
+    # from Delta_3 over Delta_5 = (l + 4)(l + 5) D_P^2 Delta_3
     integrate(x ** 5 + y ** 5, P)
     assert calls == ["_cell_moments"] * n_cells
-    assert P.moments[:2] == filled[:2]
-    assert len(P.moments[2]) == len(P.moments[3]) == len(_monomials(2, 5))
-    assert P.moments[2][:len(inner)] == inner and P.moments[3][:len(outer)] == outer
+    assert P.moments[:2] == filled[:2] and P.moments[2] == 5
+    assert len(P.moments[3]) == len(P.moments[4]) == len(_monomials(2, 5))
+    k = 6 * 7 * D_P**2
+    assert P.moments[3][:len(inner)] == [k * N for N in inner]
+    assert P.moments[4][:len(outer)] == [k * N for N in outer]
     # and a record filled higher serves every lower read
     calls.clear()
     assert (integrate(p, P), integrate_boundary(p, P)) == first
@@ -393,7 +396,7 @@ def test_fill_never_calls_barycentric_powers(monkeypatch):
     # an earlier test
     for Q in (interval(), hexagon(), simplex3(), clip(simplex3(), AffineFunc([1, -1, 1], F(-1, 4)))):
         P = from_halfspaces(Q.labels)
-        _, _, inner, outer, _ = _fill(P, 4)
+        *_, inner, outer = _fill(P, 4)
         assert len(inner) == len(outer) == len(monomials_up_to(P.dim, 4))
     assert calls == []
     # the power tree is still bernstein's
@@ -445,29 +448,27 @@ def _delta(P, d, boundary):
 @settings(max_examples=30, deadline=None)
 @given(_placed_polytopes())
 def test_moment_table_holds_integers_over_the_degree_denominators(P):
+    # every interior and boundary moment of degree <= 5 is an integer over
+    # the one interior denominator Delta_5, and a read at top 4 keeps that
+    # record: its rows over Delta_4 are the same moments
     expos = _monomials(P.dim, 5)
-    D_P, J, inner, outer, scaled = _fill(P, 5)
+    record = D_P, J, T, inner, outer = _fill(P, 5)
     assert sorted(expos) == sorted(monomials_up_to(P.dim, 5))
-    assert len(inner) == len(outer) == len(expos)
+    assert T == 5 and len(inner) == len(outer) == len(expos)
     assert all(type(N) is int for N in (D_P, J, *inner, *outer))
     assert D_P == math.lcm(*(x.denominator for vtx in P.vertices for x in vtx))
-    # a read at top 4 builds its scaled tables: every numerator of degree
-    # <= 4 brought over the one interior denominator Delta_4
-    _moment_rows(P, [([], [], True), ([], [], False)], 4)
-    n4 = len(_monomials(P.dim, 4))
-    assert P.moments[4] is scaled and {(4, False), (4, True)} <= set(scaled)
-    assert all(len(scaled[4, b]) == n4 and all(type(N) is int for N in scaled[4, b])
-               for b in (False, True))
+    n4 = _monomials(P.dim, 4)
+    rows, delta = _moment_rows(P, [([((0,) * P.dim, 1)], n4, b) for b in (False, True)], 4)
+    assert P.moments is record and delta == _delta(P, 4, False)
     cells = triangulate(P)
     for i, (e, m, b) in enumerate(zip(expos, inner, outer)):
         p = mono(P.dim, e)
         interior = sum(integrate_simplex(p, s) for s in cells)
         boundary = sum(integrate_facet(p, P, j) for j in range(P.n_facets))
-        assert F(m, _delta(P, sum(e), False)) == interior
-        assert F(b, _delta(P, sum(e), True)) == boundary
-        if i < n4:
-            assert F(scaled[4, False][i], _delta(P, 4, False)) == interior
-            assert F(scaled[4, True][i], _delta(P, 4, False)) == boundary
+        assert F(m, _delta(P, 5, False)) == interior
+        assert F(b, _delta(P, 5, False)) == boundary
+        if i < len(n4):
+            assert (F(rows[0][i], delta), F(rows[1][i], delta)) == (interior, boundary)
 
 
 @settings(max_examples=30, deadline=None)
@@ -483,9 +484,11 @@ def test_split_fills_build_the_same_table(P, d1, d2):
             _fill(Q, d)
         records.append(Q.moments)
     assert records[0] == records[1] == records[2]
-    D_P, J, inner, outer, _ = records[0]
-    n = len(_monomials(P.dim, min(d1, d2)))
-    assert records[3] == (D_P, J, inner[:n], outer[:n], {})
+    D_P, J, hi, inner, outer = records[0]
+    lo = min(d1, d2)
+    n, k = len(_monomials(P.dim, lo)), math.perm(P.dim + hi, hi - lo) * D_P ** (hi - lo)
+    assert records[3] == (D_P, J, lo, *([N // k for N in t[:n]] for t in (inner, outer)))
+    assert all(N % k == 0 for t in (inner, outer) for N in t[:n])
 
 
 @settings(max_examples=60, deadline=None)
@@ -512,7 +515,7 @@ def test_dot_product_reads_match_the_tuple_reads(P, data):
 def test_a_read_past_top_raises_and_never_wraps(top):
     # with the record filled past top, position top + 1 exists in the
     # record, but a read of degree top + 1 against top must still fail: the
-    # positions and the scaled table both stop at top
+    # positions stop at top
     P = triangle()
     _fill(P, top + 3)
     request = [([((1, 0), 1)], [(0, top)], False)]
@@ -523,7 +526,7 @@ def test_a_read_past_top_raises_and_never_wraps(top):
     with pytest.raises(KeyError):
         _positions(2, top, ((1, 0),), ((0, top),))
     _moment_rows(P, [([((1, 0), 1)], [], False)], top)
-    assert len(P.moments[4][top, False]) == len(_monomials(2, top))
+    assert P.moments[2] >= top + 3  # a lower read keeps the record
     at = _positions(2, top, ((1, 0),), _monomials(2, top - 1))
     assert sorted(i for [i] in at) == [i for i, e in enumerate(_monomials(2, top)) if e[0] >= 1]
 
@@ -609,3 +612,20 @@ def test_table_fill_never_calls_compose_affine(monkeypatch):
     w = Polynomial.constant(2, 3)
     assert crease.df_value_direct(v, w) == crease.df_value(v, w)
     assert calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(_placed_polytopes(), st.integers(0, 3), st.integers(1, 3), st.data())
+def test_a_read_below_the_filled_degree_is_the_fresh_read(P, top, extra, data):
+    # after a fill to T = top + extra, reads at top give the rows and the
+    # Delta_top of a copy filled to top alone, interior and boundary
+    expos = monomials_up_to(P.dim, top)
+    terms = list(data.draw(
+        st.dictionaries(st.sampled_from(expos), st.integers(-50, 50), max_size=4)).items())
+    d = max((sum(a) for a, _ in terms), default=0)
+    bs = data.draw(st.lists(st.sampled_from([b for b in expos if sum(b) <= top - d]), max_size=6))
+    requests = [(terms, bs, True), (terms, bs, False)]
+    filled, fresh = from_halfspaces(P.labels), from_halfspaces(P.labels)
+    _fill(filled, top + extra)
+    assert _moment_rows(filled, requests, top) == _moment_rows(fresh, requests, top)
+    assert (filled.moments[2], fresh.moments[2]) == (top + extra, top)

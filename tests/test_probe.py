@@ -135,9 +135,8 @@ def test_df_value_direct_never_reads_the_moment_table():
         value = crease.df_value(fib.v, w)
         record = crease.positive.moments
         assert record
-        # corrupt the numerators and the scaled tables read off them
-        _, _, inner, outer, scaled = record
-        tables = (inner, outer, *scaled.values())
+        # corrupt the interior and boundary tables
+        _, _, _, *tables = record
         for table in tables:
             for i in range(len(table)):
                 table[i] = 10**6 + 7 * i

@@ -488,18 +488,13 @@ TEMPLATE_IDS = [
 ]
 
 
-def _poly(p, dim):
-    """The Polynomial of a cleared pair p = (terms, den) on dim variables."""
-    return Polynomial(dim, {e: F(x, p[1]) for e, x in p[0].items()})
-
-
 def _at_c(p, c):
-    """p(x, c) with c, its last variable, set to the given value, for p the
-    cleared pair (terms, den) of _system_over_c."""
+    """p(x, c) with c, its last variable, set to the given value, for p a
+    weight in (x, c) of _system_over_c."""
     terms = {}
-    for e, x in p[0].items():
-        terms[e[:-1]] = terms.get(e[:-1], 0) + F(x, p[1]) * c ** e[-1]
-    return Polynomial(len(e) - 1, terms)
+    for e, x in p.terms.items():
+        terms[e[:-1]] = terms.get(e[:-1], 0) + x * c ** e[-1]
+    return Polynomial(p.dim - 1, terms)
 
 
 def _assert_record_is_the_family(make_fib, steps):
@@ -608,13 +603,13 @@ def test_threshold_solves_once_and_builds_no_system_per_node(monkeypatch):
     # one direct solve, at c_hi; the N + 1 = n + 1 = 4 systems are the
     # c^0, ..., c^3 coefficients of v(x, c) on one fiber, and none is built
     # from the weights of make_fib(c) at c = 4, ..., 7
-    # (the solves and systems read the cleared pairs of the integer weights)
-    assert len(solves) == 1 and solves[0][1] == tri_family(F(9), s=24).weights[0]
+    # (the solves and systems read Polynomials built on the integer weights)
+    assert len(solves) == 1 and solves[0][1].cleared() == tri_family(F(9), s=24).v.cleared()
     assert len(systems) == 4 and all(args[0] is systems[0][0] for args in systems)
     nodes = [tri_family(F(c), s=24).v for c in range(4, 8)]
-    assert not any(_poly(args[1], 2) in nodes for args in systems)
+    assert not any(args[1] in nodes for args in systems)
     for c in (F(9, 2), F(11)):
-        v = sum((_poly(args[1], 2) * c**m for m, args in enumerate(systems)), Polynomial.zero(2))
+        v = sum((args[1] * c**m for m, args in enumerate(systems)), Polynomial.zero(2))
         assert v == tri_family(c, s=24).v
 
 
@@ -821,13 +816,15 @@ def test_cancelled_top_degree_gives_the_true_degree():
 
 
 def test_check_general_hands_each_bernstein_cell_its_integer_condition_once(monkeypatch):
-    # one certify_nonnegative call per Bernstein cell, on the cleared pair;
-    # no radial derivative and no Polynomial is built on the way
+    # one certify_nonnegative call per Bernstein cell, on a Polynomial built
+    # on the integer condition; no radial derivative, no Polynomial built
+    # from Fractions and no Fraction term is made on the way
     real = stability.certify_nonnegative
     calls = []
 
     def counting(p, cell, max_depth):
-        assert type(p) is tuple and all(type(c) is int for c in p[0].values())
+        G, S = p.cleared()
+        assert p._terms is None and all(type(c) is int for c in (S, *G.values()))
         calls.append(cell)
         return real(p, cell, max_depth)
 
@@ -924,3 +921,33 @@ def test_weights_and_futaki_are_checked_before_the_base_point():
         check_general(P, outside, v, Polynomial.variable(2, 0))
     with pytest.raises(NotInterior):
         check_general(P, outside, v, Polynomial.variable(2, 0), convention=Convention.LEGACY)
+
+
+def test_checks_and_probe_build_no_fraction_term_of_a_weight(monkeypatch):
+    # v, w_base and w are Polynomials built on integers, and every route
+    # reads their integer forms: no Fraction term of a weight (or of a cone
+    # condition handed to Bernstein) is built on the way
+    from wkstab import crease_family, probe
+
+    real = exact.Polynomial.terms
+
+    def unbuilt(self):
+        assert self._terms is not None, "a Polynomial's Fraction terms were built"
+        return real.fget(self)
+
+    cases = [
+        projective_bundle([[1, 2]], [(3, 18)], [12], t=1),  # the vertex route
+        projective_bundle([[0, 1]], [(3, 36)], [F(41, 32)], t=1),  # the general fallback
+        projective_bundle([[1]], [(3, -6)], [15], t=1),
+    ]
+    families = {id(fib): crease_family(fib.fiber, default_base_point(fib.fiber), 2)
+                for fib in cases}
+    with monkeypatch.context() as m:
+        m.setattr(exact.Polynomial, "terms", property(unbuilt))
+        for fib in cases:
+            check_fano_fiber(fib)
+            check_fibration(fib, max_depth=3)
+            w = stability_weight(fib)
+            report = probe(fib.fiber, fib.v, w, families[id(fib)])
+            assert report.n_creases and not report.found_destabilizer
+            assert (fib.v._terms, fib.w_base._terms, w._terms) == (None, None, None)
