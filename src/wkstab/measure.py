@@ -32,10 +32,10 @@ Delta_T, so each side has one table.
 
 _fill(P, top) returns the record at once when it already reaches degree
 top, and otherwise rebuilds all of it up to T = top in one pass over the
-facet cells, then brings each numerator over Delta_T (_scales).
-The polytope owns the cells and the integers they are read on:
-polytope._vertex_record clears P's vertices once to the rows u = D_P v,
-and polytope._facet_cells triangulates each facet once per polytope into
+facets (below).  The polytope owns the cells and the integers they are
+read on: polytope._vertex_record holds P's vertices cleared once to the
+rows u = D_P v (clip hands a piece that record at its birth), and
+polytope._facet_cells triangulates each facet once per polytope into
 vertex-index cells, keeping each cell's jac = |det[w_i - w_0, xi]| as an
 integer numerator and denominator (one integer minor of the cell's U rows
 over D_P^(l-1) |g_i|).  So a fill hands each cell's U rows to _cell_moments
@@ -65,8 +65,14 @@ truncated series product per cell, up to the top degree, gives every N_a
 
 (the signed cone from the origin over the cell; the factor l + d merges into
 the factorial).  Over Delta'_d and Delta_d these are the integers jac J N_a
-and L_j(0) jac J N_a, so a fill sums integers and makes no Fraction per
-monomial.
+and L_j(0) jac J N_a.  So the fill runs facet by facet on integers: each
+cell's series starts at its boundary weight jac J instead of 1, a facet's
+cell series are summed entry by entry into S_j, S_j goes to the boundary
+side, and L_j(0) S_j, read once per facet as one exact division, to the
+interior side (_fill proves it exact).  The a! of N_a and the degree's
+scale to Delta_T are one weight per position, e! s[|e|], applied once per
+side at the end (_weights, cached per dim, D_P and top).  A fill makes no
+Fraction per monomial and no per-monomial pass per cell.
 
 Products are never formed to be integrated.  _moment_rows reads the moments
 of f x^b (f with integer coefficients, b in a list) as integer rows, every
@@ -248,63 +254,82 @@ def _fill(P: LabelledPolytope, top: int) -> tuple:
     cells unless P.moments already reaches top.  Return the record.
 
     A cell (cell, n, d) of facet j has jac = n / d and L_j(0) jac = cn / cd
-    with cn = n a, cd = d b for L_j(0) = a / b, so J is the lcm of
-    d / gcd(n, d) and cd / gcd(cn, cd), and the cell's weights
-    jac J = n J / d and L_j(0) jac J = cn J / cd are exact integer
-    quotients."""
+    with cn = n a, cd = d b for L_j(0) = a / b in lowest terms (b > 0), so
+    J is the lcm of d / gcd(n, d) and cd / gcd(cn, cd), and the cell's
+    boundary weight k = n J / d and interior weight k a / b = cn J / cd
+    are integers.  _cell_moments starts the cell's series at k, so it
+    returns k H, H the cell's series prod_i 1/(1 - <c, u_i>), which has
+    integer coefficients since the rows u_i are integers.  A facet's cells
+    sum to S_j = sum k H, which goes to the boundary side as it is, and
+    a S_j / b goes to the interior side.  That division is exact entry by
+    entry: a S_j / b = sum (k a / b) H is a sum of integer multiples of
+    integer series, so b divides every entry of a S_j, and the floor
+    division a x // b is the quotient.  Each side is then multiplied once
+    by its weight e! s[|e|] per position (_weights)."""
     if P.moments and P.moments[2] >= top:
         return P.moments
-    mons = _monomials(P.dim, top)
     D_P, U, _ = _vertex_record(P)
-    cells = [([U[k] for k in cell], n, d, n * L.constant.numerator, d * L.constant.denominator)
-             for L, facet in zip(P.labels, _facet_cells(P)) for cell, n, d in facet]
-    J = math.lcm(*(d // math.gcd(n, d) for _, n, d, _, _ in cells),
-                 *(cd // math.gcd(cn, cd) for _, _, _, cn, cd in cells))
-    inner = [0] * len(mons)
-    outer = [0] * len(mons)
-    for rows, n, d, cn, cd in cells:
-        kb, ki = n * J // d, cn * J // cd
-        for i, N in enumerate(_cell_moments(rows, mons)):
-            outer[i] += kb * N
-            inner[i] += ki * N
-    tables = [[s[sum(e)] * N for e, N in zip(mons, table)]
-              for s, table in ((_scales(P.dim, D_P, top, False), inner),
-                               (_scales(P.dim, D_P, top, True), outer))]
+    facets = _facet_cells(P)
+    constants = [(L.constant.numerator, L.constant.denominator) for L in P.labels]
+    J = math.lcm(*(d // math.gcd(n, d) for cells in facets for _, n, d in cells),
+                 *(d * b // math.gcd(n * a, d * b)
+                   for (a, b), cells in zip(constants, facets) for _, n, d in cells))
+    inner = outer = (0,) * len(_monomials(P.dim, top))
+    for (a, b), cells in zip(constants, facets):
+        S = functools.reduce(_add, [_cell_moments([U[k] for k in cell], top, n * J // d)
+                                    for cell, n, d in cells])
+        outer = _add(outer, S)
+        if a:  # a facet through the origin adds nothing inside
+            inner = _add(inner, S if (a, b) == (1, 1) else [a * x // b for x in S])
+    wi, wb = _weights(P.dim, D_P, top)
+    tables = list(map(mul, wi, inner)), list(map(mul, wb, outer))
     object.__setattr__(P, "moments", (D_P, J, top, *tables))
     return P.moments
 
 
-def _cell_moments(rows: list, expos: list) -> list[int]:
-    """[N_a for a in expos]: the integers with
+@functools.lru_cache(maxsize=64)
+def _weights(dim: int, D_P: int, top: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The interior and boundary weights e! s[|e|] per position of
+    _monomials(dim, top), s = _scales(dim, D_P, top, side): a series
+    coefficient of degree d times its weight is its moment numerator over
+    Delta_top."""
+    mons = _monomials(dim, top)
+    fact = [math.prod(map(math.factorial, e)) for e in mons]
+    return tuple(tuple([f * s[sum(e)] for e, f in zip(mons, fact)])
+                 for s in (_scales(dim, D_P, top, False), _scales(dim, D_P, top, True)))
+
+
+def _cell_moments(rows: list, top: int, weight: int = 1) -> list[int]:
+    """weight times the series prod_i 1/(1 - <c, u_i>), truncated at degree
+    top, as its coefficients in _monomials order, on the simplex cell whose
+    vertices v have the integer rows u = D_P v.  With weight 1 its
+    coefficient at a, times a!, is the integer N_a with
 
         int_cell x^a dsigma = jac * N_a / ((l - 1 + d)! * D_P^d)
 
-    on the simplex cell whose vertices v have the integer rows u = D_P v
-    (d = |a|), that is N_a = a! [c^a] prod_i 1/(1 - <c, u_i>) (see the
-    module docstring).  The truncated product is built one vertex at a
-    time: dividing a series A by 1 - <c, u> gives B with
+    (d = |a|; see the module docstring).  The product is built one vertex at
+    a time: dividing a series A by 1 - <c, u> gives B with
     B_e = A_e + sum_r u_r B_(e - e_r), so B is filled in place in graded
     order, one step per monomial and variable.
     """
-    index, steps, fact = _series_tables(len(rows[0]), max(map(sum, expos), default=0))
-    B = [1] + [0] * (len(fact) - 1)
+    index, steps = _series_tables(len(rows[0]), top)
+    B = [weight] + [0] * (len(index) - 1)
     for u in rows:
         for t, r, p in steps:
             B[t] += u[r] * B[p]
-    return [fact[i] * B[i] for i in map(index.__getitem__, expos)]
+    return B
 
 
 @functools.lru_cache(maxsize=32)
-def _series_tables(n: int, top: int) -> tuple[dict, list, list[int]]:
+def _series_tables(n: int, top: int) -> tuple[dict, list]:
     """The tables of _cell_moments for n variables up to degree top: each
-    exponent's position in _monomials(n, top), the steps (t, r, p) with p
-    the position of e_t - e_r, and e! per position."""
+    exponent's position in _monomials(n, top), and the steps (t, r, p) with
+    p the position of e_t - e_r."""
     mons = _monomials(n, top)
     index = {e: t for t, e in enumerate(mons)}
     steps = [(t, r, index[e[:r] + (e[r] - 1,) + e[r + 1:]])
              for t, e in enumerate(mons) for r in range(n) if e[r]]
-    fact = [math.prod(map(math.factorial, e)) for e in mons]
-    return index, steps, fact
+    return index, steps
 
 
 @functools.lru_cache(maxsize=64)

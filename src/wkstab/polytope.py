@@ -19,20 +19,24 @@ Ziegler, Lectures on Polytopes, ch. 2) by one rule, :func:`_facets`, which
 from_halfspaces, clip and the fan triangulation of each face all use: no
 label is evaluated and no affine rank computed to decide a face.
 
-Each polytope keeps one integer record of its vertices, built on first use
+Each polytope keeps one integer record of its vertices
 (:func:`_vertex_record`): the lcm D_P of their coordinate denominators, the
 rows U = D_P v (exact._cleared_points), and each vertex's zero set as a
-bitmask over the labels.  clip, the facet cells and measure's moment fill
-all read it, so a polytope's vertices are cleared once in its life.
+bitmask over the labels.  clip builds it for each piece it makes; any
+other polytope builds it on first use.  clip, the facet cells and
+measure's moment fill all read it, so a polytope's vertices are cleared
+once in its life.
 
 clip never enumerates vertices: a piece P intersect {h >= 0} comes from one
 double-description step on P's vertices and facet incidence (edges found by
 the combinatorial adjacency test, one crossing point per edge that h cuts),
 and it is bounded because P is.  The step runs on P's integer record: with
 h cleared, h's vertex values are integers up to one positive factor, and
-each crossing point is one Fraction per coordinate.  Emptiness is decided
-by sign: P is full-dimensional, so the piece has interior exactly when
-h > 0 at some vertex.
+each crossing point is one Fraction per coordinate.  The piece's vertices
+are cleared once over their own lcm and sorted by those integer rows, so
+no two Fractions are compared, and the rows become the piece's record.
+Emptiness is decided by sign: P is full-dimensional, so the piece has
+interior exactly when h > 0 at some vertex.
 
 The facet cells are vertex-index simplices.  A cell's Jacobian
 |det[w_k - w_0, xi]|, with xi = e_i / g_i the transversal of the facet's
@@ -331,14 +335,22 @@ def _vertex_record(P: LabelledPolytope) -> tuple:
     """P.cleared = (D_P, U, zeros): the vertices as integer rows U = D_P v
     over the lcm D_P of their coordinate denominators, and each vertex's
     zero set as a bitmask over the labels (bit j when it lies on facet j);
-    built once per polytope."""
+    built once per polytope, here on first use unless clip built it with
+    the piece."""
     if P.cleared is None:
-        zeros = [0] * len(P.vertices)
-        for j, inc in enumerate(P.facet_incidence):
-            for i in inc:
-                zeros[i] |= 1 << j
-        object.__setattr__(P, "cleared", (*_cleared_points(P.vertices), tuple(zeros)))
+        zeros = _zero_masks(len(P.vertices), P.facet_incidence)
+        object.__setattr__(P, "cleared", (*_cleared_points(P.vertices), zeros))
     return P.cleared
+
+
+def _zero_masks(n_vertices: int, facet_incidence) -> tuple[int, ...]:
+    """Each vertex's zero set as a bitmask over the labels: bit j when the
+    vertex lies on facet j."""
+    zeros = [0] * n_vertices
+    for j, inc in enumerate(facet_incidence):
+        for i in inc:
+            zeros[i] |= 1 << j
+    return tuple(zeros)
 
 
 def _cell_jacobian(rows, D: int, g: Point) -> tuple[int, int]:
@@ -540,6 +552,13 @@ def clip(P: LabelledPolytope, h: AffineFunc) -> LabelledPolytope:
     when Z(a) & Z(b) lies in no third vertex's zero set.  The labels kept
     are those :func:`_facets` keeps; the labels, the sorted vertices and the
     incidence are those from_halfspaces builds.
+
+    The piece's vertices, P's own vertex tuples and the crossings, are
+    cleared once to integer rows over the lcm D' of their coordinate
+    denominators and sorted by those rows, the order of the points, with
+    no Fraction compared.  The piece keeps (D', rows, zero masks) as its
+    vertex record (:func:`_vertex_record`), the masks re-indexed to the
+    labels it keeps, so its vertices are never cleared again.
     """
     if h.dim != P.dim:
         raise ValueError("dimension mismatch in clip")
@@ -562,11 +581,14 @@ def clip(P: LabelledPolytope, h: AffineFunc) -> LabelledPolytope:
         ha, hb = hv[a], hv[b]  # the crossing (ha b - hb a) / (ha - hb)
         cross = tuple(Fraction(ha * yb - hb * ya, D * (ha - hb)) for ya, yb in zip(U[a], U[b]))
         found.append((cross, common | on_h))
-    found.sort()
+    D2, rows = _cleared_points([v for v, _ in found])
+    rows, found = zip(*sorted(zip(rows, found)))  # the rows differ: no Fraction is compared
     verts = [v for v, _ in found]
     incidence = [frozenset(i for i, (_, z) in enumerate(found) if z >> j & 1)
                  for j in range(P.n_facets + 1)]
     kept = _facets(incidence)
     labels = P.labels + (h,)
     facets = [sorted(incidence[j]) for j in kept]
-    return LabelledPolytope(P.dim, [labels[j] for j in kept], verts, facets)
+    piece = LabelledPolytope(P.dim, [labels[j] for j in kept], verts, facets)
+    object.__setattr__(piece, "cleared", (D2, rows, _zero_masks(len(verts), facets)))
+    return piece

@@ -381,6 +381,46 @@ def cell_moments_power_tree(verts, D_P: int, expos: list) -> list[int]:
     return out
 
 
+# The moment fill as measure._fill ran it before it summed each facet's cell
+# series: one series per cell started at 1, read off as N_a = a! [c^a],
+# then added into both tables with the cell's boundary and interior integer
+# weights, monomial by monomial, and each entry brought over Delta_top by
+# its degree's scale.  Kept as the oracle of the per-facet fill.  It reads
+# P's own vertex record and facet cells, and leaves P.moments as it is.
+
+
+def fill_by_cells(P, top: int) -> tuple:
+    """(D_P, J, top, inner, outer) as measure._fill builds it from scratch."""
+    from wkstab.measure import _monomials, _scales
+    from wkstab.polytope import _facet_cells, _vertex_record
+
+    mons = _monomials(P.dim, top)
+    index = {e: t for t, e in enumerate(mons)}
+    steps = [(t, r, index[e[:r] + (e[r] - 1,) + e[r + 1:]])
+             for t, e in enumerate(mons) for r in range(P.dim) if e[r]]
+    fact = [math.prod(map(math.factorial, e)) for e in mons]
+    D_P, U, _ = _vertex_record(P)
+    cells = [([U[k] for k in cell], n, d, n * L.constant.numerator, d * L.constant.denominator)
+             for L, facet in zip(P.labels, _facet_cells(P)) for cell, n, d in facet]
+    J = math.lcm(*(d // math.gcd(n, d) for _, n, d, _, _ in cells),
+                 *(cd // math.gcd(cn, cd) for _, _, _, cn, cd in cells))
+    inner = [0] * len(mons)
+    outer = [0] * len(mons)
+    for rows, n, d, cn, cd in cells:
+        kb, ki = n * J // d, cn * J // cd
+        B = [1] + [0] * (len(mons) - 1)
+        for u in rows:
+            for t, r, p in steps:
+                B[t] += u[r] * B[p]
+        for i, N in enumerate(f * x for f, x in zip(fact, B)):
+            outer[i] += kb * N
+            inner[i] += ki * N
+    tables = [[s[sum(e)] * N for e, N in zip(mons, table)]
+              for s, table in ((_scales(P.dim, D_P, top, False), inner),
+                               (_scales(P.dim, D_P, top, True), outer))]
+    return (D_P, J, top, *tables)
+
+
 # Exponents as measure._monomials listed them before it built each degree
 # from multisets: every box exponent of itertools.product, filtered to
 # degree <= d.  Kept as the oracle of the graded order.

@@ -42,6 +42,7 @@ from _frozen import DIRICHLET_D2, DIRICHLET_D3
 from _reference_fraction import (
     cell_jacobian_det,
     cell_moments_power_tree,
+    fill_by_cells,
     monomials_by_filter,
     moment_rows_by_tuple,
 )
@@ -309,6 +310,15 @@ def _rows(verts, D_P):
     return [[int(x * D_P) for x in v] for v in verts]
 
 
+def _numerators(rows, expos):
+    """[N_a for a in expos] on the cell with integer rows *rows*: a! times
+    the coefficient at a of _cell_moments' series."""
+    top = max(map(sum, expos), default=0)
+    index = _series_tables(len(rows[0]), top)[0]
+    B = _cell_moments(rows, top)
+    return [math.prod(map(math.factorial, a)) * B[index[a]] for a in expos]
+
+
 def _cell_values(cell, xi, c, expos):
     """(boundary, interior) moments of one facet cell from _cell_moments'
     integers, over a proper multiple D_P of the cell's denominator D."""
@@ -316,7 +326,7 @@ def _cell_values(cell, xi, c, expos):
     jac = cell_jacobian_det(cell, xi)
     D_P = 6 * math.lcm(*(x.denominator for w in cell for x in w))
     out = []
-    for e, N in zip(expos, _cell_moments(_rows(cell, D_P), expos)):
+    for e, N in zip(expos, _numerators(_rows(cell, D_P), expos)):
         assert type(N) is int
         d = sum(e)
         out.append((jac * F(N, math.factorial(n - 1 + d) * D_P**d),
@@ -376,7 +386,10 @@ def _cells(draw):
 @example((((F(1, 2), F(-1, 7)), (F(0), F(2, 5))), 70 * 3, [(0, 0), (4, 4), (1, 0)]))
 def test_cell_moments_equal_the_power_tree(cell):
     verts, D_P, expos = cell
-    assert _cell_moments(_rows(verts, D_P), expos) == cell_moments_power_tree(*cell)
+    assert _numerators(_rows(verts, D_P), expos) == cell_moments_power_tree(*cell)
+    # a weight scales the whole series
+    rows, top = _rows(verts, D_P), max(map(sum, expos), default=0)
+    assert _cell_moments(rows, top, -7) == [-7 * x for x in _cell_moments(rows, top)]
 
 
 def test_fill_never_calls_barycentric_powers(monkeypatch):
@@ -399,9 +412,54 @@ def test_fill_never_calls_barycentric_powers(monkeypatch):
         *_, inner, outer = _fill(P, 4)
         assert len(inner) == len(outer) == len(monomials_up_to(P.dim, 4))
     assert calls == []
-    # the power tree is still bernstein's
+    # the power tree is still bernstein's; its cell rows are cached, so an
+    # earlier test may have built the row of x0^2 already
+    bernstein._cell.cache_clear()
     bernstein.bernstein_coefficients(Polynomial.variable(2, 0) ** 2, Simplex(triangle().vertices))
     assert calls == [3]
+
+
+def _rational_box():
+    """A box with square facets of two cells each, label constants 1/2, 2/3
+    and 3/4 and one gradient 2."""
+    return from_halfspaces([
+        AffineFunc([1, 0, 0], F(1, 2)), AffineFunc([-1, 0, 0], 1),
+        AffineFunc([0, 1, 0], F(2, 3)), AffineFunc([0, -1, 0], 1),
+        AffineFunc([0, 0, 2], 1), AffineFunc([0, 0, -1], F(3, 4)),
+    ])
+
+
+@st.composite
+def _cut_polytopes(draw):
+    """A fresh copy of the interval, the triangle, the 3-simplex or the
+    rational box, cut by up to two random rational labels."""
+    P = draw(st.sampled_from([interval, triangle, simplex3, _rational_box]))()
+    cut = st.builds(
+        AffineFunc,
+        st.lists(st.integers(-3, 3), min_size=P.dim, max_size=P.dim).filter(any),
+        st.fractions(min_value=-2, max_value=2, max_denominator=7),
+    )
+    P = from_halfspaces(P.labels)  # uncached: no record filled by an earlier test
+    try:
+        for h in draw(st.lists(cut, max_size=2)):
+            P = clip(P, h)
+    except EmptyInterior:
+        assume(False)
+    return P
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cut_polytopes(), st.integers(0, 6))
+@example(None, 6)
+def test_fill_by_facets_equals_the_fill_by_cells(P, top):
+    # summing each facet's cell series and dividing the sum by L_j(0)'s
+    # denominator builds the record the per-cell accumulation builds
+    P = P or _rational_box()
+    want = fill_by_cells(P, top)
+    assert P.moments is None
+    D_P, J, T, inner, outer = _fill(P, top)
+    assert (D_P, J, T) == want[:3]
+    assert inner == want[3] and outer == want[4]
 
 
 @st.composite

@@ -359,20 +359,23 @@ def test_cell_jacobian_is_one_minor_of_the_transversal_determinant(case):
 
 
 def test_a_second_clip_reads_the_vertex_record(monkeypatch):
-    # clip reads P's integer vertex record: a piece's vertices are cleared on
-    # its first use only, and from_halfspaces already cleared triangle()'s
+    # clip reads P's integer vertex record and hands each piece its own: a
+    # piece's vertices are cleared once, when clip makes it, and never again;
+    # from_halfspaces already cleared triangle()'s
     calls = []
 
     def counting(points):
-        calls.append(points)
+        calls.append(sorted(points))
         return _cleared_points(points)
 
     monkeypatch.setattr(polytope, "_cleared_points", counting)
     Q = clip(triangle(), AffineFunc([1, 2], F(-1, 2)))
-    assert calls == [] and Q.cleared is None
+    record = Q.cleared
+    assert calls == [list(Q.vertices)]
+    calls.clear()
     cuts = [AffineFunc([-1, 1], F(1, 3)), AffineFunc([0, 1], F(-1, 5)), AffineFunc([3, -1], 2)]
     pieces = [clip(Q, h) for h in cuts]
-    assert calls == [Q.vertices]
+    assert calls == [list(R.vertices) for R in pieces] and Q.cleared is record
     D, U, zeros = Q.cleared
     assert (D, U) == _cleared_points(Q.vertices)
     assert zeros == tuple(
@@ -382,6 +385,61 @@ def test_a_second_clip_reads_the_vertex_record(monkeypatch):
     assert [(R.labels, R.vertices, R.facet_incidence) for R in pieces] == [
         (R.labels, R.vertices, R.facet_incidence) for R in (clip_fraction(Q, h) for h in cuts)
     ]
+
+
+def _record_of(Q):
+    """Q's vertex record built from its vertices and incidence alone."""
+    zeros = tuple(sum(1 << j for j, inc in enumerate(Q.facet_incidence) if i in inc)
+                  for i in range(len(Q.vertices)))
+    return (*_cleared_points(Q.vertices), zeros)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), base=st.sampled_from(range(len(_CLIP_BASES))), twice=st.booleans())
+@example(data=None, base=1, twice=False)
+def test_clip_hands_the_piece_its_vertex_record(data, base, twice):
+    # the record clip leaves on the piece is the one _vertex_record would
+    # build: its vertices cleared over their own lcm, and the zero masks
+    # re-indexed to the labels the piece keeps
+    P = _CLIP_BASES[base]
+    cuts = [AffineFunc([1, 2], F(-1, 2)), AffineFunc([-1, 1], F(1, 3))]
+    if data is not None:
+        cuts = [data.draw(_rational_cut(P)) for _ in range(1 + twice)]
+    for h in cuts:
+        try:
+            P = clip(P, h)
+        except EmptyInterior:
+            return
+        assert P.cleared == _record_of(P)
+        assert all(type(y) is int for u in P.cleared[1] for y in u)
+
+
+def test_clip_sorts_the_vertices_on_integers(monkeypatch):
+    # the piece's vertices are ordered by their integer rows, so no two
+    # Fractions are compared; the order is the one of the Fraction tuples
+    import fractions
+
+    compared = []
+
+    def counting(name):
+        original = getattr(fractions.Fraction, name)
+
+        def compare(self, other):
+            compared.append(name)
+            return original(self, other)
+        return compare
+
+    cases = [(triangle(), AffineFunc([1, 2], F(-1, 2))),
+             (simplex3(), AffineFunc([1, -1, 1], F(-1, 4))),
+             (cube(), AffineFunc([2, 1, -1], F(1, 3)))]
+    want = [clip_fraction(P, h).vertices for P, h in cases]
+    monkeypatch.setattr(fractions.Fraction, "__lt__", counting("__lt__"))
+    monkeypatch.setattr(fractions.Fraction, "__eq__", counting("__eq__"))
+    got = [clip(P, h) for P, h in cases]
+    monkeypatch.undo()
+    assert compared == []
+    assert [Q.vertices for Q in got] == want
+    assert all(Q.vertices == tuple(sorted(Q.vertices)) for Q in got)
 
 
 def test_clip_empty_piece_raises():
