@@ -33,9 +33,11 @@ are polynomials v(x, c) and w_base(x, c), and _extremal_over_c reads the
 extremal moment system M(c) lam = b(c) off them on the one fiber and solves
 it over Z[c] by Cramer's rule: l_ext(c) = (cramer[0] + sum_i x_i
 cramer[i+1]) / D, D = det M(c).  Each vertex's condition value is then an
-exact rational function of c, whose numerator roots are isolated by integer
-Sturm sequences.  A certified threshold rests on that solve, on the
-positivity of det M(c) for all c >= c_lo (checked by Sturm), and on
+exact rational function of c, whose numerator roots are isolated by
+univariate.isolate_roots (counted by Descartes' rule of signs, with integer
+Sturm sequences only where it cannot decide).  A certified threshold rests
+on that solve, on the positivity of det M(c) for all c >= c_lo
+(univariate.positive_above: the same rule on D(c_lo + y)), and on
 agreement with the direct pipeline at c_hi; no sampled fit enters.  The
 vertex denominators' signs follow from these (threshold_c).
 """
@@ -580,7 +582,7 @@ def threshold_c(
 
     Certification means: Cramer's rule over Q[c] is the extremal solve for
     every c >= c_lo (M(c_lo) positive definite, det M(c) positive with no
-    root above c_lo: the one Sturm count, on D); above the returned bracket
+    root above c_lo: the one positivity test, on D); above the returned bracket
     every vertex value is provably positive (positive numerator leading
     coefficient, no numerator root beyond the bracket); and the direct
     pipeline value at c_hi is nonnegative.  The exact functions must equal

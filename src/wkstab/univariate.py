@@ -1,5 +1,6 @@
 """Dense univariate polynomials with integer coefficients: determinants
-and Cramer's rule over Z[x], gcds and Sturm root isolation.
+and Cramer's rule over Z[x], gcds and root isolation by Descartes' rule of
+signs, with Sturm sequences where it cannot decide.
 
 Polynomials are tuples of ints (index = power, no trailing zeros, () = 0).
 A rational polynomial is an integer one over a positive denominator that
@@ -17,18 +18,24 @@ yields the primitive integer PRS: its last member is the gcd, and the PRS of
 p and p' is the Sturm sequence of p.  Each member is a positive multiple of
 the classical one, so every sign, and with it every root count, is
 unchanged, and a sign at x = n/d is read off the integer d^deg q(n/d) by
-Horner's rule.  Root isolation bisects on the Sturm sequence of the
-primitive squarefree part until an interval holds one root, then halves it
-on the sign of that part alone; it returns exact rational roots when a
-midpoint lands on one (deflating it out by the integer factor dx - n, so
-Sturm counts stay valid) and width-bounded brackets otherwise.
+Horner's rule.  Root counts on an interval (a, b) come first from
+Descartes' rule of signs (Collins and Akritas): the sign variations of
+(1 + y)^d p((a + b y) / (1 + y)), two integer Taylor shifts of p, bound the
+roots in (a, b) with their multiplicity and parity, so a bound of 0 or 1 is
+the count.  Root isolation bisects, counting each interval by that bound,
+and only where it is >= 2 by the Sturm sequence of the primitive squarefree
+part, built once it is first needed; an interval with one root is halved on
+the sign of its integer image alone.  It returns exact rational roots when
+a midpoint lands on one (dividing it out by the integer factor dx - n) and
+width-bounded brackets otherwise.  positive_above decides by the same rule
+on p(lo + y) and builds a Sturm sequence only on an even bound >= 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import exact
 from .exact import rat
@@ -190,14 +197,15 @@ def _scaled_value(q: Poly1, x) -> int:
     return acc
 
 
+def _variations(values) -> int:
+    """Sign changes along a sequence of ints, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
 def sign_variations_at(seq: list[Poly1], x) -> int:
     x = rat(x)
-    signs = []
-    for q in seq:
-        v = _scaled_value(q, x)
-        if v:
-            signs.append(v > 0)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return _variations(_scaled_value(q, x) for q in seq)
 
 
 def count_roots_between(seq: list[Poly1], a, b) -> int:
@@ -221,14 +229,59 @@ def cauchy_root_bound(p: Poly1) -> Fraction:
     return 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
 
 
+def _taylor_shift(p, s: int) -> list[int]:
+    """The coefficients of p(x + s), for an integer s."""
+    c = list(p)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += s * c[j + 1]
+    return c
+
+
+def _unit_image(p: Poly1, a: Fraction, b: Fraction) -> Poly1:
+    """r with r(x) a positive multiple of p(a + (b - a) x): with a = A/L and
+    b = B/L over one denominator L, r(x) = L^deg(p) p((A + (B - A) x) / L),
+    one Taylor shift of L^deg(p) p(z / L) by A, then one scale by B - A."""
+    L = lcm(a.denominator, b.denominator)
+    A, B = a.numerator * (L // a.denominator), b.numerator * (L // b.denominator)
+    d = len(p) - 1
+    shifted = _taylor_shift([c * L ** (d - i) for i, c in enumerate(p)], A)
+    return _trim(c * (B - A) ** i for i, c in enumerate(shifted))
+
+
+def _unit_bound(r: Poly1) -> int:
+    """Descartes' bound for the roots of r in (0, 1): the sign variations of
+    (1 + y)^d r(1 / (1 + y)), the reversed r shifted by 1."""
+    return _variations(_taylor_shift(r[::-1], 1))
+
+
+def _descartes_bound(p: Poly1, a, b) -> int:
+    """The sign variations of (1 + y)^d p((a + b y) / (1 + y)), d = deg p.
+
+    By Descartes' rule of signs this is at least the number of roots of p
+    in the open interval (a, b) counted with multiplicity, and has its
+    parity: 0 means no root there and 1 exactly one, which is simple.
+    """
+    return _unit_bound(_unit_image(p, rat(a), rat(b)))
+
+
 def positive_above(p: Poly1, lo) -> bool:
-    """Whether p(lo) > 0 and p has no real root above lo (one Sturm count up
-    to past the Cauchy bound)."""
+    """Whether p(lo) > 0 and p has no real root above lo.
+
+    By Descartes' rule on p(lo + y): no sign variation proves it, an odd
+    number refutes it (p has a root above lo), and only an even number >= 2
+    falls back to one Sturm count up to past the Cauchy bound.
+    """
     lo = rat(lo)
-    seq = sturm_sequence(p)
-    if not seq or _scaled_value(seq[0], lo) <= 0:
+    r = _unit_image(p, lo, lo + 1)
+    if not r or r[0] <= 0:
         return False
-    return count_roots_between(seq, lo, max(lo, cauchy_root_bound(p)) + 1) == 0
+    n = _variations(r)
+    if n == 0:
+        return True
+    if n % 2:
+        return False
+    return count_roots_between(sturm_sequence(p), lo, max(lo, cauchy_root_bound(p)) + 1) == 0
 
 
 @dataclass(frozen=True)
@@ -243,58 +296,85 @@ def isolate_roots(p: Poly1, lo, hi, tol) -> list[RootLocation]:
 
     Each root comes back exact or bracketed by an open interval of width
     <= tol whose endpoints are not roots.  Roots at lo or hi themselves are
-    not reported.  A repeated factor is divided out by the gcd that ends p's
-    Sturm sequence, and a rational root n/d found at lo, hi or a bisection
-    midpoint is deflated by the factor dx - n.  Intervals are halved at
-    their midpoints, on Sturm counts while they may hold 0 or >= 2 roots and
-    on the sign of the squarefree part alone once they hold one.  hi < lo
-    raises ValueError.
+    not reported.  Intervals are halved at their midpoints.  An interval's
+    root count is Descartes' bound on it when that is 0 or 1; the first
+    interval where the bound is >= 2 builds the Sturm sequence of p's
+    primitive squarefree part (p divided by the gcd that ends its Sturm
+    sequence), which from then on replaces p and counts every interval
+    the bound leaves open.  An interval with one root is halved on the sign
+    of its unit image alone (_halve).  A rational root n/d found at lo, hi
+    or a midpoint is divided out by the factor dx - n.  hi < lo raises
+    ValueError.
     """
     lo, hi, tol = rat(lo), rat(hi), rat(tol)
     if hi < lo:
         raise ValueError("empty interval: hi < lo")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    seq = sturm_sequence(p)
-    if seq and degree(seq[-1]) >= 1:
-        seq = sturm_sequence(_quotient(seq[0], seq[-1]))
-    if not seq or degree(seq[0]) < 1:
+    if degree(p) < 1:
         return []
     for r in (lo, hi):
-        while _scaled_value(seq[0], r) == 0:
-            seq = _deflated(seq[0], r)
-    # sign variations by point, for the current seq: no endpoint is a root
-    variations: dict = {}
+        while _scaled_value(p, r) == 0:
+            p = _quotient(p, (-r.numerator, r.denominator))
+    seq = None  # the Sturm sequence of p, built when a bound is >= 2
+    variations: dict = {}  # sign variations of seq by point: no endpoint is a root
     roots: list[RootLocation] = []
     work = [(lo, hi)]
     while work:
         a, b = work.pop()
-        for x in (a, b):
-            if x not in variations:
-                variations[x] = sign_variations_at(seq, x)
-        n = variations[a] - variations[b]
+        image = _unit_image(p, a, b)
+        n = _unit_bound(image)
+        if n >= 2:
+            if seq is None:
+                seq = sturm_sequence(p)
+                if degree(seq[-1]) >= 1:
+                    seq = sturm_sequence(_quotient(seq[0], seq[-1]))
+                p, image = seq[0], None
+            for x in (a, b):
+                if x not in variations:
+                    variations[x] = sign_variations_at(seq, x)
+            n = variations[a] - variations[b]
         if n == 0:
             continue
-        mid = (a + b) / 2
         if n == 1:
-            # one simple root: the sign of seq[0] at a midpoint says which half holds it
-            q, above = seq[0], _scaled_value(seq[0], a) > 0
-            while b - a > tol and (v := _scaled_value(q, mid)):
-                a, b = (mid, b) if (v > 0) == above else (a, mid)
-                mid = (a + b) / 2
-            if b - a <= tol:
-                roots.append(RootLocation(a, b, None))
+            root = _halve(image or _unit_image(p, a, b), a, b, tol)
+            roots.append(root)
+            if root.exact is None:
                 continue
-        elif _scaled_value(seq[0], mid):
-            work += [(a, mid), (mid, b)]
-            continue
-        # mid is a root: deflate it out; the halves hold the others, if any
-        roots.append(RootLocation(mid, mid, mid))
-        seq = _deflated(seq[0], mid)
+            mid = root.exact
+        else:
+            mid = (a + b) / 2
+            if _scaled_value(p, mid):
+                work += [(a, mid), (mid, b)]
+                continue
+            roots.append(RootLocation(mid, mid, mid))
+        # mid is a root: divide it out; the halves hold the others, if any
+        p, seq = _quotient(p, (-mid.numerator, mid.denominator)), None
         variations.clear()
-        if n > 1 and degree(seq[0]) >= 1:
+        if n > 1 and degree(p) >= 1:
             work += [(a, mid), (mid, b)]
     return sorted(roots, key=lambda r: r.low)
+
+
+def _halve(r: Poly1, a: Fraction, b: Fraction, tol: Fraction) -> RootLocation:
+    """The one simple root in (a, b) of a polynomial with unit image r
+    (_unit_image), halved at dyadic midpoints until the bracket is at most
+    tol wide or a midpoint is the root.  At depth k the midpoint is
+    x = (2m + 1) / 2^k of (0, 1), read off the integer 2^(k deg r) r(x) by
+    Horner's rule; only the final bracket or root becomes a Fraction."""
+    w = b - a
+    q = -(-w.numerator * tol.denominator // (w.denominator * tol.numerator))  # ceil(w / tol)
+    depth, above, m = (q - 1).bit_length(), r[0] > 0, 0
+    for k in range(1, depth + 1):
+        x, acc, shift = 2 * m + 1, 0, 0
+        for c in reversed(r):
+            acc = acc * x + (c << shift)
+            shift += k
+        if not acc:
+            root = a + w * Fraction(x, 1 << k)
+            return RootLocation(root, root, root)
+        m = x if (acc > 0) == above else x - 1
+    return RootLocation(a + w * Fraction(m, 1 << depth), a + w * Fraction(m + 1, 1 << depth), None)
 
 
 def _quotient(a: Poly1, b: Poly1) -> Poly1:
@@ -309,11 +389,6 @@ def _quotient(a: Poly1, b: Poly1) -> Poly1:
         for i, y in enumerate(b):
             r[k + i] -= f * y
     return tuple(q)
-
-
-def _deflated(q: Poly1, x: Fraction) -> list[Poly1]:
-    """The Sturm sequence of q / (dx - n), for a root x = n/d of q."""
-    return sturm_sequence(_quotient(q, (-x.numerator, x.denominator)))
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@
 # whose integer kernels these are the oracles of, only the RootLocation
 # record is shared, so that located roots compare equal; the one exception is
 # isolate_roots_full_sturm, the integer isolation as it was before its
-# sign-only halving, which runs on univariate's own Sturm kernels so that it
-# checks the bisection alone.
+# sign-only halving and its Descartes counts, which runs on univariate's own
+# Sturm kernels so that it checks the bisection alone.
 
 import itertools
 import math
@@ -38,7 +38,7 @@ from wkstab.exact import (
 from wkstab.futaki import ExtremalSolution, SingularMomentMatrix, _moment_system
 from wkstab.weights import NonpositiveWeight, NotMonotoneFiber
 from wkstab.univariate import (
-    RootLocation, _deflated, _quotient, _scaled_value, sign_variations_at, sturm_sequence,
+    RootLocation, _quotient, _scaled_value, sign_variations_at, sturm_sequence,
 )
 
 REF_NUM = {
@@ -641,6 +641,11 @@ def isolate_roots_fraction(p, lo, hi, tol):
         work.append((a, mid))
         work.append((mid, b))
     return sorted(roots, key=lambda r: r.low)
+
+
+def _deflated(q, x):
+    """The Sturm sequence of q / (dx - n), for a root x = n/d of q."""
+    return sturm_sequence(_quotient(q, (-x.numerator, x.denominator)))
 
 
 def isolate_roots_full_sturm(p, lo, hi, tol):

@@ -64,6 +64,7 @@ from _frozen import (
     RANK_ONE_COND_PLUS,
     RANK_ONE_REFUTED_MINUS,
     RANK_ONE_REFUTED_PLUS,
+    THRESHOLD_CANONICAL_S18,
     THRESHOLD_CANONICAL_S24,
 )
 
@@ -677,6 +678,23 @@ def test_threshold_certified_needs_det_m_positive_above_c_lo(monkeypatch):
         M = futaki.extremal_affine(tri_family(c, s=24)).moment_matrix
         scales.add(evaluate(tested[0], c) / exact_det(M))
     assert len(scales) == 1 and scales.pop() > 0
+
+
+@pytest.mark.parametrize("s, c_hi, want", [(24, F(9), THRESHOLD_CANONICAL_S24),
+                                           (18, F(10), THRESHOLD_CANONICAL_S18)])
+def test_threshold_counts_the_c07b_roots_without_a_sturm_sequence(monkeypatch, s, c_hi, want):
+    # Descartes' bound decides det M(c) above c_lo and every vertex numerator
+    calls = []
+    real = u1.sturm_sequence
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(u1, "sturm_sequence", counting)
+    res = threshold_c(lambda c: tri_family(c, s=s), F(4), c_hi, tol=F(1, 100))
+    assert res.certified and res.low <= want <= res.high
+    assert calls == []
 
 
 def _assert_vertex_denominators_positive(make_fib, step):

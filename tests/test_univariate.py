@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 import _reference_fraction
@@ -30,11 +31,14 @@ from _reference_fraction import (
 from wkstab import exact, univariate
 from wkstab.univariate import (
     RationalFunction,
+    RootLocation,
+    _descartes_bound,
     _int_mul,
     _interpolate,
     _quotient,
     _reduced,
     _remainders,
+    _scaled_value,
     cauchy_root_bound,
     count_roots_between,
     cramer,
@@ -342,6 +346,37 @@ def test_positive_above():
     assert not positive_above(p, F(3))  # zero at 3
     assert positive_above((2, 0, 1), F(-100))  # x^2 + 2
     assert not positive_above((), F(0))
+
+
+def _counting_sturm(monkeypatch):
+    calls = []
+    real = univariate.sturm_sequence
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(univariate, "sturm_sequence", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "p, lo, want, sturm",
+    [
+        ((26, -100, 100), 0, True, 1),  # 100x^2 - 100x + 26: two variations, no real root
+        ((2, -3, 1), 0, False, 1),  # (x - 1)(x - 2): two variations, two roots
+        ((-3, 1), 1, False, 0),  # x - 3 is negative at 1
+        ((-6, 1, 1), 1, False, 0),  # (x - 2)(x + 3): negative at 1
+        ((2, -1, 2, -1), 0, False, 0),  # (2 - x)(x^2 + 1): three variations, odd
+        ((1, 2, 1), 0, True, 0),  # (x + 1)^2: no variation
+    ],
+)
+def test_positive_above_builds_a_sturm_sequence_only_on_an_even_bound(
+    monkeypatch, p, lo, want, sturm
+):
+    calls = _counting_sturm(monkeypatch)
+    assert positive_above(p, lo) is want
+    assert len(calls) == sturm
 
 
 @settings(max_examples=50, deadline=None)
@@ -692,22 +727,58 @@ def isolation_cases(draw):
 @example(((-2, 0, 1), F(0), F(2), F(1, 10**6)))
 @example(((-1, 0, 0, 1), F(-1), F(2), F(1, 100)))  # x^3 - 1: the root 1 at the first midpoint
 @example((tuple(_int_mul(_int_mul((-1, 2), (-1, 2)), (-3, 4))), F(0), F(1), F(1, 1000)))
+@example(((26, -100, 100), F(0), F(1), F(1, 100)))  # bound 2, no real root
+@example((tuple(_int_mul((26, -100, 100), (-1, 3))), F(0), F(1), F(1, 100)))  # bound 3, one root
+@example((tuple(_int_mul(_int_mul((-1, 3), (-1, 3)), (-2, 1))), F(0), F(4), F(1, 100)))  # double
 def test_isolate_roots_matches_full_sturm_bisection(case):
     p, lo, hi, tol = case
     assert isolate_roots(p, lo, hi, tol) == isolate_roots_full_sturm(p, lo, hi, tol)
 
 
+def test_isolate_roots_falls_back_to_sturm_where_the_bound_is_two_or_more():
+    q = (26, -100, 100)  # 100x^2 - 100x + 26, no real root
+    assert _descartes_bound(q, 0, 1) == 2
+    assert isolate_roots(q, 0, 1, F(1, 100)) == []
+    one = tuple(_int_mul(q, (-1, 3)))
+    bracket = RootLocation(F(21, 64), F(43, 128), None)
+    assert _descartes_bound(one, 0, 1) == 3
+    assert isolate_roots(one, 0, 1, F(1, 100)) == [bracket]
+    double = tuple(_int_mul(_int_mul((-1, 3), (-1, 3)), (-2, 1)))  # (3x - 1)^2 (x - 2)
+    assert _descartes_bound(double, 0, 4) == 3
+    assert isolate_roots(double, 0, 4, F(1, 100)) == [bracket, RootLocation(F(2), F(2), F(2))]
+
+
+def positive_above_by_sturm(p, lo):
+    """positive_above by one Sturm count alone."""
+    seq = sturm_sequence(p)
+    return bool(seq) and _scaled_value(seq[0], lo) > 0 and count_roots_between(
+        seq, lo, max(lo, cauchy_root_bound(p)) + 1) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(isolation_cases())
+@example(((26, -100, 100), F(0), F(1), F(1)))
+@example(((2, -3, 1), F(0), F(1), F(1)))
+def test_positive_above_matches_the_sturm_count(case):
+    p, lo, _, _ = case
+    assert positive_above(p, lo) == positive_above_by_sturm(p, lo)
+
+
+@settings(max_examples=150, deadline=None)
+@given(isolation_cases())
+def test_descartes_bound_bounds_the_roots_with_their_parity(case):
+    p, lo, hi, _ = case
+    x = sympy.Symbol("x")
+    roots = sympy.Poly(list(reversed(p)), x).real_roots()
+    inside = sum(1 for r in roots if lo < r < hi)  # with multiplicity
+    bound = _descartes_bound(p, lo, hi)
+    assert bound >= inside and (bound - inside) % 2 == 0
+
+
 def test_isolate_roots_halves_a_one_root_interval_on_sign_alone(monkeypatch):
-    calls = []
-    real = univariate.sign_variations_at
-
-    def counting(seq, x):
-        calls.append(x)
-        return real(seq, x)
-
-    monkeypatch.setattr(univariate, "sign_variations_at", counting)
+    calls = _counting_sturm(monkeypatch)
     got = isolate_roots((-2, 0, 1), 0, 2, F(1, 10**6))
-    assert calls == [0, 2]  # one Sturm count, of (0, 2)
+    assert calls == []  # Descartes' bound is 1 on (0, 2): no Sturm sequence
     assert got == isolate_roots_full_sturm((-2, 0, 1), 0, 2, F(1, 10**6))
     (r,) = got
     assert r.exact is None and r.low**2 < 2 < r.high**2 and r.high - r.low <= F(1, 10**6)
