@@ -4,9 +4,9 @@
 # weights are polynomials in (x, c), so the solver reads the moment system of
 # the extremal solve off them one power of c at a time and solves it over
 # Q[c] (Cramer's rule, Bareiss determinants), isolates the numerators' real
-# roots (counted by Descartes' rule of signs, with integer Sturm sequences
-# only where it cannot decide), and returns a certified bracket for the sup
-# over vertices.
+# roots (every count by Descartes' rule of signs, bisecting an interval where
+# one bound cannot decide), and returns a certified bracket for the sup over
+# vertices.
 
 from fractions import Fraction as F
 

@@ -100,7 +100,7 @@ def _centroid(points: Sequence[Point]) -> Point:
 class AffineFunc:
     """An affine function ``x -> <gradient, x> + constant`` on Q^dim."""
 
-    __slots__ = ("gradient", "constant", "_hash")
+    __slots__ = ("gradient", "constant", "_hash", "_ints")
 
     def __init__(self, gradient: Iterable, constant=0):
         object.__setattr__(self, "gradient", point(gradient))
@@ -115,6 +115,16 @@ class AffineFunc:
     @property
     def dim(self) -> int:
         return len(self.gradient)
+
+    def cleared(self) -> tuple[tuple[int, ...], int, int]:
+        """(G, c, den), f = (<G, x> + c) / den: the gradient and constant as
+        integers over their least common denominator den, kept once made."""
+        try:
+            return self._ints
+        except AttributeError:
+            (*G, c), den = _cleared((*self.gradient, self.constant))
+            object.__setattr__(self, "_ints", (tuple(G), c, den))
+            return self._ints
 
     def __call__(self, x: Sequence[Fraction]) -> Fraction:
         if len(x) != self.dim:

@@ -45,7 +45,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .exact import (
-    AffineFunc, Polynomial, _cleared, _eliminate, _lowest, _product, point, radial_derivative,
+    AffineFunc, Polynomial, _eliminate, _lowest, _product, point, radial_derivative,
 )
 from .measure import _add, _degree, _integer_terms, _moment_rows, _pair, integrate_simplex
 from .measure import integrate  # noqa: F401  (perfbench's tracer patches futaki.integrate)
@@ -239,15 +239,15 @@ def stability_weight(fib: Fibration, l_ext: AffineFunc | None = None) -> Polynom
     integers in lowest terms, with the terms in the order Polynomial
     arithmetic gives them.
 
-    l_ext's nonzero terms are cleared over dl, in to_polynomial's order, and
-    with v = V / dv and w_base = W / dw their integer forms, l_ext v is one
-    exact._product of integer maps and w's terms are brought over
-    lcm(dl dv, dw)."""
+    l_ext's nonzero terms are its integer form (AffineFunc.cleared) over dl,
+    in to_polynomial's order, and with v = V / dv and w_base = W / dw their
+    integer forms, l_ext v is one exact._product of integer maps and w's
+    terms are brought over lcm(dl dv, dw)."""
     if l_ext is None:
         l_ext = extremal_affine(fib).l_ext
-    ints, dl = _cleared((*l_ext.gradient, l_ext.constant))
+    G, c, dl = l_ext.cleared()
     E = _affine_exponents(fib.dim)
-    L = {e: c for e, c in zip((*E[1:], E[0]), ints) if c}
+    L = {e: x for e, x in zip((*E[1:], E[0]), (*G, c)) if x}
     (V, dv), (W, dw) = fib.v.cleared(), fib.w_base.cleared()
     D = lcm(dl * dv, dw)
     a, b = D // (dl * dv), D // dw

@@ -58,7 +58,6 @@ from .exact import (
     AffineFunc,
     Point,
     _centroid,
-    _cleared,
     _cleared_points,
     affine_rank,
     det,
@@ -566,7 +565,7 @@ def clip(P: LabelledPolytope, h: AffineFunc) -> LabelledPolytope:
         raise RedundantLabel(P.n_facets)
     D, U, zeros = _vertex_record(P)  # U = D * v, Z(i) as a bitmask over the labels
     on_h = 1 << P.n_facets
-    *G, C = _cleared(h.gradient + (h.constant,))[0]
+    G, C, _ = h.cleared()
     hv = [sum(map(mul, G, u), C * D) for u in U]  # h(v) times one positive integer
     above = [i for i, x in enumerate(hv) if x > 0]
     if not above:  # h <= 0 on P: the piece has no interior point

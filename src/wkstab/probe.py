@@ -41,7 +41,7 @@ give equal creases; so the test h(x0) <= 0 and the removal of duplicates
 cost one integer comparison and one dict entry per offset, only a kept
 crease's offset becomes a Fraction, and clip (which decides emptiness by
 the sign of h at P's vertices) runs once per surviving crease.  Crease._rows
-reads h's integer terms straight off its label.
+reads h's integer form (AffineFunc.cleared), which clip made and h keeps.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from fractions import Fraction
 from operator import mul
 
 from .exact import (
-    AffineFunc, Point, Polynomial, _cleared, _cleared_points, format_point, point, vadd, vscale, vsub,
+    AffineFunc, Point, Polynomial, _cleared_points, format_point, point, vadd, vscale, vsub,
 )
 from .futaki import _affine_exponents, assert_futaki_vanishes, df_invariant, df_via_cones
 from .measure import _degree, _integer_terms, _moment_rows, _monomials, integrate
@@ -91,8 +91,8 @@ class Crease:
         if self._cache[0] < dv or self._cache[1] < dw:
             dv, dw = max(dv, self._cache[0]), max(dw, self._cache[1])
             P, h = self.positive, self.h
-            ints, dh = _cleared((h.constant, *h.gradient))
-            H = [(a, c) for a, c in zip(_affine_exponents(P.dim), ints) if c]
+            G, c, dh = h.cleared()
+            H = [(a, x) for a, x in zip(_affine_exponents(P.dim), (c, *G)) if x]
             bv, bw = _monomials(P.dim, dv), _monomials(P.dim, dw)
             (rb, ri), delta = _moment_rows(P, [(H, bv, True), (H, bw, False)], 1 + max(dv, dw))
             object.__setattr__(self, "_cache", (dv, dw, dh * delta, rb, ri))

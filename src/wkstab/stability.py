@@ -34,9 +34,9 @@ extremal moment system M(c) lam = b(c) off them on the one fiber and solves
 it over Z[c] by Cramer's rule: l_ext(c) = (cramer[0] + sum_i x_i
 cramer[i+1]) / D, D = det M(c).  Each vertex's condition value is then an
 exact rational function of c, whose numerator roots are isolated by
-univariate.isolate_roots (counted by Descartes' rule of signs, with integer
-Sturm sequences only where it cannot decide).  A certified threshold rests
-on that solve, on the positivity of det M(c) for all c >= c_lo
+univariate.isolate_roots (every count by Descartes' rule of signs, on the
+halves of an interval where one bound cannot decide).  A certified
+threshold rests on that solve, on the positivity of det M(c) for c >= c_lo
 (univariate.positive_above: the same rule on D(c_lo + y)), and on
 agreement with the direct pipeline at c_hi; no sampled fit enters.  The
 vertex denominators' signs follow from these (threshold_c).
@@ -129,15 +129,11 @@ def condition_poly_general(P: LabelledPolytope, x0, j: int, v, w) -> Polynomial:
 
 def _label_values(P: LabelledPolytope, X0: list[int], D0: int) -> list[tuple[int, int]]:
     """(l_j, q_j) per facet with L_j(x0) = l_j / (q_j D0), x0 = X0 / D0:
-    each label's gradient and constant cleared to integers over q_j > 0.  An
-    X0 of another length than P.dim raises ValueError (the dot would truncate)."""
+    each label's integer form (AffineFunc.cleared) over q_j > 0.  An X0 of
+    another length than P.dim raises ValueError (the dot would truncate)."""
     if len(X0) != P.dim:
         raise ValueError("dimension mismatch evaluating AffineFunc")
-    out = []
-    for L in P.labels:
-        (*U, lam), q = _cleared((*L.gradient, L.constant))
-        out.append((sum(map(mul, U, X0)) + lam * D0, q))
-    return out
+    return [(sum(map(mul, U, X0)) + lam * D0, q) for U, lam, q in (L.cleared() for L in P.labels)]
 
 
 def _cone_conditions(P: LabelledPolytope, x0: Point, v, w) -> list[tuple[dict, int]]:
@@ -571,7 +567,8 @@ def threshold_c(
 ) -> ThresholdResult:
     """Smallest offset threshold: for each fiber vertex, solve exactly for
     the condition value as a rational function of c, isolate the largest
-    numerator root above c_lo, and take the supremum bracket.
+    numerator root above c_lo (roots counted by Descartes' rule of signs,
+    univariate), and take the supremum bracket.
 
     Contract on make_fib: from one c to another it changes only the factor
     offsets, each affine in c and nondecreasing, c_a(c) = c_a(c_lo) +
@@ -582,9 +579,9 @@ def threshold_c(
 
     Certification means: Cramer's rule over Q[c] is the extremal solve for
     every c >= c_lo (M(c_lo) positive definite, det M(c) positive with no
-    root above c_lo: the one positivity test, on D); above the returned bracket
-    every vertex value is provably positive (positive numerator leading
-    coefficient, no numerator root beyond the bracket); and the direct
+    root above c_lo: the one positivity test, on D(c_lo + y)); above the
+    returned bracket every vertex value is provably positive (positive
+    numerator leading coefficient, no numerator root beyond it); and the direct
     pipeline value at c_hi is nonnegative.  The exact functions must equal
     the direct pipeline values at c_hi; a mismatch raises ArithmeticError.
 

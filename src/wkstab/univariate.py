@@ -1,6 +1,6 @@
 """Dense univariate polynomials with integer coefficients: determinants
-and Cramer's rule over Z[x], gcds and root isolation by Descartes' rule of
-signs, with Sturm sequences where it cannot decide.
+and Cramer's rule over Z[x], gcds, and real root counting and isolation by
+Descartes' rule of signs.
 
 Polynomials are tuples of ints (index = power, no trailing zeros, () = 0).
 A rational polynomial is an integer one over a positive denominator that
@@ -14,21 +14,20 @@ integer Horner and one fraction-free Gauss-Jordan pass (Bareiss,
 determinant per column only where M(x) is singular); each column of values
 is fitted by integer forward differences (Newton's basis C(x, j) over B!,
 which divides out exactly).  One remainder loop, _remainders,
-yields the primitive integer PRS: its last member is the gcd, and the PRS of
-p and p' is the Sturm sequence of p.  Each member is a positive multiple of
-the classical one, so every sign, and with it every root count, is
-unchanged, and a sign at x = n/d is read off the integer d^deg q(n/d) by
-Horner's rule.  Root counts on an interval (a, b) come first from
-Descartes' rule of signs (Collins and Akritas): the sign variations of
-(1 + y)^d p((a + b y) / (1 + y)), two integer Taylor shifts of p, bound the
-roots in (a, b) with their multiplicity and parity, so a bound of 0 or 1 is
-the count.  Root isolation bisects, counting each interval by that bound,
-and only where it is >= 2 by the Sturm sequence of the primitive squarefree
-part, built once it is first needed; an interval with one root is halved on
-the sign of its integer image alone.  It returns exact rational roots when
-a midpoint lands on one (dividing it out by the integer factor dx - n) and
-width-bounded brackets otherwise.  positive_above decides by the same rule
-on p(lo + y) and builds a Sturm sequence only on an even bound >= 2.
+yields the primitive integer PRS: its last member is the gcd, so the
+squarefree part of p is p over the last member for p and p'.  A sign at
+x = n/d is read off the integer d^deg q(n/d) by Horner's rule.  Every root
+count on an interval (a, b) comes from Descartes' rule of signs (Collins
+and Akritas): the sign variations of (1 + y)^d p((a + b y) / (1 + y)), two
+integer Taylor shifts of p, bound the roots in (a, b) with their
+multiplicity and parity, so a bound of 0 or 1 is the count.  Where it is
+>= 2, _count bisects on the bound of the squarefree part until every piece
+is decided.  Root isolation bisects on the bound alone and counts only an
+interval no wider than its tolerance; an interval with one root is halved
+on the sign of its integer image alone.  It returns exact rational roots
+when a midpoint lands on one (dividing it out by the integer factor dx - n)
+and width-bounded brackets otherwise.  positive_above decides by the same
+rule on p(lo + y) and counts only on an even bound >= 2.
 """
 
 from __future__ import annotations
@@ -180,12 +179,6 @@ def _remainders(a: Poly1, b: Poly1) -> list[Poly1]:
     return [q for q in seq if q]
 
 
-def sturm_sequence(p: Poly1) -> list[Poly1]:
-    """The Sturm sequence of p, each member a primitive integer polynomial
-    (a positive multiple of the classical member)."""
-    return _remainders(p, derivative(p))
-
-
 def _scaled_value(q: Poly1, x) -> int:
     """d^deg(q) q(n/d) for x = n/d with d > 0 (an int or a Fraction): the
     sign of q(x), by integer Horner."""
@@ -201,25 +194,6 @@ def _variations(values) -> int:
     """Sign changes along a sequence of ints, zeros skipped."""
     signs = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def sign_variations_at(seq: list[Poly1], x) -> int:
-    x = rat(x)
-    return _variations(_scaled_value(q, x) for q in seq)
-
-
-def count_roots_between(seq: list[Poly1], a, b) -> int:
-    """Distinct real roots of seq[0] in the open interval (a, b).
-
-    Requires nonzero values at both endpoints.
-    """
-    a, b = rat(a), rat(b)
-    if b < a:
-        raise ValueError("empty interval: b < a")
-    p = seq[0]
-    if _scaled_value(p, a) == 0 or _scaled_value(p, b) == 0:
-        raise ValueError("Sturm endpoints must not be roots")
-    return sign_variations_at(seq, a) - sign_variations_at(seq, b)
 
 
 def cauchy_root_bound(p: Poly1) -> Fraction:
@@ -265,23 +239,52 @@ def _descartes_bound(p: Poly1, a, b) -> int:
     return _unit_bound(_unit_image(p, rat(a), rat(b)))
 
 
+def _squarefree(p: Poly1) -> Poly1:
+    """The squarefree part of p: p over the last member of its PRS with p'."""
+    g = _remainders(p, derivative(p))[-1]
+    return _quotient(p, g) if degree(g) >= 1 else p
+
+
+def _count(p: Poly1, a: Fraction, b: Fraction) -> int:
+    """The number of distinct roots of a squarefree p in (a, b): an interval
+    whose Descartes bound is 0 or 1 holds that many, one whose bound is >= 2
+    is halved, and a root n/d at its midpoint is counted and divided out.
+    It ends as p is squarefree: the bound is 0 when the disc with diameter
+    [a, b] holds no root of p, and 1 when the two discs through a and b
+    centred at (a + b)/2 +- i (b - a)/(2 sqrt 3) hold just one (Krandick and
+    Mehlhorn, J. Symb. Comput. 41 (2006)), so it is 0 or 1 once sqrt 3 (b - a)
+    is below the least distance between two roots of p in C.  About a
+    repeated root it would stay >= 2 at every width."""
+    count, work = 0, [(a, b)]
+    while work:
+        a, b = work.pop()
+        n = _descartes_bound(p, a, b)
+        if n < 2:
+            count += n
+            continue
+        mid = (a + b) / 2
+        if not _scaled_value(p, mid):
+            count += 1
+            p = _quotient(p, (-mid.numerator, mid.denominator))
+        work += [(a, mid), (mid, b)]
+    return count
+
+
 def positive_above(p: Poly1, lo) -> bool:
     """Whether p(lo) > 0 and p has no real root above lo.
 
     By Descartes' rule on p(lo + y): no sign variation proves it, an odd
     number refutes it (p has a root above lo), and only an even number >= 2
-    falls back to one Sturm count up to past the Cauchy bound.
+    leaves it to _count on p's squarefree part, up to past the Cauchy bound.
     """
     lo = rat(lo)
     r = _unit_image(p, lo, lo + 1)
     if not r or r[0] <= 0:
         return False
     n = _variations(r)
-    if n == 0:
-        return True
     if n % 2:
         return False
-    return count_roots_between(sturm_sequence(p), lo, max(lo, cauchy_root_bound(p)) + 1) == 0
+    return n == 0 or _count(_squarefree(p), lo, max(lo, cauchy_root_bound(p)) + 1) == 0
 
 
 @dataclass(frozen=True)
@@ -296,15 +299,13 @@ def isolate_roots(p: Poly1, lo, hi, tol) -> list[RootLocation]:
 
     Each root comes back exact or bracketed by an open interval of width
     <= tol whose endpoints are not roots.  Roots at lo or hi themselves are
-    not reported.  Intervals are halved at their midpoints.  An interval's
-    root count is Descartes' bound on it when that is 0 or 1; the first
-    interval where the bound is >= 2 builds the Sturm sequence of p's
-    primitive squarefree part (p divided by the gcd that ends its Sturm
-    sequence), which from then on replaces p and counts every interval
-    the bound leaves open.  An interval with one root is halved on the sign
-    of its unit image alone (_halve).  A rational root n/d found at lo, hi
-    or a midpoint is divided out by the factor dx - n.  hi < lo raises
-    ValueError.
+    not reported.  Intervals are halved at their midpoints on Descartes'
+    bound: 0 means no root, 1 one simple root, halved on the sign of the
+    unit image alone (_halve), and >= 2 a split while wider than tol; a
+    narrower one is counted (_count, on p's squarefree part, which then
+    replaces p) and reported whole if it holds one root.  A root n/d found
+    at lo, hi or a midpoint is divided out as often as dx - n divides p.
+    hi < lo raises ValueError.
     """
     lo, hi, tol = rat(lo), rat(hi), rat(tol)
     if hi < lo:
@@ -314,45 +315,36 @@ def isolate_roots(p: Poly1, lo, hi, tol) -> list[RootLocation]:
     if degree(p) < 1:
         return []
     for r in (lo, hi):
-        while _scaled_value(p, r) == 0:
+        while not _scaled_value(p, r):
             p = _quotient(p, (-r.numerator, r.denominator))
-    seq = None  # the Sturm sequence of p, built when a bound is >= 2
-    variations: dict = {}  # sign variations of seq by point: no endpoint is a root
+    squarefree = False
     roots: list[RootLocation] = []
     work = [(lo, hi)]
     while work:
         a, b = work.pop()
         image = _unit_image(p, a, b)
         n = _unit_bound(image)
-        if n >= 2:
-            if seq is None:
-                seq = sturm_sequence(p)
-                if degree(seq[-1]) >= 1:
-                    seq = sturm_sequence(_quotient(seq[0], seq[-1]))
-                p, image = seq[0], None
-            for x in (a, b):
-                if x not in variations:
-                    variations[x] = sign_variations_at(seq, x)
-            n = variations[a] - variations[b]
+        if n >= 2 and b - a <= tol:
+            if not squarefree:
+                p, squarefree = _squarefree(p), True
+            n = _count(p, a, b)
+            if n == 1:
+                roots.append(RootLocation(a, b, None))
+                continue
         if n == 0:
             continue
         if n == 1:
-            root = _halve(image or _unit_image(p, a, b), a, b, tol)
+            root = _halve(image, a, b, tol)
             roots.append(root)
-            if root.exact is None:
-                continue
-            mid = root.exact
-        else:
-            mid = (a + b) / 2
-            if _scaled_value(p, mid):
-                work += [(a, mid), (mid, b)]
-                continue
+            if root.exact is not None:  # a simple root
+                p = _quotient(p, (-root.exact.numerator, root.exact.denominator))
+            continue
+        mid = (a + b) / 2
+        if not _scaled_value(p, mid):
             roots.append(RootLocation(mid, mid, mid))
-        # mid is a root: divide it out; the halves hold the others, if any
-        p, seq = _quotient(p, (-mid.numerator, mid.denominator)), None
-        variations.clear()
-        if n > 1 and degree(p) >= 1:
-            work += [(a, mid), (mid, b)]
+        while not _scaled_value(p, mid):
+            p = _quotient(p, (-mid.numerator, mid.denominator))
+        work += [(a, mid), (mid, b)]
     return sorted(roots, key=lambda r: r.low)
 
 

@@ -18,9 +18,10 @@
 # conditions g_j and concave-cone test of the general route.  Of wkstab.univariate,
 # whose integer kernels these are the oracles of, only the RootLocation
 # record is shared, so that located roots compare equal; the one exception is
-# isolate_roots_full_sturm, the integer isolation as it was before its
-# sign-only halving and its Descartes counts, which runs on univariate's own
-# Sturm kernels so that it checks the bisection alone.
+# the integer Sturm sequence and count, and isolate_roots_full_sturm (the
+# integer isolation as it was before its sign-only halving and its Descartes
+# counts) on them, which run on univariate's own remainder sequence and
+# integer Horner so that they check the root counts and the bisection alone.
 
 import itertools
 import math
@@ -38,7 +39,8 @@ from wkstab.exact import (
 from wkstab.futaki import ExtremalSolution, SingularMomentMatrix, _moment_system
 from wkstab.weights import NonpositiveWeight, NotMonotoneFiber
 from wkstab.univariate import (
-    RootLocation, _quotient, _scaled_value, sign_variations_at, sturm_sequence,
+    RootLocation, _quotient, _remainders, _scaled_value, _variations,
+    derivative as int_derivative,
 )
 
 REF_NUM = {
@@ -641,6 +643,36 @@ def isolate_roots_fraction(p, lo, hi, tol):
         work.append((a, mid))
         work.append((mid, b))
     return sorted(roots, key=lambda r: r.low)
+
+
+# The integer Sturm sequence and its root count, as univariate counted roots
+# before it counted every interval by Descartes' rule of signs: the oracle
+# of univariate._count and of isolate_roots_full_sturm.
+
+
+def sturm_sequence(p) -> list:
+    """The Sturm sequence of p, each member a primitive integer polynomial
+    (a positive multiple of the classical member)."""
+    return _remainders(p, int_derivative(p))
+
+
+def sign_variations_at(seq: list, x) -> int:
+    x = rat(x)
+    return _variations(_scaled_value(q, x) for q in seq)
+
+
+def count_roots_between(seq: list, a, b) -> int:
+    """Distinct real roots of seq[0] in the open interval (a, b).
+
+    Requires nonzero values at both endpoints.
+    """
+    a, b = rat(a), rat(b)
+    if b < a:
+        raise ValueError("empty interval: b < a")
+    p = seq[0]
+    if _scaled_value(p, a) == 0 or _scaled_value(p, b) == 0:
+        raise ValueError("Sturm endpoints must not be roots")
+    return sign_variations_at(seq, a) - sign_variations_at(seq, b)
 
 
 def _deflated(q, x):

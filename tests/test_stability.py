@@ -683,22 +683,23 @@ def test_threshold_certified_needs_det_m_positive_above_c_lo(monkeypatch):
 @pytest.mark.parametrize("s, c_hi, want", [(24, F(9), THRESHOLD_CANONICAL_S24),
                                            (18, F(10), THRESHOLD_CANONICAL_S18)])
 def test_threshold_counts_the_c07b_roots_without_a_sturm_sequence(monkeypatch, s, c_hi, want):
-    # Descartes' bound decides det M(c) above c_lo and every vertex numerator
+    # Descartes' bound decides det M(c) above c_lo and every vertex numerator:
+    # no squarefree part is built and no root is counted by bisection
     calls = []
-    real = u1.sturm_sequence
+    real = u1._squarefree
 
     def counting(p):
         calls.append(p)
         return real(p)
 
-    monkeypatch.setattr(u1, "sturm_sequence", counting)
+    monkeypatch.setattr(u1, "_squarefree", counting)
     res = threshold_c(lambda c: tri_family(c, s=s), F(4), c_hi, tol=F(1, 100))
     assert res.certified and res.low <= want <= res.high
     assert calls == []
 
 
 def _assert_vertex_denominators_positive(make_fib, step):
-    # threshold_c runs no Sturm count on a vertex denominator: whenever the
+    # threshold_c counts no root of a vertex denominator: whenever the
     # Q[c] solve is sound, each one is positive on [c_lo, oo) already
     c_lo = _c_floor(make_fib) + step
     fib_lo = make_fib(c_lo)

@@ -10,6 +10,7 @@ from _reference_fraction import (
     DegreeEscalationFailed,
     RationalFunction as FractionRationalFunction,
     _reduced as reduced_fraction,
+    count_roots_between,
     count_roots_between_fraction,
     derivative as derivative_fraction,
     det_fraction,
@@ -25,6 +26,7 @@ from _reference_fraction import (
     normalize,
     reconstruct_rational,
     scale,
+    sturm_sequence,
     sturm_sequence_fraction,
     sub,
 )
@@ -32,6 +34,7 @@ from wkstab import exact, univariate
 from wkstab.univariate import (
     RationalFunction,
     RootLocation,
+    _count,
     _descartes_bound,
     _int_mul,
     _interpolate,
@@ -39,15 +42,14 @@ from wkstab.univariate import (
     _reduced,
     _remainders,
     _scaled_value,
+    _squarefree,
     cauchy_root_bound,
-    count_roots_between,
     cramer,
     degree,
     derivative,
     det,
     isolate_roots,
     positive_above,
-    sturm_sequence,
 )
 
 
@@ -107,7 +109,13 @@ def test_gcd_and_squarefree():
     assert monic_gcd(p, cleared(poly_from_roots([1, 5]))) == poly_from_roots([1])
     # squarefree part up to a scalar: same roots, multiplicity one
     sf = _quotient(p, gcd_of(p, derivative(p)))
+    assert _squarefree(p) == sf
     assert monic(tuple(map(F, sf))) == monic(poly_from_roots([1, 2]))
+    # its roots counted by Descartes' bound, as the Fraction Sturm sequence counts them
+    ref = sturm_sequence_fraction(tuple(map(F, p)))
+    for a, b in [(0, 3), (0, F(3, 2)), (F(3, 2), 3), (3, 4), (-1, 0)]:
+        assert _count(sf, F(a), F(b)) == count_roots_between_fraction(ref, a, b)
+    assert _count(sf, F(0), F(3)) == 2
 
 
 def test_sturm_root_count():
@@ -326,9 +334,15 @@ def test_integer_sturm_counts_match_fraction_oracle(roots, irr, cpx, lead, a, b)
     if evaluate(p, a) == 0 or evaluate(p, b) == 0:
         with pytest.raises(ValueError):
             count_roots_between(sturm_sequence(cleared(p)), a, b)
-        return
+        # _count takes the open interval: divide the roots at its ends out
+        whole = _count(cleared(p), a, b)
+        for x in {a, b}:
+            if evaluate(p, x) == 0:
+                p = divmod_exact(p, (-x, F(1)))[0]
+        assert whole == _count(cleared(p), a, b)
     seq, ref = sturm_sequence(cleared(p)), sturm_sequence_fraction(p)
-    assert count_roots_between(seq, a, b) == count_roots_between_fraction(ref, a, b)
+    assert _count(cleared(p), a, b) == count_roots_between(seq, a, b) == \
+        count_roots_between_fraction(ref, a, b)
     # each member is a primitive integer polynomial, a positive multiple of
     # the classical one
     assert len(seq) == len(ref)
@@ -348,20 +362,20 @@ def test_positive_above():
     assert not positive_above((), F(0))
 
 
-def _counting_sturm(monkeypatch):
+def _counting_squarefree(monkeypatch):
     calls = []
-    real = univariate.sturm_sequence
+    real = univariate._squarefree
 
     def counting(p):
         calls.append(p)
         return real(p)
 
-    monkeypatch.setattr(univariate, "sturm_sequence", counting)
+    monkeypatch.setattr(univariate, "_squarefree", counting)
     return calls
 
 
 @pytest.mark.parametrize(
-    "p, lo, want, sturm",
+    "p, lo, want, squarefree",
     [
         ((26, -100, 100), 0, True, 1),  # 100x^2 - 100x + 26: two variations, no real root
         ((2, -3, 1), 0, False, 1),  # (x - 1)(x - 2): two variations, two roots
@@ -372,11 +386,12 @@ def _counting_sturm(monkeypatch):
     ],
 )
 def test_positive_above_builds_a_sturm_sequence_only_on_an_even_bound(
-    monkeypatch, p, lo, want, sturm
+    monkeypatch, p, lo, want, squarefree
 ):
-    calls = _counting_sturm(monkeypatch)
+    # only an even bound >= 2 builds the squarefree part and counts its roots
+    calls = _counting_squarefree(monkeypatch)
     assert positive_above(p, lo) is want
-    assert len(calls) == sturm
+    assert len(calls) == squarefree
 
 
 @settings(max_examples=50, deadline=None)
@@ -697,6 +712,12 @@ def test_cramer_runs_one_elimination_per_node(monkeypatch):
 # ------------------------- sign-only halving against the full-Sturm bisection
 
 
+# (3x - 1)(100 (3000x - 1001)^2 + 9): a complex pair 1001/3000 +- i/1000
+# near the root 1/3, so Descartes' bound is 3 on the bracket (21/64, 43/128)
+# of width <= 1/100 that holds only that root
+NEAR_PAIR = tuple(_int_mul((-1, 3), (100 * 1001**2 + 9, -600000 * 1001, 900000000)))
+
+
 @st.composite
 def isolation_cases(draw):
     """An integer polynomial built from rational linear factors (roots at
@@ -730,6 +751,8 @@ def isolation_cases(draw):
 @example(((26, -100, 100), F(0), F(1), F(1, 100)))  # bound 2, no real root
 @example((tuple(_int_mul((26, -100, 100), (-1, 3))), F(0), F(1), F(1, 100)))  # bound 3, one root
 @example((tuple(_int_mul(_int_mul((-1, 3), (-1, 3)), (-2, 1))), F(0), F(4), F(1, 100)))  # double
+@example((NEAR_PAIR, F(0), F(1), F(1, 100)))  # bound 3 on the one-root bracket
+@example((tuple(_int_mul(NEAR_PAIR, (-1, 3))), F(0), F(1), F(1, 100)))  # and with (3x - 1)^2
 def test_isolate_roots_matches_full_sturm_bisection(case):
     p, lo, hi, tol = case
     assert isolate_roots(p, lo, hi, tol) == isolate_roots_full_sturm(p, lo, hi, tol)
@@ -746,6 +769,10 @@ def test_isolate_roots_falls_back_to_sturm_where_the_bound_is_two_or_more():
     double = tuple(_int_mul(_int_mul((-1, 3), (-1, 3)), (-2, 1)))  # (3x - 1)^2 (x - 2)
     assert _descartes_bound(double, 0, 4) == 3
     assert isolate_roots(double, 0, 4, F(1, 100)) == [bracket, RootLocation(F(2), F(2), F(2))]
+    # a bracket no wider than tol is counted, and reported whole with its one root
+    assert _descartes_bound(NEAR_PAIR, bracket.low, bracket.high) == 3
+    assert isolate_roots(NEAR_PAIR, 0, 1, F(1, 100)) == [bracket]
+    assert isolate_roots(tuple(_int_mul(NEAR_PAIR, (-1, 3))), 0, 1, F(1, 100)) == [bracket]
 
 
 def positive_above_by_sturm(p, lo):
@@ -776,9 +803,20 @@ def test_descartes_bound_bounds_the_roots_with_their_parity(case):
 
 
 def test_isolate_roots_halves_a_one_root_interval_on_sign_alone(monkeypatch):
-    calls = _counting_sturm(monkeypatch)
+    calls = _counting_squarefree(monkeypatch)
     got = isolate_roots((-2, 0, 1), 0, 2, F(1, 10**6))
-    assert calls == []  # Descartes' bound is 1 on (0, 2): no Sturm sequence
+    assert calls == []  # Descartes' bound is 1 on (0, 2): nothing is counted
     assert got == isolate_roots_full_sturm((-2, 0, 1), 0, 2, F(1, 10**6))
     (r,) = got
     assert r.exact is None and r.low**2 < 2 < r.high**2 and r.high - r.low <= F(1, 10**6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(isolation_cases())
+@example((NEAR_PAIR, F(0), F(1), F(1)))
+@example((NEAR_PAIR, F(21, 64), F(43, 128), F(1)))
+def test_count_is_the_number_of_distinct_real_roots(case):
+    p, lo, hi, _ = case
+    x = sympy.Symbol("x")
+    roots = set(sympy.Poly(list(reversed(p)), x).real_roots())
+    assert _count(_squarefree(p), lo, hi) == sum(1 for r in roots if lo < r < hi)
